@@ -138,11 +138,14 @@ def cosine_similarity(f1: np.ndarray, f2: np.ndarray) -> float:
     f2 = np.asarray(f2, dtype=float)
     if f1.shape != f2.shape:
         raise ValueError(f"dimension mismatch: {f1.shape} vs {f2.shape}")
-    n1 = np.linalg.norm(f1)
-    n2 = np.linalg.norm(f2)
+    # the same arithmetic as np.linalg.norm and np.clip, without their
+    # per-call overhead on the hot path; NaN passes through as with np.clip
+    n1 = math.sqrt(f1.dot(f1))
+    n2 = math.sqrt(f2.dot(f2))
     if n1 == 0.0 or n2 == 0.0:
         return 0.0
-    return float(np.clip(np.dot(f1, f2) / (n1 * n2), -1.0, 1.0))
+    sim = float(f1.dot(f2)) / (n1 * n2)
+    return 1.0 if sim > 1.0 else -1.0 if sim < -1.0 else sim
 
 
 def psnr_fidelity(degraded: Payload, codec: TruncationCodec | None = None) -> float:

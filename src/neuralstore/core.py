@@ -520,8 +520,10 @@ class Memory:
                 if isinstance(n, DataNeuron)]
 
     def total_bytes(self, hive: Hive | None = None) -> int:
-        return sum(dn.size_bytes for dn in self.data_neurons()
-                   if hive is None or dn.hive_id == hive.id)
+        # an integer sum, so neuron order does not matter: skip the id sort
+        return sum(n.size_bytes for n in self.neurons.values()
+                   if isinstance(n, DataNeuron)
+                   and (hive is None or n.hive_id == hive.id))
 
     def edge_count(self) -> int:
         """Logical association count (full mode counts every distinct pair)."""

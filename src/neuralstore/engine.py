@@ -8,6 +8,16 @@ through the reaction step, which is where all association learning happens.
 Retention ages whatever the access pattern has not touched lately, and
 elasticity squeezes stored quality to make room when a byte capacity is set.
 
+Search orders are maintained by the operations themselves.  A reaction
+marks the cues whose edges it changed, a new data neuron marks the cues
+whose candidate lists it joins, and ``store``/``retrieve`` re-sort only those
+cues, once at the end of the operation (when ``OpControls.update_order`` is
+set; otherwise the marks carry over to the next operation that updates).
+Nothing reads a search order in the middle of an operation: the candidate
+list is fixed before the scan.  Code that edits associations directly with
+``Memory.adjust_association`` must call :meth:`MemoryEngine.update_search_order`
+afterwards.
+
 Operation cost is the number of candidate examinations (search-section
 iterations); an engine-wide instrumented counter accumulates the same
 quantity independently of the per-operation bookkeeping so the two can be
@@ -21,6 +31,7 @@ supported and does not advance the counter.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,6 +123,9 @@ class MemoryEngine:
         self.search.validate()
         self.controls.validate()
         self.total_search_iterations = 0
+        # cues whose search order is stale: their edges changed since the
+        # last re-sort
+        self._dirty: set[int] = set()
 
     # -- helpers -------------------------------------------------------------
 
@@ -153,15 +167,24 @@ class MemoryEngine:
 
     # -- search order --------------------------------------------------------
 
-    def update_search_order(self, hive: Hive | None = None) -> None:
-        """Recompute every cue's ranked candidate list from current weights."""
+    def update_search_order(self, hive: Hive | None = None,
+                            cue_ids: Iterable[int] | None = None) -> None:
+        """Recompute cues' ranked candidate lists from current weights.
+
+        Without ``cue_ids`` every cue of the hive is re-sorted; with them only
+        those cues are.  Either way the re-sorted cues stop being dirty.
+        """
         hive = hive or self.hive
         graph = self.memory.graph
-        order: dict[int, list[SearchEntry]] = {}
+        if cue_ids is None:
+            cue_ids = hive.cue_bank
+            hive.search_order = {}
+        cue_ids = sorted(cue_ids)
+        self._dirty.difference_update(cue_ids)
         if graph.full_graph:
             hive_dns = [dn.id for dn in self.memory.data_neurons()
                         if dn.hive_id == hive.id]
-        for cue_id in sorted(hive.cue_bank):
+        for cue_id in cue_ids:
             if graph.full_graph:
                 candidates = hive_dns
             else:
@@ -172,8 +195,12 @@ class MemoryEngine:
                                    avg_weight=graph.weight(cue_id, dn))
                        for dn in candidates]
             entries.sort(key=lambda e: (-e.avg_weight, e.dn_id))
-            order[cue_id] = entries
-        hive.search_order = order
+            hive.search_order[cue_id] = entries
+
+    def _flush_search_order(self, hive: Hive) -> None:
+        """Re-sort the cues marked dirty since their last re-sort."""
+        if self._dirty:
+            self.update_search_order(hive, self._dirty)
 
     def get_search_order(self, cues, hive: Hive | None = None,
                          assoc_thresh: float | None = None,
@@ -219,7 +246,10 @@ class MemoryEngine:
         (creating cue neurons and epsilon-weight links as needed; links that
         already exist and were not on the path are strengthened).  ``flag=0``
         weakens the path by eta when failure decay is enabled and otherwise
-        leaves all weights untouched.
+        leaves all weights untouched.  The cues whose edges changed are marked
+        dirty; with ``up`` their orders are re-sorted before returning
+        (``store`` and ``retrieve`` pass ``up=False`` and re-sort once per
+        operation instead).
         """
         if path and path[-1] != target_dn:
             raise RuntimeError(f"path {path} does not terminate at {target_dn}")
@@ -233,23 +263,31 @@ class MemoryEngine:
         k = self.controls.weaken_on_fail if k is None else k
         if flag:
             for a, b in pairs:
-                self.memory.adjust_association(a, b, -eta)
+                self._adjust_edge(hive, a, b, -eta)
             self.memory.restore_strength(target_dn)
             self.memory.touch(target_dn)
             path_keys = {self._edge_key(a, b) for a, b in pairs}
             self._associate_cues(hive, cues, target_dn, skip=path_keys)
         elif k:
             for a, b in pairs:
-                self.memory.adjust_association(a, b, eta)
+                self._adjust_edge(hive, a, b, eta)
         if up:
-            self.update_search_order(hive)
+            self._flush_search_order(hive)
+
+    def _adjust_edge(self, hive: Hive, a: int, b: int, delta: float) -> None:
+        # a changed weight makes the orders of the edge's cue endpoints stale
+        old = self.memory.graph.weight(a, b)
+        if self.memory.adjust_association(a, b, delta) != old:
+            self._dirty.update(n for n in (a, b) if n in hive.cue_bank)
 
     def _associate_cues(self, hive: Hive, cues, dn_id: int,
                         skip: set[tuple[int, int]]) -> None:
         # associate if absent (at epsilon), strengthen if already associated;
-        # path edges were already strengthened by the caller
+        # path edges were already strengthened by the caller.  Every cue is
+        # marked: a new cue has no order yet, and a new edge joins its order.
         for cue in cues:
             cue_id = self._find_or_create_cue(hive, cue)
+            self._dirty.add(cue_id)
             key = self._edge_key(cue_id, dn_id)
             if not self.memory.graph.has_edge(cue_id, dn_id):
                 self.memory.associate(cue_id, dn_id)
@@ -362,23 +400,29 @@ class MemoryEngine:
             examined.append(dn.id)
             if cosine_similarity(feature, dn.feature) >= search.match_thresh:
                 self.reaction(hive, dn.id, entry.path, flag=1, cues=cues,
-                              up=controls.update_order, k=controls.weaken_on_fail)
+                              up=False, k=controls.weaken_on_fail)
                 if payload.quality > dn.payload.quality:
                     dn.payload = payload    # merge refresh: fresher copy wins
                 outcome = OpOutcome("merged", dn.id, cost, dn.payload,
                                     dn.payload.quality, tuple(examined))
                 break
             self.reaction(hive, dn.id, entry.path, flag=0, cues=cues,
-                          up=controls.update_order, k=controls.weaken_on_fail)
+                          up=False, k=controls.weaken_on_fail)
         if outcome is None:
             label = next((c for c in cues if isinstance(c, str)), None)
             locality = self.select_locality(hive, label, feature)
             dn_id = self.memory.add_data_neuron(hive, locality.id, payload, feature)
+            # the new neuron joins its locality's default cue, or every cue
+            # through the implicit links of full-graph mode
+            if self.memory.graph.full_graph:
+                self._dirty.update(hive.cue_bank)
+            else:
+                self._dirty.add(locality.default_cue_id)
             self._associate_cues(hive, cues, dn_id, skip=set())
-            if controls.update_order:
-                self.update_search_order(hive)
             outcome = OpOutcome("new_neuron", dn_id, cost, payload, 100.0,
                                 tuple(examined))
+        if controls.update_order:
+            self._flush_search_order(hive)
         self._auto_retention(controls)
         return outcome
 
@@ -407,14 +451,16 @@ class MemoryEngine:
                                for f in fine):
                 quality = dn.payload.quality
                 self.reaction(hive, dn.id, entry.path, flag=1, cues=cues,
-                              up=controls.update_order, k=controls.weaken_on_fail)
+                              up=False, k=controls.weaken_on_fail)
                 outcome = OpOutcome("hit", dn.id, cost, dn.payload, quality,
                                     tuple(examined))
                 break
             self.reaction(hive, dn.id, entry.path, flag=0, cues=cues,
-                          up=controls.update_order, k=controls.weaken_on_fail)
+                          up=False, k=controls.weaken_on_fail)
         if outcome is None:
             outcome = OpOutcome("miss", None, cost, None, None, tuple(examined))
+        if controls.update_order:
+            self._flush_search_order(hive)
         self._auto_retention(controls)
         return outcome
 

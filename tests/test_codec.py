@@ -159,6 +159,34 @@ class TestSimilarity:
         b = np.array([-1.0, 0.5, 2.0])
         assert cosine_similarity(a, b) == cosine_similarity(b, a)
 
+    def test_bit_identical_to_norm_and_clip_formula(self):
+        def reference(f1, f2):
+            f1 = np.asarray(f1, dtype=float)
+            f2 = np.asarray(f2, dtype=float)
+            n1 = np.linalg.norm(f1)
+            n2 = np.linalg.norm(f2)
+            if n1 == 0.0 or n2 == 0.0:
+                return 0.0
+            return float(np.clip(np.dot(f1, f2) / (n1 * n2), -1.0, 1.0))
+
+        rng = np.random.default_rng(20210107)
+        pairs = []
+        for _ in range(3000):
+            dim = int(rng.integers(1, 80))
+            a = rng.standard_normal(dim) * float(rng.choice([1e-3, 1.0, 1e3]))
+            b = rng.standard_normal(dim)
+            unit_a, unit_b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+            # parallel pairs round to just past +-1, where the clamp decides
+            pairs += [(a, b), (unit_a, unit_b), (a, 3.0 * a), (unit_a, -unit_a),
+                      (a.tolist(), b.tolist())]
+        pairs += [(np.zeros(5), np.ones(5)), (np.zeros(5), np.zeros(5)),
+                  ([0.0, 0.0], [1.0, 2.0]), ([1.0, -2.0], [3.0, 0.5]),
+                  ([np.nan, 1.0], [1.0, 1.0])]
+        for f1, f2 in pairs:
+            got = cosine_similarity(f1, f2)
+            assert type(got) is float
+            assert got.hex() == reference(f1, f2).hex()
+
 
 class TestFidelity:
     def test_identical_payload_is_infinite(self):
