@@ -30,6 +30,7 @@ signed channel serves reinforcement and ageing.
 
 from __future__ import annotations
 
+import math
 import urllib.parse
 from dataclasses import dataclass, field
 
@@ -53,6 +54,11 @@ class ConfigurationError(ValueError):
 
 class SnapshotFormatError(ValueError):
     """Malformed or version-incompatible snapshot document."""
+
+
+def non_finite(value) -> bool:
+    """True for a NaN or infinite float (ints and None are never flagged)."""
+    return isinstance(value, float) and not math.isfinite(value)
 
 
 def clamp_weight(epsilon: float, weight: float, delta: float) -> float:
@@ -106,10 +112,6 @@ class SearchEntry:
     path: tuple[int, ...]
     dn_id: int
     avg_weight: float
-
-    @property
-    def path_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.path[:-1], self.path[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +262,13 @@ class HiveParams:
             seq = getattr(self, name)
             if len(seq) != self.num_localities:
                 problems.append(f"{name} must have {self.num_localities} entries")
+        # NaN passes every comparison below, so finiteness is checked first
+        for name in ("eta", "epsilon", "memory_decay_rates",
+                     "association_decay_rates", "capacity_bytes"):
+            value = getattr(self, name)
+            values = value if isinstance(value, list) else [value]
+            if any(map(non_finite, values)):
+                problems.append(f"{name} must be finite")
         if any(r < 0 for r in self.memory_decay_rates):
             problems.append("memory decay rates must be >= 0")
         if any(r < 0 for r in self.association_decay_rates):
@@ -283,6 +292,9 @@ class HiveParams:
         for i, schedule in enumerate(self.elasticity_schedules):
             if not schedule:
                 problems.append(f"elasticity schedule {i} is empty")
+                continue
+            if any(map(non_finite, schedule)):
+                problems.append(f"elasticity_schedules[{i}] must be finite")
                 continue
             if any(b >= a for a, b in zip(schedule, schedule[1:])):
                 problems.append(f"elasticity schedule {i} must be strictly decreasing")
@@ -320,6 +332,25 @@ class Hive:
         self.quality_map = get_strength_quality_map(self.params.strength_quality_map)
         self._label_index: dict[str, int] = {}
         self._vector_index: dict[bytes, int] = {}
+        # every data neuron's feature as a row of one matrix, with its norm,
+        # so a candidate list is scored in one product; grown by doubling
+        self.feature_rows: dict[int, int] = {}
+        self.features = np.empty((0, self.params.feature_dim))
+        self.feature_norms = np.empty(0)
+
+    def add_feature(self, dn_id: int, feature: np.ndarray) -> None:
+        row = len(self.feature_rows)
+        if row == len(self.features):
+            size = max(16, 2 * row)
+            features = np.empty((size, self.params.feature_dim))
+            features[:row] = self.features[:row]
+            norms = np.empty(size)
+            norms[:row] = self.feature_norms[:row]
+            self.features, self.feature_norms = features, norms
+        self.features[row] = feature
+        # the expression cosine_similarity uses, so both see the same norm
+        self.feature_norms[row] = math.sqrt(feature.dot(feature))
+        self.feature_rows[dn_id] = row
 
     def find_cue_by_label(self, label: str) -> int | None:
         return self._label_index.get(label)
@@ -412,6 +443,9 @@ class Memory:
         self.op_counter = 0
         self._next_neuron_id = 0
         self._next_hive_id = 0
+        # stored payload bytes per hive id, kept current by add_data_neuron
+        # and set_payload
+        self._bytes: dict[int, int] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -428,6 +462,7 @@ class Memory:
         hive = Hive(id=self._next_hive_id, modality=modality, params=params)
         self._next_hive_id += 1
         self.hives[hive.id] = hive
+        self._bytes[hive.id] = 0
         for i in range(params.num_localities):
             hive.localities.append(Locality(
                 id=i, hive_id=hive.id,
@@ -498,6 +533,8 @@ class Memory:
                         strength=100.0, locality_id=locality_id, hive_id=hive.id,
                         last_access_op=self.op_counter)
         self.neurons[dn.id] = dn
+        self._bytes[hive.id] += dn.size_bytes
+        hive.add_feature(dn.id, feature)
         locality.dn_ids.append(dn.id)
         if locality.default_cue_id is None:
             locality.default_cue_id = self._add_default_cue(hive, locality)
@@ -520,10 +557,9 @@ class Memory:
                 if isinstance(n, DataNeuron)]
 
     def total_bytes(self, hive: Hive | None = None) -> int:
-        # an integer sum, so neuron order does not matter: skip the id sort
-        return sum(n.size_bytes for n in self.neurons.values()
-                   if isinstance(n, DataNeuron)
-                   and (hive is None or n.hive_id == hive.id))
+        if hive is not None:
+            return self._bytes[hive.id]
+        return sum(self._bytes.values())
 
     def edge_count(self) -> int:
         """Logical association count (full mode counts every distinct pair)."""
@@ -561,8 +597,13 @@ class Memory:
         dn.strength = new
         target_quality = min(100.0, max(0.0, hive.quality_map(new)))
         if target_quality < dn.payload.quality:
-            dn.payload = hive.codec.compress(dn.payload, target_quality)
+            self.set_payload(dn, hive.codec.compress(dn.payload, target_quality))
         return new
+
+    def set_payload(self, dn: DataNeuron, payload: Payload) -> None:
+        """Replace a data neuron's payload, keeping the byte totals current."""
+        self._bytes[dn.hive_id] += payload.size_bytes - dn.size_bytes
+        dn.payload = payload
 
     def restore_strength(self, dn_id: int) -> float:
         """Raise strength back to 100 (stored quality is not resurrected)."""

@@ -8,15 +8,26 @@ through the reaction step, which is where all association learning happens.
 Retention ages whatever the access pattern has not touched lately, and
 elasticity squeezes stored quality to make room when a byte capacity is set.
 
-Search orders are maintained by the operations themselves.  A reaction
-marks the cues whose edges it changed, a new data neuron marks the cues
-whose candidate lists it joins, and ``store``/``retrieve`` re-sort only those
-cues, once at the end of the operation (when ``OpControls.update_order`` is
-set; otherwise the marks carry over to the next operation that updates).
-Nothing reads a search order in the middle of an operation: the candidate
-list is fixed before the scan.  Code that edits associations directly with
-``Memory.adjust_association`` must call :meth:`MemoryEngine.update_search_order`
-afterwards.
+Search orders are maintained by the operations themselves.  Every edge whose
+weight a reaction, a new data neuron or a retention pass changes is marked
+under its cue, with the weight the cue's order still holds for it.  Once per
+operation (when ``OpControls.update_order`` is set; otherwise the marks carry
+over to the next operation that updates) and at the end of each retention
+pass, each marked entry is moved: it is found by ``bisect`` at its old
+``(-weight, dn_id)`` position and inserted again at its new one.  A cue
+without an order yet, or whose order does not hold a marked entry where the
+mark says, is re-sorted from the graph instead.  Nothing reads a search order
+in the middle of an operation: the candidate list is fixed before the scan.
+Code that edits associations directly with ``Memory.adjust_association``
+must call :meth:`MemoryEngine.update_search_order` afterwards.
+
+Matching scores a whole candidate list in one matrix product against the
+hive's feature matrix (one row per data neuron, with its norm).  A score
+within ``NEAR_THRESHOLD`` of ``match_thresh`` is decided again by the scalar
+:func:`~neuralstore.codec.cosine_similarity`, so a match decision is always
+the one a candidate-by-candidate scan would make.  Reactions run only where a
+weight can change: on the match, and on each examined non-match when failure
+decay is enabled.
 
 Operation cost is the number of candidate examinations (search-section
 iterations); an engine-wide instrumented counter accumulates the same
@@ -31,6 +42,8 @@ supported and does not advance the counter.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -45,7 +58,17 @@ from neuralstore.core import (
     Locality,
     Memory,
     SearchEntry,
+    non_finite,
 )
+
+
+# matrix scores closer than this to match_thresh are re-decided by the scalar
+# cosine_similarity; the two differ only by summation order, far below it
+NEAR_THRESHOLD = 1e-9
+
+
+def _order_key(entry: SearchEntry) -> tuple[float, int]:
+    return (-entry.avg_weight, entry.dn_id)
 
 
 class StorageFullError(RuntimeError):
@@ -69,6 +92,8 @@ class SearchParams:
     match_thresh: float = 0.95
 
     def validate(self) -> None:
+        if non_finite(self.assoc_thresh):
+            raise ConfigurationError("assoc_thresh must be finite")
         if not -1.0 <= self.match_thresh <= 1.0:
             raise ConfigurationError("match_thresh must be in [-1, 1]")
 
@@ -123,9 +148,9 @@ class MemoryEngine:
         self.search.validate()
         self.controls.validate()
         self.total_search_iterations = 0
-        # cues whose search order is stale: their edges changed since the
-        # last re-sort
-        self._dirty: set[int] = set()
+        # stale search-order entries: {cue_id: {dn_id: weight the cue's
+        # order still holds for the edge, or None if the edge is new}}
+        self._dirty: dict[int, dict[int, float | None]] = {}
 
     # -- helpers -------------------------------------------------------------
 
@@ -169,38 +194,76 @@ class MemoryEngine:
 
     def update_search_order(self, hive: Hive | None = None,
                             cue_ids: Iterable[int] | None = None) -> None:
-        """Recompute cues' ranked candidate lists from current weights.
+        """Bring cues' ranked candidate lists up to date with current weights.
 
-        Without ``cue_ids`` every cue of the hive is re-sorted; with them only
-        those cues are.  Either way the re-sorted cues stop being dirty.
+        Without ``cue_ids`` every cue of the hive is re-sorted from the graph.
+        With them, a cue whose order exists and whose changed edges are marked
+        has just those entries moved; any other cue is re-sorted.  Either way
+        the cues' marks are cleared.
         """
         hive = hive or self.hive
-        graph = self.memory.graph
         if cue_ids is None:
             cue_ids = hive.cue_bank
             hive.search_order = {}
-        cue_ids = sorted(cue_ids)
-        self._dirty.difference_update(cue_ids)
+        for cue_id in sorted(cue_ids):
+            marks = self._dirty.pop(cue_id, None)
+            order = hive.search_order.get(cue_id)
+            if (marks is None or order is None
+                    or not self._move_entries(cue_id, order, marks)):
+                hive.search_order[cue_id] = self._sorted_order(hive, cue_id)
+
+    def _sorted_order(self, hive: Hive, cue_id: int) -> list[SearchEntry]:
+        graph = self.memory.graph
         if graph.full_graph:
-            hive_dns = [dn.id for dn in self.memory.data_neurons()
-                        if dn.hive_id == hive.id]
-        for cue_id in cue_ids:
-            if graph.full_graph:
-                candidates = hive_dns
-            else:
-                candidates = [n for n in graph.neighbors(cue_id)
-                              if isinstance(self.memory.neurons[n], DataNeuron)
-                              and self.memory.neurons[n].hive_id == hive.id]
-            entries = [SearchEntry(path=(cue_id, dn), dn_id=dn,
-                                   avg_weight=graph.weight(cue_id, dn))
-                       for dn in candidates]
-            entries.sort(key=lambda e: (-e.avg_weight, e.dn_id))
-            hive.search_order[cue_id] = entries
+            candidates = hive.feature_rows      # every data neuron of the hive
+        else:
+            candidates = [n for n in graph.neighbors(cue_id)
+                          if n in hive.feature_rows]
+        entries = [SearchEntry(path=(cue_id, dn), dn_id=dn,
+                               avg_weight=graph.weight(cue_id, dn))
+                   for dn in candidates]
+        entries.sort(key=_order_key)
+        return entries
+
+    def _move_entries(self, cue_id: int, order: list[SearchEntry],
+                      marks: dict[int, float | None]) -> bool:
+        """Move each marked entry of a cue's order to its current weight.
+
+        Returns False, leaving the order half moved, when a marked entry is
+        not where its mark says; the caller then re-sorts the cue.
+        """
+        graph = self.memory.graph
+        for dn_id, old in marks.items():
+            new = graph.weight(cue_id, dn_id)
+            if new == old:
+                continue
+            if old is not None:
+                i = bisect_left(order, (-old, dn_id), key=_order_key)
+                if (i == len(order) or order[i].dn_id != dn_id
+                        or order[i].avg_weight != old):
+                    return False
+                del order[i]
+            if new is not None:
+                insort(order, SearchEntry(path=(cue_id, dn_id), dn_id=dn_id,
+                                          avg_weight=new), key=_order_key)
+        return True
 
     def _flush_search_order(self, hive: Hive) -> None:
-        """Re-sort the cues marked dirty since their last re-sort."""
-        if self._dirty:
-            self.update_search_order(hive, self._dirty)
+        """Bring the orders of the hive's cues with marked edges up to date."""
+        cue_ids = sorted(c for c in self._dirty if c in hive.cue_bank)
+        if cue_ids:
+            self.update_search_order(hive, cue_ids)
+
+    def _mark_edge(self, hive: Hive, a: int, b: int, old: float | None) -> None:
+        """Mark an edge whose weight changes from ``old`` (None: new edge)
+        under each of its cue endpoints; the first mark since the cue's last
+        update keeps the weight its order holds."""
+        for cue_id, other in ((a, b), (b, a)):
+            if cue_id in hive.cue_bank:
+                marks = self._dirty.setdefault(cue_id, {})
+                # only data neurons of the hive appear in its orders
+                if other in hive.feature_rows:
+                    marks.setdefault(other, old)
 
     def get_search_order(self, cues, hive: Hive | None = None,
                          assoc_thresh: float | None = None,
@@ -246,9 +309,9 @@ class MemoryEngine:
         (creating cue neurons and epsilon-weight links as needed; links that
         already exist and were not on the path are strengthened).  ``flag=0``
         weakens the path by eta when failure decay is enabled and otherwise
-        leaves all weights untouched.  The cues whose edges changed are marked
-        dirty; with ``up`` their orders are re-sorted before returning
-        (``store`` and ``retrieve`` pass ``up=False`` and re-sort once per
+        leaves all weights untouched.  The edges whose weights changed are
+        marked; with ``up`` the marked orders are updated before returning
+        (``store`` and ``retrieve`` pass ``up=False`` and update once per
         operation instead).
         """
         if path and path[-1] != target_dn:
@@ -275,24 +338,24 @@ class MemoryEngine:
             self._flush_search_order(hive)
 
     def _adjust_edge(self, hive: Hive, a: int, b: int, delta: float) -> None:
-        # a changed weight makes the orders of the edge's cue endpoints stale
         old = self.memory.graph.weight(a, b)
         if self.memory.adjust_association(a, b, delta) != old:
-            self._dirty.update(n for n in (a, b) if n in hive.cue_bank)
+            self._mark_edge(hive, a, b, old)
 
     def _associate_cues(self, hive: Hive, cues, dn_id: int,
                         skip: set[tuple[int, int]]) -> None:
         # associate if absent (at epsilon), strengthen if already associated;
         # path edges were already strengthened by the caller.  Every cue is
         # marked: a new cue has no order yet, and a new edge joins its order.
+        graph = self.memory.graph
         for cue in cues:
             cue_id = self._find_or_create_cue(hive, cue)
-            self._dirty.add(cue_id)
-            key = self._edge_key(cue_id, dn_id)
-            if not self.memory.graph.has_edge(cue_id, dn_id):
+            self._dirty.setdefault(cue_id, {})
+            if not graph.has_edge(cue_id, dn_id):
                 self.memory.associate(cue_id, dn_id)
-            elif key not in skip:
-                self.memory.adjust_association(cue_id, dn_id, -hive.params.eta)
+                self._mark_edge(hive, cue_id, dn_id, None)
+            elif self._edge_key(cue_id, dn_id) not in skip:
+                self._adjust_edge(hive, cue_id, dn_id, -hive.params.eta)
 
     # -- capacity ------------------------------------------------------------
 
@@ -375,6 +438,58 @@ class MemoryEngine:
 
     # -- operations ------------------------------------------------------------
 
+    def _first_match(self, hive: Hive, candidates: list[SearchEntry],
+                     queries: list[np.ndarray], thresh: float) -> int | None:
+        """Index of the first candidate whose feature matches any query.
+
+        Without queries the first candidate matches outright.  Each query
+        scores the whole list at once, ``dots / (norms * query norm)`` over
+        the candidates' rows of the hive's feature matrix, a zero norm
+        scoring 0.0; scores near ``thresh`` (and NaN) are decided by the
+        scalar ``cosine_similarity``.
+        """
+        if not candidates or not queries:
+            return 0 if candidates else None
+        rows = [hive.feature_rows[e.dn_id] for e in candidates]
+        features = hive.features[rows]
+        norms = hive.feature_norms[rows]
+        best = None
+        for query in queries:
+            if query.shape != features.shape[1:]:
+                raise ValueError(f"dimension mismatch: {query.shape} vs "
+                                 f"{features.shape[1:]}")
+            den = norms * math.sqrt(query.dot(query))
+            scores = np.divide(features @ query, den, out=np.zeros(len(rows)),
+                               where=den != 0.0)
+            diff = scores - thresh
+            # clear matches, near misses and NaN; clear misses are skipped
+            for i in np.flatnonzero(~(diff < -NEAR_THRESHOLD)):
+                if best is not None and i >= best:
+                    break
+                if diff[i] > NEAR_THRESHOLD or cosine_similarity(
+                        query, self.memory.neurons[candidates[i].dn_id].feature
+                ) >= thresh:
+                    best = int(i)
+                    break
+        return best
+
+    def _scan(self, hive: Hive, candidates: list[SearchEntry],
+              queries: list[np.ndarray], thresh: float, cues,
+              controls: OpControls) -> tuple[SearchEntry | None, tuple[int, ...]]:
+        """Examine candidates up to the first match; return it (or None) and
+        the examined dn ids.  A failed examination changes a weight only
+        under failure decay, so only then does it get its flag=0 reaction."""
+        first = self._first_match(hive, candidates, queries, thresh)
+        cost = len(candidates) if first is None else first + 1
+        self.total_search_iterations += cost
+        if controls.weaken_on_fail:
+            # the examined non-matches: all of them when nothing matched
+            for entry in candidates[:first]:
+                self.reaction(hive, entry.dn_id, entry.path, flag=0, cues=cues,
+                              up=False, k=True)
+        examined = tuple(e.dn_id for e in candidates[:cost])
+        return (None if first is None else candidates[first]), examined
+
     def store(self, data, cues, search: SearchParams | None = None,
               controls: OpControls | None = None,
               item_id: str | None = None) -> OpOutcome:
@@ -390,37 +505,30 @@ class MemoryEngine:
         self.ensure_capacity(hive, payload.original_size)
         candidates = self.get_search_order(cues, hive, search.assoc_thresh,
                                            controls.search_limit)
-        cost = 0
-        examined: list[int] = []
-        outcome: OpOutcome | None = None
-        for entry in candidates:
-            dn = self.memory.data_neuron(entry.dn_id)
-            cost += 1
-            self.total_search_iterations += 1
-            examined.append(dn.id)
-            if cosine_similarity(feature, dn.feature) >= search.match_thresh:
-                self.reaction(hive, dn.id, entry.path, flag=1, cues=cues,
-                              up=False, k=controls.weaken_on_fail)
-                if payload.quality > dn.payload.quality:
-                    dn.payload = payload    # merge refresh: fresher copy wins
-                outcome = OpOutcome("merged", dn.id, cost, dn.payload,
-                                    dn.payload.quality, tuple(examined))
-                break
-            self.reaction(hive, dn.id, entry.path, flag=0, cues=cues,
+        match, examined = self._scan(hive, candidates, [feature],
+                                     search.match_thresh, cues, controls)
+        if match is not None:
+            dn = self.memory.data_neuron(match.dn_id)
+            self.reaction(hive, dn.id, match.path, flag=1, cues=cues,
                           up=False, k=controls.weaken_on_fail)
-        if outcome is None:
+            if payload.quality > dn.payload.quality:
+                # merge refresh: fresher copy wins
+                self.memory.set_payload(dn, payload)
+            outcome = OpOutcome("merged", dn.id, len(examined), dn.payload,
+                                dn.payload.quality, examined)
+        else:
             label = next((c for c in cues if isinstance(c, str)), None)
             locality = self.select_locality(hive, label, feature)
             dn_id = self.memory.add_data_neuron(hive, locality.id, payload, feature)
             # the new neuron joins its locality's default cue, or every cue
             # through the implicit links of full-graph mode
-            if self.memory.graph.full_graph:
-                self._dirty.update(hive.cue_bank)
-            else:
-                self._dirty.add(locality.default_cue_id)
+            joined = (list(hive.cue_bank) if self.memory.graph.full_graph
+                      else [locality.default_cue_id])
+            for cue_id in joined:
+                self._mark_edge(hive, cue_id, dn_id, None)
             self._associate_cues(hive, cues, dn_id, skip=set())
-            outcome = OpOutcome("new_neuron", dn_id, cost, payload, 100.0,
-                                tuple(examined))
+            outcome = OpOutcome("new_neuron", dn_id, len(examined), payload,
+                                100.0, examined)
         if controls.update_order:
             self._flush_search_order(hive)
         self._auto_retention(controls)
@@ -439,26 +547,18 @@ class MemoryEngine:
         candidates = self.get_search_order(cues, hive, search.assoc_thresh,
                                            controls.search_limit)
         fine = [np.asarray(f, dtype=float) for f in (fine_cues or [])]
-        cost = 0
-        examined: list[int] = []
-        outcome: OpOutcome | None = None
-        for entry in candidates:
-            dn = self.memory.data_neuron(entry.dn_id)
-            cost += 1
-            self.total_search_iterations += 1
-            examined.append(dn.id)
-            if not fine or any(cosine_similarity(f, dn.feature) >= search.match_thresh
-                               for f in fine):
-                quality = dn.payload.quality
-                self.reaction(hive, dn.id, entry.path, flag=1, cues=cues,
-                              up=False, k=controls.weaken_on_fail)
-                outcome = OpOutcome("hit", dn.id, cost, dn.payload, quality,
-                                    tuple(examined))
-                break
-            self.reaction(hive, dn.id, entry.path, flag=0, cues=cues,
+        match, examined = self._scan(hive, candidates, fine,
+                                     search.match_thresh, cues, controls)
+        if match is not None:
+            dn = self.memory.data_neuron(match.dn_id)
+            quality = dn.payload.quality
+            self.reaction(hive, dn.id, match.path, flag=1, cues=cues,
                           up=False, k=controls.weaken_on_fail)
-        if outcome is None:
-            outcome = OpOutcome("miss", None, cost, None, None, tuple(examined))
+            outcome = OpOutcome("hit", dn.id, len(examined), dn.payload,
+                                quality, examined)
+        else:
+            outcome = OpOutcome("miss", None, len(examined), None, None,
+                                examined)
         if controls.update_order:
             self._flush_search_order(hive)
         self._auto_retention(controls)
@@ -499,6 +599,7 @@ class MemoryEngine:
                 old = graph.weight(a, b)
                 new = graph.adjust(a, b, rate, counter, touch=False)
                 if new != old:
+                    self._mark_edge(hive, a, b, old)
                     summary.weakened_edges.append((a, b, new))
         for locality in hive.localities:
             rate = locality.memory_decay_rate
@@ -511,7 +612,7 @@ class MemoryEngine:
                 if new != old_strength:
                     summary.compressed.append((dn_id, new))
                     summary.bytes_freed += old_size - dn.size_bytes
-        self.update_search_order(hive)
+        self._flush_search_order(hive)
 
     def _auto_retention(self, controls: OpControls) -> None:
         summary = RetentionSummary()

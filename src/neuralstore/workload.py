@@ -371,23 +371,42 @@ def write_trace(records: list[TraceRecord], path: str | Path) -> Path:
     return path
 
 
+def _trace_row(path: Path, lineno: int, line: str) -> dict:
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
+    if not isinstance(row, dict):
+        raise ConfigurationError(f"{path}: line {lineno}: expected a JSON object")
+    return row
+
+
 def read_trace(path: str | Path) -> list[TraceRecord]:
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines:
         raise ConfigurationError(f"{path}: empty trace")
-    header = json.loads(lines[0])
+    header = _trace_row(path, 1, lines[0])
     if header.get("format") != TRACE_FORMAT:
         raise ConfigurationError(f"{path}: not a trace file")
     if header.get("version") != FORMAT_VERSION:
         raise ConfigurationError(f"{path}: unsupported trace version")
     records = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        row = json.loads(line)
+        row = _trace_row(path, lineno, line)
+        for key in ("seq", "op"):
+            if key not in row:
+                raise ConfigurationError(
+                    f"{path}: line {lineno}: missing field {key!r}")
+        seq = row["seq"]
+        if not isinstance(seq, int) or isinstance(seq, bool):
+            raise ConfigurationError(
+                f"{path}: line {lineno}: field 'seq' must be an integer, "
+                f"got {seq!r}")
         records.append(TraceRecord(
-            seq=int(row["seq"]), op=row["op"], item_id=row.get("item_id"),
+            seq=seq, op=row["op"], item_id=row.get("item_id"),
             coarse_cues=tuple(row.get("coarse_cues", ())),
             use_fine_cue=bool(row.get("use_fine_cue", True)),
             retention_window=row.get("n")))
