@@ -35,10 +35,8 @@ from neuralstore.core import (
     HiveParams,
     Locality,
     Memory,
-    MemoryState,
     SearchEntry,
     SnapshotFormatError,
-    apply_state_update,
 )
 from neuralstore.engine import (
     MemoryEngine,
@@ -64,7 +62,6 @@ __all__ = [
     "Locality",
     "Memory",
     "MemoryEngine",
-    "MemoryState",
     "OpControls",
     "OpOutcome",
     "Payload",
@@ -73,7 +70,6 @@ __all__ = [
     "SnapshotFormatError",
     "StorageFullError",
     "TruncationCodec",
-    "apply_state_update",
     "cosine_similarity",
     "get_codec",
     "get_extractor",

@@ -21,7 +21,13 @@ from pathlib import Path
 
 from neuralstore import metrics
 from neuralstore.config import PRESETS, RunConfig, build_adapter, load_config
-from neuralstore.core import ConfigurationError, SnapshotFormatError, parse_snapshot
+from neuralstore.core import (
+    ConfigurationError,
+    SnapshotFormatError,
+    cue_label,
+    parse_snapshot,
+    render_dot,
+)
 from neuralstore.engine import StorageFullError
 from neuralstore.workload import (
     ReplayError,
@@ -147,7 +153,7 @@ def _render_text(doc) -> str:
     for n in doc.neurons:
         if n["kind"] == "cue":
             tag = " default" if n.get("default") == "1" else ""
-            lines.append(f"  cue #{n['id']} label={n.get('label')}{tag}")
+            lines.append(f"  cue #{n['id']} label={cue_label(n) or '-'}{tag}")
         else:
             lines.append(f"  data #{n['id']} locality={n.get('locality')} "
                          f"strength={n.get('strength')} quality={n.get('quality')} "
@@ -160,25 +166,9 @@ def _render_text(doc) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_dot(doc) -> str:
-    lines = ["graph memory {", "  node [fontsize=10];"]
-    for n in doc.neurons:
-        if n["kind"] == "cue":
-            name = n.get("label") or ("default" if n.get("default") == "1" else "cue")
-            shape = "doublecircle" if n.get("default") == "1" else "ellipse"
-            lines.append(f'  n{n["id"]} [label="{name}\\n#{n["id"]}" shape={shape}];')
-        else:
-            lines.append(f'  n{n["id"]} [label="dn{n["id"]}\\ns={n.get("strength")} '
-                         f'q={n.get("quality")}" shape=box];')
-    for e in doc.edges:
-        lines.append(f'  n{e["a"]} -- n{e["b"]} [label="{e.get("weight")}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_inspect(args) -> int:
     doc = parse_snapshot(Path(args.snapshot).read_text())
-    rendered = _render_dot(doc) if args.format == "dot" else _render_text(doc)
+    rendered = render_dot(doc) if args.format == "dot" else _render_text(doc)
     if args.out is not None:
         Path(args.out).write_text(rendered)
         print(f"{args.out}")

@@ -16,8 +16,10 @@ A run is fully described by one JSON document with these sections::
       "bootstrap": [{"item_id": "w0", "cues": ["wolf"]}, ...]  // pre-seeded state
     }
 
-Unknown keys anywhere are rejected, and every section is validated against
-its owning module's invariants before an engine is built.  Presets bundle
+Unknown keys anywhere are rejected, every value must have the type its
+field declares (an int passes for a float, a bool for nothing but a bool),
+and every section is validated against its owning module's invariants
+before an engine is built.  Presets bundle
 the standard hyperparameter set (eta 20, epsilon 1, phi 1, retention 500,
 decay [0.5, 1], elasticity 80..1, match threshold 0.95, unbounded search,
 order updates on, failure decay off) with scenario-specific locality
@@ -29,6 +31,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -174,15 +178,65 @@ class RunConfig:
                 raise ConfigurationError("bootstrap entries need an item_id")
 
 
-def _check_keys(section: str, given: dict, allowed: set[str]) -> None:
-    unknown = set(given) - allowed
+def _check_keys(section: str, given: dict, allowed) -> None:
+    unknown = set(given) - set(allowed)
     if unknown:
         raise ConfigurationError(
             f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
 
 
-def _dataclass_keys(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the annotated type: an int is a float, a
+    bool is neither, and a list stands for a tuple of its length."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (types.UnionType, typing.Union):
+        return any(_fits(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if origin is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_fits, value, args)))
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    if hint is type(None):
+        return value is None
+    return isinstance(value, hint)
+
+
+def _type_name(hint) -> str:
+    if typing.get_origin(hint) is None:
+        return "null" if hint is type(None) else hint.__name__
+    return str(hint).replace("NoneType", "None")
+
+
+def _check_fields(section: str | None, given: dict, hints: dict) -> None:
+    """Reject keys without a type hint and values that do not fit theirs."""
+    _check_keys(section or "config", given, hints)
+    for key, value in given.items():
+        if not _fits(value, hints[key]):
+            name = key if section is None else f"{section}.{key}"
+            raise ConfigurationError(
+                f"{name} must be {_type_name(hints[key])}, got {value!r}")
+
+
+# the declared type of every field of every config section
+_SECTION_TYPES = {
+    "hive": typing.get_type_hints(HiveParams),
+    "search": typing.get_type_hints(SearchParams),
+    "controls": typing.get_type_hints(OpControls),
+    "cam": {"policy": str, "key_by_label": bool},
+    "workload": {k: v for k, v in typing.get_type_hints(WorkloadSpec).items()
+                 if k != "seed"},
+    "compare": {"cap_fractions": list[float], "warmup_ops": int},
+}
+_CONFIG_TYPES = {"seed": int, "engine": str, "bootstrap": list[dict],
+                 **dict.fromkeys(_SECTION_TYPES, dict)}
+_MAPPING_TYPES = {"labels": list[str], "centroid": list[float],
+                  "min_similarity": float}
+_BOOTSTRAP_TYPES = {"item_id": str, "cues": list[str | list[float]],
+                    "locality": int | None}
 
 
 def load_config(path: str | Path | None = None, preset: str | None = None,
@@ -204,27 +258,21 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     merged = _overlay(_overlay(_BASE_PRESET, PRESETS[preset_name]), doc)
     merged.pop("preset", None)
 
-    _check_keys("config", merged,
-                {"seed", "engine", "hive", "search", "controls", "cam",
-                 "workload", "compare", "bootstrap"})
-    _check_keys("hive", merged["hive"], _dataclass_keys(HiveParams))
-    _check_keys("search", merged["search"], _dataclass_keys(SearchParams))
-    _check_keys("controls", merged["controls"], _dataclass_keys(OpControls))
-    _check_keys("cam", merged["cam"], {"policy", "key_by_label"})
-    workload_keys = _dataclass_keys(WorkloadSpec) - {"seed"}
-    _check_keys("workload", merged["workload"], workload_keys)
-    _check_keys("compare", merged["compare"], {"cap_fractions", "warmup_ops"})
-
     if seed is not None:
         merged["seed"] = seed
     if merged.get("seed") is None:
         raise ConfigurationError("missing required field: seed")
-    if not isinstance(merged["seed"], int):
-        raise ConfigurationError("seed must be an integer")
     if engine is not None:
         merged["engine"] = engine
+    _check_fields(None, merged, _CONFIG_TYPES)
     if capacity_bytes != "unset":
         merged["hive"]["capacity_bytes"] = capacity_bytes
+    for section, hints in _SECTION_TYPES.items():
+        _check_fields(section, merged[section], hints)
+    for i, mapping in enumerate(merged["hive"]["locality_mapping"]):
+        _check_fields(f"hive.locality_mapping[{i}]", mapping, _MAPPING_TYPES)
+    for i, entry in enumerate(merged["bootstrap"]):
+        _check_fields(f"bootstrap[{i}]", entry, _BOOTSTRAP_TYPES)
 
     hive_kwargs = dict(merged["hive"])
     schedules = hive_kwargs.get("elasticity_schedules")
@@ -245,10 +293,10 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
         search=SearchParams(**merged["search"]),
         controls=OpControls(**merged["controls"]),
         cam_policy=merged["cam"]["policy"],
-        cam_key_by_label=bool(merged["cam"]["key_by_label"]),
+        cam_key_by_label=merged["cam"]["key_by_label"],
         workload=workload,
         cap_fractions=list(merged["compare"]["cap_fractions"]),
-        warmup_ops=int(merged["compare"]["warmup_ops"]),
+        warmup_ops=merged["compare"]["warmup_ops"],
         bootstrap=list(merged["bootstrap"]),
         preset=preset_name,
     )

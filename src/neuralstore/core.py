@@ -1,16 +1,17 @@
-"""Neural memory network state: neurons, weighted associations, hives.
+"""Neural memory network state: neurons, weighted associations, one hive.
 
 The memory is a single weighted undirected graph over two node kinds:
 
 * cue neurons hold a search pattern (a label or a feature vector) and are
-  grouped per hive in a cue bank;
+  kept in the hive's cue bank;
 * data neurons hold a payload, a feature vector and a memory strength in
   ``[phi, 100]`` that governs the stored quality of the payload.
 
-Hives partition the memory by modality; localities partition a hive by data
-kind and carry the decay hyperparameters.  Every locality owns a default cue
-connected to all of its data neurons, which is how data stays reachable when
-no user cue leads to it.
+A memory holds one hive, of one modality, with its hyperparameters, codec
+and feature extractor; localities partition the hive by data kind and carry
+the decay hyperparameters.  Every locality owns a default cue connected to
+all of its data neurons, which is how data stays reachable when no user cue
+leads to it.
 
 Two connectivity modes exist.  In the default (sparse) mode only explicitly
 created associations exist and edges live at weights ``>= epsilon``.  In
@@ -85,7 +86,6 @@ def _fmt(x: float | int) -> str:
 class CueNeuron:
     id: int
     cue_vector: np.ndarray
-    hive_id: int
     label: str | None = None
     is_default: bool = False
 
@@ -97,7 +97,6 @@ class DataNeuron:
     feature: np.ndarray
     strength: float
     locality_id: int
-    hive_id: int
     last_access_op: int
 
     @property
@@ -107,9 +106,9 @@ class DataNeuron:
 
 @dataclass(frozen=True)
 class SearchEntry:
-    """One candidate in a cue's search order: a path ending at a data neuron."""
+    """One candidate in a cue's search order: the cue's edge to a data neuron."""
 
-    path: tuple[int, ...]
+    cue_id: int
     dn_id: int
     avg_weight: float
 
@@ -148,9 +147,6 @@ class AssociationGraph:
 
     def has_edge(self, a: int, b: int) -> bool:
         return self.weight(a, b) is not None
-
-    def materialized(self, a: int, b: int) -> bool:
-        return self._key(a, b) in self._weights
 
     def last_access(self, a: int, b: int) -> int | None:
         return self._last_access.get(self._key(a, b))
@@ -213,7 +209,6 @@ class AssociationGraph:
 @dataclass
 class Locality:
     id: int
-    hive_id: int
     memory_decay_rate: float
     association_decay_rate: float
     mapping: dict
@@ -366,135 +361,52 @@ class Hive:
 
 
 # ---------------------------------------------------------------------------
-# Memory state (the learnable parameters) and the formal update rule
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MemoryState:
-    """Dense snapshot of the learnable parameters.
-
-    ``A`` is the symmetric association matrix over all neurons in id order
-    (absent associations read 0 in sparse mode and ``epsilon`` in full-graph
-    mode); ``M`` is the strength vector over data neurons in id order.
-    """
-
-    neuron_ids: tuple[int, ...]
-    dn_ids: tuple[int, ...]
-    A: np.ndarray
-    M: np.ndarray
-    epsilon: float
-    phi: float
-
-    def serialize(self) -> bytes:
-        lines = [f"state {len(self.neuron_ids)} {len(self.dn_ids)} "
-                 f"{_fmt(self.epsilon)} {_fmt(self.phi)}"]
-        lines.append("neurons " + ",".join(str(i) for i in self.neuron_ids))
-        lines.append("data " + ",".join(str(i) for i in self.dn_ids))
-        for row in self.A:
-            lines.append("a " + ",".join(_fmt(v) for v in row))
-        lines.append("m " + ",".join(_fmt(v) for v in self.M))
-        return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def apply_state_update(state: MemoryState, delta_a: np.ndarray,
-                       delta_m: np.ndarray) -> MemoryState:
-    """Apply the element-wise clamped update and return the new state.
-
-    Association entries update as ``max(epsilon, a - delta)`` wherever the
-    delta is non-zero (updates are local: untouched entries carry over
-    unchanged); strengths update as ``min(100, max(phi, s - delta))``.
-    Deltas must be shaped like the state, and association deltas may only
-    target existing associations.
-    """
-    delta_a = np.asarray(delta_a, dtype=float)
-    delta_m = np.asarray(delta_m, dtype=float)
-    if delta_a.shape != state.A.shape or delta_m.shape != state.M.shape:
-        raise ValueError(
-            f"dimension mismatch: delta A {delta_a.shape} vs {state.A.shape}, "
-            f"delta M {delta_m.shape} vs {state.M.shape}")
-    if not np.array_equal(delta_a, delta_a.T):
-        raise ValueError("association delta must be symmetric")
-    if np.any(np.diag(delta_a) != 0):
-        raise ValueError("association delta must be zero on the diagonal")
-    touched = delta_a != 0
-    if np.any(touched & (state.A == 0)):
-        raise ValueError("association delta targets a non-existent association")
-    new_a = np.where(touched, np.maximum(state.epsilon, state.A - delta_a), state.A)
-    new_m = np.minimum(100.0, np.maximum(state.phi, state.M - delta_m))
-    return MemoryState(neuron_ids=state.neuron_ids, dn_ids=state.dn_ids,
-                       A=new_a, M=new_m, epsilon=state.epsilon, phi=state.phi)
-
-
-# ---------------------------------------------------------------------------
 # Memory
 # ---------------------------------------------------------------------------
 
 class Memory:
-    """The neural memory network: hives, neurons and their associations.
+    """The neural memory network: one hive of neurons and their associations.
 
-    One logical thread of control per instance; instances are independent
-    and may be driven in parallel by the harness.
+    One logical thread of control per instance.
     """
 
-    def __init__(self):
-        self.hives: dict[int, Hive] = {}
-        self.neurons: dict[int, CueNeuron | DataNeuron] = {}
-        self.graph: AssociationGraph | None = None
-        self.op_counter = 0
-        self._next_neuron_id = 0
-        self._next_hive_id = 0
-        # stored payload bytes per hive id, kept current by add_data_neuron
-        # and set_payload
-        self._bytes: dict[int, int] = {}
-
-    # -- construction -------------------------------------------------------
-
-    def add_hive(self, modality: str, params: HiveParams) -> Hive:
+    def __init__(self, params: HiveParams, modality: str = "blob"):
         params.validate()
-        if self.graph is None:
-            self.graph = AssociationGraph(params.epsilon, params.full_graph)
-        elif (self.graph.epsilon != params.epsilon
-              or self.graph.full_graph != params.full_graph):
-            raise ConfigurationError(
-                "all hives must agree on epsilon and connectivity mode")
-        if any(h.modality == modality for h in self.hives.values()):
-            raise ConfigurationError(f"duplicate hive modality {modality!r}")
-        hive = Hive(id=self._next_hive_id, modality=modality, params=params)
-        self._next_hive_id += 1
-        self.hives[hive.id] = hive
-        self._bytes[hive.id] = 0
+        self.hive = Hive(id=0, modality=modality, params=params)
         for i in range(params.num_localities):
-            hive.localities.append(Locality(
-                id=i, hive_id=hive.id,
+            self.hive.localities.append(Locality(
+                id=i,
                 memory_decay_rate=params.memory_decay_rates[i],
                 association_decay_rate=params.association_decay_rates[i],
                 mapping=params.locality_mapping[i],
             ))
-        return hive
+        self.graph = AssociationGraph(params.epsilon, params.full_graph)
+        self.neurons: dict[int, CueNeuron | DataNeuron] = {}
+        self.op_counter = 0
+        self._next_neuron_id = 0
+        # stored payload bytes, kept current by add_data_neuron and set_payload
+        self._bytes = 0
 
-    def hive_for_modality(self, modality: str) -> Hive:
-        for hive in self.hives.values():
-            if hive.modality == modality:
-                return hive
-        raise ConfigurationError(f"no hive configured for modality {modality!r}")
+    # -- construction -------------------------------------------------------
 
     def _take_id(self) -> int:
         nid = self._next_neuron_id
         self._next_neuron_id += 1
         return nid
 
-    def _add_default_cue(self, hive: Hive, locality: Locality) -> int:
+    def _add_default_cue(self, locality: Locality) -> int:
+        hive = self.hive
         vec = label_vector(f"__default__{hive.id}:{locality.id}",
                            hive.params.feature_dim)
-        cue = CueNeuron(id=self._take_id(), cue_vector=vec, hive_id=hive.id,
-                        is_default=True)
+        cue = CueNeuron(id=self._take_id(), cue_vector=vec, is_default=True)
         self.neurons[cue.id] = cue
         hive.cue_bank[cue.id] = cue
         return cue.id
 
-    def add_cue_neuron(self, hive: Hive, cue_vector: np.ndarray | None = None,
+    def add_cue_neuron(self, cue_vector: np.ndarray | None = None,
                        label: str | None = None) -> int:
         """Insert a cue neuron; duplicate labels/vectors return the existing id."""
+        hive = self.hive
         if label is not None:
             existing = hive.find_cue_by_label(label)
             if existing is not None:
@@ -512,8 +424,7 @@ class Memory:
             raise ConfigurationError(
                 f"cue vector dimension {cue_vector.shape} != "
                 f"({hive.params.feature_dim},)")
-        cue = CueNeuron(id=self._take_id(), cue_vector=cue_vector,
-                        hive_id=hive.id, label=label)
+        cue = CueNeuron(id=self._take_id(), cue_vector=cue_vector, label=label)
         self.neurons[cue.id] = cue
         hive.cue_bank[cue.id] = cue
         if label is not None:
@@ -522,22 +433,23 @@ class Memory:
             hive._vector_index[cue_vector.tobytes()] = cue.id
         return cue.id
 
-    def add_data_neuron(self, hive: Hive, locality_id: int, payload: Payload,
+    def add_data_neuron(self, locality_id: int, payload: Payload,
                         feature: np.ndarray) -> int:
+        hive = self.hive
         locality = hive.locality(locality_id)
         feature = np.asarray(feature, dtype=float)
         if feature.shape != (hive.params.feature_dim,):
             raise ConfigurationError(
                 f"feature dimension {feature.shape} != ({hive.params.feature_dim},)")
         dn = DataNeuron(id=self._take_id(), payload=payload, feature=feature,
-                        strength=100.0, locality_id=locality_id, hive_id=hive.id,
+                        strength=100.0, locality_id=locality_id,
                         last_access_op=self.op_counter)
         self.neurons[dn.id] = dn
-        self._bytes[hive.id] += dn.size_bytes
+        self._bytes += dn.size_bytes
         hive.add_feature(dn.id, feature)
         locality.dn_ids.append(dn.id)
         if locality.default_cue_id is None:
-            locality.default_cue_id = self._add_default_cue(hive, locality)
+            locality.default_cue_id = self._add_default_cue(locality)
         # new neurons join at the epsilon floor: explicitly to the locality
         # default cue in sparse mode, implicitly to everything in full mode
         if not self.graph.full_graph:
@@ -556,10 +468,8 @@ class Memory:
         return [n for i, n in sorted(self.neurons.items())
                 if isinstance(n, DataNeuron)]
 
-    def total_bytes(self, hive: Hive | None = None) -> int:
-        if hive is not None:
-            return self._bytes[hive.id]
-        return sum(self._bytes.values())
+    def total_bytes(self) -> int:
+        return self._bytes
 
     def edge_count(self) -> int:
         """Logical association count (full mode counts every distinct pair)."""
@@ -592,7 +502,7 @@ class Memory:
     def adjust_strength(self, dn_id: int, delta: float) -> float:
         """Clamped strength update; decay triggers recompression of the payload."""
         dn = self.data_neuron(dn_id)
-        hive = self.hives[dn.hive_id]
+        hive = self.hive
         new = clamp_strength(hive.params.phi, dn.strength, delta)
         dn.strength = new
         target_quality = min(100.0, max(0.0, hive.quality_map(new)))
@@ -601,8 +511,8 @@ class Memory:
         return new
 
     def set_payload(self, dn: DataNeuron, payload: Payload) -> None:
-        """Replace a data neuron's payload, keeping the byte totals current."""
-        self._bytes[dn.hive_id] += payload.size_bytes - dn.size_bytes
+        """Replace a data neuron's payload, keeping the byte total current."""
+        self._bytes += payload.size_bytes - dn.size_bytes
         dn.payload = payload
 
     def restore_strength(self, dn_id: int) -> float:
@@ -612,56 +522,36 @@ class Memory:
     def touch(self, dn_id: int) -> None:
         self.data_neuron(dn_id).last_access_op = self.op_counter
 
-    # -- snapshots and export -----------------------------------------------
-
-    def snapshot(self) -> MemoryState:
-        neuron_ids = tuple(sorted(self.neurons))
-        dn_ids = tuple(n.id for n in self.data_neurons())
-        index = {nid: i for i, nid in enumerate(neuron_ids)}
-        n = len(neuron_ids)
-        background = self.graph.epsilon if self.graph.full_graph else 0.0
-        a = np.full((n, n), background, dtype=float)
-        np.fill_diagonal(a, 0.0)
-        for u, v, w in self.graph.edges():
-            a[index[u], index[v]] = w
-            a[index[v], index[u]] = w
-        m = np.array([self.neurons[d].strength for d in dn_ids], dtype=float)
-        return MemoryState(neuron_ids=neuron_ids, dn_ids=dn_ids, A=a, M=m,
-                           epsilon=self.graph.epsilon, phi=self._phi())
-
-    def _phi(self) -> float:
-        return min((h.params.phi for h in self.hives.values()), default=0.0)
+    # -- export -------------------------------------------------------------
 
     def export_graph(self, fmt: str = "snapshot") -> str:
         if fmt == "snapshot":
             return self._export_snapshot()
         if fmt == "dot":
-            return self._export_dot()
+            return render_dot(parse_snapshot(self._export_snapshot()))
         raise ValueError(f"unknown export format {fmt!r}; use 'snapshot' or 'dot'")
 
     def _export_snapshot(self) -> str:
-        lines = [f"{SNAPSHOT_FORMAT} {SNAPSHOT_VERSION}"]
-        for hid, hive in sorted(self.hives.items()):
-            p = hive.params
+        hive, p = self.hive, self.hive.params
+        lines = [f"{SNAPSHOT_FORMAT} {SNAPSHOT_VERSION}",
+                 f"hive {hive.id} modality={urllib.parse.quote(hive.modality)} "
+                 f"eta={_fmt(p.eta)} epsilon={_fmt(p.epsilon)} phi={_fmt(p.phi)} "
+                 f"retention={p.retention_period} full_graph={int(p.full_graph)}"]
+        for loc in hive.localities:
+            default = "-" if loc.default_cue_id is None else loc.default_cue_id
             lines.append(
-                f"hive {hid} modality={urllib.parse.quote(hive.modality)} "
-                f"eta={_fmt(p.eta)} epsilon={_fmt(p.epsilon)} phi={_fmt(p.phi)} "
-                f"retention={p.retention_period} full_graph={int(p.full_graph)}")
-            for loc in hive.localities:
-                default = "-" if loc.default_cue_id is None else loc.default_cue_id
-                lines.append(
-                    f"locality {loc.id} hive={hid} "
-                    f"memory_decay={_fmt(loc.memory_decay_rate)} "
-                    f"association_decay={_fmt(loc.association_decay_rate)} "
-                    f"default_cue={default}")
+                f"locality {loc.id} hive={hive.id} "
+                f"memory_decay={_fmt(loc.memory_decay_rate)} "
+                f"association_decay={_fmt(loc.association_decay_rate)} "
+                f"default_cue={default}")
         for nid, neuron in sorted(self.neurons.items()):
             if isinstance(neuron, CueNeuron):
                 label = urllib.parse.quote(neuron.label) if neuron.label else "-"
-                lines.append(f"cue {nid} hive={neuron.hive_id} label={label} "
+                lines.append(f"cue {nid} hive={hive.id} label={label} "
                              f"default={int(neuron.is_default)}")
             else:
                 lines.append(
-                    f"data {nid} hive={neuron.hive_id} locality={neuron.locality_id} "
+                    f"data {nid} hive={hive.id} locality={neuron.locality_id} "
                     f"strength={_fmt(neuron.strength)} "
                     f"quality={_fmt(neuron.payload.quality)} "
                     f"size={neuron.size_bytes} original={neuron.payload.original_size} "
@@ -669,34 +559,15 @@ class Memory:
         for a, b, w in self.graph.edges():
             last = self.graph.last_access(a, b)
             lines.append(f"edge {a} {b} weight={_fmt(w)} last_access={last}")
-        for hid, hive in sorted(self.hives.items()):
-            for cue_id in sorted(hive.search_order):
-                entries = ",".join(
-                    f"{e.dn_id}:{_fmt(e.avg_weight)}"
-                    for e in hive.search_order[cue_id])
-                lines.append(f"order {cue_id} {entries}")
-        return "\n".join(lines) + "\n"
-
-    def _export_dot(self) -> str:
-        lines = ["graph memory {", "  node [fontsize=10];"]
-        for nid, neuron in sorted(self.neurons.items()):
-            if isinstance(neuron, CueNeuron):
-                name = neuron.label or ("default" if neuron.is_default else "cue")
-                shape = "doublecircle" if neuron.is_default else "ellipse"
-                lines.append(
-                    f'  n{nid} [label="{name}\\n#{nid}" shape={shape}];')
-            else:
-                lines.append(
-                    f'  n{nid} [label="dn{nid}\\ns={_fmt(neuron.strength)} '
-                    f'q={_fmt(neuron.payload.quality)}" shape=box];')
-        for a, b, w in self.graph.edges():
-            lines.append(f'  n{a} -- n{b} [label="{_fmt(w)}"];')
-        lines.append("}")
+        for cue_id in sorted(hive.search_order):
+            entries = ",".join(f"{e.dn_id}:{_fmt(e.avg_weight)}"
+                               for e in hive.search_order[cue_id])
+            lines.append(f"order {cue_id} {entries}")
         return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Snapshot parsing (for offline inspection)
+# Snapshot parsing and rendering (for offline inspection)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -751,3 +622,34 @@ def parse_snapshot(text: str) -> SnapshotDoc:
         else:
             raise SnapshotFormatError(f"unknown snapshot line kind {kind!r}")
     return doc
+
+
+def cue_label(neuron: dict) -> str | None:
+    """A parsed cue's label as stored (``None`` for a default or vector cue)."""
+    label = neuron.get("label", "-")
+    return None if label == "-" else urllib.parse.unquote(label)
+
+
+def _dot_string(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def render_dot(doc: SnapshotDoc) -> str:
+    """Graphviz rendering of a parsed snapshot: cues as ellipses (default
+    cues doubled), data neurons as boxes, edges labelled with weights."""
+    lines = ["graph memory {", "  node [fontsize=10];"]
+    for n in doc.neurons:
+        nid = n["id"]
+        if n["kind"] == "cue":
+            default = n.get("default") == "1"
+            name = cue_label(n) or ("default" if default else "cue")
+            shape = "doublecircle" if default else "ellipse"
+            lines.append(f'  n{nid} [label="{_dot_string(name)}\\n#{nid}" '
+                         f'shape={shape}];')
+        else:
+            lines.append(f'  n{nid} [label="dn{nid}\\ns={n.get("strength")} '
+                         f'q={n.get("quality")}" shape=box];')
+    for e in doc.edges:
+        lines.append(f'  n{e["a"]} -- n{e["b"]} [label="{e.get("weight")}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -140,9 +140,9 @@ class MemoryEngine:
     def __init__(self, params: HiveParams | None = None, modality: str = "blob",
                  search: SearchParams | None = None,
                  controls: OpControls | None = None):
-        self.memory = Memory()
         self.params = params or HiveParams()
-        self.hive = self.memory.add_hive(modality, self.params)
+        self.memory = Memory(self.params, modality)
+        self.hive = self.memory.hive
         self.search = search or SearchParams()
         self.controls = controls or OpControls()
         self.search.validate()
@@ -154,25 +154,26 @@ class MemoryEngine:
 
     # -- helpers -------------------------------------------------------------
 
-    def _resolve_cue(self, hive: Hive, cue) -> int | None:
+    def _resolve_cue(self, cue) -> int | None:
         if isinstance(cue, str):
-            return hive.find_cue_by_label(cue)
-        return hive.find_cue_by_vector(np.asarray(cue, dtype=float))
+            return self.hive.find_cue_by_label(cue)
+        return self.hive.find_cue_by_vector(np.asarray(cue, dtype=float))
 
-    def _find_or_create_cue(self, hive: Hive, cue) -> int:
+    def _find_or_create_cue(self, cue) -> int:
         if isinstance(cue, str):
-            return self.memory.add_cue_neuron(hive, label=cue)
-        return self.memory.add_cue_neuron(hive, cue_vector=np.asarray(cue, dtype=float))
+            return self.memory.add_cue_neuron(label=cue)
+        return self.memory.add_cue_neuron(cue_vector=np.asarray(cue, dtype=float))
 
     def _as_payload(self, data, item_id: str | None) -> Payload:
-        if isinstance(data, Payload):
-            return data
-        return Payload.from_bytes(bytes(data), modality=self.hive.modality,
-                                  lineage=item_id)
-
-    @staticmethod
-    def _edge_key(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
+        modality = self.hive.modality
+        if not isinstance(data, Payload):
+            return Payload.from_bytes(bytes(data), modality=modality,
+                                      lineage=item_id)
+        if data.modality != modality:
+            raise ConfigurationError(
+                f"payload modality {data.modality!r} is not the hive's "
+                f"{modality!r}")
+        return data
 
     def _edge_decay_rate(self, a: int, b: int) -> float:
         """Association decay rate of an edge: the fastest rate among its
@@ -181,27 +182,22 @@ class MemoryEngine:
         for n in (a, b):
             neuron = self.memory.neurons[n]
             if isinstance(neuron, DataNeuron):
-                owner = self.memory.hives[neuron.hive_id]
-                rates.append(owner.locality(neuron.locality_id).association_decay_rate)
+                locality = self.hive.locality(neuron.locality_id)
+                rates.append(locality.association_decay_rate)
         return max(rates, default=0.0)
-
-    def _edge_in_hive(self, hive: Hive, a: int, b: int) -> bool:
-        return any(isinstance(self.memory.neurons[n], DataNeuron)
-                   and self.memory.neurons[n].hive_id == hive.id
-                   for n in (a, b))
 
     # -- search order --------------------------------------------------------
 
-    def update_search_order(self, hive: Hive | None = None,
+    def update_search_order(self, *,
                             cue_ids: Iterable[int] | None = None) -> None:
         """Bring cues' ranked candidate lists up to date with current weights.
 
-        Without ``cue_ids`` every cue of the hive is re-sorted from the graph.
-        With them, a cue whose order exists and whose changed edges are marked
+        Without ``cue_ids`` every cue is re-sorted from the graph.  With
+        them, a cue whose order exists and whose changed edges are marked
         has just those entries moved; any other cue is re-sorted.  Either way
         the cues' marks are cleared.
         """
-        hive = hive or self.hive
+        hive = self.hive
         if cue_ids is None:
             cue_ids = hive.cue_bank
             hive.search_order = {}
@@ -210,17 +206,16 @@ class MemoryEngine:
             order = hive.search_order.get(cue_id)
             if (marks is None or order is None
                     or not self._move_entries(cue_id, order, marks)):
-                hive.search_order[cue_id] = self._sorted_order(hive, cue_id)
+                hive.search_order[cue_id] = self._sorted_order(cue_id)
 
-    def _sorted_order(self, hive: Hive, cue_id: int) -> list[SearchEntry]:
+    def _sorted_order(self, cue_id: int) -> list[SearchEntry]:
         graph = self.memory.graph
+        data_rows = self.hive.feature_rows      # one row per data neuron
         if graph.full_graph:
-            candidates = hive.feature_rows      # every data neuron of the hive
+            candidates = data_rows
         else:
-            candidates = [n for n in graph.neighbors(cue_id)
-                          if n in hive.feature_rows]
-        entries = [SearchEntry(path=(cue_id, dn), dn_id=dn,
-                               avg_weight=graph.weight(cue_id, dn))
+            candidates = [n for n in graph.neighbors(cue_id) if n in data_rows]
+        entries = [SearchEntry(cue_id, dn, graph.weight(cue_id, dn))
                    for dn in candidates]
         entries.sort(key=_order_key)
         return entries
@@ -244,29 +239,27 @@ class MemoryEngine:
                     return False
                 del order[i]
             if new is not None:
-                insort(order, SearchEntry(path=(cue_id, dn_id), dn_id=dn_id,
-                                          avg_weight=new), key=_order_key)
+                insort(order, SearchEntry(cue_id, dn_id, new), key=_order_key)
         return True
 
-    def _flush_search_order(self, hive: Hive) -> None:
-        """Bring the orders of the hive's cues with marked edges up to date."""
-        cue_ids = sorted(c for c in self._dirty if c in hive.cue_bank)
-        if cue_ids:
-            self.update_search_order(hive, cue_ids)
+    def _flush_search_order(self) -> None:
+        """Bring the orders of the cues with marked edges up to date."""
+        if self._dirty:
+            self.update_search_order(cue_ids=sorted(self._dirty))
 
-    def _mark_edge(self, hive: Hive, a: int, b: int, old: float | None) -> None:
+    def _mark_edge(self, a: int, b: int, old: float | None) -> None:
         """Mark an edge whose weight changes from ``old`` (None: new edge)
         under each of its cue endpoints; the first mark since the cue's last
         update keeps the weight its order holds."""
+        hive = self.hive
         for cue_id, other in ((a, b), (b, a)):
             if cue_id in hive.cue_bank:
                 marks = self._dirty.setdefault(cue_id, {})
-                # only data neurons of the hive appear in its orders
+                # only data neurons appear in search orders
                 if other in hive.feature_rows:
                     marks.setdefault(other, old)
 
-    def get_search_order(self, cues, hive: Hive | None = None,
-                         assoc_thresh: float | None = None,
+    def get_search_order(self, cues, assoc_thresh: float | None = None,
                          search_limit: int | None = None) -> list[SearchEntry]:
         """Candidate list for a cue set.
 
@@ -276,13 +269,13 @@ class MemoryEngine:
         threshold are pruned, duplicates keep their first occurrence, and the
         list is truncated at the search limit.
         """
-        hive = hive or self.hive
+        hive = self.hive
         t1 = self.search.assoc_thresh if assoc_thresh is None else assoc_thresh
         out: list[SearchEntry] = []
         seen: set[int] = set()
         lists: list[list[SearchEntry]] = []
         for cue in cues:
-            cue_id = self._resolve_cue(hive, cue)
+            cue_id = self._resolve_cue(cue)
             if cue_id is not None:
                 lists.append(hive.search_order.get(cue_id, []))
             else:
@@ -299,91 +292,86 @@ class MemoryEngine:
 
     # -- reaction ------------------------------------------------------------
 
-    def reaction(self, hive: Hive, target_dn: int, path: tuple[int, ...],
-                 flag: int, cues=(), eta: float | None = None,
-                 up: bool | None = None, k: bool | None = None) -> None:
-        """Reward or penalize a candidate after a search/merge attempt.
+    def reaction(self, target_dn: int, cue_id: int, flag: int, cues=(),
+                 eta: float | None = None, up: bool | None = None,
+                 k: bool | None = None) -> None:
+        """Reward or penalize a candidate reached from ``cue_id`` after a
+        search/merge attempt.
 
-        ``flag=1`` strengthens every association on the path by eta, restores
+        ``flag=1`` strengthens the cue's edge to the target by eta, restores
         the target's strength to 100 and associates each cue with the target
         (creating cue neurons and epsilon-weight links as needed; links that
-        already exist and were not on the path are strengthened).  ``flag=0``
-        weakens the path by eta when failure decay is enabled and otherwise
-        leaves all weights untouched.  The edges whose weights changed are
-        marked; with ``up`` the marked orders are updated before returning
-        (``store`` and ``retrieve`` pass ``up=False`` and update once per
-        operation instead).
+        already exist, other than the one just strengthened, are
+        strengthened).  ``flag=0`` weakens the edge by eta when failure decay
+        is enabled and otherwise leaves all weights untouched.  The edges
+        whose weights changed are marked; with ``up`` the marked orders are
+        updated before returning (``store`` and ``retrieve`` pass ``up=False``
+        and update once per operation instead).
         """
-        if path and path[-1] != target_dn:
-            raise RuntimeError(f"path {path} does not terminate at {target_dn}")
-        graph = self.memory.graph
-        pairs = list(zip(path[:-1], path[1:]))
-        for a, b in pairs:
-            if not graph.has_edge(a, b):
-                raise RuntimeError(f"dangling path edge ({a}, {b})")
-        eta = hive.params.eta if eta is None else eta
+        if not self.memory.graph.has_edge(cue_id, target_dn):
+            raise RuntimeError(f"cue {cue_id} has no edge to {target_dn}")
+        eta = self.params.eta if eta is None else eta
         up = self.controls.update_order if up is None else up
         k = self.controls.weaken_on_fail if k is None else k
         if flag:
-            for a, b in pairs:
-                self._adjust_edge(hive, a, b, -eta)
+            self._adjust_edge(cue_id, target_dn, -eta)
             self.memory.restore_strength(target_dn)
             self.memory.touch(target_dn)
-            path_keys = {self._edge_key(a, b) for a, b in pairs}
-            self._associate_cues(hive, cues, target_dn, skip=path_keys)
+            self._associate_cues(cues, target_dn, skip=cue_id)
         elif k:
-            for a, b in pairs:
-                self._adjust_edge(hive, a, b, eta)
+            self._adjust_edge(cue_id, target_dn, eta)
         if up:
-            self._flush_search_order(hive)
+            self._flush_search_order()
 
-    def _adjust_edge(self, hive: Hive, a: int, b: int, delta: float) -> None:
+    def _adjust_edge(self, a: int, b: int, delta: float) -> None:
         old = self.memory.graph.weight(a, b)
         if self.memory.adjust_association(a, b, delta) != old:
-            self._mark_edge(hive, a, b, old)
+            self._mark_edge(a, b, old)
 
-    def _associate_cues(self, hive: Hive, cues, dn_id: int,
-                        skip: set[tuple[int, int]]) -> None:
+    def _associate_cues(self, cues, dn_id: int, skip: int | None) -> None:
         # associate if absent (at epsilon), strengthen if already associated;
-        # path edges were already strengthened by the caller.  Every cue is
-        # marked: a new cue has no order yet, and a new edge joins its order.
+        # the edge from cue ``skip`` was already strengthened by the caller.
+        # Every cue is marked: a new cue has no order yet, and a new edge
+        # joins its order.
         graph = self.memory.graph
         for cue in cues:
-            cue_id = self._find_or_create_cue(hive, cue)
+            cue_id = self._find_or_create_cue(cue)
             self._dirty.setdefault(cue_id, {})
             if not graph.has_edge(cue_id, dn_id):
                 self.memory.associate(cue_id, dn_id)
-                self._mark_edge(hive, cue_id, dn_id, None)
-            elif self._edge_key(cue_id, dn_id) not in skip:
-                self._adjust_edge(hive, cue_id, dn_id, -hive.params.eta)
+                self._mark_edge(cue_id, dn_id, None)
+            elif cue_id != skip:
+                self._adjust_edge(cue_id, dn_id, -self.params.eta)
 
     # -- capacity ------------------------------------------------------------
 
-    def elasticity(self, hive: Hive, locality: Locality, iteration: int) -> int:
+    def elasticity(self, locality: Locality, iteration: int) -> int:
         """Cap strengths in a locality per the schedule; return bytes freed."""
-        schedule = hive.params.elasticity_schedules[locality.id]
+        schedule = self.params.elasticity_schedules[locality.id]
         if iteration >= len(schedule):
             raise ElasticityExhausted(
                 f"iteration {iteration} beyond schedule of {len(schedule)}")
         ceiling = schedule[iteration]
-        return self._cap_locality(hive, locality, ceiling)
+        return self._cap_locality(locality, ceiling)
 
-    def _cap_locality(self, hive: Hive, locality: Locality, ceiling: float) -> int:
+    def _cap_locality(self, locality: Locality, ceiling: float) -> int:
+        params = self.params
         freed = 0
-        for dn_id in sorted(locality.dn_ids):
+        # dn_ids grows in increasing id order
+        for dn_id in locality.dn_ids:
             dn = self.memory.data_neuron(dn_id)
-            if hive.params.elasticity_mode == "scale":
+            if params.elasticity_mode == "scale":
                 target = dn.strength * ceiling / 100.0
             else:
                 target = min(dn.strength, ceiling)
-            target = max(hive.params.phi, target)
+            target = max(params.phi, target)
             if target < dn.strength:
                 before = dn.size_bytes
                 self.memory.adjust_strength(dn_id, dn.strength - target)
                 freed += before - dn.size_bytes
         return freed
 
-    def ensure_capacity(self, hive: Hive, bytes_needed: int) -> None:
+    def ensure_capacity(self, bytes_needed: int) -> None:
         """Free space through escalating elasticity until the request fits.
 
         Localities are squeezed least-important first (descending memory
@@ -391,41 +379,42 @@ class MemoryEngine:
         pass may erase remaining detail entirely; if the request still does
         not fit, storage is full.
         """
-        cap = hive.params.capacity_bytes
+        params = self.params
+        cap = params.capacity_bytes
         if cap is None:
             return
 
         def free() -> int:
-            return cap - self.memory.total_bytes(hive)
+            return cap - self.memory.total_bytes()
 
         if free() >= bytes_needed:
             return
-        order = sorted(hive.localities,
+        order = sorted(self.hive.localities,
                        key=lambda loc: (-loc.memory_decay_rate, -loc.id))
-        max_iter = max(len(s) for s in hive.params.elasticity_schedules)
+        max_iter = max(len(s) for s in params.elasticity_schedules)
         for iteration in range(max_iter):
             for locality in order:
                 try:
-                    self.elasticity(hive, locality, iteration)
+                    self.elasticity(locality, iteration)
                 except ElasticityExhausted:
                     continue
                 if free() >= bytes_needed:
                     return
-        if hive.params.phi == 0.0:
+        if params.phi == 0.0:
             for locality in order:
-                self._cap_locality(hive, locality, 0.0)
+                self._cap_locality(locality, 0.0)
                 if free() >= bytes_needed:
                     return
         raise StorageFullError(
-            f"hive {hive.id}: need {bytes_needed} bytes, "
+            f"hive {self.hive.id}: need {bytes_needed} bytes, "
             f"only {free()} free at maximum elasticity")
 
     # -- locality selection ----------------------------------------------------
 
-    def select_locality(self, hive: Hive, label: str | None,
+    def select_locality(self, label: str | None,
                         feature: np.ndarray | None) -> Locality:
         """First locality whose predicate admits the data; last one catches all."""
-        for locality in hive.localities:
+        for locality in self.hive.localities:
             mapping = locality.mapping
             if label is not None and label in mapping.get("labels", ()):
                 return locality
@@ -434,11 +423,11 @@ class MemoryEngine:
                 min_sim = mapping.get("min_similarity", 0.95)
                 if cosine_similarity(feature, np.asarray(centroid)) >= min_sim:
                     return locality
-        return hive.localities[-1]
+        return self.hive.localities[-1]
 
     # -- operations ------------------------------------------------------------
 
-    def _first_match(self, hive: Hive, candidates: list[SearchEntry],
+    def _first_match(self, candidates: list[SearchEntry],
                      queries: list[np.ndarray], thresh: float) -> int | None:
         """Index of the first candidate whose feature matches any query.
 
@@ -450,6 +439,7 @@ class MemoryEngine:
         """
         if not candidates or not queries:
             return 0 if candidates else None
+        hive = self.hive
         rows = [hive.feature_rows[e.dn_id] for e in candidates]
         features = hive.features[rows]
         norms = hive.feature_norms[rows]
@@ -473,19 +463,18 @@ class MemoryEngine:
                     break
         return best
 
-    def _scan(self, hive: Hive, candidates: list[SearchEntry],
-              queries: list[np.ndarray], thresh: float, cues,
-              controls: OpControls) -> tuple[SearchEntry | None, tuple[int, ...]]:
+    def _scan(self, candidates: list[SearchEntry], queries: list[np.ndarray],
+              thresh: float, cues, controls: OpControls) -> tuple[SearchEntry | None, tuple[int, ...]]:
         """Examine candidates up to the first match; return it (or None) and
         the examined dn ids.  A failed examination changes a weight only
         under failure decay, so only then does it get its flag=0 reaction."""
-        first = self._first_match(hive, candidates, queries, thresh)
+        first = self._first_match(candidates, queries, thresh)
         cost = len(candidates) if first is None else first + 1
         self.total_search_iterations += cost
         if controls.weaken_on_fail:
             # the examined non-matches: all of them when nothing matched
             for entry in candidates[:first]:
-                self.reaction(hive, entry.dn_id, entry.path, flag=0, cues=cues,
+                self.reaction(entry.dn_id, entry.cue_id, flag=0, cues=cues,
                               up=False, k=True)
         examined = tuple(e.dn_id for e in candidates[:cost])
         return (None if first is None else candidates[first]), examined
@@ -499,17 +488,17 @@ class MemoryEngine:
         search = search or self.search
         controls = controls or self.controls
         payload = self._as_payload(data, item_id)
-        hive = self.memory.hive_for_modality(payload.modality)
+        hive = self.hive
         self.memory.op_counter += 1
         feature = hive.extractor.extract(payload.blob)
-        self.ensure_capacity(hive, payload.original_size)
-        candidates = self.get_search_order(cues, hive, search.assoc_thresh,
+        self.ensure_capacity(payload.original_size)
+        candidates = self.get_search_order(cues, search.assoc_thresh,
                                            controls.search_limit)
-        match, examined = self._scan(hive, candidates, [feature],
+        match, examined = self._scan(candidates, [feature],
                                      search.match_thresh, cues, controls)
         if match is not None:
             dn = self.memory.data_neuron(match.dn_id)
-            self.reaction(hive, dn.id, match.path, flag=1, cues=cues,
+            self.reaction(dn.id, match.cue_id, flag=1, cues=cues,
                           up=False, k=controls.weaken_on_fail)
             if payload.quality > dn.payload.quality:
                 # merge refresh: fresher copy wins
@@ -518,19 +507,19 @@ class MemoryEngine:
                                 dn.payload.quality, examined)
         else:
             label = next((c for c in cues if isinstance(c, str)), None)
-            locality = self.select_locality(hive, label, feature)
-            dn_id = self.memory.add_data_neuron(hive, locality.id, payload, feature)
+            locality = self.select_locality(label, feature)
+            dn_id = self.memory.add_data_neuron(locality.id, payload, feature)
             # the new neuron joins its locality's default cue, or every cue
             # through the implicit links of full-graph mode
             joined = (list(hive.cue_bank) if self.memory.graph.full_graph
                       else [locality.default_cue_id])
             for cue_id in joined:
-                self._mark_edge(hive, cue_id, dn_id, None)
-            self._associate_cues(hive, cues, dn_id, skip=set())
+                self._mark_edge(cue_id, dn_id, None)
+            self._associate_cues(cues, dn_id, skip=None)
             outcome = OpOutcome("new_neuron", dn_id, len(examined), payload,
                                 100.0, examined)
         if controls.update_order:
-            self._flush_search_order(hive)
+            self._flush_search_order()
         self._auto_retention(controls)
         return outcome
 
@@ -542,17 +531,16 @@ class MemoryEngine:
             raise ConfigurationError("retrieve requires at least one coarse cue")
         search = search or self.search
         controls = controls or self.controls
-        hive = self.hive
         self.memory.op_counter += 1
-        candidates = self.get_search_order(cues, hive, search.assoc_thresh,
+        candidates = self.get_search_order(cues, search.assoc_thresh,
                                            controls.search_limit)
         fine = [np.asarray(f, dtype=float) for f in (fine_cues or [])]
-        match, examined = self._scan(hive, candidates, fine,
+        match, examined = self._scan(candidates, fine,
                                      search.match_thresh, cues, controls)
         if match is not None:
             dn = self.memory.data_neuron(match.dn_id)
             quality = dn.payload.quality
-            self.reaction(hive, dn.id, match.path, flag=1, cues=cues,
+            self.reaction(dn.id, match.cue_id, flag=1, cues=cues,
                           up=False, k=controls.weaken_on_fail)
             outcome = OpOutcome("hit", dn.id, len(examined), dn.payload,
                                 quality, examined)
@@ -560,7 +548,7 @@ class MemoryEngine:
             outcome = OpOutcome("miss", None, len(examined), None, None,
                                 examined)
         if controls.update_order:
-            self._flush_search_order(hive)
+            self._flush_search_order()
         self._auto_retention(controls)
         return outcome
 
@@ -573,23 +561,18 @@ class MemoryEngine:
 
     def retention(self, n: int | None = None, k: bool | None = None) -> RetentionSummary:
         """Age idle associations and data neurons; manual invocation."""
-        summary = RetentionSummary()
-        for _, hive in sorted(self.memory.hives.items()):
-            window = hive.params.retention_period if n is None else n
-            if window < 1:
-                raise ConfigurationError("retention window must be >= 1")
-            decay_edges = self.controls.weaken_on_fail if k is None else k
-            self._retention_pass(hive, window, decay_edges, summary)
-        return summary
+        window = self.params.retention_period if n is None else n
+        if window < 1:
+            raise ConfigurationError("retention window must be >= 1")
+        decay_edges = self.controls.weaken_on_fail if k is None else k
+        return self._retention_pass(window, decay_edges)
 
-    def _retention_pass(self, hive: Hive, window: int, decay_edges: bool,
-                        summary: RetentionSummary) -> None:
+    def _retention_pass(self, window: int, decay_edges: bool) -> RetentionSummary:
+        summary = RetentionSummary()
         counter = self.memory.op_counter
         graph = self.memory.graph
         if decay_edges:
             for a, b, _ in graph.edges():
-                if not self._edge_in_hive(hive, a, b):
-                    continue
                 last = graph.last_access(a, b)
                 if counter - last < window:
                     continue
@@ -599,11 +582,11 @@ class MemoryEngine:
                 old = graph.weight(a, b)
                 new = graph.adjust(a, b, rate, counter, touch=False)
                 if new != old:
-                    self._mark_edge(hive, a, b, old)
+                    self._mark_edge(a, b, old)
                     summary.weakened_edges.append((a, b, new))
-        for locality in hive.localities:
+        for locality in self.hive.localities:
             rate = locality.memory_decay_rate
-            for dn_id in sorted(locality.dn_ids):
+            for dn_id in locality.dn_ids:
                 dn = self.memory.data_neuron(dn_id)
                 if counter - dn.last_access_op < window or rate <= 0:
                     continue
@@ -612,14 +595,13 @@ class MemoryEngine:
                 if new != old_strength:
                     summary.compressed.append((dn_id, new))
                     summary.bytes_freed += old_size - dn.size_bytes
-        self._flush_search_order(hive)
+        self._flush_search_order()
+        return summary
 
     def _auto_retention(self, controls: OpControls) -> None:
-        summary = RetentionSummary()
-        for _, hive in sorted(self.memory.hives.items()):
-            n = hive.params.retention_period
-            if self.memory.op_counter % n == 0:
-                self._retention_pass(hive, n, controls.weaken_on_fail, summary)
+        n = self.params.retention_period
+        if self.memory.op_counter % n == 0:
+            self._retention_pass(n, controls.weaken_on_fail)
 
     # -- fixtures --------------------------------------------------------------
 
@@ -632,17 +614,17 @@ class MemoryEngine:
         the operation counter nor retention is touched.
         """
         payload = self._as_payload(data, item_id)
-        hive = self.memory.hive_for_modality(payload.modality)
-        feature = hive.extractor.extract(payload.blob)
+        feature = self.hive.extractor.extract(payload.blob)
         if locality_id is None:
             label = next((c for c in cues if isinstance(c, str)), None)
-            locality_id = self.select_locality(hive, label, feature).id
-        dn_id = self.memory.add_data_neuron(hive, locality_id, payload, feature)
+            locality_id = self.select_locality(label, feature).id
+        dn_id = self.memory.add_data_neuron(locality_id, payload, feature)
         for cue in cues:
-            cue_id = self._find_or_create_cue(hive, cue)
+            cue_id = self._find_or_create_cue(cue)
             self.memory.associate(cue_id, dn_id)
-        self.update_search_order(hive)
+        self.update_search_order()
         return dn_id
+
 
 def oracle_search_order(memory: Memory, hive: Hive) -> dict[int, list[tuple[int, float]]]:
     """Brute-force recomputation of every cue's search order from raw edges.
@@ -652,18 +634,17 @@ def oracle_search_order(memory: Memory, hive: Hive) -> dict[int, list[tuple[int,
     Returns ``{cue_id: [(dn_id, avg_weight), ...]}``.
     """
     orders: dict[int, list[tuple[int, float]]] = {}
-    hive_dns = [dn for dn in memory.data_neurons() if dn.hive_id == hive.id]
     for cue_id in hive.cue_bank:
         pairs: list[tuple[int, float]] = []
         if memory.graph.full_graph:
-            pairs = [(dn.id, memory.graph.weight(cue_id, dn.id)) for dn in hive_dns]
+            pairs = [(dn.id, memory.graph.weight(cue_id, dn.id))
+                     for dn in memory.data_neurons()]
         else:
             for a, b, w in memory.graph.edges():
                 other = b if a == cue_id else a if b == cue_id else None
                 if other is None:
                     continue
-                neuron = memory.neurons[other]
-                if isinstance(neuron, DataNeuron) and neuron.hive_id == hive.id:
+                if isinstance(memory.neurons[other], DataNeuron):
                     pairs.append((other, w))
         pairs.sort(key=lambda t: (-t[1], t[0]))
         orders[cue_id] = pairs

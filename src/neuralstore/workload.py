@@ -25,6 +25,7 @@ operation in a shared schema.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -326,28 +327,35 @@ def read_manifest(manifest_path: str | Path) -> Corpus:
     lines = manifest_path.read_text().splitlines()
     if not lines:
         raise ConfigurationError(f"{manifest_path}: empty manifest")
-    header = json.loads(lines[0])
+    header = _json_row(manifest_path, 1, lines[0])
     if header.get("format") != MANIFEST_FORMAT:
         raise ConfigurationError(f"{manifest_path}: not a manifest file")
     if header.get("version") != FORMAT_VERSION:
         raise ConfigurationError(f"{manifest_path}: unsupported manifest version")
     items = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        row = json.loads(line)
+        row = _json_row(manifest_path, lineno, line)
+        field_of = functools.partial(_row_field, manifest_path, lineno, row)
+        item_id = field_of("item_id", str)
+        label, priority = field_of("label", str), field_of("priority", bool)
+        path = field_of("path", str, None)
         if "data_hex" in row:
-            data = bytes.fromhex(row["data_hex"])
+            try:
+                data = bytes.fromhex(field_of("data_hex", str))
+            except ValueError:
+                raise ConfigurationError(
+                    f"{manifest_path}: line {lineno}: field 'data_hex' is not "
+                    f"hexadecimal") from None
             path = None
-        elif "path" in row:
-            path = row["path"]
+        elif path is not None:
             data = (manifest_path.parent / path).read_bytes()
         else:
             raise ConfigurationError(
-                f"{manifest_path}: item {row.get('item_id')!r} has no payload")
-        items.append(ManifestItem(item_id=row["item_id"], class_label=row["label"],
-                                  priority=bool(row["priority"]), data=data,
-                                  path=path))
+                f"{manifest_path}: item {item_id!r} has no payload")
+        items.append(ManifestItem(item_id=item_id, class_label=label,
+                                  priority=priority, data=data, path=path))
     return Corpus(items)
 
 
@@ -371,7 +379,7 @@ def write_trace(records: list[TraceRecord], path: str | Path) -> Path:
     return path
 
 
-def _trace_row(path: Path, lineno: int, line: str) -> dict:
+def _json_row(path: Path, lineno: int, line: str) -> dict:
     try:
         row = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -381,12 +389,35 @@ def _trace_row(path: Path, lineno: int, line: str) -> dict:
     return row
 
 
+_REQUIRED = object()
+_KIND_NAMES = {int: "an integer", str: "a string", bool: "a boolean",
+               list: "a list of strings"}
+
+
+def _row_field(path: Path, lineno: int, row: dict, key: str, kind: type,
+               default=_REQUIRED):
+    """``row[key]``, checked to be of ``kind``; a list must hold strings and a
+    bool is not an integer.  An absent key, or null where a default exists,
+    gives the default."""
+    value = row.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
+    if key not in row:
+        raise ConfigurationError(f"{path}: line {lineno}: missing field {key!r}")
+    if (not isinstance(value, kind) or (kind is int and isinstance(value, bool))
+            or (kind is list and not all(isinstance(v, str) for v in value))):
+        raise ConfigurationError(
+            f"{path}: line {lineno}: field {key!r} must be {_KIND_NAMES[kind]}, "
+            f"got {value!r}")
+    return value
+
+
 def read_trace(path: str | Path) -> list[TraceRecord]:
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines:
         raise ConfigurationError(f"{path}: empty trace")
-    header = _trace_row(path, 1, lines[0])
+    header = _json_row(path, 1, lines[0])
     if header.get("format") != TRACE_FORMAT:
         raise ConfigurationError(f"{path}: not a trace file")
     if header.get("version") != FORMAT_VERSION:
@@ -395,21 +426,14 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        row = _trace_row(path, lineno, line)
-        for key in ("seq", "op"):
-            if key not in row:
-                raise ConfigurationError(
-                    f"{path}: line {lineno}: missing field {key!r}")
-        seq = row["seq"]
-        if not isinstance(seq, int) or isinstance(seq, bool):
-            raise ConfigurationError(
-                f"{path}: line {lineno}: field 'seq' must be an integer, "
-                f"got {seq!r}")
+        row = _json_row(path, lineno, line)
+        field_of = functools.partial(_row_field, path, lineno, row)
         records.append(TraceRecord(
-            seq=seq, op=row["op"], item_id=row.get("item_id"),
-            coarse_cues=tuple(row.get("coarse_cues", ())),
-            use_fine_cue=bool(row.get("use_fine_cue", True)),
-            retention_window=row.get("n")))
+            seq=field_of("seq", int), op=field_of("op", str),
+            item_id=field_of("item_id", str, None),
+            coarse_cues=tuple(field_of("coarse_cues", list, ())),
+            use_fine_cue=field_of("use_fine_cue", bool, True),
+            retention_window=field_of("n", int, None)))
     return records
 
 

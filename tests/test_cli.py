@@ -9,8 +9,9 @@ import sys
 import pytest
 
 from neuralstore.cli import main
-from neuralstore.config import load_config
+from neuralstore.config import build_adapter, load_config
 from neuralstore.core import ConfigurationError
+from neuralstore.workload import read_manifest, read_trace, replay
 
 
 SMALL_WORKLOAD = {
@@ -193,6 +194,35 @@ class TestInspect:
         main(["inspect", "--snapshot", str(snapshot), "--format", "dot"])
         assert capsys.readouterr().out == dot
 
+    def test_dot_of_run_snapshot_equals_export_of_the_memory(self, tmp_path,
+                                                             capsys):
+        labels = ["deer park", 'say "hi" \\ back']
+        config = write_config(
+            tmp_path, hive={"locality_mapping": [{"labels": [labels[0]]}, {}]},
+            workload={**SMALL_WORKLOAD, "class_labels": labels,
+                      "priority_class": labels[0]})
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert main(["generate", "--config", str(config), "--out", str(data)]) == 0
+        assert main(["run", "--config", str(config), "--trace",
+                     str(data / "trace.jsonl"), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["inspect", "--snapshot", str(out / "snapshot.txt"),
+                     "--format", "dot"]) == 0
+        dot = capsys.readouterr().out
+
+        run_config = load_config(config)
+        corpus = read_manifest(data / "manifest.jsonl")
+        adapter = build_adapter(run_config, corpus)
+        replay(read_trace(data / "trace.jsonl"), adapter, corpus)
+        assert dot == adapter.engine.memory.export_graph("dot")
+        assert 'label="deer park\\n#' in dot
+        assert 'label="say \\"hi\\" \\\\ back\\n#' in dot
+        assert 'label="default\\n#' in dot and "%" not in dot
+
+        assert main(["inspect", "--snapshot", str(out / "snapshot.txt")]) == 0
+        text = capsys.readouterr().out
+        assert "label=deer park" in text and 'label=say "hi" \\ back' in text
+
     def test_version_mismatch_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("neuralstore-snapshot 99\n")
@@ -242,8 +272,7 @@ class TestWalkthroughViaCli:
     def test_inspect_empty_memory_snapshot(self, tmp_path, capsys):
         from neuralstore.core import HiveParams, Memory
 
-        memory = Memory()
-        memory.add_hive("blob", HiveParams())
+        memory = Memory(HiveParams())
         snapshot = tmp_path / "empty.txt"
         snapshot.write_text(memory.export_graph("snapshot"))
         assert main(["inspect", "--snapshot", str(snapshot)]) == 0

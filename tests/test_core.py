@@ -1,4 +1,4 @@
-"""Memory state tests: neurons, graph, clamped updates, snapshots, exports."""
+"""Memory state tests: neurons, graph, clamped updates, exports."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from neuralstore.core import (
     HiveParams,
     Memory,
     SnapshotFormatError,
-    apply_state_update,
     clamp_strength,
     clamp_weight,
     parse_snapshot,
@@ -22,10 +21,8 @@ from tests.conftest import build_walkthrough
 
 
 def make_memory(**overrides) -> tuple[Memory, object]:
-    params = HiveParams(**overrides)
-    memory = Memory()
-    hive = memory.add_hive("blob", params)
-    return memory, hive
+    memory = Memory(HiveParams(**overrides))
+    return memory, memory.hive
 
 
 def payload(n: int = 100) -> Payload:
@@ -33,7 +30,7 @@ def payload(n: int = 100) -> Payload:
 
 
 def feat(memory, data: bytes) -> np.ndarray:
-    return list(memory.hives.values())[0].extractor.extract(data)
+    return memory.hive.extractor.extract(data)
 
 
 class TestParamsValidation:
@@ -61,36 +58,36 @@ class TestParamsValidation:
 class TestCueNeurons:
     def test_first_cue_in_empty_hive_gets_id_zero_and_no_edges(self):
         memory, hive = make_memory()
-        cid = memory.add_cue_neuron(hive, label="wolf")
+        cid = memory.add_cue_neuron(label="wolf")
         assert cid == 0
         assert memory.edge_count() == 0
 
     def test_duplicate_label_is_idempotent(self):
         memory, hive = make_memory()
-        a = memory.add_cue_neuron(hive, label="wolf")
-        b = memory.add_cue_neuron(hive, label="wolf")
+        a = memory.add_cue_neuron(label="wolf")
+        b = memory.add_cue_neuron(label="wolf")
         assert a == b
 
     def test_duplicate_vector_is_idempotent(self):
         memory, hive = make_memory()
         vec = np.zeros(64)
         vec[3] = 1.0
-        a = memory.add_cue_neuron(hive, cue_vector=vec)
-        b = memory.add_cue_neuron(hive, cue_vector=vec.copy())
+        a = memory.add_cue_neuron(cue_vector=vec)
+        b = memory.add_cue_neuron(cue_vector=vec.copy())
         assert a == b
 
     def test_wrong_dimension_rejected(self):
         memory, hive = make_memory()
         with pytest.raises(ConfigurationError):
-            memory.add_cue_neuron(hive, cue_vector=np.ones(3))
+            memory.add_cue_neuron(cue_vector=np.ones(3))
 
     def test_full_graph_cue_connects_to_all_existing(self):
         memory, hive = make_memory(full_graph=True)
-        memory.add_cue_neuron(hive, label="a")
-        memory.add_cue_neuron(hive, label="b")
-        memory.add_data_neuron(hive, 0, payload(), feat(memory, payload().blob))
+        memory.add_cue_neuron(label="a")
+        memory.add_cue_neuron(label="b")
+        memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
         before = memory.edge_count()
-        new = memory.add_cue_neuron(hive, label="c")
+        new = memory.add_cue_neuron(label="c")
         assert memory.edge_count() - before == 4  # 3 prior neurons + default cue
         for other in memory.neurons:
             if other != new:
@@ -100,7 +97,7 @@ class TestCueNeurons:
 class TestDataNeurons:
     def test_new_neuron_full_strength_one_default_edge(self):
         memory, hive = make_memory()
-        dn = memory.add_data_neuron(hive, 0, payload(), feat(memory, payload().blob))
+        dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
         neuron = memory.data_neuron(dn)
         assert neuron.strength == 100.0
         default = hive.localities[0].default_cue_id
@@ -109,24 +106,24 @@ class TestDataNeurons:
 
     def test_two_neurons_distinct_ids(self):
         memory, hive = make_memory()
-        a = memory.add_data_neuron(hive, 0, payload(), feat(memory, payload().blob))
-        b = memory.add_data_neuron(hive, 0, payload(50), feat(memory, payload(50).blob))
+        a = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
+        b = memory.add_data_neuron(0, payload(50), feat(memory, payload(50).blob))
         assert a != b
         assert memory.data_neuron(b).strength == 100.0
 
     def test_unknown_locality_rejected(self):
         memory, hive = make_memory()
         with pytest.raises(ConfigurationError):
-            memory.add_data_neuron(hive, 9, payload(), feat(memory, payload().blob))
+            memory.add_data_neuron(9, payload(), feat(memory, payload().blob))
 
     def test_full_graph_data_neuron_connects_to_all(self):
         memory, hive = make_memory(full_graph=True)
-        memory.add_cue_neuron(hive, label="a")
-        memory.add_cue_neuron(hive, label="b")
-        memory.add_data_neuron(hive, 0, payload(), feat(memory, payload().blob))
+        memory.add_cue_neuron(label="a")
+        memory.add_cue_neuron(label="b")
+        memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
         before_neurons = len(memory.neurons)
         before = memory.edge_count()
-        memory.add_data_neuron(hive, 1, payload(60), feat(memory, payload(60).blob))
+        memory.add_data_neuron(1, payload(60), feat(memory, payload(60).blob))
         # the new data neuron joins everything, and so does the default cue
         # created alongside it in locality 1
         assert memory.edge_count() - before == before_neurons + (before_neurons + 1)
@@ -135,8 +132,8 @@ class TestDataNeurons:
 class TestAdjustments:
     def test_weight_decay_formula(self):
         memory, hive = make_memory()
-        a = memory.add_cue_neuron(hive, label="x")
-        dn = memory.add_data_neuron(hive, 0, payload(), feat(memory, payload().blob))
+        a = memory.add_cue_neuron(label="x")
+        dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
         memory.associate(a, dn)
         memory.adjust_association(a, dn, -29.0)  # bring to 30
         assert memory.weight(a, dn) == 30.0
@@ -144,36 +141,36 @@ class TestAdjustments:
 
     def test_weight_clamp_floor(self):
         memory, hive = make_memory(epsilon=5.0)
-        a = memory.add_cue_neuron(hive, label="x")
-        dn = memory.add_data_neuron(hive, 0, payload(), feat(memory, payload().blob))
+        a = memory.add_cue_neuron(label="x")
+        dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
         memory.associate(a, dn)            # at epsilon = 5
         assert memory.adjust_association(a, dn, 60.0) == 5.0
 
     def test_strengthen_by_negative_delta(self):
         memory, hive = make_memory()
-        a = memory.add_cue_neuron(hive, label="x")
-        dn = memory.add_data_neuron(hive, 0, payload(), feat(memory, payload().blob))
+        a = memory.add_cue_neuron(label="x")
+        dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
         memory.associate(a, dn)
         memory.adjust_association(a, dn, -19.0)  # 1 -> 20
         assert memory.adjust_association(a, dn, -20.0) == 40.0
 
     def test_self_edge_rejected(self):
         memory, hive = make_memory()
-        dn = memory.add_data_neuron(hive, 0, payload(), feat(memory, payload().blob))
+        dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
         with pytest.raises(ValueError):
             memory.adjust_association(dn, dn, 1.0)
 
     def test_symmetry_after_updates(self):
         memory, hive = make_memory()
-        a = memory.add_cue_neuron(hive, label="x")
-        dn = memory.add_data_neuron(hive, 0, payload(), feat(memory, payload().blob))
+        a = memory.add_cue_neuron(label="x")
+        dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
         memory.associate(a, dn)
         memory.adjust_association(a, dn, -7.5)
         assert memory.weight(a, dn) == memory.weight(dn, a)
 
     def test_strength_decay_and_recompression(self):
         memory, hive = make_memory()
-        dn = memory.add_data_neuron(hive, 0, payload(1000),
+        dn = memory.add_data_neuron(0, payload(1000),
                                     feat(memory, payload(1000).blob))
         assert memory.adjust_strength(dn, 0.5) == 99.5
         neuron = memory.data_neuron(dn)
@@ -182,14 +179,14 @@ class TestAdjustments:
 
     def test_strength_clamp_floor(self):
         memory, hive = make_memory()
-        dn = memory.add_data_neuron(hive, 0, payload(), feat(memory, payload().blob))
+        dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
         memory.adjust_strength(dn, 98.8)   # 100 -> 1.2
         assert memory.data_neuron(dn).strength == pytest.approx(1.2)
         assert memory.adjust_strength(dn, 10.0) == 1.0
 
     def test_restore_does_not_resurrect_quality(self):
         memory, hive = make_memory()
-        dn = memory.add_data_neuron(hive, 0, payload(1000),
+        dn = memory.add_data_neuron(0, payload(1000),
                                     feat(memory, payload(1000).blob))
         memory.adjust_strength(dn, 20.0)
         assert memory.adjust_strength(dn, -100.0) == 100.0
@@ -199,45 +196,7 @@ class TestAdjustments:
         assert neuron.size_bytes == 800
 
 
-class TestStateUpdate:
-    def test_identity_delta(self):
-        _, state = self._two_neuron_state()
-        updated = apply_state_update(state, np.zeros_like(state.A),
-                                     np.zeros_like(state.M))
-        assert np.array_equal(updated.A, state.A)
-        assert np.array_equal(updated.M, state.M)
-
-    def test_single_edge_decay(self):
-        memory, state = self._two_neuron_state(weight=10.0)
-        delta = np.zeros_like(state.A)
-        delta[0, 1] = delta[1, 0] = 4.0
-        updated = apply_state_update(state, delta, np.zeros_like(state.M))
-        assert updated.A[0, 1] == 6.0
-        assert updated.A[1, 0] == 6.0
-
-    def test_strength_vector_clamps(self):
-        memory, state = self._two_dn_state(strengths=(100.0, 2.0))
-        updated = apply_state_update(state, np.zeros_like(state.A),
-                                     np.array([0.5, 5.0]))
-        assert list(updated.M) == [99.5, 1.0]
-
-    def test_dimension_mismatch_rejected(self):
-        _, state = self._two_neuron_state()
-        with pytest.raises(ValueError):
-            apply_state_update(state, np.zeros((1, 1)), np.zeros_like(state.M))
-        with pytest.raises(ValueError):
-            apply_state_update(state, np.zeros_like(state.A), np.zeros(5))
-
-    def test_delta_on_missing_association_rejected(self):
-        memory, hive = make_memory()
-        memory.add_cue_neuron(hive, label="x")
-        memory.add_cue_neuron(hive, label="y")
-        state = memory.snapshot()
-        delta = np.zeros_like(state.A)
-        delta[0, 1] = delta[1, 0] = 1.0
-        with pytest.raises(ValueError):
-            apply_state_update(state, delta, np.zeros_like(state.M))
-
+class TestClampRules:
     @given(weight=st.floats(1.0, 100.0), d1=st.floats(0.0, 120.0),
            d2=st.floats(0.0, 120.0))
     @settings(max_examples=80, deadline=None)
@@ -249,58 +208,6 @@ class TestStateUpdate:
     @settings(max_examples=80, deadline=None)
     def test_strength_always_in_bounds(self, strength, delta):
         assert 1.0 <= clamp_strength(1.0, strength, delta) <= 100.0
-
-    def _two_neuron_state(self, weight: float | None = None):
-        memory, hive = make_memory()
-        a = memory.add_cue_neuron(hive, label="x")
-        dn = memory.add_data_neuron(hive, 0, payload(), feat(memory, payload().blob))
-        memory.associate(a, dn)
-        if weight is not None:
-            memory.adjust_association(a, dn, -(weight - 1.0))
-        state = memory.snapshot()
-        # keep only the cue/data pair for a clean 2x2 matrix? snapshot covers
-        # all neurons (incl. the default cue); deltas target the (a, dn) cell
-        return memory, state
-
-    def _two_dn_state(self, strengths):
-        memory, hive = make_memory()
-        d1 = memory.add_data_neuron(hive, 0, payload(), feat(memory, payload().blob))
-        d2 = memory.add_data_neuron(hive, 0, payload(60), feat(memory, payload(60).blob))
-        for dn, s in zip((d1, d2), strengths):
-            memory.adjust_strength(dn, 100.0 - s)
-        return memory, memory.snapshot()
-
-
-class TestSnapshots:
-    def test_snapshot_isolated_from_later_mutation(self):
-        memory, hive = make_memory()
-        dn = memory.add_data_neuron(hive, 0, payload(), feat(memory, payload().blob))
-        snap = memory.snapshot()
-        memory.adjust_strength(dn, 40.0)
-        assert snap.M[0] == 100.0
-        assert memory.snapshot().M[0] == 60.0
-
-    def test_empty_memory_snapshot(self):
-        memory, _ = make_memory()
-        snap = memory.snapshot()
-        assert snap.A.shape == (0, 0)
-        assert snap.M.shape == (0,)
-
-    def test_serialization_deterministic(self):
-        memory, hive = make_memory()
-        memory.add_data_neuron(hive, 0, payload(), feat(memory, payload().blob))
-        assert memory.snapshot().serialize() == memory.snapshot().serialize()
-
-
-class TestStateUpdateIndexing:
-    def test_edge_cell_indices_follow_sorted_neuron_ids(self):
-        memory, hive = make_memory()
-        a = memory.add_cue_neuron(hive, label="x")
-        dn = memory.add_data_neuron(hive, 0, payload(), feat(memory, payload().blob))
-        memory.associate(a, dn)
-        state = memory.snapshot()
-        i, j = state.neuron_ids.index(a), state.neuron_ids.index(dn)
-        assert state.A[i, j] == hive.params.epsilon
 
 
 class TestExports:
@@ -331,6 +238,16 @@ class TestExports:
         assert memory.export_graph("snapshot") == memory.export_graph("snapshot")
         assert memory.export_graph("dot") == memory.export_graph("dot")
 
+    def test_dot_names_cues_and_escapes_labels(self):
+        memory, _ = make_memory()
+        memory.add_cue_neuron(label='a "b" \\ c')
+        memory.add_cue_neuron(cue_vector=np.ones(64))
+        memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
+        dot = memory.export_graph("dot").splitlines()
+        assert dot[2] == '  n0 [label="a \\"b\\" \\\\ c\\n#0" shape=ellipse];'
+        assert dot[3] == '  n1 [label="cue\\n#1" shape=ellipse];'
+        assert dot[5] == '  n3 [label="default\\n#3" shape=doublecircle];'
+
     def test_unknown_format_rejected(self):
         memory, _ = make_memory()
         with pytest.raises(ValueError):
@@ -354,22 +271,6 @@ class TestExports:
             parse_snapshot("")
 
 
-class TestMultipleHives:
-    def test_duplicate_modality_rejected(self):
-        memory, _ = make_memory()
-        with pytest.raises(ConfigurationError):
-            memory.add_hive("blob", HiveParams())
-
-    def test_hives_must_agree_on_graph_mode(self):
-        memory, _ = make_memory()
-        with pytest.raises(ConfigurationError):
-            memory.add_hive("audio", HiveParams(epsilon=3.0))
-        with pytest.raises(ConfigurationError):
-            memory.add_hive("audio", HiveParams(full_graph=True))
-        audio = memory.add_hive("audio", HiveParams())
-        assert audio.modality == "audio"
-
-
 class TestSizeMonotonicity:
     @given(deltas=st.lists(st.floats(-120.0, 120.0), min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)
@@ -377,7 +278,7 @@ class TestSizeMonotonicity:
         # restoration raises strength but never resurrects lost bytes; only a
         # merge refresh may replace the payload with a larger copy
         memory, hive = make_memory()
-        dn = memory.add_data_neuron(hive, 0, payload(1000),
+        dn = memory.add_data_neuron(0, payload(1000),
                                     feat(memory, payload(1000).blob))
         last_size = memory.data_neuron(dn).size_bytes
         for delta in deltas:

@@ -185,13 +185,25 @@ class TestRetrieve:
         assert out.payload.quality == 65.0
 
 
+class TestModality:
+    def test_payload_of_another_modality_is_rejected(self):
+        engine = engine_with()
+        audio = Payload.from_bytes(blob(0), modality="audio")
+        with pytest.raises(ConfigurationError, match="'audio'"):
+            engine.store(audio, ["hot"])
+        with pytest.raises(ConfigurationError, match="'audio'"):
+            engine.bootstrap_store(audio, ["hot"])
+        assert engine.memory.op_counter == 0
+        assert engine.memory.neurons == {}
+
+
 class TestReaction:
     def test_reward_strengthens_path_once(self):
         engine = engine_with(eta=10.0)
         stored = engine.store(blob(0), ["hot"])
         cue = engine.hive.find_cue_by_label("hot")
         engine.memory.adjust_strength(stored.dn_id, 50.0)
-        engine.reaction(engine.hive, stored.dn_id, (cue, stored.dn_id),
+        engine.reaction(stored.dn_id, cue,
                         flag=1, cues=["hot"])
         assert engine.memory.weight(cue, stored.dn_id) == 11.0
         assert engine.memory.data_neuron(stored.dn_id).strength == 100.0
@@ -201,7 +213,7 @@ class TestReaction:
         stored = engine.store(blob(0), ["hot"])
         cue = engine.hive.find_cue_by_label("hot")
         before = engine.memory.weight(cue, stored.dn_id)
-        engine.reaction(engine.hive, stored.dn_id, (cue, stored.dn_id),
+        engine.reaction(stored.dn_id, cue,
                         flag=0, cues=["hot"], k=False)
         assert engine.memory.weight(cue, stored.dn_id) == before
 
@@ -209,7 +221,7 @@ class TestReaction:
         engine = engine_with()
         stored = engine.store(blob(0), ["hot"])
         cue = engine.hive.find_cue_by_label("hot")
-        engine.reaction(engine.hive, stored.dn_id, (cue, stored.dn_id),
+        engine.reaction(stored.dn_id, cue,
                         flag=0, cues=["hot"], k=True)
         assert engine.memory.weight(cue, stored.dn_id) == 1.0  # already at floor
 
@@ -218,20 +230,18 @@ class TestReaction:
         stored = engine.store(blob(0), ["hot"])
         cue = engine.hive.find_cue_by_label("hot")
         engine.memory.adjust_association(cue, stored.dn_id, -29.0)  # weight 30
-        engine.reaction(engine.hive, stored.dn_id, (cue, stored.dn_id),
+        engine.reaction(stored.dn_id, cue,
                         flag=0, k=True)
         assert engine.memory.weight(cue, stored.dn_id) == 25.0
 
     def test_dangling_path_rejected(self):
         engine = engine_with()
-        stored = engine.store(blob(0), ["hot"])
+        engine.store(blob(0), ["hot"])
         cue = engine.hive.find_cue_by_label("hot")
-        with pytest.raises(RuntimeError):
-            engine.reaction(engine.hive, stored.dn_id, (cue, 999), flag=1)
         other = engine.store(blob(1), ["warm"]).dn_id
         with pytest.raises(RuntimeError):
             # cue has no edge to that target
-            engine.reaction(engine.hive, other, (cue, other), flag=1)
+            engine.reaction(other, cue, flag=1)
 
 
 class TestRetention:
@@ -315,7 +325,7 @@ class TestElasticity:
         engine = engine_with()
         out = engine.store(blob(0, size=1000), ["hot"])
         engine.memory.adjust_strength(out.dn_id, 5.0)   # 95
-        freed = engine.elasticity(engine.hive, engine.hive.localities[0], 0)
+        freed = engine.elasticity(engine.hive.localities[0], 0)
         dn = engine.memory.data_neuron(out.dn_id)
         assert dn.strength == 80.0
         assert dn.size_bytes == 800
@@ -325,7 +335,7 @@ class TestElasticity:
         engine = engine_with()
         out = engine.store(blob(0), ["hot"])
         engine.memory.adjust_strength(out.dn_id, 50.0)
-        freed = engine.elasticity(engine.hive, engine.hive.localities[0], 0)
+        freed = engine.elasticity(engine.hive.localities[0], 0)
         assert engine.memory.data_neuron(out.dn_id).strength == 50.0
         assert freed == 0
 
@@ -334,7 +344,7 @@ class TestElasticity:
         dns = [engine.store(blob(u, size=300), ["hot"]).dn_id for u in range(3)]
         engine.memory.adjust_strength(dns[0], 5.0)
         engine.memory.adjust_strength(dns[1], 50.0)
-        freed = engine.elasticity(engine.hive, engine.hive.localities[0], 8)
+        freed = engine.elasticity(engine.hive.localities[0], 8)
         for dn_id in dns:
             dn = engine.memory.data_neuron(dn_id)
             assert dn.strength == 1.0
@@ -345,14 +355,14 @@ class TestElasticity:
         engine = engine_with()
         engine.store(blob(0), ["hot"])
         with pytest.raises(ElasticityExhausted):
-            engine.elasticity(engine.hive, engine.hive.localities[0], 9)
+            engine.elasticity(engine.hive.localities[0], 9)
 
     def test_scale_mode_multiplies(self):
         engine = engine_with(elasticity_mode="scale")
         out = engine.store(blob(0, size=1000), ["hot"])
-        engine.elasticity(engine.hive, engine.hive.localities[0], 0)
+        engine.elasticity(engine.hive.localities[0], 0)
         assert engine.memory.data_neuron(out.dn_id).strength == 80.0
-        engine.elasticity(engine.hive, engine.hive.localities[0], 0)
+        engine.elasticity(engine.hive.localities[0], 0)
         assert engine.memory.data_neuron(out.dn_id).strength == 64.0
 
 
@@ -361,7 +371,7 @@ class TestEnsureCapacity:
         engine = engine_with()
         engine.store(blob(0), ["hot"])
         state = engine.memory.export_graph("snapshot")
-        engine.ensure_capacity(engine.hive, 10**9)
+        engine.ensure_capacity(10**9)
         assert engine.memory.export_graph("snapshot") == state
 
     def test_single_pass_on_least_important_locality(self):
@@ -372,7 +382,7 @@ class TestEnsureCapacity:
         c = engine.bootstrap_store(blob(2, size=500, cls=1), ["other"], item_id="c")
         engine.memory.adjust_strength(c, 10.0)   # 90 -> 450 bytes
         assert engine.memory.total_bytes() == 2450
-        engine.ensure_capacity(engine.hive, 400)
+        engine.ensure_capacity(400)
         # expected by hand: one iteration at ceiling 80 on locality 1 frees
         # (1000-800) + (450-400) = 250, reaching 400 free; locality 0 untouched
         assert engine.memory.data_neuron(a).strength == 100.0
@@ -385,12 +395,12 @@ class TestEnsureCapacity:
         engine = engine_with(capacity_bytes=500)
         engine.bootstrap_store(blob(0, size=400), ["hot"], item_id="a")
         with pytest.raises(StorageFullError):
-            engine.ensure_capacity(engine.hive, 600)
+            engine.ensure_capacity(600)
 
     def test_phi_zero_allows_full_deletion_pressure(self):
         engine = engine_with(phi=0.0, capacity_bytes=1000)
         a = engine.bootstrap_store(blob(0, size=900, cls=1), ["other"], item_id="a")
-        engine.ensure_capacity(engine.hive, 995)
+        engine.ensure_capacity(995)
         assert engine.memory.data_neuron(a).size_bytes == 0
         assert engine.memory.data_neuron(a).strength == 0.0
 
@@ -477,23 +487,23 @@ class TestSearchOrder:
 class TestSelectLocality:
     def test_label_match(self):
         engine = engine_with(locality_mapping=[{"labels": ["fox", "wolf"]}, {}])
-        assert engine.select_locality(engine.hive, "fox", None).id == 0
+        assert engine.select_locality("fox", None).id == 0
 
     def test_unmatched_falls_to_last(self):
         engine = engine_with()
-        assert engine.select_locality(engine.hive, "emu", None).id == 1
+        assert engine.select_locality("emu", None).id == 1
 
     def test_first_match_wins(self):
         engine = engine_with(
             locality_mapping=[{"labels": ["x"]}, {"labels": ["x"]}])
-        assert engine.select_locality(engine.hive, "x", None).id == 0
+        assert engine.select_locality("x", None).id == 0
 
     def test_centroid_predicate(self):
         engine = engine_with()
         feature = engine.hive.extractor.extract(blob(0))
         engine.hive.localities[0].mapping = {"centroid": feature.tolist(),
                                              "min_similarity": 0.9}
-        assert engine.select_locality(engine.hive, None, feature).id == 0
+        assert engine.select_locality(None, feature).id == 0
 
 
 class TestUpdateSemantics:
@@ -628,7 +638,7 @@ class TestDataToDataEdges:
         engine.update_search_order()
         for entries in engine.hive.search_order.values():
             for e in entries:
-                assert e.path[0] not in (a, b)   # orders start at cues only
+                assert e.cue_id not in (a, b)   # orders start at cues only
 
 
 class TestVectorCues:

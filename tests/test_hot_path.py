@@ -54,9 +54,9 @@ def spy_on_reactions(engine, monkeypatch) -> list:
     calls = []
     original = engine.reaction
 
-    def spy(hive, target_dn, path, flag, *args, **kwargs):
+    def spy(target_dn, cue_id, flag, *args, **kwargs):
         calls.append((target_dn, flag))
-        return original(hive, target_dn, path, flag, *args, **kwargs)
+        return original(target_dn, cue_id, flag, *args, **kwargs)
 
     monkeypatch.setattr(engine, "reaction", spy)
     return calls
@@ -262,7 +262,7 @@ class TestByteTotals:
         for rec in generate_trace(corpus, spec):
             row = replay([rec], adapter, corpus)[0]
             assert row["total_bytes"] == brute_force_bytes(memory), rec.seq
-            assert memory.total_bytes(adapter.engine.hive) == row["total_bytes"]
+            assert memory.total_bytes() == row["total_bytes"]
         assert any(dn.payload.quality < 100.0 for dn in memory.data_neurons())
 
     def test_merge_refresh_updates_the_total(self):
@@ -274,6 +274,28 @@ class TestByteTotals:
         assert (out.kind, out.quality) == ("merged", 100.0)
         assert engine.memory.total_bytes() == 2048 == brute_force_bytes(
             engine.memory)
+
+
+class TestLocalityOrder:
+    def test_dn_ids_stay_in_increasing_id_order_after_a_replay(self):
+        # elasticity and retention walk a locality's dn_ids as they stand
+        config = load_config(preset="wildlife-deer")
+        spec = dataclasses.replace(config.workload, items_per_cluster=1,
+                                   n_items=60, n_retrievals=40,
+                                   tail_retentions=5)
+        corpus = build_corpus(spec)
+        params = dataclasses.replace(
+            config.hive, capacity_bytes=int(0.3 * corpus.total_bytes()),
+            retention_period=25)
+        engine = MemoryEngine(params, search=config.search,
+                              controls=config.controls)
+        replay(generate_trace(corpus, spec), NsReplayAdapter(engine), corpus)
+        memory = engine.memory
+        assert any(dn.payload.quality < 100.0 for dn in memory.data_neurons())
+        for locality in engine.hive.localities:
+            assert locality.dn_ids, locality.id
+            assert locality.dn_ids == [dn.id for dn in memory.data_neurons()
+                                       if dn.locality_id == locality.id]
 
 
 class TestAtScale:

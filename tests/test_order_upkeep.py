@@ -30,9 +30,9 @@ def spy_on_resorts(engine, monkeypatch) -> list:
     calls = []
     original = engine.update_search_order
 
-    def spy(hive=None, cue_ids=None):
+    def spy(*, cue_ids=None):
         calls.append(None if cue_ids is None else sorted(cue_ids))
-        return original(hive, cue_ids)
+        return original(cue_ids=cue_ids)
 
     monkeypatch.setattr(engine, "update_search_order", spy)
     return calls
@@ -63,7 +63,7 @@ class TestReactionUpkeep:
         b = engine.store(blob(1), ["hot"]).dn_id
         cue = engine.hive.find_cue_by_label("hot")
         assert [e.dn_id for e in engine.hive.search_order[cue]] == [a, b]
-        engine.reaction(engine.hive, b, (cue, b), flag=1, cues=["hot"], up=True)
+        engine.reaction(b, cue, flag=1, cues=["hot"], up=True)
         assert [e.dn_id for e in engine.hive.search_order[cue]] == [b, a]
         assert maintained(engine) == oracle_search_order(engine.memory,
                                                          engine.hive)
@@ -73,7 +73,7 @@ class TestReactionUpkeep:
         a = engine.store(blob(0), ["hot"]).dn_id
         b = engine.store(blob(1), ["hot"]).dn_id
         cue = engine.hive.find_cue_by_label("hot")
-        engine.reaction(engine.hive, b, (cue, b), flag=1, cues=["hot"], up=False)
+        engine.reaction(b, cue, flag=1, cues=["hot"], up=False)
         assert [e.dn_id for e in engine.hive.search_order[cue]] == [a, b]
         # a miss changes no edge, but the op still re-sorts the marked cue
         engine.retrieve(["hot"], [engine.hive.extractor.extract(blob(5, cls=1))])
