@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,8 @@ class TruncationCodec:
         if target_quality == payload.quality:
             return payload
         keep = self.compressed_size(payload.original_size, target_quality)
-        return replace(payload, blob=payload.blob[:keep], quality=target_quality)
+        return Payload(payload.modality, payload.blob[:keep], payload.original,
+                       target_quality, payload.lineage)
 
     def reconstruct(self, payload: Payload) -> bytes:
         pad_len = payload.original_size - len(payload.blob)

@@ -31,13 +31,18 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
-import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from neuralstore.cam import CamBaseline
-from neuralstore.core import ConfigurationError, HiveParams
+from neuralstore.core import (
+    HIVE_PARAM_TYPES,
+    ConfigurationError,
+    HiveParams,
+    fits_type,
+    type_name,
+)
 from neuralstore.engine import MemoryEngine, OpControls, SearchParams
 from neuralstore.workload import (
     CamReplayAdapter,
@@ -185,45 +190,19 @@ def _check_keys(section: str, given: dict, allowed) -> None:
             f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value has the annotated type: an int is a float, a
-    bool is neither, and a list stands for a tuple of its length."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (types.UnionType, typing.Union):
-        return any(_fits(value, arg) for arg in args)
-    if origin is list:
-        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
-    if origin is tuple:
-        return (isinstance(value, (list, tuple)) and len(value) == len(args)
-                and all(map(_fits, value, args)))
-    if hint in (int, float) and isinstance(value, bool):
-        return False
-    if hint is float:
-        return isinstance(value, (int, float))
-    if hint is type(None):
-        return value is None
-    return isinstance(value, hint)
-
-
-def _type_name(hint) -> str:
-    if typing.get_origin(hint) is None:
-        return "null" if hint is type(None) else hint.__name__
-    return str(hint).replace("NoneType", "None")
-
-
 def _check_fields(section: str | None, given: dict, hints: dict) -> None:
     """Reject keys without a type hint and values that do not fit theirs."""
     _check_keys(section or "config", given, hints)
     for key, value in given.items():
-        if not _fits(value, hints[key]):
+        if not fits_type(value, hints[key]):
             name = key if section is None else f"{section}.{key}"
             raise ConfigurationError(
-                f"{name} must be {_type_name(hints[key])}, got {value!r}")
+                f"{name} must be {type_name(hints[key])}, got {value!r}")
 
 
 # the declared type of every field of every config section
 _SECTION_TYPES = {
-    "hive": typing.get_type_hints(HiveParams),
+    "hive": HIVE_PARAM_TYPES,
     "search": typing.get_type_hints(SearchParams),
     "controls": typing.get_type_hints(OpControls),
     "cam": {"policy": str, "key_by_label": bool},

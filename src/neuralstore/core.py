@@ -32,6 +32,10 @@ signed channel serves reinforcement and ageing.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
+import types
+import typing
 import urllib.parse
 from dataclasses import dataclass, field
 
@@ -60,6 +64,53 @@ class SnapshotFormatError(ValueError):
 def non_finite(value) -> bool:
     """True for a NaN or infinite float (ints and None are never flagged)."""
     return isinstance(value, float) and not math.isfinite(value)
+
+
+def unit_row(v: np.ndarray) -> np.ndarray:
+    """``v`` scaled to unit length by the norm ``cosine_similarity`` uses.
+
+    A zero vector stays zero, so it scores 0.0 as ``cosine_similarity``
+    does.  Where the squared norm is NaN, infinite or below the smallest
+    normal float, the norms' product in ``cosine_similarity`` loses
+    precision, so the row is NaN: every score against it is then left to the
+    scalar function.
+    """
+    sq = v.dot(v)
+    if sq == 0.0:
+        return np.zeros_like(v)
+    if sys.float_info.min <= sq < math.inf:
+        return v / math.sqrt(sq)
+    return np.full_like(v, math.nan)
+
+
+def fits_type(value, hint) -> bool:
+    """Whether a value has the annotated type: an integer (numpy's too)
+    passes for a float, a bool for neither, a tuple for a list, and a list
+    for a tuple of its length."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (types.UnionType, typing.Union):
+        return any(fits_type(value, arg) for arg in args)
+    if origin is list:
+        return (isinstance(value, (list, tuple))
+                and all(fits_type(v, args[0]) for v in value))
+    if origin is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(fits_type, value, args)))
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    if hint is int:
+        return isinstance(value, numbers.Integral)
+    if hint is float:
+        return isinstance(value, (numbers.Integral, float))
+    if hint is type(None):
+        return value is None
+    return isinstance(value, hint)
+
+
+def type_name(hint) -> str:
+    if typing.get_origin(hint) is None:
+        return "null" if hint is type(None) else hint.__name__
+    return str(hint).replace("NoneType", "None")
 
 
 def clamp_weight(epsilon: float, weight: float, delta: float) -> float:
@@ -249,6 +300,12 @@ class HiveParams:
     capacity_bytes: int | None = None
 
     def validate(self) -> None:
+        # the range checks below assume every field has its declared type
+        for name, hint in HIVE_PARAM_TYPES.items():
+            value = getattr(self, name)
+            if not fits_type(value, hint):
+                raise ConfigurationError(
+                    f"{name} must be {type_name(hint)}, got {value!r}")
         problems: list[str] = []
         if self.num_localities < 1:
             problems.append("num_localities must be >= 1")
@@ -261,7 +318,7 @@ class HiveParams:
         for name in ("eta", "epsilon", "memory_decay_rates",
                      "association_decay_rates", "capacity_bytes"):
             value = getattr(self, name)
-            values = value if isinstance(value, list) else [value]
+            values = value if isinstance(value, (list, tuple)) else [value]
             if any(map(non_finite, values)):
                 problems.append(f"{name} must be finite")
         if any(r < 0 for r in self.memory_decay_rates):
@@ -310,6 +367,10 @@ class HiveParams:
             raise ConfigurationError("; ".join(problems))
 
 
+# the declared type of every HiveParams field
+HIVE_PARAM_TYPES = typing.get_type_hints(HiveParams)
+
+
 @dataclass
 class Hive:
     id: int
@@ -327,24 +388,19 @@ class Hive:
         self.quality_map = get_strength_quality_map(self.params.strength_quality_map)
         self._label_index: dict[str, int] = {}
         self._vector_index: dict[bytes, int] = {}
-        # every data neuron's feature as a row of one matrix, with its norm,
-        # so a candidate list is scored in one product; grown by doubling
+        # every data neuron's feature scaled to unit length, as a row of one
+        # matrix, so a query scores every neuron in one product; grown by
+        # doubling
         self.feature_rows: dict[int, int] = {}
         self.features = np.empty((0, self.params.feature_dim))
-        self.feature_norms = np.empty(0)
 
     def add_feature(self, dn_id: int, feature: np.ndarray) -> None:
         row = len(self.feature_rows)
         if row == len(self.features):
-            size = max(16, 2 * row)
-            features = np.empty((size, self.params.feature_dim))
+            features = np.empty((max(16, 2 * row), self.params.feature_dim))
             features[:row] = self.features[:row]
-            norms = np.empty(size)
-            norms[:row] = self.feature_norms[:row]
-            self.features, self.feature_norms = features, norms
-        self.features[row] = feature
-        # the expression cosine_similarity uses, so both see the same norm
-        self.feature_norms[row] = math.sqrt(feature.dot(feature))
+            self.features = features
+        self.features[row] = unit_row(feature)
         self.feature_rows[dn_id] = row
 
     def find_cue_by_label(self, label: str) -> int | None:

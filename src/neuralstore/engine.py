@@ -21,13 +21,15 @@ in the middle of an operation: the candidate list is fixed before the scan.
 Code that edits associations directly with ``Memory.adjust_association``
 must call :meth:`MemoryEngine.update_search_order` afterwards.
 
-Matching scores a whole candidate list in one matrix product against the
-hive's feature matrix (one row per data neuron, with its norm).  A score
-within ``NEAR_THRESHOLD`` of ``match_thresh`` is decided again by the scalar
-:func:`~neuralstore.codec.cosine_similarity`, so a match decision is always
-the one a candidate-by-candidate scan would make.  Reactions run only where a
-weight can change: on the match, and on each examined non-match when failure
-decay is enabled.
+Matching scores each query once against the hive's feature matrix, whose
+rows are the data neurons' features scaled to unit length: one
+matrix-vector product gives the query's cosine with every neuron, and the
+candidates are then walked in order, stopping at the first match.  A score
+within ``NEAR_THRESHOLD`` of ``match_thresh`` (or NaN) is decided again by
+the scalar :func:`~neuralstore.codec.cosine_similarity`, so a match decision
+is always the one a candidate-by-candidate scan would make.  Reactions run
+only where a weight can change: on the match, and on each examined non-match
+when failure decay is enabled.
 
 Operation cost is the number of candidate examinations (search-section
 iterations); an engine-wide instrumented counter accumulates the same
@@ -42,7 +44,6 @@ supported and does not advance the counter.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -59,11 +60,12 @@ from neuralstore.core import (
     Memory,
     SearchEntry,
     non_finite,
+    unit_row,
 )
 
 
-# matrix scores closer than this to match_thresh are re-decided by the scalar
-# cosine_similarity; the two differ only by summation order, far below it
+# unit-row scores closer than this to match_thresh are re-decided by the
+# scalar cosine_similarity; the two differ only by rounding, far below it
 NEAR_THRESHOLD = 1e-9
 
 
@@ -356,15 +358,18 @@ class MemoryEngine:
 
     def _cap_locality(self, locality: Locality, ceiling: float) -> int:
         params = self.params
+        scale = params.elasticity_mode == "scale"
+        # no neuron at or below the floor can lose strength
+        floor = params.phi if scale else max(params.phi, ceiling)
+        neurons = self.memory.neurons
         freed = 0
         # dn_ids grows in increasing id order
         for dn_id in locality.dn_ids:
-            dn = self.memory.data_neuron(dn_id)
-            if params.elasticity_mode == "scale":
-                target = dn.strength * ceiling / 100.0
-            else:
-                target = min(dn.strength, ceiling)
-            target = max(params.phi, target)
+            dn = neurons[dn_id]
+            if dn.strength <= floor:
+                continue
+            target = (max(params.phi, dn.strength * ceiling / 100.0) if scale
+                      else floor)
             if target < dn.strength:
                 before = dn.size_bytes
                 self.memory.adjust_strength(dn_id, dn.strength - target)
@@ -431,37 +436,35 @@ class MemoryEngine:
                      queries: list[np.ndarray], thresh: float) -> int | None:
         """Index of the first candidate whose feature matches any query.
 
-        Without queries the first candidate matches outright.  Each query
-        scores the whole list at once, ``dots / (norms * query norm)`` over
-        the candidates' rows of the hive's feature matrix, a zero norm
-        scoring 0.0; scores near ``thresh`` (and NaN) are decided by the
-        scalar ``cosine_similarity``.
+        Without queries the first candidate matches outright.  Each query,
+        scaled to unit length, scores every row of the hive's unit feature
+        matrix in one product; the candidates are then walked in order up to
+        the first match.  Scores within ``NEAR_THRESHOLD`` of ``thresh``
+        (and NaN) are decided by the scalar ``cosine_similarity``.
         """
         if not candidates or not queries:
             return 0 if candidates else None
         hive = self.hive
-        rows = [hive.feature_rows[e.dn_id] for e in candidates]
-        features = hive.features[rows]
-        norms = hive.feature_norms[rows]
-        best = None
+        features = hive.features[:len(hive.feature_rows)]
+        scored = []
         for query in queries:
             if query.shape != features.shape[1:]:
                 raise ValueError(f"dimension mismatch: {query.shape} vs "
                                  f"{features.shape[1:]}")
-            den = norms * math.sqrt(query.dot(query))
-            scores = np.divide(features @ query, den, out=np.zeros(len(rows)),
-                               where=den != 0.0)
-            diff = scores - thresh
-            # clear matches, near misses and NaN; clear misses are skipped
-            for i in np.flatnonzero(~(diff < -NEAR_THRESHOLD)):
-                if best is not None and i >= best:
-                    break
-                if diff[i] > NEAR_THRESHOLD or cosine_similarity(
-                        query, self.memory.neurons[candidates[i].dn_id].feature
+            scored.append((query, (features @ unit_row(query)).tolist()))
+        rows = hive.feature_rows
+        above, below = thresh + NEAR_THRESHOLD, thresh - NEAR_THRESHOLD
+        for i, entry in enumerate(candidates):
+            row = rows[entry.dn_id]
+            for query, scores in scored:
+                score = scores[row]
+                if score > above:
+                    return i
+                if not score < below and cosine_similarity(
+                        query, self.memory.neurons[entry.dn_id].feature
                 ) >= thresh:
-                    best = int(i)
-                    break
-        return best
+                    return i
+        return None
 
     def _scan(self, candidates: list[SearchEntry], queries: list[np.ndarray],
               thresh: float, cues, controls: OpControls) -> tuple[SearchEntry | None, tuple[int, ...]]:

@@ -324,7 +324,7 @@ def write_manifest(corpus: Corpus, manifest_path: str | Path,
 
 def read_manifest(manifest_path: str | Path) -> Corpus:
     manifest_path = Path(manifest_path)
-    lines = manifest_path.read_text().splitlines()
+    lines = _read_lines(manifest_path)
     if not lines:
         raise ConfigurationError(f"{manifest_path}: empty manifest")
     header = _json_row(manifest_path, 1, lines[0])
@@ -333,12 +333,17 @@ def read_manifest(manifest_path: str | Path) -> Corpus:
     if header.get("version") != FORMAT_VERSION:
         raise ConfigurationError(f"{manifest_path}: unsupported manifest version")
     items = []
+    ids: set[str] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
+        where = f"{manifest_path}: line {lineno}"
         row = _json_row(manifest_path, lineno, line)
         field_of = functools.partial(_row_field, manifest_path, lineno, row)
         item_id = field_of("item_id", str)
+        if item_id in ids:
+            raise ConfigurationError(f"{where}: duplicate item_id {item_id!r}")
+        ids.add(item_id)
         label, priority = field_of("label", str), field_of("priority", bool)
         path = field_of("path", str, None)
         if "data_hex" in row:
@@ -346,14 +351,19 @@ def read_manifest(manifest_path: str | Path) -> Corpus:
                 data = bytes.fromhex(field_of("data_hex", str))
             except ValueError:
                 raise ConfigurationError(
-                    f"{manifest_path}: line {lineno}: field 'data_hex' is not "
-                    f"hexadecimal") from None
+                    f"{where}: field 'data_hex' is not hexadecimal") from None
             path = None
         elif path is not None:
-            data = (manifest_path.parent / path).read_bytes()
+            try:
+                data = (manifest_path.parent / path).read_bytes()
+            except (OSError, ValueError) as exc:
+                # ValueError: a path holding a NUL byte
+                raise ConfigurationError(
+                    f"{where}: payload file {path!r} cannot be read: "
+                    f"{exc}") from None
         else:
             raise ConfigurationError(
-                f"{manifest_path}: item {item_id!r} has no payload")
+                f"{where}: item {item_id!r} has no payload")
         items.append(ManifestItem(item_id=item_id, class_label=label,
                                   priority=priority, data=data, path=path))
     return Corpus(items)
@@ -377,6 +387,16 @@ def write_trace(records: list[TraceRecord], path: str | Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _read_lines(path: Path) -> list[str]:
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigurationError(f"{path}: line {lineno}: not UTF-8 text: "
+                                 f"{exc.reason}") from None
 
 
 def _json_row(path: Path, lineno: int, line: str) -> dict:
@@ -414,7 +434,7 @@ def _row_field(path: Path, lineno: int, row: dict, key: str, kind: type,
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ConfigurationError(f"{path}: empty trace")
     header = _json_row(path, 1, lines[0])

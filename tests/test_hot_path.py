@@ -1,9 +1,10 @@
 """The per-operation hot path: entry moves, matrix-scored scan, byte totals.
 
 Search orders are kept current by moving only the entries whose edge
-weights changed, candidate lists are scored in one matrix product with the
-scalar cosine as the judge near the threshold, and stored bytes are a
-running total.  Each is checked against its brute-force counterpart.
+weights changed, each query is scored against unit-length feature rows in
+one product with the scalar cosine as the judge near the threshold,
+elasticity skips neurons it cannot change, and stored bytes are a running
+total.  Each is checked against its brute-force counterpart.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import numpy as np
 import pytest
 
 from neuralstore import engine as engine_module
-from neuralstore.codec import cosine_similarity
+from neuralstore.codec import Payload, cosine_similarity
 from neuralstore.config import load_config
-from neuralstore.core import DataNeuron
+from neuralstore.core import DataNeuron, SearchEntry
 from neuralstore.engine import (
     MemoryEngine,
     OpControls,
@@ -244,6 +245,132 @@ class TestMatrixScan:
         engine.store(blob(0), ["hot"])
         with pytest.raises(ValueError, match="dimension mismatch"):
             engine.retrieve(["hot"], [np.ones(3)])
+
+
+def scalar_first_match(memory, candidates, queries, thresh):
+    """The candidate-by-candidate scan: index of the first candidate whose
+    feature reaches ``thresh`` against any query."""
+    if not queries:
+        return 0 if candidates else None
+    for i, entry in enumerate(candidates):
+        feature = memory.neurons[entry.dn_id].feature
+        if any(cosine_similarity(q, feature) >= thresh for q in queries):
+            return i
+    return None
+
+
+def odd_vector(rng, dim: int, base: np.ndarray | None = None) -> np.ndarray:
+    """A feature or query of any length: near ``base`` or random, scaled
+    from tiny to huge, or zero, or holding a NaN."""
+    kind = rng.integers(8)
+    if kind == 0:
+        return np.zeros(dim)
+    v = rng.standard_normal(dim)
+    if base is not None and kind <= 4:
+        v = base + rng.choice([0.0, 1e-9, 1e-3, 0.3]) * v
+    v = v * rng.choice([1.0, 1e-3, 7.5, 1e3, 1e-160, 1e160])
+    if kind == 7:
+        v[rng.integers(dim)] = np.nan
+    return v
+
+
+class TestMatcherAgainstScalarScan:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_same_match_and_cost_as_the_scalar_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = 6
+        engine = engine_with(feature_dim=dim)
+        memory = engine.memory
+        base = rng.standard_normal(dim)
+        dn_ids = [memory.add_data_neuron(0, Payload.from_bytes(b"x"),
+                                         odd_vector(rng, dim, base))
+                  for _ in range(40)]
+        for _ in range(150):
+            candidates = [SearchEntry(0, int(d), 1.0) for d in rng.choice(
+                dn_ids, size=int(rng.integers(0, 15)), replace=False)]
+            queries = [odd_vector(rng, dim, base)
+                       for _ in range(int(rng.integers(0, 4)))]
+            # thresholds at, and 1e-12 either side of, a scalar score, where
+            # the unit-row score may round either way
+            exact = [cosine_similarity(q, memory.neurons[e.dn_id].feature)
+                     for q in queries for e in candidates]
+            exact = [x for x in exact if not np.isnan(x)] or [0.0]
+            at = float(rng.choice(exact))
+            for thresh in (at, at - 1e-12, at + 1e-12, -1.0, 1.0,
+                           float(rng.uniform(-1.0, 1.0))):
+                expected = scalar_first_match(memory, candidates, queries,
+                                              thresh)
+                match, examined = engine._scan(candidates, queries, thresh,
+                                               ["hot"], engine.controls)
+                assert match == (None if expected is None
+                                 else candidates[expected])
+                cost = len(candidates) if expected is None else expected + 1
+                assert examined == tuple(e.dn_id for e in candidates[:cost])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_rows_are_unit_length_and_zero_or_nan_where_the_norm_cannot_be(
+            self):
+        engine = engine_with(feature_dim=3)
+        memory = engine.memory
+        for feature in ([3.0, 4.0, 0.0], [0.0, 0.0, 0.0], [1e-160, 0.0, 0.0],
+                        [1e160, 1.0, 0.0], [np.nan, 1.0, 0.0]):
+            memory.add_data_neuron(0, Payload.from_bytes(b"x"),
+                                   np.array(feature))
+        rows = engine.hive.features[:5]
+        assert rows[0].tolist() == [0.6, 0.8, 0.0]
+        assert rows[1].tolist() == [0.0, 0.0, 0.0]
+        assert np.isnan(rows[2:]).all()
+
+
+def reference_cap(engine, locality, ceiling: float) -> int:
+    """The elasticity walk over every neuron of the locality."""
+    params, memory = engine.params, engine.memory
+    freed = 0
+    for dn_id in locality.dn_ids:
+        dn = memory.data_neuron(dn_id)
+        if params.elasticity_mode == "scale":
+            target = dn.strength * ceiling / 100.0
+        else:
+            target = min(dn.strength, ceiling)
+        target = max(params.phi, target)
+        if target < dn.strength:
+            before = dn.size_bytes
+            memory.adjust_strength(dn_id, dn.strength - target)
+            freed += before - dn.size_bytes
+    return freed
+
+
+class TestElasticityFloor:
+    @pytest.mark.parametrize("mode", ["ceiling", "scale"])
+    @pytest.mark.parametrize("phi", [0.0, 1.0, 30.0])
+    def test_same_strengths_sizes_and_bytes_freed_as_the_full_walk(
+            self, mode, phi):
+        rng = np.random.default_rng(int(phi) + len(mode))
+        engines = [engine_with(elasticity_mode=mode, phi=phi,
+                               elasticity_schedules=[[90.0, max(phi, 1.0)]] * 2)
+                   for _ in range(2)]
+        strengths = [100.0, phi, phi, 50.0, 30.0, 80.0, 99.9, 100.0]
+        strengths += [float(rng.uniform(phi, 100.0)) for _ in range(12)]
+        for engine in engines:
+            for i, strength in enumerate(strengths):
+                dn_id = engine.store(blob(i % 8, item=i, size=1000 + 37 * i),
+                                     ["hot"], search=SearchParams(
+                                         match_thresh=1.0)).dn_id
+                engine.memory.adjust_strength(dn_id, 100.0 - strength)
+        new, old = engines
+        locality = [engine.hive.localities[0] for engine in engines]
+        assert len(locality[0].dn_ids) == len(strengths)
+        for ceiling in (100.0, 150.0, 80.0, 50.0, 50.0, 30.0, 29.5, 10.0,
+                        1.0, 0.0):
+            assert (new._cap_locality(locality[0], ceiling)
+                    == reference_cap(old, locality[1], ceiling)), ceiling
+            assert ([(dn.strength, dn.size_bytes, dn.payload.quality)
+                     for dn in new.memory.data_neurons()]
+                    == [(dn.strength, dn.size_bytes, dn.payload.quality)
+                        for dn in old.memory.data_neurons()]), ceiling
+            assert new.memory.total_bytes() == old.memory.total_bytes()
+        assert min(dn.strength for dn in new.memory.data_neurons()) == phi
 
 
 class TestByteTotals:

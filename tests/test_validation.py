@@ -3,7 +3,7 @@ malformed trace and manifest rows.
 
 Bad input must end in a ConfigurationError, or exit code 2 from the CLI,
 with a message that names the field (and, for traces and manifests, the
-line).
+line).  Arbitrary trace and manifest rows either parse or fail that way.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from neuralstore.cli import main
 from neuralstore.config import load_config
 from neuralstore.core import ConfigurationError, HiveParams
 from neuralstore.engine import SearchParams
+from neuralstore.workload import read_manifest, read_trace
 from tests.test_cli import write_config
 
 NAN, INF = math.nan, math.inf
@@ -33,6 +35,7 @@ NAN, INF = math.nan, math.inf
     ("association_decay_rates", [0.0, NAN]),
     ("elasticity_schedules", [[80.0, NAN, 1.0], [80.0, 1.0]]),
     ("capacity_bytes", NAN),
+    ("memory_decay_rates", (1.0, NAN)),
 ])
 def test_non_finite_hive_params_rejected(field, value):
     with pytest.raises(ConfigurationError, match=field):
@@ -186,6 +189,25 @@ def test_fuzz_mistyped_config_fields(tmp_path, capsys, mistyped):
     assert f"{section}.{field} must be" in capsys.readouterr().err
 
 
+@given(mistyped=MISTYPED.filter(lambda m: m[0][0] == "hive"))
+@settings(max_examples=150, deadline=None)
+def test_fuzz_mistyped_hive_params_named_by_validate(mistyped):
+    (_, field), value = mistyped
+    with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+        HiveParams(**{field: value}).validate()
+
+
+def test_hive_params_take_tuples_and_numpy_numbers():
+    HiveParams(memory_decay_rates=(0.5, 1.0),
+               elasticity_schedules=((80, 1), [50.0, 1.0]),
+               locality_mapping=({"labels": ("deer",)}, {}),
+               retention_period=np.int64(5), eta=np.float64(2.5),
+               phi=np.int32(1)).validate()
+    with pytest.raises(ConfigurationError) as caught:
+        HiveParams(retention_period="5").validate()
+    assert str(caught.value) == "retention_period must be int, got '5'"
+
+
 @pytest.mark.parametrize("doc, expected", [
     ({"seed": True}, "seed must be int, got True"),
     ({"seed": 1, "engine": 5}, "engine must be str, got 5"),
@@ -276,3 +298,124 @@ class TestRowFieldTypes:
         bad.write_text("{not json\n")
         assert self._run(config, data / "trace.jsonl", bad, tmp_path) == 2
         assert "line 1: invalid JSON" in capsys.readouterr().err
+
+
+# splitlines() breaks a line at these, so a text row must not hold them
+ROW_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                   max_size=12)
+
+
+@st.composite
+def rows(draw, valid: list[dict], keys: list[str], values: list) -> str:
+    """Any text, or a valid row with up to two of the reader's fields
+    dropped and up to two fields (the reader's or others) set to arbitrary
+    or telling values."""
+    if draw(st.booleans()):
+        return draw(ROW_TEXT)
+    row = dict(draw(st.sampled_from(valid)))
+    for key in draw(st.sets(st.sampled_from(keys), max_size=2)):
+        row.pop(key, None)
+    row.update(draw(st.dictionaries(
+        st.sampled_from(keys) | st.text(max_size=3),
+        JSON_VALUES | st.sampled_from(values), max_size=2)))
+    return json.dumps(row)
+
+
+TRACE_ROWS = rows(
+    [{"seq": 99, "op": "retrieve", "item_id": "item-0000",
+      "coarse_cues": ["deer"], "use_fine_cue": False},
+     {"seq": 99, "op": "store", "item_id": "item-0001",
+      "coarse_cues": ["background", "deer"]},
+     {"seq": 99, "op": "retention", "n": 3}],
+    ["seq", "op", "item_id", "coarse_cues", "use_fine_cue", "n"],
+    [0, -1, 2**70, "store", "retrieve", "retention", "item-0002", [], True])
+MANIFEST_ROWS = rows(
+    [{"item_id": "item-0099", "label": "deer", "priority": True,
+      "path": "payloads/item-0000.bin"},
+     {"item_id": "extra", "label": "", "priority": False, "data_hex": "00ff"}],
+    ["item_id", "label", "priority", "path", "data_hex"],
+    ["item-0000", "item-0015", "payloads", "no-such.bin", "", "0", "zz",
+     "a\u0000b"])
+
+
+class TestArbitraryRows:
+    """One arbitrary row appended to a generated trace or manifest."""
+
+    @pytest.fixture(scope="class")
+    def generated(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("arbitrary-rows")
+        config = write_config(tmp)
+        assert main(["generate", "--config", str(config),
+                     "--out", str(tmp / "data")]) == 0
+        return config, tmp / "data"
+
+    def _append(self, source, target, row: str) -> int:
+        lines = source.read_text().splitlines() + [row]
+        target.write_text("\n".join(lines) + "\n")
+        return len(lines)
+
+    def _check(self, reader, path, lineno: int) -> bool:
+        """Whether the file parses; if not, the error names the line."""
+        try:
+            reader(path)
+        except ConfigurationError as exc:
+            assert f"{path}: line {lineno}:" in str(exc)
+            return False
+        return True
+
+    def _run(self, config, trace, manifest, tmp_path, capsys):
+        code = main(["run", "--config", str(config), "--trace", str(trace),
+                     "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    @given(row=TRACE_ROWS)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_trace_row_parses_or_is_named(self, generated, tmp_path, capsys,
+                                          row):
+        config, data = generated
+        trace = tmp_path / "trace.jsonl"
+        lineno = self._append(data / "trace.jsonl", trace, row)
+        parsed = self._check(read_trace, trace, lineno)
+        code, err = self._run(config, trace, data / "manifest.jsonl",
+                              tmp_path, capsys)
+        if parsed and row.strip():
+            # a record that parses may still name an unknown op or item
+            assert code == 0 or (
+                code == 2 and f"record {json.loads(row)['seq']}:" in err)
+        else:
+            assert code == (0 if parsed else 2)
+            assert parsed or f"line {lineno}:" in err
+
+    @given(row=MANIFEST_ROWS)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_manifest_row_parses_or_is_named(self, generated, tmp_path,
+                                             capsys, row):
+        config, data = generated
+        # beside the good manifest, so payload paths resolve
+        manifest = data / f"manifest-{tmp_path.name}.jsonl"
+        lineno = self._append(data / "manifest.jsonl", manifest, row)
+        parsed = self._check(read_manifest, manifest, lineno)
+        code, err = self._run(config, data / "trace.jsonl", manifest,
+                              tmp_path, capsys)
+        assert code == (0 if parsed else 2)
+        assert parsed or f"line {lineno}:" in err
+
+    @pytest.mark.parametrize("name, reader",
+                             [("trace", read_trace), ("manifest", read_manifest)])
+    def test_row_that_is_not_utf8_is_named(self, generated, tmp_path, capsys,
+                                           name, reader):
+        config, data = generated
+        files = {"trace": data / "trace.jsonl",
+                 "manifest": data / "manifest.jsonl"}
+        bad = data / f"{name}-{tmp_path.name}.jsonl"
+        lines = files[name].read_bytes().splitlines()
+        bad.write_bytes(b"\n".join(lines[:2] + [b'{"op": "\xff"}'] + lines[2:]))
+        with pytest.raises(ConfigurationError, match="line 3: not UTF-8"):
+            reader(bad)
+        files[name] = bad
+        code, err = self._run(config, files["trace"], files["manifest"],
+                              tmp_path, capsys)
+        assert code == 2 and f"{bad}: line 3: not UTF-8" in err
