@@ -7,11 +7,16 @@ block truncation scheme that keeps a prefix of the original bytes and
 reconstructs the rest with the mean byte value, which makes every size and
 fidelity property exactly computable.
 
+A hive stores every payload the way ``TruncationCodec.compress`` would: as
+a prefix of its blob, so a neuron's stored bytes are given by one size (see
+:class:`neuralstore.core.Hive`), and ``truncate`` is the only codec a hive
+accepts.
+
 Feature vectors come from a pluggable extractor.  The default extractor
 projects the payload's byte histogram through a seeded random matrix and
 normalizes to unit length, so similar byte distributions map to similar
-vectors without any external model.  Real codecs (JPEG, ...) and real
-extractors can be registered under new ids without touching the engine.
+vectors without any external model.  Real extractors can be registered
+under new ids without touching the engine.
 
 All functions here are pure: outputs depend only on (payload, config, seed).
 """
@@ -187,9 +192,10 @@ def label_vector(label: str, dim: int = 64) -> np.ndarray:
 
 # Strength-to-quality maps.  Memory strength and payload quality are both
 # percentages; the default map is the identity, alternatives must be
-# monotone non-decreasing.
+# monotone non-decreasing and send [0, 100] into itself.  Each map has a
+# scalar form and an array form computing the same float64 operations.
 
-def _identity_map(strength: float) -> float:
+def _identity_map(strength):
     return strength
 
 
@@ -197,11 +203,15 @@ def _quantized10_map(strength: float) -> float:
     return max(1.0, 10.0 * math.floor(strength / 10.0))
 
 
+def _quantized10_array(strength: np.ndarray) -> np.ndarray:
+    return np.maximum(1.0, 10.0 * np.floor(strength / 10.0))
+
+
 _CODECS: dict[str, type] = {TruncationCodec.codec_id: TruncationCodec}
 _EXTRACTORS: dict[str, type] = {HistogramExtractor.extractor_id: HistogramExtractor}
 _STRENGTH_QUALITY_MAPS = {
-    "identity": _identity_map,
-    "quantized10": _quantized10_map,
+    "identity": (_identity_map, _identity_map),
+    "quantized10": (_quantized10_map, _quantized10_array),
 }
 
 
@@ -228,9 +238,11 @@ def get_extractor(extractor_id: str, dim: int = 64, seed: int = 7):
             f"unknown extractor id {extractor_id!r}; known: {sorted(_EXTRACTORS)}") from None
 
 
-def get_strength_quality_map(map_id: str):
+def get_strength_quality_map(map_id: str, array: bool = False):
+    """The scalar form of a strength-quality map, or with ``array`` its
+    form over a float64 array."""
     try:
-        return _STRENGTH_QUALITY_MAPS[map_id]
+        return _STRENGTH_QUALITY_MAPS[map_id][array]
     except KeyError:
         raise KeyError(
             f"unknown strength-quality map {map_id!r}; "

@@ -7,6 +7,14 @@ The memory is a single weighted undirected graph over two node kinds:
 * data neurons hold a payload, a feature vector and a memory strength in
   ``[phi, 100]`` that governs the stored quality of the payload.
 
+A data neuron's state (strength, last access, stored quality and stored
+size) lives in the hive's per-row columns, one row per neuron, so that
+retention and elasticity update a whole locality with one array pass.  The
+neuron object holds its id, feature and locality, and reads its state from
+those columns: its ``strength``, ``last_access_op``, ``size_bytes`` and
+``payload`` are read-only, and change only through ``Memory``
+(``adjust_strength``, ``set_payload``, ``touch``) or the engine.
+
 A memory holds one hive, of one modality, with its hyperparameters, codec
 and feature extractor; localities partition the hive by data kind and carry
 the decay hyperparameters.  Every locality owns a default cue connected to
@@ -43,7 +51,7 @@ import numpy as np
 
 from neuralstore.codec import (
     Payload,
-    get_codec,
+    TruncationCodec,
     get_extractor,
     get_strength_quality_map,
     label_vector,
@@ -113,6 +121,24 @@ def type_name(hint) -> str:
     return str(hint).replace("NoneType", "None")
 
 
+def check_field_types(obj, hints: dict) -> None:
+    """Raise ``ConfigurationError`` naming the first field of ``obj`` whose
+    value does not fit its type hint."""
+    for name, hint in hints.items():
+        value = getattr(obj, name)
+        if not fits_type(value, hint):
+            raise ConfigurationError(
+                f"{name} must be {type_name(hint)}, got {value!r}")
+
+
+def _grown(a: np.ndarray, used: int) -> np.ndarray:
+    """A copy of ``a``'s first ``used`` rows in room for at least twice as
+    many (16 at least), the rest uninitialized."""
+    grown = np.empty((max(16, 2 * used),) + a.shape[1:], dtype=a.dtype)
+    grown[:used] = a[:used]
+    return grown
+
+
 def clamp_weight(epsilon: float, weight: float, delta: float) -> float:
     return max(epsilon, weight - delta)
 
@@ -141,18 +167,35 @@ class CueNeuron:
     is_default: bool = False
 
 
-@dataclass
 class DataNeuron:
-    id: int
-    payload: Payload
-    feature: np.ndarray
-    strength: float
-    locality_id: int
-    last_access_op: int
+    """A data neuron: its id, feature and locality, with read-only views of
+    its state in row ``row`` of the hive's columns."""
+
+    __slots__ = ("id", "feature", "locality_id", "row", "_hive")
+
+    def __init__(self, id: int, feature: np.ndarray, locality_id: int,
+                 row: int, hive: "Hive"):
+        self.id = id
+        self.feature = feature
+        self.locality_id = locality_id
+        self.row = row
+        self._hive = hive
+
+    @property
+    def strength(self) -> float:
+        return self._hive.strength.item(self.row)
+
+    @property
+    def last_access_op(self) -> int:
+        return self._hive.last_access.item(self.row)
 
     @property
     def size_bytes(self) -> int:
-        return self.payload.size_bytes
+        return self._hive.keep.item(self.row)
+
+    @property
+    def payload(self) -> Payload:
+        return self._hive.payload(self.row)
 
 
 @dataclass(frozen=True)
@@ -228,18 +271,21 @@ class AssociationGraph:
         return self.epsilon
 
     def adjust(self, a: int, b: int, delta: float, op: int,
-               touch: bool = True) -> float:
-        """Apply the clamped update ``max(epsilon, old - delta)``.
+               touch: bool = True) -> tuple[float, float]:
+        """Apply the clamped update ``max(epsilon, old - delta)``; return the
+        old and the new weight.
 
         Ageing passes set ``touch=False`` so decay does not count as access.
         """
         key = self._key(a, b)
-        old = self.weight(a, b)
+        old = self._weights.get(key)
         if old is None:
-            raise KeyError(f"no association between {a} and {b}")
+            if not self.full_graph:
+                raise KeyError(f"no association between {a} and {b}")
+            old = self.epsilon
         new = clamp_weight(self.epsilon, old, delta)
         self._store(key, new, op, touch=touch)
-        return new
+        return old, new
 
     def neighbors(self, node: int) -> set[int]:
         """Materialized neighbors of a node (full-graph implicit pairs excluded)."""
@@ -265,7 +311,24 @@ class Locality:
     mapping: dict
     # created lazily with the locality's first data neuron
     default_cue_id: int | None = None
+    # the locality's data neurons in increasing id order
     dn_ids: list[int] = field(default_factory=list)
+    # their hive rows, in a buffer grown by doubling
+    _rows: np.ndarray = field(
+        default_factory=lambda: np.empty(16, dtype=np.int64), repr=False,
+        compare=False)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The hive rows of ``dn_ids``, in the same order."""
+        return self._rows[:len(self.dn_ids)]
+
+    def add(self, dn_id: int, row: int) -> None:
+        n = len(self.dn_ids)
+        if n == len(self._rows):
+            self._rows = _grown(self._rows, n)
+        self._rows[n] = row
+        self.dn_ids.append(dn_id)
 
 
 @dataclass
@@ -301,11 +364,7 @@ class HiveParams:
 
     def validate(self) -> None:
         # the range checks below assume every field has its declared type
-        for name, hint in HIVE_PARAM_TYPES.items():
-            value = getattr(self, name)
-            if not fits_type(value, hint):
-                raise ConfigurationError(
-                    f"{name} must be {type_name(hint)}, got {value!r}")
+        check_field_types(self, HIVE_PARAM_TYPES)
         problems: list[str] = []
         if self.num_localities < 1:
             problems.append("num_localities must be >= 1")
@@ -353,12 +412,14 @@ class HiveParams:
             if schedule[-1] < max(self.phi, 1.0):
                 problems.append(
                     f"elasticity schedule {i} must end at >= max(phi, 1)")
-        for factory, value in ((get_codec, self.codec),
-                               (get_strength_quality_map, self.strength_quality_map)):
-            try:
-                factory(value)
-            except KeyError as exc:
-                problems.append(str(exc))
+        # a hive stores each payload as a prefix of its blob (see Hive)
+        if self.codec != TruncationCodec.codec_id:
+            problems.append(f"unsupported codec {self.codec!r}; the hive "
+                            f"stores payloads as {TruncationCodec.codec_id!r}")
+        try:
+            get_strength_quality_map(self.strength_quality_map)
+        except KeyError as exc:
+            problems.append(str(exc))
         try:
             get_extractor(self.extractor, dim=self.feature_dim, seed=self.extractor_seed)
         except KeyError as exc:
@@ -381,27 +442,66 @@ class Hive:
     search_order: dict[int, list[SearchEntry]] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.codec = get_codec(self.params.codec)
         self.extractor = get_extractor(self.params.extractor,
                                        dim=self.params.feature_dim,
                                        seed=self.params.extractor_seed)
-        self.quality_map = get_strength_quality_map(self.params.strength_quality_map)
+        map_id = self.params.strength_quality_map
+        self.quality_map = get_strength_quality_map(map_id)
+        self.quality_map_array = get_strength_quality_map(map_id, array=True)
         self._label_index: dict[str, int] = {}
         self._vector_index: dict[bytes, int] = {}
-        # every data neuron's feature scaled to unit length, as a row of one
-        # matrix, so a query scores every neuron in one product; grown by
-        # doubling
+        # One row per data neuron, in the order they were added (which is id
+        # order), in columns grown by doubling: its feature scaled to unit
+        # length, so a query scores every neuron in one product; its
+        # strength, last access op, stored quality and stored size; and the
+        # original size of its payload.
         self.feature_rows: dict[int, int] = {}
         self.features = np.empty((0, self.params.feature_dim))
+        self.strength = np.empty(0)
+        self.last_access = np.empty(0, dtype=np.int64)
+        self.quality = np.empty(0)
+        self.keep = np.empty(0, dtype=np.int64)
+        self.original_size = np.empty(0, dtype=np.int64)
+        # each row's payload as last stored or merge-refreshed; the stored
+        # bytes are its blob's first ``keep``
+        self.stored: list[Payload] = []
+        # each row's payload as read, built on demand; None once it changes
+        self.built: list[Payload | None] = []
 
-    def add_feature(self, dn_id: int, feature: np.ndarray) -> None:
+    def add_row(self, dn_id: int, feature: np.ndarray, payload: Payload,
+                op: int) -> int:
+        """Give a new data neuron a row at strength 100; return the row."""
         row = len(self.feature_rows)
         if row == len(self.features):
-            features = np.empty((max(16, 2 * row), self.params.feature_dim))
-            features[:row] = self.features[:row]
-            self.features = features
+            for name in ("features", "strength", "last_access", "quality",
+                         "keep", "original_size"):
+                setattr(self, name, _grown(getattr(self, name), row))
         self.features[row] = unit_row(feature)
+        self.strength[row] = 100.0
+        self.last_access[row] = op
         self.feature_rows[dn_id] = row
+        self.stored.append(payload)
+        self.built.append(payload)
+        self.store_payload(row, payload)
+        return row
+
+    def store_payload(self, row: int, payload: Payload) -> None:
+        """Hold ``payload`` in a row as stored, at its quality and size."""
+        self.stored[row] = payload
+        self.built[row] = payload
+        self.quality[row] = payload.quality
+        self.keep[row] = len(payload.blob)
+        self.original_size[row] = len(payload.original)
+
+    def payload(self, row: int) -> Payload:
+        """A row's payload at its stored quality and size."""
+        built = self.built[row]
+        if built is None:
+            p = self.stored[row]
+            built = Payload(p.modality, p.blob[:self.keep.item(row)],
+                            p.original, self.quality.item(row), p.lineage)
+            self.built[row] = built
+        return built
 
     def find_cue_by_label(self, label: str) -> int | None:
         return self._label_index.get(label)
@@ -497,13 +597,12 @@ class Memory:
         if feature.shape != (hive.params.feature_dim,):
             raise ConfigurationError(
                 f"feature dimension {feature.shape} != ({hive.params.feature_dim},)")
-        dn = DataNeuron(id=self._take_id(), payload=payload, feature=feature,
-                        strength=100.0, locality_id=locality_id,
-                        last_access_op=self.op_counter)
-        self.neurons[dn.id] = dn
-        self._bytes += dn.size_bytes
-        hive.add_feature(dn.id, feature)
-        locality.dn_ids.append(dn.id)
+        dn_id = self._take_id()
+        row = hive.add_row(dn_id, feature, payload, self.op_counter)
+        dn = DataNeuron(dn_id, feature, locality_id, row, hive)
+        self.neurons[dn_id] = dn
+        self._bytes += len(payload.blob)
+        locality.add(dn_id, row)
         if locality.default_cue_id is None:
             locality.default_cue_id = self._add_default_cue(locality)
         # new neurons join at the epsilon floor: explicitly to the locality
@@ -553,30 +652,71 @@ class Memory:
     def adjust_association(self, a: int, b: int, delta: float) -> float:
         """Clamped weight update; positive delta decays, negative strengthens."""
         self._check_ids(a, b)
-        return self.graph.adjust(a, b, delta, self.op_counter)
+        return self.graph.adjust(a, b, delta, self.op_counter)[1]
 
     def adjust_strength(self, dn_id: int, delta: float) -> float:
-        """Clamped strength update; decay triggers recompression of the payload."""
-        dn = self.data_neuron(dn_id)
+        """Clamped strength update; a lower stored quality follows from it.
+
+        The quality is the strength-quality map of the new strength (both
+        maps send ``[0, 100]`` into itself), and where it is below the
+        stored quality the payload is truncated to ``ceil(original_size *
+        quality / 100)`` bytes, as the prefix codec compresses.
+        :meth:`adjust_strengths` is the same update over many rows.
+        """
         hive = self.hive
-        new = clamp_strength(hive.params.phi, dn.strength, delta)
-        dn.strength = new
-        target_quality = min(100.0, max(0.0, hive.quality_map(new)))
-        if target_quality < dn.payload.quality:
-            self.set_payload(dn, hive.codec.compress(dn.payload, target_quality))
+        row = self.data_neuron(dn_id).row
+        new = clamp_strength(hive.params.phi, hive.strength.item(row), delta)
+        hive.strength[row] = new
+        quality = hive.quality_map(new)
+        if quality < hive.quality.item(row):
+            keep = hive.keep.item(row)
+            kept = min(keep, math.ceil(
+                hive.original_size.item(row) * quality / 100.0))
+            hive.quality[row] = quality
+            hive.keep[row] = kept
+            hive.built[row] = None
+            self._bytes -= keep - kept
         return new
+
+    def adjust_strengths(self, rows: np.ndarray, strengths: np.ndarray,
+                         delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`adjust_strength` over hive rows at once.
+
+        ``strengths`` are the rows' current strengths and ``delta`` one
+        value or one per row.  Returns the new strengths, the positions in
+        ``rows`` whose stored quality fell, and the bytes each of those
+        freed.
+        """
+        hive = self.hive
+        new = np.minimum(100.0, np.maximum(hive.params.phi, strengths - delta))
+        hive.strength[rows] = new
+        quality = hive.quality_map_array(new)
+        lower = (quality < hive.quality[rows]).nonzero()[0]
+        if len(lower) < len(rows):
+            rows, quality = rows[lower], quality[lower]
+        keep = hive.keep[rows]
+        kept = np.minimum(keep, np.ceil(
+            hive.original_size[rows] * quality / 100.0).astype(np.int64))
+        hive.quality[rows] = quality
+        hive.keep[rows] = kept
+        freed = keep - kept
+        self._bytes -= sum(freed.tolist())
+        built = hive.built
+        for row in rows.tolist():
+            built[row] = None
+        return new, lower, freed
 
     def set_payload(self, dn: DataNeuron, payload: Payload) -> None:
         """Replace a data neuron's payload, keeping the byte total current."""
-        self._bytes += payload.size_bytes - dn.size_bytes
-        dn.payload = payload
+        self._bytes += len(payload.blob) - dn.size_bytes
+        self.hive.store_payload(dn.row, payload)
 
     def restore_strength(self, dn_id: int) -> float:
         """Raise strength back to 100 (stored quality is not resurrected)."""
         return self.adjust_strength(dn_id, -100.0)
 
     def touch(self, dn_id: int) -> None:
-        self.data_neuron(dn_id).last_access_op = self.op_counter
+        self.hive.last_access[self.data_neuron(dn_id).row] = self.op_counter
 
     # -- export -------------------------------------------------------------
 

@@ -40,10 +40,19 @@ Every operation advances a global operation counter; when the counter hits a
 multiple of the hive's retention period the retention pass runs
 automatically.  Manual retention with an explicit history window is also
 supported and does not advance the counter.
+
+Retention and elasticity change data neurons a locality at a time, as one
+array update of the hive's columns (see :mod:`neuralstore.core`): a mask
+picks the rows (idle for at least the window, or above the elasticity
+floor), ``Memory.adjust_strengths`` clamps their strengths with the same
+float64 operations ``Memory.adjust_strength`` uses for one neuron, maps them
+to qualities and truncates the sizes that fall, and the retention summary
+and the bytes freed are read off the changed rows in id order.
 """
 
 from __future__ import annotations
 
+import typing
 from bisect import bisect_left, insort
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -59,6 +68,7 @@ from neuralstore.core import (
     Locality,
     Memory,
     SearchEntry,
+    check_field_types,
     non_finite,
     unit_row,
 )
@@ -94,6 +104,7 @@ class SearchParams:
     match_thresh: float = 0.95
 
     def validate(self) -> None:
+        check_field_types(self, typing.get_type_hints(SearchParams))
         if non_finite(self.assoc_thresh):
             raise ConfigurationError("assoc_thresh must be finite")
         if not -1.0 <= self.match_thresh <= 1.0:
@@ -109,6 +120,7 @@ class OpControls:
     weaken_on_fail: bool = False
 
     def validate(self) -> None:
+        check_field_types(self, typing.get_type_hints(OpControls))
         if self.search_limit is not None and self.search_limit < 1:
             raise ConfigurationError("search_limit must be >= 1 or null")
 
@@ -310,24 +322,30 @@ class MemoryEngine:
         updated before returning (``store`` and ``retrieve`` pass ``up=False``
         and update once per operation instead).
         """
-        if not self.memory.graph.has_edge(cue_id, target_dn):
-            raise RuntimeError(f"cue {cue_id} has no edge to {target_dn}")
         eta = self.params.eta if eta is None else eta
         up = self.controls.update_order if up is None else up
         k = self.controls.weaken_on_fail if k is None else k
+        try:
+            if flag or k:
+                self._adjust_edge(cue_id, target_dn, -eta if flag else eta)
+            elif not self.memory.graph.has_edge(cue_id, target_dn):
+                raise KeyError(target_dn)
+        except KeyError:
+            raise RuntimeError(
+                f"cue {cue_id} has no edge to {target_dn}") from None
         if flag:
-            self._adjust_edge(cue_id, target_dn, -eta)
             self.memory.restore_strength(target_dn)
             self.memory.touch(target_dn)
             self._associate_cues(cues, target_dn, skip=cue_id)
-        elif k:
-            self._adjust_edge(cue_id, target_dn, eta)
         if up:
             self._flush_search_order()
 
     def _adjust_edge(self, a: int, b: int, delta: float) -> None:
-        old = self.memory.graph.weight(a, b)
-        if self.memory.adjust_association(a, b, delta) != old:
+        """Apply ``delta`` to an existing edge (KeyError if there is none),
+        reading its weight once, and mark it if the weight changed."""
+        old, new = self.memory.graph.adjust(a, b, delta,
+                                            self.memory.op_counter)
+        if new != old:
             self._mark_edge(a, b, old)
 
     def _associate_cues(self, cues, dn_id: int, skip: int | None) -> None:
@@ -339,10 +357,12 @@ class MemoryEngine:
         for cue in cues:
             cue_id = self._find_or_create_cue(cue)
             self._dirty.setdefault(cue_id, {})
+            if cue_id == skip:
+                continue
             if not graph.has_edge(cue_id, dn_id):
-                self.memory.associate(cue_id, dn_id)
+                graph.ensure(cue_id, dn_id, self.memory.op_counter)
                 self._mark_edge(cue_id, dn_id, None)
-            elif cue_id != skip:
+            else:
                 self._adjust_edge(cue_id, dn_id, -self.params.eta)
 
     # -- capacity ------------------------------------------------------------
@@ -357,24 +377,26 @@ class MemoryEngine:
         return self._cap_locality(locality, ceiling)
 
     def _cap_locality(self, locality: Locality, ceiling: float) -> int:
+        """Lower every strength in the locality above its target to the
+        target, in one array update; return the bytes freed."""
         params = self.params
         scale = params.elasticity_mode == "scale"
         # no neuron at or below the floor can lose strength
         floor = params.phi if scale else max(params.phi, ceiling)
-        neurons = self.memory.neurons
-        freed = 0
-        # dn_ids grows in increasing id order
-        for dn_id in locality.dn_ids:
-            dn = neurons[dn_id]
-            if dn.strength <= floor:
-                continue
-            target = (max(params.phi, dn.strength * ceiling / 100.0) if scale
-                      else floor)
-            if target < dn.strength:
-                before = dn.size_bytes
-                self.memory.adjust_strength(dn_id, dn.strength - target)
-                freed += before - dn.size_bytes
-        return freed
+        rows = locality.rows
+        strengths = self.hive.strength[rows]
+        above = strengths > floor
+        if scale:
+            target = np.maximum(params.phi, strengths * ceiling / 100.0)
+            above &= target < strengths
+        above = above.nonzero()[0]
+        if not len(above):
+            return 0
+        strengths = strengths[above]
+        target = target[above] if scale else floor
+        _, _, freed = self.memory.adjust_strengths(
+            rows[above], strengths, strengths - target)
+        return sum(freed.tolist())
 
     def ensure_capacity(self, bytes_needed: int) -> None:
         """Free space through escalating elasticity until the request fits.
@@ -503,11 +525,13 @@ class MemoryEngine:
             dn = self.memory.data_neuron(match.dn_id)
             self.reaction(dn.id, match.cue_id, flag=1, cues=cues,
                           up=False, k=controls.weaken_on_fail)
-            if payload.quality > dn.payload.quality:
+            stored = dn.payload
+            if payload.quality > stored.quality:
                 # merge refresh: fresher copy wins
                 self.memory.set_payload(dn, payload)
-            outcome = OpOutcome("merged", dn.id, len(examined), dn.payload,
-                                dn.payload.quality, examined)
+                stored = payload
+            outcome = OpOutcome("merged", dn.id, len(examined), stored,
+                                stored.quality, examined)
         else:
             label = next((c for c in cues if isinstance(c, str)), None)
             locality = self.select_locality(label, feature)
@@ -541,12 +565,12 @@ class MemoryEngine:
         match, examined = self._scan(candidates, fine,
                                      search.match_thresh, cues, controls)
         if match is not None:
-            dn = self.memory.data_neuron(match.dn_id)
-            quality = dn.payload.quality
-            self.reaction(dn.id, match.cue_id, flag=1, cues=cues,
+            # a reaction restores strength but never the stored quality
+            stored = self.memory.data_neuron(match.dn_id).payload
+            self.reaction(match.dn_id, match.cue_id, flag=1, cues=cues,
                           up=False, k=controls.weaken_on_fail)
-            outcome = OpOutcome("hit", dn.id, len(examined), dn.payload,
-                                quality, examined)
+            outcome = OpOutcome("hit", match.dn_id, len(examined), stored,
+                                stored.quality, examined)
         else:
             outcome = OpOutcome("miss", None, len(examined), None, None,
                                 examined)
@@ -582,22 +606,31 @@ class MemoryEngine:
                 rate = self._edge_decay_rate(a, b)
                 if rate <= 0:
                     continue
-                old = graph.weight(a, b)
-                new = graph.adjust(a, b, rate, counter, touch=False)
+                old, new = graph.adjust(a, b, rate, counter, touch=False)
                 if new != old:
                     self._mark_edge(a, b, old)
                     summary.weakened_edges.append((a, b, new))
-        for locality in self.hive.localities:
+        hive = self.hive
+        for locality in hive.localities:
             rate = locality.memory_decay_rate
-            for dn_id in locality.dn_ids:
-                dn = self.memory.data_neuron(dn_id)
-                if counter - dn.last_access_op < window or rate <= 0:
-                    continue
-                old_strength, old_size = dn.strength, dn.size_bytes
-                new = self.memory.adjust_strength(dn_id, rate)
-                if new != old_strength:
-                    summary.compressed.append((dn_id, new))
-                    summary.bytes_freed += old_size - dn.size_bytes
+            if rate <= 0:
+                continue
+            rows = locality.rows
+            # positions in the locality of its neurons idle for the window
+            idle = np.flatnonzero(counter - hive.last_access[rows] >= window)
+            if not idle.size:
+                continue
+            rows = rows[idle]
+            old = hive.strength[rows]
+            new, lower, freed = self.memory.adjust_strengths(rows, old, rate)
+            # a neuron counts as compressed when its strength moved, and only
+            # then are its bytes counted as freed
+            changed = new != old
+            dn_ids = locality.dn_ids
+            summary.compressed.extend(zip(
+                [dn_ids[i] for i in idle[changed].tolist()],
+                new[changed].tolist()))
+            summary.bytes_freed += sum(freed[changed[lower]].tolist())
         self._flush_search_order()
         return summary
 

@@ -1,10 +1,12 @@
-"""The per-operation hot path: entry moves, matrix-scored scan, byte totals.
+"""The per-operation hot path: entry moves, matrix-scored scan, byte totals,
+array passes.
 
 Search orders are kept current by moving only the entries whose edge
 weights changed, each query is scored against unit-length feature rows in
-one product with the scalar cosine as the judge near the threshold,
-elasticity skips neurons it cannot change, and stored bytes are a running
-total.  Each is checked against its brute-force counterpart.
+one product with the scalar cosine as the judge near the threshold, stored
+bytes are a running total, and retention and elasticity update a
+locality's rows of the hive columns in one array pass.  Each is checked
+against its brute-force or per-neuron counterpart.
 """
 
 from __future__ import annotations
@@ -15,12 +17,18 @@ import numpy as np
 import pytest
 
 from neuralstore import engine as engine_module
-from neuralstore.codec import Payload, cosine_similarity
+from neuralstore.codec import (
+    Payload,
+    TruncationCodec,
+    cosine_similarity,
+    get_strength_quality_map,
+)
 from neuralstore.config import load_config
-from neuralstore.core import DataNeuron, SearchEntry
+from neuralstore.core import DataNeuron, HiveParams, SearchEntry
 from neuralstore.engine import (
     MemoryEngine,
     OpControls,
+    RetentionSummary,
     SearchParams,
     oracle_search_order,
 )
@@ -341,6 +349,63 @@ def reference_cap(engine, locality, ceiling: float) -> int:
     return freed
 
 
+def reference_retention(engine, window: int,
+                        decay_edges: bool) -> RetentionSummary:
+    """The retention pass walking each idle data neuron through the scalar
+    ``adjust_strength``."""
+    summary = RetentionSummary()
+    memory = engine.memory
+    counter, graph = memory.op_counter, memory.graph
+    if decay_edges:
+        for a, b, _ in graph.edges():
+            if counter - graph.last_access(a, b) < window:
+                continue
+            rate = engine._edge_decay_rate(a, b)
+            if rate <= 0:
+                continue
+            old, new = graph.adjust(a, b, rate, counter, touch=False)
+            if new != old:
+                engine._mark_edge(a, b, old)
+                summary.weakened_edges.append((a, b, new))
+    for locality in engine.hive.localities:
+        rate = locality.memory_decay_rate
+        for dn_id in locality.dn_ids:
+            dn = memory.data_neuron(dn_id)
+            if counter - dn.last_access_op < window or rate <= 0:
+                continue
+            old_strength, old_size = dn.strength, dn.size_bytes
+            new = memory.adjust_strength(dn_id, rate)
+            if new != old_strength:
+                summary.compressed.append((dn_id, new))
+                summary.bytes_freed += old_size - dn.size_bytes
+    engine._flush_search_order()
+    return summary
+
+
+class ScalarReferenceEngine(MemoryEngine):
+    """Reference: retention and elasticity change one neuron at a time
+    through the scalar ``Memory.adjust_strength``."""
+
+    def _retention_pass(self, window, decay_edges):
+        return reference_retention(self, window, decay_edges)
+
+    def _cap_locality(self, locality, ceiling):
+        return reference_cap(self, locality, ceiling)
+
+
+def neuron_states(memory) -> list[tuple]:
+    return [(dn.id, dn.locality_id, dn.strength, dn.last_access_op,
+             dn.size_bytes, dn.payload) for dn in memory.data_neurons()]
+
+
+def columns(engine) -> list[bytes]:
+    """The hive's state columns, bit for bit."""
+    hive = engine.hive
+    n = len(hive.feature_rows)
+    return [getattr(hive, name)[:n].tobytes()
+            for name in ("strength", "last_access", "quality", "keep")]
+
+
 class TestElasticityFloor:
     @pytest.mark.parametrize("mode", ["ceiling", "scale"])
     @pytest.mark.parametrize("phi", [0.0, 1.0, 30.0])
@@ -457,3 +522,287 @@ class TestAtScale:
                     memory, new.engine.hive), f"seq {rec.seq}"
                 assert memory.total_bytes() == brute_force_bytes(memory)
         assert len(new.engine.memory.data_neurons()) == 1000
+
+
+CODEC = TruncationCodec()
+
+
+def odd_payload(size: int, kept: float, quality: float) -> Payload:
+    """A payload whose blob is not a prefix of its original: the original
+    reversed, cut to the share ``kept``, said to be at ``quality``."""
+    original = blob(6, item=size, size=size)
+    return Payload("blob", original[::-1][:int(size * kept)], original,
+                   quality, "odd")
+
+
+class TestArrayPasses:
+    """Retention and elasticity as array passes against the per-neuron
+    walks, bit for bit."""
+
+    @staticmethod
+    def populated(cls, mode: str, phi: float, quality_map: str):
+        params = HiveParams(
+            num_localities=2, memory_decay_rates=[7.5, 13.25],
+            association_decay_rates=[1.0, 2.0],
+            locality_mapping=[{"labels": ["hot"]}, {}], phi=phi,
+            elasticity_mode=mode, strength_quality_map=quality_map,
+            elasticity_schedules=[[90.0, 40.0, max(phi, 1.0)]] * 2,
+            retention_period=10**6)
+        engine = cls(params)
+        memory = engine.memory
+        rng = np.random.default_rng(int(phi) + len(mode) + len(quality_map))
+        distinct = SearchParams(match_thresh=1.0)
+        strengths = [100.0, phi, phi, 50.0, 30.0, 80.0, 99.9, 100.0]
+        strengths += [float(rng.uniform(phi, 100.0)) for _ in range(10)]
+        ids = []
+        for i, strength in enumerate(strengths):
+            cue = ["hot", "cold"][i % 2]
+            dn_id = engine.store(blob(i % 8, item=i, size=900 + 37 * i),
+                                 [cue], search=distinct).dn_id
+            memory.adjust_strength(dn_id, 100.0 - strength)
+            ids.append(dn_id)
+        # one blob as long as its quality says, one shorter
+        for size, kept, quality in ((1000, 0.7, 70.0), (1100, 0.3, 90.0)):
+            ids.append(engine.store(odd_payload(size, kept, quality),
+                                    ["hot"], search=distinct).dn_id)
+        # merge refresh: a compressed neuron gets its full copy back
+        fresh = blob(0, item=99, size=1500, cls=3)
+        refreshed = engine.store(fresh, ["cold"], search=distinct).dn_id
+        memory.adjust_strength(refreshed, 55.0)
+        out = engine.store(fresh, ["cold"])
+        assert (out.kind, out.dn_id, out.quality) == ("merged", refreshed,
+                                                      100.0)
+        ids.append(refreshed)
+        # at the floor, yet stored at full quality
+        data = blob(0, item=98, size=1200, cls=4)
+        floored = engine.store(data, ["hot"], search=distinct).dn_id
+        memory.adjust_strength(floored, 200.0)
+        memory.set_payload(memory.data_neuron(floored),
+                           Payload.from_bytes(data))
+        ids.append(floored)
+        # last accesses spread over ops 0..12, so short windows leave some
+        # neurons active
+        for dn_id in ids:
+            memory.op_counter = int(rng.integers(0, 13))
+            memory.touch(dn_id)
+        memory.op_counter = 12
+        return engine
+
+    def assert_same(self, new, old, before: dict) -> None:
+        assert neuron_states(new.memory) == neuron_states(old.memory)
+        assert columns(new) == columns(old)
+        assert new.memory.total_bytes() == old.memory.total_bytes()
+        assert new.memory.total_bytes() == brute_force_bytes(new.memory)
+        # a payload read after a quality drop is what the prefix codec
+        # makes of the payload before it
+        for dn in new.memory.data_neurons():
+            payload = before[dn.id]
+            if dn.payload.quality < payload.quality:
+                payload = CODEC.compress(payload, dn.payload.quality)
+                assert dn.payload == payload, dn.id
+            else:
+                # an unchanged row keeps the payload built for it
+                assert dn.payload is payload, dn.id
+            before[dn.id] = dn.payload
+
+    @pytest.mark.parametrize("quality_map", ["identity", "quantized10"])
+    @pytest.mark.parametrize("mode", ["ceiling", "scale"])
+    @pytest.mark.parametrize("phi", [0.0, 1.0, 30.0])
+    def test_bit_identical_to_the_per_neuron_walks(self, mode, phi,
+                                                   quality_map):
+        new, old = (self.populated(cls, mode, phi, quality_map)
+                    for cls in (MemoryEngine, ScalarReferenceEngine))
+        before = {dn.id: dn.payload for dn in new.memory.data_neurons()}
+        self.assert_same(new, old, before)
+        steps = [("retain", 3, False), ("cap", 100.0), ("retain", 1, True),
+                 ("cap", 150.0), ("cap", 80.0), ("retain", 8, True),
+                 ("cap", 50.0), ("cap", 50.0), ("retain", 5, False),
+                 ("cap", 30.0), ("cap", 29.5), ("retain", 13, True),
+                 ("cap", 10.0), ("retain", 1, False), ("cap", 1.0),
+                 ("cap", 0.0), ("retain", 1, True)]
+        compressed = 0
+        for step in steps:
+            if step[0] == "retain":
+                got, want = (engine.retention(n=step[1], k=step[2])
+                             for engine in (new, old))
+                assert got == want, step
+                compressed += len(got.compressed)
+            else:
+                for i in (0, 1):
+                    assert (new._cap_locality(new.hive.localities[i], step[1])
+                            == old._cap_locality(old.hive.localities[i],
+                                                 step[1])), step
+            self.assert_same(new, old, before)
+        assert compressed
+        assert new.memory.total_bytes() < sum(
+            dn.payload.original_size for dn in new.memory.data_neurons())
+        for i, iteration in ((1, 0), (0, 1), (1, 2)):
+            assert (new.elasticity(new.hive.localities[i], iteration)
+                    == old.elasticity(old.hive.localities[i], iteration))
+            self.assert_same(new, old, before)
+
+    def test_retention_keeps_id_order_and_counts_only_moved_strengths(self):
+        new = self.populated(MemoryEngine, "ceiling", 1.0, "identity")
+        memory = new.memory
+        floored = memory.data_neurons()[-1].id
+        size = memory.data_neuron(floored).size_bytes
+        total = memory.total_bytes()
+        memory.op_counter += 100        # every neuron idle
+        summary = new.retention(n=1, k=False)
+        ids = [dn_id for dn_id, _ in summary.compressed]
+        by_locality = [[d for d in ids if memory.data_neuron(d).locality_id
+                        == loc.id] for loc in new.hive.localities]
+        assert ids == by_locality[0] + by_locality[1]
+        assert all(part == sorted(part) for part in by_locality)
+        # the neuron at the floor lost bytes, which bytes_freed leaves out
+        assert floored not in ids
+        lost = size - memory.data_neuron(floored).size_bytes
+        assert lost > 0
+        assert total - memory.total_bytes() == summary.bytes_freed + lost
+
+
+class TestStateColumns:
+    def test_neuron_state_is_read_only_and_python_typed(self):
+        engine = engine_with()
+        dn = engine.memory.data_neuron(engine.store(blob(0), ["hot"]).dn_id)
+        for name, value in (("strength", 5.0), ("last_access_op", 3),
+                            ("size_bytes", 1), ("payload", None)):
+            with pytest.raises(AttributeError):
+                setattr(dn, name, value)
+        assert type(dn.strength) is float
+        assert type(dn.last_access_op) is int
+        assert type(dn.size_bytes) is int
+
+    def test_payload_is_built_once_per_change(self):
+        engine = engine_with()
+        memory = engine.memory
+        data = blob(0)
+        dn = memory.data_neuron(engine.store(data, ["hot"]).dn_id)
+        stored = dn.payload
+        assert dn.payload is stored and stored.blob == data
+        memory.adjust_strength(dn.id, 40.0)
+        built = dn.payload
+        assert built is not stored and dn.payload is built
+        assert built == Payload("blob", data[:1229], data, 60.0, None)
+        out = engine.retrieve(["hot"], [feature(engine, data)])
+        assert out.payload is built and out.quality == 60.0
+
+    def test_quantized10_array_form_equals_the_scalar_form(self):
+        scalar = get_strength_quality_map("quantized10")
+        array = get_strength_quality_map("quantized10", array=True)
+        rng = np.random.default_rng(10)
+        tens = np.arange(0.0, 101.0, 10.0)
+        grid = np.concatenate([
+            np.linspace(0.0, 100.0, 20001), tens,
+            np.nextafter(tens, -np.inf), np.nextafter(tens, np.inf),
+            rng.uniform(0.0, 100.0, 2000), [0.0, 100.0, 1e-300, 99.99999]])
+        grid = grid[(grid >= 0.0) & (grid <= 100.0)]
+        expected = np.array([scalar(x) for x in grid.tolist()])
+        assert array(grid).tobytes() == expected.tobytes()
+        assert array(tens).tolist() == [1.0] + tens[1:].tolist()
+
+
+class TestReactionEdgeReads:
+    @pytest.mark.parametrize("flag, k, reads", [(1, False, 1), (0, True, 1),
+                                                (0, False, 1)])
+    def test_a_reaction_reads_its_edge_once(self, monkeypatch, flag, k,
+                                            reads):
+        engine = engine_with()
+        dn = engine.store(blob(0), ["hot"]).dn_id
+        hot = engine.hive.find_cue_by_label("hot")
+        # above the epsilon floor, so a weakening moves the weight too
+        engine.memory.adjust_association(hot, dn, -30.0)
+        engine.update_search_order()
+        graph = engine.memory.graph
+        keys = []
+
+        def key(a, b):
+            keys.append((a, b))
+            return (a, b) if a < b else (b, a)
+
+        monkeypatch.setattr(graph, "_key", key)
+        engine.reaction(dn, hot, flag=flag, cues=["hot"], up=False, k=k)
+        assert len(keys) == reads
+        # the flush reads the edge once more, at its flush-time weight
+        keys.clear()
+        engine._flush_search_order()
+        assert len(keys) == (1 if flag or k else 0)
+
+
+class TestFuzzAtScale:
+    def test_random_ops_match_the_scalar_reference(self):
+        rng = np.random.default_rng(6)
+        config = load_config(preset="wildlife-deer")
+        spec = dataclasses.replace(config.workload, items_per_cluster=1,
+                                   n_items=560,
+                                   payload_size_range=(128, 512))
+        corpus = build_corpus(spec)
+        items = corpus.items
+        params = dataclasses.replace(
+            config.hive, capacity_bytes=int(0.3 * corpus.total_bytes()),
+            retention_period=37, association_decay_rates=[1.0, 2.0])
+        engines = [cls(params, search=config.search, controls=config.controls)
+                   for cls in (MemoryEngine, ScalarReferenceEngine)]
+        new, old = engines
+        features = [new.hive.extractor.extract(item.data) for item in items]
+        stored: list[int] = []
+        dn_of: dict[int, int] = {}     # item index -> its data neuron
+        kinds = {"merged": 0, "refresh": 0, "hit": 0, "miss": 0,
+                 "retention": 0, "compressed": 0}
+        i = 0
+        while len(stored) < len(items) or i < 1500:
+            i += 1
+            controls = OpControls(weaken_on_fail=bool(rng.random() < 0.3))
+            r = rng.random()
+            if len(stored) < len(items) and (len(stored) < 50 or r < 0.4):
+                key = len(stored)
+                stored.append(key)
+                op = ("store", key)
+            elif r < 0.65:
+                op = ("retrieve", int(rng.choice(stored)))
+            elif r < 0.8:
+                op = ("store", int(rng.choice(stored)))
+            elif r < 0.9:
+                op = ("retention", int(rng.integers(1, 61)),
+                      bool(rng.random() < 0.5))
+            else:
+                # a fine cue no stored item matches
+                op = ("retrieve", None)
+            if op[0] == "store":
+                item = items[op[1]]
+                dn_id = dn_of.get(op[1])
+                compressed = (dn_id is not None and new.memory.data_neuron(
+                    dn_id).payload.quality < 100.0)
+                outs = [e.store(item.data, [item.class_label],
+                                controls=controls, item_id=item.item_id)
+                        for e in engines]
+                if outs[0].kind == "new_neuron":
+                    dn_of[op[1]] = outs[0].dn_id
+                else:
+                    kinds["merged"] += 1
+                    kinds["refresh"] += compressed and outs[0].dn_id == dn_id
+            elif op[0] == "retrieve":
+                if op[1] is None:
+                    fine, cue = [np.ones(64)], "alias"
+                else:
+                    fine, cue = [features[op[1]]], items[op[1]].class_label
+                outs = [e.retrieve([cue], fine, controls=controls)
+                        for e in engines]
+                kinds[outs[0].kind] += 1
+            else:
+                outs = [e.retention(n=op[1], k=op[2]) for e in engines]
+                kinds["retention"] += 1
+                kinds["compressed"] += len(outs[0].compressed)
+            assert outs[0] == outs[1], f"op {i} {op}"
+            assert columns(new) == columns(old), f"op {i} {op}"
+            assert new.memory.total_bytes() == old.memory.total_bytes()
+            if i % 50 == 0:
+                for engine in engines:
+                    assert maintained(engine) == oracle_search_order(
+                        engine.memory, engine.hive), f"op {i}"
+                assert neuron_states(new.memory) == neuron_states(old.memory)
+                assert new.memory.total_bytes() == brute_force_bytes(
+                    new.memory)
+        assert neuron_states(new.memory) == neuron_states(old.memory)
+        assert len(new.memory.data_neurons()) >= 500
+        assert all(kinds.values()), kinds

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from neuralstore.cli import main
 from neuralstore.config import load_config
 from neuralstore.core import ConfigurationError, HiveParams
-from neuralstore.engine import SearchParams
+from neuralstore.engine import MemoryEngine, OpControls, SearchParams
 from neuralstore.workload import read_manifest, read_trace
 from tests.test_cli import write_config
 
@@ -46,6 +46,30 @@ def test_non_finite_hive_params_rejected(field, value):
 def test_non_finite_assoc_thresh_rejected(value):
     with pytest.raises(ConfigurationError, match="assoc_thresh"):
         SearchParams(assoc_thresh=value).validate()
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (SearchParams, "match_thresh", "0.9"),
+    (SearchParams, "assoc_thresh", None),
+    (SearchParams, "assoc_thresh", True),
+    (OpControls, "search_limit", "3"),
+    (OpControls, "search_limit", 2.5),
+    (OpControls, "update_order", 1),
+    (OpControls, "weaken_on_fail", "yes"),
+])
+def test_mistyped_search_and_control_fields_rejected(cls, field, value):
+    # type checks come before the range checks, which assume the types
+    with pytest.raises(ConfigurationError, match=field):
+        cls(**{field: value}).validate()
+    with pytest.raises(ConfigurationError, match=field):
+        MemoryEngine(**{"search" if cls is SearchParams else "controls":
+                        cls(**{field: value})})
+
+
+def test_well_typed_search_and_control_fields_pass():
+    SearchParams(assoc_thresh=0, match_thresh=np.float64(0.5)).validate()
+    OpControls(search_limit=np.int64(3), update_order=False,
+               weaken_on_fail=True).validate()
 
 
 @pytest.mark.parametrize("section, field, value", [
