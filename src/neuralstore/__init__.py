@@ -23,7 +23,6 @@ from neuralstore.codec import (
     HistogramExtractor,
     cosine_similarity,
     psnr_fidelity,
-    get_codec,
     get_extractor,
 )
 from neuralstore.core import (
@@ -71,7 +70,6 @@ __all__ = [
     "StorageFullError",
     "TruncationCodec",
     "cosine_similarity",
-    "get_codec",
     "get_extractor",
     "psnr_fidelity",
 ]

@@ -20,7 +20,13 @@ import sys
 from pathlib import Path
 
 from neuralstore import metrics
-from neuralstore.config import PRESETS, RunConfig, build_adapter, load_config
+from neuralstore.config import (
+    PRESETS,
+    RunConfig,
+    build_adapter,
+    check_cap_fractions,
+    load_config,
+)
 from neuralstore.core import (
     ConfigurationError,
     SnapshotFormatError,
@@ -111,6 +117,8 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _load(args)
+    if args.caps is not None:
+        check_cap_fractions(args.caps, "--caps")
     corpus = read_manifest(_resolve_manifest(args))
     records = read_trace(Path(args.trace))
     out = Path(args.out)

@@ -2,10 +2,10 @@
 
 Stored data is modelled as an opaque byte payload whose *quality* (a
 percentage) tracks the memory strength of the neuron holding it.  Lowering
-the quality shrinks the payload through a codec; the default codec is a
-block truncation scheme that keeps a prefix of the original bytes and
-reconstructs the rest with the mean byte value, which makes every size and
-fidelity property exactly computable.
+the quality shrinks the payload through the codec, a block truncation scheme
+that keeps a prefix of the original bytes and reconstructs the rest with the
+mean byte value, which makes every size and fidelity property exactly
+computable.
 
 A hive stores every payload the way ``TruncationCodec.compress`` would: as
 a prefix of its blob, so a neuron's stored bytes are given by one size (see
@@ -154,15 +154,14 @@ def cosine_similarity(f1: np.ndarray, f2: np.ndarray) -> float:
     return 1.0 if sim > 1.0 else -1.0 if sim < -1.0 else sim
 
 
-def psnr_fidelity(degraded: Payload, codec: TruncationCodec | None = None) -> float:
+def psnr_fidelity(degraded: Payload) -> float:
     """PSNR (dB) of a payload against its own full-quality original.
 
-    The degraded blob is expanded through the codec's reconstruction map and
-    compared byte-wise with the original.  Identical reconstructions return
-    ``math.inf``.
+    The degraded blob is expanded through ``TruncationCodec``'s
+    reconstruction map and compared byte-wise with the original.  Identical
+    reconstructions return ``math.inf``.
     """
-    codec = codec or get_codec("truncate")
-    reconstructed = codec.reconstruct(degraded)
+    reconstructed = TruncationCodec().reconstruct(degraded)
     if len(reconstructed) != degraded.original_size:
         raise RuntimeError(
             f"reconstruction length {len(reconstructed)} != original "
@@ -207,7 +206,6 @@ def _quantized10_array(strength: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, 10.0 * np.floor(strength / 10.0))
 
 
-_CODECS: dict[str, type] = {TruncationCodec.codec_id: TruncationCodec}
 _EXTRACTORS: dict[str, type] = {HistogramExtractor.extractor_id: HistogramExtractor}
 _STRENGTH_QUALITY_MAPS = {
     "identity": (_identity_map, _identity_map),
@@ -215,19 +213,8 @@ _STRENGTH_QUALITY_MAPS = {
 }
 
 
-def register_codec(codec_cls: type) -> None:
-    _CODECS[codec_cls.codec_id] = codec_cls
-
-
 def register_extractor(extractor_cls: type) -> None:
     _EXTRACTORS[extractor_cls.extractor_id] = extractor_cls
-
-
-def get_codec(codec_id: str):
-    try:
-        return _CODECS[codec_id]()
-    except KeyError:
-        raise KeyError(f"unknown codec id {codec_id!r}; known: {sorted(_CODECS)}") from None
 
 
 def get_extractor(extractor_id: str, dim: int = 64, seed: int = 7):

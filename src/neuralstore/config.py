@@ -8,8 +8,7 @@ A run is fully described by one JSON document with these sections::
       "engine": "ns",               // ns | cam (default engine for `run`)
       "hive": { ... },              // hive hyperparameters (see HiveParams)
       "search": {"assoc_thresh": 0.0, "match_thresh": 0.95},
-      "controls": {"search_limit": null, "update_order": true,
-                   "weaken_on_fail": false},
+      "controls": {"search_limit": null, "weaken_on_fail": false},
       "cam": {"policy": "fifo", "key_by_label": false},
       "workload": { ... },          // corpus/trace parameters (see WorkloadSpec)
       "compare": {"cap_fractions": [0.1, ..., 1.2], "warmup_ops": 500},
@@ -19,10 +18,10 @@ A run is fully described by one JSON document with these sections::
 Unknown keys anywhere are rejected, every value must have the type its
 field declares (an int passes for a float, a bool for nothing but a bool),
 and every section is validated against its owning module's invariants
-before an engine is built.  Presets bundle
-the standard hyperparameter set (eta 20, epsilon 1, phi 1, retention 500,
-decay [0.5, 1], elasticity 80..1, match threshold 0.95, unbounded search,
-order updates on, failure decay off) with scenario-specific locality
+before an engine is built; cap fractions must be finite and positive.
+Presets bundle the standard hyperparameter set (eta 20, epsilon 1, phi 1,
+retention 500, decay [0.5, 1], elasticity 80..1, match threshold 0.95,
+unbounded search, failure decay off) with scenario-specific locality
 mappings and workloads.
 """
 
@@ -31,6 +30,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,8 +76,7 @@ _BASE_PRESET = {
         "capacity_bytes": None,
     },
     "search": {"assoc_thresh": 0.0, "match_thresh": 0.95},
-    "controls": {"search_limit": None, "update_order": True,
-                 "weaken_on_fail": False},
+    "controls": {"search_limit": None, "weaken_on_fail": False},
     "cam": {"policy": "fifo", "key_by_label": False},
     "workload": {
         "kind": "clustered",
@@ -172,8 +171,7 @@ class RunConfig:
         self.workload.validate()
         if self.cam_policy not in ("fifo", "lru"):
             raise ConfigurationError(f"unknown cam policy {self.cam_policy!r}")
-        if any(f <= 0 for f in self.cap_fractions):
-            raise ConfigurationError("cap_fractions must be positive")
+        check_cap_fractions(self.cap_fractions, "compare.cap_fractions")
         if any(b <= a for a, b in zip(self.cap_fractions, self.cap_fractions[1:])):
             raise ConfigurationError("cap_fractions must be strictly ascending")
         if self.warmup_ops < 0:
@@ -181,6 +179,15 @@ class RunConfig:
         for entry in self.bootstrap:
             if "item_id" not in entry:
                 raise ConfigurationError("bootstrap entries need an item_id")
+
+
+def check_cap_fractions(fractions: list[float], name: str) -> None:
+    """Reject a cap fraction that is not finite and positive, naming the
+    field or option ``name`` it came from."""
+    bad = [f for f in fractions if not 0.0 < f < math.inf]
+    if bad:
+        raise ConfigurationError(
+            f"{name} must be finite and positive, got {bad[0]!r}")
 
 
 def _check_keys(section: str, given: dict, allowed) -> None:

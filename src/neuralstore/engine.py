@@ -8,18 +8,16 @@ through the reaction step, which is where all association learning happens.
 Retention ages whatever the access pattern has not touched lately, and
 elasticity squeezes stored quality to make room when a byte capacity is set.
 
-Search orders are maintained by the operations themselves.  Every edge whose
-weight a reaction, a new data neuron or a retention pass changes is marked
-under its cue, with the weight the cue's order still holds for it.  Once per
-operation (when ``OpControls.update_order`` is set; otherwise the marks carry
-over to the next operation that updates) and at the end of each retention
-pass, each marked entry is moved: it is found by ``bisect`` at its old
-``(-weight, dn_id)`` position and inserted again at its new one.  A cue
-without an order yet, or whose order does not hold a marked entry where the
-mark says, is re-sorted from the graph instead.  Nothing reads a search order
-in the middle of an operation: the candidate list is fixed before the scan.
-Code that edits associations directly with ``Memory.adjust_association``
-must call :meth:`MemoryEngine.update_search_order` afterwards.
+Search orders are kept current by the operations themselves.  Whenever a
+reaction, a new data neuron or a retention pass changes or creates an edge,
+the edge's entry is moved at once in the order of each cue it joins to a
+data neuron: it is found by ``bisect`` at its old ``(-weight, dn_id)``
+position and inserted again at its new one.  A cue without an order yet, or
+whose order does not hold the entry at its old weight, is re-sorted from the
+graph instead.  An operation's candidate list is a copy taken before its
+scan, so entries moved during the scan do not change it.  Code that edits
+associations directly with ``Memory.adjust_association`` must call
+:meth:`MemoryEngine.update_search_order` afterwards.
 
 Matching scores each query once against the hive's feature matrix, whose
 rows are the data neurons' features scaled to unit length: one
@@ -54,7 +52,6 @@ from __future__ import annotations
 
 import typing
 from bisect import bisect_left, insort
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,10 +110,9 @@ class SearchParams:
 
 @dataclass
 class OpControls:
-    """Per-operation knobs: search budget, order updates, failure decay."""
+    """Per-operation knobs: search budget and failure decay."""
 
     search_limit: int | None = None
-    update_order: bool = True
     weaken_on_fail: bool = False
 
     def validate(self) -> None:
@@ -162,9 +158,6 @@ class MemoryEngine:
         self.search.validate()
         self.controls.validate()
         self.total_search_iterations = 0
-        # stale search-order entries: {cue_id: {dn_id: weight the cue's
-        # order still holds for the edge, or None if the edge is new}}
-        self._dirty: dict[int, dict[int, float | None]] = {}
 
     # -- helpers -------------------------------------------------------------
 
@@ -202,25 +195,15 @@ class MemoryEngine:
 
     # -- search order --------------------------------------------------------
 
-    def update_search_order(self, *,
-                            cue_ids: Iterable[int] | None = None) -> None:
-        """Bring cues' ranked candidate lists up to date with current weights.
+    def update_search_order(self) -> None:
+        """Re-sort every cue's order from the graph.
 
-        Without ``cue_ids`` every cue is re-sorted from the graph.  With
-        them, a cue whose order exists and whose changed edges are marked
-        has just those entries moved; any other cue is re-sorted.  Either way
-        the cues' marks are cleared.
+        Operations keep the orders current themselves; this full rebuild is
+        for code that edits associations through ``Memory`` directly.
         """
         hive = self.hive
-        if cue_ids is None:
-            cue_ids = hive.cue_bank
-            hive.search_order = {}
-        for cue_id in sorted(cue_ids):
-            marks = self._dirty.pop(cue_id, None)
-            order = hive.search_order.get(cue_id)
-            if (marks is None or order is None
-                    or not self._move_entries(cue_id, order, marks)):
-                hive.search_order[cue_id] = self._sorted_order(cue_id)
+        hive.search_order = {cue_id: self._sorted_order(cue_id)
+                             for cue_id in sorted(hive.cue_bank)}
 
     def _sorted_order(self, cue_id: int) -> list[SearchEntry]:
         graph = self.memory.graph
@@ -234,44 +217,29 @@ class MemoryEngine:
         entries.sort(key=_order_key)
         return entries
 
-    def _move_entries(self, cue_id: int, order: list[SearchEntry],
-                      marks: dict[int, float | None]) -> bool:
-        """Move each marked entry of a cue's order to its current weight.
-
-        Returns False, leaving the order half moved, when a marked entry is
-        not where its mark says; the caller then re-sorts the cue.
-        """
-        graph = self.memory.graph
-        for dn_id, old in marks.items():
-            new = graph.weight(cue_id, dn_id)
-            if new == old:
-                continue
-            if old is not None:
-                i = bisect_left(order, (-old, dn_id), key=_order_key)
-                if (i == len(order) or order[i].dn_id != dn_id
-                        or order[i].avg_weight != old):
-                    return False
-                del order[i]
-            if new is not None:
-                insort(order, SearchEntry(cue_id, dn_id, new), key=_order_key)
-        return True
-
-    def _flush_search_order(self) -> None:
-        """Bring the orders of the cues with marked edges up to date."""
-        if self._dirty:
-            self.update_search_order(cue_ids=sorted(self._dirty))
-
-    def _mark_edge(self, a: int, b: int, old: float | None) -> None:
-        """Mark an edge whose weight changes from ``old`` (None: new edge)
-        under each of its cue endpoints; the first mark since the cue's last
-        update keeps the weight its order holds."""
+    def _move_edge(self, a: int, b: int, old: float | None,
+                   new: float) -> None:
+        """Move an edge whose weight changed from ``old`` (None: a new edge)
+        to ``new`` in the order of each cue endpoint whose other end is a
+        data neuron.  A cue without an order, or whose order does not hold
+        the entry at ``old``, is re-sorted from the graph instead."""
         hive = self.hive
-        for cue_id, other in ((a, b), (b, a)):
-            if cue_id in hive.cue_bank:
-                marks = self._dirty.setdefault(cue_id, {})
-                # only data neurons appear in search orders
-                if other in hive.feature_rows:
-                    marks.setdefault(other, old)
+        for cue_id, dn_id in ((a, b), (b, a)):
+            # only data neurons appear in search orders
+            if cue_id not in hive.cue_bank or dn_id not in hive.feature_rows:
+                continue
+            order = hive.search_order.get(cue_id)
+            if order is not None and old is not None:
+                i = bisect_left(order, (-old, dn_id), key=_order_key)
+                if (i < len(order) and order[i].dn_id == dn_id
+                        and order[i].avg_weight == old):
+                    del order[i]
+                else:
+                    order = None
+            if order is None:
+                hive.search_order[cue_id] = self._sorted_order(cue_id)
+            else:
+                insort(order, SearchEntry(cue_id, dn_id, new), key=_order_key)
 
     def get_search_order(self, cues, assoc_thresh: float | None = None,
                          search_limit: int | None = None) -> list[SearchEntry]:
@@ -307,8 +275,7 @@ class MemoryEngine:
     # -- reaction ------------------------------------------------------------
 
     def reaction(self, target_dn: int, cue_id: int, flag: int, cues=(),
-                 eta: float | None = None, up: bool | None = None,
-                 k: bool | None = None) -> None:
+                 eta: float | None = None, k: bool | None = None) -> None:
         """Reward or penalize a candidate reached from ``cue_id`` after a
         search/merge attempt.
 
@@ -317,13 +284,10 @@ class MemoryEngine:
         (creating cue neurons and epsilon-weight links as needed; links that
         already exist, other than the one just strengthened, are
         strengthened).  ``flag=0`` weakens the edge by eta when failure decay
-        is enabled and otherwise leaves all weights untouched.  The edges
-        whose weights changed are marked; with ``up`` the marked orders are
-        updated before returning (``store`` and ``retrieve`` pass ``up=False``
-        and update once per operation instead).
+        (``k``) is enabled and otherwise leaves all weights untouched.  Each
+        changed or new edge is moved in its cues' search orders at once.
         """
         eta = self.params.eta if eta is None else eta
-        up = self.controls.update_order if up is None else up
         k = self.controls.weaken_on_fail if k is None else k
         try:
             if flag or k:
@@ -337,31 +301,26 @@ class MemoryEngine:
             self.memory.restore_strength(target_dn)
             self.memory.touch(target_dn)
             self._associate_cues(cues, target_dn, skip=cue_id)
-        if up:
-            self._flush_search_order()
 
     def _adjust_edge(self, a: int, b: int, delta: float) -> None:
         """Apply ``delta`` to an existing edge (KeyError if there is none),
-        reading its weight once, and mark it if the weight changed."""
+        reading its weight once, and move it if the weight changed."""
         old, new = self.memory.graph.adjust(a, b, delta,
                                             self.memory.op_counter)
         if new != old:
-            self._mark_edge(a, b, old)
+            self._move_edge(a, b, old, new)
 
     def _associate_cues(self, cues, dn_id: int, skip: int | None) -> None:
         # associate if absent (at epsilon), strengthen if already associated;
-        # the edge from cue ``skip`` was already strengthened by the caller.
-        # Every cue is marked: a new cue has no order yet, and a new edge
-        # joins its order.
+        # the edge from cue ``skip`` was already strengthened by the caller
         graph = self.memory.graph
         for cue in cues:
             cue_id = self._find_or_create_cue(cue)
-            self._dirty.setdefault(cue_id, {})
             if cue_id == skip:
                 continue
             if not graph.has_edge(cue_id, dn_id):
-                graph.ensure(cue_id, dn_id, self.memory.op_counter)
-                self._mark_edge(cue_id, dn_id, None)
+                new = graph.ensure(cue_id, dn_id, self.memory.op_counter)
+                self._move_edge(cue_id, dn_id, None, new)
             else:
                 self._adjust_edge(cue_id, dn_id, -self.params.eta)
 
@@ -500,7 +459,7 @@ class MemoryEngine:
             # the examined non-matches: all of them when nothing matched
             for entry in candidates[:first]:
                 self.reaction(entry.dn_id, entry.cue_id, flag=0, cues=cues,
-                              up=False, k=True)
+                              k=True)
         examined = tuple(e.dn_id for e in candidates[:cost])
         return (None if first is None else candidates[first]), examined
 
@@ -524,7 +483,7 @@ class MemoryEngine:
         if match is not None:
             dn = self.memory.data_neuron(match.dn_id)
             self.reaction(dn.id, match.cue_id, flag=1, cues=cues,
-                          up=False, k=controls.weaken_on_fail)
+                          k=controls.weaken_on_fail)
             stored = dn.payload
             if payload.quality > stored.quality:
                 # merge refresh: fresher copy wins
@@ -537,16 +496,15 @@ class MemoryEngine:
             locality = self.select_locality(label, feature)
             dn_id = self.memory.add_data_neuron(locality.id, payload, feature)
             # the new neuron joins its locality's default cue, or every cue
-            # through the implicit links of full-graph mode
-            joined = (list(hive.cue_bank) if self.memory.graph.full_graph
+            # through the implicit links of full-graph mode, at epsilon
+            graph = self.memory.graph
+            joined = (list(hive.cue_bank) if graph.full_graph
                       else [locality.default_cue_id])
             for cue_id in joined:
-                self._mark_edge(cue_id, dn_id, None)
+                self._move_edge(cue_id, dn_id, None, graph.epsilon)
             self._associate_cues(cues, dn_id, skip=None)
             outcome = OpOutcome("new_neuron", dn_id, len(examined), payload,
                                 100.0, examined)
-        if controls.update_order:
-            self._flush_search_order()
         self._auto_retention(controls)
         return outcome
 
@@ -568,14 +526,12 @@ class MemoryEngine:
             # a reaction restores strength but never the stored quality
             stored = self.memory.data_neuron(match.dn_id).payload
             self.reaction(match.dn_id, match.cue_id, flag=1, cues=cues,
-                          up=False, k=controls.weaken_on_fail)
+                          k=controls.weaken_on_fail)
             outcome = OpOutcome("hit", match.dn_id, len(examined), stored,
                                 stored.quality, examined)
         else:
             outcome = OpOutcome("miss", None, len(examined), None, None,
                                 examined)
-        if controls.update_order:
-            self._flush_search_order()
         self._auto_retention(controls)
         return outcome
 
@@ -608,7 +564,7 @@ class MemoryEngine:
                     continue
                 old, new = graph.adjust(a, b, rate, counter, touch=False)
                 if new != old:
-                    self._mark_edge(a, b, old)
+                    self._move_edge(a, b, old, new)
                     summary.weakened_edges.append((a, b, new))
         hive = self.hive
         for locality in hive.localities:
@@ -631,7 +587,6 @@ class MemoryEngine:
                 [dn_ids[i] for i in idle[changed].tolist()],
                 new[changed].tolist()))
             summary.bytes_freed += sum(freed[changed[lower]].tolist())
-        self._flush_search_order()
         return summary
 
     def _auto_retention(self, controls: OpControls) -> None:

@@ -209,7 +209,7 @@ def _fuzz_params(rng: np.random.Generator) -> tuple[HiveParams, SearchParams,
     )
     search = SearchParams(assoc_thresh=float(rng.choice([0.0, 0.5, 2.0])),
                           match_thresh=float(rng.choice([0.5, 0.9, 0.95])))
-    controls = OpControls(search_limit=None, update_order=True,
+    controls = OpControls(search_limit=None,
                           weaken_on_fail=bool(rng.integers(2)))
     return params, search, controls
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
@@ -66,6 +67,13 @@ class TestConfig:
         assert config.hive.locality_mapping[0] == {"labels": ["deer"]}
         config = load_config(preset="uav-cars")
         assert config.hive.locality_mapping[0] == {"labels": ["car"]}
+
+    def test_removed_update_order_control_exits_2_naming_it(self, tmp_path,
+                                                            capsys):
+        config = write_config(tmp_path, controls={"update_order": True})
+        assert main(["generate", "--config", str(config),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "controls: update_order" in capsys.readouterr().err
 
     def test_invalid_hive_params_rejected_before_running(self, tmp_path):
         path = tmp_path / "c.json"
@@ -168,6 +176,46 @@ class TestCompare:
         summary = (tmp_path / "c1" / "summary.csv").read_text().splitlines()
         assert summary[0].startswith("engine,")
         assert {row.split(",")[0] for row in summary[1:]} == {"ns", "cam"}
+
+
+class TestCapValidation:
+    @pytest.fixture
+    def generated(self, tmp_path):
+        config = write_config(tmp_path)
+        main(["generate", "--config", str(config), "--out", str(tmp_path / "data")])
+        return tmp_path / "data" / "trace.jsonl"
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_config_cap_fraction_exits_2_naming_the_field(
+            self, generated, tmp_path, capsys, bad):
+        config = write_config(tmp_path, name="bad.json",
+                              compare={"cap_fractions": [0.5, bad]})
+        capsys.readouterr()
+        assert main(["compare", "--config", str(config), "--trace",
+                     str(generated), "--out", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert "compare.cap_fractions must be finite and positive" in err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("caps", ["inf", "0.5,nan", "0", "-1", "0.3,-inf"])
+    def test_caps_option_exits_2_naming_it(self, generated, tmp_path, capsys,
+                                           caps):
+        config = write_config(tmp_path)
+        capsys.readouterr()
+        assert main(["compare", "--config", str(config), "--trace",
+                     str(generated), f"--caps={caps}",
+                     "--out", str(tmp_path / "c")]) == 2
+        assert "--caps must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_valid_caps_option_runs(self, generated, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["compare", "--config", str(config), "--trace",
+                     str(generated), "--caps=0.5,1",
+                     "--out", str(tmp_path / "c")]) == 0
+        capsys.readouterr()
+        rows = (tmp_path / "c" / "qf_curve.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2 * 2     # header, two caps per engine
 
 
 class TestInspect:

@@ -15,13 +15,11 @@ from neuralstore.codec import (
     Payload,
     TruncationCodec,
     cosine_similarity,
-    get_codec,
     get_extractor,
     get_strength_quality_map,
     label_vector,
     normalized_fidelity,
     psnr_fidelity,
-    register_codec,
 )
 from neuralstore.workload import item_bytes
 
@@ -221,18 +219,9 @@ class TestFidelity:
 class TestRegistries:
     def test_unknown_ids_rejected(self):
         with pytest.raises(KeyError):
-            get_codec("jpeg2000")
-        with pytest.raises(KeyError):
             get_extractor("embedding-model")
         with pytest.raises(KeyError):
             get_strength_quality_map("cubic")
-
-    def test_plugin_registration(self):
-        class NullCodec(TruncationCodec):
-            codec_id = "null-test"
-
-        register_codec(NullCodec)
-        assert isinstance(get_codec("null-test"), NullCodec)
 
     def test_quality_maps(self):
         identity = get_strength_quality_map("identity")

@@ -39,7 +39,7 @@ from neuralstore.workload import (
     replay,
 )
 from tests.test_engine import blob, engine_with, maintained
-from tests.test_order_upkeep import FullRebuildEngine, spy_on_resorts
+from tests.test_order_upkeep import FullRebuildEngine
 
 
 def brute_force_bytes(memory) -> int:
@@ -107,7 +107,7 @@ class TestEntryMoves:
         hot = engine.hive.find_cue_by_label("hot")
         order = engine.hive.search_order[hot]
         probe = [feature(engine, blob(1))]
-        engine.retrieve(["hot"], probe, controls=OpControls(update_order=False))
+        engine.retrieve(["hot"], probe)
         engine.retrieve(["hot"], probe)
         assert engine.memory.weight(hot, b) == 41.0
         assert engine.hive.search_order[hot] is order
@@ -115,7 +115,7 @@ class TestEntryMoves:
         assert maintained(engine) == oracle_search_order(engine.memory,
                                                          engine.hive)
 
-    def test_entry_not_where_its_mark_says_falls_back_to_resort(self):
+    def test_entry_not_at_its_old_weight_falls_back_to_resort(self):
         engine = engine_with()
         a = engine.store(blob(0), ["hot"]).dn_id
         engine.store(blob(1), ["hot"])
@@ -129,8 +129,7 @@ class TestEntryMoves:
         assert maintained(engine) == oracle_search_order(engine.memory,
                                                          engine.hive)
 
-    def test_retention_flushes_only_the_cues_whose_edges_decayed(
-            self, monkeypatch):
+    def test_retention_moves_only_the_entries_whose_edges_decayed(self):
         engine = engine_with(association_decay_rates=[5.0, 5.0],
                              retention_period=1000)
         a = engine.store(blob(0), ["hot"]).dn_id
@@ -139,16 +138,19 @@ class TestEntryMoves:
         engine.retrieve(["hot"], [feature(engine, blob(0))])
         # one more op, touching only warm's edge, leaves hot's idle
         engine.retrieve(["warm"], [feature(engine, blob(4, cls=1))])
-        calls = spy_on_resorts(engine, monkeypatch)
+        orders = dict(engine.hive.search_order)
+        before = maintained(engine)
         summary = engine.retention(n=1, k=True)
         # every other edge is fresh or at the epsilon floor
         assert summary.weakened_edges == [(min(hot, a), max(hot, a), 16.0)]
-        assert calls == [[hot]]
-        assert maintained(engine) == oracle_search_order(engine.memory,
-                                                         engine.hive)
-        calls.clear()
+        after = maintained(engine)
+        assert [cue for cue in before if after[cue] != before[cue]] == [hot]
+        assert after[hot] == [(a, 16.0)]
+        assert all(engine.hive.search_order[cue] is order
+                   for cue, order in orders.items())
+        assert after == oracle_search_order(engine.memory, engine.hive)
         engine.retention(n=1, k=False)
-        assert calls == []
+        assert maintained(engine) == after
 
 
 class TestMatrixScan:
@@ -365,7 +367,7 @@ def reference_retention(engine, window: int,
                 continue
             old, new = graph.adjust(a, b, rate, counter, touch=False)
             if new != old:
-                engine._mark_edge(a, b, old)
+                engine._move_edge(a, b, old, new)
                 summary.weakened_edges.append((a, b, new))
     for locality in engine.hive.localities:
         rate = locality.memory_decay_rate
@@ -378,7 +380,6 @@ def reference_retention(engine, window: int,
             if new != old_strength:
                 summary.compressed.append((dn_id, new))
                 summary.bytes_freed += old_size - dn.size_bytes
-    engine._flush_search_order()
     return summary
 
 
@@ -703,10 +704,8 @@ class TestStateColumns:
 
 
 class TestReactionEdgeReads:
-    @pytest.mark.parametrize("flag, k, reads", [(1, False, 1), (0, True, 1),
-                                                (0, False, 1)])
-    def test_a_reaction_reads_its_edge_once(self, monkeypatch, flag, k,
-                                            reads):
+    @pytest.mark.parametrize("flag, k", [(1, False), (0, True), (0, False)])
+    def test_a_reaction_reads_its_edge_once(self, monkeypatch, flag, k):
         engine = engine_with()
         dn = engine.store(blob(0), ["hot"]).dn_id
         hot = engine.hive.find_cue_by_label("hot")
@@ -721,12 +720,11 @@ class TestReactionEdgeReads:
             return (a, b) if a < b else (b, a)
 
         monkeypatch.setattr(graph, "_key", key)
-        engine.reaction(dn, hot, flag=flag, cues=["hot"], up=False, k=k)
-        assert len(keys) == reads
-        # the flush reads the edge once more, at its flush-time weight
-        keys.clear()
-        engine._flush_search_order()
-        assert len(keys) == (1 if flag or k else 0)
+        engine.reaction(dn, hot, flag=flag, cues=["hot"], k=k)
+        # the order entry moves with the weights the read returned
+        assert len(keys) == 1
+        assert maintained(engine) == oracle_search_order(engine.memory,
+                                                         engine.hive)
 
 
 class TestFuzzAtScale:

@@ -54,7 +54,6 @@ def test_non_finite_assoc_thresh_rejected(value):
     (SearchParams, "assoc_thresh", True),
     (OpControls, "search_limit", "3"),
     (OpControls, "search_limit", 2.5),
-    (OpControls, "update_order", 1),
     (OpControls, "weaken_on_fail", "yes"),
 ])
 def test_mistyped_search_and_control_fields_rejected(cls, field, value):
@@ -68,8 +67,7 @@ def test_mistyped_search_and_control_fields_rejected(cls, field, value):
 
 def test_well_typed_search_and_control_fields_pass():
     SearchParams(assoc_thresh=0, match_thresh=np.float64(0.5)).validate()
-    OpControls(search_limit=np.int64(3), update_order=False,
-               weaken_on_fail=True).validate()
+    OpControls(search_limit=np.int64(3), weaken_on_fail=True).validate()
 
 
 @pytest.mark.parametrize("section, field, value", [
@@ -158,7 +156,6 @@ TYPED_FIELDS = [
     ("hive", "capacity_bytes", lambda v: v is None or _is_int(v)),
     ("search", "match_thresh", _is_number),
     ("controls", "search_limit", lambda v: v is None or _is_int(v)),
-    ("controls", "update_order", lambda v: isinstance(v, bool)),
     ("cam", "policy", lambda v: isinstance(v, str)),
     ("cam", "key_by_label", lambda v: isinstance(v, bool)),
     ("workload", "n_items", _is_int),
