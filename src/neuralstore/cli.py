@@ -24,6 +24,7 @@ from neuralstore.config import (
     PRESETS,
     RunConfig,
     build_adapter,
+    cap_bytes,
     check_cap_fractions,
     load_config,
 )
@@ -120,6 +121,11 @@ def cmd_compare(args) -> int:
     if args.caps is not None:
         check_cap_fractions(args.caps, "--caps")
     corpus = read_manifest(_resolve_manifest(args))
+    if args.caps:
+        fractions, name = args.caps, "--caps"
+    else:
+        fractions, name = config.cap_fractions, "compare.cap_fractions"
+    caps = cap_bytes(fractions, corpus.total_bytes(), name)
     records = read_trace(Path(args.trace))
     out = Path(args.out)
     logs = {}
@@ -128,9 +134,6 @@ def cmd_compare(args) -> int:
         logs[engine] = replay(records, adapter, corpus)
         write_log(logs[engine], out / f"oplog-{engine}.jsonl")
     summary = metrics.summarize(logs["ns"], logs["cam"], warmup=config.warmup_ops)
-    fractions = args.caps if args.caps else config.cap_fractions
-    full_bytes = corpus.total_bytes()
-    caps = sorted({max(1, int(round(f * full_bytes))) for f in fractions})
     curves = {}
     for engine in ("ns", "cam"):
         def factory(cap, _engine=engine):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,10 @@ class Payload:
     is the full-quality reference the blob was derived from.  Only ``blob``
     counts toward stored size; ``original`` exists so fidelity against the
     payload's own lineage stays computable after lossy compression.
+
+    ``_psnr`` keeps ``psnr_fidelity`` of the payload once computed.  It is
+    not a constructor argument and takes no part in equality, hashing or
+    ``repr``; ``dataclasses.replace`` starts the copy without it.
     """
 
     modality: str
@@ -55,6 +59,8 @@ class Payload:
     original: bytes
     quality: float = 100.0
     lineage: str | None = None
+    _psnr: float | None = field(default=None, init=False, compare=False,
+                                repr=False)
 
     @classmethod
     def from_bytes(cls, data: bytes, modality: str = "blob",
@@ -159,19 +165,25 @@ def psnr_fidelity(degraded: Payload) -> float:
 
     The degraded blob is expanded through ``TruncationCodec``'s
     reconstruction map and compared byte-wise with the original.  Identical
-    reconstructions return ``math.inf``.
+    reconstructions return ``math.inf``.  A payload is immutable, so the
+    value is computed once and kept in its ``_psnr`` field.
     """
+    if degraded._psnr is not None:
+        return degraded._psnr
     reconstructed = TruncationCodec().reconstruct(degraded)
     if len(reconstructed) != degraded.original_size:
         raise RuntimeError(
             f"reconstruction length {len(reconstructed)} != original "
             f"{degraded.original_size}")
     if reconstructed == degraded.original:
-        return math.inf
-    a = np.frombuffer(degraded.original, dtype=np.uint8).astype(np.float64)
-    b = np.frombuffer(reconstructed, dtype=np.uint8).astype(np.float64)
-    mse = float(np.mean((a - b) ** 2))
-    return 10.0 * math.log10(BYTE_MAX ** 2 / mse)
+        psnr = math.inf
+    else:
+        a = np.frombuffer(degraded.original, dtype=np.uint8).astype(np.float64)
+        b = np.frombuffer(reconstructed, dtype=np.uint8).astype(np.float64)
+        mse = float(np.mean((a - b) ** 2))
+        psnr = 10.0 * math.log10(BYTE_MAX ** 2 / mse)
+    object.__setattr__(degraded, "_psnr", psnr)
+    return psnr
 
 
 def normalized_fidelity(psnr_db: float, reference_db: float = PSNR_REFERENCE_DB) -> float:

@@ -190,6 +190,27 @@ def check_cap_fractions(fractions: list[float], name: str) -> None:
             f"{name} must be finite and positive, got {bad[0]!r}")
 
 
+def cap_bytes(fractions: list[float], full_bytes: int, name: str) -> list[int]:
+    """The byte caps, ascending and without repeats, that cap fractions
+    give for a corpus of ``full_bytes``.  A fraction whose cap is not a
+    finite number of bytes, or rounds to 0 bytes, is rejected naming the
+    field or option ``name`` it came from."""
+    caps = set()
+    for f in fractions:
+        cap = f * full_bytes
+        if not cap < math.inf:
+            raise ConfigurationError(
+                f"{name}: {f!r} of {full_bytes} corpus bytes is not a "
+                f"finite byte cap")
+        cap = round(cap)
+        if cap < 1:
+            raise ConfigurationError(
+                f"{name}: {f!r} of {full_bytes} corpus bytes rounds to a "
+                f"0-byte cap")
+        caps.add(cap)
+    return sorted(caps)
+
+
 def _check_keys(section: str, given: dict, allowed) -> None:
     unknown = set(given) - set(allowed)
     if unknown:

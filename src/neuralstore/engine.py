@@ -14,8 +14,12 @@ the edge's entry is moved at once in the order of each cue it joins to a
 data neuron: it is found by ``bisect`` at its old ``(-weight, dn_id)``
 position and inserted again at its new one.  A cue without an order yet, or
 whose order does not hold the entry at its old weight, is re-sorted from the
-graph instead.  An operation's candidate list is a copy taken before its
-scan, so entries moved during the scan do not change it.  Code that edits
+graph instead.  An operation's candidate list is a fresh list taken before
+its scan, so entries moved during the scan do not change it.  For a cue set
+that resolves to one order (every generated trace uses one coarse cue per
+operation) the list is a slice of that order, up to the association
+threshold, found by ``bisect``, and the search limit; several orders are
+merged by a walk that drops repeated data neurons.  Code that edits
 associations directly with ``Memory.adjust_association`` must call
 :meth:`MemoryEngine.update_search_order` afterwards.
 
@@ -25,7 +29,9 @@ matrix-vector product gives the query's cosine with every neuron, and the
 candidates are then walked in order, stopping at the first match.  A score
 within ``NEAR_THRESHOLD`` of ``match_thresh`` (or NaN) is decided again by
 the scalar :func:`~neuralstore.codec.cosine_similarity`, so a match decision
-is always the one a candidate-by-candidate scan would make.  Reactions run
+is always the one a candidate-by-candidate scan would make.  Retrieve fine
+cues recur, so the engine keeps their unit rows, keyed by the cue's bytes,
+for up to ``FINE_UNIT_MEMO_SIZE`` distinct cues.  Reactions run
 only where a weight can change: on the match, and on each examined non-match
 when failure decay is enabled.
 
@@ -50,9 +56,11 @@ and the bytes freed are read off the changed rows in id order.
 
 from __future__ import annotations
 
+import math
 import typing
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -74,6 +82,10 @@ from neuralstore.core import (
 # unit-row scores closer than this to match_thresh are re-decided by the
 # scalar cosine_similarity; the two differ only by rounding, far below it
 NEAR_THRESHOLD = 1e-9
+
+# distinct retrieve fine cues whose unit rows an engine keeps; past this
+# many the memo starts over
+FINE_UNIT_MEMO_SIZE = 1024
 
 
 def _order_key(entry: SearchEntry) -> tuple[float, int]:
@@ -158,6 +170,8 @@ class MemoryEngine:
         self.search.validate()
         self.controls.validate()
         self.total_search_iterations = 0
+        # retrieve fine cue bytes -> unit_row of the cue (see _first_match)
+        self._fine_units: dict[bytes, np.ndarray] = {}
 
     # -- helpers -------------------------------------------------------------
 
@@ -243,18 +257,21 @@ class MemoryEngine:
 
     def get_search_order(self, cues, assoc_thresh: float | None = None,
                          search_limit: int | None = None) -> list[SearchEntry]:
-        """Candidate list for a cue set.
+        """Candidate list for a cue set, as a fresh list.
 
         Per-cue maintained orders are concatenated in the order cues were
         supplied; cues absent from the cue bank fall back to every locality's
         default cue.  Candidates at average strength <= the association
         threshold are pruned, duplicates keep their first occurrence, and the
         list is truncated at the search limit.
+
+        When the cues resolve to one order (one known cue, or an unknown cue
+        in a one-locality hive), that is a slice of the order: it holds no
+        duplicates and is sorted by descending weight, so the entries above
+        the threshold are a prefix, found by ``bisect``.
         """
         hive = self.hive
         t1 = self.search.assoc_thresh if assoc_thresh is None else assoc_thresh
-        out: list[SearchEntry] = []
-        seen: set[int] = set()
         lists: list[list[SearchEntry]] = []
         for cue in cues:
             cue_id = self._resolve_cue(cue)
@@ -263,6 +280,17 @@ class MemoryEngine:
             else:
                 lists.extend(hive.search_order.get(loc.default_cue_id, [])
                              for loc in hive.localities)
+        if len(lists) == 1:
+            order = lists[0]
+            end = len(order)
+            if end and not order[-1].avg_weight > t1:
+                end = bisect_left(order, (-t1, -math.inf), key=_order_key)
+            if search_limit is not None:
+                # as in the walk, a limit below 1 still admits one candidate
+                end = min(end, max(search_limit, 1))
+            return order[:end]
+        out: list[SearchEntry] = []
+        seen: set[int] = set()
         for entries in lists:
             for entry in entries:
                 if entry.avg_weight > t1 and entry.dn_id not in seen:
@@ -414,7 +442,8 @@ class MemoryEngine:
     # -- operations ------------------------------------------------------------
 
     def _first_match(self, candidates: list[SearchEntry],
-                     queries: list[np.ndarray], thresh: float) -> int | None:
+                     queries: list[np.ndarray], thresh: float,
+                     fine_cues: bool) -> int | None:
         """Index of the first candidate whose feature matches any query.
 
         Without queries the first candidate matches outright.  Each query,
@@ -422,17 +451,32 @@ class MemoryEngine:
         matrix in one product; the candidates are then walked in order up to
         the first match.  Scores within ``NEAR_THRESHOLD`` of ``thresh``
         (and NaN) are decided by the scalar ``cosine_similarity``.
+
+        Retrieve fine cues (``fine_cues``) recur across operations, so their
+        unit rows are kept, keyed by the cue's bytes: a cue changed in place
+        gets a new key.  A store's query is a freshly extracted feature and
+        is never kept.
         """
         if not candidates or not queries:
             return 0 if candidates else None
         hive = self.hive
         features = hive.features[:len(hive.feature_rows)]
+        units = self._fine_units
         scored = []
         for query in queries:
             if query.shape != features.shape[1:]:
                 raise ValueError(f"dimension mismatch: {query.shape} vs "
                                  f"{features.shape[1:]}")
-            scored.append((query, (features @ unit_row(query)).tolist()))
+            if fine_cues:
+                key = query.tobytes()
+                unit = units.get(key)
+                if unit is None:
+                    if len(units) >= FINE_UNIT_MEMO_SIZE:
+                        units.clear()
+                    unit = units[key] = unit_row(query)
+            else:
+                unit = unit_row(query)
+            scored.append((query, (features @ unit).tolist()))
         rows = hive.feature_rows
         above, below = thresh + NEAR_THRESHOLD, thresh - NEAR_THRESHOLD
         for i, entry in enumerate(candidates):
@@ -448,11 +492,12 @@ class MemoryEngine:
         return None
 
     def _scan(self, candidates: list[SearchEntry], queries: list[np.ndarray],
-              thresh: float, cues, controls: OpControls) -> tuple[SearchEntry | None, tuple[int, ...]]:
+              thresh: float, cues, controls: OpControls,
+              fine_cues: bool = False) -> tuple[SearchEntry | None, tuple[int, ...]]:
         """Examine candidates up to the first match; return it (or None) and
         the examined dn ids.  A failed examination changes a weight only
         under failure decay, so only then does it get its flag=0 reaction."""
-        first = self._first_match(candidates, queries, thresh)
+        first = self._first_match(candidates, queries, thresh, fine_cues)
         cost = len(candidates) if first is None else first + 1
         self.total_search_iterations += cost
         if controls.weaken_on_fail:
@@ -460,7 +505,7 @@ class MemoryEngine:
             for entry in candidates[:first]:
                 self.reaction(entry.dn_id, entry.cue_id, flag=0, cues=cues,
                               k=True)
-        examined = tuple(e.dn_id for e in candidates[:cost])
+        examined = tuple(map(attrgetter("dn_id"), candidates[:cost]))
         return (None if first is None else candidates[first]), examined
 
     def store(self, data, cues, search: SearchParams | None = None,
@@ -520,8 +565,8 @@ class MemoryEngine:
         candidates = self.get_search_order(cues, search.assoc_thresh,
                                            controls.search_limit)
         fine = [np.asarray(f, dtype=float) for f in (fine_cues or [])]
-        match, examined = self._scan(candidates, fine,
-                                     search.match_thresh, cues, controls)
+        match, examined = self._scan(candidates, fine, search.match_thresh,
+                                     cues, controls, fine_cues=True)
         if match is not None:
             # a reaction restores strength but never the stored quality
             stored = self.memory.data_neuron(match.dn_id).payload

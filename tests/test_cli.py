@@ -208,6 +208,38 @@ class TestCapValidation:
         assert "--caps must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("fraction, problem", [
+        (1e308, "is not a finite byte cap"),
+        (1e-300, "rounds to a 0-byte cap"),
+    ])
+    def test_config_cap_without_a_byte_size_exits_2_before_any_replay(
+            self, generated, tmp_path, capsys, fraction, problem):
+        config = write_config(tmp_path, name="bad.json",
+                              compare={"cap_fractions": [fraction]})
+        capsys.readouterr()
+        assert main(["compare", "--config", str(config), "--trace",
+                     str(generated), "--out", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert f"compare.cap_fractions: {fraction!r} of " in err
+        assert problem in err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("caps, problem", [
+        ("1e308", "1e+308 of "), ("0.5,1e308", "is not a finite byte cap"),
+        ("1e-300", "1e-300 of "), ("1e-300,0.5", "rounds to a 0-byte cap"),
+    ])
+    def test_caps_without_a_byte_size_exit_2_before_any_replay(
+            self, generated, tmp_path, capsys, caps, problem):
+        config = write_config(tmp_path)
+        capsys.readouterr()
+        assert main(["compare", "--config", str(config), "--trace",
+                     str(generated), f"--caps={caps}",
+                     "--out", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --caps: ")
+        assert problem in err
+        assert not (tmp_path / "c").exists()
+
     def test_valid_caps_option_runs(self, generated, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["compare", "--config", str(config), "--trace",
