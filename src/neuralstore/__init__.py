@@ -23,7 +23,6 @@ from neuralstore.codec import (
     HistogramExtractor,
     cosine_similarity,
     psnr_fidelity,
-    get_extractor,
 )
 from neuralstore.core import (
     AssociationGraph,
@@ -70,6 +69,5 @@ __all__ = [
     "StorageFullError",
     "TruncationCodec",
     "cosine_similarity",
-    "get_extractor",
     "psnr_fidelity",
 ]

@@ -9,14 +9,12 @@ computable.
 
 A hive stores every payload the way ``TruncationCodec.compress`` would: as
 a prefix of its blob, so a neuron's stored bytes are given by one size (see
-:class:`neuralstore.core.Hive`), and ``truncate`` is the only codec a hive
-accepts.
+:class:`neuralstore.core.Hive`).
 
-Feature vectors come from a pluggable extractor.  The default extractor
-projects the payload's byte histogram through a seeded random matrix and
-normalizes to unit length, so similar byte distributions map to similar
-vectors without any external model.  Real extractors can be registered
-under new ids without touching the engine.
+Feature vectors come from the histogram extractor: it projects the
+payload's byte histogram through a seeded random matrix and normalizes to
+unit length, so similar byte distributions map to similar vectors without
+any external model.
 
 All functions here are pure: outputs depend only on (payload, config, seed).
 """
@@ -87,8 +85,6 @@ class TruncationCodec:
     mean byte value.
     """
 
-    codec_id = "truncate"
-
     def compressed_size(self, original_size: int, quality: float) -> int:
         return math.ceil(original_size * quality / 100.0)
 
@@ -124,8 +120,6 @@ class HistogramExtractor:
     projection preserves their similarity; unrelated byte distributions have
     nearly disjoint histogram support and land far apart.
     """
-
-    extractor_id = "histogram"
 
     def __init__(self, dim: int = 64, seed: int = 7):
         self.dim = dim
@@ -200,49 +194,3 @@ def label_vector(label: str, dim: int = 64) -> np.ndarray:
     vec = rng.standard_normal(dim)
     return vec / np.linalg.norm(vec)
 
-
-# Strength-to-quality maps.  Memory strength and payload quality are both
-# percentages; the default map is the identity, alternatives must be
-# monotone non-decreasing and send [0, 100] into itself.  Each map has a
-# scalar form and an array form computing the same float64 operations.
-
-def _identity_map(strength):
-    return strength
-
-
-def _quantized10_map(strength: float) -> float:
-    return max(1.0, 10.0 * math.floor(strength / 10.0))
-
-
-def _quantized10_array(strength: np.ndarray) -> np.ndarray:
-    return np.maximum(1.0, 10.0 * np.floor(strength / 10.0))
-
-
-_EXTRACTORS: dict[str, type] = {HistogramExtractor.extractor_id: HistogramExtractor}
-_STRENGTH_QUALITY_MAPS = {
-    "identity": (_identity_map, _identity_map),
-    "quantized10": (_quantized10_map, _quantized10_array),
-}
-
-
-def register_extractor(extractor_cls: type) -> None:
-    _EXTRACTORS[extractor_cls.extractor_id] = extractor_cls
-
-
-def get_extractor(extractor_id: str, dim: int = 64, seed: int = 7):
-    try:
-        return _EXTRACTORS[extractor_id](dim=dim, seed=seed)
-    except KeyError:
-        raise KeyError(
-            f"unknown extractor id {extractor_id!r}; known: {sorted(_EXTRACTORS)}") from None
-
-
-def get_strength_quality_map(map_id: str, array: bool = False):
-    """The scalar form of a strength-quality map, or with ``array`` its
-    form over a float64 array."""
-    try:
-        return _STRENGTH_QUALITY_MAPS[map_id][array]
-    except KeyError:
-        raise KeyError(
-            f"unknown strength-quality map {map_id!r}; "
-            f"known: {sorted(_STRENGTH_QUALITY_MAPS)}") from None

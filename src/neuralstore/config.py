@@ -43,7 +43,13 @@ from neuralstore.core import (
     fits_type,
     type_name,
 )
-from neuralstore.engine import MemoryEngine, OpControls, SearchParams
+from neuralstore.engine import (
+    OP_CONTROL_TYPES,
+    SEARCH_PARAM_TYPES,
+    MemoryEngine,
+    OpControls,
+    SearchParams,
+)
 from neuralstore.workload import (
     CamReplayAdapter,
     Corpus,
@@ -59,20 +65,14 @@ _BASE_PRESET = {
         "memory_decay_rates": [0.5, 1.0],
         "association_decay_rates": [0.0, 0.0],
         "locality_mapping": [{"labels": ["class-0"]}, {}],
-        "matching_metric": "cosine",
         "elasticity_schedules": [[80, 70, 60, 50, 40, 30, 20, 10, 1],
                                  [80, 70, 60, 50, 40, 30, 20, 10, 1]],
         "eta": 20.0,
         "epsilon": 1.0,
         "phi": 1.0,
         "retention_period": 500,
-        "codec": "truncate",
-        "extractor": "histogram",
         "feature_dim": 64,
         "extractor_seed": 7,
-        "full_graph": False,
-        "elasticity_mode": "ceiling",
-        "strength_quality_map": "identity",
         "capacity_bytes": None,
     },
     "search": {"assoc_thresh": 0.0, "match_thresh": 0.95},
@@ -176,9 +176,20 @@ class RunConfig:
             raise ConfigurationError("cap_fractions must be strictly ascending")
         if self.warmup_ops < 0:
             raise ConfigurationError("warmup_ops must be >= 0")
-        for entry in self.bootstrap:
+        n, dim = self.hive.num_localities, self.hive.feature_dim
+        for i, entry in enumerate(self.bootstrap):
             if "item_id" not in entry:
-                raise ConfigurationError("bootstrap entries need an item_id")
+                raise ConfigurationError(f"bootstrap[{i}] needs an item_id")
+            locality = entry.get("locality")
+            if locality is not None and not 0 <= locality < n:
+                raise ConfigurationError(
+                    f"bootstrap[{i}].locality must be in [0, {n}), "
+                    f"got {locality}")
+            for j, cue in enumerate(entry.get("cues", ())):
+                if not isinstance(cue, str) and len(cue) != dim:
+                    raise ConfigurationError(
+                        f"bootstrap[{i}].cues[{j}] must have feature_dim "
+                        f"({dim}) values, got {len(cue)}")
 
 
 def check_cap_fractions(fractions: list[float], name: str) -> None:
@@ -231,8 +242,8 @@ def _check_fields(section: str | None, given: dict, hints: dict) -> None:
 # the declared type of every field of every config section
 _SECTION_TYPES = {
     "hive": HIVE_PARAM_TYPES,
-    "search": typing.get_type_hints(SearchParams),
-    "controls": typing.get_type_hints(OpControls),
+    "search": SEARCH_PARAM_TYPES,
+    "controls": OP_CONTROL_TYPES,
     "cam": {"policy": str, "key_by_label": bool},
     "workload": {k: v for k, v in typing.get_type_hints(WorkloadSpec).items()
                  if k != "seed"},

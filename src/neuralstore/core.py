@@ -15,18 +15,12 @@ those columns: its ``strength``, ``last_access_op``, ``size_bytes`` and
 ``payload`` are read-only, and change only through ``Memory``
 (``adjust_strength``, ``set_payload``, ``touch``) or the engine.
 
-A memory holds one hive, of one modality, with its hyperparameters, codec
-and feature extractor; localities partition the hive by data kind and carry
+A memory holds one hive, of one modality, with its hyperparameters and
+feature extractor; localities partition the hive by data kind and carry
 the decay hyperparameters.  Every locality owns a default cue connected to
 all of its data neurons, which is how data stays reachable when no user cue
-leads to it.
-
-Two connectivity modes exist.  In the default (sparse) mode only explicitly
-created associations exist and edges live at weights ``>= epsilon``.  In
-full-graph mode every pair of neurons is implicitly connected at
-``epsilon`` and only weights above ``epsilon`` are materialized, which keeps
-storage linear in the number of meaningful edges while preserving
-fully-connected semantics.
+leads to it.  Only explicitly created associations exist, at weights
+``>= epsilon``.
 
 All weight and strength updates go through the two clamp rules
 
@@ -49,13 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from neuralstore.codec import (
-    Payload,
-    TruncationCodec,
-    get_extractor,
-    get_strength_quality_map,
-    label_vector,
-)
+from neuralstore.codec import HistogramExtractor, Payload, label_vector
 
 SNAPSHOT_FORMAT = "neuralstore-snapshot"
 SNAPSHOT_VERSION = 1
@@ -212,16 +200,14 @@ class SearchEntry:
 # ---------------------------------------------------------------------------
 
 class AssociationGraph:
-    """Sparse symmetric weight map with an implicit-epsilon full-graph mode.
+    """Sparse symmetric weight map.
 
     Edges are stored once under the canonical ``(min_id, max_id)`` key, so
-    symmetry holds by construction.  In full-graph mode any absent pair reads
-    as ``epsilon`` and entries that decay back to ``epsilon`` are dropped.
+    symmetry holds by construction.
     """
 
-    def __init__(self, epsilon: float, full_graph: bool = False):
+    def __init__(self, epsilon: float):
         self.epsilon = epsilon
-        self.full_graph = full_graph
         self._weights: dict[tuple[int, int], float] = {}
         self._last_access: dict[tuple[int, int], int] = {}
         self._adjacency: dict[int, set[int]] = {}
@@ -233,11 +219,8 @@ class AssociationGraph:
         return (a, b) if a < b else (b, a)
 
     def weight(self, a: int, b: int) -> float | None:
-        """Logical weight of (a, b); ``None`` if no association exists."""
-        w = self._weights.get(self._key(a, b))
-        if w is not None:
-            return w
-        return self.epsilon if self.full_graph else None
+        """Weight of (a, b); ``None`` if no association exists."""
+        return self._weights.get(self._key(a, b))
 
     def has_edge(self, a: int, b: int) -> bool:
         return self.weight(a, b) is not None
@@ -247,14 +230,6 @@ class AssociationGraph:
 
     def _store(self, key: tuple[int, int], weight: float, op: int,
                touch: bool = True) -> None:
-        if self.full_graph and weight == self.epsilon:
-            # implicit in full-graph mode; drop for canonical state
-            self._weights.pop(key, None)
-            self._last_access.pop(key, None)
-            a, b = key
-            self._adjacency.get(a, set()).discard(b)
-            self._adjacency.get(b, set()).discard(a)
-            return
         self._weights[key] = weight
         if touch or key not in self._last_access:
             self._last_access[key] = op
@@ -266,8 +241,7 @@ class AssociationGraph:
         key = self._key(a, b)
         if key in self._weights:
             return self._weights[key]
-        if not self.full_graph:
-            self._store(key, self.epsilon, op)
+        self._store(key, self.epsilon, op)
         return self.epsilon
 
     def adjust(self, a: int, b: int, delta: float, op: int,
@@ -280,23 +254,18 @@ class AssociationGraph:
         key = self._key(a, b)
         old = self._weights.get(key)
         if old is None:
-            if not self.full_graph:
-                raise KeyError(f"no association between {a} and {b}")
-            old = self.epsilon
+            raise KeyError(f"no association between {a} and {b}")
         new = clamp_weight(self.epsilon, old, delta)
         self._store(key, new, op, touch=touch)
         return old, new
 
     def neighbors(self, node: int) -> set[int]:
-        """Materialized neighbors of a node (full-graph implicit pairs excluded)."""
+        """Neighbors of a node."""
         return set(self._adjacency.get(node, ()))
 
     def edges(self) -> list[tuple[int, int, float]]:
-        """Materialized edges sorted by key."""
+        """Edges sorted by key."""
         return [(a, b, self._weights[(a, b)]) for a, b in sorted(self._weights)]
-
-    def materialized_count(self) -> int:
-        return len(self._weights)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +314,6 @@ class HiveParams:
     memory_decay_rates: list[float] = field(default_factory=lambda: [0.5, 1.0])
     association_decay_rates: list[float] = field(default_factory=lambda: [0.0, 0.0])
     locality_mapping: list[dict] = field(default_factory=lambda: [{}, {}])
-    matching_metric: str = "cosine"
     elasticity_schedules: list[list[float]] = field(
         default_factory=lambda: [[80, 70, 60, 50, 40, 30, 20, 10, 1],
                                  [80, 70, 60, 50, 40, 30, 20, 10, 1]])
@@ -353,13 +321,8 @@ class HiveParams:
     epsilon: float = 1.0
     phi: float = 1.0
     retention_period: int = 500
-    codec: str = "truncate"
-    extractor: str = "histogram"
     feature_dim: int = 64
     extractor_seed: int = 7
-    full_graph: bool = False
-    elasticity_mode: str = "ceiling"
-    strength_quality_map: str = "identity"
     capacity_bytes: int | None = None
 
     def validate(self) -> None:
@@ -394,10 +357,6 @@ class HiveParams:
             problems.append("retention_period must be >= 1")
         if self.feature_dim < 1:
             problems.append("feature_dim must be >= 1")
-        if self.elasticity_mode not in ("ceiling", "scale"):
-            problems.append(f"unknown elasticity_mode {self.elasticity_mode!r}")
-        if self.matching_metric != "cosine":
-            problems.append(f"unknown matching metric {self.matching_metric!r}")
         if self.capacity_bytes is not None and self.capacity_bytes < 0:
             problems.append("capacity_bytes must be >= 0 or null")
         for i, schedule in enumerate(self.elasticity_schedules):
@@ -412,18 +371,21 @@ class HiveParams:
             if schedule[-1] < max(self.phi, 1.0):
                 problems.append(
                     f"elasticity schedule {i} must end at >= max(phi, 1)")
-        # a hive stores each payload as a prefix of its blob (see Hive)
-        if self.codec != TruncationCodec.codec_id:
-            problems.append(f"unsupported codec {self.codec!r}; the hive "
-                            f"stores payloads as {TruncationCodec.codec_id!r}")
-        try:
-            get_strength_quality_map(self.strength_quality_map)
-        except KeyError as exc:
-            problems.append(str(exc))
-        try:
-            get_extractor(self.extractor, dim=self.feature_dim, seed=self.extractor_seed)
-        except KeyError as exc:
-            problems.append(str(exc))
+        for i, mapping in enumerate(self.locality_mapping):
+            name = f"locality_mapping[{i}]"
+            centroid = mapping.get("centroid")
+            if centroid is not None:
+                if len(centroid) != self.feature_dim:
+                    problems.append(
+                        f"{name}.centroid must have feature_dim "
+                        f"({self.feature_dim}) values, got {len(centroid)}")
+                elif not np.isfinite(np.asarray(centroid, dtype=float)).all():
+                    problems.append(f"{name}.centroid must be finite")
+            min_sim = mapping.get("min_similarity")
+            # NaN fails the comparison too
+            if min_sim is not None and not -1.0 <= min_sim <= 1.0:
+                problems.append(f"{name}.min_similarity must be finite and "
+                                f"in [-1, 1], got {min_sim!r}")
         if problems:
             raise ConfigurationError("; ".join(problems))
 
@@ -442,12 +404,8 @@ class Hive:
     search_order: dict[int, list[SearchEntry]] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.extractor = get_extractor(self.params.extractor,
-                                       dim=self.params.feature_dim,
-                                       seed=self.params.extractor_seed)
-        map_id = self.params.strength_quality_map
-        self.quality_map = get_strength_quality_map(map_id)
-        self.quality_map_array = get_strength_quality_map(map_id, array=True)
+        self.extractor = HistogramExtractor(dim=self.params.feature_dim,
+                                            seed=self.params.extractor_seed)
         self._label_index: dict[str, int] = {}
         self._vector_index: dict[bytes, int] = {}
         # One row per data neuron, in the order they were added (which is id
@@ -536,7 +494,7 @@ class Memory:
                 association_decay_rate=params.association_decay_rates[i],
                 mapping=params.locality_mapping[i],
             ))
-        self.graph = AssociationGraph(params.epsilon, params.full_graph)
+        self.graph = AssociationGraph(params.epsilon)
         self.neurons: dict[int, CueNeuron | DataNeuron] = {}
         self.op_counter = 0
         self._next_neuron_id = 0
@@ -605,10 +563,8 @@ class Memory:
         locality.add(dn_id, row)
         if locality.default_cue_id is None:
             locality.default_cue_id = self._add_default_cue(locality)
-        # new neurons join at the epsilon floor: explicitly to the locality
-        # default cue in sparse mode, implicitly to everything in full mode
-        if not self.graph.full_graph:
-            self.graph.ensure(locality.default_cue_id, dn.id, self.op_counter)
+        # new neurons join their locality's default cue at the epsilon floor
+        self.graph.ensure(locality.default_cue_id, dn.id, self.op_counter)
         return dn.id
 
     # -- lookups ------------------------------------------------------------
@@ -627,11 +583,8 @@ class Memory:
         return self._bytes
 
     def edge_count(self) -> int:
-        """Logical association count (full mode counts every distinct pair)."""
-        if self.graph.full_graph:
-            n = len(self.neurons)
-            return n * (n - 1) // 2
-        return self.graph.materialized_count()
+        """Number of associations."""
+        return len(self.graph._weights)
 
     def weight(self, a: int, b: int) -> float | None:
         self._check_ids(a, b)
@@ -657,22 +610,20 @@ class Memory:
     def adjust_strength(self, dn_id: int, delta: float) -> float:
         """Clamped strength update; a lower stored quality follows from it.
 
-        The quality is the strength-quality map of the new strength (both
-        maps send ``[0, 100]`` into itself), and where it is below the
-        stored quality the payload is truncated to ``ceil(original_size *
-        quality / 100)`` bytes, as the prefix codec compresses.
+        The quality is the new strength, and where it is below the stored
+        quality the payload is truncated to ``ceil(original_size * quality
+        / 100)`` bytes, as the prefix codec compresses.
         :meth:`adjust_strengths` is the same update over many rows.
         """
         hive = self.hive
         row = self.data_neuron(dn_id).row
         new = clamp_strength(hive.params.phi, hive.strength.item(row), delta)
         hive.strength[row] = new
-        quality = hive.quality_map(new)
-        if quality < hive.quality.item(row):
+        if new < hive.quality.item(row):
             keep = hive.keep.item(row)
             kept = min(keep, math.ceil(
-                hive.original_size.item(row) * quality / 100.0))
-            hive.quality[row] = quality
+                hive.original_size.item(row) * new / 100.0))
+            hive.quality[row] = new
             hive.keep[row] = kept
             hive.built[row] = None
             self._bytes -= keep - kept
@@ -690,7 +641,8 @@ class Memory:
         hive = self.hive
         new = np.minimum(100.0, np.maximum(hive.params.phi, strengths - delta))
         hive.strength[rows] = new
-        quality = hive.quality_map_array(new)
+        # the quality a row stores is its strength
+        quality = new
         lower = (quality < hive.quality[rows]).nonzero()[0]
         if len(lower) < len(rows):
             rows, quality = rows[lower], quality[lower]
@@ -732,7 +684,7 @@ class Memory:
         lines = [f"{SNAPSHOT_FORMAT} {SNAPSHOT_VERSION}",
                  f"hive {hive.id} modality={urllib.parse.quote(hive.modality)} "
                  f"eta={_fmt(p.eta)} epsilon={_fmt(p.epsilon)} phi={_fmt(p.phi)} "
-                 f"retention={p.retention_period} full_graph={int(p.full_graph)}"]
+                 f"retention={p.retention_period}"]
         for loc in hive.localities:
             default = "-" if loc.default_cue_id is None else loc.default_cue_id
             lines.append(

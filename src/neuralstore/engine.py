@@ -49,9 +49,10 @@ Retention and elasticity change data neurons a locality at a time, as one
 array update of the hive's columns (see :mod:`neuralstore.core`): a mask
 picks the rows (idle for at least the window, or above the elasticity
 floor), ``Memory.adjust_strengths`` clamps their strengths with the same
-float64 operations ``Memory.adjust_strength`` uses for one neuron, maps them
-to qualities and truncates the sizes that fall, and the retention summary
-and the bytes freed are read off the changed rows in id order.
+float64 operations ``Memory.adjust_strength`` uses for one neuron, takes
+them as the rows' qualities and truncates the sizes that fall, and the
+retention summary and the bytes freed are read off the changed rows in id
+order.
 """
 
 from __future__ import annotations
@@ -92,6 +93,14 @@ def _order_key(entry: SearchEntry) -> tuple[float, int]:
     return (-entry.avg_weight, entry.dn_id)
 
 
+def _validated(params):
+    """``params`` (a ``SearchParams`` or ``OpControls`` passed to one
+    operation) after its ``validate()``; the engine's own were validated
+    when it was built."""
+    params.validate()
+    return params
+
+
 class StorageFullError(RuntimeError):
     """Capacity cannot be created even at maximum elasticity aggressiveness."""
 
@@ -113,7 +122,7 @@ class SearchParams:
     match_thresh: float = 0.95
 
     def validate(self) -> None:
-        check_field_types(self, typing.get_type_hints(SearchParams))
+        check_field_types(self, SEARCH_PARAM_TYPES)
         if non_finite(self.assoc_thresh):
             raise ConfigurationError("assoc_thresh must be finite")
         if not -1.0 <= self.match_thresh <= 1.0:
@@ -128,9 +137,15 @@ class OpControls:
     weaken_on_fail: bool = False
 
     def validate(self) -> None:
-        check_field_types(self, typing.get_type_hints(OpControls))
+        check_field_types(self, OP_CONTROL_TYPES)
         if self.search_limit is not None and self.search_limit < 1:
             raise ConfigurationError("search_limit must be >= 1 or null")
+
+
+# the declared type of every SearchParams and OpControls field, read once:
+# per-operation values are validated on every call that passes them
+SEARCH_PARAM_TYPES = typing.get_type_hints(SearchParams)
+OP_CONTROL_TYPES = typing.get_type_hints(OpControls)
 
 
 @dataclass(frozen=True)
@@ -222,12 +237,8 @@ class MemoryEngine:
     def _sorted_order(self, cue_id: int) -> list[SearchEntry]:
         graph = self.memory.graph
         data_rows = self.hive.feature_rows      # one row per data neuron
-        if graph.full_graph:
-            candidates = data_rows
-        else:
-            candidates = [n for n in graph.neighbors(cue_id) if n in data_rows]
         entries = [SearchEntry(cue_id, dn, graph.weight(cue_id, dn))
-                   for dn in candidates]
+                   for dn in graph.neighbors(cue_id) if dn in data_rows]
         entries.sort(key=_order_key)
         return entries
 
@@ -364,25 +375,17 @@ class MemoryEngine:
         return self._cap_locality(locality, ceiling)
 
     def _cap_locality(self, locality: Locality, ceiling: float) -> int:
-        """Lower every strength in the locality above its target to the
-        target, in one array update; return the bytes freed."""
-        params = self.params
-        scale = params.elasticity_mode == "scale"
-        # no neuron at or below the floor can lose strength
-        floor = params.phi if scale else max(params.phi, ceiling)
+        """Lower every strength in the locality above ``max(phi, ceiling)``
+        to that floor, in one array update; return the bytes freed."""
+        floor = max(self.params.phi, ceiling)
         rows = locality.rows
         strengths = self.hive.strength[rows]
-        above = strengths > floor
-        if scale:
-            target = np.maximum(params.phi, strengths * ceiling / 100.0)
-            above &= target < strengths
-        above = above.nonzero()[0]
+        above = (strengths > floor).nonzero()[0]
         if not len(above):
             return 0
         strengths = strengths[above]
-        target = target[above] if scale else floor
         _, _, freed = self.memory.adjust_strengths(
-            rows[above], strengths, strengths - target)
+            rows[above], strengths, strengths - floor)
         return sum(freed.tolist())
 
     def ensure_capacity(self, bytes_needed: int) -> None:
@@ -514,8 +517,8 @@ class MemoryEngine:
         """Store data: merge into a similar resident neuron or create a new one."""
         if not cues:
             raise ConfigurationError("store requires at least one insertion cue")
-        search = search or self.search
-        controls = controls or self.controls
+        search = self.search if search is None else _validated(search)
+        controls = self.controls if controls is None else _validated(controls)
         payload = self._as_payload(data, item_id)
         hive = self.hive
         self.memory.op_counter += 1
@@ -540,13 +543,9 @@ class MemoryEngine:
             label = next((c for c in cues if isinstance(c, str)), None)
             locality = self.select_locality(label, feature)
             dn_id = self.memory.add_data_neuron(locality.id, payload, feature)
-            # the new neuron joins its locality's default cue, or every cue
-            # through the implicit links of full-graph mode, at epsilon
-            graph = self.memory.graph
-            joined = (list(hive.cue_bank) if graph.full_graph
-                      else [locality.default_cue_id])
-            for cue_id in joined:
-                self._move_edge(cue_id, dn_id, None, graph.epsilon)
+            # the new neuron joins its locality's default cue at epsilon
+            self._move_edge(locality.default_cue_id, dn_id, None,
+                            self.params.epsilon)
             self._associate_cues(cues, dn_id, skip=None)
             outcome = OpOutcome("new_neuron", dn_id, len(examined), payload,
                                 100.0, examined)
@@ -559,8 +558,8 @@ class MemoryEngine:
         candidate outright when no fine cues are given)."""
         if not cues:
             raise ConfigurationError("retrieve requires at least one coarse cue")
-        search = search or self.search
-        controls = controls or self.controls
+        search = self.search if search is None else _validated(search)
+        controls = self.controls if controls is None else _validated(controls)
         self.memory.op_counter += 1
         candidates = self.get_search_order(cues, search.assoc_thresh,
                                            controls.search_limit)
@@ -665,23 +664,18 @@ class MemoryEngine:
 def oracle_search_order(memory: Memory, hive: Hive) -> dict[int, list[tuple[int, float]]]:
     """Brute-force recomputation of every cue's search order from raw edges.
 
-    Independent of the maintained lists: reads only the edge set (or, in
-    full-graph mode, the implicit complete graph) and re-sorts from scratch.
-    Returns ``{cue_id: [(dn_id, avg_weight), ...]}``.
+    Independent of the maintained lists: reads only the edge set and
+    re-sorts from scratch.  Returns ``{cue_id: [(dn_id, avg_weight), ...]}``.
     """
     orders: dict[int, list[tuple[int, float]]] = {}
     for cue_id in hive.cue_bank:
         pairs: list[tuple[int, float]] = []
-        if memory.graph.full_graph:
-            pairs = [(dn.id, memory.graph.weight(cue_id, dn.id))
-                     for dn in memory.data_neurons()]
-        else:
-            for a, b, w in memory.graph.edges():
-                other = b if a == cue_id else a if b == cue_id else None
-                if other is None:
-                    continue
-                if isinstance(memory.neurons[other], DataNeuron):
-                    pairs.append((other, w))
+        for a, b, w in memory.graph.edges():
+            other = b if a == cue_id else a if b == cue_id else None
+            if other is None:
+                continue
+            if isinstance(memory.neurons[other], DataNeuron):
+                pairs.append((other, w))
         pairs.sort(key=lambda t: (-t[1], t[0]))
         orders[cue_id] = pairs
     return orders

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -10,9 +11,10 @@ import sys
 import pytest
 
 from neuralstore.cli import main
-from neuralstore.config import build_adapter, load_config
-from neuralstore.core import ConfigurationError
-from neuralstore.workload import read_manifest, read_trace, replay
+from neuralstore.config import _BASE_PRESET, build_adapter, load_config
+from neuralstore.core import ConfigurationError, HiveParams
+from neuralstore.engine import OpControls, SearchParams
+from neuralstore.workload import WorkloadSpec, read_manifest, read_trace, replay
 
 
 SMALL_WORKLOAD = {
@@ -74,6 +76,21 @@ class TestConfig:
         assert main(["generate", "--config", str(config),
                      "--out", str(tmp_path / "x")]) == 2
         assert "controls: update_order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, cls", [
+        ("hive", HiveParams),
+        ("search", SearchParams),
+        ("controls", OpControls),
+        ("workload", WorkloadSpec),
+    ])
+    def test_base_preset_section_has_exactly_its_dataclass_fields(
+            self, section, cls):
+        # the base preset documents every default; a removed field left in
+        # it or a new field missing from it would go unnoticed otherwise
+        fields = {f.name for f in dataclasses.fields(cls)}
+        if cls is WorkloadSpec:
+            fields.remove("seed")       # comes from the top-level seed
+        assert set(_BASE_PRESET[section]) == fields
 
     def test_invalid_hive_params_rejected_before_running(self, tmp_path):
         path = tmp_path / "c.json"

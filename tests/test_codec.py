@@ -15,8 +15,6 @@ from neuralstore.codec import (
     Payload,
     TruncationCodec,
     cosine_similarity,
-    get_extractor,
-    get_strength_quality_map,
     label_vector,
     normalized_fidelity,
     psnr_fidelity,
@@ -217,19 +215,6 @@ class TestFidelity:
 
 
 class TestRegistries:
-    def test_unknown_ids_rejected(self):
-        with pytest.raises(KeyError):
-            get_extractor("embedding-model")
-        with pytest.raises(KeyError):
-            get_strength_quality_map("cubic")
-
-    def test_quality_maps(self):
-        identity = get_strength_quality_map("identity")
-        quantized = get_strength_quality_map("quantized10")
-        assert identity(73.5) == 73.5
-        assert quantized(73.5) == 70.0
-        assert quantized(5.0) == 1.0
-
     def test_label_vectors_deterministic_and_distinct(self):
         a = label_vector("wolf")
         assert np.array_equal(a, label_vector("wolf"))

@@ -45,9 +45,6 @@ class TestParamsValidation:
         {"memory_decay_rates": [-1.0, 1.0]},
         {"elasticity_schedules": [[80, 90, 1], [80, 1]]},
         {"elasticity_schedules": [[80, 0.5], [80, 1]]},
-        {"codec": "nope"},
-        {"extractor": "nope"},
-        {"elasticity_mode": "nope"},
         {"num_localities": 3},  # list lengths no longer match
     ])
     def test_invalid_params_rejected(self, overrides):
@@ -81,18 +78,6 @@ class TestCueNeurons:
         with pytest.raises(ConfigurationError):
             memory.add_cue_neuron(cue_vector=np.ones(3))
 
-    def test_full_graph_cue_connects_to_all_existing(self):
-        memory, hive = make_memory(full_graph=True)
-        memory.add_cue_neuron(label="a")
-        memory.add_cue_neuron(label="b")
-        memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
-        before = memory.edge_count()
-        new = memory.add_cue_neuron(label="c")
-        assert memory.edge_count() - before == 4  # 3 prior neurons + default cue
-        for other in memory.neurons:
-            if other != new:
-                assert memory.weight(new, other) == hive.params.epsilon
-
 
 class TestDataNeurons:
     def test_new_neuron_full_strength_one_default_edge(self):
@@ -115,18 +100,6 @@ class TestDataNeurons:
         memory, hive = make_memory()
         with pytest.raises(ConfigurationError):
             memory.add_data_neuron(9, payload(), feat(memory, payload().blob))
-
-    def test_full_graph_data_neuron_connects_to_all(self):
-        memory, hive = make_memory(full_graph=True)
-        memory.add_cue_neuron(label="a")
-        memory.add_cue_neuron(label="b")
-        memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
-        before_neurons = len(memory.neurons)
-        before = memory.edge_count()
-        memory.add_data_neuron(1, payload(60), feat(memory, payload(60).blob))
-        # the new data neuron joins everything, and so does the default cue
-        # created alongside it in locality 1
-        assert memory.edge_count() - before == before_neurons + (before_neurons + 1)
 
 
 class TestAdjustments:

@@ -357,14 +357,6 @@ class TestElasticity:
         with pytest.raises(ElasticityExhausted):
             engine.elasticity(engine.hive.localities[0], 9)
 
-    def test_scale_mode_multiplies(self):
-        engine = engine_with(elasticity_mode="scale")
-        out = engine.store(blob(0, size=1000), ["hot"])
-        engine.elasticity(engine.hive.localities[0], 0)
-        assert engine.memory.data_neuron(out.dn_id).strength == 80.0
-        engine.elasticity(engine.hive.localities[0], 0)
-        assert engine.memory.data_neuron(out.dn_id).strength == 64.0
-
 
 class TestEnsureCapacity:
     def test_unbounded_is_noop(self):
@@ -586,42 +578,6 @@ class TestDeterminism:
             return [(o.kind, o.dn_id, o.cost, o.examined) for o in outs]
 
         assert run() == run()
-
-
-class TestFullGraphMode:
-    def test_store_and_retrieve_over_implicit_edges(self):
-        engine = engine_with(full_graph=True)
-        a = engine.store(blob(0), ["hot"])
-        b = engine.store(blob(1), ["hot"])
-        assert a.kind == b.kind == "new_neuron"
-        # second store examines the first neuron through its implicit link
-        assert b.cost == 1
-        fine = engine.hive.extractor.extract(blob(1))
-        out = engine.retrieve(["hot"], [fine])
-        assert out.kind == "hit"
-        assert out.dn_id == b.dn_id
-
-    def test_every_neuron_reachable_from_any_cue(self):
-        engine = engine_with(full_graph=True)
-        engine.store(blob(0), ["hot"])
-        engine.store(blob(1, cls=1), ["other"])
-        order = engine.get_search_order(["hot"])
-        assert len(order) == 2     # both data neurons, implicit epsilon links
-
-    def test_orders_match_oracle(self):
-        engine = engine_with(full_graph=True)
-        for u in range(4):
-            engine.store(blob(u), ["hot"])
-        fine = engine.hive.extractor.extract(blob(2))
-        engine.retrieve(["hot"], [fine])
-        assert maintained(engine) == oracle_search_order(engine.memory,
-                                                         engine.hive)
-
-    def test_only_above_epsilon_weights_materialize(self):
-        engine = engine_with(full_graph=True)
-        engine.store(blob(0), ["hot"])
-        engine.store(blob(1), ["hot"])
-        assert engine.memory.graph.materialized_count() < engine.memory.edge_count()
 
 
 class TestDataToDataEdges:

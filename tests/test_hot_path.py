@@ -17,12 +17,7 @@ import numpy as np
 import pytest
 
 from neuralstore import engine as engine_module
-from neuralstore.codec import (
-    Payload,
-    TruncationCodec,
-    cosine_similarity,
-    get_strength_quality_map,
-)
+from neuralstore.codec import Payload, TruncationCodec, cosine_similarity
 from neuralstore.config import load_config
 from neuralstore.core import DataNeuron, HiveParams, SearchEntry
 from neuralstore.engine import (
@@ -339,11 +334,7 @@ def reference_cap(engine, locality, ceiling: float) -> int:
     freed = 0
     for dn_id in locality.dn_ids:
         dn = memory.data_neuron(dn_id)
-        if params.elasticity_mode == "scale":
-            target = dn.strength * ceiling / 100.0
-        else:
-            target = min(dn.strength, ceiling)
-        target = max(params.phi, target)
+        target = max(params.phi, min(dn.strength, ceiling))
         if target < dn.strength:
             before = dn.size_bytes
             memory.adjust_strength(dn_id, dn.strength - target)
@@ -408,12 +399,10 @@ def columns(engine) -> list[bytes]:
 
 
 class TestElasticityFloor:
-    @pytest.mark.parametrize("mode", ["ceiling", "scale"])
     @pytest.mark.parametrize("phi", [0.0, 1.0, 30.0])
-    def test_same_strengths_sizes_and_bytes_freed_as_the_full_walk(
-            self, mode, phi):
-        rng = np.random.default_rng(int(phi) + len(mode))
-        engines = [engine_with(elasticity_mode=mode, phi=phi,
+    def test_same_strengths_sizes_and_bytes_freed_as_the_full_walk(self, phi):
+        rng = np.random.default_rng(int(phi) + 7)
+        engines = [engine_with(phi=phi,
                                elasticity_schedules=[[90.0, max(phi, 1.0)]] * 2)
                    for _ in range(2)]
         strengths = [100.0, phi, phi, 50.0, 30.0, 80.0, 99.9, 100.0]
@@ -541,17 +530,16 @@ class TestArrayPasses:
     walks, bit for bit."""
 
     @staticmethod
-    def populated(cls, mode: str, phi: float, quality_map: str):
+    def populated(cls, phi: float):
         params = HiveParams(
             num_localities=2, memory_decay_rates=[7.5, 13.25],
             association_decay_rates=[1.0, 2.0],
             locality_mapping=[{"labels": ["hot"]}, {}], phi=phi,
-            elasticity_mode=mode, strength_quality_map=quality_map,
             elasticity_schedules=[[90.0, 40.0, max(phi, 1.0)]] * 2,
             retention_period=10**6)
         engine = cls(params)
         memory = engine.memory
-        rng = np.random.default_rng(int(phi) + len(mode) + len(quality_map))
+        rng = np.random.default_rng(int(phi) + 15)
         distinct = SearchParams(match_thresh=1.0)
         strengths = [100.0, phi, phi, 50.0, 30.0, 80.0, 99.9, 100.0]
         strengths += [float(rng.uniform(phi, 100.0)) for _ in range(10)]
@@ -606,12 +594,9 @@ class TestArrayPasses:
                 assert dn.payload is payload, dn.id
             before[dn.id] = dn.payload
 
-    @pytest.mark.parametrize("quality_map", ["identity", "quantized10"])
-    @pytest.mark.parametrize("mode", ["ceiling", "scale"])
     @pytest.mark.parametrize("phi", [0.0, 1.0, 30.0])
-    def test_bit_identical_to_the_per_neuron_walks(self, mode, phi,
-                                                   quality_map):
-        new, old = (self.populated(cls, mode, phi, quality_map)
+    def test_bit_identical_to_the_per_neuron_walks(self, phi):
+        new, old = (self.populated(cls, phi)
                     for cls in (MemoryEngine, ScalarReferenceEngine))
         before = {dn.id: dn.payload for dn in new.memory.data_neurons()}
         self.assert_same(new, old, before)
@@ -643,7 +628,7 @@ class TestArrayPasses:
             self.assert_same(new, old, before)
 
     def test_retention_keeps_id_order_and_counts_only_moved_strengths(self):
-        new = self.populated(MemoryEngine, "ceiling", 1.0, "identity")
+        new = self.populated(MemoryEngine, 1.0)
         memory = new.memory
         floored = memory.data_neurons()[-1].id
         size = memory.data_neuron(floored).size_bytes
@@ -687,20 +672,6 @@ class TestStateColumns:
         assert built == Payload("blob", data[:1229], data, 60.0, None)
         out = engine.retrieve(["hot"], [feature(engine, data)])
         assert out.payload is built and out.quality == 60.0
-
-    def test_quantized10_array_form_equals_the_scalar_form(self):
-        scalar = get_strength_quality_map("quantized10")
-        array = get_strength_quality_map("quantized10", array=True)
-        rng = np.random.default_rng(10)
-        tens = np.arange(0.0, 101.0, 10.0)
-        grid = np.concatenate([
-            np.linspace(0.0, 100.0, 20001), tens,
-            np.nextafter(tens, -np.inf), np.nextafter(tens, np.inf),
-            rng.uniform(0.0, 100.0, 2000), [0.0, 100.0, 1e-300, 99.99999]])
-        grid = grid[(grid >= 0.0) & (grid <= 100.0)]
-        expected = np.array([scalar(x) for x in grid.tolist()])
-        assert array(grid).tobytes() == expected.tobytes()
-        assert array(tens).tolist() == [1.0] + tens[1:].tolist()
 
 
 class TestReactionEdgeReads:

@@ -55,10 +55,8 @@ def assert_moved_in_place(engine, before: dict) -> None:
 
 
 class TestReactionUpkeep:
-    @pytest.mark.parametrize("full_graph", [False, True])
-    def test_every_op_moves_orders_in_place(self, full_graph):
-        engine = engine_with(full_graph=full_graph,
-                             association_decay_rates=[5.0, 5.0])
+    def test_every_op_moves_orders_in_place(self):
+        engine = engine_with(association_decay_rates=[5.0, 5.0])
         extract = engine.hive.extractor.extract
         for cluster in range(3):
             engine.store(blob(cluster), ["hot"])
@@ -139,17 +137,15 @@ class TestDifferentialAgainstFullRebuild:
             assert orders == oracle_search_order(new.engine.memory,
                                                  new.engine.hive), f"seq {rec.seq}"
 
-    @pytest.mark.parametrize("full_graph", [False, True])
-    def test_mixed_controls_match_full_rebuild(self, full_graph):
+    def test_mixed_controls_match_full_rebuild(self):
         params = dict(memory_decay_rates=[0.5, 1.0],
                       association_decay_rates=[0.5, 2.0],
                       locality_mapping=[{"labels": ["hot"]}, {}],
-                      eta=7.0, epsilon=1.0, phi=1.0, retention_period=97,
-                      full_graph=full_graph)
+                      eta=7.0, epsilon=1.0, phi=1.0, retention_period=97)
         engines = [cls(HiveParams(**params))
                    for cls in (MemoryEngine, FullRebuildEngine)]
         new = engines[0]
-        rng = np.random.default_rng(31 + full_graph)
+        rng = np.random.default_rng(31)
         pool = [blob(cluster, cls=cls) for cls in range(2) for cluster in range(40)]
         features = [new.hive.extractor.extract(p) for p in pool]
         labels = ["hot", "warm", "cool"]

@@ -70,6 +70,31 @@ def test_well_typed_search_and_control_fields_pass():
     OpControls(search_limit=np.int64(3), weaken_on_fail=True).validate()
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"controls": OpControls(search_limit=0)}, "search_limit"),
+    ({"controls": OpControls(weaken_on_fail="yes")}, "weaken_on_fail"),
+    ({"search": SearchParams(match_thresh=7.0)}, "match_thresh"),
+    ({"search": SearchParams(assoc_thresh=NAN)}, "assoc_thresh"),
+])
+@pytest.mark.parametrize("op", ["store", "retrieve", "update_cue"])
+def test_per_op_search_and_controls_are_validated(op, kwargs, field):
+    # the values the constructor refuses are refused per operation too,
+    # before the operation changes anything
+    engine = MemoryEngine(HiveParams(locality_mapping=[{"labels": ["hot"]},
+                                                       {}]))
+    data = bytes(range(256)) * 4
+    engine.store(data, ["hot"])
+    fine = engine.hive.extractor.extract(data)
+    calls = {"store": lambda: engine.store(data, ["hot"], **kwargs),
+             "retrieve": lambda: engine.retrieve(["hot"], [fine], **kwargs),
+             "update_cue": lambda: engine.update_cue("new", fine, **kwargs)}
+    before = engine.memory.export_graph("snapshot")
+    with pytest.raises(ConfigurationError, match=field):
+        calls[op]()
+    assert engine.memory.export_graph("snapshot") == before
+    assert engine.memory.op_counter == 1
+
+
 @pytest.mark.parametrize("section, field, value", [
     ("hive", "eta", NAN),
     ("hive", "epsilon", INF),
@@ -151,8 +176,6 @@ TYPED_FIELDS = [
     ("hive", "memory_decay_rates", _is_list_of(_is_number)),
     ("hive", "elasticity_schedules", _is_list_of(_is_list_of(_is_number))),
     ("hive", "locality_mapping", _is_list_of(lambda v: isinstance(v, dict))),
-    ("hive", "full_graph", lambda v: isinstance(v, bool)),
-    ("hive", "codec", lambda v: isinstance(v, str)),
     ("hive", "capacity_bytes", lambda v: v is None or _is_int(v)),
     ("search", "match_thresh", _is_number),
     ("controls", "search_limit", lambda v: v is None or _is_int(v)),
@@ -227,6 +250,83 @@ def test_hive_params_take_tuples_and_numpy_numbers():
     with pytest.raises(ConfigurationError) as caught:
         HiveParams(retention_period="5").validate()
     assert str(caught.value) == "retention_period must be int, got '5'"
+
+
+@pytest.mark.parametrize("mapping, message", [
+    ({"centroid": [1.0, 0.0, 0.0]},
+     "locality_mapping[0].centroid must have feature_dim (64) values, got 3"),
+    ({"centroid": [NAN] + [0.0] * 63},
+     "locality_mapping[0].centroid must be finite"),
+    ({"centroid": [1.0] * 63 + [INF]},
+     "locality_mapping[0].centroid must be finite"),
+    ({"centroid": [1.0] * 64, "min_similarity": NAN},
+     "locality_mapping[0].min_similarity must be finite and in [-1, 1], "
+     "got nan"),
+    ({"labels": ["deer"], "min_similarity": 1.5},
+     "locality_mapping[0].min_similarity must be finite and in [-1, 1], "
+     "got 1.5"),
+    ({"min_similarity": -INF},
+     "locality_mapping[0].min_similarity must be finite and in [-1, 1], "
+     "got -inf"),
+])
+def test_bad_locality_mapping_entry_is_named(tmp_path, capsys, mapping,
+                                             message):
+    with pytest.raises(ConfigurationError) as caught:
+        HiveParams(locality_mapping=[mapping, {}]).validate()
+    assert str(caught.value) == message
+    config = write_config(tmp_path, hive={"locality_mapping": [mapping, {}]})
+    assert main(["generate", "--config", str(config),
+                 "--out", str(tmp_path / "data")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_good_locality_mapping_entries_pass():
+    HiveParams(locality_mapping=[
+        {"centroid": [0.0] * 63 + [1.0], "min_similarity": -1.0},
+        {"centroid": np.ones(64), "min_similarity": 1}]).validate()
+
+
+@pytest.mark.parametrize("locality", [2, -1, 10**9])
+def test_bootstrap_locality_out_of_range_is_named(tmp_path, capsys, locality):
+    config = write_config(tmp_path, bootstrap=[
+        {"item_id": "item-0000"}, {"item_id": "item-0001",
+                                   "locality": locality}])
+    message = f"bootstrap[1].locality must be in [0, 2), got {locality}"
+    with pytest.raises(ConfigurationError) as caught:
+        load_config(config)
+    assert str(caught.value) == message
+    assert main(["generate", "--config", str(config),
+                 "--out", str(tmp_path / "data")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bootstrap_vector_cue_of_wrong_length_is_named(tmp_path, capsys):
+    config = write_config(tmp_path, bootstrap=[
+        {"item_id": "item-0000", "cues": ["deer", [1.0, 2.0, 3.0]]}])
+    message = "bootstrap[0].cues[1] must have feature_dim (64) values, got 3"
+    with pytest.raises(ConfigurationError) as caught:
+        load_config(config)
+    assert str(caught.value) == message
+    assert main(["generate", "--config", str(config),
+                 "--out", str(tmp_path / "data")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("full_graph", False),
+    ("elasticity_mode", "ceiling"),
+    ("strength_quality_map", "identity"),
+    ("matching_metric", "cosine"),
+    ("codec", "truncate"),
+    ("extractor", "histogram"),
+])
+def test_removed_hive_key_exits_2_naming_it(tmp_path, capsys, key, value):
+    # these options had a single behaviour in every preset and workload and
+    # are gone; a config still setting one, even to its old default, fails
+    config = write_config(tmp_path, hive={key: value})
+    assert main(["generate", "--config", str(config),
+                 "--out", str(tmp_path / "data")]) == 2
+    assert f"unknown key(s) in hive: {key}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc, expected", [
