@@ -21,7 +21,6 @@ All functions here are pure: outputs depend only on (payload, config, seed).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -185,12 +184,4 @@ def normalized_fidelity(psnr_db: float, reference_db: float = PSNR_REFERENCE_DB)
     if math.isinf(psnr_db):
         return 1.0
     return max(0.0, min(1.0, psnr_db / reference_db))
-
-
-def label_vector(label: str, dim: int = 64) -> np.ndarray:
-    """Deterministic unit vector for a textual cue label (content-hash seeded)."""
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
-    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-    vec = rng.standard_normal(dim)
-    return vec / np.linalg.norm(vec)
 

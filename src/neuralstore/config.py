@@ -57,41 +57,18 @@ from neuralstore.workload import (
     WorkloadSpec,
 )
 
+# the sections' dataclass defaults, but for the two values set here
 _BASE_PRESET = {
     "seed": 42,
     "engine": "ns",
-    "hive": {
-        "num_localities": 2,
-        "memory_decay_rates": [0.5, 1.0],
-        "association_decay_rates": [0.0, 0.0],
-        "locality_mapping": [{"labels": ["class-0"]}, {}],
-        "elasticity_schedules": [[80, 70, 60, 50, 40, 30, 20, 10, 1],
-                                 [80, 70, 60, 50, 40, 30, 20, 10, 1]],
-        "eta": 20.0,
-        "epsilon": 1.0,
-        "phi": 1.0,
-        "retention_period": 500,
-        "feature_dim": 64,
-        "extractor_seed": 7,
-        "capacity_bytes": None,
-    },
-    "search": {"assoc_thresh": 0.0, "match_thresh": 0.95},
-    "controls": {"search_limit": None, "weaken_on_fail": False},
+    "hive": {**dataclasses.asdict(HiveParams()),
+             "locality_mapping": [{"labels": ["class-0"]}, {}]},
+    "search": dataclasses.asdict(SearchParams()),
+    "controls": dataclasses.asdict(OpControls()),
     "cam": {"policy": "fifo", "key_by_label": False},
-    "workload": {
-        "kind": "clustered",
-        "n_items": 200,
-        "n_classes": 2,
-        "class_labels": None,
-        "priority_class": None,
-        "priority_bias": 0.9,
-        "n_retrievals": 5000,
-        "payload_size_range": [1024, 4096],
-        "items_per_cluster": 10,
-        "use_fine_cue": True,
-        "tail_retentions": 20,
-        "tail_retention_window": 1,
-    },
+    "workload": {**{k: v for k, v in dataclasses.asdict(WorkloadSpec()).items()
+                    if k != "seed"},     # comes from the top-level seed
+                 "tail_retentions": 20},
     "compare": {
         "cap_fractions": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
                           1.0, 1.1, 1.2],
@@ -334,8 +311,12 @@ def build_adapter(config: RunConfig, corpus: Corpus, engine: str | None = None,
         raise ConfigurationError(f"unknown engine {engine!r}")
     params = dataclasses.replace(config.hive, capacity_bytes=cap)
     ns = MemoryEngine(params, search=config.search, controls=config.controls)
-    for entry in config.bootstrap:
-        item = corpus.get(entry["item_id"])
+    for i, entry in enumerate(config.bootstrap):
+        item = corpus.by_id.get(entry["item_id"])
+        if item is None:
+            raise ConfigurationError(
+                f"bootstrap[{i}].item_id {entry['item_id']!r} is not in the "
+                f"corpus")
         ns.bootstrap_store(item.data, list(entry.get("cues", ())),
                            locality_id=entry.get("locality"),
                            item_id=item.item_id)

@@ -22,6 +22,15 @@ all of its data neurons, which is how data stays reachable when no user cue
 leads to it.  Only explicitly created associations exist, at weights
 ``>= epsilon``.
 
+Each cue has a search order: its edges to data neurons, sorted by
+descending weight and then by data neuron id.  A cue gets an empty order
+when it is created, and ``Memory.associate`` and
+``Memory.adjust_association``, the only ways an association is created or
+changed, move the edge's entry in the order of each cue endpoint whose
+other end is a data neuron: found by ``bisect`` at its old ``(-weight,
+dn_id)`` key and inserted again at its new one.  The orders are therefore
+always current.
+
 All weight and strength updates go through the two clamp rules
 
     weight'   = max(epsilon, weight - delta)
@@ -39,11 +48,12 @@ import sys
 import types
 import typing
 import urllib.parse
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from neuralstore.codec import HistogramExtractor, Payload, label_vector
+from neuralstore.codec import HistogramExtractor, Payload
 
 SNAPSHOT_FORMAT = "neuralstore-snapshot"
 SNAPSHOT_VERSION = 1
@@ -109,14 +119,14 @@ def type_name(hint) -> str:
     return str(hint).replace("NoneType", "None")
 
 
-def check_field_types(obj, hints: dict) -> None:
+def check_field_types(obj, hints: dict, prefix: str = "") -> None:
     """Raise ``ConfigurationError`` naming the first field of ``obj`` whose
-    value does not fit its type hint."""
+    value does not fit its type hint, after ``prefix``."""
     for name, hint in hints.items():
         value = getattr(obj, name)
         if not fits_type(value, hint):
             raise ConfigurationError(
-                f"{name} must be {type_name(hint)}, got {value!r}")
+                f"{prefix}{name} must be {type_name(hint)}, got {value!r}")
 
 
 def _grown(a: np.ndarray, used: int) -> np.ndarray:
@@ -150,7 +160,6 @@ def _fmt(x: float | int) -> str:
 @dataclass
 class CueNeuron:
     id: int
-    cue_vector: np.ndarray
     label: str | None = None
     is_default: bool = False
 
@@ -195,6 +204,11 @@ class SearchEntry:
     avg_weight: float
 
 
+def _order_key(entry: SearchEntry) -> tuple[float, int]:
+    """An entry's place in a search order: descending weight, then dn id."""
+    return (-entry.avg_weight, entry.dn_id)
+
+
 # ---------------------------------------------------------------------------
 # Association graph
 # ---------------------------------------------------------------------------
@@ -210,7 +224,6 @@ class AssociationGraph:
         self.epsilon = epsilon
         self._weights: dict[tuple[int, int], float] = {}
         self._last_access: dict[tuple[int, int], int] = {}
-        self._adjacency: dict[int, set[int]] = {}
 
     @staticmethod
     def _key(a: int, b: int) -> tuple[int, int]:
@@ -233,8 +246,6 @@ class AssociationGraph:
         self._weights[key] = weight
         if touch or key not in self._last_access:
             self._last_access[key] = op
-        self._adjacency.setdefault(key[0], set()).add(key[1])
-        self._adjacency.setdefault(key[1], set()).add(key[0])
 
     def ensure(self, a: int, b: int, op: int) -> float:
         """Create the association at ``epsilon`` if absent; return its weight."""
@@ -258,10 +269,6 @@ class AssociationGraph:
         new = clamp_weight(self.epsilon, old, delta)
         self._store(key, new, op, touch=touch)
         return old, new
-
-    def neighbors(self, node: int) -> set[int]:
-        """Neighbors of a node."""
-        return set(self._adjacency.get(node, ()))
 
     def edges(self) -> list[tuple[int, int, float]]:
         """Edges sorted by key."""
@@ -326,8 +333,10 @@ class HiveParams:
     capacity_bytes: int | None = None
 
     def validate(self) -> None:
+        """Raise ``ConfigurationError`` naming each bad field by its config
+        path (``hive.eta``, ``hive.elasticity_schedules[0]``)."""
         # the range checks below assume every field has its declared type
-        check_field_types(self, HIVE_PARAM_TYPES)
+        check_field_types(self, HIVE_PARAM_TYPES, "hive.")
         problems: list[str] = []
         if self.num_localities < 1:
             problems.append("num_localities must be >= 1")
@@ -344,9 +353,9 @@ class HiveParams:
             if any(map(non_finite, values)):
                 problems.append(f"{name} must be finite")
         if any(r < 0 for r in self.memory_decay_rates):
-            problems.append("memory decay rates must be >= 0")
+            problems.append("memory_decay_rates must be >= 0")
         if any(r < 0 for r in self.association_decay_rates):
-            problems.append("association decay rates must be >= 0")
+            problems.append("association_decay_rates must be >= 0")
         if self.eta <= 0:
             problems.append("eta must be > 0")
         if self.epsilon < 0:
@@ -360,17 +369,17 @@ class HiveParams:
         if self.capacity_bytes is not None and self.capacity_bytes < 0:
             problems.append("capacity_bytes must be >= 0 or null")
         for i, schedule in enumerate(self.elasticity_schedules):
+            name = f"elasticity_schedules[{i}]"
             if not schedule:
-                problems.append(f"elasticity schedule {i} is empty")
+                problems.append(f"{name} must not be empty")
                 continue
             if any(map(non_finite, schedule)):
-                problems.append(f"elasticity_schedules[{i}] must be finite")
+                problems.append(f"{name} must be finite")
                 continue
             if any(b >= a for a, b in zip(schedule, schedule[1:])):
-                problems.append(f"elasticity schedule {i} must be strictly decreasing")
+                problems.append(f"{name} must be strictly decreasing")
             if schedule[-1] < max(self.phi, 1.0):
-                problems.append(
-                    f"elasticity schedule {i} must end at >= max(phi, 1)")
+                problems.append(f"{name} must end at >= max(phi, 1)")
         for i, mapping in enumerate(self.locality_mapping):
             name = f"locality_mapping[{i}]"
             centroid = mapping.get("centroid")
@@ -387,7 +396,7 @@ class HiveParams:
                 problems.append(f"{name}.min_similarity must be finite and "
                                 f"in [-1, 1], got {min_sim!r}")
         if problems:
-            raise ConfigurationError("; ".join(problems))
+            raise ConfigurationError("; ".join(f"hive.{p}" for p in problems))
 
 
 # the declared type of every HiveParams field
@@ -508,44 +517,37 @@ class Memory:
         self._next_neuron_id += 1
         return nid
 
-    def _add_default_cue(self, locality: Locality) -> int:
-        hive = self.hive
-        vec = label_vector(f"__default__{hive.id}:{locality.id}",
-                           hive.params.feature_dim)
-        cue = CueNeuron(id=self._take_id(), cue_vector=vec, is_default=True)
+    def _add_cue(self, label: str | None = None,
+                 is_default: bool = False) -> int:
+        """A new cue neuron in the cue bank, with an empty search order."""
+        cue = CueNeuron(id=self._take_id(), label=label, is_default=is_default)
         self.neurons[cue.id] = cue
-        hive.cue_bank[cue.id] = cue
+        self.hive.cue_bank[cue.id] = cue
+        self.hive.search_order[cue.id] = []
         return cue.id
 
     def add_cue_neuron(self, cue_vector: np.ndarray | None = None,
                        label: str | None = None) -> int:
-        """Insert a cue neuron; duplicate labels/vectors return the existing id."""
+        """Insert a cue neuron found by its label or, without one, by its
+        vector; a label or vector already in the bank returns that cue."""
         hive = self.hive
         if label is not None:
-            existing = hive.find_cue_by_label(label)
-            if existing is not None:
-                return existing
-            if cue_vector is None:
-                cue_vector = label_vector(label, hive.params.feature_dim)
-        else:
-            if cue_vector is None:
-                raise ConfigurationError("cue neuron needs a label or a vector")
-            existing = hive.find_cue_by_vector(cue_vector)
-            if existing is not None:
-                return existing
+            cue_id = hive.find_cue_by_label(label)
+            if cue_id is None:
+                cue_id = hive._label_index[label] = self._add_cue(label)
+            return cue_id
+        if cue_vector is None:
+            raise ConfigurationError("cue neuron needs a label or a vector")
         cue_vector = np.asarray(cue_vector, dtype=float)
         if cue_vector.shape != (hive.params.feature_dim,):
             raise ConfigurationError(
                 f"cue vector dimension {cue_vector.shape} != "
                 f"({hive.params.feature_dim},)")
-        cue = CueNeuron(id=self._take_id(), cue_vector=cue_vector, label=label)
-        self.neurons[cue.id] = cue
-        hive.cue_bank[cue.id] = cue
-        if label is not None:
-            hive._label_index[label] = cue.id
-        else:
-            hive._vector_index[cue_vector.tobytes()] = cue.id
-        return cue.id
+        key = cue_vector.tobytes()
+        cue_id = hive._vector_index.get(key)
+        if cue_id is None:
+            cue_id = hive._vector_index[key] = self._add_cue()
+        return cue_id
 
     def add_data_neuron(self, locality_id: int, payload: Payload,
                         feature: np.ndarray) -> int:
@@ -562,10 +564,10 @@ class Memory:
         self._bytes += len(payload.blob)
         locality.add(dn_id, row)
         if locality.default_cue_id is None:
-            locality.default_cue_id = self._add_default_cue(locality)
+            locality.default_cue_id = self._add_cue(is_default=True)
         # new neurons join their locality's default cue at the epsilon floor
-        self.graph.ensure(locality.default_cue_id, dn.id, self.op_counter)
-        return dn.id
+        self.associate(locality.default_cue_id, dn_id)
+        return dn_id
 
     # -- lookups ------------------------------------------------------------
 
@@ -600,12 +602,39 @@ class Memory:
     def associate(self, a: int, b: int) -> float:
         """Ensure an association exists (created at epsilon); return its weight."""
         self._check_ids(a, b)
-        return self.graph.ensure(a, b, self.op_counter)
+        weight = self.graph.weight(a, b)
+        if weight is None:
+            weight = self.graph.ensure(a, b, self.op_counter)
+            self._move_entry(a, b, None, weight)
+        return weight
 
-    def adjust_association(self, a: int, b: int, delta: float) -> float:
-        """Clamped weight update; positive delta decays, negative strengthens."""
+    def adjust_association(self, a: int, b: int, delta: float,
+                           touch: bool = True) -> float:
+        """Clamped weight update; positive delta decays, negative strengthens.
+
+        KeyError if there is no association.  Ageing passes set
+        ``touch=False`` so decay does not count as access.
+        """
         self._check_ids(a, b)
-        return self.graph.adjust(a, b, delta, self.op_counter)[1]
+        old, new = self.graph.adjust(a, b, delta, self.op_counter, touch=touch)
+        if new != old:
+            self._move_entry(a, b, old, new)
+        return new
+
+    def _move_entry(self, a: int, b: int, old: float | None,
+                    new: float) -> None:
+        """Move the edge (a, b) from weight ``old`` (None: a new edge) to
+        ``new`` in the order of each cue endpoint whose other end is a data
+        neuron."""
+        hive = self.hive
+        for cue_id, dn_id in ((a, b), (b, a)):
+            order = hive.search_order.get(cue_id)
+            # only data neurons appear in search orders
+            if order is None or dn_id not in hive.feature_rows:
+                continue
+            if old is not None:
+                del order[bisect_left(order, (-old, dn_id), key=_order_key)]
+            insort(order, SearchEntry(cue_id, dn_id, new), key=_order_key)
 
     def adjust_strength(self, dn_id: int, delta: float) -> float:
         """Clamped strength update; a lower stored quality follows from it.

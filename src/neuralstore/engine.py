@@ -8,20 +8,14 @@ through the reaction step, which is where all association learning happens.
 Retention ages whatever the access pattern has not touched lately, and
 elasticity squeezes stored quality to make room when a byte capacity is set.
 
-Search orders are kept current by the operations themselves.  Whenever a
-reaction, a new data neuron or a retention pass changes or creates an edge,
-the edge's entry is moved at once in the order of each cue it joins to a
-data neuron: it is found by ``bisect`` at its old ``(-weight, dn_id)``
-position and inserted again at its new one.  A cue without an order yet, or
-whose order does not hold the entry at its old weight, is re-sorted from the
-graph instead.  An operation's candidate list is a fresh list taken before
-its scan, so entries moved during the scan do not change it.  For a cue set
-that resolves to one order (every generated trace uses one coarse cue per
-operation) the list is a slice of that order, up to the association
-threshold, found by ``bisect``, and the search limit; several orders are
-merged by a walk that drops repeated data neurons.  Code that edits
-associations directly with ``Memory.adjust_association`` must call
-:meth:`MemoryEngine.update_search_order` afterwards.
+The engine changes associations only through ``Memory.associate`` and
+``Memory.adjust_association``, which keep every cue's search order current
+(see :mod:`neuralstore.core`).  An operation's candidate list is a fresh
+list taken before its scan, so entries moved during the scan do not change
+it.  For a cue set that resolves to one order (every generated trace uses
+one coarse cue per operation) the list is a slice of that order, up to the
+association threshold, found by ``bisect``, and the search limit; several
+orders are merged by a walk that drops repeated data neurons.
 
 Matching scores each query once against the hive's feature matrix, whose
 rows are the data neurons' features scaled to unit length: one
@@ -59,7 +53,7 @@ from __future__ import annotations
 
 import math
 import typing
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -74,6 +68,7 @@ from neuralstore.core import (
     Locality,
     Memory,
     SearchEntry,
+    _order_key,
     check_field_types,
     non_finite,
     unit_row,
@@ -87,10 +82,6 @@ NEAR_THRESHOLD = 1e-9
 # distinct retrieve fine cues whose unit rows an engine keeps; past this
 # many the memo starts over
 FINE_UNIT_MEMO_SIZE = 1024
-
-
-def _order_key(entry: SearchEntry) -> tuple[float, int]:
-    return (-entry.avg_weight, entry.dn_id)
 
 
 def _validated(params):
@@ -225,46 +216,22 @@ class MemoryEngine:
     # -- search order --------------------------------------------------------
 
     def update_search_order(self) -> None:
-        """Re-sort every cue's order from the graph.
+        """Rebuild every cue's order from the graph, in one pass over its
+        edges.
 
-        Operations keep the orders current themselves; this full rebuild is
-        for code that edits associations through ``Memory`` directly.
+        ``Memory`` keeps the orders current as associations change, so this
+        reference rebuild finds them as they are.
         """
         hive = self.hive
-        hive.search_order = {cue_id: self._sorted_order(cue_id)
-                             for cue_id in sorted(hive.cue_bank)}
-
-    def _sorted_order(self, cue_id: int) -> list[SearchEntry]:
-        graph = self.memory.graph
-        data_rows = self.hive.feature_rows      # one row per data neuron
-        entries = [SearchEntry(cue_id, dn, graph.weight(cue_id, dn))
-                   for dn in graph.neighbors(cue_id) if dn in data_rows]
-        entries.sort(key=_order_key)
-        return entries
-
-    def _move_edge(self, a: int, b: int, old: float | None,
-                   new: float) -> None:
-        """Move an edge whose weight changed from ``old`` (None: a new edge)
-        to ``new`` in the order of each cue endpoint whose other end is a
-        data neuron.  A cue without an order, or whose order does not hold
-        the entry at ``old``, is re-sorted from the graph instead."""
-        hive = self.hive
-        for cue_id, dn_id in ((a, b), (b, a)):
-            # only data neurons appear in search orders
-            if cue_id not in hive.cue_bank or dn_id not in hive.feature_rows:
-                continue
-            order = hive.search_order.get(cue_id)
-            if order is not None and old is not None:
-                i = bisect_left(order, (-old, dn_id), key=_order_key)
-                if (i < len(order) and order[i].dn_id == dn_id
-                        and order[i].avg_weight == old):
-                    del order[i]
-                else:
-                    order = None
-            if order is None:
-                hive.search_order[cue_id] = self._sorted_order(cue_id)
-            else:
-                insort(order, SearchEntry(cue_id, dn_id, new), key=_order_key)
+        data_rows = hive.feature_rows       # one row per data neuron
+        orders = {cue_id: [] for cue_id in sorted(hive.cue_bank)}
+        for a, b, w in self.memory.graph.edges():
+            for cue_id, dn_id in ((a, b), (b, a)):
+                if cue_id in orders and dn_id in data_rows:
+                    orders[cue_id].append(SearchEntry(cue_id, dn_id, w))
+        for order in orders.values():
+            order.sort(key=_order_key)
+        hive.search_order = orders
 
     def get_search_order(self, cues, assoc_thresh: float | None = None,
                          search_limit: int | None = None) -> list[SearchEntry]:
@@ -323,45 +290,37 @@ class MemoryEngine:
         (creating cue neurons and epsilon-weight links as needed; links that
         already exist, other than the one just strengthened, are
         strengthened).  ``flag=0`` weakens the edge by eta when failure decay
-        (``k``) is enabled and otherwise leaves all weights untouched.  Each
-        changed or new edge is moved in its cues' search orders at once.
+        (``k``) is enabled and otherwise leaves all weights untouched.
         """
         eta = self.params.eta if eta is None else eta
         k = self.controls.weaken_on_fail if k is None else k
+        memory = self.memory
         try:
             if flag or k:
-                self._adjust_edge(cue_id, target_dn, -eta if flag else eta)
-            elif not self.memory.graph.has_edge(cue_id, target_dn):
+                memory.adjust_association(cue_id, target_dn,
+                                          -eta if flag else eta)
+            elif not memory.graph.has_edge(cue_id, target_dn):
                 raise KeyError(target_dn)
         except KeyError:
             raise RuntimeError(
                 f"cue {cue_id} has no edge to {target_dn}") from None
         if flag:
-            self.memory.restore_strength(target_dn)
-            self.memory.touch(target_dn)
+            memory.restore_strength(target_dn)
+            memory.touch(target_dn)
             self._associate_cues(cues, target_dn, skip=cue_id)
-
-    def _adjust_edge(self, a: int, b: int, delta: float) -> None:
-        """Apply ``delta`` to an existing edge (KeyError if there is none),
-        reading its weight once, and move it if the weight changed."""
-        old, new = self.memory.graph.adjust(a, b, delta,
-                                            self.memory.op_counter)
-        if new != old:
-            self._move_edge(a, b, old, new)
 
     def _associate_cues(self, cues, dn_id: int, skip: int | None) -> None:
         # associate if absent (at epsilon), strengthen if already associated;
         # the edge from cue ``skip`` was already strengthened by the caller
-        graph = self.memory.graph
+        memory = self.memory
         for cue in cues:
             cue_id = self._find_or_create_cue(cue)
             if cue_id == skip:
                 continue
-            if not graph.has_edge(cue_id, dn_id):
-                new = graph.ensure(cue_id, dn_id, self.memory.op_counter)
-                self._move_edge(cue_id, dn_id, None, new)
+            if not memory.graph.has_edge(cue_id, dn_id):
+                memory.associate(cue_id, dn_id)
             else:
-                self._adjust_edge(cue_id, dn_id, -self.params.eta)
+                memory.adjust_association(cue_id, dn_id, -self.params.eta)
 
     # -- capacity ------------------------------------------------------------
 
@@ -543,9 +502,6 @@ class MemoryEngine:
             label = next((c for c in cues if isinstance(c, str)), None)
             locality = self.select_locality(label, feature)
             dn_id = self.memory.add_data_neuron(locality.id, payload, feature)
-            # the new neuron joins its locality's default cue at epsilon
-            self._move_edge(locality.default_cue_id, dn_id, None,
-                            self.params.epsilon)
             self._associate_cues(cues, dn_id, skip=None)
             outcome = OpOutcome("new_neuron", dn_id, len(examined), payload,
                                 100.0, examined)
@@ -599,16 +555,15 @@ class MemoryEngine:
         counter = self.memory.op_counter
         graph = self.memory.graph
         if decay_edges:
-            for a, b, _ in graph.edges():
+            for a, b, old in graph.edges():
                 last = graph.last_access(a, b)
                 if counter - last < window:
                     continue
                 rate = self._edge_decay_rate(a, b)
                 if rate <= 0:
                     continue
-                old, new = graph.adjust(a, b, rate, counter, touch=False)
+                new = self.memory.adjust_association(a, b, rate, touch=False)
                 if new != old:
-                    self._move_edge(a, b, old, new)
                     summary.weakened_edges.append((a, b, new))
         hive = self.hive
         for locality in hive.localities:
@@ -657,7 +612,6 @@ class MemoryEngine:
         for cue in cues:
             cue_id = self._find_or_create_cue(cue)
             self.memory.associate(cue_id, dn_id)
-        self.update_search_order()
         return dn_id
 
 

@@ -464,11 +464,6 @@ def write_log(log: list[dict], path: str | Path) -> Path:
     return path
 
 
-def read_log(path: str | Path) -> list[dict]:
-    return [json.loads(line) for line in Path(path).read_text().splitlines()
-            if line.strip()]
-
-
 # ---------------------------------------------------------------------------
 # Replay
 # ---------------------------------------------------------------------------

@@ -270,7 +270,6 @@ def test_criterion_6_clamp_invariants_fuzz():
                         a, b, _ = edges[int(rng.integers(len(edges)))]
                         engine.memory.adjust_association(
                             a, b, float(rng.uniform(-50.0, 50.0)))
-                        engine.update_search_order()
                     elif dns:
                         dn = dns[int(rng.integers(len(dns)))]
                         engine.memory.adjust_strength(

@@ -15,7 +15,6 @@ from neuralstore.codec import (
     Payload,
     TruncationCodec,
     cosine_similarity,
-    label_vector,
     normalized_fidelity,
     psnr_fidelity,
 )
@@ -212,10 +211,3 @@ class TestFidelity:
         assert normalized_fidelity(60.0) == 1.0
         assert normalized_fidelity(20.0) == 0.5
         assert normalized_fidelity(-5.0) == 0.0
-
-
-class TestRegistries:
-    def test_label_vectors_deterministic_and_distinct(self):
-        a = label_vector("wolf")
-        assert np.array_equal(a, label_vector("wolf"))
-        assert abs(cosine_similarity(a, label_vector("deer"))) < 0.9

@@ -18,8 +18,8 @@ import pytest
 from neuralstore import codec as codec_module
 from neuralstore import engine as engine_module
 from neuralstore.codec import Payload, TruncationCodec, psnr_fidelity
-from neuralstore.core import SearchEntry, unit_row
-from neuralstore.engine import OpControls, _order_key
+from neuralstore.core import SearchEntry, _order_key, unit_row
+from neuralstore.engine import OpControls
 from tests.test_engine import blob, engine_with
 
 

@@ -110,19 +110,32 @@ class TestEntryMoves:
         assert maintained(engine) == oracle_search_order(engine.memory,
                                                          engine.hive)
 
-    def test_entry_not_at_its_old_weight_falls_back_to_resort(self):
+    def test_direct_memory_edits_keep_orders_current(self):
         engine = engine_with()
         a = engine.store(blob(0), ["hot"]).dn_id
-        engine.store(blob(1), ["hot"])
+        b = engine.store(blob(1), ["hot"]).dn_id
+        memory = engine.memory
         hot = engine.hive.find_cue_by_label("hot")
-        order = engine.hive.search_order[hot]
-        # a direct edit without update_search_order leaves the order stale
-        engine.memory.adjust_association(hot, a, -5.0)
-        out = engine.retrieve(["hot"], [feature(engine, blob(0))])
-        assert out.dn_id == a
-        assert engine.hive.search_order[hot] is not order
-        assert maintained(engine) == oracle_search_order(engine.memory,
-                                                         engine.hive)
+        cold = memory.add_cue_neuron(label="cold")
+        orders = dict(engine.hive.search_order)
+        assert orders[cold] == []
+        # edits through Memory alone, with no rebuild between or after them
+        memory.associate(cold, b)
+        memory.associate(cold, a)
+        memory.adjust_association(hot, b, -5.0)
+        memory.adjust_association(cold, a, -30.0)
+        memory.adjust_association(cold, a, 12.0, touch=False)
+        memory.adjust_association(hot, a, 50.0)     # stays at the floor
+        memory.associate(hot, cold)                 # joins no order
+        for cue, order in orders.items():
+            assert engine.hive.search_order[cue] is order, cue
+        assert [(e.dn_id, e.avg_weight) for e in orders[hot]] == [
+            (b, 6.0), (a, 1.0)]
+        assert [(e.dn_id, e.avg_weight) for e in orders[cold]] == [
+            (a, 19.0), (b, 1.0)]
+        assert maintained(engine) == oracle_search_order(memory, engine.hive)
+        out = engine.retrieve(["cold"], [feature(engine, blob(0))])
+        assert (out.dn_id, out.cost) == (a, 1)
 
     def test_retention_moves_only_the_entries_whose_edges_decayed(self):
         engine = engine_with(association_decay_rates=[5.0, 5.0],
@@ -350,15 +363,14 @@ def reference_retention(engine, window: int,
     memory = engine.memory
     counter, graph = memory.op_counter, memory.graph
     if decay_edges:
-        for a, b, _ in graph.edges():
+        for a, b, old in graph.edges():
             if counter - graph.last_access(a, b) < window:
                 continue
             rate = engine._edge_decay_rate(a, b)
             if rate <= 0:
                 continue
-            old, new = graph.adjust(a, b, rate, counter, touch=False)
+            new = memory.adjust_association(a, b, rate, touch=False)
             if new != old:
-                engine._move_edge(a, b, old, new)
                 summary.weakened_edges.append((a, b, new))
     for locality in engine.hive.localities:
         rate = locality.memory_decay_rate

@@ -112,6 +112,26 @@ def test_cli_exits_2_on_non_finite_config(tmp_path, capsys, section, field,
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("hive, message", [
+    ({"eta": NAN}, "hive.eta must be finite"),
+    ({"memory_decay_rates": [-1.0, 1.0]},
+     "hive.memory_decay_rates must be >= 0"),
+    ({"elasticity_schedules": [[80, 90, 1], [80, 1]]},
+     "hive.elasticity_schedules[0] must be strictly decreasing"),
+    ({"elasticity_schedules": [[80, 1], []]},
+     "hive.elasticity_schedules[1] must not be empty"),
+    ({"phi": 5.0, "elasticity_schedules": [[80, 1], [80, 5]]},
+     "hive.elasticity_schedules[0] must end at >= max(phi, 1)"),
+])
+def test_cli_names_the_hive_path_of_a_bad_value(tmp_path, capsys, hive,
+                                                message):
+    # a range error names its field as the config does, like a type error
+    config = write_config(tmp_path, hive=hive)
+    assert main(["generate", "--config", str(config),
+                 "--out", str(tmp_path / "data")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestTraceParseErrors:
     @pytest.fixture(scope="class")
     def generated(self, tmp_path_factory):
@@ -237,7 +257,7 @@ def test_fuzz_mistyped_config_fields(tmp_path, capsys, mistyped):
 @settings(max_examples=150, deadline=None)
 def test_fuzz_mistyped_hive_params_named_by_validate(mistyped):
     (_, field), value = mistyped
-    with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+    with pytest.raises(ConfigurationError, match=rf"^hive\.{field} must be"):
         HiveParams(**{field: value}).validate()
 
 
@@ -249,24 +269,24 @@ def test_hive_params_take_tuples_and_numpy_numbers():
                phi=np.int32(1)).validate()
     with pytest.raises(ConfigurationError) as caught:
         HiveParams(retention_period="5").validate()
-    assert str(caught.value) == "retention_period must be int, got '5'"
+    assert str(caught.value) == "hive.retention_period must be int, got '5'"
 
 
 @pytest.mark.parametrize("mapping, message", [
     ({"centroid": [1.0, 0.0, 0.0]},
-     "locality_mapping[0].centroid must have feature_dim (64) values, got 3"),
+     "hive.locality_mapping[0].centroid must have feature_dim (64) values, got 3"),
     ({"centroid": [NAN] + [0.0] * 63},
-     "locality_mapping[0].centroid must be finite"),
+     "hive.locality_mapping[0].centroid must be finite"),
     ({"centroid": [1.0] * 63 + [INF]},
-     "locality_mapping[0].centroid must be finite"),
+     "hive.locality_mapping[0].centroid must be finite"),
     ({"centroid": [1.0] * 64, "min_similarity": NAN},
-     "locality_mapping[0].min_similarity must be finite and in [-1, 1], "
+     "hive.locality_mapping[0].min_similarity must be finite and in [-1, 1], "
      "got nan"),
     ({"labels": ["deer"], "min_similarity": 1.5},
-     "locality_mapping[0].min_similarity must be finite and in [-1, 1], "
+     "hive.locality_mapping[0].min_similarity must be finite and in [-1, 1], "
      "got 1.5"),
     ({"min_similarity": -INF},
-     "locality_mapping[0].min_similarity must be finite and in [-1, 1], "
+     "hive.locality_mapping[0].min_similarity must be finite and in [-1, 1], "
      "got -inf"),
 ])
 def test_bad_locality_mapping_entry_is_named(tmp_path, capsys, mapping,
@@ -310,6 +330,18 @@ def test_bootstrap_vector_cue_of_wrong_length_is_named(tmp_path, capsys):
     assert main(["generate", "--config", str(config),
                  "--out", str(tmp_path / "data")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_bootstrap_item_missing_from_the_corpus_is_named(tmp_path, capsys):
+    # the corpus is only known once a run reads its manifest
+    config = write_config(tmp_path, bootstrap=[{"item_id": "nope"}])
+    data = tmp_path / "data"
+    assert main(["generate", "--config", str(config), "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", str(config), "--trace",
+                 str(data / "trace.jsonl"), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == \
+        "error: bootstrap[0].item_id 'nope' is not in the corpus\n"
 
 
 @pytest.mark.parametrize("key, value", [
