@@ -23,13 +23,16 @@ leads to it.  Only explicitly created associations exist, at weights
 ``>= epsilon``.
 
 Each cue has a search order: its edges to data neurons, sorted by
-descending weight and then by data neuron id.  A cue gets an empty order
-when it is created, and ``Memory.associate`` and
-``Memory.adjust_association``, the only ways an association is created or
-changed, move the edge's entry in the order of each cue endpoint whose
-other end is a data neuron: found by ``bisect`` at its old ``(-weight,
-dn_id)`` key and inserted again at its new one.  The orders are therefore
-always current.
+descending weight and then by data neuron id.  An entry is a
+:class:`SearchEntry`, a tuple ``(-weight, dn_id, cue_id)`` whose natural
+order is that place, so orders are searched and sorted without a key
+function.  A cue gets an empty order when it is created, and
+``Memory.associate`` and ``Memory.adjust_association``, the only ways an
+association is created or changed, move the edge's entry in the order of
+each cue endpoint whose other end is a data neuron: found by ``bisect`` at
+its old ``(-weight, dn_id)`` key, replaced in place when its new key still
+sits between its neighbours, and otherwise inserted again at its new place.
+The orders are therefore always current.
 
 All weight and strength updates go through the two clamp rules
 
@@ -50,6 +53,7 @@ import typing
 import urllib.parse
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -195,18 +199,33 @@ class DataNeuron:
         return self._hive.payload(self.row)
 
 
-@dataclass(frozen=True)
-class SearchEntry:
-    """One candidate in a cue's search order: the cue's edge to a data neuron."""
+class SearchEntry(tuple):
+    """One candidate in a cue's search order: the cue's edge to a data neuron.
 
-    cue_id: int
-    dn_id: int
-    avg_weight: float
+    The tuple ``(-avg_weight, dn_id, cue_id)``, so entries sort by their
+    place in an order: descending weight, then dn id (all entries of one
+    order share the cue).  A probe ``(-weight, dn_id)`` sorts just before
+    the entry with that key.
+    """
 
+    __slots__ = ()
 
-def _order_key(entry: SearchEntry) -> tuple[float, int]:
-    """An entry's place in a search order: descending weight, then dn id."""
-    return (-entry.avg_weight, entry.dn_id)
+    def __new__(cls, cue_id: int, dn_id: int, avg_weight: float):
+        return tuple.__new__(cls, (-avg_weight, dn_id, cue_id))
+
+    dn_id = property(itemgetter(1))
+    cue_id = property(itemgetter(2))
+
+    @property
+    def avg_weight(self) -> float:
+        return -self[0]
+
+    def __getnewargs__(self):
+        return self[2], self[1], -self[0]
+
+    def __repr__(self) -> str:
+        return (f"SearchEntry(cue_id={self[2]!r}, dn_id={self[1]!r}, "
+                f"avg_weight={-self[0]!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +651,19 @@ class Memory:
             # only data neurons appear in search orders
             if order is None or dn_id not in hive.feature_rows:
                 continue
-            if old is not None:
-                del order[bisect_left(order, (-old, dn_id), key=_order_key)]
-            insort(order, SearchEntry(cue_id, dn_id, new), key=_order_key)
+            entry = SearchEntry(cue_id, dn_id, new)
+            if old is None:
+                insort(order, entry)
+                continue
+            i = bisect_left(order, (-old, dn_id))
+            # keys are distinct, so an entry strictly between its neighbours
+            # keeps its place
+            if ((i == 0 or order[i - 1] < entry)
+                    and (i + 1 == len(order) or entry < order[i + 1])):
+                order[i] = entry
+            else:
+                del order[i]
+                insort(order, entry)
 
     def adjust_strength(self, dn_id: int, delta: float) -> float:
         """Clamped strength update; a lower stored quality follows from it.
@@ -766,38 +795,54 @@ def _parse_kv(parts: list[str]) -> dict:
 
 
 def parse_snapshot(text: str) -> SnapshotDoc:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse a snapshot document.  A malformed line raises
+    ``SnapshotFormatError`` naming its line number."""
+    lines = [(number, line.strip())
+             for number, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
         raise SnapshotFormatError("empty snapshot document")
-    head = lines[0].split()
+    number, line = lines[0]
+    head = line.split()
     if len(head) != 2 or head[0] != SNAPSHOT_FORMAT:
-        raise SnapshotFormatError(f"not a snapshot document: {lines[0]!r}")
-    version = int(head[1])
+        raise SnapshotFormatError(f"not a snapshot document: {line!r}")
+    try:
+        version = int(head[1])
+    except ValueError:
+        raise SnapshotFormatError(
+            f"snapshot line {number}: version {head[1]!r} is not an integer"
+        ) from None
     if version != SNAPSHOT_VERSION:
         raise SnapshotFormatError(
             f"snapshot version {version} unsupported (expected {SNAPSHOT_VERSION})")
     doc = SnapshotDoc(version=version)
-    for line in lines[1:]:
+    for number, line in lines[1:]:
         kind, *rest = line.split()
-        if kind == "hive":
-            doc.hives.append({"id": int(rest[0]), **_parse_kv(rest[1:])})
-        elif kind == "locality":
-            doc.localities.append({"id": int(rest[0]), **_parse_kv(rest[1:])})
-        elif kind in ("cue", "data"):
-            doc.neurons.append({"kind": kind, "id": int(rest[0]),
-                                **_parse_kv(rest[1:])})
-        elif kind == "edge":
-            doc.edges.append({"a": int(rest[0]), "b": int(rest[1]),
-                              **_parse_kv(rest[2:])})
-        elif kind == "order":
-            entries = []
-            if len(rest) > 1 and rest[1]:
-                for item in rest[1].split(","):
-                    dn, _, w = item.partition(":")
-                    entries.append({"dn_id": int(dn), "avg_weight": float(w)})
-            doc.orders.append({"cue_id": int(rest[0]), "entries": entries})
-        else:
-            raise SnapshotFormatError(f"unknown snapshot line kind {kind!r}")
+        try:
+            if kind == "hive":
+                doc.hives.append({"id": int(rest[0]), **_parse_kv(rest[1:])})
+            elif kind == "locality":
+                doc.localities.append({"id": int(rest[0]), **_parse_kv(rest[1:])})
+            elif kind in ("cue", "data"):
+                doc.neurons.append({"kind": kind, "id": int(rest[0]),
+                                    **_parse_kv(rest[1:])})
+            elif kind == "edge":
+                doc.edges.append({"a": int(rest[0]), "b": int(rest[1]),
+                                  **_parse_kv(rest[2:])})
+            elif kind == "order":
+                entries = []
+                if len(rest) > 1 and rest[1]:
+                    for item in rest[1].split(","):
+                        dn, _, w = item.partition(":")
+                        entries.append({"dn_id": int(dn), "avg_weight": float(w)})
+                doc.orders.append({"cue_id": int(rest[0]), "entries": entries})
+            else:
+                raise SnapshotFormatError(f"unknown line kind {kind!r}")
+        except SnapshotFormatError as exc:
+            raise SnapshotFormatError(f"snapshot line {number}: {exc}") from None
+        except (IndexError, ValueError):
+            # a short line, or an id or weight that does not parse
+            raise SnapshotFormatError(
+                f"snapshot line {number}: malformed {kind} line {line!r}") from None
     return doc
 
 

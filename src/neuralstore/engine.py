@@ -55,7 +55,7 @@ import math
 import typing
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -68,7 +68,6 @@ from neuralstore.core import (
     Locality,
     Memory,
     SearchEntry,
-    _order_key,
     check_field_types,
     non_finite,
     unit_row,
@@ -139,8 +138,7 @@ SEARCH_PARAM_TYPES = typing.get_type_hints(SearchParams)
 OP_CONTROL_TYPES = typing.get_type_hints(OpControls)
 
 
-@dataclass(frozen=True)
-class OpOutcome:
+class OpOutcome(typing.NamedTuple):
     kind: str                       # merged | new_neuron | hit | miss
     dn_id: int | None
     cost: int
@@ -230,7 +228,7 @@ class MemoryEngine:
                 if cue_id in orders and dn_id in data_rows:
                     orders[cue_id].append(SearchEntry(cue_id, dn_id, w))
         for order in orders.values():
-            order.sort(key=_order_key)
+            order.sort()
         hive.search_order = orders
 
     def get_search_order(self, cues, assoc_thresh: float | None = None,
@@ -262,7 +260,7 @@ class MemoryEngine:
             order = lists[0]
             end = len(order)
             if end and not order[-1].avg_weight > t1:
-                end = bisect_left(order, (-t1, -math.inf), key=_order_key)
+                end = bisect_left(order, (-t1, -math.inf))
             if search_limit is not None:
                 # as in the walk, a limit below 1 still admits one candidate
                 end = min(end, max(search_limit, 1))
@@ -442,13 +440,13 @@ class MemoryEngine:
         rows = hive.feature_rows
         above, below = thresh + NEAR_THRESHOLD, thresh - NEAR_THRESHOLD
         for i, entry in enumerate(candidates):
-            row = rows[entry.dn_id]
+            row = rows[entry[1]]         # entry[1] is the dn id
             for query, scores in scored:
                 score = scores[row]
                 if score > above:
                     return i
                 if not score < below and cosine_similarity(
-                        query, self.memory.neurons[entry.dn_id].feature
+                        query, self.memory.neurons[entry[1]].feature
                 ) >= thresh:
                     return i
         return None
@@ -467,7 +465,7 @@ class MemoryEngine:
             for entry in candidates[:first]:
                 self.reaction(entry.dn_id, entry.cue_id, flag=0, cues=cues,
                               k=True)
-        examined = tuple(map(attrgetter("dn_id"), candidates[:cost]))
+        examined = tuple(map(itemgetter(1), candidates[:cost]))   # dn ids
         return (None if first is None else candidates[first]), examined
 
     def store(self, data, cues, search: SearchParams | None = None,

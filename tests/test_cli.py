@@ -326,6 +326,31 @@ class TestInspect:
         assert main(["inspect", "--snapshot", str(bad)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("line, reason", [
+        ("cue", "malformed cue line 'cue'"),
+        ("edge 1", "malformed edge line 'edge 1'"),
+        ("order", "malformed order line 'order'"),
+        ("hive", "malformed hive line 'hive'"),
+        ("data x", "malformed data line 'data x'"),
+        ("order 3 5:abc", "malformed order line 'order 3 5:abc'"),
+        ("bogus 1", "unknown line kind 'bogus'"),
+    ])
+    def test_malformed_line_exits_2_naming_the_line(self, tmp_path, capsys,
+                                                    line, reason):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"neuralstore-snapshot 1\n\ncue 0 label=-\n{line}\n")
+        assert main(["inspect", "--snapshot", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: snapshot line 4: {reason}\n"
+
+    def test_non_integer_version_exits_2_naming_the_line(self, tmp_path,
+                                                          capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("neuralstore-snapshot x\n")
+        assert main(["inspect", "--snapshot", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "error: snapshot line 1: version 'x' is not an integer\n")
+
     def test_missing_file_exits_4(self, tmp_path, capsys):
         assert main(["inspect", "--snapshot", str(tmp_path / "nope.txt")]) == 4
         capsys.readouterr()

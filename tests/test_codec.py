@@ -182,6 +182,20 @@ class TestSimilarity:
             assert type(got) is float
             assert got.hex() == reference(f1, f2).hex()
 
+    def test_extract_bit_identical_to_linalg_norm(self):
+        rng = np.random.default_rng(20210108)
+        for _ in range(3000):
+            dim = int(rng.integers(1, 130))
+            vec = rng.standard_normal(dim) * float(rng.choice([1e-150, 1.0, 1e150]))
+            assert math.sqrt(vec.dot(vec)).hex() == float(np.linalg.norm(vec)).hex()
+        blobs = fixture_items() + [rng.integers(0, 256, int(n), dtype=np.uint8).tobytes()
+                                   for n in rng.integers(1, 5000, 200)]
+        for data in blobs:
+            counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
+            vec = (counts / len(data)) @ EXTRACTOR._projection
+            expected = vec / np.linalg.norm(vec)
+            assert EXTRACTOR.extract(data).tobytes() == expected.tobytes()
+
 
 class TestFidelity:
     def test_identical_payload_is_infinite(self):

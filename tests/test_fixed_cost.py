@@ -18,7 +18,7 @@ import pytest
 from neuralstore import codec as codec_module
 from neuralstore import engine as engine_module
 from neuralstore.codec import Payload, TruncationCodec, psnr_fidelity
-from neuralstore.core import SearchEntry, _order_key, unit_row
+from neuralstore.core import SearchEntry, unit_row
 from neuralstore.engine import OpControls
 from tests.test_engine import blob, engine_with
 
@@ -45,7 +45,7 @@ def random_order(rng, cue_id: int, n: int) -> list[SearchEntry]:
     dn_ids = rng.choice(1000, size=n, replace=False)
     entries = [SearchEntry(cue_id, int(d), float(w))
                for d, w in zip(dn_ids, weights)]
-    entries.sort(key=_order_key)
+    entries.sort()
     return entries
 
 
