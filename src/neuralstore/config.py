@@ -9,11 +9,15 @@ A run is fully described by one JSON document with these sections::
       "hive": { ... },              // hive hyperparameters (see HiveParams)
       "search": {"assoc_thresh": 0.0, "match_thresh": 0.95},
       "controls": {"search_limit": null, "weaken_on_fail": false},
-      "cam": {"policy": "fifo", "key_by_label": false},
+      "cam": {"policy": "fifo"},  // or "lru"; entries are keyed by item id
       "workload": { ... },          // corpus/trace parameters (see WorkloadSpec)
       "compare": {"cap_fractions": [0.1, ..., 1.2], "warmup_ops": 500},
       "bootstrap": [{"item_id": "w0", "cues": ["wolf"]}, ...]  // pre-seeded state
     }
+
+Cues are labels: a locality mapping admits data by the one key ``labels``
+(``[{"labels": ["deer"]}, {}]``, the last locality catching the rest), and a
+bootstrap entry's ``cues`` are label strings.
 
 Unknown keys anywhere are rejected, every value must have the type its
 field declares (an int passes for a float, a bool for nothing but a bool),
@@ -40,8 +44,7 @@ from neuralstore.core import (
     HIVE_PARAM_TYPES,
     ConfigurationError,
     HiveParams,
-    fits_type,
-    type_name,
+    check_fields,
 )
 from neuralstore.engine import (
     OP_CONTROL_TYPES,
@@ -65,7 +68,7 @@ _BASE_PRESET = {
              "locality_mapping": [{"labels": ["class-0"]}, {}]},
     "search": dataclasses.asdict(SearchParams()),
     "controls": dataclasses.asdict(OpControls()),
-    "cam": {"policy": "fifo", "key_by_label": False},
+    "cam": {"policy": "fifo"},
     "workload": {**{k: v for k, v in dataclasses.asdict(WorkloadSpec()).items()
                     if k != "seed"},     # comes from the top-level seed
                  "tail_retentions": 20},
@@ -132,7 +135,6 @@ class RunConfig:
     search: SearchParams
     controls: OpControls
     cam_policy: str
-    cam_key_by_label: bool
     workload: WorkloadSpec
     cap_fractions: list[float]
     warmup_ops: int
@@ -153,7 +155,7 @@ class RunConfig:
             raise ConfigurationError("cap_fractions must be strictly ascending")
         if self.warmup_ops < 0:
             raise ConfigurationError("warmup_ops must be >= 0")
-        n, dim = self.hive.num_localities, self.hive.feature_dim
+        n = self.hive.num_localities
         for i, entry in enumerate(self.bootstrap):
             if "item_id" not in entry:
                 raise ConfigurationError(f"bootstrap[{i}] needs an item_id")
@@ -162,11 +164,6 @@ class RunConfig:
                 raise ConfigurationError(
                     f"bootstrap[{i}].locality must be in [0, {n}), "
                     f"got {locality}")
-            for j, cue in enumerate(entry.get("cues", ())):
-                if not isinstance(cue, str) and len(cue) != dim:
-                    raise ConfigurationError(
-                        f"bootstrap[{i}].cues[{j}] must have feature_dim "
-                        f"({dim}) values, got {len(cue)}")
 
 
 def check_cap_fractions(fractions: list[float], name: str) -> None:
@@ -199,38 +196,19 @@ def cap_bytes(fractions: list[float], full_bytes: int, name: str) -> list[int]:
     return sorted(caps)
 
 
-def _check_keys(section: str, given: dict, allowed) -> None:
-    unknown = set(given) - set(allowed)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
-
-
-def _check_fields(section: str | None, given: dict, hints: dict) -> None:
-    """Reject keys without a type hint and values that do not fit theirs."""
-    _check_keys(section or "config", given, hints)
-    for key, value in given.items():
-        if not fits_type(value, hints[key]):
-            name = key if section is None else f"{section}.{key}"
-            raise ConfigurationError(
-                f"{name} must be {type_name(hints[key])}, got {value!r}")
-
-
 # the declared type of every field of every config section
 _SECTION_TYPES = {
     "hive": HIVE_PARAM_TYPES,
     "search": SEARCH_PARAM_TYPES,
     "controls": OP_CONTROL_TYPES,
-    "cam": {"policy": str, "key_by_label": bool},
+    "cam": {"policy": str},
     "workload": {k: v for k, v in typing.get_type_hints(WorkloadSpec).items()
                  if k != "seed"},
     "compare": {"cap_fractions": list[float], "warmup_ops": int},
 }
 _CONFIG_TYPES = {"seed": int, "engine": str, "bootstrap": list[dict],
                  **dict.fromkeys(_SECTION_TYPES, dict)}
-_MAPPING_TYPES = {"labels": list[str], "centroid": list[float],
-                  "min_similarity": float}
-_BOOTSTRAP_TYPES = {"item_id": str, "cues": list[str | list[float]],
+_BOOTSTRAP_TYPES = {"item_id": str, "cues": list[str],
                     "locality": int | None}
 
 
@@ -259,21 +237,15 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
         raise ConfigurationError("missing required field: seed")
     if engine is not None:
         merged["engine"] = engine
-    _check_fields(None, merged, _CONFIG_TYPES)
+    check_fields(None, merged, _CONFIG_TYPES)
     if capacity_bytes != "unset":
         merged["hive"]["capacity_bytes"] = capacity_bytes
     for section, hints in _SECTION_TYPES.items():
-        _check_fields(section, merged[section], hints)
-    for i, mapping in enumerate(merged["hive"]["locality_mapping"]):
-        _check_fields(f"hive.locality_mapping[{i}]", mapping, _MAPPING_TYPES)
+        check_fields(section, merged[section], hints)
     for i, entry in enumerate(merged["bootstrap"]):
-        _check_fields(f"bootstrap[{i}]", entry, _BOOTSTRAP_TYPES)
+        check_fields(f"bootstrap[{i}]", entry, _BOOTSTRAP_TYPES)
 
-    hive_kwargs = dict(merged["hive"])
-    schedules = hive_kwargs.get("elasticity_schedules")
-    if schedules is not None:
-        hive_kwargs["elasticity_schedules"] = [list(s) for s in schedules]
-    hive = HiveParams(**hive_kwargs)
+    hive = HiveParams(**merged["hive"])
 
     workload_kwargs = dict(merged["workload"])
     size_range = workload_kwargs.get("payload_size_range")
@@ -288,7 +260,6 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
         search=SearchParams(**merged["search"]),
         controls=OpControls(**merged["controls"]),
         cam_policy=merged["cam"]["policy"],
-        cam_key_by_label=merged["cam"]["key_by_label"],
         workload=workload,
         cap_fractions=list(merged["compare"]["cap_fractions"]),
         warmup_ops=merged["compare"]["warmup_ops"],
@@ -306,7 +277,7 @@ def build_adapter(config: RunConfig, corpus: Corpus, engine: str | None = None,
     cap = config.hive.capacity_bytes if capacity_bytes == "unset" else capacity_bytes
     if engine == "cam":
         cam = CamBaseline(capacity_bytes=cap, policy=config.cam_policy)
-        return CamReplayAdapter(cam, key_by_label=config.cam_key_by_label)
+        return CamReplayAdapter(cam)
     if engine != "ns":
         raise ConfigurationError(f"unknown engine {engine!r}")
     params = dataclasses.replace(config.hive, capacity_bytes=cap)

@@ -2,8 +2,9 @@
 
 The memory is a single weighted undirected graph over two node kinds:
 
-* cue neurons hold a search pattern (a label or a feature vector) and are
-  kept in the hive's cue bank;
+* cue neurons hold a search pattern, a label string, and are kept in the
+  hive's cue bank, where a label is found by its exact text (a locality's
+  default cue has no label);
 * data neurons hold a payload, a feature vector and a memory strength in
   ``[phi, 100]`` that governs the stored quality of the payload.
 
@@ -121,6 +122,21 @@ def type_name(hint) -> str:
     if typing.get_origin(hint) is None:
         return "null" if hint is type(None) else hint.__name__
     return str(hint).replace("NoneType", "None")
+
+
+def check_fields(section: str | None, given: dict, hints: dict) -> None:
+    """Raise ``ConfigurationError`` naming the keys of the dict ``given``
+    that have no type hint, or the first value that does not fit its hint,
+    by their path under ``section`` (``None``: the top level of a config)."""
+    unknown = set(given) - set(hints)
+    if unknown:
+        raise ConfigurationError(f"unknown key(s) in {section or 'config'}: "
+                                 f"{', '.join(sorted(unknown))}")
+    for key, value in given.items():
+        if not fits_type(value, hints[key]):
+            name = key if section is None else f"{section}.{key}"
+            raise ConfigurationError(
+                f"{name} must be {type_name(hints[key])}, got {value!r}")
 
 
 def check_field_types(obj, hints: dict, prefix: str = "") -> None:
@@ -330,9 +346,8 @@ class Locality:
 class HiveParams:
     """Per-hive hyperparameters.
 
-    ``locality_mapping`` holds one predicate per locality; a predicate is a
-    dict with optional keys ``labels`` (list of class labels admitted) and
-    ``centroid``/``min_similarity`` (feature-space test).  Data matching no
+    ``locality_mapping`` holds one predicate per locality: a dict whose one
+    optional key ``labels`` lists the labels it admits.  Data matching no
     predicate falls through to the last locality.
     """
 
@@ -356,6 +371,9 @@ class HiveParams:
         path (``hive.eta``, ``hive.elasticity_schedules[0]``)."""
         # the range checks below assume every field has its declared type
         check_field_types(self, HIVE_PARAM_TYPES, "hive.")
+        for i, mapping in enumerate(self.locality_mapping):
+            check_fields(f"hive.locality_mapping[{i}]", mapping,
+                         {"labels": list[str]})
         problems: list[str] = []
         if self.num_localities < 1:
             problems.append("num_localities must be >= 1")
@@ -399,21 +417,6 @@ class HiveParams:
                 problems.append(f"{name} must be strictly decreasing")
             if schedule[-1] < max(self.phi, 1.0):
                 problems.append(f"{name} must end at >= max(phi, 1)")
-        for i, mapping in enumerate(self.locality_mapping):
-            name = f"locality_mapping[{i}]"
-            centroid = mapping.get("centroid")
-            if centroid is not None:
-                if len(centroid) != self.feature_dim:
-                    problems.append(
-                        f"{name}.centroid must have feature_dim "
-                        f"({self.feature_dim}) values, got {len(centroid)}")
-                elif not np.isfinite(np.asarray(centroid, dtype=float)).all():
-                    problems.append(f"{name}.centroid must be finite")
-            min_sim = mapping.get("min_similarity")
-            # NaN fails the comparison too
-            if min_sim is not None and not -1.0 <= min_sim <= 1.0:
-                problems.append(f"{name}.min_similarity must be finite and "
-                                f"in [-1, 1], got {min_sim!r}")
         if problems:
             raise ConfigurationError("; ".join(f"hive.{p}" for p in problems))
 
@@ -435,7 +438,6 @@ class Hive:
         self.extractor = HistogramExtractor(dim=self.params.feature_dim,
                                             seed=self.params.extractor_seed)
         self._label_index: dict[str, int] = {}
-        self._vector_index: dict[bytes, int] = {}
         # One row per data neuron, in the order they were added (which is id
         # order), in columns grown by doubling: its feature scaled to unit
         # length, so a query scores every neuron in one product; its
@@ -492,9 +494,6 @@ class Hive:
     def find_cue_by_label(self, label: str) -> int | None:
         return self._label_index.get(label)
 
-    def find_cue_by_vector(self, vector: np.ndarray) -> int | None:
-        return self._vector_index.get(np.asarray(vector, dtype=float).tobytes())
-
     def locality(self, locality_id: int) -> Locality:
         for loc in self.localities:
             if loc.id == locality_id:
@@ -545,27 +544,11 @@ class Memory:
         self.hive.search_order[cue.id] = []
         return cue.id
 
-    def add_cue_neuron(self, cue_vector: np.ndarray | None = None,
-                       label: str | None = None) -> int:
-        """Insert a cue neuron found by its label or, without one, by its
-        vector; a label or vector already in the bank returns that cue."""
-        hive = self.hive
-        if label is not None:
-            cue_id = hive.find_cue_by_label(label)
-            if cue_id is None:
-                cue_id = hive._label_index[label] = self._add_cue(label)
-            return cue_id
-        if cue_vector is None:
-            raise ConfigurationError("cue neuron needs a label or a vector")
-        cue_vector = np.asarray(cue_vector, dtype=float)
-        if cue_vector.shape != (hive.params.feature_dim,):
-            raise ConfigurationError(
-                f"cue vector dimension {cue_vector.shape} != "
-                f"({hive.params.feature_dim},)")
-        key = cue_vector.tobytes()
-        cue_id = hive._vector_index.get(key)
+    def add_cue_neuron(self, label: str) -> int:
+        """The cue neuron with ``label``, inserted if the bank has none."""
+        cue_id = self.hive.find_cue_by_label(label)
         if cue_id is None:
-            cue_id = hive._vector_index[key] = self._add_cue()
+            cue_id = self.hive._label_index[label] = self._add_cue(label)
         return cue_id
 
     def add_data_neuron(self, locality_id: int, payload: Payload,
@@ -786,17 +769,42 @@ class SnapshotDoc:
     orders: list[dict] = field(default_factory=list)
 
 
-def _parse_kv(parts: list[str]) -> dict:
-    out = {}
-    for part in parts:
-        key, _, value = part.partition("=")
-        out[key] = value
+# the fields ``Memory._export_snapshot`` writes on each kind of line, each
+# with a check that raises ValueError on a value it never writes
+_SNAPSHOT_FIELDS = {
+    "hive": dict(modality=str, eta=float, epsilon=float, phi=float,
+                 retention=int),
+    "locality": dict(hive=int, memory_decay=float, association_decay=float,
+                     default_cue=lambda v: v == "-" or int(v)),
+    "cue": dict(hive=int, label=str, default=("0", "1").index),
+    "data": dict(hive=int, locality=int, strength=float, quality=float,
+                 size=int, original=int, last_access=int),
+    "edge": dict(weight=float, last_access=int),
+}
+
+
+def _fields(kind: str, parts: list[str]) -> dict:
+    """A line's ``key=value`` fields, as text; KeyError or ValueError if a
+    field its kind always carries is missing or does not parse."""
+    out = dict(part.partition("=")[::2] for part in parts)
+    for key, check in _SNAPSHOT_FIELDS[kind].items():
+        check(out[key])
     return out
+
+
+def _check_declared(kinds: dict[int, str], ids, *allowed: str) -> None:
+    for nid in ids:
+        if kinds.get(nid) not in allowed:
+            raise SnapshotFormatError(
+                f"neuron {nid} is not a declared {' or '.join(allowed)} neuron")
 
 
 def parse_snapshot(text: str) -> SnapshotDoc:
     """Parse a snapshot document.  A malformed line raises
-    ``SnapshotFormatError`` naming its line number."""
+    ``SnapshotFormatError`` naming its line number: one that lacks a field
+    its kind always carries or whose field does not parse, and an edge or
+    order that names a neuron no earlier line declares (an order's cue must
+    be a cue, its entries data neurons)."""
     lines = [(number, line.strip())
              for number, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
@@ -815,39 +823,43 @@ def parse_snapshot(text: str) -> SnapshotDoc:
         raise SnapshotFormatError(
             f"snapshot version {version} unsupported (expected {SNAPSHOT_VERSION})")
     doc = SnapshotDoc(version=version)
+    kinds: dict[int, str] = {}      # declared neuron id -> "cue" | "data"
     for number, line in lines[1:]:
         kind, *rest = line.split()
         try:
-            if kind == "hive":
-                doc.hives.append({"id": int(rest[0]), **_parse_kv(rest[1:])})
-            elif kind == "locality":
-                doc.localities.append({"id": int(rest[0]), **_parse_kv(rest[1:])})
+            if kind in ("hive", "locality"):
+                rows = doc.hives if kind == "hive" else doc.localities
+                rows.append({"id": int(rest[0]), **_fields(kind, rest[1:])})
             elif kind in ("cue", "data"):
                 doc.neurons.append({"kind": kind, "id": int(rest[0]),
-                                    **_parse_kv(rest[1:])})
+                                    **_fields(kind, rest[1:])})
+                kinds[int(rest[0])] = kind
             elif kind == "edge":
                 doc.edges.append({"a": int(rest[0]), "b": int(rest[1]),
-                                  **_parse_kv(rest[2:])})
+                                  **_fields(kind, rest[2:])})
+                _check_declared(kinds, map(int, rest[:2]), "cue", "data")
             elif kind == "order":
-                entries = []
-                if len(rest) > 1 and rest[1]:
-                    for item in rest[1].split(","):
-                        dn, _, w = item.partition(":")
-                        entries.append({"dn_id": int(dn), "avg_weight": float(w)})
+                items = rest[1].split(",") if len(rest) > 1 else []
+                entries = [{"dn_id": int(dn), "avg_weight": float(w)}
+                           for dn, _, w in (i.partition(":") for i in items)]
                 doc.orders.append({"cue_id": int(rest[0]), "entries": entries})
+                _check_declared(kinds, [int(rest[0])], "cue")
+                _check_declared(kinds, [e["dn_id"] for e in entries], "data")
             else:
                 raise SnapshotFormatError(f"unknown line kind {kind!r}")
         except SnapshotFormatError as exc:
             raise SnapshotFormatError(f"snapshot line {number}: {exc}") from None
-        except (IndexError, ValueError):
-            # a short line, or an id or weight that does not parse
+        except (IndexError, KeyError, ValueError):
+            # a short line, a missing field, or a field, id or weight that
+            # does not parse
             raise SnapshotFormatError(
                 f"snapshot line {number}: malformed {kind} line {line!r}") from None
     return doc
 
 
 def cue_label(neuron: dict) -> str | None:
-    """A parsed cue's label as stored (``None`` for a default or vector cue)."""
+    """A parsed cue's label as stored (``None`` for a cue written without
+    one: a locality's default cue)."""
     label = neuron.get("label", "-")
     return None if label == "-" else urllib.parse.unquote(label)
 

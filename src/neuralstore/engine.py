@@ -8,6 +8,13 @@ through the reaction step, which is where all association learning happens.
 Retention ages whatever the access pattern has not touched lately, and
 elasticity squeezes stored quality to make room when a byte capacity is set.
 
+Coarse cues are labels: ``store``, ``retrieve`` and ``bootstrap_store`` take
+a list of label strings, and refuse a bare string or a cue that is not a
+string with ``ConfigurationError`` before they change anything.  A new data
+neuron goes to the first locality whose ``labels`` admit its first cue, or
+else to the last locality.  Fine cues, the feature vectors a retrieve
+matches, never become cue neurons.
+
 The engine changes associations only through ``Memory.associate`` and
 ``Memory.adjust_association``, which keep every cue's search order current
 (see :mod:`neuralstore.core`).  An operation's candidate list is a fresh
@@ -52,6 +59,7 @@ order.
 from __future__ import annotations
 
 import math
+import reprlib
 import typing
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -81,6 +89,21 @@ NEAR_THRESHOLD = 1e-9
 # distinct retrieve fine cues whose unit rows an engine keeps; past this
 # many the memo starts over
 FINE_UNIT_MEMO_SIZE = 1024
+
+
+def _check_cues(cues, op: str, least: int = 1) -> None:
+    """Refuse a cue list that is a bare string, holds a cue that is not a
+    label string, or has fewer than ``least`` cues."""
+    if isinstance(cues, str):
+        raise ConfigurationError(
+            f"{op} cues must be a list of label strings, got {cues!r}")
+    for cue in cues:
+        if not isinstance(cue, str):
+            raise ConfigurationError(
+                f"{op} cues must be a list of label strings, got "
+                f"{reprlib.repr(cues)}")
+    if len(cues) < least:
+        raise ConfigurationError(f"{op} requires at least one cue")
 
 
 def _validated(params):
@@ -179,16 +202,6 @@ class MemoryEngine:
 
     # -- helpers -------------------------------------------------------------
 
-    def _resolve_cue(self, cue) -> int | None:
-        if isinstance(cue, str):
-            return self.hive.find_cue_by_label(cue)
-        return self.hive.find_cue_by_vector(np.asarray(cue, dtype=float))
-
-    def _find_or_create_cue(self, cue) -> int:
-        if isinstance(cue, str):
-            return self.memory.add_cue_neuron(label=cue)
-        return self.memory.add_cue_neuron(cue_vector=np.asarray(cue, dtype=float))
-
     def _as_payload(self, data, item_id: str | None) -> Payload:
         modality = self.hive.modality
         if not isinstance(data, Payload):
@@ -250,7 +263,7 @@ class MemoryEngine:
         t1 = self.search.assoc_thresh if assoc_thresh is None else assoc_thresh
         lists: list[list[SearchEntry]] = []
         for cue in cues:
-            cue_id = self._resolve_cue(cue)
+            cue_id = hive.find_cue_by_label(cue)
             if cue_id is not None:
                 lists.append(hive.search_order.get(cue_id, []))
             else:
@@ -279,18 +292,19 @@ class MemoryEngine:
     # -- reaction ------------------------------------------------------------
 
     def reaction(self, target_dn: int, cue_id: int, flag: int, cues=(),
-                 eta: float | None = None, k: bool | None = None) -> None:
+                 k: bool | None = None) -> None:
         """Reward or penalize a candidate reached from ``cue_id`` after a
         search/merge attempt.
 
-        ``flag=1`` strengthens the cue's edge to the target by eta, restores
-        the target's strength to 100 and associates each cue with the target
-        (creating cue neurons and epsilon-weight links as needed; links that
-        already exist, other than the one just strengthened, are
-        strengthened).  ``flag=0`` weakens the edge by eta when failure decay
-        (``k``) is enabled and otherwise leaves all weights untouched.
+        ``flag=1`` strengthens the cue's edge to the target by the hive's
+        eta, restores the target's strength to 100 and associates each cue
+        with the target (creating cue neurons and epsilon-weight links as
+        needed; links that already exist, other than the one just
+        strengthened, are strengthened).  ``flag=0`` weakens the edge by eta
+        when failure decay (``k``) is enabled and otherwise leaves all
+        weights untouched.
         """
-        eta = self.params.eta if eta is None else eta
+        eta = self.params.eta
         k = self.controls.weaken_on_fail if k is None else k
         memory = self.memory
         try:
@@ -312,7 +326,7 @@ class MemoryEngine:
         # the edge from cue ``skip`` was already strengthened by the caller
         memory = self.memory
         for cue in cues:
-            cue_id = self._find_or_create_cue(cue)
+            cue_id = memory.add_cue_neuron(cue)
             if cue_id == skip:
                 continue
             if not memory.graph.has_edge(cue_id, dn_id):
@@ -385,18 +399,12 @@ class MemoryEngine:
 
     # -- locality selection ----------------------------------------------------
 
-    def select_locality(self, label: str | None,
-                        feature: np.ndarray | None) -> Locality:
-        """First locality whose predicate admits the data; last one catches all."""
+    def select_locality(self, label: str | None) -> Locality:
+        """First locality whose ``labels`` admit ``label``; the last one
+        catches all."""
         for locality in self.hive.localities:
-            mapping = locality.mapping
-            if label is not None and label in mapping.get("labels", ()):
+            if label in locality.mapping.get("labels", ()):
                 return locality
-            centroid = mapping.get("centroid")
-            if centroid is not None and feature is not None:
-                min_sim = mapping.get("min_similarity", 0.95)
-                if cosine_similarity(feature, np.asarray(centroid)) >= min_sim:
-                    return locality
         return self.hive.localities[-1]
 
     # -- operations ------------------------------------------------------------
@@ -472,8 +480,7 @@ class MemoryEngine:
               controls: OpControls | None = None,
               item_id: str | None = None) -> OpOutcome:
         """Store data: merge into a similar resident neuron or create a new one."""
-        if not cues:
-            raise ConfigurationError("store requires at least one insertion cue")
+        _check_cues(cues, "store")
         search = self.search if search is None else _validated(search)
         controls = self.controls if controls is None else _validated(controls)
         payload = self._as_payload(data, item_id)
@@ -497,8 +504,7 @@ class MemoryEngine:
             outcome = OpOutcome("merged", dn.id, len(examined), stored,
                                 stored.quality, examined)
         else:
-            label = next((c for c in cues if isinstance(c, str)), None)
-            locality = self.select_locality(label, feature)
+            locality = self.select_locality(cues[0])
             dn_id = self.memory.add_data_neuron(locality.id, payload, feature)
             self._associate_cues(cues, dn_id, skip=None)
             outcome = OpOutcome("new_neuron", dn_id, len(examined), payload,
@@ -510,8 +516,7 @@ class MemoryEngine:
                  controls: OpControls | None = None) -> OpOutcome:
         """Retrieve the first candidate matching any fine cue (or the first
         candidate outright when no fine cues are given)."""
-        if not cues:
-            raise ConfigurationError("retrieve requires at least one coarse cue")
+        _check_cues(cues, "retrieve")
         search = self.search if search is None else _validated(search)
         controls = self.controls if controls is None else _validated(controls)
         self.memory.op_counter += 1
@@ -601,15 +606,14 @@ class MemoryEngine:
         full quality, label cues are attached at epsilon weight, and neither
         the operation counter nor retention is touched.
         """
+        _check_cues(cues, "bootstrap_store", least=0)
         payload = self._as_payload(data, item_id)
         feature = self.hive.extractor.extract(payload.blob)
         if locality_id is None:
-            label = next((c for c in cues if isinstance(c, str)), None)
-            locality_id = self.select_locality(label, feature).id
+            locality_id = self.select_locality(cues[0] if cues else None).id
         dn_id = self.memory.add_data_neuron(locality_id, payload, feature)
         for cue in cues:
-            cue_id = self._find_or_create_cue(cue)
-            self.memory.associate(cue_id, dn_id)
+            self.memory.associate(self.memory.add_cue_neuron(cue), dn_id)
         return dn_id
 
 

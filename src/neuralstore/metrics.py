@@ -51,8 +51,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _mean(values) -> float:
-    values = list(values)
+def _mean(values: list) -> float:
     return float(np.mean(values)) if values else 0.0
 
 
@@ -66,7 +65,7 @@ def engine_summary(log: list[dict], warmup: int = 0) -> dict:
     hits = [r for r in retrieves if r["hit"]]
     retrieve_costs = [r["cost"] for r in retrieves]
     store_costs = [r["cost"] for r in stores]
-    fidelities = [normalized_fidelity(_as_float(r["fidelity"]))
+    fidelities = [normalized_fidelity(float(r["fidelity"]))
                   for r in hits if r.get("fidelity") is not None]
     return {
         "engine": log[0]["engine"],
@@ -83,12 +82,6 @@ def engine_summary(log: list[dict], warmup: int = 0) -> dict:
         "final_bytes": log[-1]["total_bytes"],
         "peak_bytes": max(r["total_bytes"] for r in log),
     }
-
-
-def _as_float(value) -> float:
-    if isinstance(value, str):
-        return math.inf if value.lower() in ("inf", "infinity") else float(value)
-    return float(value)
 
 
 def summarize(log: list[dict], other: list[dict] | None = None,
@@ -145,11 +138,10 @@ def quality_factor_curve(records: list[TraceRecord], corpus: Corpus,
         except ReplayError:
             points.append(QualityFactorPoint(cap, 0.0, 0.0, 0.0, failed=True))
             continue
-        retrieves = [r for r in log if r["op"] == "retrieve"]
-        hits = [r for r in retrieves if r["hit"]]
-        hit_rate = len(hits) / len(retrieves) if retrieves else 0.0
-        fidelity = _mean(normalized_fidelity(_as_float(r["fidelity"]))
-                         for r in hits if r.get("fidelity") is not None)
+        # an empty trace has no retrieve to score
+        summary = engine_summary(log) if log else {}
+        hit_rate = summary.get("hit_rate", 0.0)
+        fidelity = summary.get("mean_norm_fidelity", 0.0)
         points.append(QualityFactorPoint(cap, hit_rate * fidelity, hit_rate,
                                          fidelity))
     return points

@@ -448,8 +448,14 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
             continue
         row = _json_row(path, lineno, line)
         field_of = functools.partial(_row_field, path, lineno, row)
+        seq = field_of("seq", int)
+        # seqs start at 0 and increase, so each op has its own seq
+        least = records[-1].seq + 1 if records else 0
+        if seq < least:
+            raise ConfigurationError(
+                f"{path}: line {lineno}: seq {seq} must be >= {least}")
         records.append(TraceRecord(
-            seq=field_of("seq", int), op=field_of("op", str),
+            seq=seq, op=field_of("op", str),
             item_id=field_of("item_id", str, None),
             coarse_cues=tuple(field_of("coarse_cues", list, ())),
             use_fine_cue=field_of("use_fine_cue", bool, True),
@@ -512,22 +518,18 @@ class NsReplayAdapter:
 
 
 class CamReplayAdapter:
-    """Drives the CAM baseline with item ids as tags (label keying optional)."""
+    """Drives the CAM baseline with item ids as tags."""
 
     engine_id = "cam"
 
-    def __init__(self, cam: CamBaseline, key_by_label: bool = False):
+    def __init__(self, cam: CamBaseline):
         self.cam = cam
-        self.key_by_label = key_by_label
-
-    def _tag(self, rec: TraceRecord, item: ManifestItem) -> str:
-        return item.class_label if self.key_by_label else item.item_id
 
     def total_bytes(self) -> int:
         return self.cam.total_bytes
 
     def do_store(self, rec: TraceRecord, item: ManifestItem) -> dict:
-        result = self.cam.store(self._tag(rec, item), item.data)
+        result = self.cam.store(item.item_id, item.data)
         kind = "merged" if result.overwrote else (
             "new_neuron" if result.stored else "miss")
         return {"kind": kind, "dn_id": None, "cost": result.cost,
@@ -535,7 +537,7 @@ class CamReplayAdapter:
                 "quality": 100.0 if result.stored else None, "fidelity": None}
 
     def do_retrieve(self, rec: TraceRecord, item: ManifestItem) -> dict:
-        payload, cost = self.cam.retrieve(self._tag(rec, item))
+        payload, cost = self.cam.retrieve(item.item_id)
         hit = payload is not None
         return {"kind": "hit" if hit else "miss", "dn_id": None, "cost": cost,
                 "hit": hit, "quality": 100.0 if hit else None,

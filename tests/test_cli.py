@@ -338,10 +338,63 @@ class TestInspect:
     def test_malformed_line_exits_2_naming_the_line(self, tmp_path, capsys,
                                                     line, reason):
         bad = tmp_path / "bad.txt"
-        bad.write_text(f"neuralstore-snapshot 1\n\ncue 0 label=-\n{line}\n")
+        bad.write_text(f"neuralstore-snapshot 1\n\n"
+                       f"cue 0 hive=0 label=- default=0\n{line}\n")
         assert main(["inspect", "--snapshot", str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: snapshot line 4: {reason}\n"
+
+    # each line after the header is well formed until the last, line 5
+    GOOD_LINES = ["hive 0 modality=blob eta=20 epsilon=1 phi=1 retention=500",
+                  "cue 1 hive=0 label=deer default=0"]
+
+    @pytest.mark.parametrize("line", [
+        "data 2",
+        "data 2 hive=0 locality=0 strength=100 quality=100 size=9",
+        "data 2 hive=0 locality=0 strength=high quality=100 size=9 "
+        "original=9 last_access=0",
+        "data 2 hive=0 locality=0.5 strength=1 quality=1 size=9 original=9 "
+        "last_access=0",
+        "cue 3 default=yes",
+        "cue 3 hive=0 label=- default=yes",
+        "hive 1 modality=blob eta=20 epsilon=1 phi=1",
+        "locality 0 hive=0 memory_decay=0.5 association_decay=0 "
+        "default_cue=x",
+        "edge 1 1 weight=1",
+    ])
+    def test_line_without_its_fields_exits_2(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(["neuralstore-snapshot 1", *self.GOOD_LINES,
+                                   "", line]) + "\n")
+        assert main(["inspect", "--snapshot", str(bad)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: snapshot line 5: malformed {line.split()[0]} line {line!r}\n"
+
+    @pytest.mark.parametrize("line, reason", [
+        ("edge 1 2 weight=1 last_access=0",
+         "neuron 2 is not a declared cue or data neuron"),
+        ("order 2 1:1", "neuron 2 is not a declared cue neuron"),
+        ("order 1 1:1", "neuron 1 is not a declared data neuron"),
+    ])
+    def test_line_naming_an_undeclared_neuron_exits_2(self, tmp_path, capsys,
+                                                       line, reason):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(["neuralstore-snapshot 1", *self.GOOD_LINES,
+                                   "", line]) + "\n")
+        assert main(["inspect", "--snapshot", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: snapshot line 5: {reason}\n"
+
+    def test_bare_lines_once_rendered_as_none_exit_2(self, tmp_path, capsys):
+        # data and edge lines without their fields, and an edge to a neuron
+        # no line declares, once rendered as None
+        bad = tmp_path / "bad.txt"
+        bad.write_text("neuralstore-snapshot 1\ndata 1\nedge 1 2\n"
+                       "cue 3 default=yes\n")
+        assert main(["inspect", "--snapshot", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: snapshot line 2: malformed data line 'data 1'\n"
 
     def test_non_integer_version_exits_2_naming_the_line(self, tmp_path,
                                                           capsys):

@@ -16,6 +16,7 @@ from neuralstore.core import (
     clamp_strength,
     clamp_weight,
     parse_snapshot,
+    render_dot,
 )
 from tests.conftest import build_walkthrough
 
@@ -65,18 +66,6 @@ class TestCueNeurons:
         b = memory.add_cue_neuron(label="wolf")
         assert a == b
 
-    def test_duplicate_vector_is_idempotent(self):
-        memory, hive = make_memory()
-        vec = np.zeros(64)
-        vec[3] = 1.0
-        a = memory.add_cue_neuron(cue_vector=vec)
-        b = memory.add_cue_neuron(cue_vector=vec.copy())
-        assert a == b
-
-    def test_wrong_dimension_rejected(self):
-        memory, hive = make_memory()
-        with pytest.raises(ConfigurationError):
-            memory.add_cue_neuron(cue_vector=np.ones(3))
 
 
 class TestDataNeurons:
@@ -214,12 +203,15 @@ class TestExports:
     def test_dot_names_cues_and_escapes_labels(self):
         memory, _ = make_memory()
         memory.add_cue_neuron(label='a "b" \\ c')
-        memory.add_cue_neuron(cue_vector=np.ones(64))
         memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
         dot = memory.export_graph("dot").splitlines()
         assert dot[2] == '  n0 [label="a \\"b\\" \\\\ c\\n#0" shape=ellipse];'
-        assert dot[3] == '  n1 [label="cue\\n#1" shape=ellipse];'
-        assert dot[5] == '  n3 [label="default\\n#3" shape=doublecircle];'
+        assert dot[4] == '  n2 [label="default\\n#2" shape=doublecircle];'
+        # only a snapshot can hold a cue with no label that is not a default
+        text = memory.export_graph("snapshot").replace(
+            "cue 0 hive=0 label=a%20%22b%22%20%5C%20c", "cue 0 hive=0 label=-")
+        dot = render_dot(parse_snapshot(text)).splitlines()
+        assert dot[2] == '  n0 [label="cue\\n#0" shape=ellipse];'
 
     def test_unknown_format_rejected(self):
         memory, _ = make_memory()
@@ -234,6 +226,13 @@ class TestExports:
         assert len(doc.neurons) == len(engine.memory.neurons)
         assert len(doc.edges) == engine.memory.edge_count()
         assert doc.orders  # search orders present after bootstrap
+
+    def test_keys_a_snapshot_does_not_always_carry_are_read_as_text(self):
+        engine, _, _, _ = build_walkthrough()
+        text = engine.memory.export_graph("snapshot")
+        doc = parse_snapshot(text.replace(" retention=", " full_graph=1 retention="))
+        assert doc.hives[0]["full_graph"] == "1"
+        assert render_dot(doc) == engine.memory.export_graph("dot")
 
     def test_version_mismatch_rejected(self):
         with pytest.raises(SnapshotFormatError):

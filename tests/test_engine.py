@@ -479,23 +479,20 @@ class TestSearchOrder:
 class TestSelectLocality:
     def test_label_match(self):
         engine = engine_with(locality_mapping=[{"labels": ["fox", "wolf"]}, {}])
-        assert engine.select_locality("fox", None).id == 0
+        assert engine.select_locality("fox").id == 0
 
     def test_unmatched_falls_to_last(self):
         engine = engine_with()
-        assert engine.select_locality("emu", None).id == 1
+        assert engine.select_locality("emu").id == 1
 
     def test_first_match_wins(self):
         engine = engine_with(
             locality_mapping=[{"labels": ["x"]}, {"labels": ["x"]}])
-        assert engine.select_locality("x", None).id == 0
+        assert engine.select_locality("x").id == 0
 
-    def test_centroid_predicate(self):
+    def test_no_label_falls_to_last(self):
         engine = engine_with()
-        feature = engine.hive.extractor.extract(blob(0))
-        engine.hive.localities[0].mapping = {"centroid": feature.tolist(),
-                                             "min_similarity": 0.9}
-        assert engine.select_locality(None, feature).id == 0
+        assert engine.select_locality(None).id == 1
 
 
 class TestUpdateSemantics:
@@ -597,23 +594,71 @@ class TestDataToDataEdges:
                 assert e.cue_id not in (a, b)   # orders start at cues only
 
 
-class TestVectorCues:
-    def test_store_and_retrieve_with_unlabeled_vector_cue(self):
-        engine = engine_with()
-        vec = engine.hive.extractor.extract(blob(3))
-        stored = engine.store(blob(0), [vec])
-        cue = engine.hive.find_cue_by_vector(vec)
-        assert cue is not None
-        assert engine.memory.weight(cue, stored.dn_id) == 1.0
-        out = engine.retrieve([vec])
-        assert out.kind == "hit"
-        assert out.dn_id == stored.dn_id
+class TestCueLists:
+    """Cues are labels: a cue list that is a bare string or holds anything
+    but strings is refused before the op changes anything."""
 
-    def test_mixed_label_and_vector_cues(self):
+    def state(self, engine) -> tuple:
+        memory = engine.memory
+        return (memory.op_counter, memory.graph.edges(),
+                engine.hive.strength[:len(engine.hive.feature_rows)].tolist(),
+                maintained(engine), sorted(memory.neurons),
+                memory.total_bytes())
+
+    def seeded(self):
         engine = engine_with()
-        vec = engine.hive.extractor.extract(blob(4))
-        stored = engine.store(blob(0), ["hot", vec])
-        cue = engine.hive.find_cue_by_vector(vec)
-        label_cue = engine.hive.find_cue_by_label("hot")
-        assert engine.memory.weight(cue, stored.dn_id) == 1.0
-        assert engine.memory.weight(label_cue, stored.dn_id) == 1.0
+        engine.store(blob(0), ["hot"])
+        engine.retrieve(["hot"])
+        return engine
+
+    def call(self, engine, op, cues):
+        if op == "retrieve":
+            return engine.retrieve(cues)
+        return getattr(engine, op)(blob(1), cues)
+
+    @pytest.mark.parametrize("cues, shown", [
+        ("hot", "'hot'"),
+        (["hot", np.ones(64)], "['hot', array([1., 1...., 1., 1., 1.])]"),
+        ([np.ones(64).tolist()], "[[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, ...]]"),
+        (["hot", 3], "['hot', 3]"),
+        ([None], "[None]"),
+        ((b"hot",), "(b'hot',)"),
+    ])
+    @pytest.mark.parametrize("op", ["store", "retrieve", "bootstrap_store"])
+    def test_refused_before_anything_changes(self, op, cues, shown):
+        engine = self.seeded()
+        before = self.state(engine)
+        with pytest.raises(ConfigurationError) as caught:
+            self.call(engine, op, cues)
+        assert str(caught.value) == \
+            f"{op} cues must be a list of label strings, got {shown}"
+        assert self.state(engine) == before
+        assert engine.hive.find_cue_by_label("h") is None
+
+    @pytest.mark.parametrize("op", ["store", "retrieve"])
+    def test_no_cue_is_refused(self, op):
+        engine = self.seeded()
+        before = self.state(engine)
+        with pytest.raises(ConfigurationError,
+                           match=f"^{op} requires at least one cue$"):
+            self.call(engine, op, [])
+        assert self.state(engine) == before
+
+    def test_bootstrap_takes_no_cue(self):
+        engine = self.seeded()
+        dn_id = self.call(engine, "bootstrap_store", [])
+        assert engine.memory.data_neuron(dn_id).locality_id == 1
+
+    def test_update_cue_refuses_a_cue_that_is_not_a_string(self):
+        engine = self.seeded()
+        before = self.state(engine)
+        with pytest.raises(ConfigurationError):
+            engine.update_cue(np.ones(64), np.ones(64))
+        assert self.state(engine) == before
+
+    def test_a_list_of_one_label_is_one_cue(self):
+        engine = engine_with()
+        stored = engine.store(blob(0), ["hot"])
+        assert [engine.hive.find_cue_by_label(c) for c in "hot"] == [None] * 3
+        assert engine.retrieve(["hot"]).dn_id == stored.dn_id
+        assert engine.retrieve(("hot",)).dn_id == stored.dn_id

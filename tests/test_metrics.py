@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -133,6 +134,30 @@ class TestQualityFactor:
         points = quality_factor_curve(records, corpus, factory, [16])
         assert points[0].failed
         assert points[0].quality_factor == 0.0
+
+    def test_each_point_is_the_summary_of_its_capped_log(self):
+        _, corpus, records = make_run()
+        params = HiveParams(locality_mapping=[{"labels": ["deer"]}, {}])
+        caps = [corpus.total_bytes() // 3, corpus.total_bytes() * 2]
+
+        def factory(cap):
+            return NsReplayAdapter(MemoryEngine(
+                dataclasses.replace(params, capacity_bytes=cap)))
+
+        for point in quality_factor_curve(records, corpus, factory, caps):
+            summary = engine_summary(
+                replay(records, factory(point.cap_bytes), corpus))
+            assert point.hit_rate == summary["hit_rate"]
+            assert point.mean_fidelity == summary["mean_norm_fidelity"]
+            assert point.quality_factor == \
+                summary["hit_rate"] * summary["mean_norm_fidelity"]
+            assert not point.failed
+
+    def test_empty_trace_scores_zero(self):
+        _, corpus, _ = make_run()
+        points = quality_factor_curve(
+            [], corpus, lambda cap: CamReplayAdapter(CamBaseline(cap)), [10])
+        assert points == [QualityFactorPoint(10, 0.0, 0.0, 0.0)]
 
     def test_caps_must_ascend(self):
         _, corpus, records = make_run()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,42 @@ class TestTraceParseErrors:
                      "--out", str(tmp_path / "out")]) == 2
         assert "line 1: invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seqs, expected", [
+        ([0, 1, 1, -7], "line 4: seq 1 must be >= 2"),
+        ([0, -7], "line 3: seq -7 must be >= 1"),
+        ([-1], "line 2: seq -1 must be >= 0"),
+        ([0, 2, 1], "line 4: seq 1 must be >= 3"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_seq_that_does_not_increase_is_named(
+            self, generated, tmp_path, capsys, command, seqs, expected):
+        config, data = generated
+        lines = (data / "trace.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in lines[1:]]
+        for row, seq in zip(rows, seqs):
+            row["seq"] = seq
+        bad = tmp_path / "trace.jsonl"
+        bad.write_text("\n".join([lines[0]] + [json.dumps(r) for r in rows])
+                       + "\n")
+        with pytest.raises(ConfigurationError, match=re.escape(expected)):
+            read_trace(bad)
+        code = main([command, "--config", str(config), "--trace", str(bad),
+                     "--manifest", str(data / "manifest.jsonl"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{bad}: {expected}" in capsys.readouterr().err
+
+    def test_seqs_may_skip(self, generated, tmp_path):
+        _, data = generated
+        lines = (data / "trace.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in lines[1:]]
+        for row in rows:
+            row["seq"] = 3 * row["seq"] + 5
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join([lines[0]] + [json.dumps(r) for r in rows])
+                         + "\n")
+        assert [r.seq for r in read_trace(trace)] == [r["seq"] for r in rows]
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -200,7 +237,6 @@ TYPED_FIELDS = [
     ("search", "match_thresh", _is_number),
     ("controls", "search_limit", lambda v: v is None or _is_int(v)),
     ("cam", "policy", lambda v: isinstance(v, str)),
-    ("cam", "key_by_label", lambda v: isinstance(v, bool)),
     ("workload", "n_items", _is_int),
     ("workload", "priority_bias", _is_number),
     ("workload", "payload_size_range",
@@ -272,38 +308,51 @@ def test_hive_params_take_tuples_and_numpy_numbers():
     assert str(caught.value) == "hive.retention_period must be int, got '5'"
 
 
-@pytest.mark.parametrize("mapping, message", [
-    ({"centroid": [1.0, 0.0, 0.0]},
-     "hive.locality_mapping[0].centroid must have feature_dim (64) values, got 3"),
-    ({"centroid": [NAN] + [0.0] * 63},
-     "hive.locality_mapping[0].centroid must be finite"),
-    ({"centroid": [1.0] * 63 + [INF]},
-     "hive.locality_mapping[0].centroid must be finite"),
-    ({"centroid": [1.0] * 64, "min_similarity": NAN},
-     "hive.locality_mapping[0].min_similarity must be finite and in [-1, 1], "
-     "got nan"),
-    ({"labels": ["deer"], "min_similarity": 1.5},
-     "hive.locality_mapping[0].min_similarity must be finite and in [-1, 1], "
-     "got 1.5"),
-    ({"min_similarity": -INF},
-     "hive.locality_mapping[0].min_similarity must be finite and in [-1, 1], "
-     "got -inf"),
+# localities are chosen by label only: a mapping key other than "labels",
+# the removed centroid predicate's too, and labels that are not a list of
+# strings are refused by name
+@pytest.mark.parametrize("mappings, message", [
+    ([{"centroid": [1.0] * 64}, {}],
+     "unknown key(s) in hive.locality_mapping[0]: centroid"),
+    ([{"labels": ["deer"], "min_similarity": 0.95}, {}],
+     "unknown key(s) in hive.locality_mapping[0]: min_similarity"),
+    ([{"labels": ["deer"]}, {"centroid": [0.0] * 64, "min_similarity": 1}],
+     "unknown key(s) in hive.locality_mapping[1]: centroid, min_similarity"),
+    ([{"label": "deer"}, {}],
+     "unknown key(s) in hive.locality_mapping[0]: label"),
+    # a bare string would admit its substrings
+    ([{"labels": "deer"}, {}],
+     "hive.locality_mapping[0].labels must be list[str], got 'deer'"),
+    ([{}, {"labels": ["deer", 3]}],
+     "hive.locality_mapping[1].labels must be list[str], got ['deer', 3]"),
 ])
-def test_bad_locality_mapping_entry_is_named(tmp_path, capsys, mapping,
-                                             message):
+def test_locality_mapping_other_than_labels_is_named(tmp_path, capsys,
+                                                     mappings, message):
     with pytest.raises(ConfigurationError) as caught:
-        HiveParams(locality_mapping=[mapping, {}]).validate()
+        HiveParams(locality_mapping=mappings).validate()
     assert str(caught.value) == message
-    config = write_config(tmp_path, hive={"locality_mapping": [mapping, {}]})
+    config = write_config(tmp_path, hive={"locality_mapping": mappings})
     assert main(["generate", "--config", str(config),
                  "--out", str(tmp_path / "data")]) == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_good_locality_mapping_entries_pass():
-    HiveParams(locality_mapping=[
-        {"centroid": [0.0] * 63 + [1.0], "min_similarity": -1.0},
-        {"centroid": np.ones(64), "min_similarity": 1}]).validate()
+@pytest.mark.parametrize("extra, message", [
+    ({"cam": {"key_by_label": False}}, "unknown key(s) in cam: key_by_label"),
+    ({"cam": {"policy": "lru", "key_by_label": True}},
+     "unknown key(s) in cam: key_by_label"),
+])
+def test_removed_config_key_is_refused_by_name(tmp_path, capsys, extra,
+                                               message):
+    """Set even to its old default, a removed setting is refused, not
+    ignored."""
+    config = write_config(tmp_path, **extra)
+    with pytest.raises(ConfigurationError) as caught:
+        load_config(config)
+    assert str(caught.value) == message
+    assert main(["generate", "--config", str(config),
+                 "--out", str(tmp_path / "data")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("locality", [2, -1, 10**9])
@@ -320,10 +369,11 @@ def test_bootstrap_locality_out_of_range_is_named(tmp_path, capsys, locality):
     assert message in capsys.readouterr().err
 
 
-def test_bootstrap_vector_cue_of_wrong_length_is_named(tmp_path, capsys):
+def test_bootstrap_vector_cue_is_named(tmp_path, capsys):
     config = write_config(tmp_path, bootstrap=[
         {"item_id": "item-0000", "cues": ["deer", [1.0, 2.0, 3.0]]}])
-    message = "bootstrap[0].cues[1] must have feature_dim (64) values, got 3"
+    message = ("bootstrap[0].cues must be list[str], got "
+               "['deer', [1.0, 2.0, 3.0]]")
     with pytest.raises(ConfigurationError) as caught:
         load_config(config)
     assert str(caught.value) == message

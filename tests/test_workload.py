@@ -232,16 +232,3 @@ class TestReplay:
             replay(records, adapter, corpus)
         assert err.value.storage_full
         assert err.value.seq == 0
-
-
-class TestCamLabelKeying:
-    def test_label_keyed_cam_groups_by_class(self):
-        spec = small_spec(n_items=8, n_retrievals=10)
-        corpus = build_corpus(spec)
-        records = generate_trace(corpus, spec)
-        adapter = CamReplayAdapter(CamBaseline(), key_by_label=True)
-        log = replay(records, adapter, corpus)
-        # one entry per class label: later stores overwrite their class slot
-        assert len(adapter.cam) == 2
-        stores = [r for r in log if r["op"] == "store"]
-        assert sum(r["kind"] == "merged" for r in stores) == len(stores) - 2
