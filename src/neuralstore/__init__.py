@@ -3,9 +3,9 @@
 The package has three layers:
 
 * the memory engine itself (:mod:`neuralstore.core`, :mod:`neuralstore.engine`,
-  :mod:`neuralstore.codec`): a weighted cue/data neuron graph whose association
-  weights, search orders and stored-data granularity adapt to the access
-  pattern;
+  :mod:`neuralstore.codec`): cue and data neurons whose cue-to-data
+  association weights, search orders and stored-data granularity adapt to
+  the access pattern;
 * a traditional content-addressable memory baseline
   (:mod:`neuralstore.cam`) with exact tag matching, linear scan cost and
   fixed data quality;
@@ -25,7 +25,6 @@ from neuralstore.codec import (
     psnr_fidelity,
 )
 from neuralstore.core import (
-    AssociationGraph,
     ConfigurationError,
     CueNeuron,
     DataNeuron,
@@ -48,7 +47,6 @@ from neuralstore.cam import CamBaseline, CamEntry
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssociationGraph",
     "CamBaseline",
     "CamEntry",
     "ConfigurationError",

@@ -164,7 +164,10 @@ def _render_text(doc) -> str:
     for n in doc.neurons:
         if n["kind"] == "cue":
             tag = " default" if n.get("default") == "1" else ""
-            lines.append(f"  cue #{n['id']} label={cue_label(n) or '-'}{tag}")
+            label = cue_label(n)
+            if label is None:
+                label = "-"
+            lines.append(f"  cue #{n['id']} label={label}{tag}")
         else:
             lines.append(f"  data #{n['id']} locality={n.get('locality')} "
                          f"strength={n.get('strength')} quality={n.get('quality')} "

@@ -1,10 +1,11 @@
 """Neural memory network state: neurons, weighted associations, one hive.
 
-The memory is a single weighted undirected graph over two node kinds:
+The memory holds two kinds of neuron, and weighted associations that each
+lead from a cue neuron to a data neuron:
 
-* cue neurons hold a search pattern, a label string, and are kept in the
-  hive's cue bank, where a label is found by its exact text (a locality's
-  default cue has no label);
+* cue neurons hold a label string, and are kept in the hive's cue bank,
+  where a label is found by its exact text (a locality's default cue has no
+  label);
 * data neurons hold a payload, a feature vector and a memory strength in
   ``[phi, 100]`` that governs the stored quality of the payload.
 
@@ -21,19 +22,21 @@ feature extractor; localities partition the hive by data kind and carry
 the decay hyperparameters.  Every locality owns a default cue connected to
 all of its data neurons, which is how data stays reachable when no user cue
 leads to it.  Only explicitly created associations exist, at weights
-``>= epsilon``.
+``>= epsilon``.  ``Memory`` keeps them in two dicts keyed ``(cue_id,
+dn_id)``, the weight and the op of last access, and every call that names
+an association takes the cue and then the data neuron, raising
+``KeyError`` naming the id for any other pair.
 
-Each cue has a search order: its edges to data neurons, sorted by
-descending weight and then by data neuron id.  An entry is a
-:class:`SearchEntry`, a tuple ``(-weight, dn_id, cue_id)`` whose natural
-order is that place, so orders are searched and sorted without a key
-function.  A cue gets an empty order when it is created, and
-``Memory.associate`` and ``Memory.adjust_association``, the only ways an
-association is created or changed, move the edge's entry in the order of
-each cue endpoint whose other end is a data neuron: found by ``bisect`` at
-its old ``(-weight, dn_id)`` key, replaced in place when its new key still
-sits between its neighbours, and otherwise inserted again at its new place.
-The orders are therefore always current.
+Each cue has a search order: its associations, sorted by descending weight
+and then by data neuron id.  An entry is a :class:`SearchEntry`, a tuple
+``(-weight, dn_id, cue_id)`` whose natural order is that place, so orders
+are searched and sorted without a key function.  A cue gets an empty order
+when it is created, and ``Memory.associate`` and
+``Memory.adjust_association``, the only ways an association is created or
+changed, insert or move its entry in its cue's order: found by ``bisect``
+at its old ``(-weight, dn_id)`` key, replaced in place when its new key
+still sits between its neighbours, and otherwise inserted again at its new
+place.  The orders are therefore always current.
 
 All weight and strength updates go through the two clamp rules
 
@@ -242,72 +245,6 @@ class SearchEntry(tuple):
     def __repr__(self) -> str:
         return (f"SearchEntry(cue_id={self[2]!r}, dn_id={self[1]!r}, "
                 f"avg_weight={-self[0]!r})")
-
-
-# ---------------------------------------------------------------------------
-# Association graph
-# ---------------------------------------------------------------------------
-
-class AssociationGraph:
-    """Sparse symmetric weight map.
-
-    Edges are stored once under the canonical ``(min_id, max_id)`` key, so
-    symmetry holds by construction.
-    """
-
-    def __init__(self, epsilon: float):
-        self.epsilon = epsilon
-        self._weights: dict[tuple[int, int], float] = {}
-        self._last_access: dict[tuple[int, int], int] = {}
-
-    @staticmethod
-    def _key(a: int, b: int) -> tuple[int, int]:
-        if a == b:
-            raise ValueError(f"self-edge on neuron {a} rejected")
-        return (a, b) if a < b else (b, a)
-
-    def weight(self, a: int, b: int) -> float | None:
-        """Weight of (a, b); ``None`` if no association exists."""
-        return self._weights.get(self._key(a, b))
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return self.weight(a, b) is not None
-
-    def last_access(self, a: int, b: int) -> int | None:
-        return self._last_access.get(self._key(a, b))
-
-    def _store(self, key: tuple[int, int], weight: float, op: int,
-               touch: bool = True) -> None:
-        self._weights[key] = weight
-        if touch or key not in self._last_access:
-            self._last_access[key] = op
-
-    def ensure(self, a: int, b: int, op: int) -> float:
-        """Create the association at ``epsilon`` if absent; return its weight."""
-        key = self._key(a, b)
-        if key in self._weights:
-            return self._weights[key]
-        self._store(key, self.epsilon, op)
-        return self.epsilon
-
-    def adjust(self, a: int, b: int, delta: float, op: int,
-               touch: bool = True) -> tuple[float, float]:
-        """Apply the clamped update ``max(epsilon, old - delta)``; return the
-        old and the new weight.
-
-        Ageing passes set ``touch=False`` so decay does not count as access.
-        """
-        key = self._key(a, b)
-        old = self._weights.get(key)
-        if old is None:
-            raise KeyError(f"no association between {a} and {b}")
-        new = clamp_weight(self.epsilon, old, delta)
-        self._store(key, new, op, touch=touch)
-        return old, new
-
-    def edges(self) -> list[tuple[int, int, float]]:
-        """Edges sorted by key."""
-        return [(a, b, self._weights[(a, b)]) for a, b in sorted(self._weights)]
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +458,10 @@ class Memory:
                 association_decay_rate=params.association_decay_rates[i],
                 mapping=params.locality_mapping[i],
             ))
-        self.graph = AssociationGraph(params.epsilon)
+        # each association's weight, and the op that created it or last
+        # changed it other than by ageing, keyed (cue_id, dn_id)
+        self.weights: dict[tuple[int, int], float] = {}
+        self.edge_access: dict[tuple[int, int], int] = {}
         self.neurons: dict[int, CueNeuron | DataNeuron] = {}
         self.op_counter = 0
         self._next_neuron_id = 0
@@ -588,65 +528,71 @@ class Memory:
 
     def edge_count(self) -> int:
         """Number of associations."""
-        return len(self.graph._weights)
+        return len(self.weights)
 
-    def weight(self, a: int, b: int) -> float | None:
-        self._check_ids(a, b)
-        return self.graph.weight(a, b)
+    def _edge(self, cue_id: int, dn_id: int) -> tuple[int, int]:
+        """The key of the association from a cue to a data neuron; KeyError
+        naming ``cue_id`` if it is not a cue, or ``dn_id`` if it is not a
+        data neuron."""
+        if cue_id not in self.hive.cue_bank:
+            raise KeyError(f"neuron {cue_id} is not a cue neuron")
+        if dn_id not in self.hive.feature_rows:
+            raise KeyError(f"neuron {dn_id} is not a data neuron")
+        return cue_id, dn_id
 
-    def _check_ids(self, *ids: int) -> None:
-        for i in ids:
-            if i not in self.neurons:
-                raise KeyError(f"unknown neuron id {i}")
+    def weight(self, cue_id: int, dn_id: int) -> float | None:
+        """Weight of the association from a cue to a data neuron; ``None``
+        if there is none."""
+        return self.weights.get(self._edge(cue_id, dn_id))
 
     # -- mutation -----------------------------------------------------------
 
-    def associate(self, a: int, b: int) -> float:
-        """Ensure an association exists (created at epsilon); return its weight."""
-        self._check_ids(a, b)
-        weight = self.graph.weight(a, b)
+    def associate(self, cue_id: int, dn_id: int) -> float:
+        """Ensure a cue's association to a data neuron exists (created at
+        epsilon); return its weight."""
+        key = self._edge(cue_id, dn_id)
+        weight = self.weights.get(key)
         if weight is None:
-            weight = self.graph.ensure(a, b, self.op_counter)
-            self._move_entry(a, b, None, weight)
+            weight = self.weights[key] = self.hive.params.epsilon
+            self.edge_access[key] = self.op_counter
+            insort(self.hive.search_order[cue_id],
+                   SearchEntry(cue_id, dn_id, weight))
         return weight
 
-    def adjust_association(self, a: int, b: int, delta: float,
+    def adjust_association(self, cue_id: int, dn_id: int, delta: float,
                            touch: bool = True) -> float:
         """Clamped weight update; positive delta decays, negative strengthens.
 
         KeyError if there is no association.  Ageing passes set
         ``touch=False`` so decay does not count as access.
         """
-        self._check_ids(a, b)
-        old, new = self.graph.adjust(a, b, delta, self.op_counter, touch=touch)
+        key = self._edge(cue_id, dn_id)
+        old = self.weights.get(key)
+        if old is None:
+            raise KeyError(f"no association from {cue_id} to {dn_id}")
+        new = self.weights[key] = clamp_weight(self.hive.params.epsilon, old,
+                                               delta)
+        if touch:
+            self.edge_access[key] = self.op_counter
         if new != old:
-            self._move_entry(a, b, old, new)
+            self._move_entry(cue_id, dn_id, old, new)
         return new
 
-    def _move_entry(self, a: int, b: int, old: float | None,
+    def _move_entry(self, cue_id: int, dn_id: int, old: float,
                     new: float) -> None:
-        """Move the edge (a, b) from weight ``old`` (None: a new edge) to
-        ``new`` in the order of each cue endpoint whose other end is a data
-        neuron."""
-        hive = self.hive
-        for cue_id, dn_id in ((a, b), (b, a)):
-            order = hive.search_order.get(cue_id)
-            # only data neurons appear in search orders
-            if order is None or dn_id not in hive.feature_rows:
-                continue
-            entry = SearchEntry(cue_id, dn_id, new)
-            if old is None:
-                insort(order, entry)
-                continue
-            i = bisect_left(order, (-old, dn_id))
-            # keys are distinct, so an entry strictly between its neighbours
-            # keeps its place
-            if ((i == 0 or order[i - 1] < entry)
-                    and (i + 1 == len(order) or entry < order[i + 1])):
-                order[i] = entry
-            else:
-                del order[i]
-                insort(order, entry)
+        """Move the association's entry in its cue's order from weight
+        ``old`` to ``new``."""
+        order = self.hive.search_order[cue_id]
+        entry = SearchEntry(cue_id, dn_id, new)
+        i = bisect_left(order, (-old, dn_id))
+        # keys are distinct, so an entry strictly between its neighbours
+        # keeps its place
+        if ((i == 0 or order[i - 1] < entry)
+                and (i + 1 == len(order) or entry < order[i + 1])):
+            order[i] = entry
+        else:
+            del order[i]
+            insort(order, entry)
 
     def adjust_strength(self, dn_id: int, delta: float) -> float:
         """Clamped strength update; a lower stored quality follows from it.
@@ -735,7 +681,10 @@ class Memory:
                 f"default_cue={default}")
         for nid, neuron in sorted(self.neurons.items()):
             if isinstance(neuron, CueNeuron):
-                label = urllib.parse.quote(neuron.label) if neuron.label else "-"
+                # "-" stands for no label, so the label "-" is escaped
+                label = ("-" if neuron.label is None else
+                         "%2D" if neuron.label == "-" else
+                         urllib.parse.quote(neuron.label))
                 lines.append(f"cue {nid} hive={hive.id} label={label} "
                              f"default={int(neuron.is_default)}")
             else:
@@ -745,9 +694,10 @@ class Memory:
                     f"quality={_fmt(neuron.payload.quality)} "
                     f"size={neuron.size_bytes} original={neuron.payload.original_size} "
                     f"last_access={neuron.last_access_op}")
-        for a, b, w in self.graph.edges():
-            last = self.graph.last_access(a, b)
-            lines.append(f"edge {a} {b} weight={_fmt(w)} last_access={last}")
+        # an edge line names its lower id first, whichever end is the cue
+        for a, b, key in sorted((min(k), max(k), k) for k in self.weights):
+            lines.append(f"edge {a} {b} weight={_fmt(self.weights[key])} "
+                         f"last_access={self.edge_access[key]}")
         for cue_id in sorted(hive.search_order):
             entries = ",".join(f"{e.dn_id}:{_fmt(e.avg_weight)}"
                                for e in hive.search_order[cue_id])
@@ -876,7 +826,9 @@ def render_dot(doc: SnapshotDoc) -> str:
         nid = n["id"]
         if n["kind"] == "cue":
             default = n.get("default") == "1"
-            name = cue_label(n) or ("default" if default else "cue")
+            name = cue_label(n)
+            if name is None:
+                name = "default" if default else "cue"
             shape = "doublecircle" if default else "ellipse"
             lines.append(f'  n{nid} [label="{_dot_string(name)}\\n#{nid}" '
                          f'shape={shape}];')

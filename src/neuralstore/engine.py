@@ -15,14 +15,17 @@ neuron goes to the first locality whose ``labels`` admit its first cue, or
 else to the last locality.  Fine cues, the feature vectors a retrieve
 matches, never become cue neurons.
 
-The engine changes associations only through ``Memory.associate`` and
+Every association leads from a cue to a data neuron.  The engine changes
+associations only through ``Memory.associate`` and
 ``Memory.adjust_association``, which keep every cue's search order current
-(see :mod:`neuralstore.core`).  An operation's candidate list is a fresh
-list taken before its scan, so entries moved during the scan do not change
-it.  For a cue set that resolves to one order (every generated trace uses
-one coarse cue per operation) the list is a slice of that order, up to the
-association threshold, found by ``bisect``, and the search limit; several
-orders are merged by a walk that drops repeated data neurons.
+(see :mod:`neuralstore.core`); under failure decay, a retention pass ages
+each idle association at its data neuron's locality's association decay
+rate.  An operation's candidate list is a fresh list taken before its
+scan, so entries moved during the scan do not change it.  For a cue set
+that resolves to one order (every generated trace uses one coarse cue per
+operation) the list is a slice of that order, up to the association
+threshold, found by ``bisect``, and the search limit; several orders are
+merged by a walk that drops repeated data neurons.
 
 Matching scores each query once against the hive's feature matrix, whose
 rows are the data neurons' features scaled to unit length: one
@@ -70,7 +73,6 @@ import numpy as np
 from neuralstore.codec import Payload, cosine_similarity
 from neuralstore.core import (
     ConfigurationError,
-    DataNeuron,
     Hive,
     HiveParams,
     Locality,
@@ -176,6 +178,7 @@ class OpOutcome(typing.NamedTuple):
 
 @dataclass
 class RetentionSummary:
+    # (cue_id, dn_id, new weight) of each association the pass weakened
     weakened_edges: list[tuple[int, int, float]] = field(default_factory=list)
     compressed: list[tuple[int, float]] = field(default_factory=list)
     bytes_freed: int = 0
@@ -213,36 +216,18 @@ class MemoryEngine:
                 f"{modality!r}")
         return data
 
-    def _edge_decay_rate(self, a: int, b: int) -> float:
-        """Association decay rate of an edge: the fastest rate among its
-        data-neuron endpoints' localities (cue-cue edges do not age)."""
-        rates = []
-        for n in (a, b):
-            neuron = self.memory.neurons[n]
-            if isinstance(neuron, DataNeuron):
-                locality = self.hive.locality(neuron.locality_id)
-                rates.append(locality.association_decay_rate)
-        return max(rates, default=0.0)
-
     # -- search order --------------------------------------------------------
 
     def update_search_order(self) -> None:
-        """Rebuild every cue's order from the graph, in one pass over its
-        edges.
+        """Rebuild every cue's order from :func:`oracle_search_order`.
 
         ``Memory`` keeps the orders current as associations change, so this
         reference rebuild finds them as they are.
         """
-        hive = self.hive
-        data_rows = hive.feature_rows       # one row per data neuron
-        orders = {cue_id: [] for cue_id in sorted(hive.cue_bank)}
-        for a, b, w in self.memory.graph.edges():
-            for cue_id, dn_id in ((a, b), (b, a)):
-                if cue_id in orders and dn_id in data_rows:
-                    orders[cue_id].append(SearchEntry(cue_id, dn_id, w))
-        for order in orders.values():
-            order.sort()
-        hive.search_order = orders
+        self.hive.search_order = {
+            cue_id: [SearchEntry(cue_id, dn_id, w) for dn_id, w in pairs]
+            for cue_id, pairs in oracle_search_order(self.memory,
+                                                     self.hive).items()}
 
     def get_search_order(self, cues, assoc_thresh: float | None = None,
                          search_limit: int | None = None) -> list[SearchEntry]:
@@ -311,7 +296,7 @@ class MemoryEngine:
             if flag or k:
                 memory.adjust_association(cue_id, target_dn,
                                           -eta if flag else eta)
-            elif not memory.graph.has_edge(cue_id, target_dn):
+            elif (cue_id, target_dn) not in memory.weights:
                 raise KeyError(target_dn)
         except KeyError:
             raise RuntimeError(
@@ -329,7 +314,7 @@ class MemoryEngine:
             cue_id = memory.add_cue_neuron(cue)
             if cue_id == skip:
                 continue
-            if not memory.graph.has_edge(cue_id, dn_id):
+            if (cue_id, dn_id) not in memory.weights:
                 memory.associate(cue_id, dn_id)
             else:
                 memory.adjust_association(cue_id, dn_id, -self.params.eta)
@@ -555,20 +540,21 @@ class MemoryEngine:
 
     def _retention_pass(self, window: int, decay_edges: bool) -> RetentionSummary:
         summary = RetentionSummary()
-        counter = self.memory.op_counter
-        graph = self.memory.graph
+        memory, hive = self.memory, self.hive
+        counter = memory.op_counter
         if decay_edges:
-            for a, b, old in graph.edges():
-                last = graph.last_access(a, b)
-                if counter - last < window:
+            # an association ages at its data neuron's locality's rate
+            for (cue_id, dn_id), old in sorted(memory.weights.items()):
+                if counter - memory.edge_access[cue_id, dn_id] < window:
                     continue
-                rate = self._edge_decay_rate(a, b)
+                rate = hive.locality(
+                    memory.neurons[dn_id].locality_id).association_decay_rate
                 if rate <= 0:
                     continue
-                new = self.memory.adjust_association(a, b, rate, touch=False)
+                new = memory.adjust_association(cue_id, dn_id, rate,
+                                                touch=False)
                 if new != old:
-                    summary.weakened_edges.append((a, b, new))
-        hive = self.hive
+                    summary.weakened_edges.append((cue_id, dn_id, new))
         for locality in hive.localities:
             rate = locality.memory_decay_rate
             if rate <= 0:
@@ -618,20 +604,15 @@ class MemoryEngine:
 
 
 def oracle_search_order(memory: Memory, hive: Hive) -> dict[int, list[tuple[int, float]]]:
-    """Brute-force recomputation of every cue's search order from raw edges.
+    """Recomputation of every cue's search order from the association weights.
 
-    Independent of the maintained lists: reads only the edge set and
-    re-sorts from scratch.  Returns ``{cue_id: [(dn_id, avg_weight), ...]}``.
+    Independent of the maintained lists: reads only the weights and sorts
+    from scratch.  Returns ``{cue_id: [(dn_id, avg_weight), ...]}``.
     """
-    orders: dict[int, list[tuple[int, float]]] = {}
-    for cue_id in hive.cue_bank:
-        pairs: list[tuple[int, float]] = []
-        for a, b, w in memory.graph.edges():
-            other = b if a == cue_id else a if b == cue_id else None
-            if other is None:
-                continue
-            if isinstance(memory.neurons[other], DataNeuron):
-                pairs.append((other, w))
+    orders: dict[int, list[tuple[int, float]]] = {
+        cue_id: [] for cue_id in hive.cue_bank}
+    for (cue_id, dn_id), w in memory.weights.items():
+        orders[cue_id].append((dn_id, w))
+    for pairs in orders.values():
         pairs.sort(key=lambda t: (-t[1], t[0]))
-        orders[cue_id] = pairs
     return orders

@@ -12,8 +12,13 @@ import pytest
 
 from neuralstore.cli import main
 from neuralstore.config import _BASE_PRESET, build_adapter, load_config
-from neuralstore.core import ConfigurationError, HiveParams
-from neuralstore.engine import OpControls, SearchParams
+from neuralstore.core import (
+    ConfigurationError,
+    HiveParams,
+    cue_label,
+    parse_snapshot,
+)
+from neuralstore.engine import MemoryEngine, OpControls, SearchParams
 from neuralstore.workload import WorkloadSpec, read_manifest, read_trace, replay
 
 
@@ -319,6 +324,41 @@ class TestInspect:
         assert main(["inspect", "--snapshot", str(out / "snapshot.txt")]) == 0
         text = capsys.readouterr().out
         assert "label=deer park" in text and 'label=say "hi" \\ back' in text
+
+    def test_empty_and_dash_labels_survive_the_snapshot(self, tmp_path,
+                                                       capsys):
+        # "-" stands for a cue without a label, so the labels "" and "-"
+        # are written so that they read back as themselves
+        engine = MemoryEngine()
+        dn = engine.store(b"\x01" * 64, ["", "-", "-x"]).dn_id
+        snapshot = engine.memory.export_graph("snapshot")
+        cue_lines = [line for line in snapshot.splitlines()
+                     if line.startswith("cue ")]
+        assert [line.split()[3] for line in cue_lines] == [
+            "label=-", "label=", "label=%2D", "label=-x"]
+        # the locality's default cue, then the three label cues
+        labels = {n["id"]: cue_label(n)
+                  for n in parse_snapshot(snapshot).neurons
+                  if n["kind"] == "cue"}
+        assert list(labels.values()) == [None, "", "-", "-x"]
+        ids = {label: cue for cue, label in labels.items()}
+        for label in ("", "-", "-x"):
+            assert engine.hive.find_cue_by_label(label) == ids[label]
+            assert engine.memory.weight(ids[label], dn) == 1.0
+        path = tmp_path / "snapshot.txt"
+        path.write_text(snapshot)
+        assert main(["inspect", "--snapshot", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert f"cue #{ids[None]} label=- default\n" in text
+        assert f"cue #{ids['']} label=\n" in text
+        assert f"cue #{ids['-']} label=-\n" in text
+        assert main(["inspect", "--snapshot", str(path), "--format", "dot"]) == 0
+        dot = capsys.readouterr().out
+        assert dot == engine.memory.export_graph("dot")
+        for label, name, shape in ((None, "default", "doublecircle"),
+                                   ("", "", "ellipse"), ("-", "-", "ellipse")):
+            cue = ids[label]
+            assert f'n{cue} [label="{name}\\n#{cue}" shape={shape}];' in dot
 
     def test_version_mismatch_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

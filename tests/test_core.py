@@ -1,4 +1,4 @@
-"""Memory state tests: neurons, graph, clamped updates, exports."""
+"""Memory state tests: neurons, associations, clamped updates, exports."""
 
 from __future__ import annotations
 
@@ -116,20 +116,6 @@ class TestAdjustments:
         memory.adjust_association(a, dn, -19.0)  # 1 -> 20
         assert memory.adjust_association(a, dn, -20.0) == 40.0
 
-    def test_self_edge_rejected(self):
-        memory, hive = make_memory()
-        dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
-        with pytest.raises(ValueError):
-            memory.adjust_association(dn, dn, 1.0)
-
-    def test_symmetry_after_updates(self):
-        memory, hive = make_memory()
-        a = memory.add_cue_neuron(label="x")
-        dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
-        memory.associate(a, dn)
-        memory.adjust_association(a, dn, -7.5)
-        assert memory.weight(a, dn) == memory.weight(dn, a)
-
     def test_strength_decay_and_recompression(self):
         memory, hive = make_memory()
         dn = memory.add_data_neuron(0, payload(1000),
@@ -156,6 +142,63 @@ class TestAdjustments:
         assert neuron.strength == 100.0
         assert neuron.payload.quality == 80.0
         assert neuron.size_bytes == 800
+
+
+class TestAssociationContract:
+    """An association leads from a cue to a data neuron: every call that
+    names one takes the cue and then the data neuron, and refuses any other
+    pair with a KeyError naming the offending id, changing nothing."""
+
+    def seeded(self):
+        memory, hive = make_memory()
+        cue = memory.add_cue_neuron(label="x")
+        other = memory.add_cue_neuron(label="y")
+        dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
+        dn2 = memory.add_data_neuron(0, payload(50),
+                                     feat(memory, payload(50).blob))
+        memory.associate(cue, dn)
+        memory.adjust_association(cue, dn, -7.5)
+        return memory, cue, other, dn, dn2
+
+    def state(self, memory) -> tuple:
+        return (dict(memory.weights), dict(memory.edge_access),
+                {c: list(o) for c, o in memory.hive.search_order.items()},
+                memory.edge_count())
+
+    def test_keys_are_cue_then_data_neuron(self):
+        memory, cue, _, dn, dn2 = self.seeded()
+        default = memory.hive.localities[0].default_cue_id
+        assert memory.weights == {(default, dn): 1.0, (default, dn2): 1.0,
+                                  (cue, dn): 8.5}
+        assert memory.weight(cue, dn) == 8.5
+        assert memory.weight(cue, dn2) is None
+
+    @pytest.mark.parametrize("pair, bad", [
+        (("dn", "dn2"), "dn"),          # data to data
+        (("cue", "other"), "other"),    # cue to cue
+        (("dn", "cue"), "dn"),          # reversed
+        (("cue", "cue"), "cue"),        # a cue to itself
+        ((99, "dn"), 99),               # unknown cue id
+        (("cue", 99), 99),              # unknown data neuron id
+    ])
+    @pytest.mark.parametrize("call", ["associate", "adjust_association",
+                                      "weight"])
+    def test_any_other_pair_is_refused(self, call, pair, bad):
+        memory, cue, other, dn, dn2 = self.seeded()
+        ids = {"cue": cue, "other": other, "dn": dn, "dn2": dn2}
+        a, b = (ids.get(x, x) for x in pair)
+        before = self.state(memory)
+        args = (a, b, -5.0) if call == "adjust_association" else (a, b)
+        with pytest.raises(KeyError, match=rf"neuron {ids.get(bad, bad)} is"):
+            getattr(memory, call)(*args)
+        assert self.state(memory) == before
+
+    def test_adjusting_an_absent_association_is_refused(self):
+        memory, cue, _, _, dn2 = self.seeded()
+        before = self.state(memory)
+        with pytest.raises(KeyError, match=f"no association from {cue} to {dn2}"):
+            memory.adjust_association(cue, dn2, -5.0)
+        assert self.state(memory) == before
 
 
 class TestClampRules:

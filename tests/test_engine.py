@@ -289,8 +289,7 @@ class TestRetention:
         assert engine.memory.weight(cue, out.dn_id) == 10.0
         summary = engine.retention(n=1, k=True)
         assert engine.memory.weight(cue, out.dn_id) == 7.0
-        assert (cue, out.dn_id) in [(a, b) for a, b, _ in summary.weakened_edges] \
-            or (out.dn_id, cue) in [(a, b) for a, b, _ in summary.weakened_edges]
+        assert (cue, out.dn_id, 7.0) in summary.weakened_edges
 
     def test_auto_retention_fires_on_period(self):
         engine = engine_with(retention_period=3, memory_decay_rates=[2.0, 1.0])
@@ -577,30 +576,14 @@ class TestDeterminism:
         assert run() == run()
 
 
-class TestDataToDataEdges:
-    def test_stored_but_absent_from_search_orders(self):
-        # associations between data neurons are kept as plain weights; no
-        # learning rule targets them and cue orders never list them
-        engine = engine_with()
-        a = engine.store(blob(0), ["hot"]).dn_id
-        b = engine.store(blob(1), ["hot"]).dn_id
-        engine.memory.associate(a, b)
-        assert engine.memory.weight(a, b) == 1.0
-        engine.memory.adjust_association(a, b, -5.0)
-        assert engine.memory.weight(a, b) == 6.0
-        engine.update_search_order()
-        for entries in engine.hive.search_order.values():
-            for e in entries:
-                assert e.cue_id not in (a, b)   # orders start at cues only
-
-
 class TestCueLists:
     """Cues are labels: a cue list that is a bare string or holds anything
     but strings is refused before the op changes anything."""
 
     def state(self, engine) -> tuple:
         memory = engine.memory
-        return (memory.op_counter, memory.graph.edges(),
+        return (memory.op_counter, dict(memory.weights),
+                dict(memory.edge_access),
                 engine.hive.strength[:len(engine.hive.feature_rows)].tolist(),
                 maintained(engine), sorted(memory.neurons),
                 memory.total_bytes())

@@ -126,7 +126,6 @@ class TestEntryMoves:
         memory.adjust_association(cold, a, -30.0)
         memory.adjust_association(cold, a, 12.0, touch=False)
         memory.adjust_association(hot, a, 50.0)     # stays at the floor
-        memory.associate(hot, cold)                 # joins no order
         for cue, order in orders.items():
             assert engine.hive.search_order[cue] is order, cue
         assert [(e.dn_id, e.avg_weight) for e in orders[hot]] == [
@@ -150,7 +149,7 @@ class TestEntryMoves:
         before = maintained(engine)
         summary = engine.retention(n=1, k=True)
         # every other edge is fresh or at the epsilon floor
-        assert summary.weakened_edges == [(min(hot, a), max(hot, a), 16.0)]
+        assert summary.weakened_edges == [(hot, a, 16.0)]
         after = maintained(engine)
         assert [cue for cue in before if after[cue] != before[cue]] == [hot]
         assert after[hot] == [(a, 16.0)]
@@ -361,17 +360,18 @@ def reference_retention(engine, window: int,
     ``adjust_strength``."""
     summary = RetentionSummary()
     memory = engine.memory
-    counter, graph = memory.op_counter, memory.graph
+    counter = memory.op_counter
     if decay_edges:
-        for a, b, old in graph.edges():
-            if counter - graph.last_access(a, b) < window:
+        for (cue_id, dn_id), old in sorted(memory.weights.items()):
+            if counter - memory.edge_access[cue_id, dn_id] < window:
                 continue
-            rate = engine._edge_decay_rate(a, b)
+            locality = memory.data_neuron(dn_id).locality_id
+            rate = engine.hive.locality(locality).association_decay_rate
             if rate <= 0:
                 continue
-            new = memory.adjust_association(a, b, rate, touch=False)
+            new = memory.adjust_association(cue_id, dn_id, rate, touch=False)
             if new != old:
-                summary.weakened_edges.append((a, b, new))
+                summary.weakened_edges.append((cue_id, dn_id, new))
     for locality in engine.hive.localities:
         rate = locality.memory_decay_rate
         for dn_id in locality.dn_ids:
@@ -686,6 +686,26 @@ class TestStateColumns:
         assert out.payload is built and out.quality == 60.0
 
 
+class ReadCountingDict(dict):
+    """A dict that records the key of every read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads.append(key)
+        return super().__contains__(key)
+
+
 class TestReactionEdgeReads:
     @pytest.mark.parametrize("flag, k", [(1, False), (0, True), (0, False)])
     def test_a_reaction_reads_its_edge_once(self, monkeypatch, flag, k):
@@ -695,17 +715,11 @@ class TestReactionEdgeReads:
         # above the epsilon floor, so a weakening moves the weight too
         engine.memory.adjust_association(hot, dn, -30.0)
         engine.update_search_order()
-        graph = engine.memory.graph
-        keys = []
-
-        def key(a, b):
-            keys.append((a, b))
-            return (a, b) if a < b else (b, a)
-
-        monkeypatch.setattr(graph, "_key", key)
+        weights = ReadCountingDict(engine.memory.weights)
+        monkeypatch.setattr(engine.memory, "weights", weights)
         engine.reaction(dn, hot, flag=flag, cues=["hot"], k=k)
-        # the order entry moves with the weights the read returned
-        assert len(keys) == 1
+        # the order entry moves with the weight the read returned
+        assert weights.reads == [(hot, dn)]
         assert maintained(engine) == oracle_search_order(engine.memory,
                                                          engine.hive)
 

@@ -1,10 +1,10 @@
 """Search-order upkeep: each weight change moves its entry as it happens.
 
 Every edge a reaction, a new data neuron or a retention pass changes or
-creates is moved at once in the order of each of its cues.  These tests
+creates is moved at once in its cue's order.  These tests
 check that the orders are moved in place, never rebuilt, and, against a
 reference engine that re-sorts every cue after every operation, that they
-always equal a re-sort from the graph.
+always equal a re-sort of the association weights.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def order_lists(engine) -> dict:
 
 def assert_moved_in_place(engine, before: dict) -> None:
     """Every cue that had an order still holds the same list, and every
-    order equals a re-sort from the graph."""
+    order equals a re-sort of the association weights."""
     for cue_id, order in before.items():
         assert engine.hive.search_order[cue_id] is order, cue_id
     assert maintained(engine) == oracle_search_order(engine.memory,

@@ -102,7 +102,8 @@ def memory_with(weights):
 
 
 def assert_order_current(memory, orders: dict) -> None:
-    """Every order is the list it was, and equals a re-sort from the graph."""
+    """Every order is the list it was, and equals a re-sort of the
+    association weights."""
     for cue_id, order in orders.items():
         assert memory.hive.search_order[cue_id] is order
     assert maintained(memory) == oracle_search_order(memory, memory.hive)
