@@ -4,7 +4,7 @@ A run is fully described by one JSON document with these sections::
 
     {
       "preset": "default",          // optional; base values to overlay
-      "seed": 42,                   // required; drives corpus/trace/replay
+      "seed": 42,                   // required, >= 0; drives corpus/trace/replay
       "engine": "ns",               // ns | cam (default engine for `run`)
       "hive": { ... },              // hive hyperparameters (see HiveParams)
       "search": {"assoc_thresh": 0.0, "match_thresh": 0.95},

@@ -15,7 +15,8 @@ retention and elasticity update a whole locality with one array pass.  The
 neuron object holds its id, feature and locality, and reads its state from
 those columns: its ``strength``, ``last_access_op``, ``size_bytes`` and
 ``payload`` are read-only, and change only through ``Memory``
-(``adjust_strength``, ``set_payload``, ``touch``) or the engine.
+(``adjust_strength``, ``set_payload``, ``reinforce``, ``touch``) or the
+engine.
 
 A memory holds one hive, of one modality, with its hyperparameters and
 feature extractor; localities partition the hive by data kind and carry
@@ -566,9 +567,12 @@ class Memory:
         KeyError if there is no association.  Ageing passes set
         ``touch=False`` so decay does not count as access.
         """
-        key = self._edge(cue_id, dn_id)
+        key = cue_id, dn_id
         old = self.weights.get(key)
         if old is None:
+            # only a cue's association to a data neuron is ever kept, so a
+            # pair found needs no check of its ids
+            self._edge(cue_id, dn_id)
             raise KeyError(f"no association from {cue_id} to {dn_id}")
         new = self.weights[key] = clamp_weight(self.hive.params.epsilon, old,
                                                delta)
@@ -650,9 +654,20 @@ class Memory:
         self._bytes += len(payload.blob) - dn.size_bytes
         self.hive.store_payload(dn.row, payload)
 
-    def restore_strength(self, dn_id: int) -> float:
-        """Raise strength back to 100 (stored quality is not resurrected)."""
-        return self.adjust_strength(dn_id, -100.0)
+    def reinforce(self, dn_id: int) -> None:
+        """Restore a data neuron's strength to 100 and mark it accessed at
+        the current op; its stored quality is not resurrected.
+
+        The same as ``adjust_strength(dn_id, -100.0)`` and then
+        ``touch(dn_id)``: a strength in ``[phi, 100]`` clamps to exactly 100,
+        which lowers no stored quality.
+        """
+        hive = self.hive
+        row = hive.feature_rows.get(dn_id)
+        if row is None:
+            raise KeyError(f"neuron {dn_id} is not a data neuron")
+        hive.strength[row] = 100.0
+        hive.last_access[row] = self.op_counter
 
     def touch(self, dn_id: int) -> None:
         self.hive.last_access[self.data_neuron(dn_id).row] = self.op_counter

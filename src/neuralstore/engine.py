@@ -34,10 +34,15 @@ candidates are then walked in order, stopping at the first match.  A score
 within ``NEAR_THRESHOLD`` of ``match_thresh`` (or NaN) is decided again by
 the scalar :func:`~neuralstore.codec.cosine_similarity`, so a match decision
 is always the one a candidate-by-candidate scan would make.  Retrieve fine
-cues recur, so the engine keeps their unit rows, keyed by the cue's bytes,
-for up to ``FINE_UNIT_MEMO_SIZE`` distinct cues.  Reactions run
+cues recur, so the engine keeps, for up to ``FINE_UNIT_MEMO_SIZE`` distinct
+cues keyed by the cue's bytes, each cue's unit row and its scores against
+the feature rows, packed as float64; rows never change once added, so a
+later retrieve scores only the rows added since.  Those scores may differ
+from a full product's in the last bits, which the ``NEAR_THRESHOLD``
+re-check absorbs, so decisions stay exact.  Reactions run
 only where a weight can change: on the match, and on each examined non-match
-when failure decay is enabled.
+when failure decay is enabled.  A hit's reaction reads its association once
+and its data neuron's row once (``Memory.reinforce``).
 
 Operation cost is the number of candidate examinations (search-section
 iterations); an engine-wide instrumented counter accumulates the same
@@ -64,6 +69,7 @@ from __future__ import annotations
 import math
 import reprlib
 import typing
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -88,8 +94,8 @@ from neuralstore.core import (
 # scalar cosine_similarity; the two differ only by rounding, far below it
 NEAR_THRESHOLD = 1e-9
 
-# distinct retrieve fine cues whose unit rows an engine keeps; past this
-# many the memo starts over
+# distinct retrieve fine cues whose unit rows and scores an engine keeps;
+# past this many the memo starts over
 FINE_UNIT_MEMO_SIZE = 1024
 
 
@@ -200,8 +206,9 @@ class MemoryEngine:
         self.search.validate()
         self.controls.validate()
         self.total_search_iterations = 0
-        # retrieve fine cue bytes -> unit_row of the cue (see _first_match)
-        self._fine_units: dict[bytes, np.ndarray] = {}
+        # retrieve fine cue bytes -> (the cue's unit_row, its scores against
+        # the hive's first len(scores) feature rows); see _first_match
+        self._fine_units: dict[bytes, tuple[np.ndarray, array]] = {}
 
     # -- helpers -------------------------------------------------------------
 
@@ -214,6 +221,11 @@ class MemoryEngine:
             raise ConfigurationError(
                 f"payload modality {data.modality!r} is not the hive's "
                 f"{modality!r}")
+        # a strength of 100 stores any quality in range, so a reaction
+        # (Memory.reinforce) never has a quality to lower
+        if not 0.0 <= data.quality <= 100.0:
+            raise ConfigurationError(
+                f"payload quality {data.quality!r} is outside [0, 100]")
         return data
 
     # -- search order --------------------------------------------------------
@@ -302,8 +314,7 @@ class MemoryEngine:
             raise RuntimeError(
                 f"cue {cue_id} has no edge to {target_dn}") from None
         if flag:
-            memory.restore_strength(target_dn)
-            memory.touch(target_dn)
+            memory.reinforce(target_dn)
             self._associate_cues(cues, target_dn, skip=cue_id)
 
     def _associate_cues(self, cues, dn_id: int, skip: int | None) -> None:
@@ -405,16 +416,25 @@ class MemoryEngine:
         the first match.  Scores within ``NEAR_THRESHOLD`` of ``thresh``
         (and NaN) are decided by the scalar ``cosine_similarity``.
 
-        Retrieve fine cues (``fine_cues``) recur across operations, so their
-        unit rows are kept, keyed by the cue's bytes: a cue changed in place
-        gets a new key.  A store's query is a freshly extracted feature and
-        is never kept.
+        Retrieve fine cues (``fine_cues``) recur across operations, and a
+        feature row never changes once ``Hive.add_row`` has written it, so
+        each cue keeps, keyed by its bytes (a cue changed in place gets a new
+        key), its unit row and its scores against the rows that existed at
+        its last use, packed as float64.  Only the rows added since are
+        scored, by a product over that slice.  A sliced product may differ
+        from the full one in the last bits, far below ``NEAR_THRESHOLD``, so
+        every score that could fall on the other side of ``thresh`` is
+        decided by the scalar function either way, and the decision,
+        ``cost`` and ``examined`` are those of a fresh product.  A store's
+        query is a freshly extracted feature, scored fresh and never kept.
         """
         if not candidates or not queries:
             return 0 if candidates else None
         hive = self.hive
-        features = hive.features[:len(hive.feature_rows)]
-        units = self._fine_units
+        rows = hive.feature_rows
+        n = len(rows)
+        features = hive.features[:n]
+        memo = self._fine_units
         scored = []
         for query in queries:
             if query.shape != features.shape[1:]:
@@ -422,15 +442,17 @@ class MemoryEngine:
                                  f"{features.shape[1:]}")
             if fine_cues:
                 key = query.tobytes()
-                unit = units.get(key)
-                if unit is None:
-                    if len(units) >= FINE_UNIT_MEMO_SIZE:
-                        units.clear()
-                    unit = units[key] = unit_row(query)
+                kept = memo.get(key)
+                if kept is None:
+                    if len(memo) >= FINE_UNIT_MEMO_SIZE:
+                        memo.clear()
+                    kept = memo[key] = (unit_row(query), array("d"))
+                unit, scores = kept
+                if len(scores) < n:
+                    scores.frombytes((features[len(scores):] @ unit).tobytes())
             else:
-                unit = unit_row(query)
-            scored.append((query, (features @ unit).tolist()))
-        rows = hive.feature_rows
+                scores = (features @ unit_row(query)).tolist()
+            scored.append((query, scores))
         above, below = thresh + NEAR_THRESHOLD, thresh - NEAR_THRESHOLD
         for i, entry in enumerate(candidates):
             row = rows[entry[1]]         # entry[1] is the dn id

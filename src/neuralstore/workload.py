@@ -107,6 +107,9 @@ class WorkloadSpec:
 
     def validate(self) -> None:
         problems = []
+        # numpy's seed sequences refuse a negative seed without naming it
+        if self.seed < 0:
+            problems.append("seed must be >= 0")
         if self.n_items < 0:
             problems.append("n_items must be >= 0")
         if self.n_classes < 1:

@@ -127,6 +127,21 @@ class TestGenerate:
                      "--out", str(tmp_path / "x")]) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_negative_seed_option_exits_2_naming_seed(self, tmp_path, capsys):
+        assert main(["generate", "--preset", "wildlife-deer", "--seed", "-3",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_config_seed_exits_2_naming_seed(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"seed": -1}))
+        assert main(["generate", "--config", str(config),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            load_config(config)
+
 
 class TestRun:
     @pytest.fixture
@@ -145,6 +160,18 @@ class TestRun:
         assert (out / "summary.csv").exists()
         assert (out / "space_timeline.csv").exists()
         assert (out / "snapshot.txt").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_negative_seed_exits_2_without_a_manifest(self, generated,
+                                                      tmp_path, capsys,
+                                                      command):
+        config, data = generated
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--seed", "-1",
+                     "--trace", str(data / "trace.jsonl"),
+                     "--out", str(out)]) == 2
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cam_run_flat_quality_and_linear_costs(self, generated, tmp_path, capsys):
         config, data = generated

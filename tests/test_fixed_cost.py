@@ -1,10 +1,11 @@
 """What a single-cue operation pays for once: its candidate list is a slice
 of the cue's order, a payload's fidelity is computed once, and a retrieve
-fine cue's unit row is computed once per distinct value.
+fine cue's unit row is computed once per distinct value and scored once
+against each feature row.
 
 Each shortcut is checked against the computation it replaces: the slice
 against the dedup walk, the kept fidelity against a fresh computation, the
-kept unit rows against the decisions made without them.
+kept unit rows and scores against the decisions made without them.
 """
 
 from __future__ import annotations
@@ -260,7 +261,7 @@ class TestFineCueUnitRows:
         query = engine.hive.extractor.extract(blob(2))
         engine.retrieve(["hot"], [query])
         assert list(engine._fine_units) == [query.tobytes()]
-        assert np.array_equal(engine._fine_units[query.tobytes()],
+        assert np.array_equal(engine._fine_units[query.tobytes()][0],
                               unit_row(query))
         engine.store(blob(9), ["hot"])
         assert list(engine._fine_units) == [query.tobytes()]
@@ -286,3 +287,47 @@ class TestFineCueUnitRows:
             hits += got.hit
         assert plain._fine_units == {}
         assert 0 < hits < bound + 200
+
+    def test_rows_added_between_uses_are_scored_once_each(self):
+        dim = 8
+        engine = engine_with(feature_dim=dim, retention_period=50)
+        plain = NoMemoEngine(dataclasses.replace(engine.params))
+        engines = (engine, plain)
+        thresh = engine.search.match_thresh
+        first = [e.store(blob(0), ["hot"]) for e in engines][0]
+        f = engine.memory.neurons[first.dn_id].feature
+        # a cue at cosine match_thresh to the first neuron, up to rounding,
+        # so its score against that row is left to the scalar function
+        u = f / np.linalg.norm(f)
+        w = np.random.default_rng(1).standard_normal(dim)
+        w -= w.dot(u) * u
+        near = thresh * u + math.sqrt(1.0 - thresh ** 2) * w / np.linalg.norm(w)
+        assert abs(engine_module.cosine_similarity(near, f) - thresh) \
+            < engine_module.NEAR_THRESHOLD
+        cues = [np.zeros(dim), near, f.copy(),
+                engine.hive.extractor.extract(blob(4)),
+                engine.hive.extractor.extract(blob(7, item=1))]
+        kinds = set()
+        for step in range(14):
+            for e in engines:
+                if step % 4 == 3:
+                    # a neuron whose unit row is NaN, reached from "hot"
+                    dn = e.memory.add_data_neuron(
+                        0, Payload.from_bytes(b"nan"), np.full(dim, math.nan))
+                    e.memory.associate(e.hive.find_cue_by_label("hot"), dn)
+                else:
+                    e.store(blob(step), ["hot"])
+            for i, cue in enumerate(cues):
+                queries = [cue] if (step + i) % 3 else [cue, cues[i - 1]]
+                got = engine.retrieve(["hot"], queries)
+                assert got == plain.retrieve(["hot"], queries), (step, i)
+                kinds.add(got.kind)
+                rows = len(engine.hive.feature_rows)
+                features = engine.hive.features[:rows]
+                for query in queries:
+                    unit, scores = engine._fine_units[query.tobytes()]
+                    assert len(scores) == rows
+                    assert np.allclose(scores, features @ unit, rtol=0.0,
+                                       atol=1e-12, equal_nan=True)
+        assert kinds == {"hit", "miss"}
+        assert plain._fine_units == {}

@@ -12,6 +12,7 @@ against its brute-force or per-neuron counterpart.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ import pytest
 from neuralstore import engine as engine_module
 from neuralstore.codec import Payload, TruncationCodec, cosine_similarity
 from neuralstore.config import load_config
-from neuralstore.core import DataNeuron, HiveParams, SearchEntry
+from neuralstore.core import (
+    ConfigurationError,
+    DataNeuron,
+    HiveParams,
+    SearchEntry,
+    clamp_strength,
+)
 from neuralstore.engine import (
     MemoryEngine,
     OpControls,
@@ -686,6 +693,69 @@ class TestStateColumns:
         assert out.payload is built and out.quality == 60.0
 
 
+class TestReinforcement:
+    """A hit restores its neuron's strength to exactly what
+    ``clamp_strength(phi, s, -100.0)`` gives, marks it accessed at the
+    current op, and leaves its stored quality, size and built payload."""
+
+    @pytest.mark.parametrize("phi", [0.0, 1.0, 30.0])
+    def test_a_hit_on_a_lowered_neuron(self, phi):
+        engine = engine_with(phi=phi, memory_decay_rates=[30.0, 30.0],
+                             elasticity_schedules=[[80.0, 45.0, 30.0]] * 2)
+        memory, hive = engine.memory, engine.hive
+        dn_ids = [engine.store(blob(c), ["hot"]).dn_id for c in range(4)]
+        locality = hive.localities[0]
+        engine.elasticity(locality, 1)          # all four to max(phi, 45)
+        engine.retention(n=1)                   # each idle one down 30
+        memory.adjust_strength(dn_ids[1], 33.3)
+        engine.retention(n=1)
+        memory.adjust_strength(dn_ids[2], 0.7)
+        strengths = [memory.data_neuron(d).strength for d in dn_ids]
+        assert len(set(strengths)) > 1 and max(strengths) < 100.0
+        for dn_id, s in zip(dn_ids, strengths):
+            neuron = memory.data_neuron(dn_id)
+            row = neuron.row
+            built = neuron.payload              # read before the hit
+            quality, keep = hive.quality[row], hive.keep[row]
+            out = engine.retrieve(["hot"], [neuron.feature])
+            assert out.dn_id == dn_id and out.payload is built
+            assert hive.strength[row].hex() == \
+                clamp_strength(phi, s, -100.0).hex()
+            assert hive.quality[row] == quality and hive.keep[row] == keep
+            assert hive.built[row] is built
+            assert hive.last_access[row] == memory.op_counter
+
+    def test_reinforce_leaves_an_unbuilt_payload_unbuilt(self):
+        engine = engine_with(phi=30.0,
+                             elasticity_schedules=[[80.0, 30.0]] * 2)
+        memory, hive = engine.memory, engine.hive
+        dn = engine.store(blob(0), ["hot"]).dn_id
+        memory.adjust_strength(dn, 55.5)
+        row = memory.data_neuron(dn).row
+        assert hive.built[row] is None
+        quality, keep = hive.quality[row], hive.keep[row]
+        memory.op_counter += 5
+        memory.reinforce(dn)
+        assert hive.strength[row] == 100.0 and hive.built[row] is None
+        assert hive.quality[row] == quality and hive.keep[row] == keep
+        assert hive.last_access[row] == memory.op_counter
+        cue = hive.find_cue_by_label("hot")
+        with pytest.raises(KeyError, match=f"neuron {cue} is not a data"):
+            memory.reinforce(cue)
+
+    def test_a_payload_quality_out_of_range_is_refused(self):
+        engine = engine_with()
+        data = blob(0)
+        for quality in (100.5, -1.0, math.nan):
+            payload = Payload("blob", data, data, quality)
+            with pytest.raises(ConfigurationError, match="payload quality"):
+                engine.store(payload, ["hot"])
+            with pytest.raises(ConfigurationError, match="payload quality"):
+                engine.bootstrap_store(payload, ["hot"])
+        assert engine.memory.op_counter == 0
+        assert engine.memory.neurons == {}
+
+
 class ReadCountingDict(dict):
     """A dict that records the key of every read."""
 
@@ -722,6 +792,17 @@ class TestReactionEdgeReads:
         assert weights.reads == [(hot, dn)]
         assert maintained(engine) == oracle_search_order(engine.memory,
                                                          engine.hive)
+
+    def test_a_hit_reads_its_data_neuron_once(self, monkeypatch):
+        engine = engine_with()
+        dn = engine.store(blob(0), ["hot"]).dn_id
+        hot = engine.hive.find_cue_by_label("hot")
+        rows = ReadCountingDict(engine.hive.feature_rows)
+        neurons = ReadCountingDict(engine.memory.neurons)
+        monkeypatch.setattr(engine.hive, "feature_rows", rows)
+        monkeypatch.setattr(engine.memory, "neurons", neurons)
+        engine.reaction(dn, hot, flag=1, cues=["hot"])
+        assert rows.reads == [dn] and neurons.reads == []
 
 
 class TestFuzzAtScale:
