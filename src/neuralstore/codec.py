@@ -51,7 +51,6 @@ class Payload:
     ``repr``; ``dataclasses.replace`` starts the copy without it.
     """
 
-    modality: str
     blob: bytes
     original: bytes
     quality: float = 100.0
@@ -60,10 +59,8 @@ class Payload:
                                 repr=False)
 
     @classmethod
-    def from_bytes(cls, data: bytes, modality: str = "blob",
-                   lineage: str | None = None) -> "Payload":
-        return cls(modality=modality, blob=data, original=data,
-                   quality=100.0, lineage=lineage)
+    def from_bytes(cls, data: bytes, lineage: str | None = None) -> "Payload":
+        return cls(blob=data, original=data, quality=100.0, lineage=lineage)
 
     @property
     def size_bytes(self) -> int:
@@ -96,8 +93,8 @@ class TruncationCodec:
         if target_quality == payload.quality:
             return payload
         keep = self.compressed_size(payload.original_size, target_quality)
-        return Payload(payload.modality, payload.blob[:keep], payload.original,
-                       target_quality, payload.lineage)
+        return Payload(payload.blob[:keep], payload.original, target_quality,
+                       payload.lineage)
 
     def reconstruct(self, payload: Payload) -> bytes:
         pad_len = payload.original_size - len(payload.blob)

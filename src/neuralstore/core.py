@@ -18,7 +18,7 @@ those columns: its ``strength``, ``last_access_op``, ``size_bytes`` and
 (``adjust_strength``, ``set_payload``, ``reinforce``, ``touch``) or the
 engine.
 
-A memory holds one hive, of one modality, with its hyperparameters and
+A memory holds one hive, with its hyperparameters and
 feature extractor; localities partition the hive by data kind and carry
 the decay hyperparameters.  Every locality owns a default cue connected to
 all of its data neurons, which is how data stays reachable when no user cue
@@ -366,7 +366,6 @@ HIVE_PARAM_TYPES = typing.get_type_hints(HiveParams)
 @dataclass
 class Hive:
     id: int
-    modality: str
     params: HiveParams
     localities: list[Locality] = field(default_factory=list)
     cue_bank: dict[int, CueNeuron] = field(default_factory=dict)
@@ -424,8 +423,8 @@ class Hive:
         built = self.built[row]
         if built is None:
             p = self.stored[row]
-            built = Payload(p.modality, p.blob[:self.keep.item(row)],
-                            p.original, self.quality.item(row), p.lineage)
+            built = Payload(p.blob[:self.keep.item(row)], p.original,
+                            self.quality.item(row), p.lineage)
             self.built[row] = built
         return built
 
@@ -449,9 +448,9 @@ class Memory:
     One logical thread of control per instance.
     """
 
-    def __init__(self, params: HiveParams, modality: str = "blob"):
+    def __init__(self, params: HiveParams):
         params.validate()
-        self.hive = Hive(id=0, modality=modality, params=params)
+        self.hive = Hive(id=0, params=params)
         for i in range(params.num_localities):
             self.hive.localities.append(Locality(
                 id=i,
@@ -683,8 +682,9 @@ class Memory:
 
     def _export_snapshot(self) -> str:
         hive, p = self.hive, self.hive.params
+        # the format keeps a hive modality field; every payload is a blob
         lines = [f"{SNAPSHOT_FORMAT} {SNAPSHOT_VERSION}",
-                 f"hive {hive.id} modality={urllib.parse.quote(hive.modality)} "
+                 f"hive {hive.id} modality=blob "
                  f"eta={_fmt(p.eta)} epsilon={_fmt(p.epsilon)} phi={_fmt(p.phi)} "
                  f"retention={p.retention_period}"]
         for loc in hive.localities:

@@ -12,8 +12,14 @@ Coarse cues are labels: ``store``, ``retrieve`` and ``bootstrap_store`` take
 a list of label strings, and refuse a bare string or a cue that is not a
 string with ``ConfigurationError`` before they change anything.  A new data
 neuron goes to the first locality whose ``labels`` admit its first cue, or
-else to the last locality.  Fine cues, the feature vectors a retrieve
-matches, never become cue neurons.
+else to the last locality.  A retrieve matches at most one fine cue, a
+vector of ``feature_dim`` values, which never becomes a cue neuron; a fine
+cue of any other shape is refused with ``ConfigurationError`` before the
+operation changes anything.
+
+Every operation reads the engine's own ``search`` (association and match
+thresholds) and ``controls`` (search limit and failure decay), which are
+validated when the engine is built; no call overrides them.
 
 Every association leads from a cue to a data neuron.  The engine changes
 associations only through ``Memory.associate`` and
@@ -27,8 +33,9 @@ operation) the list is a slice of that order, up to the association
 threshold, found by ``bisect``, and the search limit; several orders are
 merged by a walk that drops repeated data neurons.
 
-Matching scores each query once against the hive's feature matrix, whose
-rows are the data neurons' features scaled to unit length: one
+Matching scores the query (a store's extracted feature, or a retrieve's
+fine cue) once against the hive's feature matrix, whose rows are the data
+neurons' features scaled to unit length: one
 matrix-vector product gives the query's cosine with every neuron, and the
 candidates are then walked in order, stopping at the first match.  A score
 within ``NEAR_THRESHOLD`` of ``match_thresh`` (or NaN) is decided again by
@@ -114,12 +121,17 @@ def _check_cues(cues, op: str, least: int = 1) -> None:
         raise ConfigurationError(f"{op} requires at least one cue")
 
 
-def _validated(params):
-    """``params`` (a ``SearchParams`` or ``OpControls`` passed to one
-    operation) after its ``validate()``; the engine's own were validated
-    when it was built."""
-    params.validate()
-    return params
+def _check_fine_cue(fine_cue, dim: int) -> np.ndarray:
+    """``fine_cue`` as a float vector; refuse anything that is not one
+    vector of ``dim`` numbers."""
+    try:
+        query = np.asarray(fine_cue, dtype=float)
+        if query.shape == (dim,):
+            return query
+    except (TypeError, ValueError):
+        pass
+    raise ConfigurationError(f"fine_cue must be one vector of {dim} numbers, "
+                             f"got {reprlib.repr(fine_cue)}")
 
 
 class StorageFullError(RuntimeError):
@@ -152,7 +164,8 @@ class SearchParams:
 
 @dataclass
 class OpControls:
-    """Per-operation knobs: search budget and failure decay."""
+    """An engine's search budget and failure decay, read by every
+    operation."""
 
     search_limit: int | None = None
     weaken_on_fail: bool = False
@@ -163,8 +176,7 @@ class OpControls:
             raise ConfigurationError("search_limit must be >= 1 or null")
 
 
-# the declared type of every SearchParams and OpControls field, read once:
-# per-operation values are validated on every call that passes them
+# the declared type of every SearchParams and OpControls field
 SEARCH_PARAM_TYPES = typing.get_type_hints(SearchParams)
 OP_CONTROL_TYPES = typing.get_type_hints(OpControls)
 
@@ -195,11 +207,11 @@ class MemoryEngine:
 
     engine_id = "ns"
 
-    def __init__(self, params: HiveParams | None = None, modality: str = "blob",
+    def __init__(self, params: HiveParams | None = None,
                  search: SearchParams | None = None,
                  controls: OpControls | None = None):
         self.params = params or HiveParams()
-        self.memory = Memory(self.params, modality)
+        self.memory = Memory(self.params)
         self.hive = self.memory.hive
         self.search = search or SearchParams()
         self.controls = controls or OpControls()
@@ -213,14 +225,8 @@ class MemoryEngine:
     # -- helpers -------------------------------------------------------------
 
     def _as_payload(self, data, item_id: str | None) -> Payload:
-        modality = self.hive.modality
         if not isinstance(data, Payload):
-            return Payload.from_bytes(bytes(data), modality=modality,
-                                      lineage=item_id)
-        if data.modality != modality:
-            raise ConfigurationError(
-                f"payload modality {data.modality!r} is not the hive's "
-                f"{modality!r}")
+            return Payload.from_bytes(bytes(data), lineage=item_id)
         # a strength of 100 stores any quality in range, so a reaction
         # (Memory.reinforce) never has a quality to lower
         if not 0.0 <= data.quality <= 100.0:
@@ -241,8 +247,7 @@ class MemoryEngine:
             for cue_id, pairs in oracle_search_order(self.memory,
                                                      self.hive).items()}
 
-    def get_search_order(self, cues, assoc_thresh: float | None = None,
-                         search_limit: int | None = None) -> list[SearchEntry]:
+    def get_search_order(self, cues) -> list[SearchEntry]:
         """Candidate list for a cue set, as a fresh list.
 
         Per-cue maintained orders are concatenated in the order cues were
@@ -257,7 +262,8 @@ class MemoryEngine:
         the threshold are a prefix, found by ``bisect``.
         """
         hive = self.hive
-        t1 = self.search.assoc_thresh if assoc_thresh is None else assoc_thresh
+        t1 = self.search.assoc_thresh
+        search_limit = self.controls.search_limit
         lists: list[list[SearchEntry]] = []
         for cue in cues:
             cue_id = hive.find_cue_by_label(cue)
@@ -272,8 +278,7 @@ class MemoryEngine:
             if end and not order[-1].avg_weight > t1:
                 end = bisect_left(order, (-t1, -math.inf))
             if search_limit is not None:
-                # as in the walk, a limit below 1 still admits one candidate
-                end = min(end, max(search_limit, 1))
+                end = min(end, search_limit)
             return order[:end]
         out: list[SearchEntry] = []
         seen: set[int] = set()
@@ -288,8 +293,8 @@ class MemoryEngine:
 
     # -- reaction ------------------------------------------------------------
 
-    def reaction(self, target_dn: int, cue_id: int, flag: int, cues=(),
-                 k: bool | None = None) -> None:
+    def reaction(self, target_dn: int, cue_id: int, flag: int,
+                 cues=()) -> None:
         """Reward or penalize a candidate reached from ``cue_id`` after a
         search/merge attempt.
 
@@ -298,14 +303,13 @@ class MemoryEngine:
         with the target (creating cue neurons and epsilon-weight links as
         needed; links that already exist, other than the one just
         strengthened, are strengthened).  ``flag=0`` weakens the edge by eta
-        when failure decay (``k``) is enabled and otherwise leaves all
-        weights untouched.
+        when failure decay (``controls.weaken_on_fail``) is enabled and
+        otherwise leaves all weights untouched.
         """
         eta = self.params.eta
-        k = self.controls.weaken_on_fail if k is None else k
         memory = self.memory
         try:
-            if flag or k:
+            if flag or self.controls.weaken_on_fail:
                 memory.adjust_association(cue_id, target_dn,
                                           -eta if flag else eta)
             elif (cue_id, target_dn) not in memory.weights:
@@ -406,103 +410,84 @@ class MemoryEngine:
     # -- operations ------------------------------------------------------------
 
     def _first_match(self, candidates: list[SearchEntry],
-                     queries: list[np.ndarray], thresh: float,
-                     fine_cues: bool) -> int | None:
-        """Index of the first candidate whose feature matches any query.
+                     query: np.ndarray | None, memo: bool) -> int | None:
+        """Index of the first candidate whose feature matches ``query``.
 
-        Without queries the first candidate matches outright.  Each query,
+        Without a query the first candidate matches outright.  The query,
         scaled to unit length, scores every row of the hive's unit feature
         matrix in one product; the candidates are then walked in order up to
-        the first match.  Scores within ``NEAR_THRESHOLD`` of ``thresh``
-        (and NaN) are decided by the scalar ``cosine_similarity``.
+        the first match.  Scores within ``NEAR_THRESHOLD`` of
+        ``match_thresh`` (and NaN) are decided by the scalar
+        ``cosine_similarity``.
 
-        Retrieve fine cues (``fine_cues``) recur across operations, and a
+        A retrieve's fine cue (``memo``) recurs across operations, and a
         feature row never changes once ``Hive.add_row`` has written it, so
         each cue keeps, keyed by its bytes (a cue changed in place gets a new
         key), its unit row and its scores against the rows that existed at
         its last use, packed as float64.  Only the rows added since are
         scored, by a product over that slice.  A sliced product may differ
         from the full one in the last bits, far below ``NEAR_THRESHOLD``, so
-        every score that could fall on the other side of ``thresh`` is
+        every score that could fall on the other side of ``match_thresh`` is
         decided by the scalar function either way, and the decision,
         ``cost`` and ``examined`` are those of a fresh product.  A store's
         query is a freshly extracted feature, scored fresh and never kept.
         """
-        if not candidates or not queries:
+        if not candidates or query is None:
             return 0 if candidates else None
         hive = self.hive
         rows = hive.feature_rows
         n = len(rows)
         features = hive.features[:n]
-        memo = self._fine_units
-        scored = []
-        for query in queries:
-            if query.shape != features.shape[1:]:
-                raise ValueError(f"dimension mismatch: {query.shape} vs "
-                                 f"{features.shape[1:]}")
-            if fine_cues:
-                key = query.tobytes()
-                kept = memo.get(key)
-                if kept is None:
-                    if len(memo) >= FINE_UNIT_MEMO_SIZE:
-                        memo.clear()
-                    kept = memo[key] = (unit_row(query), array("d"))
-                unit, scores = kept
-                if len(scores) < n:
-                    scores.frombytes((features[len(scores):] @ unit).tobytes())
-            else:
-                scores = (features @ unit_row(query)).tolist()
-            scored.append((query, scores))
+        if memo:
+            key = query.tobytes()
+            kept = self._fine_units.get(key)
+            if kept is None:
+                if len(self._fine_units) >= FINE_UNIT_MEMO_SIZE:
+                    self._fine_units.clear()
+                kept = self._fine_units[key] = (unit_row(query), array("d"))
+            unit, scores = kept
+            if len(scores) < n:
+                scores.frombytes((features[len(scores):] @ unit).tobytes())
+        else:
+            scores = (features @ unit_row(query)).tolist()
+        thresh = self.search.match_thresh
         above, below = thresh + NEAR_THRESHOLD, thresh - NEAR_THRESHOLD
         for i, entry in enumerate(candidates):
-            row = rows[entry[1]]         # entry[1] is the dn id
-            for query, scores in scored:
-                score = scores[row]
-                if score > above:
-                    return i
-                if not score < below and cosine_similarity(
-                        query, self.memory.neurons[entry[1]].feature
-                ) >= thresh:
-                    return i
+            dn_id = entry[1]
+            score = scores[rows[dn_id]]
+            if score > above:
+                return i
+            if not score < below and cosine_similarity(
+                    query, self.memory.neurons[dn_id].feature) >= thresh:
+                return i
         return None
 
-    def _scan(self, candidates: list[SearchEntry], queries: list[np.ndarray],
-              thresh: float, cues, controls: OpControls,
-              fine_cues: bool = False) -> tuple[SearchEntry | None, tuple[int, ...]]:
+    def _scan(self, candidates: list[SearchEntry], query: np.ndarray | None,
+              cues, memo: bool = False) -> tuple[SearchEntry | None, tuple[int, ...]]:
         """Examine candidates up to the first match; return it (or None) and
         the examined dn ids.  A failed examination changes a weight only
         under failure decay, so only then does it get its flag=0 reaction."""
-        first = self._first_match(candidates, queries, thresh, fine_cues)
+        first = self._first_match(candidates, query, memo)
         cost = len(candidates) if first is None else first + 1
         self.total_search_iterations += cost
-        if controls.weaken_on_fail:
+        if self.controls.weaken_on_fail:
             # the examined non-matches: all of them when nothing matched
             for entry in candidates[:first]:
-                self.reaction(entry.dn_id, entry.cue_id, flag=0, cues=cues,
-                              k=True)
+                self.reaction(entry.dn_id, entry.cue_id, flag=0, cues=cues)
         examined = tuple(map(itemgetter(1), candidates[:cost]))   # dn ids
         return (None if first is None else candidates[first]), examined
 
-    def store(self, data, cues, search: SearchParams | None = None,
-              controls: OpControls | None = None,
-              item_id: str | None = None) -> OpOutcome:
+    def store(self, data, cues, item_id: str | None = None) -> OpOutcome:
         """Store data: merge into a similar resident neuron or create a new one."""
         _check_cues(cues, "store")
-        search = self.search if search is None else _validated(search)
-        controls = self.controls if controls is None else _validated(controls)
         payload = self._as_payload(data, item_id)
-        hive = self.hive
         self.memory.op_counter += 1
-        feature = hive.extractor.extract(payload.blob)
+        feature = self.hive.extractor.extract(payload.blob)
         self.ensure_capacity(payload.original_size)
-        candidates = self.get_search_order(cues, search.assoc_thresh,
-                                           controls.search_limit)
-        match, examined = self._scan(candidates, [feature],
-                                     search.match_thresh, cues, controls)
+        match, examined = self._scan(self.get_search_order(cues), feature, cues)
         if match is not None:
             dn = self.memory.data_neuron(match.dn_id)
-            self.reaction(dn.id, match.cue_id, flag=1, cues=cues,
-                          k=controls.weaken_on_fail)
+            self.reaction(dn.id, match.cue_id, flag=1, cues=cues)
             stored = dn.payload
             if payload.quality > stored.quality:
                 # merge refresh: fresher copy wins
@@ -516,49 +501,45 @@ class MemoryEngine:
             self._associate_cues(cues, dn_id, skip=None)
             outcome = OpOutcome("new_neuron", dn_id, len(examined), payload,
                                 100.0, examined)
-        self._auto_retention(controls)
+        self._auto_retention()
         return outcome
 
-    def retrieve(self, cues, fine_cues=None, search: SearchParams | None = None,
-                 controls: OpControls | None = None) -> OpOutcome:
-        """Retrieve the first candidate matching any fine cue (or the first
-        candidate outright when no fine cues are given)."""
+    def retrieve(self, cues, fine_cue=None) -> OpOutcome:
+        """Retrieve the first candidate matching the fine cue (or the first
+        candidate outright when no fine cue is given).  A fine cue is one
+        vector of ``feature_dim`` values."""
         _check_cues(cues, "retrieve")
-        search = self.search if search is None else _validated(search)
-        controls = self.controls if controls is None else _validated(controls)
+        if fine_cue is not None:
+            fine_cue = _check_fine_cue(fine_cue, self.params.feature_dim)
         self.memory.op_counter += 1
-        candidates = self.get_search_order(cues, search.assoc_thresh,
-                                           controls.search_limit)
-        fine = [np.asarray(f, dtype=float) for f in (fine_cues or [])]
-        match, examined = self._scan(candidates, fine, search.match_thresh,
-                                     cues, controls, fine_cues=True)
+        match, examined = self._scan(self.get_search_order(cues), fine_cue,
+                                     cues, memo=True)
         if match is not None:
             # a reaction restores strength but never the stored quality
             stored = self.memory.data_neuron(match.dn_id).payload
-            self.reaction(match.dn_id, match.cue_id, flag=1, cues=cues,
-                          k=controls.weaken_on_fail)
+            self.reaction(match.dn_id, match.cue_id, flag=1, cues=cues)
             outcome = OpOutcome("hit", match.dn_id, len(examined), stored,
                                 stored.quality, examined)
         else:
             outcome = OpOutcome("miss", None, len(examined), None, None,
                                 examined)
-        self._auto_retention(controls)
+        self._auto_retention()
         return outcome
 
-    def update_cue(self, new_cue, target_fine_cue,
-                   search: SearchParams | None = None,
-                   controls: OpControls | None = None) -> OpOutcome:
+    def update_cue(self, new_cue, target_fine_cue) -> OpOutcome:
         """Associate an additional cue with already-stored data by retrieving
         it under the new cue (unknown cues traverse the default cues)."""
-        return self.retrieve([new_cue], [target_fine_cue], search, controls)
+        if target_fine_cue is None:
+            raise ConfigurationError("update_cue requires a fine_cue")
+        return self.retrieve([new_cue], target_fine_cue)
 
-    def retention(self, n: int | None = None, k: bool | None = None) -> RetentionSummary:
-        """Age idle associations and data neurons; manual invocation."""
+    def retention(self, n: int | None = None) -> RetentionSummary:
+        """Age idle neurons, and idle associations under failure decay;
+        manual invocation."""
         window = self.params.retention_period if n is None else n
         if window < 1:
             raise ConfigurationError("retention window must be >= 1")
-        decay_edges = self.controls.weaken_on_fail if k is None else k
-        return self._retention_pass(window, decay_edges)
+        return self._retention_pass(window, self.controls.weaken_on_fail)
 
     def _retention_pass(self, window: int, decay_edges: bool) -> RetentionSummary:
         summary = RetentionSummary()
@@ -599,10 +580,10 @@ class MemoryEngine:
             summary.bytes_freed += sum(freed[changed[lower]].tolist())
         return summary
 
-    def _auto_retention(self, controls: OpControls) -> None:
+    def _auto_retention(self) -> None:
         n = self.params.retention_period
         if self.memory.op_counter % n == 0:
-            self._retention_pass(n, controls.weaken_on_fail)
+            self._retention_pass(n, self.controls.weaken_on_fail)
 
     # -- fixtures --------------------------------------------------------------
 

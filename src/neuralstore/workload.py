@@ -505,7 +505,7 @@ class NsReplayAdapter:
                 "quality": outcome.quality, "fidelity": None}
 
     def do_retrieve(self, rec: TraceRecord, item: ManifestItem) -> dict:
-        fine = [self._fine_cue(item)] if rec.use_fine_cue else None
+        fine = self._fine_cue(item) if rec.use_fine_cue else None
         outcome = self.engine.retrieve(list(rec.coarse_cues), fine)
         fidelity = psnr_fidelity(outcome.payload) if outcome.hit else None
         return {"kind": outcome.kind, "dn_id": outcome.dn_id,

@@ -134,7 +134,7 @@ def test_criterion_4_priority_fidelity(comparison_run):
             adapter.do_store(rec, corpus.get(rec.item_id))
         elif rec.op == "retrieve":
             item = corpus.get(rec.item_id)
-            fine = [adapter._fine_cue(item)] if rec.use_fine_cue else None
+            fine = adapter._fine_cue(item) if rec.use_fine_cue else None
             out = adapter.engine.retrieve(list(rec.coarse_cues), fine)
             if out.hit and item.class_label == priority:
                 returned = extractor.extract(out.payload.blob)
@@ -260,7 +260,7 @@ def test_criterion_6_clamp_invariants_fuzz():
                 elif roll < 0.80:
                     fine = None
                     if rng.random() < 0.7:
-                        fine = [engine.hive.extractor.extract(payloads[key])]
+                        fine = engine.hive.extractor.extract(payloads[key])
                     engine.retrieve([label if rng.random() < 0.8 else "zzz"],
                                     fine)
                 elif roll < 0.90:
@@ -325,7 +325,7 @@ def test_criterion_8_priming():
     for cluster in range(8):
         engine.store(item_bytes(5, 0, cluster, 0, 2048), ["hot"])
     target = item_bytes(5, 0, 5, 0, 2048)
-    fine = [engine.hive.extractor.extract(target)]
+    fine = engine.hive.extractor.extract(target)
     costs = [engine.retrieve(["hot"], fine).cost for _ in range(10)]
     non_increasing = all(b <= a for a, b in zip(costs, costs[1:]))
     criterion(8, "repeating one retrieve ten times yields non-increasing "

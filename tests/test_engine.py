@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from neuralstore.codec import Payload
 from neuralstore.core import ConfigurationError, HiveParams
 from neuralstore.engine import (
     ElasticityExhausted,
     MemoryEngine,
     OpControls,
+    SearchParams,
     StorageFullError,
     oracle_search_order,
 )
@@ -87,11 +87,6 @@ class TestStore:
         assert out.cost == 2
         assert len(out.examined) == 2
 
-    def test_unknown_modality_rejected(self):
-        engine = engine_with()
-        with pytest.raises(ConfigurationError):
-            engine.store(Payload.from_bytes(b"x", modality="audio"), ["hot"])
-
     def test_store_requires_cues(self):
         engine = engine_with()
         with pytest.raises(ConfigurationError):
@@ -111,7 +106,7 @@ class TestRetrieve:
         a = engine.store(blob(0), ["hot"])
         b = engine.store(blob(1), ["hot"])
         fine = engine.hive.extractor.extract(blob(1))
-        out = engine.retrieve(["hot"], [fine])
+        out = engine.retrieve(["hot"], fine)
         assert out.kind == "hit"
         assert out.dn_id == b.dn_id
         assert out.cost == 2          # examined a (id order tie) then b
@@ -130,7 +125,7 @@ class TestRetrieve:
         engine = engine_with()
         stored = engine.store(blob(0), ["hot"])
         fine = engine.hive.extractor.extract(blob(0))
-        out = engine.retrieve(["mystery"], [fine])
+        out = engine.retrieve(["mystery"], fine)
         assert out.kind == "hit"
         assert out.dn_id == stored.dn_id
         # the unseen cue gets a neuron and a link only because the search hit
@@ -142,7 +137,7 @@ class TestRetrieve:
         engine = engine_with()
         engine.store(blob(0), ["hot"])
         foreign = engine.hive.extractor.extract(blob(5, cls=1))
-        out = engine.retrieve(["mystery"], [foreign])
+        out = engine.retrieve(["mystery"], foreign)
         assert out.kind == "miss"
         assert out.dn_id is None
         assert engine.hive.find_cue_by_label("mystery") is None
@@ -158,8 +153,8 @@ class TestRetrieve:
         for u in range(5):
             engine.store(blob(u), ["hot"])
         foreign = engine.hive.extractor.extract(blob(9, cls=1))
-        out = engine.retrieve(["hot"], [foreign],
-                              controls=OpControls(search_limit=3))
+        engine.controls = OpControls(search_limit=3)
+        out = engine.retrieve(["hot"], foreign)
         assert out.kind == "miss"
         assert out.cost == 3
 
@@ -170,7 +165,7 @@ class TestRetrieve:
         cue = engine.hive.find_cue_by_label("hot")
         before = engine.memory.weight(cue, stored.dn_id)
         fine = engine.hive.extractor.extract(blob(0))
-        out = engine.retrieve(["hot"], [fine])
+        out = engine.retrieve(["hot"], fine)
         assert out.hit
         assert engine.memory.data_neuron(stored.dn_id).strength == 100.0
         assert engine.memory.weight(cue, stored.dn_id) > before
@@ -180,21 +175,9 @@ class TestRetrieve:
         stored = engine.store(blob(0), ["hot"])
         engine.memory.adjust_strength(stored.dn_id, 35.0)
         fine = engine.hive.extractor.extract(blob(0))
-        out = engine.retrieve(["hot"], [fine])
+        out = engine.retrieve(["hot"], fine)
         assert out.quality == 65.0
         assert out.payload.quality == 65.0
-
-
-class TestModality:
-    def test_payload_of_another_modality_is_rejected(self):
-        engine = engine_with()
-        audio = Payload.from_bytes(blob(0), modality="audio")
-        with pytest.raises(ConfigurationError, match="'audio'"):
-            engine.store(audio, ["hot"])
-        with pytest.raises(ConfigurationError, match="'audio'"):
-            engine.bootstrap_store(audio, ["hot"])
-        assert engine.memory.op_counter == 0
-        assert engine.memory.neurons == {}
 
 
 class TestReaction:
@@ -213,16 +196,15 @@ class TestReaction:
         stored = engine.store(blob(0), ["hot"])
         cue = engine.hive.find_cue_by_label("hot")
         before = engine.memory.weight(cue, stored.dn_id)
-        engine.reaction(stored.dn_id, cue,
-                        flag=0, cues=["hot"], k=False)
+        engine.reaction(stored.dn_id, cue, flag=0, cues=["hot"])
         assert engine.memory.weight(cue, stored.dn_id) == before
 
     def test_failure_with_decay_clamps_at_epsilon(self):
         engine = engine_with()
         stored = engine.store(blob(0), ["hot"])
         cue = engine.hive.find_cue_by_label("hot")
-        engine.reaction(stored.dn_id, cue,
-                        flag=0, cues=["hot"], k=True)
+        engine.controls = OpControls(weaken_on_fail=True)
+        engine.reaction(stored.dn_id, cue, flag=0, cues=["hot"])
         assert engine.memory.weight(cue, stored.dn_id) == 1.0  # already at floor
 
     def test_failure_decay_subtracts_exactly_eta(self):
@@ -230,8 +212,8 @@ class TestReaction:
         stored = engine.store(blob(0), ["hot"])
         cue = engine.hive.find_cue_by_label("hot")
         engine.memory.adjust_association(cue, stored.dn_id, -29.0)  # weight 30
-        engine.reaction(stored.dn_id, cue,
-                        flag=0, k=True)
+        engine.controls = OpControls(weaken_on_fail=True)
+        engine.reaction(stored.dn_id, cue, flag=0)
         assert engine.memory.weight(cue, stored.dn_id) == 25.0
 
     def test_dangling_path_rejected(self):
@@ -258,7 +240,7 @@ class TestRetention:
         foreign = engine.hive.extractor.extract(blob(5))
         for _ in range(3):
             # misses advance the op counter without touching the neuron
-            assert engine.retrieve(["hot"], [foreign]).kind == "miss"
+            assert engine.retrieve(["hot"], foreign).kind == "miss"
         summary = engine.retention(n=1)
         dn = engine.memory.data_neuron(out.dn_id)
         assert dn.strength == 99.0
@@ -272,22 +254,23 @@ class TestRetention:
         out = engine.store(blob(0, cls=1), ["other"])
         engine.memory.adjust_strength(out.dn_id, 150.0)  # clamp to phi=1
         foreign = engine.hive.extractor.extract(blob(5))
-        engine.retrieve(["hot"], [foreign])
+        engine.retrieve(["hot"], foreign)
         size = engine.memory.data_neuron(out.dn_id).size_bytes
         engine.retention(n=1)
         dn = engine.memory.data_neuron(out.dn_id)
         assert dn.strength == 1.0
         assert dn.size_bytes == size
 
-    def test_edge_decay_gated_by_k_and_rate(self):
+    def test_edge_decay_gated_by_weaken_on_fail_and_rate(self):
         engine = engine_with(association_decay_rates=[3.0, 3.0])
         out = engine.store(blob(0), ["hot"])
         cue = engine.hive.find_cue_by_label("hot")
         engine.memory.adjust_association(cue, out.dn_id, -9.0)  # weight 10
         engine.retrieve(["nothing-known"])
-        engine.retention(n=1, k=False)
+        engine.retention(n=1)
         assert engine.memory.weight(cue, out.dn_id) == 10.0
-        summary = engine.retention(n=1, k=True)
+        engine.controls = OpControls(weaken_on_fail=True)
+        summary = engine.retention(n=1)
         assert engine.memory.weight(cue, out.dn_id) == 7.0
         assert (cue, out.dn_id, 7.0) in summary.weakened_edges
 
@@ -295,13 +278,13 @@ class TestRetention:
         engine = engine_with(retention_period=3, memory_decay_rates=[2.0, 1.0])
         out = engine.store(blob(0), ["hot"])
         foreign = engine.hive.extractor.extract(blob(5, cls=1))
-        engine.retrieve(["hot"], [foreign])   # op 2 (miss)
+        engine.retrieve(["hot"], foreign)   # op 2 (miss)
         assert engine.memory.data_neuron(out.dn_id).strength == 100.0
         # op 3: retention fires but idle window is 3 - 1 = 2 < 3, still safe
-        engine.retrieve(["hot"], [foreign])
+        engine.retrieve(["hot"], foreign)
         assert engine.memory.data_neuron(out.dn_id).strength == 100.0
         for _ in range(3):
-            engine.retrieve(["hot"], [foreign])   # op 6: idle 5 >= 3 -> decay
+            engine.retrieve(["hot"], foreign)   # op 6: idle 5 >= 3 -> decay
         assert engine.memory.data_neuron(out.dn_id).strength == 98.0
 
     def test_search_orders_refreshed(self):
@@ -314,7 +297,8 @@ class TestRetention:
         engine.update_search_order()
         engine.retrieve(["other-unknown"])   # advance counter; a/b edges idle
         engine.retrieve(["other-unknown"])
-        engine.retention(n=1, k=True)
+        engine.controls = OpControls(weaken_on_fail=True)
+        engine.retention(n=1)
         order = maintained(engine)[cue]
         assert order == oracle_search_order(engine.memory, engine.hive)[cue]
 
@@ -423,7 +407,8 @@ class TestSearchOrder:
         engine.memory.adjust_association(cue, a, -29.0)
         engine.memory.adjust_association(cue, b, -49.0)
         engine.update_search_order()
-        order = engine.get_search_order(["hot"], assoc_thresh=40.0)
+        engine.search = SearchParams(assoc_thresh=40.0)
+        order = engine.get_search_order(["hot"])
         assert [e.dn_id for e in order] == [b]
 
     def test_duplicates_keep_first_occurrence(self):
@@ -470,7 +455,7 @@ class TestSearchOrder:
             else:
                 fine = engine.hive.extractor.extract(
                     blob(int(rng.integers(6)), int(rng.integers(3))))
-                engine.retrieve([str(rng.choice(["hot", "warm", "zzz"]))], [fine])
+                engine.retrieve([str(rng.choice(["hot", "warm", "zzz"]))], fine)
             assert maintained(engine) == oracle_search_order(engine.memory,
                                                              engine.hive)
 
@@ -533,7 +518,7 @@ class TestCostAccounting:
                 out = engine.store(blob(int(rng.integers(5))), ["hot"])
             else:
                 fine = engine.hive.extractor.extract(blob(int(rng.integers(5))))
-                out = engine.retrieve(["hot"], [fine])
+                out = engine.retrieve(["hot"], fine)
             assert engine.total_search_iterations - before == out.cost
             total += out.cost
         assert engine.total_search_iterations == total
@@ -546,7 +531,7 @@ class TestRoundTripAndPriming:
             engine.store(blob(u), ["hot"])
         stored = engine.store(blob(7), ["fresh-cue"])
         fine = engine.hive.extractor.extract(blob(7))
-        out = engine.retrieve(["fresh-cue"], [fine])
+        out = engine.retrieve(["fresh-cue"], fine)
         assert out.dn_id == stored.dn_id
         assert out.cost == 1
 
@@ -556,7 +541,7 @@ class TestRoundTripAndPriming:
             engine.store(blob(u), ["hot"])
         target = blob(5)
         fine = engine.hive.extractor.extract(target)
-        costs = [engine.retrieve(["hot"], [fine]).cost for _ in range(10)]
+        costs = [engine.retrieve(["hot"], fine).cost for _ in range(10)]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
         assert costs[-1] == 1
 
@@ -570,7 +555,7 @@ class TestDeterminism:
                 outs.append(engine.store(blob(u % 3, u // 3), ["hot"]))
             for u in range(6):
                 fine = engine.hive.extractor.extract(blob(u % 3, u // 3))
-                outs.append(engine.retrieve(["hot"], [fine]))
+                outs.append(engine.retrieve(["hot"], fine))
             return [(o.kind, o.dn_id, o.cost, o.examined) for o in outs]
 
         assert run() == run()
@@ -645,3 +630,51 @@ class TestCueLists:
         assert [engine.hive.find_cue_by_label(c) for c in "hot"] == [None] * 3
         assert engine.retrieve(["hot"]).dn_id == stored.dn_id
         assert engine.retrieve(("hot",)).dn_id == stored.dn_id
+
+
+class TestFineCueShape:
+    """A fine cue is one vector of ``feature_dim`` numbers; anything else is
+    refused before the op changes anything, whether or not the cue has
+    candidates."""
+
+    def state(self, engine) -> tuple:
+        # each memo entry's key and how many rows its scores cover
+        return TestCueLists.state(self, engine) + (
+            {key: len(scores) for key, (_, scores) in
+             engine._fine_units.items()},)
+
+    @pytest.mark.parametrize("cue", ["hot", "unheard"])
+    @pytest.mark.parametrize("fine, shown", [
+        (np.ones(3), "array([1., 1., 1.])"),
+        ([np.ones(64)], "[array([1., 1...., 1., 1., 1.])]"),
+        (np.ones((1, 64)), "array([[1., 1... 1., 1., 1.]])"),
+        ([], "[]"),
+        ("abc", "'abc'"),
+    ])
+    def test_refused_before_anything_changes(self, cue, fine, shown):
+        engine = engine_with()
+        engine.store(blob(0), ["hot"])
+        engine.retrieve(["hot"], engine.hive.extractor.extract(blob(0)))
+        before = self.state(engine)
+        for call in (lambda: engine.retrieve([cue], fine),
+                     lambda: engine.update_cue(cue, fine)):
+            with pytest.raises(ConfigurationError) as caught:
+                call()
+            assert str(caught.value) == \
+                f"fine_cue must be one vector of 64 numbers, got {shown}"
+            assert self.state(engine) == before
+        engine.retrieve(["unheard"])
+        assert engine.memory.op_counter == 3
+
+    def test_without_candidates_too(self):
+        engine = engine_with()
+        with pytest.raises(ConfigurationError, match="^fine_cue "):
+            engine.retrieve(["hot"], np.ones(3))
+        assert engine.memory.op_counter == 0
+
+    def test_update_cue_requires_a_fine_cue(self):
+        engine = engine_with()
+        engine.store(blob(0), ["hot"])
+        with pytest.raises(ConfigurationError, match="^update_cue requires"):
+            engine.update_cue("alias", None)
+        assert engine.memory.op_counter == 1

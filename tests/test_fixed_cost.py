@@ -20,7 +20,7 @@ from neuralstore import codec as codec_module
 from neuralstore import engine as engine_module
 from neuralstore.codec import Payload, TruncationCodec, psnr_fidelity
 from neuralstore.core import SearchEntry, unit_row
-from neuralstore.engine import OpControls
+from neuralstore.engine import OpControls, SearchParams
 from tests.test_engine import blob, engine_with
 
 
@@ -58,6 +58,13 @@ def thresholds(order: list[SearchEntry]) -> list[float]:
     return picks
 
 
+def set_scope(engine, t1: float, limit: int | None) -> None:
+    """Give ``engine`` association threshold ``t1`` and search limit
+    ``limit``, the values every operation reads."""
+    engine.search = SearchParams(assoc_thresh=t1)
+    engine.controls = OpControls(search_limit=limit)
+
+
 def engine_with_localities(n: int):
     """An engine with ``n`` localities, each with a default cue, and a
     known cue ``hot``."""
@@ -83,13 +90,13 @@ class TestSliceAgainstTheWalk:
             order = random_order(rng, cue, n)
             engine.hive.search_order[cue] = order
             for t1 in thresholds(order):
-                for limit in [None, *range(-1, n + 2)]:
+                for limit in [None, *range(1, n + 2)]:
+                    set_scope(engine, t1, limit)
                     expected = dedup_walk([order], t1, limit)
-                    got = engine.get_search_order(["hot"], t1, limit)
+                    got = engine.get_search_order(["hot"])
                     assert got == expected, (n, t1, limit)
                     # the same cue twice takes the general path
-                    assert engine.get_search_order(
-                        ["hot", "hot"], t1, limit) == expected
+                    assert engine.get_search_order(["hot", "hot"]) == expected
                     assert got is not order
 
     @pytest.mark.parametrize("localities", [1, 2])
@@ -104,8 +111,9 @@ class TestSliceAgainstTheWalk:
                 orders.append(random_order(rng, cue, n))
                 engine.hive.search_order[cue] = orders[-1]
             for t1 in thresholds(orders[0]):
-                for limit in [None, *range(-1, 2 * n + 2)]:
-                    assert engine.get_search_order(["zzz"], t1, limit) == \
+                for limit in [None, *range(1, 2 * n + 2)]:
+                    set_scope(engine, t1, limit)
+                    assert engine.get_search_order(["zzz"]) == \
                         dedup_walk(orders, t1, limit), (n, t1, limit)
 
     def test_default_threshold_comes_from_the_engine(self):
@@ -134,9 +142,8 @@ class TestSliceAgainstTheWalk:
         before = list(order)
         last = candidates[-1].dn_id
         # every examined non-match is weakened and the match strengthened
-        out = engine.retrieve(
-            ["hot"], [engine.memory.neurons[last].feature],
-            controls=OpControls(weaken_on_fail=True))
+        engine.controls = OpControls(weaken_on_fail=True)
+        out = engine.retrieve(["hot"], engine.memory.neurons[last].feature)
         assert out.dn_id == last
         assert order != before
         assert engine.hive.search_order[cue] is order
@@ -146,8 +153,8 @@ class TestSliceAgainstTheWalk:
 class NoMemoEngine(engine_module.MemoryEngine):
     """Scores every query, fine cues too, without the unit-row memo."""
 
-    def _first_match(self, candidates, queries, thresh, fine_cues):
-        return super()._first_match(candidates, queries, thresh, False)
+    def _first_match(self, candidates, query, memo):
+        return super()._first_match(candidates, query, False)
 
 
 def reference_psnr(payload: Payload) -> float:
@@ -185,13 +192,13 @@ class TestFidelityKeptPerPayload:
     def test_kept_value_equals_a_fresh_computation(self, monkeypatch,
                                                    blob_, original):
         calls = count_reconstructions(monkeypatch)
-        payload = Payload("blob", blob_, original, 50.0)
+        payload = Payload(blob_, original, 50.0)
         first = psnr_fidelity(payload)
         assert first == pytest.approx(reference_psnr(payload), rel=1e-12)
         assert psnr_fidelity(payload) == first
         assert len(calls) == 1
         # an equal payload built apart computes its own, equal value
-        assert psnr_fidelity(Payload("blob", blob_, original, 50.0)) == first
+        assert psnr_fidelity(Payload(blob_, original, 50.0)) == first
         assert len(calls) == 2
 
     def test_payload_rebuilt_after_retention_or_elasticity_gets_its_own(
@@ -202,7 +209,7 @@ class TestFidelityKeptPerPayload:
         full = neuron.payload
         assert psnr_fidelity(full) == math.inf
         # an op that touches nothing, so the neuron is idle for one op
-        miss = engine.retrieve(["hot"], [np.zeros_like(neuron.feature)])
+        miss = engine.retrieve(["hot"], np.zeros_like(neuron.feature))
         assert miss.kind == "miss"
         engine.retention(n=1)
         aged = neuron.payload
@@ -218,15 +225,15 @@ class TestFidelityKeptPerPayload:
         assert psnr_fidelity(squeezed) < psnr_fidelity(aged)
 
     def test_equality_hash_repr_and_replace_are_unchanged(self):
-        a = Payload("blob", b"ab", b"abcd", 50.0, "x")
-        b = Payload("blob", b"ab", b"abcd", 50.0, "x")
+        a = Payload(b"ab", b"abcd", 50.0, "x")
+        b = Payload(b"ab", b"abcd", 50.0, "x")
         psnr_fidelity(a)
         assert a._psnr is not None and b._psnr is None
         assert a == b and hash(a) == hash(b)
         assert repr(a) == repr(b) == (
-            "Payload(modality='blob', blob=b'ab', original=b'abcd', "
-            "quality=50.0, lineage='x')")
-        assert a != Payload("blob", b"a", b"abcd", 25.0, "x")
+            "Payload(blob=b'ab', original=b'abcd', quality=50.0, "
+            "lineage='x')")
+        assert a != Payload(b"a", b"abcd", 25.0, "x")
         copy = dataclasses.replace(a)
         assert copy == a and copy._psnr is None
         lower = dataclasses.replace(a, blob=b"a", quality=25.0)
@@ -234,7 +241,7 @@ class TestFidelityKeptPerPayload:
                                                      rel=1e-12)
         assert psnr_fidelity(a) != psnr_fidelity(lower)
         with pytest.raises(TypeError):
-            Payload("blob", b"ab", b"abcd", 50.0, "x", 1.0)
+            Payload(b"ab", b"abcd", 50.0, "x", 1.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             a.quality = 10.0
 
@@ -246,11 +253,11 @@ class TestFineCueUnitRows:
         b = engine.store(blob(3), ["hot"]).dn_id
         features = engine.memory.neurons
         query = features[a].feature.copy()
-        assert engine.retrieve(["hot"], [query]).dn_id == a
+        assert engine.retrieve(["hot"], query).dn_id == a
         query[:] = features[b].feature
-        assert engine.retrieve(["hot"], [query]).dn_id == b
+        assert engine.retrieve(["hot"], query).dn_id == b
         query[:] = 0.0
-        assert engine.retrieve(["hot"], [query]).kind == "miss"
+        assert engine.retrieve(["hot"], query).kind == "miss"
 
     def test_stores_never_enter_the_memo(self):
         engine = engine_with()
@@ -259,7 +266,7 @@ class TestFineCueUnitRows:
             engine.store(blob(cluster), ["hot"])     # a merge scans too
         assert engine._fine_units == {}
         query = engine.hive.extractor.extract(blob(2))
-        engine.retrieve(["hot"], [query])
+        engine.retrieve(["hot"], query)
         assert list(engine._fine_units) == [query.tobytes()]
         assert np.array_equal(engine._fine_units[query.tobytes()][0],
                               unit_row(query))
@@ -276,17 +283,18 @@ class TestFineCueUnitRows:
             plain.store(blob(cluster), ["hot"])
         base = engine.hive.features[0].copy()
         recurring = [base + 1e-3 * rng.standard_normal(8) for _ in range(5)]
-        hits = 0
-        for i in range(bound + 200):
-            queries = [base + 0.3 * rng.standard_normal(8), recurring[i % 5]]
-            if i % 3:
-                queries = queries[:1]
-            got = engine.retrieve(["hot"], queries)
-            assert got == plain.retrieve(["hot"], queries)
-            assert len(engine._fine_units) <= bound
+        hits, peak, n = 0, 0, 2 * bound
+        for i in range(n):
+            # three fresh cues in four: more distinct cues than the bound
+            query = recurring[i // 4 % 5] if i % 4 == 0 else \
+                base + 0.3 * rng.standard_normal(8)
+            got = engine.retrieve(["hot"], query)
+            assert got == plain.retrieve(["hot"], query)
+            peak = max(peak, len(engine._fine_units))
             hits += got.hit
+        assert peak == bound and len(engine._fine_units) < bound
         assert plain._fine_units == {}
-        assert 0 < hits < bound + 200
+        assert 0 < hits < n
 
     def test_rows_added_between_uses_are_scored_once_each(self):
         dim = 8
@@ -318,16 +326,15 @@ class TestFineCueUnitRows:
                 else:
                     e.store(blob(step), ["hot"])
             for i, cue in enumerate(cues):
-                queries = [cue] if (step + i) % 3 else [cue, cues[i - 1]]
-                got = engine.retrieve(["hot"], queries)
-                assert got == plain.retrieve(["hot"], queries), (step, i)
+                # cues recur after differing numbers of added rows
+                query = cue if (step + i) % 3 else cues[i - 1]
+                got = engine.retrieve(["hot"], query)
+                assert got == plain.retrieve(["hot"], query), (step, i)
                 kinds.add(got.kind)
                 rows = len(engine.hive.feature_rows)
-                features = engine.hive.features[:rows]
-                for query in queries:
-                    unit, scores = engine._fine_units[query.tobytes()]
-                    assert len(scores) == rows
-                    assert np.allclose(scores, features @ unit, rtol=0.0,
-                                       atol=1e-12, equal_nan=True)
+                unit, scores = engine._fine_units[query.tobytes()]
+                assert len(scores) == rows
+                assert np.allclose(scores, engine.hive.features[:rows] @ unit,
+                                   rtol=0.0, atol=1e-12, equal_nan=True)
         assert kinds == {"hit", "miss"}
         assert plain._fine_units == {}

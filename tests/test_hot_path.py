@@ -84,14 +84,14 @@ class TestEntryMoves:
         hot = engine.hive.find_cue_by_label("hot")
         order = engine.hive.search_order[hot]
         assert [e.dn_id for e in order] == [a, b, c]
-        assert engine.retrieve(["hot"], [feature(engine, blob(1))]).dn_id == b
+        assert engine.retrieve(["hot"], feature(engine, blob(1))).dn_id == b
         assert [(e.dn_id, e.avg_weight) for e in order] == [
             (b, 21.0), (a, 1.0), (c, 1.0)]
         # every candidate fails and decays: only b changes, back to the
         # epsilon tie, which dn_id breaks
         foreign = feature(engine, blob(5, cls=1))
-        engine.retrieve(["hot"], [foreign],
-                        controls=OpControls(weaken_on_fail=True))
+        engine.controls = OpControls(weaken_on_fail=True)
+        engine.retrieve(["hot"], foreign)
         assert [(e.dn_id, e.avg_weight) for e in order] == [
             (a, 1.0), (b, 1.0), (c, 1.0)]
         # a new edge is inserted at its place among the ties
@@ -108,7 +108,7 @@ class TestEntryMoves:
         b = engine.store(blob(1), ["hot"]).dn_id
         hot = engine.hive.find_cue_by_label("hot")
         order = engine.hive.search_order[hot]
-        probe = [feature(engine, blob(1))]
+        probe = feature(engine, blob(1))
         engine.retrieve(["hot"], probe)
         engine.retrieve(["hot"], probe)
         assert engine.memory.weight(hot, b) == 41.0
@@ -140,7 +140,7 @@ class TestEntryMoves:
         assert [(e.dn_id, e.avg_weight) for e in orders[cold]] == [
             (a, 19.0), (b, 1.0)]
         assert maintained(engine) == oracle_search_order(memory, engine.hive)
-        out = engine.retrieve(["cold"], [feature(engine, blob(0))])
+        out = engine.retrieve(["cold"], feature(engine, blob(0)))
         assert (out.dn_id, out.cost) == (a, 1)
 
     def test_retention_moves_only_the_entries_whose_edges_decayed(self):
@@ -149,12 +149,13 @@ class TestEntryMoves:
         a = engine.store(blob(0), ["hot"]).dn_id
         engine.store(blob(4, cls=1), ["warm"])
         hot = engine.hive.find_cue_by_label("hot")
-        engine.retrieve(["hot"], [feature(engine, blob(0))])
+        engine.retrieve(["hot"], feature(engine, blob(0)))
         # one more op, touching only warm's edge, leaves hot's idle
-        engine.retrieve(["warm"], [feature(engine, blob(4, cls=1))])
+        engine.retrieve(["warm"], feature(engine, blob(4, cls=1)))
         orders = dict(engine.hive.search_order)
         before = maintained(engine)
-        summary = engine.retention(n=1, k=True)
+        engine.controls = OpControls(weaken_on_fail=True)
+        summary = engine.retention(n=1)
         # every other edge is fresh or at the epsilon floor
         assert summary.weakened_edges == [(hot, a, 16.0)]
         after = maintained(engine)
@@ -163,7 +164,8 @@ class TestEntryMoves:
         assert all(engine.hive.search_order[cue] is order
                    for cue, order in orders.items())
         assert after == oracle_search_order(engine.memory, engine.hive)
-        engine.retention(n=1, k=False)
+        engine.controls = OpControls()
+        engine.retention(n=1)
         assert maintained(engine) == after
 
 
@@ -175,16 +177,16 @@ class TestMatrixScan:
         probe = feature(engine, blob(1))
         exact = cosine_similarity(probe, engine.memory.data_neuron(a).feature)
         calls = spy_on_cosine(monkeypatch)
-        out = engine.retrieve(["hot"], [probe],
-                              search=SearchParams(match_thresh=exact))
+        engine.search = SearchParams(match_thresh=exact)
+        out = engine.retrieve(["hot"], probe)
         assert (out.kind, out.dn_id) == ("hit", a)
         assert calls, "a score at the threshold must be re-decided"
-        above = float(np.nextafter(exact, 2.0))
-        out = engine.retrieve(["hot"], [probe],
-                              search=SearchParams(match_thresh=above))
+        engine.search = SearchParams(match_thresh=float(
+            np.nextafter(exact, 2.0)))
+        out = engine.retrieve(["hot"], probe)
         assert out.kind == "miss"
-        out = engine.store(blob(1), ["hot"],
-                           search=SearchParams(match_thresh=exact))
+        engine.search = SearchParams(match_thresh=exact)
+        out = engine.store(blob(1), ["hot"])
         assert (out.kind, out.dn_id) == ("merged", a)
 
     def test_clear_decisions_call_no_scalar_cosine(self, monkeypatch):
@@ -192,7 +194,7 @@ class TestMatrixScan:
         for cluster in range(4):
             engine.store(blob(cluster), ["hot"])
         calls = spy_on_cosine(monkeypatch)
-        out = engine.retrieve(["hot"], [feature(engine, blob(3))])
+        out = engine.retrieve(["hot"], feature(engine, blob(3)))
         assert out.kind == "hit" and out.cost == 4
         assert calls == []
 
@@ -203,28 +205,14 @@ class TestMatrixScan:
         probe = feature(engine, blob(0))
         calls = spy_on_cosine(monkeypatch)
         for thresh, kind in ((-0.5, "hit"), (1e-6, "miss"), (0.0, "hit")):
-            out = engine.retrieve(["hot"], [probe],
-                                  search=SearchParams(match_thresh=thresh))
+            engine.search = SearchParams(match_thresh=thresh)
+            out = engine.retrieve(["hot"], probe)
             assert out.kind == kind, thresh
         # only the score at the threshold itself was re-decided
         assert len(calls) == 1
         # a zero query scores 0.0 against every neuron as well
-        out = engine.retrieve(["hot"], [np.zeros(64)],
-                              search=SearchParams(match_thresh=0.0))
+        out = engine.retrieve(["hot"], np.zeros(64))
         assert (out.kind, out.dn_id) == ("hit", z)
-
-    def test_match_on_a_later_fine_cue_counts(self):
-        engine = engine_with()
-        a = engine.store(blob(0), ["hot"]).dn_id
-        b = engine.store(blob(1), ["hot"]).dn_id
-        foreign = feature(engine, blob(5, cls=1))
-        out = engine.retrieve(["hot"], [foreign, feature(engine, blob(1))])
-        assert (out.kind, out.dn_id, out.examined) == ("hit", b, (a, b))
-        # b now leads the order: the first candidate matching any cue wins,
-        # even when an earlier cue matches a later candidate
-        out = engine.retrieve(["hot"], [feature(engine, blob(0)),
-                                        feature(engine, blob(1))])
-        assert (out.dn_id, out.examined) == (b, (b,))
 
     def test_weaken_on_fail_decays_every_examined_non_match_in_order(
             self, monkeypatch):
@@ -235,8 +223,8 @@ class TestMatrixScan:
             engine.memory.adjust_association(hot, dn_id, -9.0)
         engine.update_search_order()
         calls = spy_on_reactions(engine, monkeypatch)
-        out = engine.retrieve(["hot"], [feature(engine, blob(2))],
-                              controls=OpControls(weaken_on_fail=True))
+        engine.controls = OpControls(weaken_on_fail=True)
+        out = engine.retrieve(["hot"], feature(engine, blob(2)))
         assert out.examined == tuple(ids)
         assert calls == [(ids[0], 0), (ids[1], 0), (ids[2], 1)]
         assert [engine.memory.weight(hot, d) for d in ids] == [5.0, 5.0, 15.0]
@@ -245,7 +233,7 @@ class TestMatrixScan:
         engine = engine_with()
         ids = [engine.store(blob(i), ["hot"]).dn_id for i in range(3)]
         calls = spy_on_reactions(engine, monkeypatch)
-        out = engine.retrieve(["hot"], [feature(engine, blob(2))])
+        out = engine.retrieve(["hot"], feature(engine, blob(2)))
         assert out.cost == 3
         assert calls == [(ids[2], 1)]
 
@@ -256,19 +244,19 @@ class TestMatrixScan:
             engine.store(blob(cluster), ["hot"])
         before = engine.total_search_iterations
         foreign = feature(engine, blob(5, cls=1))
-        out = engine.retrieve(["hot"], [foreign],
-                              controls=OpControls(search_limit=limit))
+        engine.controls = OpControls(search_limit=limit)
+        out = engine.retrieve(["hot"], foreign)
         assert out.kind == "miss" and out.cost == limit
-        out = engine.store(blob(7), ["hot"],
-                           controls=OpControls(search_limit=limit))
+        out = engine.store(blob(7), ["hot"])
         assert out.cost <= limit
         assert engine.total_search_iterations - before == limit + out.cost
 
     def test_query_of_the_wrong_dimension_is_rejected(self):
         engine = engine_with()
         engine.store(blob(0), ["hot"])
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            engine.retrieve(["hot"], [np.ones(3)])
+        with pytest.raises(ConfigurationError,
+                           match=r"^fine_cue must be one vector of 64 numbers"):
+            engine.retrieve(["hot"], np.ones(3))
 
 
 def scalar_first_match(memory, candidates, queries, thresh):
@@ -313,8 +301,8 @@ class TestMatcherAgainstScalarScan:
         for _ in range(150):
             candidates = [SearchEntry(0, int(d), 1.0) for d in rng.choice(
                 dn_ids, size=int(rng.integers(0, 15)), replace=False)]
-            queries = [odd_vector(rng, dim, base)
-                       for _ in range(int(rng.integers(0, 4)))]
+            query = odd_vector(rng, dim, base) if rng.integers(0, 4) else None
+            queries = [] if query is None else [query]
             # thresholds at, and 1e-12 either side of, a scalar score, where
             # the unit-row score may round either way
             exact = [cosine_similarity(q, memory.neurons[e.dn_id].feature)
@@ -325,12 +313,17 @@ class TestMatcherAgainstScalarScan:
                            float(rng.uniform(-1.0, 1.0))):
                 expected = scalar_first_match(memory, candidates, queries,
                                               thresh)
-                match, examined = engine._scan(candidates, queries, thresh,
-                                               ["hot"], engine.controls)
-                assert match == (None if expected is None
-                                 else candidates[expected])
+                engine.search = SearchParams(match_thresh=thresh)
                 cost = len(candidates) if expected is None else expected + 1
-                assert examined == tuple(e.dn_id for e in candidates[:cost])
+                # scored fresh, as a store's query, and through the memo,
+                # as a retrieve's fine cue
+                for memo in (False, True):
+                    match, examined = engine._scan(candidates, query,
+                                                   ["hot"], memo)
+                    assert match == (None if expected is None
+                                     else candidates[expected])
+                    assert examined == tuple(e.dn_id
+                                             for e in candidates[:cost])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_rows_are_unit_length_and_zero_or_nan_where_the_norm_cannot_be(
@@ -427,10 +420,10 @@ class TestElasticityFloor:
         strengths = [100.0, phi, phi, 50.0, 30.0, 80.0, 99.9, 100.0]
         strengths += [float(rng.uniform(phi, 100.0)) for _ in range(12)]
         for engine in engines:
+            engine.search = SearchParams(match_thresh=1.0)
             for i, strength in enumerate(strengths):
                 dn_id = engine.store(blob(i % 8, item=i, size=1000 + 37 * i),
-                                     ["hot"], search=SearchParams(
-                                         match_thresh=1.0)).dn_id
+                                     ["hot"]).dn_id
                 engine.memory.adjust_strength(dn_id, 100.0 - strength)
         new, old = engines
         locality = [engine.hive.localities[0] for engine in engines]
@@ -540,8 +533,8 @@ def odd_payload(size: int, kept: float, quality: float) -> Payload:
     """A payload whose blob is not a prefix of its original: the original
     reversed, cut to the share ``kept``, said to be at ``quality``."""
     original = blob(6, item=size, size=size)
-    return Payload("blob", original[::-1][:int(size * kept)], original,
-                   quality, "odd")
+    return Payload(original[::-1][:int(size * kept)], original, quality,
+                   "odd")
 
 
 class TestArrayPasses:
@@ -559,35 +552,38 @@ class TestArrayPasses:
         engine = cls(params)
         memory = engine.memory
         rng = np.random.default_rng(int(phi) + 15)
-        distinct = SearchParams(match_thresh=1.0)
+        engine.search = SearchParams(match_thresh=1.0)     # distinct items
         strengths = [100.0, phi, phi, 50.0, 30.0, 80.0, 99.9, 100.0]
         strengths += [float(rng.uniform(phi, 100.0)) for _ in range(10)]
         ids = []
         for i, strength in enumerate(strengths):
             cue = ["hot", "cold"][i % 2]
             dn_id = engine.store(blob(i % 8, item=i, size=900 + 37 * i),
-                                 [cue], search=distinct).dn_id
+                                 [cue]).dn_id
             memory.adjust_strength(dn_id, 100.0 - strength)
             ids.append(dn_id)
         # one blob as long as its quality says, one shorter
         for size, kept, quality in ((1000, 0.7, 70.0), (1100, 0.3, 90.0)):
             ids.append(engine.store(odd_payload(size, kept, quality),
-                                    ["hot"], search=distinct).dn_id)
+                                    ["hot"]).dn_id)
         # merge refresh: a compressed neuron gets its full copy back
         fresh = blob(0, item=99, size=1500, cls=3)
-        refreshed = engine.store(fresh, ["cold"], search=distinct).dn_id
+        refreshed = engine.store(fresh, ["cold"]).dn_id
         memory.adjust_strength(refreshed, 55.0)
+        engine.search = SearchParams()
         out = engine.store(fresh, ["cold"])
         assert (out.kind, out.dn_id, out.quality) == ("merged", refreshed,
                                                       100.0)
         ids.append(refreshed)
         # at the floor, yet stored at full quality
         data = blob(0, item=98, size=1200, cls=4)
-        floored = engine.store(data, ["hot"], search=distinct).dn_id
+        engine.search = SearchParams(match_thresh=1.0)
+        floored = engine.store(data, ["hot"]).dn_id
         memory.adjust_strength(floored, 200.0)
         memory.set_payload(memory.data_neuron(floored),
                            Payload.from_bytes(data))
         ids.append(floored)
+        engine.search = SearchParams()
         # last accesses spread over ops 0..12, so short windows leave some
         # neurons active
         for dn_id in ids:
@@ -628,7 +624,9 @@ class TestArrayPasses:
         compressed = 0
         for step in steps:
             if step[0] == "retain":
-                got, want = (engine.retention(n=step[1], k=step[2])
+                for engine in (new, old):
+                    engine.controls = OpControls(weaken_on_fail=step[2])
+                got, want = (engine.retention(n=step[1])
                              for engine in (new, old))
                 assert got == want, step
                 compressed += len(got.compressed)
@@ -653,7 +651,7 @@ class TestArrayPasses:
         size = memory.data_neuron(floored).size_bytes
         total = memory.total_bytes()
         memory.op_counter += 100        # every neuron idle
-        summary = new.retention(n=1, k=False)
+        summary = new.retention(n=1)
         ids = [dn_id for dn_id, _ in summary.compressed]
         by_locality = [[d for d in ids if memory.data_neuron(d).locality_id
                         == loc.id] for loc in new.hive.localities]
@@ -688,8 +686,8 @@ class TestStateColumns:
         memory.adjust_strength(dn.id, 40.0)
         built = dn.payload
         assert built is not stored and dn.payload is built
-        assert built == Payload("blob", data[:1229], data, 60.0, None)
-        out = engine.retrieve(["hot"], [feature(engine, data)])
+        assert built == Payload(data[:1229], data, 60.0, None)
+        out = engine.retrieve(["hot"], feature(engine, data))
         assert out.payload is built and out.quality == 60.0
 
 
@@ -717,7 +715,7 @@ class TestReinforcement:
             row = neuron.row
             built = neuron.payload              # read before the hit
             quality, keep = hive.quality[row], hive.keep[row]
-            out = engine.retrieve(["hot"], [neuron.feature])
+            out = engine.retrieve(["hot"], neuron.feature)
             assert out.dn_id == dn_id and out.payload is built
             assert hive.strength[row].hex() == \
                 clamp_strength(phi, s, -100.0).hex()
@@ -747,7 +745,7 @@ class TestReinforcement:
         engine = engine_with()
         data = blob(0)
         for quality in (100.5, -1.0, math.nan):
-            payload = Payload("blob", data, data, quality)
+            payload = Payload(data, data, quality)
             with pytest.raises(ConfigurationError, match="payload quality"):
                 engine.store(payload, ["hot"])
             with pytest.raises(ConfigurationError, match="payload quality"):
@@ -777,8 +775,8 @@ class ReadCountingDict(dict):
 
 
 class TestReactionEdgeReads:
-    @pytest.mark.parametrize("flag, k", [(1, False), (0, True), (0, False)])
-    def test_a_reaction_reads_its_edge_once(self, monkeypatch, flag, k):
+    @pytest.mark.parametrize("flag, decay", [(1, False), (0, True), (0, False)])
+    def test_a_reaction_reads_its_edge_once(self, monkeypatch, flag, decay):
         engine = engine_with()
         dn = engine.store(blob(0), ["hot"]).dn_id
         hot = engine.hive.find_cue_by_label("hot")
@@ -787,7 +785,8 @@ class TestReactionEdgeReads:
         engine.update_search_order()
         weights = ReadCountingDict(engine.memory.weights)
         monkeypatch.setattr(engine.memory, "weights", weights)
-        engine.reaction(dn, hot, flag=flag, cues=["hot"], k=k)
+        engine.controls = OpControls(weaken_on_fail=decay)
+        engine.reaction(dn, hot, flag=flag, cues=["hot"])
         # the order entry moves with the weight the read returned
         assert weights.reads == [(hot, dn)]
         assert maintained(engine) == oracle_search_order(engine.memory,
@@ -844,14 +843,17 @@ class TestFuzzAtScale:
             else:
                 # a fine cue no stored item matches
                 op = ("retrieve", None)
+            if op[0] == "retention":
+                controls = OpControls(weaken_on_fail=op[2])
+            for engine in engines:
+                engine.controls = controls
             if op[0] == "store":
                 item = items[op[1]]
                 dn_id = dn_of.get(op[1])
                 compressed = (dn_id is not None and new.memory.data_neuron(
                     dn_id).payload.quality < 100.0)
                 outs = [e.store(item.data, [item.class_label],
-                                controls=controls, item_id=item.item_id)
-                        for e in engines]
+                                item_id=item.item_id) for e in engines]
                 if outs[0].kind == "new_neuron":
                     dn_of[op[1]] = outs[0].dn_id
                 else:
@@ -859,14 +861,13 @@ class TestFuzzAtScale:
                     kinds["refresh"] += compressed and outs[0].dn_id == dn_id
             elif op[0] == "retrieve":
                 if op[1] is None:
-                    fine, cue = [np.ones(64)], "alias"
+                    fine, cue = np.ones(64), "alias"
                 else:
-                    fine, cue = [features[op[1]]], items[op[1]].class_label
-                outs = [e.retrieve([cue], fine, controls=controls)
-                        for e in engines]
+                    fine, cue = features[op[1]], items[op[1]].class_label
+                outs = [e.retrieve([cue], fine) for e in engines]
                 kinds[outs[0].kind] += 1
             else:
-                outs = [e.retention(n=op[1], k=op[2]) for e in engines]
+                outs = [e.retention(n=op[1]) for e in engines]
                 kinds["retention"] += 1
                 kinds["compressed"] += len(outs[0].compressed)
             assert outs[0] == outs[1], f"op {i} {op}"

@@ -29,13 +29,13 @@ from tests.test_engine import blob, engine_with, maintained
 class FullRebuildEngine(MemoryEngine):
     """Reference: re-sorts every cue after every op."""
 
-    def store(self, data, cues, search=None, controls=None, item_id=None):
-        out = super().store(data, cues, search, controls, item_id)
+    def store(self, data, cues, item_id=None):
+        out = super().store(data, cues, item_id)
         self.update_search_order()
         return out
 
-    def retrieve(self, cues, fine_cues=None, search=None, controls=None):
-        out = super().retrieve(cues, fine_cues, search, controls)
+    def retrieve(self, cues, fine_cue=None):
+        out = super().retrieve(cues, fine_cue)
         self.update_search_order()
         return out
 
@@ -61,16 +61,18 @@ class TestReactionUpkeep:
         for cluster in range(3):
             engine.store(blob(cluster), ["hot"])
         engine.store(blob(4, cls=1), ["warm"])
-        decay = OpControls(weaken_on_fail=True)
+        plain, decay = OpControls(), OpControls(weaken_on_fail=True)
         ops = [
-            ("hit", lambda: engine.retrieve(["hot"], [extract(blob(2))])),
-            ("hit", lambda: engine.retrieve(["alias"], [extract(blob(1))])),
-            ("miss", lambda: engine.retrieve(
-                ["hot"], [extract(blob(5, cls=1))], controls=decay)),
-            ("merged", lambda: engine.store(blob(2, item=1), ["hot", "cool"])),
-            ("new_neuron", lambda: engine.store(blob(6, cls=1), ["warm"])),
+            ("hit", plain, lambda: engine.retrieve(["hot"], extract(blob(2)))),
+            ("hit", plain, lambda: engine.retrieve(["alias"], extract(blob(1)))),
+            ("miss", decay, lambda: engine.retrieve(
+                ["hot"], extract(blob(5, cls=1)))),
+            ("merged", plain,
+             lambda: engine.store(blob(2, item=1), ["hot", "cool"])),
+            ("new_neuron", plain, lambda: engine.store(blob(6, cls=1), ["warm"])),
         ]
-        for kind, op in ops:
+        for kind, controls, op in ops:
+            engine.controls = controls
             before, orders = order_lists(engine), maintained(engine)
             assert op().kind == kind
             assert maintained(engine) != orders, kind
@@ -80,7 +82,8 @@ class TestReactionUpkeep:
         for label in ("alias", "cool"):
             assert engine.hive.find_cue_by_label(label) in engine.hive.search_order
         before, orders = order_lists(engine), maintained(engine)
-        summary = engine.retention(n=1, k=True)
+        engine.controls = decay
+        summary = engine.retention(n=1)
         assert summary.weakened_edges
         assert maintained(engine) != orders
         assert_moved_in_place(engine, before)
@@ -91,7 +94,7 @@ class TestReactionUpkeep:
             engine.store(blob(cluster), ["hot"])
         before, orders = order_lists(engine), maintained(engine)
         foreign = engine.hive.extractor.extract(blob(5, cls=1))
-        out = engine.retrieve(["hot"], [foreign])
+        out = engine.retrieve(["hot"], foreign)
         assert out.kind == "miss" and out.cost == 4
         assert maintained(engine) == orders
         assert_moved_in_place(engine, before)
@@ -106,15 +109,17 @@ class TestReactionUpkeep:
         engine.reaction(b, cue, flag=1, cues=["hot", "fresh"])
         assert [e.dn_id for e in engine.hive.search_order[cue]] == [b, a]
         assert_moved_in_place(engine, before)
-        engine.reaction(b, cue, flag=0, k=True)
+        engine.controls = OpControls(weaken_on_fail=True)
+        engine.reaction(b, cue, flag=0)
         assert_moved_in_place(engine, before)
 
 
 def _step(engine, op, payload, cues, fine, controls):
+    engine.controls = controls
     if op == "store":
-        out = engine.store(payload, cues, controls=controls)
+        out = engine.store(payload, cues)
     else:
-        out = engine.retrieve(cues, fine, controls=controls)
+        out = engine.retrieve(cues, fine)
     return (out.kind, out.dn_id, out.cost, out.examined, out.quality)
 
 
@@ -156,7 +161,7 @@ class TestDifferentialAgainstFullRebuild:
             # join the cue bank on a hit
             cue = labels[int(rng.integers(3))] if rng.random() < 0.85 \
                 else f"alias-{int(rng.integers(8))}"
-            fine = [features[key]] if rng.random() < 0.9 else None
+            fine = features[key] if rng.random() < 0.9 else None
             controls = OpControls(weaken_on_fail=bool(rng.random() < 0.5))
             outs = [_step(engine, op, pool[key], [cue], fine, controls)
                     for engine in engines]

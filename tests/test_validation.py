@@ -71,31 +71,6 @@ def test_well_typed_search_and_control_fields_pass():
     OpControls(search_limit=np.int64(3), weaken_on_fail=True).validate()
 
 
-@pytest.mark.parametrize("kwargs, field", [
-    ({"controls": OpControls(search_limit=0)}, "search_limit"),
-    ({"controls": OpControls(weaken_on_fail="yes")}, "weaken_on_fail"),
-    ({"search": SearchParams(match_thresh=7.0)}, "match_thresh"),
-    ({"search": SearchParams(assoc_thresh=NAN)}, "assoc_thresh"),
-])
-@pytest.mark.parametrize("op", ["store", "retrieve", "update_cue"])
-def test_per_op_search_and_controls_are_validated(op, kwargs, field):
-    # the values the constructor refuses are refused per operation too,
-    # before the operation changes anything
-    engine = MemoryEngine(HiveParams(locality_mapping=[{"labels": ["hot"]},
-                                                       {}]))
-    data = bytes(range(256)) * 4
-    engine.store(data, ["hot"])
-    fine = engine.hive.extractor.extract(data)
-    calls = {"store": lambda: engine.store(data, ["hot"], **kwargs),
-             "retrieve": lambda: engine.retrieve(["hot"], [fine], **kwargs),
-             "update_cue": lambda: engine.update_cue("new", fine, **kwargs)}
-    before = engine.memory.export_graph("snapshot")
-    with pytest.raises(ConfigurationError, match=field):
-        calls[op]()
-    assert engine.memory.export_graph("snapshot") == before
-    assert engine.memory.op_counter == 1
-
-
 @pytest.mark.parametrize("section, field, value", [
     ("hive", "eta", NAN),
     ("hive", "epsilon", INF),
