@@ -214,6 +214,20 @@ class TestMatrixScan:
         out = engine.retrieve(["hot"], np.zeros(64))
         assert (out.kind, out.dn_id) == ("hit", z)
 
+    def test_match_on_a_later_candidate_counts_the_earlier_ones(self):
+        engine = engine_with()
+        a = engine.store(blob(0), ["hot"]).dn_id
+        b = engine.store(blob(1), ["hot"]).dn_id
+        out = engine.retrieve(["hot"], feature(engine, blob(1)))
+        assert (out.kind, out.dn_id, out.examined) == ("hit", b, (a, b))
+        assert out.cost == 2
+        # b now leads the order: a repeat is found first, and a retrieve for
+        # a examines b on the way
+        out = engine.retrieve(["hot"], feature(engine, blob(1)))
+        assert (out.dn_id, out.examined) == (b, (b,))
+        out = engine.retrieve(["hot"], feature(engine, blob(0)))
+        assert (out.kind, out.dn_id, out.examined) == ("hit", a, (b, a))
+
     def test_weaken_on_fail_decays_every_examined_non_match_in_order(
             self, monkeypatch):
         engine = engine_with(eta=5.0)

@@ -71,6 +71,20 @@ def test_well_typed_search_and_control_fields_pass():
     OpControls(search_limit=np.int64(3), weaken_on_fail=True).validate()
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"controls": OpControls(search_limit=0)}, "search_limit"),
+    ({"controls": OpControls(weaken_on_fail="yes")}, "weaken_on_fail"),
+    ({"search": SearchParams(match_thresh=7.0)}, "match_thresh"),
+    ({"search": SearchParams(assoc_thresh=NAN)}, "assoc_thresh"),
+])
+def test_engine_refuses_bad_search_and_controls_when_built(kwargs, field):
+    # no operation overrides the engine's settings, so the constructor is
+    # where every bad value is refused
+    with pytest.raises(ConfigurationError, match=field):
+        MemoryEngine(HiveParams(locality_mapping=[{"labels": ["hot"]}, {}]),
+                     **kwargs)
+
+
 @pytest.mark.parametrize("section, field, value", [
     ("hive", "eta", NAN),
     ("hive", "epsilon", INF),
