@@ -47,9 +47,6 @@ class CamBaseline:
         self._seq = 0
         self.total_scanned = 0
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     @property
     def total_bytes(self) -> int:
         return sum(e.data.size_bytes for e in self.entries)

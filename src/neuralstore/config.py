@@ -17,7 +17,7 @@ A run is fully described by one JSON document with these sections::
 
 Cues are labels: a locality mapping admits data by the one key ``labels``
 (``[{"labels": ["deer"]}, {}]``, the last locality catching the rest), and a
-bootstrap entry's ``cues`` are label strings.
+bootstrap entry's ``cues`` list holds at most one label string.
 
 Unknown keys anywhere are rejected, every value must have the type its
 field declares (an int passes for a float, a bool for nothing but a bool),
@@ -159,6 +159,11 @@ class RunConfig:
         for i, entry in enumerate(self.bootstrap):
             if "item_id" not in entry:
                 raise ConfigurationError(f"bootstrap[{i}] needs an item_id")
+            cues = entry.get("cues", ())
+            if len(cues) > 1:
+                raise ConfigurationError(
+                    f"bootstrap[{i}].cues must hold at most one label, got "
+                    f"{list(cues)!r}")
             locality = entry.get("locality")
             if locality is not None and not 0 <= locality < n:
                 raise ConfigurationError(
@@ -288,7 +293,8 @@ def build_adapter(config: RunConfig, corpus: Corpus, engine: str | None = None,
             raise ConfigurationError(
                 f"bootstrap[{i}].item_id {entry['item_id']!r} is not in the "
                 f"corpus")
-        ns.bootstrap_store(item.data, list(entry.get("cues", ())),
+        cues = entry.get("cues", ())
+        ns.bootstrap_store(item.data, cues[0] if cues else None,
                            locality_id=entry.get("locality"),
                            item_id=item.item_id)
     return NsReplayAdapter(ns)

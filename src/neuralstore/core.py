@@ -15,8 +15,8 @@ retention and elasticity update a whole locality with one array pass.  The
 neuron object holds its id, feature and locality, and reads its state from
 those columns: its ``strength``, ``last_access_op``, ``size_bytes`` and
 ``payload`` are read-only, and change only through ``Memory``
-(``adjust_strength``, ``set_payload``, ``reinforce``, ``touch``) or the
-engine.
+(``adjust_strength``, ``adjust_strengths``, ``set_payload``,
+``reinforce``) or the engine.
 
 A memory holds one hive, with its hyperparameters and
 feature extractor; localities partition the hive by data kind and carry
@@ -519,16 +519,8 @@ class Memory:
             raise KeyError(f"neuron {dn_id} is not a data neuron")
         return neuron
 
-    def data_neurons(self) -> list[DataNeuron]:
-        return [n for i, n in sorted(self.neurons.items())
-                if isinstance(n, DataNeuron)]
-
     def total_bytes(self) -> int:
         return self._bytes
-
-    def edge_count(self) -> int:
-        """Number of associations."""
-        return len(self.weights)
 
     def _edge(self, cue_id: int, dn_id: int) -> tuple[int, int]:
         """The key of the association from a cue to a data neuron; KeyError
@@ -539,11 +531,6 @@ class Memory:
         if dn_id not in self.hive.feature_rows:
             raise KeyError(f"neuron {dn_id} is not a data neuron")
         return cue_id, dn_id
-
-    def weight(self, cue_id: int, dn_id: int) -> float | None:
-        """Weight of the association from a cue to a data neuron; ``None``
-        if there is none."""
-        return self.weights.get(self._edge(cue_id, dn_id))
 
     # -- mutation -----------------------------------------------------------
 
@@ -657,9 +644,9 @@ class Memory:
         """Restore a data neuron's strength to 100 and mark it accessed at
         the current op; its stored quality is not resurrected.
 
-        The same as ``adjust_strength(dn_id, -100.0)`` and then
-        ``touch(dn_id)``: a strength in ``[phi, 100]`` clamps to exactly 100,
-        which lowers no stored quality.
+        The same as ``adjust_strength(dn_id, -100.0)`` followed by setting
+        the row's last access to the current op: a strength in ``[phi,
+        100]`` clamps to exactly 100, which lowers no stored quality.
         """
         hive = self.hive
         row = hive.feature_rows.get(dn_id)
@@ -667,9 +654,6 @@ class Memory:
             raise KeyError(f"neuron {dn_id} is not a data neuron")
         hive.strength[row] = 100.0
         hive.last_access[row] = self.op_counter
-
-    def touch(self, dn_id: int) -> None:
-        self.hive.last_access[self.data_neuron(dn_id).row] = self.op_counter
 
     # -- export -------------------------------------------------------------
 

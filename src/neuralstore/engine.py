@@ -8,14 +8,19 @@ through the reaction step, which is where all association learning happens.
 Retention ages whatever the access pattern has not touched lately, and
 elasticity squeezes stored quality to make room when a byte capacity is set.
 
-Coarse cues are labels: ``store``, ``retrieve`` and ``bootstrap_store`` take
-a list of label strings, and refuse a bare string or a cue that is not a
-string with ``ConfigurationError`` before they change anything.  A new data
-neuron goes to the first locality whose ``labels`` admit its first cue, or
-else to the last locality.  A retrieve matches at most one fine cue, a
-vector of ``feature_dim`` values, which never becomes a cue neuron; a fine
-cue of any other shape is refused with ``ConfigurationError`` before the
-operation changes anything.
+Coarse cues are labels, one per operation: ``store`` and ``retrieve`` take
+one label string, and ``bootstrap_store`` one or none, and a cue that is
+not a string is refused with ``ConfigurationError`` before anything
+changes.  An operation looks its label up in the cue bank once and carries
+the cue id (``None`` for a label the bank does not know) to its search
+and its hit.  When the label was unknown, the operation's hit, merge or new
+data neuron gets a new cue neuron for it, linked at epsilon; a known label
+reuses its cue.  A datum still gains several cues, through separate
+operations under different labels.  A new data neuron goes to the first
+locality whose ``labels`` admit its label, or else to the last locality.  A
+retrieve matches at most one fine cue, a vector of ``feature_dim`` values,
+which never becomes a cue neuron; a fine cue of any other shape is refused
+with ``ConfigurationError`` before the operation changes anything.
 
 Every operation reads the engine's own ``search`` (association and match
 thresholds) and ``controls`` (search limit and failure decay), which are
@@ -27,11 +32,11 @@ associations only through ``Memory.associate`` and
 (see :mod:`neuralstore.core`); under failure decay, a retention pass ages
 each idle association at its data neuron's locality's association decay
 rate.  An operation's candidate list is a fresh list taken before its
-scan, so entries moved during the scan do not change it.  For a cue set
-that resolves to one order (every generated trace uses one coarse cue per
-operation) the list is a slice of that order, up to the association
-threshold, found by ``bisect``, and the search limit; several orders are
-merged by a walk that drops repeated data neurons.
+scan, so entries moved during the scan do not change it.  For a known
+label the list is a slice of its cue's order, up to the association
+threshold, found by ``bisect``, and the search limit; an unknown label in a
+hive of several localities merges their default cues' orders by a walk that
+drops repeated data neurons.
 
 Matching scores the query (a store's extracted feature, or a retrieve's
 fine cue) once against the hive's feature matrix, whose rows are the data
@@ -106,19 +111,11 @@ NEAR_THRESHOLD = 1e-9
 FINE_UNIT_MEMO_SIZE = 1024
 
 
-def _check_cues(cues, op: str, least: int = 1) -> None:
-    """Refuse a cue list that is a bare string, holds a cue that is not a
-    label string, or has fewer than ``least`` cues."""
-    if isinstance(cues, str):
+def _check_cue(cue, op: str) -> None:
+    """Refuse a coarse cue that is not one label string."""
+    if not isinstance(cue, str):
         raise ConfigurationError(
-            f"{op} cues must be a list of label strings, got {cues!r}")
-    for cue in cues:
-        if not isinstance(cue, str):
-            raise ConfigurationError(
-                f"{op} cues must be a list of label strings, got "
-                f"{reprlib.repr(cues)}")
-    if len(cues) < least:
-        raise ConfigurationError(f"{op} requires at least one cue")
+            f"{op} cue must be a label string, got {reprlib.repr(cue)}")
 
 
 def _check_fine_cue(fine_cue, dim: int) -> np.ndarray:
@@ -247,31 +244,28 @@ class MemoryEngine:
             for cue_id, pairs in oracle_search_order(self.memory,
                                                      self.hive).items()}
 
-    def get_search_order(self, cues) -> list[SearchEntry]:
-        """Candidate list for a cue set, as a fresh list.
+    def get_search_order(self, cue_id: int | None) -> list[SearchEntry]:
+        """Candidate list for a cue, as a fresh list.
 
-        Per-cue maintained orders are concatenated in the order cues were
-        supplied; cues absent from the cue bank fall back to every locality's
-        default cue.  Candidates at average strength <= the association
-        threshold are pruned, duplicates keep their first occurrence, and the
-        list is truncated at the search limit.
+        A known cue gives its maintained order; an unknown label (``None``)
+        falls back to every locality's default cue, in locality order.
+        Candidates at average strength <= the association threshold are
+        pruned, duplicates keep their first occurrence, and the list is
+        truncated at the search limit.
 
-        When the cues resolve to one order (one known cue, or an unknown cue
-        in a one-locality hive), that is a slice of the order: it holds no
+        When that is one order (a known cue, or an unknown label in a
+        one-locality hive), the list is a slice of the order: it holds no
         duplicates and is sorted by descending weight, so the entries above
         the threshold are a prefix, found by ``bisect``.
         """
         hive = self.hive
         t1 = self.search.assoc_thresh
         search_limit = self.controls.search_limit
-        lists: list[list[SearchEntry]] = []
-        for cue in cues:
-            cue_id = hive.find_cue_by_label(cue)
-            if cue_id is not None:
-                lists.append(hive.search_order.get(cue_id, []))
-            else:
-                lists.extend(hive.search_order.get(loc.default_cue_id, [])
-                             for loc in hive.localities)
+        if cue_id is not None:
+            lists = [hive.search_order.get(cue_id, [])]
+        else:
+            lists = [hive.search_order.get(loc.default_cue_id, [])
+                     for loc in hive.localities]
         if len(lists) == 1:
             order = lists[0]
             end = len(order)
@@ -293,18 +287,14 @@ class MemoryEngine:
 
     # -- reaction ------------------------------------------------------------
 
-    def reaction(self, target_dn: int, cue_id: int, flag: int,
-                 cues=()) -> None:
+    def reaction(self, target_dn: int, cue_id: int, flag: int) -> None:
         """Reward or penalize a candidate reached from ``cue_id`` after a
         search/merge attempt.
 
         ``flag=1`` strengthens the cue's edge to the target by the hive's
-        eta, restores the target's strength to 100 and associates each cue
-        with the target (creating cue neurons and epsilon-weight links as
-        needed; links that already exist, other than the one just
-        strengthened, are strengthened).  ``flag=0`` weakens the edge by eta
-        when failure decay (``controls.weaken_on_fail``) is enabled and
-        otherwise leaves all weights untouched.
+        eta and restores the target's strength to 100.  ``flag=0`` weakens
+        the edge by eta when failure decay (``controls.weaken_on_fail``) is
+        enabled and otherwise leaves all weights untouched.
         """
         eta = self.params.eta
         memory = self.memory
@@ -319,20 +309,15 @@ class MemoryEngine:
                 f"cue {cue_id} has no edge to {target_dn}") from None
         if flag:
             memory.reinforce(target_dn)
-            self._associate_cues(cues, target_dn, skip=cue_id)
 
-    def _associate_cues(self, cues, dn_id: int, skip: int | None) -> None:
-        # associate if absent (at epsilon), strengthen if already associated;
-        # the edge from cue ``skip`` was already strengthened by the caller
-        memory = self.memory
-        for cue in cues:
-            cue_id = memory.add_cue_neuron(cue)
-            if cue_id == skip:
-                continue
-            if (cue_id, dn_id) not in memory.weights:
-                memory.associate(cue_id, dn_id)
-            else:
-                memory.adjust_association(cue_id, dn_id, -self.params.eta)
+    def _link_cue(self, cue: str, cue_id: int | None, dn_id: int) -> None:
+        """Associate the op's label with a data neuron at epsilon, through
+        a new cue neuron when the bank did not know the label (``cue_id``
+        None).  Neuron ids come from one counter, so the new cue is made
+        after the op's data neuron and reaction."""
+        if cue_id is None:
+            cue_id = self.memory.add_cue_neuron(cue)
+        self.memory.associate(cue_id, dn_id)
 
     # -- capacity ------------------------------------------------------------
 
@@ -463,7 +448,7 @@ class MemoryEngine:
         return None
 
     def _scan(self, candidates: list[SearchEntry], query: np.ndarray | None,
-              cues, memo: bool = False) -> tuple[SearchEntry | None, tuple[int, ...]]:
+              memo: bool = False) -> tuple[SearchEntry | None, tuple[int, ...]]:
         """Examine candidates up to the first match; return it (or None) and
         the examined dn ids.  A failed examination changes a weight only
         under failure decay, so only then does it get its flag=0 reaction."""
@@ -473,21 +458,25 @@ class MemoryEngine:
         if self.controls.weaken_on_fail:
             # the examined non-matches: all of them when nothing matched
             for entry in candidates[:first]:
-                self.reaction(entry.dn_id, entry.cue_id, flag=0, cues=cues)
+                self.reaction(entry.dn_id, entry.cue_id, flag=0)
         examined = tuple(map(itemgetter(1), candidates[:cost]))   # dn ids
         return (None if first is None else candidates[first]), examined
 
-    def store(self, data, cues, item_id: str | None = None) -> OpOutcome:
-        """Store data: merge into a similar resident neuron or create a new one."""
-        _check_cues(cues, "store")
+    def store(self, data, cue: str, item_id: str | None = None) -> OpOutcome:
+        """Store data under one label: merge into a similar resident neuron
+        or create a new one."""
+        _check_cue(cue, "store")
         payload = self._as_payload(data, item_id)
         self.memory.op_counter += 1
         feature = self.hive.extractor.extract(payload.blob)
         self.ensure_capacity(payload.original_size)
-        match, examined = self._scan(self.get_search_order(cues), feature, cues)
+        cue_id = self.hive.find_cue_by_label(cue)
+        match, examined = self._scan(self.get_search_order(cue_id), feature)
         if match is not None:
             dn = self.memory.data_neuron(match.dn_id)
-            self.reaction(dn.id, match.cue_id, flag=1, cues=cues)
+            self.reaction(dn.id, match.cue_id, flag=1)
+            if cue_id is None:
+                self._link_cue(cue, None, dn.id)
             stored = dn.payload
             if payload.quality > stored.quality:
                 # merge refresh: fresher copy wins
@@ -496,28 +485,31 @@ class MemoryEngine:
             outcome = OpOutcome("merged", dn.id, len(examined), stored,
                                 stored.quality, examined)
         else:
-            locality = self.select_locality(cues[0])
+            locality = self.select_locality(cue)
             dn_id = self.memory.add_data_neuron(locality.id, payload, feature)
-            self._associate_cues(cues, dn_id, skip=None)
+            self._link_cue(cue, cue_id, dn_id)
             outcome = OpOutcome("new_neuron", dn_id, len(examined), payload,
                                 100.0, examined)
         self._auto_retention()
         return outcome
 
-    def retrieve(self, cues, fine_cue=None) -> OpOutcome:
-        """Retrieve the first candidate matching the fine cue (or the first
-        candidate outright when no fine cue is given).  A fine cue is one
-        vector of ``feature_dim`` values."""
-        _check_cues(cues, "retrieve")
+    def retrieve(self, cue: str, fine_cue=None) -> OpOutcome:
+        """Retrieve, under one label, the first candidate matching the fine
+        cue (or the first candidate outright when no fine cue is given).  A
+        fine cue is one vector of ``feature_dim`` values."""
+        _check_cue(cue, "retrieve")
         if fine_cue is not None:
             fine_cue = _check_fine_cue(fine_cue, self.params.feature_dim)
         self.memory.op_counter += 1
-        match, examined = self._scan(self.get_search_order(cues), fine_cue,
-                                     cues, memo=True)
+        cue_id = self.hive.find_cue_by_label(cue)
+        match, examined = self._scan(self.get_search_order(cue_id), fine_cue,
+                                     memo=True)
         if match is not None:
             # a reaction restores strength but never the stored quality
             stored = self.memory.data_neuron(match.dn_id).payload
-            self.reaction(match.dn_id, match.cue_id, flag=1, cues=cues)
+            self.reaction(match.dn_id, match.cue_id, flag=1)
+            if cue_id is None:
+                self._link_cue(cue, None, match.dn_id)
             outcome = OpOutcome("hit", match.dn_id, len(examined), stored,
                                 stored.quality, examined)
         else:
@@ -525,13 +517,6 @@ class MemoryEngine:
                                 examined)
         self._auto_retention()
         return outcome
-
-    def update_cue(self, new_cue, target_fine_cue) -> OpOutcome:
-        """Associate an additional cue with already-stored data by retrieving
-        it under the new cue (unknown cues traverse the default cues)."""
-        if target_fine_cue is None:
-            raise ConfigurationError("update_cue requires a fine_cue")
-        return self.retrieve([new_cue], target_fine_cue)
 
     def retention(self, n: int | None = None) -> RetentionSummary:
         """Age idle neurons, and idle associations under failure decay;
@@ -587,21 +572,23 @@ class MemoryEngine:
 
     # -- fixtures --------------------------------------------------------------
 
-    def bootstrap_store(self, data, cues=(), locality_id: int | None = None,
+    def bootstrap_store(self, data, cue: str | None = None,
+                        locality_id: int | None = None,
                         item_id: str | None = None) -> int:
         """Seed a data neuron directly, outside the operation stream.
 
         Used to pre-populate scripted scenarios: the payload is stored at
-        full quality, label cues are attached at epsilon weight, and neither
-        the operation counter nor retention is touched.
+        full quality, the label cue (if any) is attached at epsilon weight,
+        and neither the operation counter nor retention is touched.
         """
-        _check_cues(cues, "bootstrap_store", least=0)
+        if cue is not None:
+            _check_cue(cue, "bootstrap_store")
         payload = self._as_payload(data, item_id)
         feature = self.hive.extractor.extract(payload.blob)
         if locality_id is None:
-            locality_id = self.select_locality(cues[0] if cues else None).id
+            locality_id = self.select_locality(cue).id
         dn_id = self.memory.add_data_neuron(locality_id, payload, feature)
-        for cue in cues:
+        if cue is not None:
             self.memory.associate(self.memory.add_cue_neuron(cue), dn_id)
         return dn_id
 

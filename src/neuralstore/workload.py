@@ -496,8 +496,17 @@ class NsReplayAdapter:
     def total_bytes(self) -> int:
         return self.engine.memory.total_bytes()
 
+    @staticmethod
+    def _cue(rec: TraceRecord) -> str:
+        """The record's one coarse cue; the engine takes one label per op."""
+        if len(rec.coarse_cues) != 1:
+            raise ConfigurationError(
+                f"{rec.op} needs exactly one coarse cue, got "
+                f"{list(rec.coarse_cues)!r}")
+        return rec.coarse_cues[0]
+
     def do_store(self, rec: TraceRecord, item: ManifestItem) -> dict:
-        outcome = self.engine.store(item.data, list(rec.coarse_cues),
+        outcome = self.engine.store(item.data, self._cue(rec),
                                     item_id=item.item_id)
         return {"kind": outcome.kind, "dn_id": outcome.dn_id,
                 "cost": outcome.cost, "hit": outcome.hit,
@@ -506,7 +515,7 @@ class NsReplayAdapter:
 
     def do_retrieve(self, rec: TraceRecord, item: ManifestItem) -> dict:
         fine = self._fine_cue(item) if rec.use_fine_cue else None
-        outcome = self.engine.retrieve(list(rec.coarse_cues), fine)
+        outcome = self.engine.retrieve(self._cue(rec), fine)
         fidelity = psnr_fidelity(outcome.payload) if outcome.hit else None
         return {"kind": outcome.kind, "dn_id": outcome.dn_id,
                 "cost": outcome.cost, "hit": outcome.hit,

@@ -41,8 +41,8 @@ def build_walkthrough():
     corpus = build_corpus(spec)
     trace = generate_trace(corpus, spec)
     ids = {}
-    for item_id, cues in (("w0", ["wolf"]), ("w1", ["wolf"]), ("bg", [])):
-        ids[item_id] = engine.bootstrap_store(corpus.get(item_id).data, cues,
+    for item_id, cue in (("w0", "wolf"), ("w1", "wolf"), ("bg", None)):
+        ids[item_id] = engine.bootstrap_store(corpus.get(item_id).data, cue,
                                               item_id=item_id)
     return engine, corpus, trace, ids
 

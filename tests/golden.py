@@ -38,6 +38,7 @@ import math
 import time
 
 from neuralstore.workload import NsReplayAdapter
+from tests.helpers import data_neurons
 
 # per-record expectations keyed by symbolic neuron names:
 #   w0, w1, bg      pre-seeded data neurons
@@ -131,15 +132,15 @@ def run_walkthrough(build):
         assert row["examined"] == [names[n] for n in expected["examined"]], \
             f"seq {rec.seq}"
         memory = engine.memory
-        strengths = {dn.id: dn.strength for dn in memory.data_neurons()}
-        qualities = {dn.id: dn.payload.quality for dn in memory.data_neurons()}
+        strengths = {dn.id: dn.strength for dn in data_neurons(memory)}
+        qualities = {dn.id: dn.payload.quality for dn in data_neurons(memory)}
         for name, value in expected["strengths"].items():
             assert strengths[names[name]] == value, f"seq {rec.seq} strength {name}"
         for name, value in expected["qualities"].items():
             assert qualities[names[name]] == value, f"seq {rec.seq} quality {name}"
         assert memory.total_bytes() == expected["total_bytes"], f"seq {rec.seq}"
         for (a, b), w in expected["weights"].items():
-            assert memory.weight(names[a], names[b]) == w, \
+            assert memory.weights[names[a], names[b]] == w, \
                 f"seq {rec.seq} weight {a}-{b}"
     elapsed = time.perf_counter() - started
     assert math.isfinite(elapsed)

@@ -54,6 +54,7 @@ from neuralstore.workload import (
 )
 from tests.conftest import build_walkthrough
 from tests.golden import run_walkthrough
+from tests.helpers import data_neurons
 
 
 def criterion(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -135,7 +136,7 @@ def test_criterion_4_priority_fidelity(comparison_run):
         elif rec.op == "retrieve":
             item = corpus.get(rec.item_id)
             fine = adapter._fine_cue(item) if rec.use_fine_cue else None
-            out = adapter.engine.retrieve(list(rec.coarse_cues), fine)
+            out = adapter.engine.retrieve(rec.coarse_cues[0], fine)
             if out.hit and item.class_label == priority:
                 returned = extractor.extract(out.payload.blob)
                 original = extractor.extract(out.payload.original)
@@ -224,7 +225,7 @@ def _check_invariants(engine: MemoryEngine) -> None:
         assert w >= epsilon - 1e-9, f"weight {w} below epsilon {epsilon}"
         assert cue_id in hive.cue_bank and dn_id in hive.feature_rows
     assert memory.edge_access.keys() == memory.weights.keys()
-    for dn in memory.data_neurons():
+    for dn in data_neurons(memory):
         assert phi - 1e-9 <= dn.strength <= 100.0 + 1e-9
     # each cue's order lists exactly its associations' weights
     maintained = {cue: [(e.dn_id, e.avg_weight) for e in entries]
@@ -256,12 +257,12 @@ def test_criterion_6_clamp_invariants_fuzz():
                 roll = 0.5
             try:
                 if roll < 0.40:
-                    engine.store(payloads[key], [label], item_id=str(key))
+                    engine.store(payloads[key], label, item_id=str(key))
                 elif roll < 0.80:
                     fine = None
                     if rng.random() < 0.7:
                         fine = engine.hive.extractor.extract(payloads[key])
-                    engine.retrieve([label if rng.random() < 0.8 else "zzz"],
+                    engine.retrieve(label if rng.random() < 0.8 else "zzz",
                                     fine)
                 elif roll < 0.90:
                     engine.retention(n=int(rng.integers(1, 25)))
@@ -270,7 +271,7 @@ def test_criterion_6_clamp_invariants_fuzz():
                     # each fuzzed run's edge choices stable
                     edges = sorted(engine.memory.weights,
                                    key=lambda k: (min(k), max(k)))
-                    dns = engine.memory.data_neurons()
+                    dns = data_neurons(engine.memory)
                     if edges and rng.random() < 0.5:
                         cue_id, dn_id = edges[int(rng.integers(len(edges)))]
                         engine.memory.adjust_association(
@@ -323,10 +324,10 @@ def test_criterion_7_compare_determinism(tmp_path):
 def test_criterion_8_priming():
     engine = MemoryEngine(HiveParams(locality_mapping=[{"labels": ["hot"]}, {}]))
     for cluster in range(8):
-        engine.store(item_bytes(5, 0, cluster, 0, 2048), ["hot"])
+        engine.store(item_bytes(5, 0, cluster, 0, 2048), "hot")
     target = item_bytes(5, 0, 5, 0, 2048)
     fine = engine.hive.extractor.extract(target)
-    costs = [engine.retrieve(["hot"], fine).cost for _ in range(10)]
+    costs = [engine.retrieve("hot", fine).cost for _ in range(10)]
     non_increasing = all(b <= a for a, b in zip(costs, costs[1:]))
     criterion(8, "repeating one retrieve ten times yields non-increasing "
                  "costs ending at 1",

@@ -19,7 +19,7 @@ class TestStore:
         result = cam.store("a", data(10))
         assert result.cost == 0
         assert result.stored
-        assert len(cam) == 1
+        assert len(cam.entries) == 1
 
     def test_duplicate_tag_overwrites_at_scan_position(self):
         cam = CamBaseline()
@@ -28,7 +28,7 @@ class TestStore:
         result = cam.store("c", data(20, fill=1))
         assert result.cost == 3          # scanned a, b, c
         assert result.overwrote
-        assert len(cam) == 4
+        assert len(cam.entries) == 4
         payload, _ = cam.retrieve("c")
         assert payload.blob == data(20, fill=1)
 

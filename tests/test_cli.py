@@ -356,8 +356,11 @@ class TestInspect:
                                                        capsys):
         # "-" stands for a cue without a label, so the labels "" and "-"
         # are written so that they read back as themselves
+        # one datum gains the other two labels by retrieves under them
         engine = MemoryEngine()
-        dn = engine.store(b"\x01" * 64, ["", "-", "-x"]).dn_id
+        dn = engine.store(b"\x01" * 64, "").dn_id
+        assert [engine.retrieve(label).dn_id for label in ("-", "-x")] == \
+            [dn, dn]
         snapshot = engine.memory.export_graph("snapshot")
         cue_lines = [line for line in snapshot.splitlines()
                      if line.startswith("cue ")]
@@ -371,7 +374,7 @@ class TestInspect:
         ids = {label: cue for cue, label in labels.items()}
         for label in ("", "-", "-x"):
             assert engine.hive.find_cue_by_label(label) == ids[label]
-            assert engine.memory.weight(ids[label], dn) == 1.0
+            assert engine.memory.weights[ids[label], dn] == 1.0
         path = tmp_path / "snapshot.txt"
         path.write_text(snapshot)
         assert main(["inspect", "--snapshot", str(path)]) == 0

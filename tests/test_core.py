@@ -58,7 +58,7 @@ class TestCueNeurons:
         memory, hive = make_memory()
         cid = memory.add_cue_neuron(label="wolf")
         assert cid == 0
-        assert memory.edge_count() == 0
+        assert len(memory.weights) == 0
 
     def test_duplicate_label_is_idempotent(self):
         memory, hive = make_memory()
@@ -75,8 +75,8 @@ class TestDataNeurons:
         neuron = memory.data_neuron(dn)
         assert neuron.strength == 100.0
         default = hive.localities[0].default_cue_id
-        assert memory.weight(default, dn) == hive.params.epsilon
-        assert memory.edge_count() == 1
+        assert memory.weights[default, dn] == hive.params.epsilon
+        assert len(memory.weights) == 1
 
     def test_two_neurons_distinct_ids(self):
         memory, hive = make_memory()
@@ -98,7 +98,7 @@ class TestAdjustments:
         dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
         memory.associate(a, dn)
         memory.adjust_association(a, dn, -29.0)  # bring to 30
-        assert memory.weight(a, dn) == 30.0
+        assert memory.weights[a, dn] == 30.0
         assert memory.adjust_association(a, dn, 10.0) == 20.0
 
     def test_weight_clamp_floor(self):
@@ -162,16 +162,15 @@ class TestAssociationContract:
 
     def state(self, memory) -> tuple:
         return (dict(memory.weights), dict(memory.edge_access),
-                {c: list(o) for c, o in memory.hive.search_order.items()},
-                memory.edge_count())
+                {c: list(o) for c, o in memory.hive.search_order.items()})
 
     def test_keys_are_cue_then_data_neuron(self):
         memory, cue, _, dn, dn2 = self.seeded()
         default = memory.hive.localities[0].default_cue_id
         assert memory.weights == {(default, dn): 1.0, (default, dn2): 1.0,
                                   (cue, dn): 8.5}
-        assert memory.weight(cue, dn) == 8.5
-        assert memory.weight(cue, dn2) is None
+        assert memory.weights[cue, dn] == 8.5
+        assert (cue, dn2) not in memory.weights
 
     @pytest.mark.parametrize("pair, bad", [
         (("dn", "dn2"), "dn"),          # data to data
@@ -181,8 +180,7 @@ class TestAssociationContract:
         ((99, "dn"), 99),               # unknown cue id
         (("cue", 99), 99),              # unknown data neuron id
     ])
-    @pytest.mark.parametrize("call", ["associate", "adjust_association",
-                                      "weight"])
+    @pytest.mark.parametrize("call", ["associate", "adjust_association"])
     def test_any_other_pair_is_refused(self, call, pair, bad):
         memory, cue, other, dn, dn2 = self.seeded()
         ids = {"cue": cue, "other": other, "dn": dn, "dn2": dn2}
@@ -267,7 +265,7 @@ class TestExports:
         doc = parse_snapshot(text)
         assert doc.version == 1
         assert len(doc.neurons) == len(engine.memory.neurons)
-        assert len(doc.edges) == engine.memory.edge_count()
+        assert len(doc.edges) == len(engine.memory.weights)
         assert doc.orders  # search orders present after bootstrap
 
     def test_keys_a_snapshot_does_not_always_carry_are_read_as_text(self):

@@ -15,6 +15,7 @@ from neuralstore.engine import (
     oracle_search_order,
 )
 from neuralstore.workload import item_bytes
+from tests.helpers import candidates
 
 
 def engine_with(**overrides) -> MemoryEngine:
@@ -39,7 +40,7 @@ def maintained(engine) -> dict:
 class TestStore:
     def test_empty_memory_store_cost_zero(self):
         engine = engine_with()
-        out = engine.store(blob(0), ["hot"])
+        out = engine.store(blob(0), "hot")
         assert out.kind == "new_neuron"
         assert out.cost == 0
         assert out.examined == ()
@@ -47,25 +48,25 @@ class TestStore:
 
     def test_merge_restores_strength_and_strengthens_cue(self):
         engine = engine_with()
-        first = engine.store(blob(0, 0), ["hot"])
+        first = engine.store(blob(0, 0), "hot")
         cue = engine.hive.find_cue_by_label("hot")
         engine.memory.adjust_strength(first.dn_id, 30.0)
-        out = engine.store(blob(0, 1), ["hot"])   # same cluster: merges
+        out = engine.store(blob(0, 1), "hot")   # same cluster: merges
         assert out.kind == "merged"
         assert out.dn_id == first.dn_id
         assert out.cost == 1
         assert engine.memory.data_neuron(first.dn_id).strength == 100.0
         # path edge strengthened once by eta, not double-counted
-        assert engine.memory.weight(cue, first.dn_id) == 1.0 + 20.0
+        assert engine.memory.weights[cue, first.dn_id] == 1.0 + 20.0
 
     def test_merge_refresh_replaces_degraded_payload(self):
         engine = engine_with()
-        first = engine.store(blob(0, 0), ["hot"])
+        first = engine.store(blob(0, 0), "hot")
         engine.memory.adjust_strength(first.dn_id, 40.0)   # quality 60 now
         dn = engine.memory.data_neuron(first.dn_id)
         assert dn.payload.quality == 60.0
         fresh = blob(0, 1)
-        out = engine.store(fresh, ["hot"], item_id="fresh")
+        out = engine.store(fresh, "hot", item_id="fresh")
         assert out.kind == "merged"
         assert dn.payload.quality == 100.0
         assert dn.payload.blob == fresh
@@ -73,16 +74,16 @@ class TestStore:
 
     def test_equal_quality_merge_keeps_resident_payload(self):
         engine = engine_with()
-        first = engine.store(blob(0, 0), ["hot"], item_id="orig")
-        engine.store(blob(0, 1), ["hot"], item_id="dup")
+        first = engine.store(blob(0, 0), "hot", item_id="orig")
+        engine.store(blob(0, 1), "hot", item_id="dup")
         dn = engine.memory.data_neuron(first.dn_id)
         assert dn.payload.lineage == "orig"
 
     def test_failed_candidates_counted_in_cost(self):
         engine = engine_with()
-        engine.store(blob(0), ["hot"])
-        engine.store(blob(1), ["hot"])
-        out = engine.store(blob(2), ["hot"])
+        engine.store(blob(0), "hot")
+        engine.store(blob(1), "hot")
+        out = engine.store(blob(2), "hot")
         assert out.kind == "new_neuron"
         assert out.cost == 2
         assert len(out.examined) == 2
@@ -90,12 +91,12 @@ class TestStore:
     def test_store_requires_cues(self):
         engine = engine_with()
         with pytest.raises(ConfigurationError):
-            engine.store(blob(0), [])
+            engine.store(blob(0), None)
 
     def test_locality_routing(self):
         engine = engine_with()
-        hot = engine.store(blob(0), ["hot"])
-        cold = engine.store(blob(1, cls=1), ["other"])
+        hot = engine.store(blob(0), "hot")
+        cold = engine.store(blob(1, cls=1), "other")
         assert engine.memory.data_neuron(hot.dn_id).locality_id == 0
         assert engine.memory.data_neuron(cold.dn_id).locality_id == 1
 
@@ -103,10 +104,10 @@ class TestStore:
 class TestRetrieve:
     def test_hit_after_examining_closer_candidate(self):
         engine = engine_with()
-        a = engine.store(blob(0), ["hot"])
-        b = engine.store(blob(1), ["hot"])
+        a = engine.store(blob(0), "hot")
+        b = engine.store(blob(1), "hot")
         fine = engine.hive.extractor.extract(blob(1))
-        out = engine.retrieve(["hot"], fine)
+        out = engine.retrieve("hot", fine)
         assert out.kind == "hit"
         assert out.dn_id == b.dn_id
         assert out.cost == 2          # examined a (id order tie) then b
@@ -114,68 +115,68 @@ class TestRetrieve:
 
     def test_no_fine_cue_returns_first_candidate(self):
         engine = engine_with()
-        a = engine.store(blob(0), ["hot"])
-        engine.store(blob(1), ["hot"])
-        out = engine.retrieve(["hot"])
+        a = engine.store(blob(0), "hot")
+        engine.store(blob(1), "hot")
+        out = engine.retrieve("hot")
         assert out.kind == "hit"
         assert out.dn_id == a.dn_id
         assert out.cost == 1
 
     def test_unknown_cue_falls_back_to_default_cues(self):
         engine = engine_with()
-        stored = engine.store(blob(0), ["hot"])
+        stored = engine.store(blob(0), "hot")
         fine = engine.hive.extractor.extract(blob(0))
-        out = engine.retrieve(["mystery"], fine)
+        out = engine.retrieve("mystery", fine)
         assert out.kind == "hit"
         assert out.dn_id == stored.dn_id
         # the unseen cue gets a neuron and a link only because the search hit
         new_cue = engine.hive.find_cue_by_label("mystery")
         assert new_cue is not None
-        assert engine.memory.weight(new_cue, stored.dn_id) == 1.0
+        assert engine.memory.weights[new_cue, stored.dn_id] == 1.0
 
     def test_miss_is_not_an_error_and_creates_no_cue(self):
         engine = engine_with()
-        engine.store(blob(0), ["hot"])
+        engine.store(blob(0), "hot")
         foreign = engine.hive.extractor.extract(blob(5, cls=1))
-        out = engine.retrieve(["mystery"], foreign)
+        out = engine.retrieve("mystery", foreign)
         assert out.kind == "miss"
         assert out.dn_id is None
         assert engine.hive.find_cue_by_label("mystery") is None
 
     def test_miss_on_empty_memory(self):
         engine = engine_with()
-        out = engine.retrieve(["hot"])
+        out = engine.retrieve("hot")
         assert out.kind == "miss"
         assert out.cost == 0
 
     def test_search_limit_caps_cost(self):
         engine = engine_with()
         for u in range(5):
-            engine.store(blob(u), ["hot"])
+            engine.store(blob(u), "hot")
         foreign = engine.hive.extractor.extract(blob(9, cls=1))
         engine.controls = OpControls(search_limit=3)
-        out = engine.retrieve(["hot"], foreign)
+        out = engine.retrieve("hot", foreign)
         assert out.kind == "miss"
         assert out.cost == 3
 
     def test_hit_restores_strength_and_raises_path_weights(self):
         engine = engine_with()
-        stored = engine.store(blob(0), ["hot"])
+        stored = engine.store(blob(0), "hot")
         engine.memory.adjust_strength(stored.dn_id, 25.0)
         cue = engine.hive.find_cue_by_label("hot")
-        before = engine.memory.weight(cue, stored.dn_id)
+        before = engine.memory.weights[cue, stored.dn_id]
         fine = engine.hive.extractor.extract(blob(0))
-        out = engine.retrieve(["hot"], fine)
+        out = engine.retrieve("hot", fine)
         assert out.hit
         assert engine.memory.data_neuron(stored.dn_id).strength == 100.0
-        assert engine.memory.weight(cue, stored.dn_id) > before
+        assert engine.memory.weights[cue, stored.dn_id] > before
 
     def test_returned_quality_is_stored_quality(self):
         engine = engine_with()
-        stored = engine.store(blob(0), ["hot"])
+        stored = engine.store(blob(0), "hot")
         engine.memory.adjust_strength(stored.dn_id, 35.0)
         fine = engine.hive.extractor.extract(blob(0))
-        out = engine.retrieve(["hot"], fine)
+        out = engine.retrieve("hot", fine)
         assert out.quality == 65.0
         assert out.payload.quality == 65.0
 
@@ -183,44 +184,43 @@ class TestRetrieve:
 class TestReaction:
     def test_reward_strengthens_path_once(self):
         engine = engine_with(eta=10.0)
-        stored = engine.store(blob(0), ["hot"])
+        stored = engine.store(blob(0), "hot")
         cue = engine.hive.find_cue_by_label("hot")
         engine.memory.adjust_strength(stored.dn_id, 50.0)
-        engine.reaction(stored.dn_id, cue,
-                        flag=1, cues=["hot"])
-        assert engine.memory.weight(cue, stored.dn_id) == 11.0
+        engine.reaction(stored.dn_id, cue, flag=1)
+        assert engine.memory.weights[cue, stored.dn_id] == 11.0
         assert engine.memory.data_neuron(stored.dn_id).strength == 100.0
 
     def test_failure_without_decay_changes_nothing(self):
         engine = engine_with()
-        stored = engine.store(blob(0), ["hot"])
+        stored = engine.store(blob(0), "hot")
         cue = engine.hive.find_cue_by_label("hot")
-        before = engine.memory.weight(cue, stored.dn_id)
-        engine.reaction(stored.dn_id, cue, flag=0, cues=["hot"])
-        assert engine.memory.weight(cue, stored.dn_id) == before
+        before = engine.memory.weights[cue, stored.dn_id]
+        engine.reaction(stored.dn_id, cue, flag=0)
+        assert engine.memory.weights[cue, stored.dn_id] == before
 
     def test_failure_with_decay_clamps_at_epsilon(self):
         engine = engine_with()
-        stored = engine.store(blob(0), ["hot"])
+        stored = engine.store(blob(0), "hot")
         cue = engine.hive.find_cue_by_label("hot")
         engine.controls = OpControls(weaken_on_fail=True)
-        engine.reaction(stored.dn_id, cue, flag=0, cues=["hot"])
-        assert engine.memory.weight(cue, stored.dn_id) == 1.0  # already at floor
+        engine.reaction(stored.dn_id, cue, flag=0)
+        assert engine.memory.weights[cue, stored.dn_id] == 1.0  # already at floor
 
     def test_failure_decay_subtracts_exactly_eta(self):
         engine = engine_with(eta=5.0)
-        stored = engine.store(blob(0), ["hot"])
+        stored = engine.store(blob(0), "hot")
         cue = engine.hive.find_cue_by_label("hot")
         engine.memory.adjust_association(cue, stored.dn_id, -29.0)  # weight 30
         engine.controls = OpControls(weaken_on_fail=True)
         engine.reaction(stored.dn_id, cue, flag=0)
-        assert engine.memory.weight(cue, stored.dn_id) == 25.0
+        assert engine.memory.weights[cue, stored.dn_id] == 25.0
 
     def test_dangling_path_rejected(self):
         engine = engine_with()
-        engine.store(blob(0), ["hot"])
+        engine.store(blob(0), "hot")
         cue = engine.hive.find_cue_by_label("hot")
-        other = engine.store(blob(1), ["warm"]).dn_id
+        other = engine.store(blob(1), "warm").dn_id
         with pytest.raises(RuntimeError):
             # cue has no edge to that target
             engine.reaction(other, cue, flag=1)
@@ -229,18 +229,18 @@ class TestReaction:
 class TestRetention:
     def test_noop_when_everything_fresh(self):
         engine = engine_with(retention_period=100)
-        engine.store(blob(0), ["hot"])
+        engine.store(blob(0), "hot")
         summary = engine.retention(n=100)
         assert summary.compressed == []
         assert summary.bytes_freed == 0
 
     def test_idle_neuron_decays_and_recompresses(self):
         engine = engine_with()
-        out = engine.store(blob(0, size=1000, cls=1), ["other"])  # locality 1, rate 1.0
+        out = engine.store(blob(0, size=1000, cls=1), "other")  # locality 1, rate 1.0
         foreign = engine.hive.extractor.extract(blob(5))
         for _ in range(3):
             # misses advance the op counter without touching the neuron
-            assert engine.retrieve(["hot"], foreign).kind == "miss"
+            assert engine.retrieve("hot", foreign).kind == "miss"
         summary = engine.retention(n=1)
         dn = engine.memory.data_neuron(out.dn_id)
         assert dn.strength == 99.0
@@ -251,10 +251,10 @@ class TestRetention:
 
     def test_floor_neuron_stays_at_phi(self):
         engine = engine_with()
-        out = engine.store(blob(0, cls=1), ["other"])
+        out = engine.store(blob(0, cls=1), "other")
         engine.memory.adjust_strength(out.dn_id, 150.0)  # clamp to phi=1
         foreign = engine.hive.extractor.extract(blob(5))
-        engine.retrieve(["hot"], foreign)
+        engine.retrieve("hot", foreign)
         size = engine.memory.data_neuron(out.dn_id).size_bytes
         engine.retention(n=1)
         dn = engine.memory.data_neuron(out.dn_id)
@@ -263,40 +263,40 @@ class TestRetention:
 
     def test_edge_decay_gated_by_weaken_on_fail_and_rate(self):
         engine = engine_with(association_decay_rates=[3.0, 3.0])
-        out = engine.store(blob(0), ["hot"])
+        out = engine.store(blob(0), "hot")
         cue = engine.hive.find_cue_by_label("hot")
         engine.memory.adjust_association(cue, out.dn_id, -9.0)  # weight 10
-        engine.retrieve(["nothing-known"])
+        engine.retrieve("nothing-known")
         engine.retention(n=1)
-        assert engine.memory.weight(cue, out.dn_id) == 10.0
+        assert engine.memory.weights[cue, out.dn_id] == 10.0
         engine.controls = OpControls(weaken_on_fail=True)
         summary = engine.retention(n=1)
-        assert engine.memory.weight(cue, out.dn_id) == 7.0
+        assert engine.memory.weights[cue, out.dn_id] == 7.0
         assert (cue, out.dn_id, 7.0) in summary.weakened_edges
 
     def test_auto_retention_fires_on_period(self):
         engine = engine_with(retention_period=3, memory_decay_rates=[2.0, 1.0])
-        out = engine.store(blob(0), ["hot"])
+        out = engine.store(blob(0), "hot")
         foreign = engine.hive.extractor.extract(blob(5, cls=1))
-        engine.retrieve(["hot"], foreign)   # op 2 (miss)
+        engine.retrieve("hot", foreign)   # op 2 (miss)
         assert engine.memory.data_neuron(out.dn_id).strength == 100.0
         # op 3: retention fires but idle window is 3 - 1 = 2 < 3, still safe
-        engine.retrieve(["hot"], foreign)
+        engine.retrieve("hot", foreign)
         assert engine.memory.data_neuron(out.dn_id).strength == 100.0
         for _ in range(3):
-            engine.retrieve(["hot"], foreign)   # op 6: idle 5 >= 3 -> decay
+            engine.retrieve("hot", foreign)   # op 6: idle 5 >= 3 -> decay
         assert engine.memory.data_neuron(out.dn_id).strength == 98.0
 
     def test_search_orders_refreshed(self):
         engine = engine_with(association_decay_rates=[5.0, 5.0])
-        a = engine.store(blob(0), ["hot"])
-        b = engine.store(blob(1), ["hot"])
+        a = engine.store(blob(0), "hot")
+        b = engine.store(blob(1), "hot")
         cue = engine.hive.find_cue_by_label("hot")
         engine.memory.adjust_association(cue, a.dn_id, -9.0)    # 10
         engine.memory.adjust_association(cue, b.dn_id, -19.0)   # 20
         engine.update_search_order()
-        engine.retrieve(["other-unknown"])   # advance counter; a/b edges idle
-        engine.retrieve(["other-unknown"])
+        engine.retrieve("other-unknown")   # advance counter; a/b edges idle
+        engine.retrieve("other-unknown")
         engine.controls = OpControls(weaken_on_fail=True)
         engine.retention(n=1)
         order = maintained(engine)[cue]
@@ -306,7 +306,7 @@ class TestRetention:
 class TestElasticity:
     def test_ceiling_caps_strength(self):
         engine = engine_with()
-        out = engine.store(blob(0, size=1000), ["hot"])
+        out = engine.store(blob(0, size=1000), "hot")
         engine.memory.adjust_strength(out.dn_id, 5.0)   # 95
         freed = engine.elasticity(engine.hive.localities[0], 0)
         dn = engine.memory.data_neuron(out.dn_id)
@@ -316,7 +316,7 @@ class TestElasticity:
 
     def test_below_ceiling_untouched(self):
         engine = engine_with()
-        out = engine.store(blob(0), ["hot"])
+        out = engine.store(blob(0), "hot")
         engine.memory.adjust_strength(out.dn_id, 50.0)
         freed = engine.elasticity(engine.hive.localities[0], 0)
         assert engine.memory.data_neuron(out.dn_id).strength == 50.0
@@ -324,7 +324,7 @@ class TestElasticity:
 
     def test_final_iteration_floors_everything(self):
         engine = engine_with()
-        dns = [engine.store(blob(u, size=300), ["hot"]).dn_id for u in range(3)]
+        dns = [engine.store(blob(u, size=300), "hot").dn_id for u in range(3)]
         engine.memory.adjust_strength(dns[0], 5.0)
         engine.memory.adjust_strength(dns[1], 50.0)
         freed = engine.elasticity(engine.hive.localities[0], 8)
@@ -336,7 +336,7 @@ class TestElasticity:
 
     def test_iteration_beyond_schedule_signals(self):
         engine = engine_with()
-        engine.store(blob(0), ["hot"])
+        engine.store(blob(0), "hot")
         with pytest.raises(ElasticityExhausted):
             engine.elasticity(engine.hive.localities[0], 9)
 
@@ -344,7 +344,7 @@ class TestElasticity:
 class TestEnsureCapacity:
     def test_unbounded_is_noop(self):
         engine = engine_with()
-        engine.store(blob(0), ["hot"])
+        engine.store(blob(0), "hot")
         state = engine.memory.export_graph("snapshot")
         engine.ensure_capacity(10**9)
         assert engine.memory.export_graph("snapshot") == state
@@ -352,9 +352,9 @@ class TestEnsureCapacity:
     def test_single_pass_on_least_important_locality(self):
         # hand-set fixture: locality 1 decays faster, so it is squeezed first
         engine = engine_with(capacity_bytes=2600)
-        a = engine.bootstrap_store(blob(0, size=1000), ["hot"], item_id="a")
-        b = engine.bootstrap_store(blob(1, size=1000, cls=1), ["other"], item_id="b")
-        c = engine.bootstrap_store(blob(2, size=500, cls=1), ["other"], item_id="c")
+        a = engine.bootstrap_store(blob(0, size=1000), "hot", item_id="a")
+        b = engine.bootstrap_store(blob(1, size=1000, cls=1), "other", item_id="b")
+        c = engine.bootstrap_store(blob(2, size=500, cls=1), "other", item_id="c")
         engine.memory.adjust_strength(c, 10.0)   # 90 -> 450 bytes
         assert engine.memory.total_bytes() == 2450
         engine.ensure_capacity(400)
@@ -368,79 +368,80 @@ class TestEnsureCapacity:
 
     def test_storage_full_when_schedule_exhausted(self):
         engine = engine_with(capacity_bytes=500)
-        engine.bootstrap_store(blob(0, size=400), ["hot"], item_id="a")
+        engine.bootstrap_store(blob(0, size=400), "hot", item_id="a")
         with pytest.raises(StorageFullError):
             engine.ensure_capacity(600)
 
     def test_phi_zero_allows_full_deletion_pressure(self):
         engine = engine_with(phi=0.0, capacity_bytes=1000)
-        a = engine.bootstrap_store(blob(0, size=900, cls=1), ["other"], item_id="a")
+        a = engine.bootstrap_store(blob(0, size=900, cls=1), "other", item_id="a")
         engine.ensure_capacity(995)
         assert engine.memory.data_neuron(a).size_bytes == 0
         assert engine.memory.data_neuron(a).strength == 0.0
 
     def test_store_raises_storage_full(self):
         engine = engine_with(capacity_bytes=600)
-        engine.store(blob(0, size=500), ["hot"])
+        engine.store(blob(0, size=500), "hot")
         with pytest.raises(StorageFullError):
             # larger than the whole capacity: no elasticity can make room
-            engine.store(blob(1, size=650), ["hot"])
+            engine.store(blob(1, size=650), "hot")
 
 
 class TestSearchOrder:
     def test_sorted_by_weight(self):
         engine = engine_with()
-        a = engine.store(blob(0), ["hot"]).dn_id
-        b = engine.store(blob(1), ["hot"]).dn_id
+        a = engine.store(blob(0), "hot").dn_id
+        b = engine.store(blob(1), "hot").dn_id
         cue = engine.hive.find_cue_by_label("hot")
         engine.memory.adjust_association(cue, a, -29.0)   # 30
         engine.memory.adjust_association(cue, b, -49.0)   # 50
         engine.update_search_order()
-        order = engine.get_search_order(["hot"])
+        order = candidates(engine, "hot")
         assert [e.dn_id for e in order] == [b, a]
 
     def test_threshold_filters(self):
         engine = engine_with()
-        a = engine.store(blob(0), ["hot"]).dn_id
-        b = engine.store(blob(1), ["hot"]).dn_id
+        a = engine.store(blob(0), "hot").dn_id
+        b = engine.store(blob(1), "hot").dn_id
         cue = engine.hive.find_cue_by_label("hot")
         engine.memory.adjust_association(cue, a, -29.0)
         engine.memory.adjust_association(cue, b, -49.0)
         engine.update_search_order()
         engine.search = SearchParams(assoc_thresh=40.0)
-        order = engine.get_search_order(["hot"])
+        order = candidates(engine, "hot")
         assert [e.dn_id for e in order] == [b]
 
     def test_duplicates_keep_first_occurrence(self):
+        # an unknown label walks both localities' default cues
         engine = engine_with()
-        shared = engine.store(blob(0), ["hot", "warm"]).dn_id
-        only_warm = engine.store(blob(1, cls=1), ["warm"]).dn_id
-        order = engine.get_search_order(["hot", "warm"])
-        ids = [e.dn_id for e in order]
-        assert ids.count(shared) == 1
-        assert set(ids) == {shared, only_warm}
+        shared = engine.store(blob(0), "hot").dn_id
+        only_cold = engine.store(blob(1, cls=1), "cold").dn_id
+        engine.memory.associate(engine.hive.localities[1].default_cue_id,
+                                shared)
+        ids = [e.dn_id for e in candidates(engine, "unknown")]
+        assert ids == [shared, only_cold]
 
     def test_strengthening_flips_order(self):
         engine = engine_with()
-        a = engine.store(blob(0), ["hot"]).dn_id
-        b = engine.store(blob(1), ["hot"]).dn_id
+        a = engine.store(blob(0), "hot").dn_id
+        b = engine.store(blob(1), "hot").dn_id
         cue = engine.hive.find_cue_by_label("hot")
-        assert [e.dn_id for e in engine.get_search_order(["hot"])] == [a, b]
+        assert [e.dn_id for e in candidates(engine, "hot")] == [a, b]
         engine.memory.adjust_association(cue, b, -20.0)
         engine.update_search_order()
-        assert [e.dn_id for e in engine.get_search_order(["hot"])] == [b, a]
+        assert [e.dn_id for e in candidates(engine, "hot")] == [b, a]
 
     def test_update_is_fixed_point_without_changes(self):
         engine = engine_with()
-        engine.store(blob(0), ["hot"])
-        engine.store(blob(1), ["hot"])
+        engine.store(blob(0), "hot")
+        engine.store(blob(1), "hot")
         first = maintained(engine)
         engine.update_search_order()
         assert maintained(engine) == first
 
     def test_new_neuron_appears_in_default_cue_order(self):
         engine = engine_with()
-        out = engine.store(blob(0), ["hot"])
+        out = engine.store(blob(0), "hot")
         default = engine.hive.localities[0].default_cue_id
         assert out.dn_id in [e.dn_id for e in engine.hive.search_order[default]]
 
@@ -451,11 +452,11 @@ class TestSearchOrder:
             roll = rng.random()
             if roll < 0.5:
                 engine.store(blob(int(rng.integers(6)), int(rng.integers(3))),
-                             [str(rng.choice(["hot", "warm", "cool"]))])
+                             str(rng.choice(["hot", "warm", "cool"])))
             else:
                 fine = engine.hive.extractor.extract(
                     blob(int(rng.integers(6)), int(rng.integers(3))))
-                engine.retrieve([str(rng.choice(["hot", "warm", "zzz"]))], fine)
+                engine.retrieve(str(rng.choice(["hot", "warm", "zzz"])), fine)
             assert maintained(engine) == oracle_search_order(engine.memory,
                                                              engine.hive)
 
@@ -482,29 +483,29 @@ class TestSelectLocality:
 class TestUpdateSemantics:
     def test_new_cue_association_via_retrieve(self):
         engine = engine_with()
-        stored = engine.store(blob(0), ["hot"])
+        stored = engine.store(blob(0), "hot")
         fine = engine.hive.extractor.extract(blob(0))
-        out = engine.update_cue("alias", fine)
+        out = engine.retrieve("alias", fine)
         assert out.hit
         alias = engine.hive.find_cue_by_label("alias")
-        assert engine.memory.weight(alias, stored.dn_id) == 1.0
+        assert engine.memory.weights[alias, stored.dn_id] == 1.0
 
     def test_reissue_strengthens_without_duplicate(self):
         engine = engine_with()
-        stored = engine.store(blob(0), ["hot"])
+        stored = engine.store(blob(0), "hot")
         fine = engine.hive.extractor.extract(blob(0))
-        engine.update_cue("alias", fine)
-        edges_before = engine.memory.edge_count()
-        engine.update_cue("alias", fine)
+        engine.retrieve("alias", fine)
+        edges_before = len(engine.memory.weights)
+        engine.retrieve("alias", fine)
         alias = engine.hive.find_cue_by_label("alias")
-        assert engine.memory.edge_count() == edges_before
-        assert engine.memory.weight(alias, stored.dn_id) > 1.0
+        assert len(engine.memory.weights) == edges_before
+        assert engine.memory.weights[alias, stored.dn_id] > 1.0
 
     def test_miss_propagates(self):
         engine = engine_with()
-        engine.store(blob(0), ["hot"])
+        engine.store(blob(0), "hot")
         foreign = engine.hive.extractor.extract(blob(5, cls=1))
-        assert engine.update_cue("alias", foreign).kind == "miss"
+        assert engine.retrieve("alias", foreign).kind == "miss"
 
 
 class TestCostAccounting:
@@ -515,10 +516,10 @@ class TestCostAccounting:
         for i in range(40):
             before = engine.total_search_iterations
             if rng.random() < 0.5:
-                out = engine.store(blob(int(rng.integers(5))), ["hot"])
+                out = engine.store(blob(int(rng.integers(5))), "hot")
             else:
                 fine = engine.hive.extractor.extract(blob(int(rng.integers(5))))
-                out = engine.retrieve(["hot"], fine)
+                out = engine.retrieve("hot", fine)
             assert engine.total_search_iterations - before == out.cost
             total += out.cost
         assert engine.total_search_iterations == total
@@ -528,20 +529,20 @@ class TestRoundTripAndPriming:
     def test_store_then_retrieve_under_fresh_cue_costs_one(self):
         engine = engine_with()
         for u in range(4):
-            engine.store(blob(u), ["hot"])
-        stored = engine.store(blob(7), ["fresh-cue"])
+            engine.store(blob(u), "hot")
+        stored = engine.store(blob(7), "fresh-cue")
         fine = engine.hive.extractor.extract(blob(7))
-        out = engine.retrieve(["fresh-cue"], fine)
+        out = engine.retrieve("fresh-cue", fine)
         assert out.dn_id == stored.dn_id
         assert out.cost == 1
 
     def test_repeated_retrieve_cost_non_increasing_to_one(self):
         engine = engine_with()
         for u in range(8):
-            engine.store(blob(u), ["hot"])
+            engine.store(blob(u), "hot")
         target = blob(5)
         fine = engine.hive.extractor.extract(target)
-        costs = [engine.retrieve(["hot"], fine).cost for _ in range(10)]
+        costs = [engine.retrieve("hot", fine).cost for _ in range(10)]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
         assert costs[-1] == 1
 
@@ -552,18 +553,18 @@ class TestDeterminism:
             engine = engine_with()
             outs = []
             for u in range(6):
-                outs.append(engine.store(blob(u % 3, u // 3), ["hot"]))
+                outs.append(engine.store(blob(u % 3, u // 3), "hot"))
             for u in range(6):
                 fine = engine.hive.extractor.extract(blob(u % 3, u // 3))
-                outs.append(engine.retrieve(["hot"], fine))
+                outs.append(engine.retrieve("hot", fine))
             return [(o.kind, o.dn_id, o.cost, o.examined) for o in outs]
 
         assert run() == run()
 
 
-class TestCueLists:
-    """Cues are labels: a cue list that is a bare string or holds anything
-    but strings is refused before the op changes anything."""
+class TestCueLabel:
+    """A coarse cue is one label string; anything else is refused before
+    the op changes anything."""
 
     def state(self, engine) -> tuple:
         memory = engine.memory
@@ -575,61 +576,52 @@ class TestCueLists:
 
     def seeded(self):
         engine = engine_with()
-        engine.store(blob(0), ["hot"])
-        engine.retrieve(["hot"])
+        engine.store(blob(0), "hot")
+        engine.retrieve("hot")
         return engine
 
-    def call(self, engine, op, cues):
+    def call(self, engine, op, cue):
         if op == "retrieve":
-            return engine.retrieve(cues)
-        return getattr(engine, op)(blob(1), cues)
+            return engine.retrieve(cue)
+        return getattr(engine, op)(blob(1), cue)
 
-    @pytest.mark.parametrize("cues, shown", [
-        ("hot", "'hot'"),
-        (["hot", np.ones(64)], "['hot', array([1., 1...., 1., 1., 1.])]"),
-        ([np.ones(64).tolist()], "[[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, ...]]"),
-        (["hot", 3], "['hot', 3]"),
-        ([None], "[None]"),
-        ((b"hot",), "(b'hot',)"),
+    @pytest.mark.parametrize("cue, shown", [
+        (["hot"], "['hot']"),
+        (("hot",), "('hot',)"),
+        ([], "[]"),
+        (np.ones(64), "array([1., 1...., 1., 1., 1.])"),
+        (3, "3"),
+        (b"hot", "b'hot'"),
     ])
     @pytest.mark.parametrize("op", ["store", "retrieve", "bootstrap_store"])
-    def test_refused_before_anything_changes(self, op, cues, shown):
+    def test_refused_before_anything_changes(self, op, cue, shown):
         engine = self.seeded()
         before = self.state(engine)
         with pytest.raises(ConfigurationError) as caught:
-            self.call(engine, op, cues)
+            self.call(engine, op, cue)
         assert str(caught.value) == \
-            f"{op} cues must be a list of label strings, got {shown}"
+            f"{op} cue must be a label string, got {shown}"
         assert self.state(engine) == before
-        assert engine.hive.find_cue_by_label("h") is None
 
     @pytest.mark.parametrize("op", ["store", "retrieve"])
     def test_no_cue_is_refused(self, op):
         engine = self.seeded()
         before = self.state(engine)
         with pytest.raises(ConfigurationError,
-                           match=f"^{op} requires at least one cue$"):
-            self.call(engine, op, [])
+                           match=f"^{op} cue must be a label string, got None$"):
+            self.call(engine, op, None)
         assert self.state(engine) == before
 
     def test_bootstrap_takes_no_cue(self):
         engine = self.seeded()
-        dn_id = self.call(engine, "bootstrap_store", [])
+        dn_id = self.call(engine, "bootstrap_store", None)
         assert engine.memory.data_neuron(dn_id).locality_id == 1
 
-    def test_update_cue_refuses_a_cue_that_is_not_a_string(self):
-        engine = self.seeded()
-        before = self.state(engine)
-        with pytest.raises(ConfigurationError):
-            engine.update_cue(np.ones(64), np.ones(64))
-        assert self.state(engine) == before
-
-    def test_a_list_of_one_label_is_one_cue(self):
+    def test_a_label_is_one_cue(self):
         engine = engine_with()
-        stored = engine.store(blob(0), ["hot"])
+        stored = engine.store(blob(0), "hot")
         assert [engine.hive.find_cue_by_label(c) for c in "hot"] == [None] * 3
-        assert engine.retrieve(["hot"]).dn_id == stored.dn_id
-        assert engine.retrieve(("hot",)).dn_id == stored.dn_id
+        assert engine.retrieve("hot").dn_id == stored.dn_id
 
 
 class TestFineCueShape:
@@ -639,7 +631,7 @@ class TestFineCueShape:
 
     def state(self, engine) -> tuple:
         # each memo entry's key and how many rows its scores cover
-        return TestCueLists.state(self, engine) + (
+        return TestCueLabel.state(self, engine) + (
             {key: len(scores) for key, (_, scores) in
              engine._fine_units.items()},)
 
@@ -653,28 +645,19 @@ class TestFineCueShape:
     ])
     def test_refused_before_anything_changes(self, cue, fine, shown):
         engine = engine_with()
-        engine.store(blob(0), ["hot"])
-        engine.retrieve(["hot"], engine.hive.extractor.extract(blob(0)))
+        engine.store(blob(0), "hot")
+        engine.retrieve("hot", engine.hive.extractor.extract(blob(0)))
         before = self.state(engine)
-        for call in (lambda: engine.retrieve([cue], fine),
-                     lambda: engine.update_cue(cue, fine)):
-            with pytest.raises(ConfigurationError) as caught:
-                call()
-            assert str(caught.value) == \
-                f"fine_cue must be one vector of 64 numbers, got {shown}"
-            assert self.state(engine) == before
-        engine.retrieve(["unheard"])
+        with pytest.raises(ConfigurationError) as caught:
+            engine.retrieve(cue, fine)
+        assert str(caught.value) == \
+            f"fine_cue must be one vector of 64 numbers, got {shown}"
+        assert self.state(engine) == before
+        engine.retrieve("unheard")
         assert engine.memory.op_counter == 3
 
     def test_without_candidates_too(self):
         engine = engine_with()
         with pytest.raises(ConfigurationError, match="^fine_cue "):
-            engine.retrieve(["hot"], np.ones(3))
+            engine.retrieve("hot", np.ones(3))
         assert engine.memory.op_counter == 0
-
-    def test_update_cue_requires_a_fine_cue(self):
-        engine = engine_with()
-        engine.store(blob(0), ["hot"])
-        with pytest.raises(ConfigurationError, match="^update_cue requires"):
-            engine.update_cue("alias", None)
-        assert engine.memory.op_counter == 1

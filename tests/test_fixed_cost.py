@@ -21,6 +21,7 @@ from neuralstore import engine as engine_module
 from neuralstore.codec import Payload, TruncationCodec, psnr_fidelity
 from neuralstore.core import SearchEntry, unit_row
 from neuralstore.engine import OpControls, SearchParams
+from tests.helpers import candidates
 from tests.test_engine import blob, engine_with
 
 
@@ -75,8 +76,8 @@ def engine_with_localities(n: int):
                              elasticity_schedules=[[80.0, 50.0, 20.0]])
     else:
         engine = engine_with()
-        engine.store(blob(1, cls=1), ["cold"])   # locality 1's default cue
-    engine.store(blob(0), ["hot"])
+        engine.store(blob(1, cls=1), "cold")   # locality 1's default cue
+    engine.store(blob(0), "hot")
     return engine
 
 
@@ -93,10 +94,8 @@ class TestSliceAgainstTheWalk:
                 for limit in [None, *range(1, n + 2)]:
                     set_scope(engine, t1, limit)
                     expected = dedup_walk([order], t1, limit)
-                    got = engine.get_search_order(["hot"])
+                    got = candidates(engine, "hot")
                     assert got == expected, (n, t1, limit)
-                    # the same cue twice takes the general path
-                    assert engine.get_search_order(["hot", "hot"]) == expected
                     assert got is not order
 
     @pytest.mark.parametrize("localities", [1, 2])
@@ -113,7 +112,7 @@ class TestSliceAgainstTheWalk:
             for t1 in thresholds(orders[0]):
                 for limit in [None, *range(1, 2 * n + 2)]:
                     set_scope(engine, t1, limit)
-                    assert engine.get_search_order(["zzz"]) == \
+                    assert candidates(engine, "zzz") == \
                         dedup_walk(orders, t1, limit), (n, t1, limit)
 
     def test_default_threshold_comes_from_the_engine(self):
@@ -122,32 +121,32 @@ class TestSliceAgainstTheWalk:
         order = random_order(np.random.default_rng(9), cue, 8)
         engine.hive.search_order[cue] = order
         engine.search.assoc_thresh = 7.0
-        assert engine.get_search_order(["hot"]) == \
+        assert candidates(engine, "hot") == \
             dedup_walk([order], 7.0, None)
 
     def test_cue_without_an_order_gives_an_empty_list(self):
         engine = engine_with_localities(1)
         cue = engine.hive.find_cue_by_label("hot")
         del engine.hive.search_order[cue]
-        assert engine.get_search_order(["hot"]) == []
+        assert candidates(engine, "hot") == []
 
     def test_entries_moved_during_the_scan_leave_the_list_unchanged(self):
         engine = engine_with(eta=5.0)
         for cluster in range(6):
-            engine.store(blob(cluster), ["hot"])
+            engine.store(blob(cluster), "hot")
         cue = engine.hive.find_cue_by_label("hot")
         order = engine.hive.search_order[cue]
-        candidates = engine.get_search_order(["hot"])
-        taken = list(candidates)
+        listed = candidates(engine, "hot")
+        taken = list(listed)
         before = list(order)
-        last = candidates[-1].dn_id
+        last = listed[-1].dn_id
         # every examined non-match is weakened and the match strengthened
         engine.controls = OpControls(weaken_on_fail=True)
-        out = engine.retrieve(["hot"], engine.memory.neurons[last].feature)
+        out = engine.retrieve("hot", engine.memory.neurons[last].feature)
         assert out.dn_id == last
         assert order != before
         assert engine.hive.search_order[cue] is order
-        assert candidates == taken
+        assert listed == taken
 
 
 class NoMemoEngine(engine_module.MemoryEngine):
@@ -204,12 +203,12 @@ class TestFidelityKeptPerPayload:
     def test_payload_rebuilt_after_retention_or_elasticity_gets_its_own(
             self):
         engine = engine_with(memory_decay_rates=[30.0, 30.0])
-        dn = engine.store(blob(0), ["hot"]).dn_id
+        dn = engine.store(blob(0), "hot").dn_id
         neuron = engine.memory.data_neuron(dn)
         full = neuron.payload
         assert psnr_fidelity(full) == math.inf
         # an op that touches nothing, so the neuron is idle for one op
-        miss = engine.retrieve(["hot"], np.zeros_like(neuron.feature))
+        miss = engine.retrieve("hot", np.zeros_like(neuron.feature))
         assert miss.kind == "miss"
         engine.retention(n=1)
         aged = neuron.payload
@@ -249,28 +248,28 @@ class TestFidelityKeptPerPayload:
 class TestFineCueUnitRows:
     def test_a_cue_changed_in_place_is_scored_by_its_new_value(self):
         engine = engine_with()
-        a = engine.store(blob(0), ["hot"]).dn_id
-        b = engine.store(blob(3), ["hot"]).dn_id
+        a = engine.store(blob(0), "hot").dn_id
+        b = engine.store(blob(3), "hot").dn_id
         features = engine.memory.neurons
         query = features[a].feature.copy()
-        assert engine.retrieve(["hot"], query).dn_id == a
+        assert engine.retrieve("hot", query).dn_id == a
         query[:] = features[b].feature
-        assert engine.retrieve(["hot"], query).dn_id == b
+        assert engine.retrieve("hot", query).dn_id == b
         query[:] = 0.0
-        assert engine.retrieve(["hot"], query).kind == "miss"
+        assert engine.retrieve("hot", query).kind == "miss"
 
     def test_stores_never_enter_the_memo(self):
         engine = engine_with()
         for cluster in range(5):
-            engine.store(blob(cluster), ["hot"])
-            engine.store(blob(cluster), ["hot"])     # a merge scans too
+            engine.store(blob(cluster), "hot")
+            engine.store(blob(cluster), "hot")     # a merge scans too
         assert engine._fine_units == {}
         query = engine.hive.extractor.extract(blob(2))
-        engine.retrieve(["hot"], query)
+        engine.retrieve("hot", query)
         assert list(engine._fine_units) == [query.tobytes()]
         assert np.array_equal(engine._fine_units[query.tobytes()][0],
                               unit_row(query))
-        engine.store(blob(9), ["hot"])
+        engine.store(blob(9), "hot")
         assert list(engine._fine_units) == [query.tobytes()]
 
     def test_memo_stays_within_its_bound_and_decides_as_without_it(self):
@@ -279,8 +278,8 @@ class TestFineCueUnitRows:
         plain = NoMemoEngine(dataclasses.replace(engine.params))
         rng = np.random.default_rng(3)
         for cluster in range(4):
-            engine.store(blob(cluster), ["hot"])
-            plain.store(blob(cluster), ["hot"])
+            engine.store(blob(cluster), "hot")
+            plain.store(blob(cluster), "hot")
         base = engine.hive.features[0].copy()
         recurring = [base + 1e-3 * rng.standard_normal(8) for _ in range(5)]
         hits, peak, n = 0, 0, 2 * bound
@@ -288,8 +287,8 @@ class TestFineCueUnitRows:
             # three fresh cues in four: more distinct cues than the bound
             query = recurring[i // 4 % 5] if i % 4 == 0 else \
                 base + 0.3 * rng.standard_normal(8)
-            got = engine.retrieve(["hot"], query)
-            assert got == plain.retrieve(["hot"], query)
+            got = engine.retrieve("hot", query)
+            assert got == plain.retrieve("hot", query)
             peak = max(peak, len(engine._fine_units))
             hits += got.hit
         assert peak == bound and len(engine._fine_units) < bound
@@ -302,7 +301,7 @@ class TestFineCueUnitRows:
         plain = NoMemoEngine(dataclasses.replace(engine.params))
         engines = (engine, plain)
         thresh = engine.search.match_thresh
-        first = [e.store(blob(0), ["hot"]) for e in engines][0]
+        first = [e.store(blob(0), "hot") for e in engines][0]
         f = engine.memory.neurons[first.dn_id].feature
         # a cue at cosine match_thresh to the first neuron, up to rounding,
         # so its score against that row is left to the scalar function
@@ -324,12 +323,12 @@ class TestFineCueUnitRows:
                         0, Payload.from_bytes(b"nan"), np.full(dim, math.nan))
                     e.memory.associate(e.hive.find_cue_by_label("hot"), dn)
                 else:
-                    e.store(blob(step), ["hot"])
+                    e.store(blob(step), "hot")
             for i, cue in enumerate(cues):
                 # cues recur after differing numbers of added rows
                 query = cue if (step + i) % 3 else cues[i - 1]
-                got = engine.retrieve(["hot"], query)
-                assert got == plain.retrieve(["hot"], query), (step, i)
+                got = engine.retrieve("hot", query)
+                assert got == plain.retrieve("hot", query), (step, i)
                 kinds.add(got.kind)
                 rows = len(engine.hive.feature_rows)
                 unit, scores = engine._fine_units[query.tobytes()]

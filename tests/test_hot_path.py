@@ -40,6 +40,7 @@ from neuralstore.workload import (
     generate_trace,
     replay,
 )
+from tests.helpers import data_neurons
 from tests.test_engine import blob, engine_with, maintained
 from tests.test_order_upkeep import FullRebuildEngine
 
@@ -80,22 +81,22 @@ def feature(engine, data: bytes) -> np.ndarray:
 class TestEntryMoves:
     def test_bisect_moves_keep_weight_ties_in_dn_id_order(self):
         engine = engine_with()
-        a, b, c = (engine.store(blob(i), ["hot"]).dn_id for i in range(3))
+        a, b, c = (engine.store(blob(i), "hot").dn_id for i in range(3))
         hot = engine.hive.find_cue_by_label("hot")
         order = engine.hive.search_order[hot]
         assert [e.dn_id for e in order] == [a, b, c]
-        assert engine.retrieve(["hot"], feature(engine, blob(1))).dn_id == b
+        assert engine.retrieve("hot", feature(engine, blob(1))).dn_id == b
         assert [(e.dn_id, e.avg_weight) for e in order] == [
             (b, 21.0), (a, 1.0), (c, 1.0)]
         # every candidate fails and decays: only b changes, back to the
         # epsilon tie, which dn_id breaks
         foreign = feature(engine, blob(5, cls=1))
         engine.controls = OpControls(weaken_on_fail=True)
-        engine.retrieve(["hot"], foreign)
+        engine.retrieve("hot", foreign)
         assert [(e.dn_id, e.avg_weight) for e in order] == [
             (a, 1.0), (b, 1.0), (c, 1.0)]
         # a new edge is inserted at its place among the ties
-        d = engine.store(blob(3), ["hot"]).dn_id
+        d = engine.store(blob(3), "hot").dn_id
         assert [e.dn_id for e in order] == [a, b, c, d]
         # the order was moved in place, never rebuilt
         assert engine.hive.search_order[hot] is order
@@ -104,14 +105,14 @@ class TestEntryMoves:
 
     def test_edge_changed_twice_moves_from_the_weight_the_order_holds(self):
         engine = engine_with()
-        engine.store(blob(0), ["hot"])
-        b = engine.store(blob(1), ["hot"]).dn_id
+        engine.store(blob(0), "hot")
+        b = engine.store(blob(1), "hot").dn_id
         hot = engine.hive.find_cue_by_label("hot")
         order = engine.hive.search_order[hot]
         probe = feature(engine, blob(1))
-        engine.retrieve(["hot"], probe)
-        engine.retrieve(["hot"], probe)
-        assert engine.memory.weight(hot, b) == 41.0
+        engine.retrieve("hot", probe)
+        engine.retrieve("hot", probe)
+        assert engine.memory.weights[hot, b] == 41.0
         assert engine.hive.search_order[hot] is order
         assert order[0].dn_id == b and order[0].avg_weight == 41.0
         assert maintained(engine) == oracle_search_order(engine.memory,
@@ -119,8 +120,8 @@ class TestEntryMoves:
 
     def test_direct_memory_edits_keep_orders_current(self):
         engine = engine_with()
-        a = engine.store(blob(0), ["hot"]).dn_id
-        b = engine.store(blob(1), ["hot"]).dn_id
+        a = engine.store(blob(0), "hot").dn_id
+        b = engine.store(blob(1), "hot").dn_id
         memory = engine.memory
         hot = engine.hive.find_cue_by_label("hot")
         cold = memory.add_cue_neuron(label="cold")
@@ -140,18 +141,18 @@ class TestEntryMoves:
         assert [(e.dn_id, e.avg_weight) for e in orders[cold]] == [
             (a, 19.0), (b, 1.0)]
         assert maintained(engine) == oracle_search_order(memory, engine.hive)
-        out = engine.retrieve(["cold"], feature(engine, blob(0)))
+        out = engine.retrieve("cold", feature(engine, blob(0)))
         assert (out.dn_id, out.cost) == (a, 1)
 
     def test_retention_moves_only_the_entries_whose_edges_decayed(self):
         engine = engine_with(association_decay_rates=[5.0, 5.0],
                              retention_period=1000)
-        a = engine.store(blob(0), ["hot"]).dn_id
-        engine.store(blob(4, cls=1), ["warm"])
+        a = engine.store(blob(0), "hot").dn_id
+        engine.store(blob(4, cls=1), "warm")
         hot = engine.hive.find_cue_by_label("hot")
-        engine.retrieve(["hot"], feature(engine, blob(0)))
+        engine.retrieve("hot", feature(engine, blob(0)))
         # one more op, touching only warm's edge, leaves hot's idle
-        engine.retrieve(["warm"], feature(engine, blob(4, cls=1)))
+        engine.retrieve("warm", feature(engine, blob(4, cls=1)))
         orders = dict(engine.hive.search_order)
         before = maintained(engine)
         engine.controls = OpControls(weaken_on_fail=True)
@@ -173,81 +174,81 @@ class TestMatrixScan:
     def test_threshold_at_the_exact_cosine_matches_through_the_recheck(
             self, monkeypatch):
         engine = engine_with()
-        a = engine.store(blob(0), ["hot"]).dn_id
+        a = engine.store(blob(0), "hot").dn_id
         probe = feature(engine, blob(1))
         exact = cosine_similarity(probe, engine.memory.data_neuron(a).feature)
         calls = spy_on_cosine(monkeypatch)
         engine.search = SearchParams(match_thresh=exact)
-        out = engine.retrieve(["hot"], probe)
+        out = engine.retrieve("hot", probe)
         assert (out.kind, out.dn_id) == ("hit", a)
         assert calls, "a score at the threshold must be re-decided"
         engine.search = SearchParams(match_thresh=float(
             np.nextafter(exact, 2.0)))
-        out = engine.retrieve(["hot"], probe)
+        out = engine.retrieve("hot", probe)
         assert out.kind == "miss"
         engine.search = SearchParams(match_thresh=exact)
-        out = engine.store(blob(1), ["hot"])
+        out = engine.store(blob(1), "hot")
         assert (out.kind, out.dn_id) == ("merged", a)
 
     def test_clear_decisions_call_no_scalar_cosine(self, monkeypatch):
         engine = engine_with()
         for cluster in range(4):
-            engine.store(blob(cluster), ["hot"])
+            engine.store(blob(cluster), "hot")
         calls = spy_on_cosine(monkeypatch)
-        out = engine.retrieve(["hot"], feature(engine, blob(3)))
+        out = engine.retrieve("hot", feature(engine, blob(3)))
         assert out.kind == "hit" and out.cost == 4
         assert calls == []
 
     def test_zero_feature_neuron_scores_zero(self, monkeypatch):
         engine = engine_with()
-        z = engine.store(b"", ["hot"]).dn_id
+        z = engine.store(b"", "hot").dn_id
         assert not engine.memory.data_neuron(z).feature.any()
         probe = feature(engine, blob(0))
         calls = spy_on_cosine(monkeypatch)
         for thresh, kind in ((-0.5, "hit"), (1e-6, "miss"), (0.0, "hit")):
             engine.search = SearchParams(match_thresh=thresh)
-            out = engine.retrieve(["hot"], probe)
+            out = engine.retrieve("hot", probe)
             assert out.kind == kind, thresh
         # only the score at the threshold itself was re-decided
         assert len(calls) == 1
         # a zero query scores 0.0 against every neuron as well
-        out = engine.retrieve(["hot"], np.zeros(64))
+        out = engine.retrieve("hot", np.zeros(64))
         assert (out.kind, out.dn_id) == ("hit", z)
 
     def test_match_on_a_later_candidate_counts_the_earlier_ones(self):
         engine = engine_with()
-        a = engine.store(blob(0), ["hot"]).dn_id
-        b = engine.store(blob(1), ["hot"]).dn_id
-        out = engine.retrieve(["hot"], feature(engine, blob(1)))
+        a = engine.store(blob(0), "hot").dn_id
+        b = engine.store(blob(1), "hot").dn_id
+        out = engine.retrieve("hot", feature(engine, blob(1)))
         assert (out.kind, out.dn_id, out.examined) == ("hit", b, (a, b))
         assert out.cost == 2
         # b now leads the order: a repeat is found first, and a retrieve for
         # a examines b on the way
-        out = engine.retrieve(["hot"], feature(engine, blob(1)))
+        out = engine.retrieve("hot", feature(engine, blob(1)))
         assert (out.dn_id, out.examined) == (b, (b,))
-        out = engine.retrieve(["hot"], feature(engine, blob(0)))
+        out = engine.retrieve("hot", feature(engine, blob(0)))
         assert (out.kind, out.dn_id, out.examined) == ("hit", a, (b, a))
 
     def test_weaken_on_fail_decays_every_examined_non_match_in_order(
             self, monkeypatch):
         engine = engine_with(eta=5.0)
-        ids = [engine.store(blob(i), ["hot"]).dn_id for i in range(3)]
+        ids = [engine.store(blob(i), "hot").dn_id for i in range(3)]
         hot = engine.hive.find_cue_by_label("hot")
         for dn_id in ids:
             engine.memory.adjust_association(hot, dn_id, -9.0)
         engine.update_search_order()
         calls = spy_on_reactions(engine, monkeypatch)
         engine.controls = OpControls(weaken_on_fail=True)
-        out = engine.retrieve(["hot"], feature(engine, blob(2)))
+        out = engine.retrieve("hot", feature(engine, blob(2)))
         assert out.examined == tuple(ids)
         assert calls == [(ids[0], 0), (ids[1], 0), (ids[2], 1)]
-        assert [engine.memory.weight(hot, d) for d in ids] == [5.0, 5.0, 15.0]
+        assert [engine.memory.weights[hot, d] for d in ids] == [5.0, 5.0, 15.0]
 
     def test_failures_without_decay_get_no_reaction(self, monkeypatch):
         engine = engine_with()
-        ids = [engine.store(blob(i), ["hot"]).dn_id for i in range(3)]
+        ids = [engine.store(blob(i), "hot").dn_id for i in range(3)]
         calls = spy_on_reactions(engine, monkeypatch)
-        out = engine.retrieve(["hot"], feature(engine, blob(2)))
+        out = engine.retrieve("hot", feature(engine, blob(2)))
         assert out.cost == 3
         assert calls == [(ids[2], 1)]
 
@@ -255,22 +256,22 @@ class TestMatrixScan:
     def test_search_limit_bounds_cost(self, limit):
         engine = engine_with()
         for cluster in range(5):
-            engine.store(blob(cluster), ["hot"])
+            engine.store(blob(cluster), "hot")
         before = engine.total_search_iterations
         foreign = feature(engine, blob(5, cls=1))
         engine.controls = OpControls(search_limit=limit)
-        out = engine.retrieve(["hot"], foreign)
+        out = engine.retrieve("hot", foreign)
         assert out.kind == "miss" and out.cost == limit
-        out = engine.store(blob(7), ["hot"])
+        out = engine.store(blob(7), "hot")
         assert out.cost <= limit
         assert engine.total_search_iterations - before == limit + out.cost
 
     def test_query_of_the_wrong_dimension_is_rejected(self):
         engine = engine_with()
-        engine.store(blob(0), ["hot"])
+        engine.store(blob(0), "hot")
         with pytest.raises(ConfigurationError,
                            match=r"^fine_cue must be one vector of 64 numbers"):
-            engine.retrieve(["hot"], np.ones(3))
+            engine.retrieve("hot", np.ones(3))
 
 
 def scalar_first_match(memory, candidates, queries, thresh):
@@ -332,8 +333,7 @@ class TestMatcherAgainstScalarScan:
                 # scored fresh, as a store's query, and through the memo,
                 # as a retrieve's fine cue
                 for memo in (False, True):
-                    match, examined = engine._scan(candidates, query,
-                                                   ["hot"], memo)
+                    match, examined = engine._scan(candidates, query, memo)
                     assert match == (None if expected is None
                                      else candidates[expected])
                     assert examined == tuple(e.dn_id
@@ -413,7 +413,7 @@ class ScalarReferenceEngine(MemoryEngine):
 
 def neuron_states(memory) -> list[tuple]:
     return [(dn.id, dn.locality_id, dn.strength, dn.last_access_op,
-             dn.size_bytes, dn.payload) for dn in memory.data_neurons()]
+             dn.size_bytes, dn.payload) for dn in data_neurons(memory)]
 
 
 def columns(engine) -> list[bytes]:
@@ -437,7 +437,7 @@ class TestElasticityFloor:
             engine.search = SearchParams(match_thresh=1.0)
             for i, strength in enumerate(strengths):
                 dn_id = engine.store(blob(i % 8, item=i, size=1000 + 37 * i),
-                                     ["hot"]).dn_id
+                                     "hot").dn_id
                 engine.memory.adjust_strength(dn_id, 100.0 - strength)
         new, old = engines
         locality = [engine.hive.localities[0] for engine in engines]
@@ -447,11 +447,11 @@ class TestElasticityFloor:
             assert (new._cap_locality(locality[0], ceiling)
                     == reference_cap(old, locality[1], ceiling)), ceiling
             assert ([(dn.strength, dn.size_bytes, dn.payload.quality)
-                     for dn in new.memory.data_neurons()]
+                     for dn in data_neurons(new.memory)]
                     == [(dn.strength, dn.size_bytes, dn.payload.quality)
-                        for dn in old.memory.data_neurons()]), ceiling
+                        for dn in data_neurons(old.memory)]), ceiling
             assert new.memory.total_bytes() == old.memory.total_bytes()
-        assert min(dn.strength for dn in new.memory.data_neurons()) == phi
+        assert min(dn.strength for dn in data_neurons(new.memory)) == phi
 
 
 class TestByteTotals:
@@ -471,14 +471,14 @@ class TestByteTotals:
             row = replay([rec], adapter, corpus)[0]
             assert row["total_bytes"] == brute_force_bytes(memory), rec.seq
             assert memory.total_bytes() == row["total_bytes"]
-        assert any(dn.payload.quality < 100.0 for dn in memory.data_neurons())
+        assert any(dn.payload.quality < 100.0 for dn in data_neurons(memory))
 
     def test_merge_refresh_updates_the_total(self):
         engine = engine_with()
-        dn_id = engine.store(blob(0), ["hot"]).dn_id
+        dn_id = engine.store(blob(0), "hot").dn_id
         engine.memory.adjust_strength(dn_id, 60.0)
         assert engine.memory.total_bytes() == brute_force_bytes(engine.memory)
-        out = engine.store(blob(0), ["hot"])
+        out = engine.store(blob(0), "hot")
         assert (out.kind, out.quality) == ("merged", 100.0)
         assert engine.memory.total_bytes() == 2048 == brute_force_bytes(
             engine.memory)
@@ -499,10 +499,10 @@ class TestLocalityOrder:
                               controls=config.controls)
         replay(generate_trace(corpus, spec), NsReplayAdapter(engine), corpus)
         memory = engine.memory
-        assert any(dn.payload.quality < 100.0 for dn in memory.data_neurons())
+        assert any(dn.payload.quality < 100.0 for dn in data_neurons(memory))
         for locality in engine.hive.localities:
             assert locality.dn_ids, locality.id
-            assert locality.dn_ids == [dn.id for dn in memory.data_neurons()
+            assert locality.dn_ids == [dn.id for dn in data_neurons(memory)
                                        if dn.locality_id == locality.id]
 
 
@@ -537,7 +537,7 @@ class TestAtScale:
                 assert maintained(new.engine) == oracle_search_order(
                     memory, new.engine.hive), f"seq {rec.seq}"
                 assert memory.total_bytes() == brute_force_bytes(memory)
-        assert len(new.engine.memory.data_neurons()) == 1000
+        assert len(data_neurons(new.engine.memory)) == 1000
 
 
 CODEC = TruncationCodec()
@@ -573,26 +573,26 @@ class TestArrayPasses:
         for i, strength in enumerate(strengths):
             cue = ["hot", "cold"][i % 2]
             dn_id = engine.store(blob(i % 8, item=i, size=900 + 37 * i),
-                                 [cue]).dn_id
+                                 cue).dn_id
             memory.adjust_strength(dn_id, 100.0 - strength)
             ids.append(dn_id)
         # one blob as long as its quality says, one shorter
         for size, kept, quality in ((1000, 0.7, 70.0), (1100, 0.3, 90.0)):
             ids.append(engine.store(odd_payload(size, kept, quality),
-                                    ["hot"]).dn_id)
+                                    "hot").dn_id)
         # merge refresh: a compressed neuron gets its full copy back
         fresh = blob(0, item=99, size=1500, cls=3)
-        refreshed = engine.store(fresh, ["cold"]).dn_id
+        refreshed = engine.store(fresh, "cold").dn_id
         memory.adjust_strength(refreshed, 55.0)
         engine.search = SearchParams()
-        out = engine.store(fresh, ["cold"])
+        out = engine.store(fresh, "cold")
         assert (out.kind, out.dn_id, out.quality) == ("merged", refreshed,
                                                       100.0)
         ids.append(refreshed)
         # at the floor, yet stored at full quality
         data = blob(0, item=98, size=1200, cls=4)
         engine.search = SearchParams(match_thresh=1.0)
-        floored = engine.store(data, ["hot"]).dn_id
+        floored = engine.store(data, "hot").dn_id
         memory.adjust_strength(floored, 200.0)
         memory.set_payload(memory.data_neuron(floored),
                            Payload.from_bytes(data))
@@ -601,8 +601,8 @@ class TestArrayPasses:
         # last accesses spread over ops 0..12, so short windows leave some
         # neurons active
         for dn_id in ids:
-            memory.op_counter = int(rng.integers(0, 13))
-            memory.touch(dn_id)
+            row = memory.data_neuron(dn_id).row
+            memory.hive.last_access[row] = int(rng.integers(0, 13))
         memory.op_counter = 12
         return engine
 
@@ -613,7 +613,7 @@ class TestArrayPasses:
         assert new.memory.total_bytes() == brute_force_bytes(new.memory)
         # a payload read after a quality drop is what the prefix codec
         # makes of the payload before it
-        for dn in new.memory.data_neurons():
+        for dn in data_neurons(new.memory):
             payload = before[dn.id]
             if dn.payload.quality < payload.quality:
                 payload = CODEC.compress(payload, dn.payload.quality)
@@ -627,7 +627,7 @@ class TestArrayPasses:
     def test_bit_identical_to_the_per_neuron_walks(self, phi):
         new, old = (self.populated(cls, phi)
                     for cls in (MemoryEngine, ScalarReferenceEngine))
-        before = {dn.id: dn.payload for dn in new.memory.data_neurons()}
+        before = {dn.id: dn.payload for dn in data_neurons(new.memory)}
         self.assert_same(new, old, before)
         steps = [("retain", 3, False), ("cap", 100.0), ("retain", 1, True),
                  ("cap", 150.0), ("cap", 80.0), ("retain", 8, True),
@@ -652,7 +652,7 @@ class TestArrayPasses:
             self.assert_same(new, old, before)
         assert compressed
         assert new.memory.total_bytes() < sum(
-            dn.payload.original_size for dn in new.memory.data_neurons())
+            dn.payload.original_size for dn in data_neurons(new.memory))
         for i, iteration in ((1, 0), (0, 1), (1, 2)):
             assert (new.elasticity(new.hive.localities[i], iteration)
                     == old.elasticity(old.hive.localities[i], iteration))
@@ -661,7 +661,7 @@ class TestArrayPasses:
     def test_retention_keeps_id_order_and_counts_only_moved_strengths(self):
         new = self.populated(MemoryEngine, 1.0)
         memory = new.memory
-        floored = memory.data_neurons()[-1].id
+        floored = data_neurons(memory)[-1].id
         size = memory.data_neuron(floored).size_bytes
         total = memory.total_bytes()
         memory.op_counter += 100        # every neuron idle
@@ -681,7 +681,7 @@ class TestArrayPasses:
 class TestStateColumns:
     def test_neuron_state_is_read_only_and_python_typed(self):
         engine = engine_with()
-        dn = engine.memory.data_neuron(engine.store(blob(0), ["hot"]).dn_id)
+        dn = engine.memory.data_neuron(engine.store(blob(0), "hot").dn_id)
         for name, value in (("strength", 5.0), ("last_access_op", 3),
                             ("size_bytes", 1), ("payload", None)):
             with pytest.raises(AttributeError):
@@ -694,14 +694,14 @@ class TestStateColumns:
         engine = engine_with()
         memory = engine.memory
         data = blob(0)
-        dn = memory.data_neuron(engine.store(data, ["hot"]).dn_id)
+        dn = memory.data_neuron(engine.store(data, "hot").dn_id)
         stored = dn.payload
         assert dn.payload is stored and stored.blob == data
         memory.adjust_strength(dn.id, 40.0)
         built = dn.payload
         assert built is not stored and dn.payload is built
         assert built == Payload(data[:1229], data, 60.0, None)
-        out = engine.retrieve(["hot"], feature(engine, data))
+        out = engine.retrieve("hot", feature(engine, data))
         assert out.payload is built and out.quality == 60.0
 
 
@@ -715,7 +715,7 @@ class TestReinforcement:
         engine = engine_with(phi=phi, memory_decay_rates=[30.0, 30.0],
                              elasticity_schedules=[[80.0, 45.0, 30.0]] * 2)
         memory, hive = engine.memory, engine.hive
-        dn_ids = [engine.store(blob(c), ["hot"]).dn_id for c in range(4)]
+        dn_ids = [engine.store(blob(c), "hot").dn_id for c in range(4)]
         locality = hive.localities[0]
         engine.elasticity(locality, 1)          # all four to max(phi, 45)
         engine.retention(n=1)                   # each idle one down 30
@@ -729,7 +729,7 @@ class TestReinforcement:
             row = neuron.row
             built = neuron.payload              # read before the hit
             quality, keep = hive.quality[row], hive.keep[row]
-            out = engine.retrieve(["hot"], neuron.feature)
+            out = engine.retrieve("hot", neuron.feature)
             assert out.dn_id == dn_id and out.payload is built
             assert hive.strength[row].hex() == \
                 clamp_strength(phi, s, -100.0).hex()
@@ -741,7 +741,7 @@ class TestReinforcement:
         engine = engine_with(phi=30.0,
                              elasticity_schedules=[[80.0, 30.0]] * 2)
         memory, hive = engine.memory, engine.hive
-        dn = engine.store(blob(0), ["hot"]).dn_id
+        dn = engine.store(blob(0), "hot").dn_id
         memory.adjust_strength(dn, 55.5)
         row = memory.data_neuron(dn).row
         assert hive.built[row] is None
@@ -761,9 +761,9 @@ class TestReinforcement:
         for quality in (100.5, -1.0, math.nan):
             payload = Payload(data, data, quality)
             with pytest.raises(ConfigurationError, match="payload quality"):
-                engine.store(payload, ["hot"])
+                engine.store(payload, "hot")
             with pytest.raises(ConfigurationError, match="payload quality"):
-                engine.bootstrap_store(payload, ["hot"])
+                engine.bootstrap_store(payload, "hot")
         assert engine.memory.op_counter == 0
         assert engine.memory.neurons == {}
 
@@ -792,7 +792,7 @@ class TestReactionEdgeReads:
     @pytest.mark.parametrize("flag, decay", [(1, False), (0, True), (0, False)])
     def test_a_reaction_reads_its_edge_once(self, monkeypatch, flag, decay):
         engine = engine_with()
-        dn = engine.store(blob(0), ["hot"]).dn_id
+        dn = engine.store(blob(0), "hot").dn_id
         hot = engine.hive.find_cue_by_label("hot")
         # above the epsilon floor, so a weakening moves the weight too
         engine.memory.adjust_association(hot, dn, -30.0)
@@ -800,7 +800,7 @@ class TestReactionEdgeReads:
         weights = ReadCountingDict(engine.memory.weights)
         monkeypatch.setattr(engine.memory, "weights", weights)
         engine.controls = OpControls(weaken_on_fail=decay)
-        engine.reaction(dn, hot, flag=flag, cues=["hot"])
+        engine.reaction(dn, hot, flag=flag)
         # the order entry moves with the weight the read returned
         assert weights.reads == [(hot, dn)]
         assert maintained(engine) == oracle_search_order(engine.memory,
@@ -808,14 +808,61 @@ class TestReactionEdgeReads:
 
     def test_a_hit_reads_its_data_neuron_once(self, monkeypatch):
         engine = engine_with()
-        dn = engine.store(blob(0), ["hot"]).dn_id
+        dn = engine.store(blob(0), "hot").dn_id
         hot = engine.hive.find_cue_by_label("hot")
         rows = ReadCountingDict(engine.hive.feature_rows)
         neurons = ReadCountingDict(engine.memory.neurons)
         monkeypatch.setattr(engine.hive, "feature_rows", rows)
         monkeypatch.setattr(engine.memory, "neurons", neurons)
-        engine.reaction(dn, hot, flag=1, cues=["hot"])
+        engine.reaction(dn, hot, flag=1)
         assert rows.reads == [dn] and neurons.reads == []
+
+
+class TestLabelLookups:
+    """An op resolves its label in the cue bank once and carries the id."""
+
+    @staticmethod
+    def spy(monkeypatch, engine) -> list:
+        looked = []
+        find = engine.hive.find_cue_by_label
+
+        def counting(label):
+            looked.append(label)
+            return find(label)
+
+        monkeypatch.setattr(engine.hive, "find_cue_by_label", counting)
+        return looked
+
+    def test_a_known_label_hit_looks_it_up_once(self, monkeypatch):
+        engine = engine_with()
+        engine.store(blob(0), "hot")
+        looked = self.spy(monkeypatch, engine)
+        out = engine.retrieve("hot", engine.hive.extractor.extract(blob(0)))
+        assert out.kind == "hit" and looked == ["hot"]
+
+    def test_a_known_label_merge_looks_it_up_once(self, monkeypatch):
+        engine = engine_with()
+        engine.store(blob(0, 0), "hot")
+        looked = self.spy(monkeypatch, engine)
+        assert engine.store(blob(0, 1), "hot").kind == "merged"
+        assert looked == ["hot"]
+
+    def test_a_hit_under_an_unknown_label_links_one_new_cue(self):
+        # two localities, so the unknown label walks both default cues
+        engine = engine_with()
+        engine.store(blob(0), "hot")             # dn 0, default 1, hot 2
+        engine.store(blob(1, cls=1), "cold")     # dn 3, default 4, cold 5
+        before = dict(engine.memory.weights)
+        out = engine.retrieve("alias", engine.hive.extractor.extract(
+            blob(1, cls=1)))
+        assert (out.kind, out.dn_id, out.examined) == ("hit", 3, (0, 3))
+        assert engine.hive.find_cue_by_label("alias") == 6
+        after = dict(engine.memory.weights)
+        assert after.pop((6, 3)) == 1.0         # epsilon
+        assert after.pop((4, 3)) == before.pop((4, 3)) + 20.0   # eta
+        assert after == before
+        assert maintained(engine) == oracle_search_order(engine.memory,
+                                                         engine.hive)
 
 
 class TestFuzzAtScale:
@@ -866,7 +913,7 @@ class TestFuzzAtScale:
                 dn_id = dn_of.get(op[1])
                 compressed = (dn_id is not None and new.memory.data_neuron(
                     dn_id).payload.quality < 100.0)
-                outs = [e.store(item.data, [item.class_label],
+                outs = [e.store(item.data, item.class_label,
                                 item_id=item.item_id) for e in engines]
                 if outs[0].kind == "new_neuron":
                     dn_of[op[1]] = outs[0].dn_id
@@ -878,7 +925,7 @@ class TestFuzzAtScale:
                     fine, cue = np.ones(64), "alias"
                 else:
                     fine, cue = features[op[1]], items[op[1]].class_label
-                outs = [e.retrieve([cue], fine) for e in engines]
+                outs = [e.retrieve(cue, fine) for e in engines]
                 kinds[outs[0].kind] += 1
             else:
                 outs = [e.retention(n=op[1]) for e in engines]
@@ -895,5 +942,5 @@ class TestFuzzAtScale:
                 assert new.memory.total_bytes() == brute_force_bytes(
                     new.memory)
         assert neuron_states(new.memory) == neuron_states(old.memory)
-        assert len(new.memory.data_neurons()) >= 500
+        assert len(data_neurons(new.memory)) >= 500
         assert all(kinds.values()), kinds

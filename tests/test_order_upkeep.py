@@ -29,13 +29,13 @@ from tests.test_engine import blob, engine_with, maintained
 class FullRebuildEngine(MemoryEngine):
     """Reference: re-sorts every cue after every op."""
 
-    def store(self, data, cues, item_id=None):
-        out = super().store(data, cues, item_id)
+    def store(self, data, cue, item_id=None):
+        out = super().store(data, cue, item_id)
         self.update_search_order()
         return out
 
-    def retrieve(self, cues, fine_cue=None):
-        out = super().retrieve(cues, fine_cue)
+    def retrieve(self, cue, fine_cue=None):
+        out = super().retrieve(cue, fine_cue)
         self.update_search_order()
         return out
 
@@ -59,17 +59,17 @@ class TestReactionUpkeep:
         engine = engine_with(association_decay_rates=[5.0, 5.0])
         extract = engine.hive.extractor.extract
         for cluster in range(3):
-            engine.store(blob(cluster), ["hot"])
-        engine.store(blob(4, cls=1), ["warm"])
+            engine.store(blob(cluster), "hot")
+        engine.store(blob(4, cls=1), "warm")
         plain, decay = OpControls(), OpControls(weaken_on_fail=True)
         ops = [
-            ("hit", plain, lambda: engine.retrieve(["hot"], extract(blob(2)))),
-            ("hit", plain, lambda: engine.retrieve(["alias"], extract(blob(1)))),
+            ("hit", plain, lambda: engine.retrieve("hot", extract(blob(2)))),
+            ("hit", plain, lambda: engine.retrieve("alias", extract(blob(1)))),
             ("miss", decay, lambda: engine.retrieve(
-                ["hot"], extract(blob(5, cls=1)))),
+                "hot", extract(blob(5, cls=1)))),
             ("merged", plain,
-             lambda: engine.store(blob(2, item=1), ["hot", "cool"])),
-            ("new_neuron", plain, lambda: engine.store(blob(6, cls=1), ["warm"])),
+             lambda: engine.store(blob(2, item=1), "cool")),
+            ("new_neuron", plain, lambda: engine.store(blob(6, cls=1), "warm")),
         ]
         for kind, controls, op in ops:
             engine.controls = controls
@@ -91,22 +91,22 @@ class TestReactionUpkeep:
     def test_failed_retrieve_without_decay_moves_nothing(self):
         engine = engine_with()
         for cluster in range(4):
-            engine.store(blob(cluster), ["hot"])
+            engine.store(blob(cluster), "hot")
         before, orders = order_lists(engine), maintained(engine)
         foreign = engine.hive.extractor.extract(blob(5, cls=1))
-        out = engine.retrieve(["hot"], foreign)
+        out = engine.retrieve("hot", foreign)
         assert out.kind == "miss" and out.cost == 4
         assert maintained(engine) == orders
         assert_moved_in_place(engine, before)
 
     def test_direct_reaction_keeps_orders_current(self):
         engine = engine_with()
-        a = engine.store(blob(0), ["hot"]).dn_id
-        b = engine.store(blob(1), ["hot"]).dn_id
+        a = engine.store(blob(0), "hot").dn_id
+        b = engine.store(blob(1), "hot").dn_id
         cue = engine.hive.find_cue_by_label("hot")
         assert [e.dn_id for e in engine.hive.search_order[cue]] == [a, b]
         before = order_lists(engine)
-        engine.reaction(b, cue, flag=1, cues=["hot", "fresh"])
+        engine.reaction(b, cue, flag=1)
         assert [e.dn_id for e in engine.hive.search_order[cue]] == [b, a]
         assert_moved_in_place(engine, before)
         engine.controls = OpControls(weaken_on_fail=True)
@@ -114,12 +114,12 @@ class TestReactionUpkeep:
         assert_moved_in_place(engine, before)
 
 
-def _step(engine, op, payload, cues, fine, controls):
+def _step(engine, op, payload, cue, fine, controls):
     engine.controls = controls
     if op == "store":
-        out = engine.store(payload, cues)
+        out = engine.store(payload, cue)
     else:
-        out = engine.retrieve(cues, fine)
+        out = engine.retrieve(cue, fine)
     return (out.kind, out.dn_id, out.cost, out.examined, out.quality)
 
 
@@ -163,7 +163,7 @@ class TestDifferentialAgainstFullRebuild:
                 else f"alias-{int(rng.integers(8))}"
             fine = features[key] if rng.random() < 0.9 else None
             controls = OpControls(weaken_on_fail=bool(rng.random() < 0.5))
-            outs = [_step(engine, op, pool[key], [cue], fine, controls)
+            outs = [_step(engine, op, pool[key], cue, fine, controls)
                     for engine in engines]
             assert outs[0] == outs[1], f"op {i}"
             orders = maintained(new)

@@ -137,8 +137,8 @@ class TestInPlaceMoves:
         before = [e.dn_id for e in order]
         insorts.clear()
         dn = dn_ids[index]
-        memory.adjust_association(cue, dn, memory.weight(cue, dn) - new)
-        assert memory.weight(cue, dn) == new
+        memory.adjust_association(cue, dn, memory.weights[cue, dn] - new)
+        assert memory.weights[cue, dn] == new
         assert len(insorts) == calls
         assert ([e.dn_id for e in order] != before) == bool(calls)
         assert_order_current(memory, orders)

@@ -188,6 +188,28 @@ class TestTraceParseErrors:
         assert code == 2
         assert f"{bad}: {expected}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cues", [[], ["deer", "background"]])
+    @pytest.mark.parametrize("op", ["store", "retrieve"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_record_without_exactly_one_coarse_cue_is_named(
+            self, generated, tmp_path, capsys, command, op, cues):
+        # the engine takes one label per op; the trace format keeps a list
+        config, data = generated
+        lines = (data / "trace.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in lines[1:]]
+        row = next(r for r in rows if r["op"] == op)
+        row["coarse_cues"] = cues
+        bad = tmp_path / "trace.jsonl"
+        bad.write_text("\n".join([lines[0]] + [json.dumps(r) for r in rows])
+                       + "\n")
+        code = main([command, "--config", str(config), "--trace", str(bad),
+                     "--manifest", str(data / "manifest.jsonl"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: record {row['seq']}: {op} needs exactly one coarse cue, "
+            f"got {cues!r}\n")
+
     def test_seqs_may_skip(self, generated, tmp_path):
         _, data = generated
         lines = (data / "trace.jsonl").read_text().splitlines()
@@ -369,6 +391,30 @@ def test_bootstrap_vector_cue_is_named(tmp_path, capsys):
     assert main(["generate", "--config", str(config),
                  "--out", str(tmp_path / "data")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_bootstrap_with_several_cues_is_named(tmp_path, capsys):
+    # a bootstrapped datum takes one label, as every operation does
+    config = write_config(tmp_path, bootstrap=[
+        {"item_id": "item-0000", "cues": ["deer"]},
+        {"item_id": "item-0001", "cues": ["deer", "background"]}])
+    message = ("bootstrap[1].cues must hold at most one label, got "
+               "['deer', 'background']")
+    with pytest.raises(ConfigurationError) as caught:
+        load_config(config)
+    assert str(caught.value) == message
+    assert main(["generate", "--config", str(config),
+                 "--out", str(tmp_path / "data")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # the check is RunConfig.validate's, so it holds for a config built in
+    # code too; the walkthrough's one-label and no-label entries pass
+    walkthrough = load_config(preset="walkthrough")
+    assert [e.get("cues") for e in walkthrough.bootstrap] == \
+        [["wolf"], ["wolf"], []]
+    walkthrough.bootstrap[2]["cues"] = ["wolf", "fox"]
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("bootstrap[2].cues must hold at most")):
+        walkthrough.validate()
 
 
 def test_bootstrap_item_missing_from_the_corpus_is_named(tmp_path, capsys):
