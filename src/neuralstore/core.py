@@ -11,12 +11,12 @@ lead from a cue neuron to a data neuron:
 
 A data neuron's state (strength, last access, stored quality and stored
 size) lives in the hive's per-row columns, one row per neuron, so that
-retention and elasticity update a whole locality with one array pass.  The
-neuron object holds its id, feature and locality, and reads its state from
-those columns: its ``strength``, ``last_access_op``, ``size_bytes`` and
-``payload`` are read-only, and change only through ``Memory``
-(``adjust_strength``, ``adjust_strengths``, ``set_payload``,
-``reinforce``) or the engine.
+retention updates a whole locality with one array pass and elasticity reads
+a locality's strengths at once.  The neuron object holds its id, feature
+and locality, and reads its state from those columns: its ``strength``,
+``last_access_op``, ``size_bytes`` and ``payload`` are read-only, and
+change only through ``Memory`` (``adjust_strength``, ``adjust_strengths``,
+``write_lowered``, ``set_payload``, ``reinforce``) or the engine.
 
 A memory holds one hive, with its hyperparameters and
 feature extractor; localities partition the hive by data kind and carry
@@ -487,8 +487,11 @@ class Memory:
     def add_cue_neuron(self, label: str) -> int:
         """The cue neuron with ``label``, inserted if the bank has none."""
         cue_id = self.hive.find_cue_by_label(label)
-        if cue_id is None:
-            cue_id = self.hive._label_index[label] = self._add_cue(label)
+        return self.new_cue_neuron(label) if cue_id is None else cue_id
+
+    def new_cue_neuron(self, label: str) -> int:
+        """A new cue neuron for ``label``, which the bank does not hold."""
+        cue_id = self.hive._label_index[label] = self._add_cue(label)
         return cue_id
 
     def add_data_neuron(self, locality_id: int, payload: Payload,
@@ -608,7 +611,8 @@ class Memory:
 
     def adjust_strengths(self, rows: np.ndarray, strengths: np.ndarray,
                          delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`adjust_strength` over hive rows at once.
+        """:meth:`adjust_strength` over hive rows at once, as retention
+        ages a locality's idle rows.
 
         ``strengths`` are the rows' current strengths and ``delta`` one
         value or one per row.  Returns the new strengths, the positions in
@@ -634,6 +638,22 @@ class Memory:
         for row in rows.tolist():
             built[row] = None
         return new, lower, freed
+
+    def write_lowered(self, lowered: dict[int, list], fell: set[int]) -> None:
+        """Write the state ``[strength, quality, size]`` of lowered hive
+        rows: every row's strength, and the stored quality and size of the
+        rows in ``fell``, keeping the byte total current.
+        ``MemoryEngine``'s elasticity walk works them out."""
+        hive = self.hive
+        strength, quality, keep, built = (hive.strength, hive.quality,
+                                          hive.keep, hive.built)
+        for row, (s, q, kept) in lowered.items():
+            strength[row] = s
+            if row in fell:
+                self._bytes -= keep.item(row) - kept
+                quality[row] = q
+                keep[row] = kept
+                built[row] = None
 
     def set_payload(self, dn: DataNeuron, payload: Payload) -> None:
         """Replace a data neuron's payload, keeping the byte total current."""

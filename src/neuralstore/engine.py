@@ -66,14 +66,25 @@ multiple of the hive's retention period the retention pass runs
 automatically.  Manual retention with an explicit history window is also
 supported and does not advance the counter.
 
-Retention and elasticity change data neurons a locality at a time, as one
-array update of the hive's columns (see :mod:`neuralstore.core`): a mask
-picks the rows (idle for at least the window, or above the elasticity
-floor), ``Memory.adjust_strengths`` clamps their strengths with the same
-float64 operations ``Memory.adjust_strength`` uses for one neuron, takes
-them as the rows' qualities and truncates the sizes that fall, and the
-retention summary and the bytes freed are read off the changed rows in id
-order.
+Retention changes data neurons a locality at a time, as one array update
+of the hive's columns (see :mod:`neuralstore.core`): a mask picks the rows
+idle for at least the window, ``Memory.adjust_strengths`` clamps their
+strengths with the same float64 operations ``Memory.adjust_strength`` uses
+for one neuron, takes them as the rows' qualities and truncates the sizes
+that fall, and the retention summary and the bytes freed are read off the
+changed rows in id order.
+
+Elasticity is one walk over ``(locality, ceiling)`` steps: ``ensure_capacity``
+takes the schedules iteration by iteration, least-important locality first,
+then with phi = 0 a terminal pass at ceiling 0, and stops after the first
+step by which the bytes freed cover the shortfall.  The walk reads a
+locality's strength column once; a step whose floor is not below the
+column's highest strength is skipped, and otherwise one comparison selects
+the rows above the floor, which are lowered in Python with the float
+operations of ``Memory.adjust_strength``, each from the strength an earlier
+step left it.  The changed rows are written to the hive once, at the end
+(``Memory.write_lowered``).  ``elasticity`` and ``_cap_locality`` are walks
+of one step.
 """
 
 from __future__ import annotations
@@ -316,13 +327,15 @@ class MemoryEngine:
         None).  Neuron ids come from one counter, so the new cue is made
         after the op's data neuron and reaction."""
         if cue_id is None:
-            cue_id = self.memory.add_cue_neuron(cue)
+            cue_id = self.memory.new_cue_neuron(cue)
         self.memory.associate(cue_id, dn_id)
 
     # -- capacity ------------------------------------------------------------
 
     def elasticity(self, locality: Locality, iteration: int) -> int:
-        """Cap strengths in a locality per the schedule; return bytes freed."""
+        """Lower the locality's strengths to the schedule's ceiling at
+        ``iteration``, as one step of the elasticity walk; return the bytes
+        freed."""
         schedule = self.params.elasticity_schedules[locality.id]
         if iteration >= len(schedule):
             raise ElasticityExhausted(
@@ -332,55 +345,108 @@ class MemoryEngine:
 
     def _cap_locality(self, locality: Locality, ceiling: float) -> int:
         """Lower every strength in the locality above ``max(phi, ceiling)``
-        to that floor, in one array update; return the bytes freed."""
-        floor = max(self.params.phi, ceiling)
-        rows = locality.rows
-        strengths = self.hive.strength[rows]
-        above = (strengths > floor).nonzero()[0]
-        if not len(above):
-            return 0
-        strengths = strengths[above]
-        _, _, freed = self.memory.adjust_strengths(
-            rows[above], strengths, strengths - floor)
-        return sum(freed.tolist())
+        to that floor, as a walk of one step; return the bytes freed."""
+        return self._lower_to_floors([(locality, ceiling)], math.inf)
+
+    def _squeeze_steps(self) -> typing.Iterator[tuple[Locality, float]]:
+        """The ``(locality, ceiling)`` steps of escalating elasticity.
+
+        Iteration by iteration, localities are squeezed least-important
+        first (descending memory decay rate, later localities first on
+        ties), each while its schedule lasts; with phi = 0 a terminal pass
+        at ceiling 0 follows.
+        """
+        order = sorted(self.hive.localities,
+                       key=lambda loc: (-loc.memory_decay_rate, -loc.id))
+        schedules = self.params.elasticity_schedules
+        for iteration in range(max(map(len, schedules))):
+            for locality in order:
+                schedule = schedules[locality.id]
+                if iteration < len(schedule):
+                    yield locality, schedule[iteration]
+        if self.params.phi == 0.0:
+            for locality in order:
+                yield locality, 0.0
+
+    def _lower_to_floors(self, steps, shortfall: float) -> int:
+        """Walk ``(locality, ceiling)`` steps in order, lowering each strength
+        in the step's locality above ``floor = max(phi, ceiling)`` to the
+        floor, and stop after the first step by which the bytes freed reach
+        ``shortfall``; write the changed rows to the hive once and return the
+        bytes freed.
+
+        A locality's strengths are read once, when the walk first reaches
+        it.  A step whose floor is not below the highest of them changes
+        nothing and is skipped; otherwise one comparison selects the rows
+        read above the floor, which are lowered one by one from the strength
+        they have by then, with the float operations of
+        ``Memory.adjust_strength``.
+        """
+        hive, phi = self.hive, self.params.phi
+        quality, keep, size = hive.quality, hive.keep, hive.original_size
+        read: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+        # row -> [strength, stored quality, stored size] of each row lowered
+        lowered: dict[int, list] = {}
+        fell: set[int] = set()      # the rows whose stored quality fell
+        freed = 0
+        for locality, ceiling in steps:
+            floor = max(phi, ceiling)
+            column = read.get(locality.id)
+            if column is None:
+                rows = locality.rows
+                strengths = hive.strength[rows]
+                column = read[locality.id] = (
+                    rows, strengths,
+                    strengths.max() if len(rows) else -math.inf)
+            rows, strengths, top = column
+            if not top > floor:
+                continue
+            above = (strengths > floor).nonzero()[0]
+            for row, s in zip(rows[above].tolist(), strengths[above].tolist()):
+                state = lowered.get(row)
+                if state is None:
+                    state = lowered[row] = [s, quality.item(row),
+                                            keep.item(row)]
+                else:
+                    s = state[0]
+                    if not s > floor:
+                        continue
+                # min(100, max(phi, s - (s - floor))), as clamp_strength
+                new = s - (s - floor)
+                if not new > phi:
+                    new = phi
+                if not new < 100.0:
+                    new = 100.0
+                state[0] = new
+                if new < state[1]:
+                    kept = math.ceil(size.item(row) * new / 100.0)
+                    if kept < state[2]:
+                        freed += state[2] - kept
+                        state[2] = kept
+                    state[1] = new
+                    fell.add(row)
+            if freed >= shortfall:
+                break
+        self.memory.write_lowered(lowered, fell)
+        return freed
 
     def ensure_capacity(self, bytes_needed: int) -> None:
         """Free space through escalating elasticity until the request fits.
 
-        Localities are squeezed least-important first (descending memory
-        decay rate, later localities first on ties).  With phi = 0 a terminal
-        pass may erase remaining detail entirely; if the request still does
-        not fit, storage is full.
+        The steps of :meth:`_squeeze_steps` are walked in one
+        :meth:`_lower_to_floors` call, up to the first step after which the
+        request fits; if it does not fit after the last, storage is full.
         """
-        params = self.params
-        cap = params.capacity_bytes
+        cap = self.params.capacity_bytes
         if cap is None:
             return
-
-        def free() -> int:
-            return cap - self.memory.total_bytes()
-
-        if free() >= bytes_needed:
+        shortfall = bytes_needed - (cap - self.memory.total_bytes())
+        if shortfall <= 0:
             return
-        order = sorted(self.hive.localities,
-                       key=lambda loc: (-loc.memory_decay_rate, -loc.id))
-        max_iter = max(len(s) for s in params.elasticity_schedules)
-        for iteration in range(max_iter):
-            for locality in order:
-                try:
-                    self.elasticity(locality, iteration)
-                except ElasticityExhausted:
-                    continue
-                if free() >= bytes_needed:
-                    return
-        if params.phi == 0.0:
-            for locality in order:
-                self._cap_locality(locality, 0.0)
-                if free() >= bytes_needed:
-                    return
-        raise StorageFullError(
-            f"hive {self.hive.id}: need {bytes_needed} bytes, "
-            f"only {free()} free at maximum elasticity")
+        if self._lower_to_floors(self._squeeze_steps(), shortfall) < shortfall:
+            raise StorageFullError(
+                f"hive {self.hive.id}: need {bytes_needed} bytes, only "
+                f"{cap - self.memory.total_bytes()} free at maximum elasticity")
 
     # -- locality selection ----------------------------------------------------
 

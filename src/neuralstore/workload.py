@@ -496,17 +496,8 @@ class NsReplayAdapter:
     def total_bytes(self) -> int:
         return self.engine.memory.total_bytes()
 
-    @staticmethod
-    def _cue(rec: TraceRecord) -> str:
-        """The record's one coarse cue; the engine takes one label per op."""
-        if len(rec.coarse_cues) != 1:
-            raise ConfigurationError(
-                f"{rec.op} needs exactly one coarse cue, got "
-                f"{list(rec.coarse_cues)!r}")
-        return rec.coarse_cues[0]
-
     def do_store(self, rec: TraceRecord, item: ManifestItem) -> dict:
-        outcome = self.engine.store(item.data, self._cue(rec),
+        outcome = self.engine.store(item.data, rec.coarse_cues[0],
                                     item_id=item.item_id)
         return {"kind": outcome.kind, "dn_id": outcome.dn_id,
                 "cost": outcome.cost, "hit": outcome.hit,
@@ -515,7 +506,7 @@ class NsReplayAdapter:
 
     def do_retrieve(self, rec: TraceRecord, item: ManifestItem) -> dict:
         fine = self._fine_cue(item) if rec.use_fine_cue else None
-        outcome = self.engine.retrieve(self._cue(rec), fine)
+        outcome = self.engine.retrieve(rec.coarse_cues[0], fine)
         fidelity = psnr_fidelity(outcome.payload) if outcome.hit else None
         return {"kind": outcome.kind, "dn_id": outcome.dn_id,
                 "cost": outcome.cost, "hit": outcome.hit,
@@ -565,11 +556,17 @@ def replay(records: list[TraceRecord], adapter, corpus: Corpus) -> list[dict]:
     """Execute trace records in order; one log row per record.
 
     The trace is never mutated.  Malformed records and storage-full
-    conditions abort with the failing record's seq.
+    conditions abort with the failing record's seq.  A store or retrieve
+    record carries exactly one coarse cue, the one label the engine's
+    operations take; the CAM, which ignores it, is held to the same trace.
     """
     log: list[dict] = []
     for rec in records:
         try:
+            if rec.op in ("store", "retrieve") and len(rec.coarse_cues) != 1:
+                raise ConfigurationError(
+                    f"{rec.op} needs exactly one coarse cue, got "
+                    f"{list(rec.coarse_cues)!r}")
             if rec.op == "store":
                 row = adapter.do_store(rec, corpus.get(rec.item_id))
             elif rec.op == "retrieve":

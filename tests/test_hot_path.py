@@ -4,13 +4,15 @@ array passes.
 Search orders are kept current by moving only the entries whose edge
 weights changed, each query is scored against unit-length feature rows in
 one product with the scalar cosine as the judge near the threshold, stored
-bytes are a running total, and retention and elasticity update a
-locality's rows of the hive columns in one array pass.  Each is checked
-against its brute-force or per-neuron counterpart.
+bytes are a running total, retention updates a locality's rows of the hive
+columns in one array pass, and elasticity lowers the rows above each floor
+in one walk per request.  Each is checked against its brute-force,
+per-neuron or step-by-step counterpart.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 
@@ -28,10 +30,12 @@ from neuralstore.core import (
     clamp_strength,
 )
 from neuralstore.engine import (
+    ElasticityExhausted,
     MemoryEngine,
     OpControls,
     RetentionSummary,
     SearchParams,
+    StorageFullError,
     oracle_search_order,
 )
 from neuralstore.workload import (
@@ -400,15 +404,53 @@ def reference_retention(engine, window: int,
     return summary
 
 
+def reference_ensure_capacity(engine, bytes_needed: int) -> None:
+    """Escalating elasticity a step at a time: one ``elasticity`` call (in
+    the terminal pass, ``_cap_locality``) per step, reading the free bytes
+    after each."""
+    params = engine.params
+    cap = params.capacity_bytes
+    if cap is None:
+        return
+
+    def free() -> int:
+        return cap - engine.memory.total_bytes()
+
+    if free() >= bytes_needed:
+        return
+    order = sorted(engine.hive.localities,
+                   key=lambda loc: (-loc.memory_decay_rate, -loc.id))
+    for iteration in range(max(map(len, params.elasticity_schedules))):
+        for locality in order:
+            try:
+                engine.elasticity(locality, iteration)
+            except ElasticityExhausted:
+                continue
+            if free() >= bytes_needed:
+                return
+    if params.phi == 0.0:
+        for locality in order:
+            engine._cap_locality(locality, 0.0)
+            if free() >= bytes_needed:
+                return
+    raise StorageFullError(
+        f"hive {engine.hive.id}: need {bytes_needed} bytes, "
+        f"only {free()} free at maximum elasticity")
+
+
 class ScalarReferenceEngine(MemoryEngine):
     """Reference: retention and elasticity change one neuron at a time
-    through the scalar ``Memory.adjust_strength``."""
+    through the scalar ``Memory.adjust_strength``, and capacity is made a
+    step at a time."""
 
     def _retention_pass(self, window, decay_edges):
         return reference_retention(self, window, decay_edges)
 
     def _cap_locality(self, locality, ceiling):
         return reference_cap(self, locality, ceiling)
+
+    def ensure_capacity(self, bytes_needed):
+        reference_ensure_capacity(self, bytes_needed)
 
 
 def neuron_states(memory) -> list[tuple]:
@@ -551,6 +593,25 @@ def odd_payload(size: int, kept: float, quality: float) -> Payload:
                    "odd")
 
 
+def assert_same_rows(new, old, before: dict) -> None:
+    """``new`` and ``old`` hold the same rows bit for bit; a payload whose
+    quality fell since ``before`` (dn id -> payload, updated here) is the
+    prefix codec's compression of it, and any other keeps the payload built
+    for it."""
+    assert neuron_states(new.memory) == neuron_states(old.memory)
+    assert columns(new) == columns(old)
+    assert new.memory.total_bytes() == old.memory.total_bytes()
+    assert new.memory.total_bytes() == brute_force_bytes(new.memory)
+    for dn in data_neurons(new.memory):
+        payload = before[dn.id]
+        if dn.payload.quality < payload.quality:
+            payload = CODEC.compress(payload, dn.payload.quality)
+            assert dn.payload == payload, dn.id
+        else:
+            assert dn.payload is payload, dn.id
+        before[dn.id] = dn.payload
+
+
 class TestArrayPasses:
     """Retention and elasticity as array passes against the per-neuron
     walks, bit for bit."""
@@ -606,29 +667,12 @@ class TestArrayPasses:
         memory.op_counter = 12
         return engine
 
-    def assert_same(self, new, old, before: dict) -> None:
-        assert neuron_states(new.memory) == neuron_states(old.memory)
-        assert columns(new) == columns(old)
-        assert new.memory.total_bytes() == old.memory.total_bytes()
-        assert new.memory.total_bytes() == brute_force_bytes(new.memory)
-        # a payload read after a quality drop is what the prefix codec
-        # makes of the payload before it
-        for dn in data_neurons(new.memory):
-            payload = before[dn.id]
-            if dn.payload.quality < payload.quality:
-                payload = CODEC.compress(payload, dn.payload.quality)
-                assert dn.payload == payload, dn.id
-            else:
-                # an unchanged row keeps the payload built for it
-                assert dn.payload is payload, dn.id
-            before[dn.id] = dn.payload
-
     @pytest.mark.parametrize("phi", [0.0, 1.0, 30.0])
     def test_bit_identical_to_the_per_neuron_walks(self, phi):
         new, old = (self.populated(cls, phi)
                     for cls in (MemoryEngine, ScalarReferenceEngine))
         before = {dn.id: dn.payload for dn in data_neurons(new.memory)}
-        self.assert_same(new, old, before)
+        assert_same_rows(new, old, before)
         steps = [("retain", 3, False), ("cap", 100.0), ("retain", 1, True),
                  ("cap", 150.0), ("cap", 80.0), ("retain", 8, True),
                  ("cap", 50.0), ("cap", 50.0), ("retain", 5, False),
@@ -649,14 +693,14 @@ class TestArrayPasses:
                     assert (new._cap_locality(new.hive.localities[i], step[1])
                             == old._cap_locality(old.hive.localities[i],
                                                  step[1])), step
-            self.assert_same(new, old, before)
+            assert_same_rows(new, old, before)
         assert compressed
         assert new.memory.total_bytes() < sum(
             dn.payload.original_size for dn in data_neurons(new.memory))
         for i, iteration in ((1, 0), (0, 1), (1, 2)):
             assert (new.elasticity(new.hive.localities[i], iteration)
                     == old.elasticity(old.hive.localities[i], iteration))
-            self.assert_same(new, old, before)
+            assert_same_rows(new, old, before)
 
     def test_retention_keeps_id_order_and_counts_only_moved_strengths(self):
         new = self.populated(MemoryEngine, 1.0)
@@ -676,6 +720,105 @@ class TestArrayPasses:
         lost = size - memory.data_neuron(floored).size_bytes
         assert lost > 0
         assert total - memory.total_bytes() == summary.bytes_freed + lost
+
+
+class TestCapacityWalk:
+    """``ensure_capacity`` as one walk against the step-by-step reference:
+    one ``elasticity`` call per step through the per-neuron
+    ``reference_cap``, reading the free bytes after each."""
+
+    # schedules of unequal length with floors where c - (c - f) != f for
+    # some strength c, each ending at or above max(phi, 1); the first two
+    # localities tie on decay rate, so the later one is squeezed first
+    CASES = {
+        0.0: [[90.5, 66.6, 33.3, 1.1], [70.7, 1.1], [50.05, 33.3, 12.3, 1.1]],
+        1.0: [[90.5, 66.6, 33.3, 1.1], [70.7, 1.1], [50.05, 33.3, 12.3, 1.1]],
+        30.0: [[90.5, 66.6, 31.7], [70.7, 30.0], [50.05, 41.1, 33.3]],
+    }
+
+    @staticmethod
+    def populated(cls, phi: float):
+        schedules = TestCapacityWalk.CASES[phi]
+        labels = [["a"], ["b"], []]
+        engine = cls(HiveParams(
+            num_localities=3, memory_decay_rates=[2.0, 2.0, 0.5],
+            association_decay_rates=[0.0] * 3,
+            locality_mapping=[{"labels": ls} if ls else {} for ls in labels],
+            elasticity_schedules=schedules, phi=phi, retention_period=10**6))
+        memory = engine.memory
+        rng = np.random.default_rng(int(phi) + 23)
+        engine.search = SearchParams(match_thresh=1.0)     # distinct items
+        ids = []
+        for i in range(30):
+            cue = "abc"[i % 3]
+            size = int(rng.integers(300, 1500))
+            dn_id = engine.store(blob(i % 8, item=i, size=size), cue).dn_id
+            # b's strongest row sits just above b's first floor, 70.7
+            strength = (71.0 if i == 1 else
+                        float(rng.uniform(phi, 71.0 if cue == "b" else 100.0)))
+            memory.adjust_strength(dn_id, 100.0 - strength)
+            ids.append(dn_id)
+        ids.append(engine.store(odd_payload(1000, 0.4, 90.0), "a").dn_id)
+        # strength back at 100 over a stored quality that stays lower
+        for dn_id in ids[0:30:6]:
+            memory.reinforce(dn_id)
+        return engine
+
+    @pytest.mark.parametrize("phi", [0.0, 1.0, 30.0])
+    def test_bit_identical_to_the_step_by_step_reference(self, phi):
+        new, old = (self.populated(cls, phi)
+                    for cls in (MemoryEngine, ScalarReferenceEngine))
+        assert columns(new) == columns(old)
+        total = new.memory.total_bytes()
+        # the bytes freed after each step, walking every step
+        steps = copy.deepcopy(old)
+        steps.params.capacity_bytes = total
+        after: list[int] = []
+        cap_locality = steps._cap_locality
+
+        def recording(locality, ceiling):
+            after.append((after[-1] if after else 0)
+                         + cap_locality(locality, ceiling))
+            return after[-1]
+
+        steps._cap_locality = recording
+        with pytest.raises(StorageFullError):
+            steps.ensure_capacity(total + 1)
+        assert steps.memory.total_bytes() == total - after[-1]
+        schedules = self.CASES[phi]
+        assert len(after) == sum(map(len, schedules)) + 3 * (phi == 0.0)
+        floors = {max(phi, f) for s in schedules for f in s} | {phi}
+        start = new.hive.strength[:31].tolist()
+        off_floor = False
+        # requests that fit exactly after a step, one byte short of it, and
+        # beyond the last step
+        needs = sorted(set(after) | {n + 1 for n in after})
+        stopped = set()
+        for need in needs:
+            pair = [copy.deepcopy(e) for e in (new, old)]
+            for engine in pair:
+                engine.params.capacity_bytes = total
+            before = {dn.id: dn.payload for dn in data_neurons(pair[0].memory)}
+            assert [dn.payload for dn in data_neurons(pair[1].memory)] == list(
+                before.values())
+            errors = []
+            for engine in pair:
+                try:
+                    engine.ensure_capacity(need)
+                    errors.append(None)
+                except StorageFullError as exc:
+                    errors.append(str(exc))
+            assert errors[0] == errors[1], need
+            assert_same_rows(*pair, before)
+            if errors[0] is None:
+                stopped.add(total - pair[0].memory.total_bytes())
+                assert pair[0].memory.total_bytes() <= total - need
+            # a lowered strength that is not its floor: c - (c - f) != f
+            off_floor |= any(s != s0 and s not in floors for s, s0 in zip(
+                pair[0].hive.strength[:31].tolist(), start))
+        # every step was a stopping point, the terminal pass's too
+        assert stopped == set(after) - {0}
+        assert off_floor
 
 
 class TestStateColumns:
@@ -847,14 +990,17 @@ class TestLabelLookups:
         assert engine.store(blob(0, 1), "hot").kind == "merged"
         assert looked == ["hot"]
 
-    def test_a_hit_under_an_unknown_label_links_one_new_cue(self):
+    def test_a_hit_under_an_unknown_label_links_one_new_cue(self,
+                                                            monkeypatch):
         # two localities, so the unknown label walks both default cues
         engine = engine_with()
         engine.store(blob(0), "hot")             # dn 0, default 1, hot 2
         engine.store(blob(1, cls=1), "cold")     # dn 3, default 4, cold 5
         before = dict(engine.memory.weights)
+        looked = self.spy(monkeypatch, engine)
         out = engine.retrieve("alias", engine.hive.extractor.extract(
             blob(1, cls=1)))
+        assert looked == ["alias"]
         assert (out.kind, out.dn_id, out.examined) == ("hit", 3, (0, 3))
         assert engine.hive.find_cue_by_label("alias") == 6
         after = dict(engine.memory.weights)

@@ -190,10 +190,11 @@ class TestTraceParseErrors:
 
     @pytest.mark.parametrize("cues", [[], ["deer", "background"]])
     @pytest.mark.parametrize("op", ["store", "retrieve"])
-    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("command", ["run", "compare", "run --engine cam"])
     def test_record_without_exactly_one_coarse_cue_is_named(
             self, generated, tmp_path, capsys, command, op, cues):
-        # the engine takes one label per op; the trace format keeps a list
+        # the engine takes one label per op; the trace format keeps a list,
+        # and the CAM, which reads no cue, is held to the same trace
         config, data = generated
         lines = (data / "trace.jsonl").read_text().splitlines()
         rows = [json.loads(line) for line in lines[1:]]
@@ -202,7 +203,8 @@ class TestTraceParseErrors:
         bad = tmp_path / "trace.jsonl"
         bad.write_text("\n".join([lines[0]] + [json.dumps(r) for r in rows])
                        + "\n")
-        code = main([command, "--config", str(config), "--trace", str(bad),
+        code = main([*command.split(), "--config", str(config),
+                     "--trace", str(bad),
                      "--manifest", str(data / "manifest.jsonl"),
                      "--out", str(tmp_path / "out")])
         assert code == 2
