@@ -61,8 +61,10 @@ def _sha256(path: Path) -> str:
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON config file (overlays the preset)")
-    parser.add_argument("--preset", choices=sorted(PRESETS), default=None,
-                        help="named scenario preset")
+    parser.add_argument("--preset", default=None,
+                        help="named scenario preset: "
+                             f"{' or '.join(sorted(PRESETS))} "
+                             "(default wildlife-deer)")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
 
 
@@ -127,6 +129,10 @@ def cmd_compare(args) -> int:
         fractions, name = config.cap_fractions, "compare.cap_fractions"
     caps = cap_bytes(fractions, corpus.total_bytes(), name)
     records = read_trace(Path(args.trace))
+    if records[-1].seq < config.warmup_ops:
+        raise ConfigurationError(
+            f"compare.warmup_ops {config.warmup_ops} skips all "
+            f"{len(records)} trace records")
     out = Path(args.out)
     logs = {}
     for engine in ("ns", "cam"):

@@ -3,7 +3,7 @@
 A run is fully described by one JSON document with these sections::
 
     {
-      "preset": "default",          // optional; base values to overlay
+      "preset": "walkthrough",      // optional; or wildlife-deer, the default
       "seed": 42,                   // required, >= 0; drives corpus/trace/replay
       "engine": "ns",               // ns | cam (default engine for `run`)
       "hive": { ... },              // hive hyperparameters (see HiveParams)
@@ -23,10 +23,11 @@ Unknown keys anywhere are rejected, every value must have the type its
 field declares (an int passes for a float, a bool for nothing but a bool),
 and every section is validated against its owning module's invariants
 before an engine is built; cap fractions must be finite and positive.
-Presets bundle the standard hyperparameter set (eta 20, epsilon 1, phi 1,
-retention 500, decay [0.5, 1], elasticity 80..1, match threshold 0.95,
-unbounded search, failure decay off) with scenario-specific locality
-mappings and workloads.
+A config that names no preset is the ``wildlife-deer`` run: the standard
+hyperparameter set (eta 20, epsilon 1, phi 1, retention 500, decay
+[0.5, 1], elasticity 80..1, match threshold 0.95, unbounded search,
+failure decay off) with deer as the priority class, routed to the first
+locality.  The ``walkthrough`` preset overlays a small scripted scenario.
 """
 
 from __future__ import annotations
@@ -60,17 +61,20 @@ from neuralstore.workload import (
     WorkloadSpec,
 )
 
-# the sections' dataclass defaults, but for the two values set here
+# the sections' dataclass defaults, but for the values set here: the
+# wildlife-deer run
 _BASE_PRESET = {
     "seed": 42,
     "engine": "ns",
     "hive": {**dataclasses.asdict(HiveParams()),
-             "locality_mapping": [{"labels": ["class-0"]}, {}]},
+             "locality_mapping": [{"labels": ["deer"]}, {}]},
     "search": dataclasses.asdict(SearchParams()),
     "controls": dataclasses.asdict(OpControls()),
     "cam": {"policy": "fifo"},
     "workload": {**{k: v for k, v in dataclasses.asdict(WorkloadSpec()).items()
                     if k != "seed"},     # comes from the top-level seed
+                 "class_labels": ["deer", "background"],
+                 "priority_class": "deer",
                  "tail_retentions": 20},
     "compare": {
         "cap_fractions": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
@@ -92,22 +96,7 @@ def _overlay(base: dict, extra: dict) -> dict:
 
 
 PRESETS: dict[str, dict] = {
-    "default": {},
-    "wildlife-deer": {
-        "hive": {"locality_mapping": [{"labels": ["deer"]}, {}]},
-        "workload": {"class_labels": ["deer", "background"],
-                     "priority_class": "deer"},
-    },
-    "wildlife-wolf": {
-        "hive": {"locality_mapping": [{"labels": ["wolf", "fox"]}, {}]},
-        "workload": {"class_labels": ["wolf", "background"],
-                     "priority_class": "wolf"},
-    },
-    "uav-cars": {
-        "hive": {"locality_mapping": [{"labels": ["car"]}, {}]},
-        "workload": {"class_labels": ["car", "background"],
-                     "priority_class": "car"},
-    },
+    "wildlife-deer": {},
     "walkthrough": {
         "hive": {"memory_decay_rates": [10.0, 20.0],
                  "locality_mapping": [{"labels": ["wolf"]}, {}],
@@ -139,7 +128,6 @@ class RunConfig:
     cap_fractions: list[float]
     warmup_ops: int
     bootstrap: list[dict] = field(default_factory=list)
-    preset: str = "default"
 
     def validate(self) -> None:
         if self.engine not in ("ns", "cam"):
@@ -229,11 +217,11 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
             raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigurationError(f"{path}: config must be a JSON object")
-    preset_name = preset or doc.get("preset") or "default"
-    if preset_name not in PRESETS:
+    preset = preset or doc.get("preset") or "wildlife-deer"
+    if not isinstance(preset, str) or preset not in PRESETS:
         raise ConfigurationError(
-            f"unknown preset {preset_name!r}; known: {sorted(PRESETS)}")
-    merged = _overlay(_overlay(_BASE_PRESET, PRESETS[preset_name]), doc)
+            f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
+    merged = _overlay(_overlay(_BASE_PRESET, PRESETS[preset]), doc)
     merged.pop("preset", None)
 
     if seed is not None:
@@ -269,7 +257,6 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
         cap_fractions=list(merged["compare"]["cap_fractions"]),
         warmup_ops=merged["compare"]["warmup_ops"],
         bootstrap=list(merged["bootstrap"]),
-        preset=preset_name,
     )
     config.validate()
     return config

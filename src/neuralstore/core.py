@@ -539,13 +539,24 @@ class Memory:
 
     def associate(self, cue_id: int, dn_id: int) -> float:
         """Ensure a cue's association to a data neuron exists (created at
-        epsilon); return its weight."""
+        epsilon); return its weight.
+
+        KeyError naming both ids if ``cue_id`` is the default cue of another
+        locality than the data neuron's, so the default cues' orders, which
+        an unknown label walks in turn, never share a data neuron.
+        """
         key = self._edge(cue_id, dn_id)
         weight = self.weights.get(key)
         if weight is None:
-            weight = self.weights[key] = self.hive.params.epsilon
+            hive = self.hive
+            if (hive.cue_bank[cue_id].is_default and cue_id != hive.locality(
+                    self.neurons[dn_id].locality_id).default_cue_id):
+                raise KeyError(
+                    f"default cue {cue_id} belongs to another locality than "
+                    f"data neuron {dn_id}")
+            weight = self.weights[key] = hive.params.epsilon
             self.edge_access[key] = self.op_counter
-            insort(self.hive.search_order[cue_id],
+            insort(hive.search_order[cue_id],
                    SearchEntry(cue_id, dn_id, weight))
         return weight
 

@@ -258,42 +258,32 @@ class MemoryEngine:
     def get_search_order(self, cue_id: int | None) -> list[SearchEntry]:
         """Candidate list for a cue, as a fresh list.
 
-        A known cue gives its maintained order; an unknown label (``None``)
-        falls back to every locality's default cue, in locality order.
-        Candidates at average strength <= the association threshold are
-        pruned, duplicates keep their first occurrence, and the list is
-        truncated at the search limit.
-
-        When that is one order (a known cue, or an unknown label in a
-        one-locality hive), the list is a slice of the order: it holds no
-        duplicates and is sorted by descending weight, so the entries above
-        the threshold are a prefix, found by ``bisect``.
+        A known cue walks its maintained order; an unknown label (``None``)
+        walks every locality's default cue's order, in locality order.  Each
+        order is sorted by descending weight, so its entries above the
+        association threshold are a prefix, found by ``bisect``.  The
+        prefixes are joined and cut at the search limit.  The orders share
+        no data neuron: a default cue links only its own locality's.
         """
         hive = self.hive
         t1 = self.search.assoc_thresh
-        search_limit = self.controls.search_limit
+        limit = self.controls.search_limit
         if cue_id is not None:
-            lists = [hive.search_order.get(cue_id, [])]
+            orders = (hive.search_order.get(cue_id, []),)
         else:
-            lists = [hive.search_order.get(loc.default_cue_id, [])
-                     for loc in hive.localities]
-        if len(lists) == 1:
-            order = lists[0]
+            orders = [hive.search_order.get(loc.default_cue_id, [])
+                      for loc in hive.localities]
+        out: list[SearchEntry] = []
+        for order in orders:
             end = len(order)
             if end and not order[-1].avg_weight > t1:
                 end = bisect_left(order, (-t1, -math.inf))
-            if search_limit is not None:
-                end = min(end, search_limit)
-            return order[:end]
-        out: list[SearchEntry] = []
-        seen: set[int] = set()
-        for entries in lists:
-            for entry in entries:
-                if entry.avg_weight > t1 and entry.dn_id not in seen:
-                    seen.add(entry.dn_id)
-                    out.append(entry)
-                    if search_limit is not None and len(out) >= search_limit:
-                        return out
+            if limit is not None:
+                end = min(end, limit - len(out))
+            if out:
+                out += order[:end]
+            else:
+                out = order[:end]
         return out
 
     # -- reaction ------------------------------------------------------------

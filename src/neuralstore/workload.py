@@ -65,7 +65,6 @@ class ManifestItem:
     class_label: str
     priority: bool
     data: bytes | None = None
-    path: str | None = None
 
 
 @dataclass(frozen=True)
@@ -123,9 +122,13 @@ class WorkloadSpec:
         lo, hi = self.payload_size_range
         if lo < 1 or hi < lo:
             problems.append("payload_size_range must satisfy 1 <= lo <= hi")
-        if len(self.labels()) != self.n_classes:
+        labels = self.labels()
+        if len(labels) != self.n_classes:
             problems.append("class_labels length must equal n_classes")
-        if self.priority_label() not in self.labels():
+        repeated = [x for x in labels if labels.count(x) > 1]
+        if repeated:
+            problems.append(f"class_labels repeats {repeated[0]!r}")
+        if self.priority_label() not in labels:
             problems.append("priority_class must be one of the class labels")
         if self.tail_retentions < 0:
             problems.append("tail_retentions must be >= 0")
@@ -355,7 +358,6 @@ def read_manifest(manifest_path: str | Path) -> Corpus:
             except ValueError:
                 raise ConfigurationError(
                     f"{where}: field 'data_hex' is not hexadecimal") from None
-            path = None
         elif path is not None:
             try:
                 data = (manifest_path.parent / path).read_bytes()
@@ -368,7 +370,7 @@ def read_manifest(manifest_path: str | Path) -> Corpus:
             raise ConfigurationError(
                 f"{where}: item {item_id!r} has no payload")
         items.append(ManifestItem(item_id=item_id, class_label=label,
-                                  priority=priority, data=data, path=path))
+                                  priority=priority, data=data))
     return Corpus(items)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import subprocess
@@ -11,7 +12,12 @@ import sys
 import pytest
 
 from neuralstore.cli import main
-from neuralstore.config import _BASE_PRESET, build_adapter, load_config
+from neuralstore.config import (
+    _BASE_PRESET,
+    PRESETS,
+    build_adapter,
+    load_config,
+)
 from neuralstore.core import (
     ConfigurationError,
     HiveParams,
@@ -19,7 +25,14 @@ from neuralstore.core import (
     parse_snapshot,
 )
 from neuralstore.engine import MemoryEngine, OpControls, SearchParams
-from neuralstore.workload import WorkloadSpec, read_manifest, read_trace, replay
+from neuralstore.workload import (
+    WorkloadSpec,
+    build_corpus,
+    generate_trace,
+    read_manifest,
+    read_trace,
+    replay,
+)
 
 
 SMALL_WORKLOAD = {
@@ -43,10 +56,52 @@ def write_config(tmp_path, name="config.json", **extra):
 
 class TestConfig:
     def test_presets_load_and_validate(self):
-        for preset in ("default", "wildlife-deer", "wildlife-wolf",
-                       "uav-cars", "walkthrough"):
+        assert sorted(PRESETS) == ["walkthrough", "wildlife-deer"]
+        for preset in PRESETS:
             config = load_config(preset=preset)
             assert config.hive.eta > 0
+
+    @pytest.mark.parametrize("name", ["default", "wildlife-wolf", "uav-cars"])
+    def test_removed_preset_exits_2_listing_the_known_ones(self, tmp_path,
+                                                           capsys, name):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"preset": name, "seed": 1}))
+        for args in (["--config", str(config)], ["--preset", name]):
+            assert main(["generate", *args,
+                         "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert f"unknown preset {name!r}" in err
+            assert "['walkthrough', 'wildlife-deer']" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_non_string_preset_exits_2_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"preset": ["walkthrough"], "seed": 1}))
+        assert main(["generate", "--config", str(config),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "unknown preset ['walkthrough']" in capsys.readouterr().err
+
+    def test_config_naming_no_preset_is_wildlife_deer(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 42}))
+        deer = load_config(preset="wildlife-deer")
+        assert load_config(path) == deer
+        assert load_config() == deer
+
+    def test_every_pair_of_presets_differs_in_corpus_or_trace(self):
+        # a preset that differs from another only in label strings runs
+        # the same experiment under a second name
+        runs = {}
+        for name in PRESETS:
+            spec = load_config(preset=name).workload
+            corpus = build_corpus(spec)
+            ops = [(r.seq, r.op, r.item_id, r.retention_window)
+                   for r in generate_trace(corpus, spec)]
+            runs[name] = ([item.data for item in corpus.items], ops)
+        for a, b in itertools.combinations(sorted(runs), 2):
+            data_a, ops_a = runs[a]
+            data_b, ops_b = runs[b]
+            assert data_a != data_b or ops_a != ops_b, (a, b)
 
     def test_missing_seed_rejected_naming_field(self, tmp_path):
         path = tmp_path / "c.json"
@@ -72,8 +127,21 @@ class TestConfig:
     def test_preset_mapping_routes_priority_label(self):
         config = load_config(preset="wildlife-deer")
         assert config.hive.locality_mapping[0] == {"labels": ["deer"]}
-        config = load_config(preset="uav-cars")
-        assert config.hive.locality_mapping[0] == {"labels": ["car"]}
+        assert config.workload.priority_label() == "deer"
+        config = load_config(preset="walkthrough")
+        assert config.hive.locality_mapping[0] == {"labels": ["wolf"]}
+        assert config.workload.priority_label() == "wolf"
+
+    def test_repeated_class_label_rejected_naming_it(self, tmp_path, capsys):
+        config = write_config(tmp_path, workload={
+            **SMALL_WORKLOAD, "class_labels": ["deer", "deer"]})
+        with pytest.raises(ConfigurationError,
+                           match="class_labels repeats 'deer'"):
+            load_config(config)
+        assert main(["generate", "--config", str(config),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "class_labels repeats 'deer'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_removed_update_order_control_exits_2_naming_it(self, tmp_path,
                                                             capsys):
@@ -225,6 +293,26 @@ class TestCompare:
         summary = (tmp_path / "c1" / "summary.csv").read_text().splitlines()
         assert summary[0].startswith("engine,")
         assert {row.split(",")[0] for row in summary[1:]} == {"ns", "cam"}
+
+    def test_warmup_skipping_the_whole_trace_exits_2(self, tmp_path, capsys):
+        # 16 items and 40 retrieves under a warm-up of 100 records
+        config = write_config(tmp_path, compare={"warmup_ops": 100})
+        main(["generate", "--config", str(config), "--out", str(tmp_path / "data")])
+        trace = tmp_path / "data" / "trace.jsonl"
+        n_records = len(read_trace(trace))
+        assert n_records <= 100
+        capsys.readouterr()
+        assert main(["compare", "--config", str(config), "--trace", str(trace),
+                     "--out", str(tmp_path / "cmp")]) == 2
+        err = capsys.readouterr().err
+        assert f"compare.warmup_ops 100 skips all {n_records} trace records" \
+            in err
+        assert not (tmp_path / "cmp").exists()
+        # a warm-up that leaves the last record is accepted
+        last = read_trace(trace)[-1].seq
+        config = write_config(tmp_path, compare={"warmup_ops": last})
+        assert main(["compare", "--config", str(config), "--trace", str(trace),
+                     "--out", str(tmp_path / "cmp")]) == 0
 
 
 class TestCapValidation:

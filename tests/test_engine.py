@@ -411,15 +411,20 @@ class TestSearchOrder:
         order = candidates(engine, "hot")
         assert [e.dn_id for e in order] == [b]
 
-    def test_duplicates_keep_first_occurrence(self):
-        # an unknown label walks both localities' default cues
+    def test_default_cue_refuses_another_localitys_data_neuron(self):
+        # an unknown label walks both localities' default cues, whose
+        # orders therefore never share a data neuron
         engine = engine_with()
-        shared = engine.store(blob(0), "hot").dn_id
-        only_cold = engine.store(blob(1, cls=1), "cold").dn_id
-        engine.memory.associate(engine.hive.localities[1].default_cue_id,
-                                shared)
+        hot = engine.store(blob(0), "hot").dn_id
+        cold = engine.store(blob(1, cls=1), "cold").dn_id
+        other = engine.hive.localities[1].default_cue_id
+        before = maintained(engine)
+        with pytest.raises(KeyError, match=f"cue {other} .*data neuron {hot}"):
+            engine.memory.associate(other, hot)
+        assert maintained(engine) == before
+        assert (other, hot) not in engine.memory.weights
         ids = [e.dn_id for e in candidates(engine, "unknown")]
-        assert ids == [shared, only_cold]
+        assert ids == [hot, cold]
 
     def test_strengthening_flips_order(self):
         engine = engine_with()

@@ -40,11 +40,13 @@ def dedup_walk(lists, t1, limit):
     return out
 
 
-def random_order(rng, cue_id: int, n: int) -> list[SearchEntry]:
-    """A sorted order of ``n`` distinct dn ids whose weights, drawn from a
-    few values, tie often."""
+def random_order(rng, cue_id: int, n: int,
+                 dn_ids=None) -> list[SearchEntry]:
+    """A sorted order of ``n`` distinct dn ids, drawn unless given, whose
+    weights, drawn from a few values, tie often."""
     weights = rng.choice([1.0, 2.5, 7.0, 7.0, 40.0, 100.0], size=n)
-    dn_ids = rng.choice(1000, size=n, replace=False)
+    if dn_ids is None:
+        dn_ids = rng.choice(1000, size=n, replace=False)
     entries = [SearchEntry(cue_id, int(d), float(w))
                for d, w in zip(dn_ids, weights)]
     entries.sort()
@@ -105,9 +107,12 @@ class TestSliceAgainstTheWalk:
         defaults = [loc.default_cue_id for loc in engine.hive.localities]
         assert None not in defaults
         for n in [0, 1, 4, 9]:
+            # a default cue links only its own locality's data neurons
+            pool = rng.choice(1000, size=n * len(defaults), replace=False)
             orders = []
-            for cue in defaults:
-                orders.append(random_order(rng, cue, n))
+            for i, cue in enumerate(defaults):
+                orders.append(random_order(rng, cue, n,
+                                           pool[i * n:(i + 1) * n]))
                 engine.hive.search_order[cue] = orders[-1]
             for t1 in thresholds(orders[0]):
                 for limit in [None, *range(1, 2 * n + 2)]:
