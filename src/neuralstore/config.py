@@ -3,7 +3,7 @@
 A run is fully described by one JSON document with these sections::
 
     {
-      "preset": "walkthrough",      // optional; or wildlife-deer, the default
+      "preset": "walkthrough",      // optional: null or absent is no preset
       "seed": 42,                   // required, >= 0; drives corpus/trace/replay
       "engine": "ns",               // ns | cam (default engine for `run`)
       "hive": { ... },              // hive hyperparameters (see HiveParams)
@@ -22,12 +22,15 @@ bootstrap entry's ``cues`` list holds at most one label string.
 Unknown keys anywhere are rejected, every value must have the type its
 field declares (an int passes for a float, a bool for nothing but a bool),
 and every section is validated against its owning module's invariants
-before an engine is built; cap fractions must be finite and positive.
-A config that names no preset is the ``wildlife-deer`` run: the standard
-hyperparameter set (eta 20, epsilon 1, phi 1, retention 500, decay
-[0.5, 1], elasticity 80..1, match threshold 0.95, unbounded search,
-failure decay off) with deer as the priority class, routed to the first
-locality.  The ``walkthrough`` preset overlays a small scripted scenario.
+before an engine is built; cap fractions must be finite, positive and
+strictly ascending.  A preset is named by ``--preset`` or else by the
+file's ``preset``; a name that is not a known preset, the empty name
+included, is refused.  A config that names no preset (a ``preset`` that is
+``null`` or absent, and no ``--preset``) is the ``wildlife-deer`` run: the
+standard hyperparameter set (eta 20, epsilon 1, phi 1, retention 500, decay
+[0.5, 1], elasticity 80..1, match threshold 0.95, unbounded search, failure
+decay off) with deer as the priority class, routed to the first locality.
+The ``walkthrough`` preset overlays a small scripted scenario.
 """
 
 from __future__ import annotations
@@ -139,8 +142,6 @@ class RunConfig:
         if self.cam_policy not in ("fifo", "lru"):
             raise ConfigurationError(f"unknown cam policy {self.cam_policy!r}")
         check_cap_fractions(self.cap_fractions, "compare.cap_fractions")
-        if any(b <= a for a, b in zip(self.cap_fractions, self.cap_fractions[1:])):
-            raise ConfigurationError("cap_fractions must be strictly ascending")
         if self.warmup_ops < 0:
             raise ConfigurationError("warmup_ops must be >= 0")
         n = self.hive.num_localities
@@ -160,19 +161,23 @@ class RunConfig:
 
 
 def check_cap_fractions(fractions: list[float], name: str) -> None:
-    """Reject a cap fraction that is not finite and positive, naming the
-    field or option ``name`` it came from."""
+    """Reject cap fractions that are not finite, positive and strictly
+    ascending, naming the field or option ``name`` they came from."""
     bad = [f for f in fractions if not 0.0 < f < math.inf]
     if bad:
         raise ConfigurationError(
             f"{name} must be finite and positive, got {bad[0]!r}")
+    if any(b <= a for a, b in zip(fractions, fractions[1:])):
+        raise ConfigurationError(
+            f"{name} must be strictly ascending, got {fractions!r}")
 
 
 def cap_bytes(fractions: list[float], full_bytes: int, name: str) -> list[int]:
-    """The byte caps, ascending and without repeats, that cap fractions
-    give for a corpus of ``full_bytes``.  A fraction whose cap is not a
-    finite number of bytes, or rounds to 0 bytes, is rejected naming the
-    field or option ``name`` it came from."""
+    """The byte caps, ascending and without repeats, that ascending cap
+    fractions give for a corpus of ``full_bytes`` (two fractions may round
+    to one cap).  A fraction whose cap is not a finite number of bytes, or
+    rounds to 0 bytes, is rejected naming the field or option ``name`` it
+    came from."""
     caps = set()
     for f in fractions:
         cap = f * full_bytes
@@ -217,7 +222,10 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
             raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigurationError(f"{path}: config must be a JSON object")
-    preset = preset or doc.get("preset") or "wildlife-deer"
+    if preset is None:
+        preset = doc.get("preset")
+    if preset is None:
+        preset = "wildlife-deer"
     if not isinstance(preset, str) or preset not in PRESETS:
         raise ConfigurationError(
             f"unknown preset {preset!r}; known: {sorted(PRESETS)}")

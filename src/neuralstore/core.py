@@ -3,9 +3,9 @@
 The memory holds two kinds of neuron, and weighted associations that each
 lead from a cue neuron to a data neuron:
 
-* cue neurons hold a label string, and are kept in the hive's cue bank,
-  where a label is found by its exact text (a locality's default cue has no
-  label);
+* cue neurons hold a label string, by whose exact text the hive finds
+  them (a locality's default cue has no label, and is the cue its
+  locality names as ``default_cue_id``);
 * data neurons hold a payload, a feature vector and a memory strength in
   ``[phi, 100]`` that governs the stored quality of the payload.
 
@@ -15,8 +15,14 @@ retention updates a whole locality with one array pass and elasticity reads
 a locality's strengths at once.  The neuron object holds its id, feature
 and locality, and reads its state from those columns: its ``strength``,
 ``last_access_op``, ``size_bytes`` and ``payload`` are read-only, and
-change only through ``Memory`` (``adjust_strength``, ``adjust_strengths``,
-``write_lowered``, ``set_payload``, ``reinforce``) or the engine.
+change only through ``Memory``.  Three of its methods lower strengths,
+each truncating the payload where the stored quality falls:
+``adjust_strength`` for one neuron, ``adjust_strengths`` for many rows at
+once (retention), and ``lower_to_floors``, the elasticity walk, which
+lowers the strengths of each ``(locality, ceiling)`` step above its floor
+and stops once the bytes freed cover the shortfall it is given.
+``reinforce`` restores a strength to 100, and ``set_payload`` replaces a
+payload.
 
 A memory holds one hive, with its hyperparameters and
 feature extractor; localities partition the hive by data kind and carry
@@ -185,7 +191,6 @@ def _fmt(x: float | int) -> str:
 class CueNeuron:
     id: int
     label: str | None = None
-    is_default: bool = False
 
 
 class DataNeuron:
@@ -368,7 +373,6 @@ class Hive:
     id: int
     params: HiveParams
     localities: list[Locality] = field(default_factory=list)
-    cue_bank: dict[int, CueNeuron] = field(default_factory=dict)
     search_order: dict[int, list[SearchEntry]] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -475,12 +479,10 @@ class Memory:
         self._next_neuron_id += 1
         return nid
 
-    def _add_cue(self, label: str | None = None,
-                 is_default: bool = False) -> int:
-        """A new cue neuron in the cue bank, with an empty search order."""
-        cue = CueNeuron(id=self._take_id(), label=label, is_default=is_default)
+    def _add_cue(self, label: str | None = None) -> int:
+        """A new cue neuron, with an empty search order."""
+        cue = CueNeuron(id=self._take_id(), label=label)
         self.neurons[cue.id] = cue
-        self.hive.cue_bank[cue.id] = cue
         self.hive.search_order[cue.id] = []
         return cue.id
 
@@ -509,7 +511,7 @@ class Memory:
         self._bytes += len(payload.blob)
         locality.add(dn_id, row)
         if locality.default_cue_id is None:
-            locality.default_cue_id = self._add_cue(is_default=True)
+            locality.default_cue_id = self._add_cue()
         # new neurons join their locality's default cue at the epsilon floor
         self.associate(locality.default_cue_id, dn_id)
         return dn_id
@@ -529,7 +531,7 @@ class Memory:
         """The key of the association from a cue to a data neuron; KeyError
         naming ``cue_id`` if it is not a cue, or ``dn_id`` if it is not a
         data neuron."""
-        if cue_id not in self.hive.cue_bank:
+        if not isinstance(self.neurons.get(cue_id), CueNeuron):
             raise KeyError(f"neuron {cue_id} is not a cue neuron")
         if dn_id not in self.hive.feature_rows:
             raise KeyError(f"neuron {dn_id} is not a data neuron")
@@ -549,11 +551,13 @@ class Memory:
         weight = self.weights.get(key)
         if weight is None:
             hive = self.hive
-            if (hive.cue_bank[cue_id].is_default and cue_id != hive.locality(
-                    self.neurons[dn_id].locality_id).default_cue_id):
-                raise KeyError(
-                    f"default cue {cue_id} belongs to another locality than "
-                    f"data neuron {dn_id}")
+            # a default cue is the one its locality names
+            for loc in hive.localities:
+                if (cue_id == loc.default_cue_id
+                        and loc.id != self.neurons[dn_id].locality_id):
+                    raise KeyError(
+                        f"default cue {cue_id} belongs to another locality "
+                        f"than data neuron {dn_id}")
             weight = self.weights[key] = hive.params.epsilon
             self.edge_access[key] = self.op_counter
             insort(hive.search_order[cue_id],
@@ -650,21 +654,61 @@ class Memory:
             built[row] = None
         return new, lower, freed
 
-    def write_lowered(self, lowered: dict[int, list], fell: set[int]) -> None:
-        """Write the state ``[strength, quality, size]`` of lowered hive
-        rows: every row's strength, and the stored quality and size of the
-        rows in ``fell``, keeping the byte total current.
-        ``MemoryEngine``'s elasticity walk works them out."""
+    def lower_to_floors(self, steps, shortfall: float) -> int:
+        """Walk ``(locality, ceiling)`` steps in order, lowering each strength
+        in the step's locality above ``floor = max(phi, ceiling)`` to the
+        floor, and stop after the first step by which the bytes freed reach
+        ``shortfall``; return the bytes freed.
+
+        A locality's strengths are read once, when the walk first reaches
+        it.  A step whose floor is not below the highest of them changes
+        nothing and is skipped; otherwise one comparison selects the rows
+        read above the floor, which are lowered one by one from the strength
+        they have by then, with the float operations of
+        :meth:`adjust_strength`; a row whose stored quality falls is
+        truncated as that method truncates it.
+        """
         hive = self.hive
-        strength, quality, keep, built = (hive.strength, hive.quality,
-                                          hive.keep, hive.built)
-        for row, (s, q, kept) in lowered.items():
-            strength[row] = s
-            if row in fell:
-                self._bytes -= keep.item(row) - kept
-                quality[row] = q
-                keep[row] = kept
-                built[row] = None
+        phi = hive.params.phi
+        strength, quality, keep, size, built = (
+            hive.strength, hive.quality, hive.keep, hive.original_size,
+            hive.built)
+        read: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+        freed = 0
+        for locality, ceiling in steps:
+            floor = max(phi, ceiling)
+            column = read.get(locality.id)
+            if column is None:
+                rows = locality.rows
+                strengths = strength[rows]
+                column = read[locality.id] = (
+                    rows, strengths,
+                    strengths.max() if len(rows) else -math.inf)
+            rows, strengths, top = column
+            if not top > floor:
+                continue
+            for row in rows[strengths > floor].tolist():
+                s = strength.item(row)
+                if not s > floor:
+                    continue
+                # min(100, max(phi, s - (s - floor))), as clamp_strength
+                new = s - (s - floor)
+                if not new > phi:
+                    new = phi
+                if not new < 100.0:
+                    new = 100.0
+                strength[row] = new
+                if new < quality.item(row):
+                    old = keep.item(row)
+                    kept = min(old, math.ceil(size.item(row) * new / 100.0))
+                    quality[row] = new
+                    keep[row] = kept
+                    built[row] = None
+                    freed += old - kept
+            if freed >= shortfall:
+                break
+        self._bytes -= freed
+        return freed
 
     def set_payload(self, dn: DataNeuron, payload: Payload) -> None:
         """Replace a data neuron's payload, keeping the byte total current."""
@@ -709,6 +753,7 @@ class Memory:
                 f"memory_decay={_fmt(loc.memory_decay_rate)} "
                 f"association_decay={_fmt(loc.association_decay_rate)} "
                 f"default_cue={default}")
+        defaults = {loc.default_cue_id for loc in hive.localities}
         for nid, neuron in sorted(self.neurons.items()):
             if isinstance(neuron, CueNeuron):
                 # "-" stands for no label, so the label "-" is escaped
@@ -716,7 +761,7 @@ class Memory:
                          "%2D" if neuron.label == "-" else
                          urllib.parse.quote(neuron.label))
                 lines.append(f"cue {nid} hive={hive.id} label={label} "
-                             f"default={int(neuron.is_default)}")
+                             f"default={int(nid in defaults)}")
             else:
                 lines.append(
                     f"data {nid} hive={hive.id} locality={neuron.locality_id} "

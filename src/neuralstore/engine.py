@@ -34,9 +34,10 @@ each idle association at its data neuron's locality's association decay
 rate.  An operation's candidate list is a fresh list taken before its
 scan, so entries moved during the scan do not change it.  For a known
 label the list is a slice of its cue's order, up to the association
-threshold, found by ``bisect``, and the search limit; an unknown label in a
-hive of several localities merges their default cues' orders by a walk that
-drops repeated data neurons.
+threshold, found by ``bisect``, and the search limit; for an unknown label
+it joins the same slices of every locality's default cue's order, in
+locality order, cut at the search limit.  Those orders share no data
+neuron, since a default cue links only its own locality's.
 
 Matching scores the query (a store's extracted feature, or a retrieve's
 fine cue) once against the hive's feature matrix, whose rows are the data
@@ -74,17 +75,16 @@ for one neuron, takes them as the rows' qualities and truncates the sizes
 that fall, and the retention summary and the bytes freed are read off the
 changed rows in id order.
 
-Elasticity is one walk over ``(locality, ceiling)`` steps: ``ensure_capacity``
-takes the schedules iteration by iteration, least-important locality first,
-then with phi = 0 a terminal pass at ceiling 0, and stops after the first
-step by which the bytes freed cover the shortfall.  The walk reads a
-locality's strength column once; a step whose floor is not below the
-column's highest strength is skipped, and otherwise one comparison selects
-the rows above the floor, which are lowered in Python with the float
-operations of ``Memory.adjust_strength``, each from the strength an earlier
-step left it.  The changed rows are written to the hive once, at the end
-(``Memory.write_lowered``).  ``elasticity`` and ``_cap_locality`` are walks
-of one step.
+Elasticity is one walk over ``(locality, ceiling)`` steps.  When a store
+does not fit under the byte capacity, ``ensure_capacity`` calls
+``elasticity`` with the shortfall, which is the escalation policy: it takes
+the schedules iteration by iteration, least-important locality first, then
+with phi = 0 a terminal pass at ceiling 0, and hands those steps to
+``Memory.lower_to_floors``.  The walk lowers each step's strengths above
+``max(phi, ceiling)`` and their stored quality with them (see
+:mod:`neuralstore.core`), and stops after the first step by which the
+bytes freed cover the shortfall; a request that still does not fit raises
+``StorageFullError``.
 """
 
 from __future__ import annotations
@@ -102,6 +102,7 @@ import numpy as np
 from neuralstore.codec import Payload, cosine_similarity
 from neuralstore.core import (
     ConfigurationError,
+    CueNeuron,
     Hive,
     HiveParams,
     Locality,
@@ -144,10 +145,6 @@ def _check_fine_cue(fine_cue, dim: int) -> np.ndarray:
 
 class StorageFullError(RuntimeError):
     """Capacity cannot be created even at maximum elasticity aggressiveness."""
-
-
-class ElasticityExhausted(RuntimeError):
-    """Requested elasticity iteration is beyond the configured schedule."""
 
 
 @dataclass
@@ -322,22 +319,6 @@ class MemoryEngine:
 
     # -- capacity ------------------------------------------------------------
 
-    def elasticity(self, locality: Locality, iteration: int) -> int:
-        """Lower the locality's strengths to the schedule's ceiling at
-        ``iteration``, as one step of the elasticity walk; return the bytes
-        freed."""
-        schedule = self.params.elasticity_schedules[locality.id]
-        if iteration >= len(schedule):
-            raise ElasticityExhausted(
-                f"iteration {iteration} beyond schedule of {len(schedule)}")
-        ceiling = schedule[iteration]
-        return self._cap_locality(locality, ceiling)
-
-    def _cap_locality(self, locality: Locality, ceiling: float) -> int:
-        """Lower every strength in the locality above ``max(phi, ceiling)``
-        to that floor, as a walk of one step; return the bytes freed."""
-        return self._lower_to_floors([(locality, ceiling)], math.inf)
-
     def _squeeze_steps(self) -> typing.Iterator[tuple[Locality, float]]:
         """The ``(locality, ceiling)`` steps of escalating elasticity.
 
@@ -358,82 +339,22 @@ class MemoryEngine:
             for locality in order:
                 yield locality, 0.0
 
-    def _lower_to_floors(self, steps, shortfall: float) -> int:
-        """Walk ``(locality, ceiling)`` steps in order, lowering each strength
-        in the step's locality above ``floor = max(phi, ceiling)`` to the
-        floor, and stop after the first step by which the bytes freed reach
-        ``shortfall``; write the changed rows to the hive once and return the
-        bytes freed.
-
-        A locality's strengths are read once, when the walk first reaches
-        it.  A step whose floor is not below the highest of them changes
-        nothing and is skipped; otherwise one comparison selects the rows
-        read above the floor, which are lowered one by one from the strength
-        they have by then, with the float operations of
-        ``Memory.adjust_strength``.
-        """
-        hive, phi = self.hive, self.params.phi
-        quality, keep, size = hive.quality, hive.keep, hive.original_size
-        read: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
-        # row -> [strength, stored quality, stored size] of each row lowered
-        lowered: dict[int, list] = {}
-        fell: set[int] = set()      # the rows whose stored quality fell
-        freed = 0
-        for locality, ceiling in steps:
-            floor = max(phi, ceiling)
-            column = read.get(locality.id)
-            if column is None:
-                rows = locality.rows
-                strengths = hive.strength[rows]
-                column = read[locality.id] = (
-                    rows, strengths,
-                    strengths.max() if len(rows) else -math.inf)
-            rows, strengths, top = column
-            if not top > floor:
-                continue
-            above = (strengths > floor).nonzero()[0]
-            for row, s in zip(rows[above].tolist(), strengths[above].tolist()):
-                state = lowered.get(row)
-                if state is None:
-                    state = lowered[row] = [s, quality.item(row),
-                                            keep.item(row)]
-                else:
-                    s = state[0]
-                    if not s > floor:
-                        continue
-                # min(100, max(phi, s - (s - floor))), as clamp_strength
-                new = s - (s - floor)
-                if not new > phi:
-                    new = phi
-                if not new < 100.0:
-                    new = 100.0
-                state[0] = new
-                if new < state[1]:
-                    kept = math.ceil(size.item(row) * new / 100.0)
-                    if kept < state[2]:
-                        freed += state[2] - kept
-                        state[2] = kept
-                    state[1] = new
-                    fell.add(row)
-            if freed >= shortfall:
-                break
-        self.memory.write_lowered(lowered, fell)
-        return freed
+    def elasticity(self, shortfall: float) -> int:
+        """Lower stored quality along the steps of :meth:`_squeeze_steps`, in
+        one ``Memory.lower_to_floors`` walk, up to the first step by which
+        the bytes freed reach ``shortfall``; return the bytes freed."""
+        return self.memory.lower_to_floors(self._squeeze_steps(), shortfall)
 
     def ensure_capacity(self, bytes_needed: int) -> None:
-        """Free space through escalating elasticity until the request fits.
-
-        The steps of :meth:`_squeeze_steps` are walked in one
-        :meth:`_lower_to_floors` call, up to the first step after which the
-        request fits; if it does not fit after the last, storage is full.
-        """
+        """Free space through :meth:`elasticity` until the request fits; if
+        it does not fit after the last step, storage is full."""
         cap = self.params.capacity_bytes
         if cap is None:
             return
         shortfall = bytes_needed - (cap - self.memory.total_bytes())
         if shortfall <= 0:
             return
-        if self._lower_to_floors(self._squeeze_steps(), shortfall) < shortfall:
+        if self.elasticity(shortfall) < shortfall:
             raise StorageFullError(
                 f"hive {self.hive.id}: need {bytes_needed} bytes, only "
                 f"{cap - self.memory.total_bytes()} free at maximum elasticity")
@@ -545,7 +466,7 @@ class MemoryEngine:
             dn_id = self.memory.add_data_neuron(locality.id, payload, feature)
             self._link_cue(cue, cue_id, dn_id)
             outcome = OpOutcome("new_neuron", dn_id, len(examined), payload,
-                                100.0, examined)
+                                payload.quality, examined)
         self._auto_retention()
         return outcome
 
@@ -580,13 +501,13 @@ class MemoryEngine:
         window = self.params.retention_period if n is None else n
         if window < 1:
             raise ConfigurationError("retention window must be >= 1")
-        return self._retention_pass(window, self.controls.weaken_on_fail)
+        return self._retention_pass(window)
 
-    def _retention_pass(self, window: int, decay_edges: bool) -> RetentionSummary:
+    def _retention_pass(self, window: int) -> RetentionSummary:
         summary = RetentionSummary()
         memory, hive = self.memory, self.hive
         counter = memory.op_counter
-        if decay_edges:
+        if self.controls.weaken_on_fail:
             # an association ages at its data neuron's locality's rate
             for (cue_id, dn_id), old in sorted(memory.weights.items()):
                 if counter - memory.edge_access[cue_id, dn_id] < window:
@@ -624,7 +545,7 @@ class MemoryEngine:
     def _auto_retention(self) -> None:
         n = self.params.retention_period
         if self.memory.op_counter % n == 0:
-            self._retention_pass(n, self.controls.weaken_on_fail)
+            self._retention_pass(n)
 
     # -- fixtures --------------------------------------------------------------
 
@@ -652,11 +573,13 @@ class MemoryEngine:
 def oracle_search_order(memory: Memory, hive: Hive) -> dict[int, list[tuple[int, float]]]:
     """Recomputation of every cue's search order from the association weights.
 
-    Independent of the maintained lists: reads only the weights and sorts
-    from scratch.  Returns ``{cue_id: [(dn_id, avg_weight), ...]}``.
+    Independent of the maintained lists: reads only ``memory``'s cue
+    neurons and weights (``hive``, its hive, is not read), and sorts from
+    scratch.  Returns ``{cue_id: [(dn_id, avg_weight), ...]}``.
     """
     orders: dict[int, list[tuple[int, float]]] = {
-        cue_id: [] for cue_id in hive.cue_bank}
+        nid: [] for nid, neuron in memory.neurons.items()
+        if isinstance(neuron, CueNeuron)}
     for (cue_id, dn_id), w in memory.weights.items():
         orders[cue_id].append((dn_id, w))
     for pairs in orders.values():

@@ -438,6 +438,9 @@ def _row_field(path: Path, lineno: int, row: dict, key: str, kind: type,
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
+    """A trace file's records.  ``ConfigurationError`` names the file for
+    an empty file, a bad header or no records, and the line for a bad
+    record."""
     path = Path(path)
     lines = _read_lines(path)
     if not lines:
@@ -465,6 +468,8 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
             coarse_cues=tuple(field_of("coarse_cues", list, ())),
             use_fine_cue=field_of("use_fine_cue", bool, True),
             retention_window=field_of("n", int, None)))
+    if not records:
+        raise ConfigurationError(f"{path}: trace has a header but no records")
     return records
 
 

@@ -37,7 +37,7 @@ import pytest
 from neuralstore.cli import main as cli_main
 from neuralstore.codec import cosine_similarity
 from neuralstore.config import build_adapter, load_config
-from neuralstore.core import HiveParams
+from neuralstore.core import CueNeuron, HiveParams
 from neuralstore.engine import (
     MemoryEngine,
     OpControls,
@@ -223,7 +223,8 @@ def _check_invariants(engine: MemoryEngine) -> None:
     epsilon, phi = engine.params.epsilon, engine.params.phi
     for (cue_id, dn_id), w in memory.weights.items():
         assert w >= epsilon - 1e-9, f"weight {w} below epsilon {epsilon}"
-        assert cue_id in hive.cue_bank and dn_id in hive.feature_rows
+        assert isinstance(memory.neurons[cue_id], CueNeuron)
+        assert dn_id in hive.feature_rows
     assert memory.edge_access.keys() == memory.weights.keys()
     for dn in data_neurons(memory):
         assert phi - 1e-9 <= dn.strength <= 100.0 + 1e-9

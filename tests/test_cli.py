@@ -74,6 +74,29 @@ class TestConfig:
             assert "['walkthrough', 'wildlife-deer']" in err
         assert not (tmp_path / "x").exists()
 
+    def test_empty_preset_name_exits_2_listing_the_known_ones(self, tmp_path,
+                                                              capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"preset": "", "seed": 1}))
+        named = tmp_path / "named.json"
+        named.write_text(json.dumps({"preset": "walkthrough", "seed": 1}))
+        # an empty --preset is refused, not passed over for the file's
+        for args in (["--config", str(empty)], ["--preset", ""],
+                     ["--config", str(named), "--preset", ""]):
+            assert main(["generate", *args,
+                         "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert "unknown preset ''" in err
+            assert "['walkthrough', 'wildlife-deer']" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_null_preset_in_a_config_file_is_no_preset(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"preset": None, "seed": 42}))
+        assert load_config(path) == load_config(preset="wildlife-deer")
+        assert load_config(path, preset="walkthrough") == load_config(
+            preset="walkthrough")
+
     def test_non_string_preset_exits_2_naming_it(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"preset": ["walkthrough"], "seed": 1}))
@@ -315,6 +338,23 @@ class TestCompare:
                      "--out", str(tmp_path / "cmp")]) == 0
 
 
+    def test_trace_without_records_exits_2_naming_it(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["generate", "--preset", "walkthrough",
+                     "--out", str(data)]) == 0
+        header = (data / "trace.jsonl").read_text().splitlines()[0]
+        trace = data / "header-only.jsonl"
+        trace.write_text(header + "\n")
+        capsys.readouterr()
+        for command in ("run", "compare"):
+            out = tmp_path / command
+            assert main([command, "--preset", "walkthrough", "--trace",
+                         str(trace), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"{trace}: trace has a header but no records" in err
+            assert not out.exists()
+
+
 class TestCapValidation:
     @pytest.fixture
     def generated(self, tmp_path):
@@ -343,6 +383,32 @@ class TestCapValidation:
                      str(generated), f"--caps={caps}",
                      "--out", str(tmp_path / "c")]) == 2
         assert "--caps must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("fractions", [[0.5, 0.1], [0.5, 0.5],
+                                           [0.1, 0.5, 0.3]])
+    def test_config_cap_fractions_out_of_order_exit_2_naming_the_field(
+            self, generated, tmp_path, capsys, fractions):
+        config = write_config(tmp_path, name="bad.json",
+                              compare={"cap_fractions": fractions})
+        capsys.readouterr()
+        assert main(["compare", "--config", str(config), "--trace",
+                     str(generated), "--out", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert f"compare.cap_fractions must be strictly ascending, got " \
+            f"{fractions!r}" in err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("caps", ["0.5,0.1,0.5", "0.5,0.5", "1,0.5"])
+    def test_caps_option_out_of_order_exits_2_naming_it(
+            self, generated, tmp_path, capsys, caps):
+        config = write_config(tmp_path)
+        capsys.readouterr()
+        assert main(["compare", "--config", str(config), "--trace",
+                     str(generated), f"--caps={caps}",
+                     "--out", str(tmp_path / "c")]) == 2
+        assert "error: --caps must be strictly ascending, got " in \
+            capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("fraction, problem", [

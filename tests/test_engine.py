@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from neuralstore.codec import Payload
 from neuralstore.core import ConfigurationError, HiveParams
 from neuralstore.engine import (
-    ElasticityExhausted,
     MemoryEngine,
     OpControls,
     SearchParams,
@@ -38,6 +40,14 @@ def maintained(engine) -> dict:
 
 
 class TestStore:
+    def test_new_neuron_reports_the_quality_it_stores(self):
+        engine = engine_with()
+        data = blob(0, size=1000)
+        out = engine.store(Payload(data[:600], data, 60.0), "hot")
+        assert out.kind == "new_neuron"
+        stored = engine.memory.data_neuron(out.dn_id).payload
+        assert out.quality == stored.quality == 60.0
+
     def test_empty_memory_store_cost_zero(self):
         engine = engine_with()
         out = engine.store(blob(0), "hot")
@@ -303,12 +313,18 @@ class TestRetention:
         assert order == oracle_search_order(engine.memory, engine.hive)[cue]
 
 
+def lower_locality(engine, locality_id: int, ceiling: float) -> int:
+    """One step of the elasticity walk, run to its end."""
+    return engine.memory.lower_to_floors(
+        [(engine.hive.localities[locality_id], ceiling)], math.inf)
+
+
 class TestElasticity:
     def test_ceiling_caps_strength(self):
         engine = engine_with()
         out = engine.store(blob(0, size=1000), "hot")
         engine.memory.adjust_strength(out.dn_id, 5.0)   # 95
-        freed = engine.elasticity(engine.hive.localities[0], 0)
+        freed = lower_locality(engine, 0, 80.0)
         dn = engine.memory.data_neuron(out.dn_id)
         assert dn.strength == 80.0
         assert dn.size_bytes == 800
@@ -318,7 +334,7 @@ class TestElasticity:
         engine = engine_with()
         out = engine.store(blob(0), "hot")
         engine.memory.adjust_strength(out.dn_id, 50.0)
-        freed = engine.elasticity(engine.hive.localities[0], 0)
+        freed = lower_locality(engine, 0, 80.0)
         assert engine.memory.data_neuron(out.dn_id).strength == 50.0
         assert freed == 0
 
@@ -327,18 +343,12 @@ class TestElasticity:
         dns = [engine.store(blob(u, size=300), "hot").dn_id for u in range(3)]
         engine.memory.adjust_strength(dns[0], 5.0)
         engine.memory.adjust_strength(dns[1], 50.0)
-        freed = engine.elasticity(engine.hive.localities[0], 8)
+        freed = lower_locality(engine, 0, 1.0)
         for dn_id in dns:
             dn = engine.memory.data_neuron(dn_id)
             assert dn.strength == 1.0
             assert dn.size_bytes == 3    # ceil(300 * 1%)
         assert freed == (285 - 3) + (150 - 3) + (300 - 3)
-
-    def test_iteration_beyond_schedule_signals(self):
-        engine = engine_with()
-        engine.store(blob(0), "hot")
-        with pytest.raises(ElasticityExhausted):
-            engine.elasticity(engine.hive.localities[0], 9)
 
 
 class TestEnsureCapacity:
@@ -365,6 +375,28 @@ class TestEnsureCapacity:
         assert engine.memory.data_neuron(b).size_bytes == 800
         assert engine.memory.data_neuron(c).size_bytes == 400
         assert 2600 - engine.memory.total_bytes() == 400
+
+    def test_capped_store_makes_room_through_elasticity(self, monkeypatch):
+        calls = []
+        elasticity = MemoryEngine.elasticity
+
+        def spy(self, shortfall):
+            before = self.memory.total_bytes()
+            freed = elasticity(self, shortfall)
+            calls.append((shortfall, freed, before - self.memory.total_bytes()))
+            return freed
+
+        monkeypatch.setattr(MemoryEngine, "elasticity", spy)
+        engine = engine_with(capacity_bytes=2000)
+        engine.store(blob(0, size=1000), "hot")
+        engine.store(blob(1, size=800, cls=1), "other")
+        assert calls == []                      # both fit
+        out = engine.store(blob(2, size=500, cls=2), "other")
+        assert out.kind == "new_neuron"
+        # 300 short: locality 1 at ceiling 80 frees 160, then locality 0
+        # at 80 frees 200, and the walk stops there
+        assert calls == [(300, 360, 360)]
+        assert engine.memory.total_bytes() == 1800 - 360 + 500
 
     def test_storage_full_when_schedule_exhausted(self):
         engine = engine_with(capacity_bytes=500)

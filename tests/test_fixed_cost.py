@@ -221,7 +221,8 @@ class TestFidelityKeptPerPayload:
         assert psnr_fidelity(aged) == pytest.approx(reference_psnr(aged),
                                                     rel=1e-12)
         assert psnr_fidelity(full) == math.inf
-        engine._cap_locality(engine.hive.localities[0], 20.0)
+        engine.memory.lower_to_floors([(engine.hive.localities[0], 20.0)],
+                                      math.inf)
         squeezed = neuron.payload
         assert squeezed is not aged and squeezed.quality == 20.0
         assert psnr_fidelity(squeezed) == pytest.approx(

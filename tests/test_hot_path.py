@@ -30,7 +30,6 @@ from neuralstore.core import (
     clamp_strength,
 )
 from neuralstore.engine import (
-    ElasticityExhausted,
     MemoryEngine,
     OpControls,
     RetentionSummary,
@@ -372,14 +371,13 @@ def reference_cap(engine, locality, ceiling: float) -> int:
     return freed
 
 
-def reference_retention(engine, window: int,
-                        decay_edges: bool) -> RetentionSummary:
+def reference_retention(engine, window: int) -> RetentionSummary:
     """The retention pass walking each idle data neuron through the scalar
     ``adjust_strength``."""
     summary = RetentionSummary()
     memory = engine.memory
     counter = memory.op_counter
-    if decay_edges:
+    if engine.controls.weaken_on_fail:
         for (cue_id, dn_id), old in sorted(memory.weights.items()):
             if counter - memory.edge_access[cue_id, dn_id] < window:
                 continue
@@ -404,10 +402,13 @@ def reference_retention(engine, window: int,
     return summary
 
 
-def reference_ensure_capacity(engine, bytes_needed: int) -> None:
-    """Escalating elasticity a step at a time: one ``elasticity`` call (in
-    the terminal pass, ``_cap_locality``) per step, reading the free bytes
-    after each."""
+def reference_ensure_capacity(engine, bytes_needed: int,
+                              cap_step=reference_cap) -> None:
+    """Escalating elasticity a step at a time, each step one
+    ``cap_step(engine, locality, ceiling)`` call, reading the free bytes
+    after each: iteration by iteration, localities by descending memory
+    decay rate (the later one first on ties), each while its schedule
+    lasts, then with phi = 0 a terminal pass at ceiling 0."""
     params = engine.params
     cap = params.capacity_bytes
     if cap is None:
@@ -420,17 +421,18 @@ def reference_ensure_capacity(engine, bytes_needed: int) -> None:
         return
     order = sorted(engine.hive.localities,
                    key=lambda loc: (-loc.memory_decay_rate, -loc.id))
-    for iteration in range(max(map(len, params.elasticity_schedules))):
+    schedules = params.elasticity_schedules
+    for iteration in range(max(map(len, schedules))):
         for locality in order:
-            try:
-                engine.elasticity(locality, iteration)
-            except ElasticityExhausted:
+            schedule = schedules[locality.id]
+            if iteration >= len(schedule):
                 continue
+            cap_step(engine, locality, schedule[iteration])
             if free() >= bytes_needed:
                 return
     if params.phi == 0.0:
         for locality in order:
-            engine._cap_locality(locality, 0.0)
+            cap_step(engine, locality, 0.0)
             if free() >= bytes_needed:
                 return
     raise StorageFullError(
@@ -443,11 +445,8 @@ class ScalarReferenceEngine(MemoryEngine):
     through the scalar ``Memory.adjust_strength``, and capacity is made a
     step at a time."""
 
-    def _retention_pass(self, window, decay_edges):
-        return reference_retention(self, window, decay_edges)
-
-    def _cap_locality(self, locality, ceiling):
-        return reference_cap(self, locality, ceiling)
+    def _retention_pass(self, window):
+        return reference_retention(self, window)
 
     def ensure_capacity(self, bytes_needed):
         reference_ensure_capacity(self, bytes_needed)
@@ -486,7 +485,8 @@ class TestElasticityFloor:
         assert len(locality[0].dn_ids) == len(strengths)
         for ceiling in (100.0, 150.0, 80.0, 50.0, 50.0, 30.0, 29.5, 10.0,
                         1.0, 0.0):
-            assert (new._cap_locality(locality[0], ceiling)
+            assert (new.memory.lower_to_floors([(locality[0], ceiling)],
+                                               math.inf)
                     == reference_cap(old, locality[1], ceiling)), ceiling
             assert ([(dn.strength, dn.size_bytes, dn.payload.quality)
                      for dn in data_neurons(new.memory)]
@@ -690,16 +690,19 @@ class TestArrayPasses:
                 compressed += len(got.compressed)
             else:
                 for i in (0, 1):
-                    assert (new._cap_locality(new.hive.localities[i], step[1])
-                            == old._cap_locality(old.hive.localities[i],
-                                                 step[1])), step
+                    assert (new.memory.lower_to_floors(
+                        [(new.hive.localities[i], step[1])], math.inf)
+                        == reference_cap(old, old.hive.localities[i],
+                                         step[1])), step
             assert_same_rows(new, old, before)
         assert compressed
         assert new.memory.total_bytes() < sum(
             dn.payload.original_size for dn in data_neurons(new.memory))
         for i, iteration in ((1, 0), (0, 1), (1, 2)):
-            assert (new.elasticity(new.hive.localities[i], iteration)
-                    == old.elasticity(old.hive.localities[i], iteration))
+            ceiling = new.params.elasticity_schedules[i][iteration]
+            assert (new.memory.lower_to_floors(
+                [(new.hive.localities[i], ceiling)], math.inf)
+                == reference_cap(old, old.hive.localities[i], ceiling))
             assert_same_rows(new, old, before)
 
     def test_retention_keeps_id_order_and_counts_only_moved_strengths(self):
@@ -724,8 +727,8 @@ class TestArrayPasses:
 
 class TestCapacityWalk:
     """``ensure_capacity`` as one walk against the step-by-step reference:
-    one ``elasticity`` call per step through the per-neuron
-    ``reference_cap``, reading the free bytes after each."""
+    one per-neuron ``reference_cap`` per step, reading the free bytes after
+    each."""
 
     # schedules of unequal length with floors where c - (c - f) != f for
     # some strength c, each ending at or above max(phi, 1); the first two
@@ -774,16 +777,14 @@ class TestCapacityWalk:
         steps = copy.deepcopy(old)
         steps.params.capacity_bytes = total
         after: list[int] = []
-        cap_locality = steps._cap_locality
 
-        def recording(locality, ceiling):
+        def recording(engine, locality, ceiling):
             after.append((after[-1] if after else 0)
-                         + cap_locality(locality, ceiling))
+                         + reference_cap(engine, locality, ceiling))
             return after[-1]
 
-        steps._cap_locality = recording
         with pytest.raises(StorageFullError):
-            steps.ensure_capacity(total + 1)
+            reference_ensure_capacity(steps, total + 1, cap_step=recording)
         assert steps.memory.total_bytes() == total - after[-1]
         schedules = self.CASES[phi]
         assert len(after) == sum(map(len, schedules)) + 3 * (phi == 0.0)
@@ -860,7 +861,8 @@ class TestReinforcement:
         memory, hive = engine.memory, engine.hive
         dn_ids = [engine.store(blob(c), "hot").dn_id for c in range(4)]
         locality = hive.localities[0]
-        engine.elasticity(locality, 1)          # all four to max(phi, 45)
+        # all four to max(phi, 45)
+        engine.memory.lower_to_floors([(locality, 45.0)], math.inf)
         engine.retention(n=1)                   # each idle one down 30
         memory.adjust_strength(dn_ids[1], 33.3)
         engine.retention(n=1)
