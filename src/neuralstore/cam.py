@@ -2,8 +2,8 @@
 
 One-to-one tag/data entries, exact tag matching, linear scan cost, and data
 held at full quality forever.  No learning, no quality modulation: the only
-dynamism is the replacement policy (FIFO by default, LRU selectable) that
-evicts entries when a byte capacity is configured.
+dynamism is FIFO replacement, which evicts the oldest entries when a byte
+capacity is configured.
 
 Costs are counted the same way as for the learning engine: the number of
 entries examined by the scan, with no search parallelism.
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from neuralstore.codec import Payload
-from neuralstore.core import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -29,50 +28,29 @@ class CamStoreResult:
 class CamEntry:
     tag: str
     data: Payload        # always quality 100, never recompressed
-    insert_seq: int
-    last_touch: int
 
 
 class CamBaseline:
-    """Linear-scan CAM with byte capacity and FIFO/LRU replacement."""
+    """Linear-scan CAM with byte capacity and FIFO replacement."""
 
-    engine_id = "cam"
-
-    def __init__(self, capacity_bytes: int | None = None, policy: str = "fifo"):
-        if policy not in ("fifo", "lru"):
-            raise ConfigurationError(f"unknown replacement policy {policy!r}")
+    def __init__(self, capacity_bytes: int | None = None):
         self.capacity_bytes = capacity_bytes
-        self.policy = policy
-        self.entries: list[CamEntry] = []
-        self._seq = 0
+        self.entries: list[CamEntry] = []    # in insertion order
         self.total_scanned = 0
 
     @property
     def total_bytes(self) -> int:
         return sum(e.data.size_bytes for e in self.entries)
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _pick_victim(self, exclude: CamEntry) -> CamEntry | None:
-        candidates = [e for e in self.entries if e is not exclude]
-        if not candidates:
-            return None
-        if self.policy == "fifo":
-            return min(candidates, key=lambda e: e.insert_seq)
-        return min(candidates, key=lambda e: e.last_touch)
-
     def store(self, tag: str, data: bytes | Payload) -> CamStoreResult:
         """Store data under a tag.
 
         Scans for an existing tag (cost = entries scanned), overwriting in
-        place on a match and appending otherwise; evicts per policy until the
-        data fits.  ``stored`` comes back False only when the item alone
-        exceeds capacity, in which case it is dropped.
+        place on a match and appending otherwise; evicts the oldest other
+        entries until the data fits.  ``stored`` comes back False only when
+        the item alone exceeds capacity, in which case it is dropped.
         """
         payload = data if isinstance(data, Payload) else Payload.from_bytes(data)
-        seq = self._next_seq()
         cost = 0
         current = None
         overwrote = False
@@ -81,21 +59,21 @@ class CamBaseline:
             self.total_scanned += 1
             if entry.tag == tag:
                 entry.data = payload
-                entry.last_touch = seq
                 current = entry
                 overwrote = True
                 break
         if current is None:
-            current = CamEntry(tag=tag, data=payload, insert_seq=seq, last_touch=seq)
+            current = CamEntry(tag=tag, data=payload)
             self.entries.append(current)
         evicted = 0
         if self.capacity_bytes is not None:
             while self.total_bytes > self.capacity_bytes:
-                victim = self._pick_victim(exclude=current)
-                if victim is None:
-                    self.entries.remove(current)
+                # the oldest entry other than the one just stored
+                victim = 1 if self.entries[0] is current else 0
+                if victim == len(self.entries):
+                    self.entries.clear()     # the item alone is too large
                     return CamStoreResult(cost, evicted, False, overwrote)
-                self.entries.remove(victim)
+                del self.entries[victim]
                 evicted += 1
         return CamStoreResult(cost, evicted, True, overwrote)
 
@@ -110,7 +88,5 @@ class CamBaseline:
             cost += 1
             self.total_scanned += 1
             if entry.tag == tag:
-                if self.policy == "lru":
-                    entry.last_touch = self._next_seq()
                 return entry.data, cost
         return None, cost

@@ -68,10 +68,8 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="seed override")
 
 
-def _load(args, engine: str | None = None,
-          capacity: int | None | str = "unset") -> RunConfig:
-    return load_config(args.config, preset=args.preset, seed=args.seed,
-                       engine=engine, capacity_bytes=capacity)
+def _load(args) -> RunConfig:
+    return load_config(args.config, preset=args.preset, seed=args.seed)
 
 
 def cmd_generate(args) -> int:
@@ -92,12 +90,12 @@ def _resolve_manifest(args) -> Path:
 
 
 def cmd_run(args) -> int:
-    capacity = args.cap if args.cap is not None else "unset"
-    config = _load(args, engine=args.engine, capacity=capacity)
+    config = _load(args)
     corpus = read_manifest(_resolve_manifest(args))
     records = read_trace(Path(args.trace))
     out = Path(args.out)
-    adapter = build_adapter(config, corpus)
+    adapter = build_adapter(config, corpus, engine=args.engine,
+                            capacity_bytes=args.cap)
     log = replay(records, adapter, corpus)
     engine = adapter.engine_id
     log_path = write_log(log, out / f"oplog-{engine}.jsonl")
@@ -213,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", type=Path, required=True, help="trace file")
     p.add_argument("--manifest", type=Path, default=None,
                    help="manifest file (default: manifest.jsonl next to trace)")
-    p.add_argument("--engine", choices=["ns", "cam"], default=None)
+    p.add_argument("--engine", choices=["ns", "cam"], default="ns")
     p.add_argument("--cap", type=int, default=None, help="byte capacity override")
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     p.set_defaults(func=cmd_run)

@@ -5,11 +5,9 @@ A run is fully described by one JSON document with these sections::
     {
       "preset": "walkthrough",      // optional: null or absent is no preset
       "seed": 42,                   // required, >= 0; drives corpus/trace/replay
-      "engine": "ns",               // ns | cam (default engine for `run`)
       "hive": { ... },              // hive hyperparameters (see HiveParams)
       "search": {"assoc_thresh": 0.0, "match_thresh": 0.95},
       "controls": {"search_limit": null, "weaken_on_fail": false},
-      "cam": {"policy": "fifo"},  // or "lru"; entries are keyed by item id
       "workload": { ... },          // corpus/trace parameters (see WorkloadSpec)
       "compare": {"cap_fractions": [0.1, ..., 1.2], "warmup_ops": 500},
       "bootstrap": [{"item_id": "w0", "cues": ["wolf"]}, ...]  // pre-seeded state
@@ -17,7 +15,11 @@ A run is fully described by one JSON document with these sections::
 
 Cues are labels: a locality mapping admits data by the one key ``labels``
 (``[{"labels": ["deer"]}, {}]``, the last locality catching the rest), and a
-bootstrap entry's ``cues`` list holds at most one label string.
+bootstrap entry's ``cues`` list holds at most one label string.  There are
+as many localities as mappings, and as many classes as
+``workload.class_labels``, the first of which is the priority class.  The
+engine a run replays on is chosen by ``run --engine``, and a byte cap
+override is applied by :func:`build_adapter`.
 
 Unknown keys anywhere are rejected, every value must have the type its
 field declares (an int passes for a float, a bool for nothing but a bool),
@@ -29,7 +31,8 @@ included, is refused.  A config that names no preset (a ``preset`` that is
 ``null`` or absent, and no ``--preset``) is the ``wildlife-deer`` run: the
 standard hyperparameter set (eta 20, epsilon 1, phi 1, retention 500, decay
 [0.5, 1], elasticity 80..1, match threshold 0.95, unbounded search, failure
-decay off) with deer as the priority class, routed to the first locality.
+decay off) with deer, the first class label, as the priority class, routed
+to the first locality.
 The ``walkthrough`` preset overlays a small scripted scenario.
 """
 
@@ -68,16 +71,13 @@ from neuralstore.workload import (
 # wildlife-deer run
 _BASE_PRESET = {
     "seed": 42,
-    "engine": "ns",
     "hive": {**dataclasses.asdict(HiveParams()),
              "locality_mapping": [{"labels": ["deer"]}, {}]},
     "search": dataclasses.asdict(SearchParams()),
     "controls": dataclasses.asdict(OpControls()),
-    "cam": {"policy": "fifo"},
     "workload": {**{k: v for k, v in dataclasses.asdict(WorkloadSpec()).items()
                     if k != "seed"},     # comes from the top-level seed
                  "class_labels": ["deer", "background"],
-                 "priority_class": "deer",
                  "tail_retentions": 20},
     "compare": {
         "cap_fractions": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
@@ -109,8 +109,7 @@ PRESETS: dict[str, dict] = {
                      "n_items": 5,
                      "n_retrievals": 0,
                      "tail_retentions": 0,
-                     "class_labels": ["wolf", "background"],
-                     "priority_class": "wolf"},
+                     "class_labels": ["wolf", "background"]},
         "bootstrap": [{"item_id": "w0", "cues": ["wolf"]},
                       {"item_id": "w1", "cues": ["wolf"]},
                       {"item_id": "bg", "cues": []}],
@@ -122,29 +121,23 @@ PRESETS: dict[str, dict] = {
 @dataclass
 class RunConfig:
     seed: int
-    engine: str
     hive: HiveParams
     search: SearchParams
     controls: OpControls
-    cam_policy: str
     workload: WorkloadSpec
     cap_fractions: list[float]
     warmup_ops: int
     bootstrap: list[dict] = field(default_factory=list)
 
     def validate(self) -> None:
-        if self.engine not in ("ns", "cam"):
-            raise ConfigurationError(f"engine must be 'ns' or 'cam', got {self.engine!r}")
         self.hive.validate()
         self.search.validate()
         self.controls.validate()
         self.workload.validate()
-        if self.cam_policy not in ("fifo", "lru"):
-            raise ConfigurationError(f"unknown cam policy {self.cam_policy!r}")
         check_cap_fractions(self.cap_fractions, "compare.cap_fractions")
         if self.warmup_ops < 0:
             raise ConfigurationError("warmup_ops must be >= 0")
-        n = self.hive.num_localities
+        n = len(self.hive.locality_mapping)
         for i, entry in enumerate(self.bootstrap):
             if "item_id" not in entry:
                 raise ConfigurationError(f"bootstrap[{i}] needs an item_id")
@@ -199,21 +192,20 @@ _SECTION_TYPES = {
     "hive": HIVE_PARAM_TYPES,
     "search": SEARCH_PARAM_TYPES,
     "controls": OP_CONTROL_TYPES,
-    "cam": {"policy": str},
     "workload": {k: v for k, v in typing.get_type_hints(WorkloadSpec).items()
                  if k != "seed"},
     "compare": {"cap_fractions": list[float], "warmup_ops": int},
 }
-_CONFIG_TYPES = {"seed": int, "engine": str, "bootstrap": list[dict],
+_CONFIG_TYPES = {"seed": int, "bootstrap": list[dict],
                  **dict.fromkeys(_SECTION_TYPES, dict)}
 _BOOTSTRAP_TYPES = {"item_id": str, "cues": list[str],
                     "locality": int | None}
 
 
 def load_config(path: str | Path | None = None, preset: str | None = None,
-                seed: int | None = None, engine: str | None = None,
-                capacity_bytes: int | None | str = "unset") -> RunConfig:
-    """Build a validated RunConfig from preset + optional JSON file + overrides."""
+                seed: int | None = None) -> RunConfig:
+    """Build a validated RunConfig from preset + optional JSON file + seed
+    override."""
     doc: dict = {}
     if path is not None:
         try:
@@ -236,11 +228,7 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
         merged["seed"] = seed
     if merged.get("seed") is None:
         raise ConfigurationError("missing required field: seed")
-    if engine is not None:
-        merged["engine"] = engine
     check_fields(None, merged, _CONFIG_TYPES)
-    if capacity_bytes != "unset":
-        merged["hive"]["capacity_bytes"] = capacity_bytes
     for section, hints in _SECTION_TYPES.items():
         check_fields(section, merged[section], hints)
     for i, entry in enumerate(merged["bootstrap"]):
@@ -256,11 +244,9 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
 
     config = RunConfig(
         seed=merged["seed"],
-        engine=merged["engine"],
         hive=hive,
         search=SearchParams(**merged["search"]),
         controls=OpControls(**merged["controls"]),
-        cam_policy=merged["cam"]["policy"],
         workload=workload,
         cap_fractions=list(merged["compare"]["cap_fractions"]),
         warmup_ops=merged["compare"]["warmup_ops"],
@@ -270,17 +256,20 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     return config
 
 
-def build_adapter(config: RunConfig, corpus: Corpus, engine: str | None = None,
-                  capacity_bytes: int | None | str = "unset"):
-    """Construct a fresh replay adapter (ns or cam) for one run."""
-    engine = engine or config.engine
-    cap = config.hive.capacity_bytes if capacity_bytes == "unset" else capacity_bytes
+def build_adapter(config: RunConfig, corpus: Corpus, engine: str = "ns",
+                  capacity_bytes: int | None = None):
+    """Construct a fresh replay adapter (ns or cam) for one run.
+
+    ``capacity_bytes``, when given, overrides the config's
+    ``hive.capacity_bytes`` for either engine; None keeps it."""
+    params = config.hive
+    if capacity_bytes is not None:
+        params = dataclasses.replace(params, capacity_bytes=capacity_bytes)
+        params.validate()
     if engine == "cam":
-        cam = CamBaseline(capacity_bytes=cap, policy=config.cam_policy)
-        return CamReplayAdapter(cam)
+        return CamReplayAdapter(CamBaseline(capacity_bytes=params.capacity_bytes))
     if engine != "ns":
         raise ConfigurationError(f"unknown engine {engine!r}")
-    params = dataclasses.replace(config.hive, capacity_bytes=cap)
     ns = MemoryEngine(params, search=config.search, controls=config.controls)
     for i, entry in enumerate(config.bootstrap):
         item = corpus.by_id.get(entry["item_id"])

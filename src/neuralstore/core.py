@@ -72,6 +72,8 @@ from neuralstore.codec import HistogramExtractor, Payload
 
 SNAPSHOT_FORMAT = "neuralstore-snapshot"
 SNAPSHOT_VERSION = 1
+# the seed of every hive's feature projection
+EXTRACTOR_SEED = 7
 
 
 class ConfigurationError(ValueError):
@@ -291,10 +293,10 @@ class HiveParams:
 
     ``locality_mapping`` holds one predicate per locality: a dict whose one
     optional key ``labels`` lists the labels it admits.  Data matching no
-    predicate falls through to the last locality.
+    predicate falls through to the last locality.  The other per-locality
+    lists have one entry per predicate.
     """
 
-    num_localities: int = 2
     memory_decay_rates: list[float] = field(default_factory=lambda: [0.5, 1.0])
     association_decay_rates: list[float] = field(default_factory=lambda: [0.0, 0.0])
     locality_mapping: list[dict] = field(default_factory=lambda: [{}, {}])
@@ -306,7 +308,6 @@ class HiveParams:
     phi: float = 1.0
     retention_period: int = 500
     feature_dim: int = 64
-    extractor_seed: int = 7
     capacity_bytes: int | None = None
 
     def validate(self) -> None:
@@ -318,13 +319,14 @@ class HiveParams:
             check_fields(f"hive.locality_mapping[{i}]", mapping,
                          {"labels": list[str]})
         problems: list[str] = []
-        if self.num_localities < 1:
-            problems.append("num_localities must be >= 1")
+        n = len(self.locality_mapping)
+        if n == 0:
+            problems.append("locality_mapping must not be empty")
         for name in ("memory_decay_rates", "association_decay_rates",
-                     "locality_mapping", "elasticity_schedules"):
-            seq = getattr(self, name)
-            if len(seq) != self.num_localities:
-                problems.append(f"{name} must have {self.num_localities} entries")
+                     "elasticity_schedules"):
+            if n and len(getattr(self, name)) != n:
+                problems.append(f"{name} must have {n} entries, one per "
+                                f"locality_mapping entry")
         # NaN passes every comparison below, so finiteness is checked first
         for name in ("eta", "epsilon", "memory_decay_rates",
                      "association_decay_rates", "capacity_bytes"):
@@ -377,7 +379,7 @@ class Hive:
 
     def __post_init__(self):
         self.extractor = HistogramExtractor(dim=self.params.feature_dim,
-                                            seed=self.params.extractor_seed)
+                                            seed=EXTRACTOR_SEED)
         self._label_index: dict[str, int] = {}
         # One row per data neuron, in the order they were added (which is id
         # order), in columns grown by doubling: its feature scaled to unit
@@ -455,7 +457,7 @@ class Memory:
     def __init__(self, params: HiveParams):
         params.validate()
         self.hive = Hive(id=0, params=params)
-        for i in range(params.num_localities):
+        for i in range(len(params.locality_mapping)):
             self.hive.localities.append(Locality(
                 id=i,
                 memory_decay_rate=params.memory_decay_rates[i],

@@ -210,8 +210,6 @@ class RetentionSummary:
 class MemoryEngine:
     """Single-hive learning memory engine with cost accounting."""
 
-    engine_id = "ns"
-
     def __init__(self, params: HiveParams | None = None,
                  search: SearchParams | None = None,
                  controls: OpControls | None = None):
@@ -229,9 +227,14 @@ class MemoryEngine:
 
     # -- helpers -------------------------------------------------------------
 
-    def _as_payload(self, data, item_id: str | None) -> Payload:
-        if not isinstance(data, Payload):
+    def _as_payload(self, data, item_id: str | None, op: str) -> Payload:
+        if isinstance(data, (bytes, bytearray, memoryview)):
             return Payload.from_bytes(bytes(data), lineage=item_id)
+        if not isinstance(data, Payload):
+            # bytes(5) would be five zero bytes
+            raise ConfigurationError(
+                f"{op} data must be bytes, bytearray, memoryview or a Payload, "
+                f"got {reprlib.repr(data)}")
         # a strength of 100 stores any quality in range, so a reaction
         # (Memory.reinforce) never has a quality to lower
         if not 0.0 <= data.quality <= 100.0:
@@ -443,7 +446,7 @@ class MemoryEngine:
         """Store data under one label: merge into a similar resident neuron
         or create a new one."""
         _check_cue(cue, "store")
-        payload = self._as_payload(data, item_id)
+        payload = self._as_payload(data, item_id, "store")
         self.memory.op_counter += 1
         feature = self.hive.extractor.extract(payload.blob)
         self.ensure_capacity(payload.original_size)
@@ -560,7 +563,7 @@ class MemoryEngine:
         """
         if cue is not None:
             _check_cue(cue, "bootstrap_store")
-        payload = self._as_payload(data, item_id)
+        payload = self._as_payload(data, item_id, "bootstrap_store")
         feature = self.hive.extractor.extract(payload.blob)
         if locality_id is None:
             locality_id = self.select_locality(cue).id

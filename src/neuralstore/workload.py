@@ -17,10 +17,10 @@ keyed off the workload seed, so corpora, traces and replays are
 reproducible byte for byte.
 
 Traces have a store phase covering every item in manifest order followed by
-retrievals whose class choice is biased toward the priority class, plus an
-optional tail of explicit retention passes.  Replay runs a trace against
-either engine through a thin adapter and emits one log record per
-operation in a shared schema.
+retrievals whose class choice is biased toward the priority class (the
+first class label), plus an optional tail of explicit retention passes.
+Replay runs a trace against either engine through a thin adapter and emits
+one log record per operation in a shared schema.
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ _CLASS_MIX = 0.55
 
 # seed-domain tags so every stream draws from its own generator
 _TAG_CLASS, _TAG_CLUSTER, _TAG_ITEM, _TAG_TRACE = 1, 2, 3, 4
+
+# the history window of each tail retention pass
+_TAIL_RETENTION_WINDOW = 1
 
 
 class ReplayError(RuntimeError):
@@ -79,30 +82,21 @@ class TraceRecord:
 
 @dataclass
 class WorkloadSpec:
-    """Parameters of a synthetic corpus and its access trace."""
+    """Parameters of a synthetic corpus and its access trace.
+
+    There is one class per label, and the first label is the priority
+    class."""
 
     n_items: int = 200
-    n_classes: int = 2
-    priority_class: str | None = None       # defaults to the first class label
     priority_bias: float = 0.9
     n_retrievals: int = 5000
     payload_size_range: tuple[int, int] = (1024, 4096)
     seed: int = 42
     items_per_cluster: int = 10
-    class_labels: list[str] | None = None
-    use_fine_cue: bool = True
+    class_labels: list[str] = field(
+        default_factory=lambda: ["class-0", "class-1"])
     tail_retentions: int = 0
-    tail_retention_window: int = 1
     kind: str = "clustered"                 # clustered | walkthrough
-
-    def labels(self) -> list[str]:
-        if self.class_labels is not None:
-            return list(self.class_labels)
-        return [f"class-{i}" for i in range(self.n_classes)]
-
-    def priority_label(self) -> str:
-        return self.priority_class if self.priority_class is not None \
-            else self.labels()[0]
 
     def validate(self) -> None:
         problems = []
@@ -111,8 +105,6 @@ class WorkloadSpec:
             problems.append("seed must be >= 0")
         if self.n_items < 0:
             problems.append("n_items must be >= 0")
-        if self.n_classes < 1:
-            problems.append("n_classes must be >= 1")
         if not 0.0 <= self.priority_bias <= 1.0:
             problems.append("priority_bias must be in [0, 1]")
         if self.n_retrievals < 0:
@@ -122,18 +114,18 @@ class WorkloadSpec:
         lo, hi = self.payload_size_range
         if lo < 1 or hi < lo:
             problems.append("payload_size_range must satisfy 1 <= lo <= hi")
-        labels = self.labels()
-        if len(labels) != self.n_classes:
-            problems.append("class_labels length must equal n_classes")
+        labels = self.class_labels
+        if not labels:
+            problems.append("class_labels must not be empty")
+        elif self.kind == "walkthrough" and len(labels) < 2:
+            # its scripted items are drawn from the first two classes
+            problems.append("class_labels must have at least 2 entries for the "
+                            "walkthrough workload")
         repeated = [x for x in labels if labels.count(x) > 1]
         if repeated:
             problems.append(f"class_labels repeats {repeated[0]!r}")
-        if self.priority_label() not in labels:
-            problems.append("priority_class must be one of the class labels")
         if self.tail_retentions < 0:
             problems.append("tail_retentions must be >= 0")
-        if self.tail_retention_window < 1:
-            problems.append("tail_retention_window must be >= 1")
         if self.kind not in ("clustered", "walkthrough"):
             problems.append(f"unknown workload kind {self.kind!r}")
         if problems:
@@ -196,12 +188,11 @@ def build_corpus(spec: WorkloadSpec) -> Corpus:
     spec.validate()
     if spec.kind == "walkthrough":
         return _build_walkthrough_corpus(spec)
-    labels = spec.labels()
-    priority = spec.priority_label()
+    labels = spec.class_labels
     items: list[ManifestItem] = []
-    per_class_count = [0] * spec.n_classes
+    per_class_count = [0] * len(labels)
     for i in range(spec.n_items):
-        class_idx = i % spec.n_classes
+        class_idx = i % len(labels)
         within = per_class_count[class_idx]
         per_class_count[class_idx] += 1
         cluster_idx = within // spec.items_per_cluster
@@ -214,7 +205,7 @@ def build_corpus(spec: WorkloadSpec) -> Corpus:
         data = item_bytes(spec.seed, class_idx, cluster_idx, item_idx, size)
         label = labels[class_idx]
         items.append(ManifestItem(item_id=f"item-{i:04d}", class_label=label,
-                                  priority=label == priority, data=data))
+                                  priority=label == labels[0], data=data))
     return Corpus(items)
 
 
@@ -229,14 +220,13 @@ _WALKTHROUGH_ITEMS = (
 
 
 def _build_walkthrough_corpus(spec: WorkloadSpec) -> Corpus:
-    labels = spec.labels()
-    priority = spec.priority_label()
+    labels = spec.class_labels
     items = []
     for item_id, class_idx, cluster_idx, item_idx in _WALKTHROUGH_ITEMS:
         data = item_bytes(spec.seed, class_idx, cluster_idx, item_idx, 1000)
         label = labels[class_idx]
         items.append(ManifestItem(item_id=item_id, class_label=label,
-                                  priority=label == priority, data=data))
+                                  priority=label == labels[0], data=data))
     return Corpus(items)
 
 
@@ -257,7 +247,7 @@ def generate_trace(corpus: Corpus, spec: WorkloadSpec) -> list[TraceRecord]:
     by_class: dict[str, list[ManifestItem]] = {}
     for item in corpus.items:
         by_class.setdefault(item.class_label, []).append(item)
-    priority = spec.priority_label()
+    priority = spec.class_labels[0]
     others = [label for label in sorted(by_class) if label != priority]
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _TAG_TRACE)))
     seq = len(records)
@@ -269,18 +259,17 @@ def generate_trace(corpus: Corpus, spec: WorkloadSpec) -> list[TraceRecord]:
         pool = by_class[label]
         item = pool[int(rng.integers(len(pool)))]
         records.append(TraceRecord(seq=seq, op="retrieve", item_id=item.item_id,
-                                   coarse_cues=(label,),
-                                   use_fine_cue=spec.use_fine_cue))
+                                   coarse_cues=(label,)))
         seq += 1
     for _ in range(spec.tail_retentions):
         records.append(TraceRecord(seq=seq, op="retention",
-                                   retention_window=spec.tail_retention_window))
+                                   retention_window=_TAIL_RETENTION_WINDOW))
         seq += 1
     return records
 
 
 def _walkthrough_trace(spec: WorkloadSpec) -> list[TraceRecord]:
-    wolf = spec.labels()[0]
+    wolf = spec.class_labels[0]
     return [
         TraceRecord(0, "retrieve", "w1", (wolf,), True),
         TraceRecord(1, "store", "w-new", (wolf,)),
@@ -540,8 +529,9 @@ class CamReplayAdapter:
 
     def do_store(self, rec: TraceRecord, item: ManifestItem) -> dict:
         result = self.cam.store(item.item_id, item.data)
-        kind = "merged" if result.overwrote else (
-            "new_neuron" if result.stored else "miss")
+        # an overwrite that is then dropped leaves no entry: a miss
+        kind = "miss" if not result.stored else (
+            "merged" if result.overwrote else "new_neuron")
         return {"kind": kind, "dn_id": None, "cost": result.cost,
                 "hit": result.stored, "evicted": result.evicted,
                 "quality": 100.0 if result.stored else None, "fidelity": None}

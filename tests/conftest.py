@@ -11,7 +11,6 @@ from neuralstore.workload import WorkloadSpec, build_corpus, generate_trace
 
 def walkthrough_params() -> HiveParams:
     return HiveParams(
-        num_localities=2,
         memory_decay_rates=[10.0, 20.0],
         association_decay_rates=[0.0, 0.0],
         locality_mapping=[{"labels": ["wolf"]}, {}],
@@ -23,9 +22,8 @@ def walkthrough_params() -> HiveParams:
 
 
 def walkthrough_spec() -> WorkloadSpec:
-    return WorkloadSpec(kind="walkthrough", seed=42, n_classes=2,
-                        class_labels=["wolf", "background"],
-                        priority_class="wolf")
+    return WorkloadSpec(kind="walkthrough", seed=42,
+                        class_labels=["wolf", "background"])
 
 
 def build_walkthrough():
@@ -56,7 +54,6 @@ def walkthrough():
 def small_engine():
     """Two-locality engine with fast decay for unit tests."""
     params = HiveParams(
-        num_localities=2,
         memory_decay_rates=[1.0, 2.0],
         association_decay_rates=[0.5, 0.5],
         locality_mapping=[{"labels": ["hot"]}, {}],

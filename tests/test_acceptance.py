@@ -75,7 +75,7 @@ WARMUP_OPS = 500
 def comparison_run():
     config = load_config(preset="wildlife-deer")
     assert config.workload.n_items == 200
-    assert config.workload.n_classes == 2
+    assert len(config.workload.class_labels) == 2
     assert config.workload.priority_bias == 0.9
     assert config.workload.n_retrievals == 5000
     corpus = build_corpus(config.workload)
@@ -128,7 +128,7 @@ def test_criterion_4_priority_fidelity(comparison_run):
     corpus = comparison_run["corpus"]
     adapter = build_adapter(config, corpus, engine="ns")
     extractor = adapter.engine.hive.extractor
-    priority = config.workload.priority_label()
+    priority = config.workload.class_labels[0]
     sims = []
     for rec in comparison_run["records"]:
         if rec.op == "store":
@@ -195,7 +195,6 @@ def _fuzz_params(rng: np.random.Generator) -> tuple[HiveParams, SearchParams,
     schedule = [float(round(v, 2)) for v in schedule] + [schedule_floor]
     schedule = [v for i, v in enumerate(schedule) if i == 0 or v < schedule[i - 1]]
     params = HiveParams(
-        num_localities=2,
         memory_decay_rates=[float(round(rng.uniform(0.0, 5.0), 2)),
                             float(round(rng.uniform(0.0, 8.0), 2))],
         association_decay_rates=[float(round(rng.uniform(0.0, 3.0), 2)),

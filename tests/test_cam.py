@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from neuralstore.cam import CamBaseline
-from neuralstore.core import ConfigurationError
 
 
 def data(n: int, fill: int = 0) -> bytes:
@@ -41,14 +40,14 @@ class TestStore:
         assert cam.retrieve("a")[0] is None
         assert cam.retrieve("e")[0] is not None
 
-    def test_lru_evicts_least_recently_used(self):
-        cam = CamBaseline(capacity_bytes=30, policy="lru")
-        for tag in ("a", "b", "c"):
-            cam.store(tag, data(10))
-        cam.retrieve("a")                 # refresh a; b is now the coldest
-        cam.store("d", data(10))
-        assert cam.retrieve("b")[0] is None
-        assert cam.retrieve("a")[0] is not None
+    def test_oversized_overwrite_evicts_the_others_then_drops_itself(self):
+        cam = CamBaseline(capacity_bytes=25)
+        cam.store("a", data(10))
+        cam.store("b", data(10))
+        result = cam.store("b", data(30))
+        assert result.overwrote and not result.stored
+        assert result.evicted == 1
+        assert cam.entries == []
 
     def test_item_larger_than_capacity_dropped(self):
         cam = CamBaseline(capacity_bytes=25)
@@ -57,9 +56,27 @@ class TestStore:
         assert not result.stored
         assert cam.retrieve("big")[0] is None
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CamBaseline(policy="random")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_fifo_matches_a_reference(self, seed):
+        """Under a cap, the entries are those of a FIFO kept by insertion
+        order (a retrieve does not refresh an entry, an overwrite keeps its
+        place), and ``total_bytes`` is their sum after every op."""
+        rng = np.random.default_rng(seed)
+        cam = CamBaseline(capacity_bytes=100)
+        reference: dict[str, int] = {}       # tag -> size, oldest first
+        for _ in range(300):
+            tag = f"t{int(rng.integers(12))}"
+            if rng.random() < 0.3:
+                cam.retrieve(tag)
+                continue
+            size = int(rng.integers(1, 60))
+            cam.store(tag, data(size))
+            reference[tag] = size            # an overwrite keeps its place
+            while sum(reference.values()) > 100:    # sizes stay below 100
+                del reference[next(t for t in reference if t != tag)]
+            assert [(e.tag, e.data.size_bytes) for e in cam.entries] == \
+                list(reference.items())
+            assert cam.total_bytes == sum(reference.values())
 
 
 class TestRetrieve:

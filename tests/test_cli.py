@@ -150,10 +150,10 @@ class TestConfig:
     def test_preset_mapping_routes_priority_label(self):
         config = load_config(preset="wildlife-deer")
         assert config.hive.locality_mapping[0] == {"labels": ["deer"]}
-        assert config.workload.priority_label() == "deer"
+        assert config.workload.class_labels[0] == "deer"
         config = load_config(preset="walkthrough")
         assert config.hive.locality_mapping[0] == {"labels": ["wolf"]}
-        assert config.workload.priority_label() == "wolf"
+        assert config.workload.class_labels[0] == "wolf"
 
     def test_repeated_class_label_rejected_naming_it(self, tmp_path, capsys):
         config = write_config(tmp_path, workload={
@@ -374,6 +374,18 @@ class TestCapValidation:
         assert "compare.cap_fractions must be finite and positive" in err
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("engine", ["ns", "cam"])
+    def test_negative_run_cap_exits_2_for_either_engine(
+            self, generated, tmp_path, capsys, engine):
+        config = write_config(tmp_path)
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), "--engine", engine,
+                     "--cap", "-1", "--trace", str(generated),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == \
+            "error: hive.capacity_bytes must be >= 0 or null\n"
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("caps", ["inf", "0.5,nan", "0", "-1", "0.3,-inf"])
     def test_caps_option_exits_2_naming_it(self, generated, tmp_path, capsys,
                                            caps):
@@ -482,8 +494,7 @@ class TestInspect:
         labels = ["deer park", 'say "hi" \\ back']
         config = write_config(
             tmp_path, hive={"locality_mapping": [{"labels": [labels[0]]}, {}]},
-            workload={**SMALL_WORKLOAD, "class_labels": labels,
-                      "priority_class": labels[0]})
+            workload={**SMALL_WORKLOAD, "class_labels": labels})
         data, out = tmp_path / "data", tmp_path / "run"
         assert main(["generate", "--config", str(config), "--out", str(data)]) == 0
         assert main(["run", "--config", str(config), "--trace",

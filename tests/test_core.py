@@ -46,7 +46,7 @@ class TestParamsValidation:
         {"memory_decay_rates": [-1.0, 1.0]},
         {"elasticity_schedules": [[80, 90, 1], [80, 1]]},
         {"elasticity_schedules": [[80, 0.5], [80, 1]]},
-        {"num_localities": 3},  # list lengths no longer match
+        {"memory_decay_rates": [0.5, 1.0, 1.0]},  # list lengths do not match
     ])
     def test_invalid_params_rejected(self, overrides):
         with pytest.raises(ConfigurationError):

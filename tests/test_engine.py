@@ -21,8 +21,7 @@ from tests.helpers import candidates
 
 
 def engine_with(**overrides) -> MemoryEngine:
-    base = dict(num_localities=2,
-                memory_decay_rates=[0.5, 1.0],
+    base = dict(memory_decay_rates=[0.5, 1.0],
                 association_decay_rates=[0.0, 0.0],
                 locality_mapping=[{"labels": ["hot"]}, {}],
                 eta=20.0, epsilon=1.0, phi=1.0, retention_period=500)
@@ -659,6 +658,35 @@ class TestCueLabel:
         stored = engine.store(blob(0), "hot")
         assert [engine.hive.find_cue_by_label(c) for c in "hot"] == [None] * 3
         assert engine.retrieve("hot").dn_id == stored.dn_id
+
+
+class TestDataType:
+    """Stored data is bytes, a bytes-like buffer or a Payload; anything
+    else is refused by name before the op changes anything."""
+
+    @pytest.mark.parametrize("data, shown", [
+        (5, "5"),               # bytes(5) would store five zero bytes
+        ("deer", "'deer'"),
+        (None, "None"),
+        ([1, 2], "[1, 2]"),
+    ])
+    @pytest.mark.parametrize("op", ["store", "bootstrap_store"])
+    def test_refused_before_anything_changes(self, op, data, shown):
+        engine = TestCueLabel.seeded(self)
+        before = TestCueLabel.state(self, engine)
+        with pytest.raises(ConfigurationError) as caught:
+            getattr(engine, op)(data, "hot")
+        assert str(caught.value) == (
+            f"{op} data must be bytes, bytearray, memoryview or a Payload, "
+            f"got {shown}")
+        assert TestCueLabel.state(self, engine) == before
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_bytes_like_data_is_stored_as_bytes(self, wrap):
+        engine = engine_with()
+        out = engine.store(wrap(blob(0)), "hot")
+        assert out.kind == "new_neuron"
+        assert out.payload.original == blob(0)
 
 
 class TestFineCueShape:

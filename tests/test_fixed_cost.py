@@ -72,7 +72,7 @@ def engine_with_localities(n: int):
     """An engine with ``n`` localities, each with a default cue, and a
     known cue ``hot``."""
     if n == 1:
-        engine = engine_with(num_localities=1, memory_decay_rates=[0.5],
+        engine = engine_with(memory_decay_rates=[0.5],
                              association_decay_rates=[0.0],
                              locality_mapping=[{"labels": ["hot"]}],
                              elasticity_schedules=[[80.0, 50.0, 20.0]])

@@ -619,7 +619,7 @@ class TestArrayPasses:
     @staticmethod
     def populated(cls, phi: float):
         params = HiveParams(
-            num_localities=2, memory_decay_rates=[7.5, 13.25],
+            memory_decay_rates=[7.5, 13.25],
             association_decay_rates=[1.0, 2.0],
             locality_mapping=[{"labels": ["hot"]}, {}], phi=phi,
             elasticity_schedules=[[90.0, 40.0, max(phi, 1.0)]] * 2,
@@ -744,7 +744,7 @@ class TestCapacityWalk:
         schedules = TestCapacityWalk.CASES[phi]
         labels = [["a"], ["b"], []]
         engine = cls(HiveParams(
-            num_localities=3, memory_decay_rates=[2.0, 2.0, 0.5],
+            memory_decay_rates=[2.0, 2.0, 0.5],
             association_decay_rates=[0.0] * 3,
             locality_mapping=[{"labels": ls} if ls else {} for ls in labels],
             elasticity_schedules=schedules, phi=phi, retention_period=10**6))

@@ -29,11 +29,11 @@ from neuralstore.workload import (
 
 
 def make_run(tail: int = 0, n_items: int = 16, n_retrievals: int = 40):
-    spec = WorkloadSpec(n_items=n_items, n_classes=2, priority_bias=0.9,
+    spec = WorkloadSpec(n_items=n_items, priority_bias=0.9,
                         n_retrievals=n_retrievals, payload_size_range=(1024, 2048),
                         seed=11, items_per_cluster=4,
                         class_labels=["deer", "background"],
-                        priority_class="deer", tail_retentions=tail)
+                        tail_retentions=tail)
     corpus = build_corpus(spec)
     records = generate_trace(corpus, spec)
     return spec, corpus, records

@@ -238,7 +238,6 @@ def _is_list_of(test):
 
 # (section, field, whether a JSON value has the field's type)
 TYPED_FIELDS = [
-    ("hive", "num_localities", _is_int),
     ("hive", "retention_period", _is_int),
     ("hive", "feature_dim", _is_int),
     ("hive", "eta", _is_number),
@@ -249,13 +248,11 @@ TYPED_FIELDS = [
     ("hive", "capacity_bytes", lambda v: v is None or _is_int(v)),
     ("search", "match_thresh", _is_number),
     ("controls", "search_limit", lambda v: v is None or _is_int(v)),
-    ("cam", "policy", lambda v: isinstance(v, str)),
     ("workload", "n_items", _is_int),
     ("workload", "priority_bias", _is_number),
     ("workload", "payload_size_range",
      lambda v: _is_list_of(_is_int)(v) and len(v) == 2),
-    ("workload", "class_labels",
-     lambda v: v is None or _is_list_of(lambda x: isinstance(x, str))(v)),
+    ("workload", "class_labels", _is_list_of(lambda x: isinstance(x, str))),
     ("workload", "kind", lambda v: isinstance(v, str)),
     ("compare", "cap_fractions", _is_list_of(_is_number)),
     ("compare", "warmup_ops", _is_int),
@@ -276,7 +273,7 @@ MISTYPED = st.sampled_from(TYPED_FIELDS).flatmap(
     ("workload", "n_items", 3.5, "workload.n_items must be int, got 3.5"),
     ("hive", "retention_period", "5",
      "hive.retention_period must be int, got '5'"),
-    ("hive", "num_localities", True, "hive.num_localities must be int, got True"),
+    ("hive", "feature_dim", True, "hive.feature_dim must be int, got True"),
 ])
 def test_mistyped_config_field_is_named(tmp_path, capsys, section, field,
                                         value, message):
@@ -351,15 +348,56 @@ def test_locality_mapping_other_than_labels_is_named(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("extra, message", [
-    ({"cam": {"key_by_label": False}}, "unknown key(s) in cam: key_by_label"),
+    ({"cam": {"key_by_label": False}}, "unknown key(s) in config: cam"),
     ({"cam": {"policy": "lru", "key_by_label": True}},
-     "unknown key(s) in cam: key_by_label"),
+     "unknown key(s) in config: cam"),
+    ({"cam": {"policy": "fifo"}}, "unknown key(s) in config: cam"),
+    ({"engine": "ns"}, "unknown key(s) in config: engine"),
+    ({"hive": {"num_localities": 2}}, "unknown key(s) in hive: num_localities"),
+    ({"hive": {"extractor_seed": 7}}, "unknown key(s) in hive: extractor_seed"),
+    ({"workload": {"n_classes": 2}}, "unknown key(s) in workload: n_classes"),
+    ({"workload": {"priority_class": "deer"}},
+     "unknown key(s) in workload: priority_class"),
+    ({"workload": {"use_fine_cue": True}},
+     "unknown key(s) in workload: use_fine_cue"),
+    ({"workload": {"tail_retention_window": 1}},
+     "unknown key(s) in workload: tail_retention_window"),
 ])
 def test_removed_config_key_is_refused_by_name(tmp_path, capsys, extra,
                                                message):
     """Set even to its old default, a removed setting is refused, not
     ignored."""
     config = write_config(tmp_path, **extra)
+    with pytest.raises(ConfigurationError) as caught:
+        load_config(config)
+    assert str(caught.value) == message
+    assert main(["generate", "--config", str(config),
+                 "--out", str(tmp_path / "data")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("hive, message", [
+    ({"memory_decay_rates": [0.5, 1.0, 1.0]},
+     "hive.memory_decay_rates must have 2 entries, one per locality_mapping "
+     "entry"),
+    ({"association_decay_rates": [0.0]},
+     "hive.association_decay_rates must have 2 entries, one per "
+     "locality_mapping entry"),
+    ({"elasticity_schedules": [[80, 1]] * 3},
+     "hive.elasticity_schedules must have 2 entries, one per "
+     "locality_mapping entry"),
+    ({"locality_mapping": [{"labels": ["deer"]}, {"labels": ["x"]}, {}]},
+     "hive.memory_decay_rates must have 3 entries, one per locality_mapping "
+     "entry; hive.association_decay_rates must have 3 entries, one per "
+     "locality_mapping entry; hive.elasticity_schedules must have 3 entries, "
+     "one per locality_mapping entry"),
+    ({"locality_mapping": [], "memory_decay_rates": [],
+      "association_decay_rates": [], "elasticity_schedules": []},
+     "hive.locality_mapping must not be empty"),
+])
+def test_per_locality_lists_of_other_lengths_exit_2_naming_the_list(
+        tmp_path, capsys, hive, message):
+    config = write_config(tmp_path, hive=hive)
     with pytest.raises(ConfigurationError) as caught:
         load_config(config)
     assert str(caught.value) == message
@@ -450,7 +488,7 @@ def test_removed_hive_key_exits_2_naming_it(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("doc, expected", [
     ({"seed": True}, "seed must be int, got True"),
-    ({"seed": 1, "engine": 5}, "engine must be str, got 5"),
+    ({"seed": 1, "bootstrap": 5}, "bootstrap must be list[dict], got 5"),
     ({"seed": 1, "hive": 5}, "hive must be dict, got 5"),
     ({"seed": 1, "bootstrap": [{"item_id": 3}]},
      "bootstrap[0].item_id must be str, got 3"),

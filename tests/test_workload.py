@@ -11,6 +11,8 @@ from neuralstore.core import ConfigurationError, HiveParams
 from neuralstore.engine import MemoryEngine
 from neuralstore.workload import (
     CamReplayAdapter,
+    Corpus,
+    ManifestItem,
     NsReplayAdapter,
     ReplayError,
     TraceRecord,
@@ -26,9 +28,9 @@ from neuralstore.workload import (
 
 
 def small_spec(**overrides) -> WorkloadSpec:
-    base = dict(n_items=24, n_classes=2, priority_bias=0.9, n_retrievals=60,
+    base = dict(n_items=24, priority_bias=0.9, n_retrievals=60,
                 payload_size_range=(1024, 2048), seed=7, items_per_cluster=4,
-                class_labels=["deer", "background"], priority_class="deer")
+                class_labels=["deer", "background"])
     base.update(overrides)
     return WorkloadSpec(**base)
 
@@ -80,7 +82,9 @@ class TestCorpus:
         with pytest.raises(ConfigurationError):
             small_spec(priority_bias=1.5).validate()
         with pytest.raises(ConfigurationError):
-            small_spec(priority_class="llama").validate()
+            small_spec(class_labels=[]).validate()
+        with pytest.raises(ConfigurationError, match="walkthrough"):
+            small_spec(kind="walkthrough", class_labels=["wolf"]).validate()
         with pytest.raises(ConfigurationError):
             small_spec(payload_size_range=(0, 10)).validate()
 
@@ -128,10 +132,10 @@ class TestTrace:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_tail_retention_records(self):
-        spec = small_spec(tail_retentions=3, tail_retention_window=2)
+        spec = small_spec(tail_retentions=3)
         corpus = build_corpus(spec)
         tail = generate_trace(corpus, spec)[-3:]
-        assert all(r.op == "retention" and r.retention_window == 2 for r in tail)
+        assert all(r.op == "retention" and r.retention_window == 1 for r in tail)
 
     def test_empty_manifest_rejected(self):
         spec = small_spec(n_items=0)
@@ -220,6 +224,19 @@ class TestReplay:
                                coarse_cues=("deer",))]
         with pytest.raises(ReplayError):
             replay(records, ns_adapter(), corpus)
+
+    def test_cam_overwrite_dropped_for_its_size_is_logged_as_a_miss(self):
+        corpus = Corpus([ManifestItem("a", "deer", True, b"x" * 5),
+                         ManifestItem("a-big", "deer", True, b"x" * 20)])
+        adapter = CamReplayAdapter(CamBaseline(capacity_bytes=10))
+        first = adapter.do_store(None, corpus.get("a"))
+        # the same tag again, 20 bytes this time
+        second = adapter.do_store(None, ManifestItem("a", "deer", True,
+                                                     b"x" * 20))
+        assert (first["kind"], first["hit"]) == ("new_neuron", True)
+        assert (second["kind"], second["hit"], second["quality"]) == \
+            ("miss", False, None)
+        assert adapter.total_bytes() == 0
 
     def test_storage_full_flagged(self):
         spec = small_spec(n_items=8, n_retrievals=0)
