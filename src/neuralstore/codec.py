@@ -17,6 +17,12 @@ unit length, so similar byte distributions map to similar vectors without
 any external model.
 
 All functions here are pure: outputs depend only on (payload, config, seed).
+Two results are kept rather than computed again, neither changing a value.
+A payload keeps its PSNR once computed (``Payload._psnr``).  An extractor
+keeps, for up to ``FEATURE_MEMO_SIZE`` distinct ``bytes`` blobs, each
+blob's feature, so a blob stored and later used as a retrieve's fine cue is
+extracted once; the kept vectors are read-only and shared by every caller
+that extracts the same bytes, so copy one before editing it.
 """
 
 from __future__ import annotations
@@ -31,6 +37,10 @@ BYTE_MAX = 255.0
 # PSNR above this is reported as fully faithful when normalizing fidelity
 # into [0, 1]; identical payloads are +inf and also normalize to 1.
 PSNR_REFERENCE_DB = 40.0
+
+# distinct bytes blobs whose features an extractor keeps; past this many the
+# memo starts over
+FEATURE_MEMO_SIZE = 1024
 
 
 class CodecError(ValueError):
@@ -122,9 +132,27 @@ class HistogramExtractor:
         self.seed = seed
         rng = np.random.default_rng(seed)
         self._projection = rng.standard_normal((256, dim)) / math.sqrt(dim)
+        self._memo: dict[bytes, np.ndarray] = {}
 
     def extract(self, data: Payload | bytes) -> np.ndarray:
+        """The blob's unit feature vector.
+
+        A ``bytes`` blob's vector is kept (see ``FEATURE_MEMO_SIZE``) and
+        returned read-only, the same array each time; other byte buffers
+        can change in place, so theirs is computed afresh and writable.
+        """
         blob = data.blob if isinstance(data, Payload) else data
+        if type(blob) is not bytes:
+            return self._histogram_feature(blob)
+        vec = self._memo.get(blob)
+        if vec is None:
+            if len(self._memo) >= FEATURE_MEMO_SIZE:
+                self._memo.clear()
+            vec = self._memo[blob] = self._histogram_feature(blob)
+            vec.setflags(write=False)
+        return vec
+
+    def _histogram_feature(self, blob) -> np.ndarray:
         if not blob:
             return np.zeros(self.dim)
         counts = np.bincount(np.frombuffer(blob, dtype=np.uint8), minlength=256)
@@ -158,23 +186,45 @@ def psnr_fidelity(degraded: Payload) -> float:
     reconstruction map and compared byte-wise with the original.  Identical
     reconstructions return ``math.inf``.  A payload is immutable, so the
     value is computed once and kept in its ``_psnr`` field.
+
+    A non-empty blob shorter than its original and a prefix of it (every
+    truncated payload) reconstructs to itself followed by its mean byte
+    ``m = round(sum(blob) / len(blob))``, so only the tail can differ: the
+    squared error is ``sum((t - m) ** 2)`` over the original's bytes ``t``
+    past the blob, summed in int64, and the mean squared error is that over
+    ``len(original)`` (``inf`` PSNR when it is 0).  This is bit-identical
+    to comparing the whole reconstruction in float64: every term is an
+    integer of at most ``255 ** 2``, so the float64 sums are exact as well,
+    and both divide once by the same count.  Any other blob is
+    reconstructed and compared in full.
     """
-    if degraded._psnr is not None:
-        return degraded._psnr
+    if degraded._psnr is None:
+        object.__setattr__(degraded, "_psnr", _psnr_db(degraded))
+    return degraded._psnr
+
+
+def _psnr_db(degraded: Payload) -> float:
+    """``psnr_fidelity`` of a payload, computed without its kept value."""
+    blob, original = degraded.blob, degraded.original
+    n, k = len(original), len(blob)
+    if 0 < k < n and original.startswith(blob):
+        mean = round(int(np.frombuffer(blob, dtype=np.uint8).sum()) / k)
+        tail = np.frombuffer(original, dtype=np.uint8,
+                             offset=k).astype(np.int64) - mean
+        sq = int(tail.dot(tail))
+        if sq == 0:
+            return math.inf
+        return 10.0 * math.log10(BYTE_MAX ** 2 / (sq / n))
     reconstructed = TruncationCodec().reconstruct(degraded)
-    if len(reconstructed) != degraded.original_size:
+    if len(reconstructed) != n:
         raise RuntimeError(
-            f"reconstruction length {len(reconstructed)} != original "
-            f"{degraded.original_size}")
-    if reconstructed == degraded.original:
-        psnr = math.inf
-    else:
-        a = np.frombuffer(degraded.original, dtype=np.uint8).astype(np.float64)
-        b = np.frombuffer(reconstructed, dtype=np.uint8).astype(np.float64)
-        mse = float(np.mean((a - b) ** 2))
-        psnr = 10.0 * math.log10(BYTE_MAX ** 2 / mse)
-    object.__setattr__(degraded, "_psnr", psnr)
-    return psnr
+            f"reconstruction length {len(reconstructed)} != original {n}")
+    if reconstructed == original:
+        return math.inf
+    a = np.frombuffer(original, dtype=np.uint8).astype(np.float64)
+    b = np.frombuffer(reconstructed, dtype=np.uint8).astype(np.float64)
+    mse = float(np.mean((a - b) ** 2))
+    return 10.0 * math.log10(BYTE_MAX ** 2 / mse)
 
 
 def normalized_fidelity(psnr_db: float, reference_db: float = PSNR_REFERENCE_DB) -> float:

@@ -438,10 +438,13 @@ class Hive:
         return self._label_index.get(label)
 
     def locality(self, locality_id: int) -> Locality:
-        for loc in self.localities:
-            if loc.id == locality_id:
-                return loc
-        raise ConfigurationError(f"unknown locality {locality_id} in hive {self.id}")
+        # localities[i].id == i, so an id in range is an index
+        if (isinstance(locality_id, bool)
+                or not isinstance(locality_id, numbers.Integral)
+                or not 0 <= locality_id < len(self.localities)):
+            raise ConfigurationError(
+                f"unknown locality {locality_id} in hive {self.id}")
+        return self.localities[locality_id]
 
 
 # ---------------------------------------------------------------------------

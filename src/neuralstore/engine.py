@@ -395,7 +395,7 @@ class MemoryEngine:
         every score that could fall on the other side of ``match_thresh`` is
         decided by the scalar function either way, and the decision,
         ``cost`` and ``examined`` are those of a fresh product.  A store's
-        query is a freshly extracted feature, scored fresh and never kept.
+        query is its blob's feature, scored fresh and never kept.
         """
         if not candidates or query is None:
             return 0 if candidates else None

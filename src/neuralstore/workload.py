@@ -483,6 +483,8 @@ class NsReplayAdapter:
         self._feature_cache: dict[str, np.ndarray] = {}
 
     def _fine_cue(self, item: ManifestItem) -> np.ndarray:
+        # a repeat retrieve costs one str-keyed lookup; a first one reaches
+        # the extractor's memo, which has the item's feature if it was stored
         feature = self._feature_cache.get(item.item_id)
         if feature is None:
             feature = self.engine.hive.extractor.extract(item.data)

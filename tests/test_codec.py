@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neuralstore import codec as codec_module
 from neuralstore.codec import (
+    FEATURE_MEMO_SIZE,
     CodecError,
     HistogramExtractor,
     Payload,
@@ -18,7 +21,13 @@ from neuralstore.codec import (
     normalized_fidelity,
     psnr_fidelity,
 )
-from neuralstore.workload import item_bytes
+from neuralstore.config import build_adapter, load_config
+from neuralstore.workload import (
+    build_corpus,
+    generate_trace,
+    item_bytes,
+    replay,
+)
 
 CODEC = TruncationCodec()
 EXTRACTOR = HistogramExtractor(dim=64, seed=7)
@@ -28,6 +37,22 @@ def fixture_items(n_clusters: int = 6, per_cluster: int = 2, size: int = 2048):
     return [item_bytes(42, c, u, i, size)
             for c in range(2) for u in range(n_clusters // 2)
             for i in range(per_cluster)]
+
+
+def reconstruct_psnr(degraded: Payload) -> float:
+    """``psnr_fidelity`` as it was computed before the tail path: the whole
+    reconstruction compared with the original in float64."""
+    reconstructed = CODEC.reconstruct(degraded)
+    if len(reconstructed) != degraded.original_size:
+        raise RuntimeError(
+            f"reconstruction length {len(reconstructed)} != original "
+            f"{degraded.original_size}")
+    if reconstructed == degraded.original:
+        return math.inf
+    a = np.frombuffer(degraded.original, dtype=np.uint8).astype(np.float64)
+    b = np.frombuffer(reconstructed, dtype=np.uint8).astype(np.float64)
+    mse = float(np.mean((a - b) ** 2))
+    return 10.0 * math.log10(255.0 ** 2 / mse)
 
 
 class TestCompress:
@@ -225,3 +250,165 @@ class TestFidelity:
         assert normalized_fidelity(60.0) == 1.0
         assert normalized_fidelity(20.0) == 0.5
         assert normalized_fidelity(-5.0) == 0.0
+
+
+class TestFidelityFromTheTail:
+    """``psnr_fidelity`` reads only a truncated payload's tail, and gives
+    the value of the whole reconstruction's comparison bit for bit."""
+
+    @staticmethod
+    def assert_same(blob_: bytes, original: bytes) -> float:
+        got = psnr_fidelity(Payload(blob_, original, 50.0))
+        want = reconstruct_psnr(Payload(blob_, original, 50.0))
+        assert type(got) is float
+        assert got == want and got.hex() == want.hex()
+        return got
+
+    @staticmethod
+    def count_reconstructions(monkeypatch) -> list:
+        calls = []
+        reconstruct = TruncationCodec.reconstruct
+
+        def spy(self, payload):
+            calls.append(payload)
+            return reconstruct(self, payload)
+
+        monkeypatch.setattr(codec_module.TruncationCodec, "reconstruct", spy)
+        return calls
+
+    def test_kept_length_one_and_all_but_one(self, monkeypatch):
+        calls = self.count_reconstructions(monkeypatch)
+        original = item_bytes(5, 0, 0, 0, 1000)
+        for keep in (1, 2, len(original) - 1):
+            got = psnr_fidelity(Payload(original[:keep], original, 50.0))
+            assert got < math.inf
+        # the tail path reconstructs nothing
+        assert calls == []
+        for keep in (1, 2, len(original) - 1):
+            self.assert_same(original[:keep], original)
+
+    def test_tail_equal_to_the_mean_byte_is_infinite(self):
+        # mean of the kept bytes 10, 20, 30 is 20, and the tail is all 20
+        assert self.assert_same(bytes([10, 20, 30]),
+                                bytes([10, 20, 30, 20, 20])) == math.inf
+        assert self.assert_same(b"\x07", b"\x07" * 50) == math.inf
+
+    @pytest.mark.parametrize("kept, mean", [
+        (bytes([0, 1]), 0),          # 0.5 rounds to even 0
+        (bytes([1, 2]), 2),          # 1.5 rounds to even 2
+        (bytes([2, 3]), 2),          # 2.5 rounds to even 2
+        (bytes([254, 255]), 254),    # 254.5 rounds to even 254
+    ])
+    def test_mean_ending_in_a_half_rounds_to_even(self, kept, mean):
+        # a tail of the even mean is exact; one off it is not
+        assert self.assert_same(kept, kept + bytes([mean]) * 9) == math.inf
+        assert self.assert_same(kept, kept + bytes([mean + 1]) * 9) < math.inf
+
+    @pytest.mark.parametrize("blob_, original", [
+        (bytes([9, 9]), bytes([1, 2, 3, 4])),         # not a prefix
+        (bytes([1, 2, 4]), bytes([1, 2, 3, 4, 5])),   # differs in its last
+        (b"", bytes(range(10))),                      # empty blob
+        (b"", b""),                                   # empty original
+        (bytes(range(64)), bytes(range(64))),         # blob == original
+        (bytes(range(64)), bytes(range(63)) + b"x"),  # same length, differs
+    ])
+    def test_other_shapes_take_the_reconstruction(self, monkeypatch, blob_,
+                                                  original):
+        calls = self.count_reconstructions(monkeypatch)
+        self.assert_same(blob_, original)
+        # once for psnr_fidelity and once for the reference
+        assert len(calls) == 2
+
+    def test_blob_longer_than_its_original_still_raises(self):
+        payload = Payload(bytes(range(12)), bytes(range(10)), 50.0)
+        with pytest.raises(RuntimeError, match="^reconstruction length 12 "
+                                               "!= original 10$"):
+            psnr_fidelity(payload)
+        with pytest.raises(RuntimeError, match="^reconstruction length 12 "
+                                               "!= original 10$"):
+            reconstruct_psnr(payload)
+
+    def test_random_prefixes_of_corpus_items(self):
+        rng = np.random.default_rng(2021)
+        items = fixture_items() + [item_bytes(7, 0, 0, 0, int(n))
+                                   for n in rng.integers(2, 5000, 3)]
+        for data in items:
+            for keep in rng.integers(1, len(data), 25):
+                self.assert_same(data[:int(keep)], data)
+            for q in (1.0, 10.0, 33.3, 50.0, 95.0, 99.9):
+                degraded = CODEC.compress(Payload.from_bytes(data), q)
+                assert psnr_fidelity(degraded) == reconstruct_psnr(degraded)
+
+
+class TestExtractorMemo:
+    """An extractor computes a ``bytes`` blob's feature once, and hands the
+    same read-only vector to every later caller."""
+
+    def test_same_bytes_give_the_same_read_only_vector(self):
+        extractor = HistogramExtractor(dim=64, seed=7)
+        data = item_bytes(1, 0, 0, 0, 512)
+        first = extractor.extract(data)
+        assert extractor.extract(bytes(bytearray(data))) is first
+        assert extractor.extract(Payload.from_bytes(data)) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        fresh = HistogramExtractor(dim=64, seed=7).extract(data)
+        assert fresh.tobytes() == first.tobytes()
+        assert extractor.extract(b"") is extractor.extract(b"")
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_other_buffers_are_not_kept(self, wrap):
+        extractor = HistogramExtractor(dim=64, seed=7)
+        data = item_bytes(2, 0, 0, 0, 512)
+        a, b = extractor.extract(wrap(data)), extractor.extract(wrap(data))
+        assert a is not b and a.flags.writeable
+        assert extractor._memo == {}
+        want = HistogramExtractor(dim=64, seed=7).extract(data)
+        assert a.tobytes() == b.tobytes() == want.tobytes()
+        # a buffer changed in place gets its new feature
+        buf = bytearray(data)
+        before = extractor.extract(buf)
+        buf[:256] = bytes(256)
+        after = extractor.extract(buf)
+        assert after.tobytes() == \
+            HistogramExtractor(dim=64, seed=7).extract(bytes(buf)).tobytes()
+        assert after.tobytes() != before.tobytes()
+
+    def test_memo_starts_over_at_its_bound(self):
+        extractor = HistogramExtractor(dim=8, seed=7)
+        blobs = [i.to_bytes(2, "big") for i in range(FEATURE_MEMO_SIZE + 1)]
+        kept = [extractor.extract(b) for b in blobs[:FEATURE_MEMO_SIZE]]
+        assert len(extractor._memo) == FEATURE_MEMO_SIZE
+        assert extractor.extract(blobs[0]) is kept[0]
+        extractor.extract(blobs[-1])
+        assert list(extractor._memo) == [blobs[-1]]
+        again = extractor.extract(blobs[0])
+        assert again is not kept[0]
+        assert again.tobytes() == kept[0].tobytes()
+        assert len(extractor._memo) == 2
+
+    def test_a_replay_extracts_each_distinct_blob_once(self, monkeypatch):
+        calls = []
+        bincount = np.bincount
+
+        def spy(x, *args, **kwargs):
+            calls.append(x.tobytes())
+            return bincount(x, *args, **kwargs)
+
+        # the distinct-scan benchmark workload: one item per cluster
+        config = load_config(preset="wildlife-deer", seed=42)
+        spec = dataclasses.replace(config.workload, items_per_cluster=1,
+                                   n_items=100, n_retrievals=200)
+        corpus = build_corpus(spec)
+        records = generate_trace(corpus, spec)
+        adapter = build_adapter(config, corpus)
+        monkeypatch.setattr(codec_module.np, "bincount", spy)
+        replay(records, adapter, corpus)
+        stored = [r.item_id for r in records if r.op == "store"]
+        cued = {r.item_id for r in records
+                if r.op == "retrieve" and r.use_fine_cue}
+        blobs = {corpus.by_id[i].data for i in set(stored) | cued}
+        assert sorted(calls) == sorted(blobs)
+        # without the memo, a stored item retrieved later is extracted twice
+        assert len(calls) < len(stored) + len(cued)

@@ -689,6 +689,31 @@ class TestDataType:
         assert out.payload.original == blob(0)
 
 
+class TestLocalityId:
+    """``bootstrap_store(locality_id=...)`` seeds the neuron in the locality
+    of that id; an id that names none is refused by name before anything
+    changes."""
+
+    @pytest.mark.parametrize("locality_id", [0, 1])
+    def test_known_id_places_the_neuron(self, locality_id):
+        engine = engine_with()
+        dn_id = engine.bootstrap_store(blob(1), "hot", locality_id=locality_id)
+        assert engine.memory.data_neuron(dn_id).locality_id == locality_id
+        loc = engine.hive.locality(locality_id)
+        assert loc.id == locality_id and loc.dn_ids == [dn_id]
+        assert engine.hive.localities[1 - locality_id].dn_ids == []
+
+    @pytest.mark.parametrize("locality_id", [-1, -2, 2, 10, True, False, 1.0,
+                                             "0"])
+    def test_unknown_id_refused_by_name(self, locality_id):
+        engine = TestCueLabel.seeded(self)
+        before = TestCueLabel.state(self, engine)
+        with pytest.raises(ConfigurationError) as caught:
+            engine.bootstrap_store(blob(1), "hot", locality_id=locality_id)
+        assert str(caught.value) == f"unknown locality {locality_id} in hive 0"
+        assert TestCueLabel.state(self, engine) == before
+
+
 class TestFineCueShape:
     """A fine cue is one vector of ``feature_dim`` numbers; anything else is
     refused before the op changes anything, whether or not the cue has

@@ -18,7 +18,7 @@ import pytest
 
 from neuralstore import codec as codec_module
 from neuralstore import engine as engine_module
-from neuralstore.codec import Payload, TruncationCodec, psnr_fidelity
+from neuralstore.codec import Payload, psnr_fidelity
 from neuralstore.core import SearchEntry, unit_row
 from neuralstore.engine import OpControls, SearchParams
 from tests.helpers import candidates
@@ -173,15 +173,17 @@ def reference_psnr(payload: Payload) -> float:
     return 10.0 * math.log10(255.0 ** 2 / mse)
 
 
-def count_reconstructions(monkeypatch) -> list:
+def count_computations(monkeypatch) -> list:
+    """Record each PSNR computation, on the tail path and on the
+    reconstruct path alike."""
     calls = []
-    original = TruncationCodec.reconstruct
+    original = codec_module._psnr_db
 
-    def spy(self, payload):
+    def spy(payload):
         calls.append(payload)
-        return original(self, payload)
+        return original(payload)
 
-    monkeypatch.setattr(codec_module.TruncationCodec, "reconstruct", spy)
+    monkeypatch.setattr(codec_module, "_psnr_db", spy)
     return calls
 
 
@@ -195,7 +197,7 @@ class TestFidelityKeptPerPayload:
     ])
     def test_kept_value_equals_a_fresh_computation(self, monkeypatch,
                                                    blob_, original):
-        calls = count_reconstructions(monkeypatch)
+        calls = count_computations(monkeypatch)
         payload = Payload(blob_, original, 50.0)
         first = psnr_fidelity(payload)
         assert first == pytest.approx(reference_psnr(payload), rel=1e-12)
