@@ -10,6 +10,10 @@ a flag-0 reaction.  This config turns both on, with ``phi: 0`` and a
   most stores, and writes its op log and state snapshot;
 * ``compare`` replays both engines and the cap grid.
 
+A second pin runs the same learning config at scale: 1,100 distinct items,
+enough to grow the row columns past 1,024 rows and to start the
+1,024-entry feature and fine-cue memos over, under a cap that binds.
+
 On this trace the engine weakens 177 edges in flag-0 reactions and ages 55
 idle edges in retention passes, 15 of which move.  The sha256 of every
 artifact must equal its pin: a change meant to keep behaviour keeps every
@@ -56,6 +60,21 @@ COMPARE_PINS = {
 }
 
 
+SCALE_CONFIG = {
+    **CONFIG,
+    "workload": {"n_items": 1100, "items_per_cluster": 1,
+                 "n_retrievals": 1100, "payload_size_range": [256, 1024],
+                 "tail_retentions": 5},
+}
+
+SCALE_RUN_PINS = {
+    "oplog-ns.jsonl":
+        "a51fd54edb29548c69602b4d00ab904bc8c48761d3afac9f8c3a033036424454",
+    "snapshot.txt":
+        "a70ef8e94a527eb5be4cf93bda413700e8879544e9edd7b79e1eed66932991d8",
+}
+
+
 def _digests(out, names) -> dict[str, str]:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in names}
@@ -74,3 +93,15 @@ def test_harsh_run_and_compare_match_their_pins(tmp_path, capsys):
     capsys.readouterr()
     assert _digests(run, RUN_PINS) == RUN_PINS
     assert _digests(cmp, COMPARE_PINS) == COMPARE_PINS
+
+
+def test_harsh_run_at_scale_matches_its_pins(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SCALE_CONFIG))
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--config", str(config), "--out", str(data)]) == 0
+    assert main(["run", "--config", str(config),
+                 "--trace", str(data / "trace.jsonl"),
+                 "--cap", "160000", "--out", str(run)]) == 0
+    capsys.readouterr()
+    assert _digests(run, SCALE_RUN_PINS) == SCALE_RUN_PINS
