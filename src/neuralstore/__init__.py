@@ -26,9 +26,6 @@ from neuralstore.codec import (
 )
 from neuralstore.core import (
     ConfigurationError,
-    CueNeuron,
-    DataNeuron,
-    Hive,
     HiveParams,
     Locality,
     Memory,
@@ -50,9 +47,6 @@ __all__ = [
     "CamBaseline",
     "CamEntry",
     "ConfigurationError",
-    "CueNeuron",
-    "DataNeuron",
-    "Hive",
     "HiveParams",
     "HistogramExtractor",
     "Locality",

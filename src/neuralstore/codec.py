@@ -7,9 +7,9 @@ that keeps a prefix of the original bytes and reconstructs the rest with the
 mean byte value, which makes every size and fidelity property exactly
 computable.
 
-A hive stores every payload the way ``TruncationCodec.compress`` would: as
-a prefix of its blob, so a neuron's stored bytes are given by one size (see
-:class:`neuralstore.core.Hive`).
+A memory stores every payload the way ``TruncationCodec.compress`` would:
+as a prefix of its blob, so a neuron's stored bytes are given by one size
+(see :class:`neuralstore.core.Memory`).
 
 Feature vectors come from the histogram extractor: it projects the
 payload's byte histogram through a seeded random matrix and normalizes to

@@ -1,32 +1,32 @@
-"""Neural memory network state: neurons, weighted associations, one hive.
+"""Neural memory network state: one memory of neurons and their associations.
 
 The memory holds two kinds of neuron, and weighted associations that each
 lead from a cue neuron to a data neuron:
 
-* cue neurons hold a label string, by whose exact text the hive finds
+* cue neurons hold a label string, by whose exact text the memory finds
   them (a locality's default cue has no label, and is the cue its
-  locality names as ``default_cue_id``);
+  locality names as ``default_cue_id``); ``Memory.cues`` maps each cue id
+  to its label;
 * data neurons hold a payload, a feature vector and a memory strength in
   ``[phi, 100]`` that governs the stored quality of the payload.
 
-A data neuron's state (strength, last access, stored quality and stored
-size) lives in the hive's per-row columns, one row per neuron, so that
-retention updates a whole locality with one array pass and elasticity reads
-a locality's strengths at once.  The neuron object holds its id, feature
-and locality, and reads its state from those columns: its ``strength``,
-``last_access_op``, ``size_bytes`` and ``payload`` are read-only, and
-change only through ``Memory``.  Three of its methods lower strengths,
-each truncating the payload where the stored quality falls:
-``adjust_strength`` for one neuron, ``adjust_strengths`` for many rows at
-once (retention), and ``lower_to_floors``, the elasticity walk, which
-lowers the strengths of each ``(locality, ceiling)`` step above its floor
-and stops once the bytes freed cover the shortfall it is given.
-``reinforce`` restores a strength to 100, and ``set_payload`` replaces a
-payload.
+A data neuron is a row of the memory's per-row columns, which
+``Memory.row_of`` finds by its id: its unit feature, strength, last access,
+stored quality and stored size, original size, locality and feature as
+given.  Retention thus updates a whole locality with one array pass and
+elasticity reads a locality's strengths at once.  ``Memory.payload`` reads
+a data neuron's payload at its stored quality.  The columns change only
+through ``Memory``.  Three of its methods lower strengths, each truncating
+the payload where the stored quality falls: ``adjust_strength`` for one
+neuron, ``adjust_strengths`` for many rows at once (retention), and
+``lower_to_floors``, the elasticity walk, which lowers the strengths of
+each ``(locality, ceiling)`` step above its floor and stops once the bytes
+freed cover the shortfall it is given.  ``reinforce`` restores a strength
+to 100, and ``set_payload`` replaces a payload.
 
-A memory holds one hive, with its hyperparameters and
-feature extractor; localities partition the hive by data kind and carry
-the decay hyperparameters.  Every locality owns a default cue connected to
+A memory holds its hyperparameters and feature extractor; localities
+partition the data neurons by data kind and carry the decay
+hyperparameters.  Every locality owns a default cue connected to
 all of its data neurons, which is how data stays reachable when no user cue
 leads to it.  Only explicitly created associations exist, at weights
 ``>= epsilon``.  ``Memory`` keeps them in two dicts keyed ``(cue_id,
@@ -44,6 +44,9 @@ changed, insert or move its entry in its cue's order: found by ``bisect``
 at its old ``(-weight, dn_id)`` key, replaced in place when its new key
 still sits between its neighbours, and otherwise inserted again at its new
 place.  The orders are therefore always current.
+
+The snapshot format still names one hive, 0, with a blob modality: every
+line the memory writes carries ``hive=0``.
 
 All weight and strength updates go through the two clamp rules
 
@@ -72,7 +75,7 @@ from neuralstore.codec import HistogramExtractor, Payload
 
 SNAPSHOT_FORMAT = "neuralstore-snapshot"
 SNAPSHOT_VERSION = 1
-# the seed of every hive's feature projection
+# the seed of every memory's feature projection
 EXTRACTOR_SEED = 7
 
 
@@ -186,45 +189,8 @@ def _fmt(x: float | int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Neurons
+# Search orders and localities
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CueNeuron:
-    id: int
-    label: str | None = None
-
-
-class DataNeuron:
-    """A data neuron: its id, feature and locality, with read-only views of
-    its state in row ``row`` of the hive's columns."""
-
-    __slots__ = ("id", "feature", "locality_id", "row", "_hive")
-
-    def __init__(self, id: int, feature: np.ndarray, locality_id: int,
-                 row: int, hive: "Hive"):
-        self.id = id
-        self.feature = feature
-        self.locality_id = locality_id
-        self.row = row
-        self._hive = hive
-
-    @property
-    def strength(self) -> float:
-        return self._hive.strength.item(self.row)
-
-    @property
-    def last_access_op(self) -> int:
-        return self._hive.last_access.item(self.row)
-
-    @property
-    def size_bytes(self) -> int:
-        return self._hive.keep.item(self.row)
-
-    @property
-    def payload(self) -> Payload:
-        return self._hive.payload(self.row)
-
 
 class SearchEntry(tuple):
     """One candidate in a cue's search order: the cue's edge to a data neuron.
@@ -255,10 +221,6 @@ class SearchEntry(tuple):
                 f"avg_weight={-self[0]!r})")
 
 
-# ---------------------------------------------------------------------------
-# Hive organization
-# ---------------------------------------------------------------------------
-
 @dataclass
 class Locality:
     id: int
@@ -269,14 +231,14 @@ class Locality:
     default_cue_id: int | None = None
     # the locality's data neurons in increasing id order
     dn_ids: list[int] = field(default_factory=list)
-    # their hive rows, in a buffer grown by doubling
+    # their memory rows, in a buffer grown by doubling
     _rows: np.ndarray = field(
         default_factory=lambda: np.empty(16, dtype=np.int64), repr=False,
         compare=False)
 
     @property
     def rows(self) -> np.ndarray:
-        """The hive rows of ``dn_ids``, in the same order."""
+        """The memory rows of ``dn_ids``, in the same order."""
         return self._rows[:len(self.dn_ids)]
 
     def add(self, dn_id: int, row: int) -> None:
@@ -370,108 +332,58 @@ class HiveParams:
 HIVE_PARAM_TYPES = typing.get_type_hints(HiveParams)
 
 
-@dataclass
-class Hive:
-    id: int
-    params: HiveParams
-    localities: list[Locality] = field(default_factory=list)
-    search_order: dict[int, list[SearchEntry]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.extractor = HistogramExtractor(dim=self.params.feature_dim,
-                                            seed=EXTRACTOR_SEED)
-        self._label_index: dict[str, int] = {}
-        # One row per data neuron, in the order they were added (which is id
-        # order), in columns grown by doubling: its feature scaled to unit
-        # length, so a query scores every neuron in one product; its
-        # strength, last access op, stored quality and stored size; and the
-        # original size of its payload.
-        self.feature_rows: dict[int, int] = {}
-        self.features = np.empty((0, self.params.feature_dim))
-        self.strength = np.empty(0)
-        self.last_access = np.empty(0, dtype=np.int64)
-        self.quality = np.empty(0)
-        self.keep = np.empty(0, dtype=np.int64)
-        self.original_size = np.empty(0, dtype=np.int64)
-        # each row's payload as last stored or merge-refreshed; the stored
-        # bytes are its blob's first ``keep``
-        self.stored: list[Payload] = []
-        # each row's payload as read, built on demand; None once it changes
-        self.built: list[Payload | None] = []
-
-    def add_row(self, dn_id: int, feature: np.ndarray, payload: Payload,
-                op: int) -> int:
-        """Give a new data neuron a row at strength 100; return the row."""
-        row = len(self.feature_rows)
-        if row == len(self.features):
-            for name in ("features", "strength", "last_access", "quality",
-                         "keep", "original_size"):
-                setattr(self, name, _grown(getattr(self, name), row))
-        self.features[row] = unit_row(feature)
-        self.strength[row] = 100.0
-        self.last_access[row] = op
-        self.feature_rows[dn_id] = row
-        self.stored.append(payload)
-        self.built.append(payload)
-        self.store_payload(row, payload)
-        return row
-
-    def store_payload(self, row: int, payload: Payload) -> None:
-        """Hold ``payload`` in a row as stored, at its quality and size."""
-        self.stored[row] = payload
-        self.built[row] = payload
-        self.quality[row] = payload.quality
-        self.keep[row] = len(payload.blob)
-        self.original_size[row] = len(payload.original)
-
-    def payload(self, row: int) -> Payload:
-        """A row's payload at its stored quality and size."""
-        built = self.built[row]
-        if built is None:
-            p = self.stored[row]
-            built = Payload(p.blob[:self.keep.item(row)], p.original,
-                            self.quality.item(row), p.lineage)
-            self.built[row] = built
-        return built
-
-    def find_cue_by_label(self, label: str) -> int | None:
-        return self._label_index.get(label)
-
-    def locality(self, locality_id: int) -> Locality:
-        # localities[i].id == i, so an id in range is an index
-        if (isinstance(locality_id, bool)
-                or not isinstance(locality_id, numbers.Integral)
-                or not 0 <= locality_id < len(self.localities)):
-            raise ConfigurationError(
-                f"unknown locality {locality_id} in hive {self.id}")
-        return self.localities[locality_id]
-
-
 # ---------------------------------------------------------------------------
 # Memory
 # ---------------------------------------------------------------------------
 
 class Memory:
-    """The neural memory network: one hive of neurons and their associations.
+    """The neural memory network: cue and data neurons, their weighted
+    associations, and the localities that partition the data neurons.
 
     One logical thread of control per instance.
     """
 
     def __init__(self, params: HiveParams):
         params.validate()
-        self.hive = Hive(id=0, params=params)
-        for i in range(len(params.locality_mapping)):
-            self.hive.localities.append(Locality(
-                id=i,
-                memory_decay_rate=params.memory_decay_rates[i],
-                association_decay_rate=params.association_decay_rates[i],
-                mapping=params.locality_mapping[i],
-            ))
+        self.params = params
+        self.extractor = HistogramExtractor(dim=params.feature_dim,
+                                            seed=EXTRACTOR_SEED)
+        self.localities = [
+            Locality(id=i,
+                     memory_decay_rate=params.memory_decay_rates[i],
+                     association_decay_rate=params.association_decay_rates[i],
+                     mapping=params.locality_mapping[i])
+            for i in range(len(params.locality_mapping))]
+        # each cue neuron's label (None for a default cue), each label's cue,
+        # and each cue's search order
+        self.cues: dict[int, str | None] = {}
+        self._label_index: dict[str, int] = {}
+        self.search_order: dict[int, list[SearchEntry]] = {}
         # each association's weight, and the op that created it or last
         # changed it other than by ageing, keyed (cue_id, dn_id)
         self.weights: dict[tuple[int, int], float] = {}
         self.edge_access: dict[tuple[int, int], int] = {}
-        self.neurons: dict[int, CueNeuron | DataNeuron] = {}
+        # One row per data neuron, in the order they were added (which is id
+        # order), in columns grown by doubling: its feature scaled to unit
+        # length, so a query scores every neuron in one product; its
+        # strength, last access op, stored quality and stored size; and the
+        # original size of its payload.
+        self.row_of: dict[int, int] = {}
+        self.features = np.empty((0, params.feature_dim))
+        self.strength = np.empty(0)
+        self.last_access = np.empty(0, dtype=np.int64)
+        self.quality = np.empty(0)
+        self.keep = np.empty(0, dtype=np.int64)
+        self.original_size = np.empty(0, dtype=np.int64)
+        # each row's locality id, and its feature as given, which the scalar
+        # match recheck scores
+        self.row_locality: list[int] = []
+        self.raw_features: list[np.ndarray] = []
+        # each row's payload as last stored or merge-refreshed; the stored
+        # bytes are its blob's first ``keep``
+        self.stored: list[Payload] = []
+        # each row's payload as read, built on demand; None once it changes
+        self.built: list[Payload | None] = []
         self.op_counter = 0
         self._next_neuron_id = 0
         # stored payload bytes, kept current by add_data_neuron and set_payload
@@ -486,33 +398,45 @@ class Memory:
 
     def _add_cue(self, label: str | None = None) -> int:
         """A new cue neuron, with an empty search order."""
-        cue = CueNeuron(id=self._take_id(), label=label)
-        self.neurons[cue.id] = cue
-        self.hive.search_order[cue.id] = []
-        return cue.id
+        cue_id = self._take_id()
+        self.cues[cue_id] = label
+        self.search_order[cue_id] = []
+        return cue_id
 
     def add_cue_neuron(self, label: str) -> int:
         """The cue neuron with ``label``, inserted if the bank has none."""
-        cue_id = self.hive.find_cue_by_label(label)
+        cue_id = self.find_cue_by_label(label)
         return self.new_cue_neuron(label) if cue_id is None else cue_id
 
     def new_cue_neuron(self, label: str) -> int:
         """A new cue neuron for ``label``, which the bank does not hold."""
-        cue_id = self.hive._label_index[label] = self._add_cue(label)
+        cue_id = self._label_index[label] = self._add_cue(label)
         return cue_id
 
     def add_data_neuron(self, locality_id: int, payload: Payload,
                         feature: np.ndarray) -> int:
-        hive = self.hive
-        locality = hive.locality(locality_id)
+        """A new data neuron in a new row at strength 100, joined to its
+        locality's default cue at epsilon."""
+        locality = self.locality(locality_id)
         feature = np.asarray(feature, dtype=float)
-        if feature.shape != (hive.params.feature_dim,):
+        if feature.shape != (self.params.feature_dim,):
             raise ConfigurationError(
-                f"feature dimension {feature.shape} != ({hive.params.feature_dim},)")
+                f"feature dimension {feature.shape} != ({self.params.feature_dim},)")
         dn_id = self._take_id()
-        row = hive.add_row(dn_id, feature, payload, self.op_counter)
-        dn = DataNeuron(dn_id, feature, locality_id, row, hive)
-        self.neurons[dn_id] = dn
+        row = len(self.row_of)
+        if row == len(self.features):
+            for name in ("features", "strength", "last_access", "quality",
+                         "keep", "original_size"):
+                setattr(self, name, _grown(getattr(self, name), row))
+        self.features[row] = unit_row(feature)
+        self.strength[row] = 100.0
+        self.last_access[row] = self.op_counter
+        self.row_of[dn_id] = row
+        self.row_locality.append(locality.id)
+        self.raw_features.append(feature)
+        self.stored.append(payload)
+        self.built.append(payload)
+        self._store_payload(row, payload)
         self._bytes += len(payload.blob)
         locality.add(dn_id, row)
         if locality.default_cue_id is None:
@@ -523,11 +447,36 @@ class Memory:
 
     # -- lookups ------------------------------------------------------------
 
-    def data_neuron(self, dn_id: int) -> DataNeuron:
-        neuron = self.neurons[dn_id]
-        if not isinstance(neuron, DataNeuron):
+    def find_cue_by_label(self, label: str) -> int | None:
+        return self._label_index.get(label)
+
+    def locality(self, locality_id: int) -> Locality:
+        # localities[i].id == i, so an id in range is an index
+        if (isinstance(locality_id, bool)
+                or not isinstance(locality_id, numbers.Integral)
+                or not 0 <= locality_id < len(self.localities)):
+            raise ConfigurationError(
+                f"unknown locality {locality_id} in hive 0")
+        return self.localities[locality_id]
+
+    def _row(self, dn_id: int) -> int:
+        """A data neuron's row; KeyError naming ``dn_id`` if it is not a
+        data neuron."""
+        row = self.row_of.get(dn_id)
+        if row is None:
             raise KeyError(f"neuron {dn_id} is not a data neuron")
-        return neuron
+        return row
+
+    def payload(self, dn_id: int) -> Payload:
+        """A data neuron's payload at its stored quality and size."""
+        row = self._row(dn_id)
+        built = self.built[row]
+        if built is None:
+            p = self.stored[row]
+            built = Payload(p.blob[:self.keep.item(row)], p.original,
+                            self.quality.item(row), p.lineage)
+            self.built[row] = built
+        return built
 
     def total_bytes(self) -> int:
         return self._bytes
@@ -536,9 +485,9 @@ class Memory:
         """The key of the association from a cue to a data neuron; KeyError
         naming ``cue_id`` if it is not a cue, or ``dn_id`` if it is not a
         data neuron."""
-        if not isinstance(self.neurons.get(cue_id), CueNeuron):
+        if cue_id not in self.cues:
             raise KeyError(f"neuron {cue_id} is not a cue neuron")
-        if dn_id not in self.hive.feature_rows:
+        if dn_id not in self.row_of:
             raise KeyError(f"neuron {dn_id} is not a data neuron")
         return cue_id, dn_id
 
@@ -555,17 +504,16 @@ class Memory:
         key = self._edge(cue_id, dn_id)
         weight = self.weights.get(key)
         if weight is None:
-            hive = self.hive
             # a default cue is the one its locality names
-            for loc in hive.localities:
-                if (cue_id == loc.default_cue_id
-                        and loc.id != self.neurons[dn_id].locality_id):
+            locality_id = self.row_locality[self.row_of[dn_id]]
+            for loc in self.localities:
+                if cue_id == loc.default_cue_id and loc.id != locality_id:
                     raise KeyError(
                         f"default cue {cue_id} belongs to another locality "
                         f"than data neuron {dn_id}")
-            weight = self.weights[key] = hive.params.epsilon
+            weight = self.weights[key] = self.params.epsilon
             self.edge_access[key] = self.op_counter
-            insort(hive.search_order[cue_id],
+            insort(self.search_order[cue_id],
                    SearchEntry(cue_id, dn_id, weight))
         return weight
 
@@ -583,8 +531,7 @@ class Memory:
             # pair found needs no check of its ids
             self._edge(cue_id, dn_id)
             raise KeyError(f"no association from {cue_id} to {dn_id}")
-        new = self.weights[key] = clamp_weight(self.hive.params.epsilon, old,
-                                               delta)
+        new = self.weights[key] = clamp_weight(self.params.epsilon, old, delta)
         if touch:
             self.edge_access[key] = self.op_counter
         if new != old:
@@ -595,7 +542,7 @@ class Memory:
                     new: float) -> None:
         """Move the association's entry in its cue's order from weight
         ``old`` to ``new``."""
-        order = self.hive.search_order[cue_id]
+        order = self.search_order[cue_id]
         entry = SearchEntry(cue_id, dn_id, new)
         i = bisect_left(order, (-old, dn_id))
         # keys are distinct, so an entry strictly between its neighbours
@@ -615,23 +562,22 @@ class Memory:
         / 100)`` bytes, as the prefix codec compresses.
         :meth:`adjust_strengths` is the same update over many rows.
         """
-        hive = self.hive
-        row = self.data_neuron(dn_id).row
-        new = clamp_strength(hive.params.phi, hive.strength.item(row), delta)
-        hive.strength[row] = new
-        if new < hive.quality.item(row):
-            keep = hive.keep.item(row)
+        row = self._row(dn_id)
+        new = clamp_strength(self.params.phi, self.strength.item(row), delta)
+        self.strength[row] = new
+        if new < self.quality.item(row):
+            keep = self.keep.item(row)
             kept = min(keep, math.ceil(
-                hive.original_size.item(row) * new / 100.0))
-            hive.quality[row] = new
-            hive.keep[row] = kept
-            hive.built[row] = None
+                self.original_size.item(row) * new / 100.0))
+            self.quality[row] = new
+            self.keep[row] = kept
+            self.built[row] = None
             self._bytes -= keep - kept
         return new
 
     def adjust_strengths(self, rows: np.ndarray, strengths: np.ndarray,
                          delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`adjust_strength` over hive rows at once, as retention
+        """:meth:`adjust_strength` over many rows at once, as retention
         ages a locality's idle rows.
 
         ``strengths`` are the rows' current strengths and ``delta`` one
@@ -639,22 +585,21 @@ class Memory:
         ``rows`` whose stored quality fell, and the bytes each of those
         freed.
         """
-        hive = self.hive
-        new = np.minimum(100.0, np.maximum(hive.params.phi, strengths - delta))
-        hive.strength[rows] = new
+        new = np.minimum(100.0, np.maximum(self.params.phi, strengths - delta))
+        self.strength[rows] = new
         # the quality a row stores is its strength
         quality = new
-        lower = (quality < hive.quality[rows]).nonzero()[0]
+        lower = (quality < self.quality[rows]).nonzero()[0]
         if len(lower) < len(rows):
             rows, quality = rows[lower], quality[lower]
-        keep = hive.keep[rows]
+        keep = self.keep[rows]
         kept = np.minimum(keep, np.ceil(
-            hive.original_size[rows] * quality / 100.0).astype(np.int64))
-        hive.quality[rows] = quality
-        hive.keep[rows] = kept
+            self.original_size[rows] * quality / 100.0).astype(np.int64))
+        self.quality[rows] = quality
+        self.keep[rows] = kept
         freed = keep - kept
         self._bytes -= sum(freed.tolist())
-        built = hive.built
+        built = self.built
         for row in rows.tolist():
             built[row] = None
         return new, lower, freed
@@ -673,11 +618,10 @@ class Memory:
         :meth:`adjust_strength`; a row whose stored quality falls is
         truncated as that method truncates it.
         """
-        hive = self.hive
-        phi = hive.params.phi
+        phi = self.params.phi
         strength, quality, keep, size, built = (
-            hive.strength, hive.quality, hive.keep, hive.original_size,
-            hive.built)
+            self.strength, self.quality, self.keep, self.original_size,
+            self.built)
         read: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
         freed = 0
         for locality, ceiling in steps:
@@ -715,10 +659,19 @@ class Memory:
         self._bytes -= freed
         return freed
 
-    def set_payload(self, dn: DataNeuron, payload: Payload) -> None:
+    def set_payload(self, dn_id: int, payload: Payload) -> None:
         """Replace a data neuron's payload, keeping the byte total current."""
-        self._bytes += len(payload.blob) - dn.size_bytes
-        self.hive.store_payload(dn.row, payload)
+        row = self._row(dn_id)
+        self._bytes += len(payload.blob) - self.keep.item(row)
+        self._store_payload(row, payload)
+
+    def _store_payload(self, row: int, payload: Payload) -> None:
+        """Hold ``payload`` in a row as stored, at its quality and size."""
+        self.stored[row] = payload
+        self.built[row] = payload
+        self.quality[row] = payload.quality
+        self.keep[row] = len(payload.blob)
+        self.original_size[row] = len(payload.original)
 
     def reinforce(self, dn_id: int) -> None:
         """Restore a data neuron's strength to 100 and mark it accessed at
@@ -728,12 +681,9 @@ class Memory:
         the row's last access to the current op: a strength in ``[phi,
         100]`` clamps to exactly 100, which lowers no stored quality.
         """
-        hive = self.hive
-        row = hive.feature_rows.get(dn_id)
-        if row is None:
-            raise KeyError(f"neuron {dn_id} is not a data neuron")
-        hive.strength[row] = 100.0
-        hive.last_access[row] = self.op_counter
+        row = self._row(dn_id)
+        self.strength[row] = 100.0
+        self.last_access[row] = self.op_counter
 
     # -- export -------------------------------------------------------------
 
@@ -745,42 +695,46 @@ class Memory:
         raise ValueError(f"unknown export format {fmt!r}; use 'snapshot' or 'dot'")
 
     def _export_snapshot(self) -> str:
-        hive, p = self.hive, self.hive.params
-        # the format keeps a hive modality field; every payload is a blob
+        p = self.params
+        # the format keeps a hive id and a modality field; the memory is
+        # hive 0, and every payload is a blob
         lines = [f"{SNAPSHOT_FORMAT} {SNAPSHOT_VERSION}",
-                 f"hive {hive.id} modality=blob "
+                 f"hive 0 modality=blob "
                  f"eta={_fmt(p.eta)} epsilon={_fmt(p.epsilon)} phi={_fmt(p.phi)} "
                  f"retention={p.retention_period}"]
-        for loc in hive.localities:
+        for loc in self.localities:
             default = "-" if loc.default_cue_id is None else loc.default_cue_id
             lines.append(
-                f"locality {loc.id} hive={hive.id} "
+                f"locality {loc.id} hive=0 "
                 f"memory_decay={_fmt(loc.memory_decay_rate)} "
                 f"association_decay={_fmt(loc.association_decay_rate)} "
                 f"default_cue={default}")
-        defaults = {loc.default_cue_id for loc in hive.localities}
-        for nid, neuron in sorted(self.neurons.items()):
-            if isinstance(neuron, CueNeuron):
+        defaults = {loc.default_cue_id for loc in self.localities}
+        # every id is a cue's or a data neuron's
+        for nid in range(self._next_neuron_id):
+            if nid in self.cues:
+                label = self.cues[nid]
                 # "-" stands for no label, so the label "-" is escaped
-                label = ("-" if neuron.label is None else
-                         "%2D" if neuron.label == "-" else
-                         urllib.parse.quote(neuron.label))
-                lines.append(f"cue {nid} hive={hive.id} label={label} "
+                label = ("-" if label is None else "%2D" if label == "-" else
+                         urllib.parse.quote(label))
+                lines.append(f"cue {nid} hive=0 label={label} "
                              f"default={int(nid in defaults)}")
             else:
+                row = self.row_of[nid]
                 lines.append(
-                    f"data {nid} hive={hive.id} locality={neuron.locality_id} "
-                    f"strength={_fmt(neuron.strength)} "
-                    f"quality={_fmt(neuron.payload.quality)} "
-                    f"size={neuron.size_bytes} original={neuron.payload.original_size} "
-                    f"last_access={neuron.last_access_op}")
+                    f"data {nid} hive=0 locality={self.row_locality[row]} "
+                    f"strength={_fmt(self.strength.item(row))} "
+                    f"quality={_fmt(self.quality.item(row))} "
+                    f"size={self.keep.item(row)} "
+                    f"original={self.original_size.item(row)} "
+                    f"last_access={self.last_access.item(row)}")
         # an edge line names its lower id first, whichever end is the cue
         for a, b, key in sorted((min(k), max(k), k) for k in self.weights):
             lines.append(f"edge {a} {b} weight={_fmt(self.weights[key])} "
                          f"last_access={self.edge_access[key]}")
-        for cue_id in sorted(hive.search_order):
+        for cue_id in sorted(self.search_order):
             entries = ",".join(f"{e.dn_id}:{_fmt(e.avg_weight)}"
-                               for e in hive.search_order[cue_id])
+                               for e in self.search_order[cue_id])
             lines.append(f"order {cue_id} {entries}")
         return "\n".join(lines) + "\n"
 
@@ -832,9 +786,10 @@ def _check_declared(kinds: dict[int, str], ids, *allowed: str) -> None:
 def parse_snapshot(text: str) -> SnapshotDoc:
     """Parse a snapshot document.  A malformed line raises
     ``SnapshotFormatError`` naming its line number: one that lacks a field
-    its kind always carries or whose field does not parse, and an edge or
-    order that names a neuron no earlier line declares (an order's cue must
-    be a cue, its entries data neurons)."""
+    its kind always carries or whose field does not parse, an edge or order
+    that names a neuron no earlier line declares (an order's cue must be a
+    cue, its entries data neurons), and an edge that does not join one cue
+    and one data neuron."""
     lines = [(number, line.strip())
              for number, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
@@ -865,9 +820,12 @@ def parse_snapshot(text: str) -> SnapshotDoc:
                                     **_fields(kind, rest[1:])})
                 kinds[int(rest[0])] = kind
             elif kind == "edge":
-                doc.edges.append({"a": int(rest[0]), "b": int(rest[1]),
-                                  **_fields(kind, rest[2:])})
-                _check_declared(kinds, map(int, rest[:2]), "cue", "data")
+                a, b = int(rest[0]), int(rest[1])
+                doc.edges.append({"a": a, "b": b, **_fields(kind, rest[2:])})
+                _check_declared(kinds, (a, b), "cue", "data")
+                if kinds[a] == kinds[b]:
+                    raise SnapshotFormatError(
+                        f"edge {a} {b} joins two {kinds[a]} neurons")
             elif kind == "order":
                 items = rest[1].split(",") if len(rest) > 1 else []
                 entries = [{"dn_id": int(dn), "avg_weight": float(w)}

@@ -40,7 +40,7 @@ locality order, cut at the search limit.  Those orders share no data
 neuron, since a default cue links only its own locality's.
 
 Matching scores the query (a store's extracted feature, or a retrieve's
-fine cue) once against the hive's feature matrix, whose rows are the data
+fine cue) once against the memory's feature matrix, whose rows are the data
 neurons' features scaled to unit length: one
 matrix-vector product gives the query's cosine with every neuron, and the
 candidates are then walked in order, stopping at the first match.  A score
@@ -63,12 +63,12 @@ quantity independently of the per-operation bookkeeping so the two can be
 cross-checked.
 
 Every operation advances a global operation counter; when the counter hits a
-multiple of the hive's retention period the retention pass runs
-automatically.  Manual retention with an explicit history window is also
-supported and does not advance the counter.
+multiple of the memory's retention period the retention pass runs
+automatically.  Manual retention with an explicit history window, an
+integer of at least 1, is also supported and does not advance the counter.
 
 Retention changes data neurons a locality at a time, as one array update
-of the hive's columns (see :mod:`neuralstore.core`): a mask picks the rows
+of the memory's columns (see :mod:`neuralstore.core`): a mask picks the rows
 idle for at least the window, ``Memory.adjust_strengths`` clamps their
 strengths with the same float64 operations ``Memory.adjust_strength`` uses
 for one neuron, takes them as the rows' qualities and truncates the sizes
@@ -90,6 +90,7 @@ bytes freed cover the shortfall; a request that still does not fit raises
 from __future__ import annotations
 
 import math
+import numbers
 import reprlib
 import typing
 from array import array
@@ -102,8 +103,6 @@ import numpy as np
 from neuralstore.codec import Payload, cosine_similarity
 from neuralstore.core import (
     ConfigurationError,
-    CueNeuron,
-    Hive,
     HiveParams,
     Locality,
     Memory,
@@ -208,21 +207,23 @@ class RetentionSummary:
 
 
 class MemoryEngine:
-    """Single-hive learning memory engine with cost accounting."""
+    """Learning memory engine with cost accounting."""
 
     def __init__(self, params: HiveParams | None = None,
                  search: SearchParams | None = None,
                  controls: OpControls | None = None):
         self.params = params or HiveParams()
         self.memory = Memory(self.params)
-        self.hive = self.memory.hive
+        # only for bench/harness.py, which reads eng.hive.search_order and
+        # passes eng.hive to oracle_search_order; goes with ROADMAP item 1
+        self.hive = self.memory
         self.search = search or SearchParams()
         self.controls = controls or OpControls()
         self.search.validate()
         self.controls.validate()
         self.total_search_iterations = 0
         # retrieve fine cue bytes -> (the cue's unit_row, its scores against
-        # the hive's first len(scores) feature rows); see _first_match
+        # the memory's first len(scores) feature rows); see _first_match
         self._fine_units: dict[bytes, tuple[np.ndarray, array]] = {}
 
     # -- helpers -------------------------------------------------------------
@@ -250,10 +251,9 @@ class MemoryEngine:
         ``Memory`` keeps the orders current as associations change, so this
         reference rebuild finds them as they are.
         """
-        self.hive.search_order = {
+        self.memory.search_order = {
             cue_id: [SearchEntry(cue_id, dn_id, w) for dn_id, w in pairs]
-            for cue_id, pairs in oracle_search_order(self.memory,
-                                                     self.hive).items()}
+            for cue_id, pairs in oracle_search_order(self.memory).items()}
 
     def get_search_order(self, cue_id: int | None) -> list[SearchEntry]:
         """Candidate list for a cue, as a fresh list.
@@ -265,14 +265,14 @@ class MemoryEngine:
         prefixes are joined and cut at the search limit.  The orders share
         no data neuron: a default cue links only its own locality's.
         """
-        hive = self.hive
+        memory = self.memory
         t1 = self.search.assoc_thresh
         limit = self.controls.search_limit
         if cue_id is not None:
-            orders = (hive.search_order.get(cue_id, []),)
+            orders = (memory.search_order.get(cue_id, []),)
         else:
-            orders = [hive.search_order.get(loc.default_cue_id, [])
-                      for loc in hive.localities]
+            orders = [memory.search_order.get(loc.default_cue_id, [])
+                      for loc in memory.localities]
         out: list[SearchEntry] = []
         for order in orders:
             end = len(order)
@@ -292,7 +292,7 @@ class MemoryEngine:
         """Reward or penalize a candidate reached from ``cue_id`` after a
         search/merge attempt.
 
-        ``flag=1`` strengthens the cue's edge to the target by the hive's
+        ``flag=1`` strengthens the cue's edge to the target by the memory's
         eta and restores the target's strength to 100.  ``flag=0`` weakens
         the edge by eta when failure decay (``controls.weaken_on_fail``) is
         enabled and otherwise leaves all weights untouched.
@@ -330,7 +330,7 @@ class MemoryEngine:
         ties), each while its schedule lasts; with phi = 0 a terminal pass
         at ceiling 0 follows.
         """
-        order = sorted(self.hive.localities,
+        order = sorted(self.memory.localities,
                        key=lambda loc: (-loc.memory_decay_rate, -loc.id))
         schedules = self.params.elasticity_schedules
         for iteration in range(max(map(len, schedules))):
@@ -359,7 +359,7 @@ class MemoryEngine:
             return
         if self.elasticity(shortfall) < shortfall:
             raise StorageFullError(
-                f"hive {self.hive.id}: need {bytes_needed} bytes, only "
+                f"hive 0: need {bytes_needed} bytes, only "
                 f"{cap - self.memory.total_bytes()} free at maximum elasticity")
 
     # -- locality selection ----------------------------------------------------
@@ -367,10 +367,11 @@ class MemoryEngine:
     def select_locality(self, label: str | None) -> Locality:
         """First locality whose ``labels`` admit ``label``; the last one
         catches all."""
-        for locality in self.hive.localities:
+        localities = self.memory.localities
+        for locality in localities:
             if label in locality.mapping.get("labels", ()):
                 return locality
-        return self.hive.localities[-1]
+        return localities[-1]
 
     # -- operations ------------------------------------------------------------
 
@@ -379,30 +380,31 @@ class MemoryEngine:
         """Index of the first candidate whose feature matches ``query``.
 
         Without a query the first candidate matches outright.  The query,
-        scaled to unit length, scores every row of the hive's unit feature
+        scaled to unit length, scores every row of the memory's unit feature
         matrix in one product; the candidates are then walked in order up to
         the first match.  Scores within ``NEAR_THRESHOLD`` of
         ``match_thresh`` (and NaN) are decided by the scalar
         ``cosine_similarity``.
 
         A retrieve's fine cue (``memo``) recurs across operations, and a
-        feature row never changes once ``Hive.add_row`` has written it, so
-        each cue keeps, keyed by its bytes (a cue changed in place gets a new
-        key), its unit row and its scores against the rows that existed at
-        its last use, packed as float64.  Only the rows added since are
-        scored, by a product over that slice.  A sliced product may differ
-        from the full one in the last bits, far below ``NEAR_THRESHOLD``, so
-        every score that could fall on the other side of ``match_thresh`` is
-        decided by the scalar function either way, and the decision,
-        ``cost`` and ``examined`` are those of a fresh product.  A store's
-        query is its blob's feature, scored fresh and never kept.
+        feature row never changes once ``Memory.add_data_neuron`` has
+        written it, so each cue keeps, keyed by its bytes (a cue changed in
+        place gets a new key), its unit row and its scores against the rows
+        that existed at its last use, packed as float64.  Only the rows
+        added since are scored, by a product over that slice.  A sliced
+        product may differ from the full one in the last bits, far below
+        ``NEAR_THRESHOLD``, so every score that could fall on the other side
+        of ``match_thresh`` is decided by the scalar function either way,
+        and the decision, ``cost`` and ``examined`` are those of a fresh
+        product.  A store's query is its blob's feature, scored fresh and
+        never kept.
         """
         if not candidates or query is None:
             return 0 if candidates else None
-        hive = self.hive
-        rows = hive.feature_rows
+        memory = self.memory
+        rows = memory.row_of
         n = len(rows)
-        features = hive.features[:n]
+        features = memory.features[:n]
         if memo:
             key = query.tobytes()
             kept = self._fine_units.get(key)
@@ -423,7 +425,7 @@ class MemoryEngine:
             if score > above:
                 return i
             if not score < below and cosine_similarity(
-                    query, self.memory.neurons[dn_id].feature) >= thresh:
+                    query, memory.raw_features[rows[dn_id]]) >= thresh:
                 return i
         return None
 
@@ -448,21 +450,21 @@ class MemoryEngine:
         _check_cue(cue, "store")
         payload = self._as_payload(data, item_id, "store")
         self.memory.op_counter += 1
-        feature = self.hive.extractor.extract(payload.blob)
+        feature = self.memory.extractor.extract(payload.blob)
         self.ensure_capacity(payload.original_size)
-        cue_id = self.hive.find_cue_by_label(cue)
+        cue_id = self.memory.find_cue_by_label(cue)
         match, examined = self._scan(self.get_search_order(cue_id), feature)
         if match is not None:
-            dn = self.memory.data_neuron(match.dn_id)
-            self.reaction(dn.id, match.cue_id, flag=1)
+            dn_id = match.dn_id
+            self.reaction(dn_id, match.cue_id, flag=1)
             if cue_id is None:
-                self._link_cue(cue, None, dn.id)
-            stored = dn.payload
+                self._link_cue(cue, None, dn_id)
+            stored = self.memory.payload(dn_id)
             if payload.quality > stored.quality:
                 # merge refresh: fresher copy wins
-                self.memory.set_payload(dn, payload)
+                self.memory.set_payload(dn_id, payload)
                 stored = payload
-            outcome = OpOutcome("merged", dn.id, len(examined), stored,
+            outcome = OpOutcome("merged", dn_id, len(examined), stored,
                                 stored.quality, examined)
         else:
             locality = self.select_locality(cue)
@@ -481,12 +483,12 @@ class MemoryEngine:
         if fine_cue is not None:
             fine_cue = _check_fine_cue(fine_cue, self.params.feature_dim)
         self.memory.op_counter += 1
-        cue_id = self.hive.find_cue_by_label(cue)
+        cue_id = self.memory.find_cue_by_label(cue)
         match, examined = self._scan(self.get_search_order(cue_id), fine_cue,
                                      memo=True)
         if match is not None:
             # a reaction restores strength but never the stored quality
-            stored = self.memory.data_neuron(match.dn_id).payload
+            stored = self.memory.payload(match.dn_id)
             self.reaction(match.dn_id, match.cue_id, flag=1)
             if cue_id is None:
                 self._link_cue(cue, None, match.dn_id)
@@ -502,39 +504,44 @@ class MemoryEngine:
         """Age idle neurons, and idle associations under failure decay;
         manual invocation."""
         window = self.params.retention_period if n is None else n
-        if window < 1:
-            raise ConfigurationError("retention window must be >= 1")
+        # NaN passes every comparison, so a float is refused outright
+        if (isinstance(window, bool)
+                or not isinstance(window, numbers.Integral) or window < 1):
+            raise ConfigurationError(
+                f"retention window must be an integer >= 1, got {window!r}")
         return self._retention_pass(window)
 
     def _retention_pass(self, window: int) -> RetentionSummary:
         summary = RetentionSummary()
-        memory, hive = self.memory, self.hive
+        memory = self.memory
         counter = memory.op_counter
         if self.controls.weaken_on_fail:
             # an association ages at its data neuron's locality's rate
+            localities, row_of = memory.localities, memory.row_of
+            row_locality = memory.row_locality
             for (cue_id, dn_id), old in sorted(memory.weights.items()):
                 if counter - memory.edge_access[cue_id, dn_id] < window:
                     continue
-                rate = hive.locality(
-                    memory.neurons[dn_id].locality_id).association_decay_rate
+                rate = localities[
+                    row_locality[row_of[dn_id]]].association_decay_rate
                 if rate <= 0:
                     continue
                 new = memory.adjust_association(cue_id, dn_id, rate,
                                                 touch=False)
                 if new != old:
                     summary.weakened_edges.append((cue_id, dn_id, new))
-        for locality in hive.localities:
+        for locality in memory.localities:
             rate = locality.memory_decay_rate
             if rate <= 0:
                 continue
             rows = locality.rows
             # positions in the locality of its neurons idle for the window
-            idle = np.flatnonzero(counter - hive.last_access[rows] >= window)
+            idle = np.flatnonzero(counter - memory.last_access[rows] >= window)
             if not idle.size:
                 continue
             rows = rows[idle]
-            old = hive.strength[rows]
-            new, lower, freed = self.memory.adjust_strengths(rows, old, rate)
+            old = memory.strength[rows]
+            new, lower, freed = memory.adjust_strengths(rows, old, rate)
             # a neuron counts as compressed when its strength moved, and only
             # then are its bytes counted as freed
             changed = new != old
@@ -564,7 +571,7 @@ class MemoryEngine:
         if cue is not None:
             _check_cue(cue, "bootstrap_store")
         payload = self._as_payload(data, item_id, "bootstrap_store")
-        feature = self.hive.extractor.extract(payload.blob)
+        feature = self.memory.extractor.extract(payload.blob)
         if locality_id is None:
             locality_id = self.select_locality(cue).id
         dn_id = self.memory.add_data_neuron(locality_id, payload, feature)
@@ -573,16 +580,17 @@ class MemoryEngine:
         return dn_id
 
 
-def oracle_search_order(memory: Memory, hive: Hive) -> dict[int, list[tuple[int, float]]]:
+def oracle_search_order(memory: Memory,
+                        hive=None) -> dict[int, list[tuple[int, float]]]:
     """Recomputation of every cue's search order from the association weights.
 
     Independent of the maintained lists: reads only ``memory``'s cue
-    neurons and weights (``hive``, its hive, is not read), and sorts from
-    scratch.  Returns ``{cue_id: [(dn_id, avg_weight), ...]}``.
+    neurons and weights, and sorts from scratch.  ``hive`` is not read; it
+    is there for ``bench/harness.py``, which passes one.  Returns
+    ``{cue_id: [(dn_id, avg_weight), ...]}``.
     """
     orders: dict[int, list[tuple[int, float]]] = {
-        nid: [] for nid, neuron in memory.neurons.items()
-        if isinstance(neuron, CueNeuron)}
+        cue_id: [] for cue_id in memory.cues}
     for (cue_id, dn_id), w in memory.weights.items():
         orders[cue_id].append((dn_id, w))
     for pairs in orders.values():

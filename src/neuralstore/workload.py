@@ -487,7 +487,7 @@ class NsReplayAdapter:
         # the extractor's memo, which has the item's feature if it was stored
         feature = self._feature_cache.get(item.item_id)
         if feature is None:
-            feature = self.engine.hive.extractor.extract(item.data)
+            feature = self.engine.memory.extractor.extract(item.data)
             self._feature_cache[item.item_id] = feature
         return feature
 

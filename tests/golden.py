@@ -38,7 +38,7 @@ import math
 import time
 
 from neuralstore.workload import NsReplayAdapter
-from tests.helpers import data_neurons
+from tests.helpers import data_neurons, strength_of
 
 # per-record expectations keyed by symbolic neuron names:
 #   w0, w1, bg      pre-seeded data neurons
@@ -104,12 +104,12 @@ def run_walkthrough(build):
     def resolve(name: str) -> int:
         if name in names:
             return names[name]
-        cue = engine.hive.find_cue_by_label(name)
+        cue = engine.memory.find_cue_by_label(name)
         assert cue is not None, f"expected cue {name!r} to exist"
         return cue
 
     names["wolf"] = resolve("wolf")
-    names["d0"] = engine.hive.localities[0].default_cue_id
+    names["d0"] = engine.memory.localities[0].default_cue_id
     started = time.perf_counter()
     for rec, expected in zip(trace, GOLDEN_EXPECTED):
         if rec.op == "store":
@@ -132,8 +132,9 @@ def run_walkthrough(build):
         assert row["examined"] == [names[n] for n in expected["examined"]], \
             f"seq {rec.seq}"
         memory = engine.memory
-        strengths = {dn.id: dn.strength for dn in data_neurons(memory)}
-        qualities = {dn.id: dn.payload.quality for dn in data_neurons(memory)}
+        strengths = {dn: strength_of(memory, dn) for dn in data_neurons(memory)}
+        qualities = {dn: memory.payload(dn).quality
+                     for dn in data_neurons(memory)}
         for name, value in expected["strengths"].items():
             assert strengths[names[name]] == value, f"seq {rec.seq} strength {name}"
         for name, value in expected["qualities"].items():

@@ -37,7 +37,7 @@ import pytest
 from neuralstore.cli import main as cli_main
 from neuralstore.codec import cosine_similarity
 from neuralstore.config import build_adapter, load_config
-from neuralstore.core import CueNeuron, HiveParams
+from neuralstore.core import HiveParams
 from neuralstore.engine import (
     MemoryEngine,
     OpControls,
@@ -54,7 +54,7 @@ from neuralstore.workload import (
 )
 from tests.conftest import build_walkthrough
 from tests.golden import run_walkthrough
-from tests.helpers import data_neurons
+from tests.helpers import data_neurons, neuron_count, strength_of
 
 
 def criterion(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -127,7 +127,7 @@ def test_criterion_4_priority_fidelity(comparison_run):
     config = comparison_run["config"]
     corpus = comparison_run["corpus"]
     adapter = build_adapter(config, corpus, engine="ns")
-    extractor = adapter.engine.hive.extractor
+    extractor = adapter.engine.memory.extractor
     priority = config.workload.class_labels[0]
     sims = []
     for rec in comparison_run["records"]:
@@ -218,19 +218,19 @@ def _fuzz_params(rng: np.random.Generator) -> tuple[HiveParams, SearchParams,
 
 
 def _check_invariants(engine: MemoryEngine) -> None:
-    memory, hive = engine.memory, engine.hive
+    memory = engine.memory
     epsilon, phi = engine.params.epsilon, engine.params.phi
     for (cue_id, dn_id), w in memory.weights.items():
         assert w >= epsilon - 1e-9, f"weight {w} below epsilon {epsilon}"
-        assert isinstance(memory.neurons[cue_id], CueNeuron)
-        assert dn_id in hive.feature_rows
+        assert cue_id in memory.cues
+        assert dn_id in memory.row_of
     assert memory.edge_access.keys() == memory.weights.keys()
     for dn in data_neurons(memory):
-        assert phi - 1e-9 <= dn.strength <= 100.0 + 1e-9
+        assert phi - 1e-9 <= strength_of(memory, dn) <= 100.0 + 1e-9
     # each cue's order lists exactly its associations' weights
     maintained = {cue: [(e.dn_id, e.avg_weight) for e in entries]
-                  for cue, entries in hive.search_order.items()}
-    assert maintained == oracle_search_order(memory, hive)
+                  for cue, entries in memory.search_order.items()}
+    assert maintained == oracle_search_order(memory)
 
 
 def test_criterion_6_clamp_invariants_fuzz():
@@ -253,7 +253,7 @@ def test_criterion_6_clamp_invariants_fuzz():
             # configs with epsilon = 0 or a high association threshold leave
             # fresh neurons unreachable, so duplicates accumulate; stop
             # growing once the instance nears the 50-neuron envelope
-            if len(engine.memory.neurons) >= 36 and roll < 0.40:
+            if neuron_count(engine.memory) >= 36 and roll < 0.40:
                 roll = 0.5
             try:
                 if roll < 0.40:
@@ -261,7 +261,7 @@ def test_criterion_6_clamp_invariants_fuzz():
                 elif roll < 0.80:
                     fine = None
                     if rng.random() < 0.7:
-                        fine = engine.hive.extractor.extract(payloads[key])
+                        fine = engine.memory.extractor.extract(payloads[key])
                     engine.retrieve(label if rng.random() < 0.8 else "zzz",
                                     fine)
                 elif roll < 0.90:
@@ -279,12 +279,12 @@ def test_criterion_6_clamp_invariants_fuzz():
                     elif dns:
                         dn = dns[int(rng.integers(len(dns)))]
                         engine.memory.adjust_strength(
-                            dn.id, float(rng.uniform(-120.0, 120.0)))
+                            dn, float(rng.uniform(-120.0, 120.0)))
             except StorageFullError:
                 pass
             _check_invariants(engine)
             total += 1
-        assert len(engine.memory.neurons) <= 50, "fuzz instance grew too large"
+        assert neuron_count(engine.memory) <= 50, "fuzz instance grew too large"
     criterion(6, "100k randomized operations keep clamps, cue-to-data "
                  "associations and search-order/oracle agreement",
               total == FUZZ_TOTAL_OPS,
@@ -326,7 +326,7 @@ def test_criterion_8_priming():
     for cluster in range(8):
         engine.store(item_bytes(5, 0, cluster, 0, 2048), "hot")
     target = item_bytes(5, 0, 5, 0, 2048)
-    fine = engine.hive.extractor.extract(target)
+    fine = engine.memory.extractor.extract(target)
     costs = [engine.retrieve("hot", fine).cost for _ in range(10)]
     non_increasing = all(b <= a for a, b in zip(costs, costs[1:]))
     criterion(8, "repeating one retrieve ten times yields non-increasing "

@@ -538,7 +538,7 @@ class TestInspect:
         assert list(labels.values()) == [None, "", "-", "-x"]
         ids = {label: cue for cue, label in labels.items()}
         for label in ("", "-", "-x"):
-            assert engine.hive.find_cue_by_label(label) == ids[label]
+            assert engine.memory.find_cue_by_label(label) == ids[label]
             assert engine.memory.weights[ids[label], dn] == 1.0
         path = tmp_path / "snapshot.txt"
         path.write_text(snapshot)
@@ -605,17 +605,25 @@ class TestInspect:
         assert capsys.readouterr().err == \
             f"error: snapshot line 5: malformed {line.split()[0]} line {line!r}\n"
 
-    @pytest.mark.parametrize("line, reason", [
-        ("edge 1 2 weight=1 last_access=0",
+    DATA_2 = ("data 2 hive=0 locality=0 strength=100 quality=100 size=9 "
+              "original=9 last_access=0")
+
+    # ``declared`` is line 4, blank or one more neuron
+    @pytest.mark.parametrize("declared, line, reason", [
+        ("", "edge 1 2 weight=1 last_access=0",
          "neuron 2 is not a declared cue or data neuron"),
-        ("order 2 1:1", "neuron 2 is not a declared cue neuron"),
-        ("order 1 1:1", "neuron 1 is not a declared data neuron"),
+        ("", "order 2 1:1", "neuron 2 is not a declared cue neuron"),
+        ("", "order 1 1:1", "neuron 1 is not a declared data neuron"),
+        ("cue 2 hive=0 label=- default=1", "edge 1 2 weight=1 last_access=0",
+         "edge 1 2 joins two cue neurons"),
+        (DATA_2, "edge 2 2 weight=1 last_access=0",
+         "edge 2 2 joins two data neurons"),
     ])
     def test_line_naming_an_undeclared_neuron_exits_2(self, tmp_path, capsys,
-                                                       line, reason):
+                                                       declared, line, reason):
         bad = tmp_path / "bad.txt"
         bad.write_text("\n".join(["neuralstore-snapshot 1", *self.GOOD_LINES,
-                                   "", line]) + "\n")
+                                   declared, line]) + "\n")
         assert main(["inspect", "--snapshot", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: snapshot line 5: {reason}\n"
 

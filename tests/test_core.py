@@ -19,11 +19,11 @@ from neuralstore.core import (
     render_dot,
 )
 from tests.conftest import build_walkthrough
+from tests.helpers import neuron_count, size_of, strength_of
 
 
-def make_memory(**overrides) -> tuple[Memory, object]:
-    memory = Memory(HiveParams(**overrides))
-    return memory, memory.hive
+def make_memory(**overrides) -> Memory:
+    return Memory(HiveParams(**overrides))
 
 
 def payload(n: int = 100) -> Payload:
@@ -31,7 +31,7 @@ def payload(n: int = 100) -> Payload:
 
 
 def feat(memory, data: bytes) -> np.ndarray:
-    return memory.hive.extractor.extract(data)
+    return memory.extractor.extract(data)
 
 
 class TestParamsValidation:
@@ -55,13 +55,13 @@ class TestParamsValidation:
 
 class TestCueNeurons:
     def test_first_cue_in_empty_hive_gets_id_zero_and_no_edges(self):
-        memory, hive = make_memory()
+        memory = make_memory()
         cid = memory.add_cue_neuron(label="wolf")
         assert cid == 0
         assert len(memory.weights) == 0
 
     def test_duplicate_label_is_idempotent(self):
-        memory, hive = make_memory()
+        memory = make_memory()
         a = memory.add_cue_neuron(label="wolf")
         b = memory.add_cue_neuron(label="wolf")
         assert a == b
@@ -70,30 +70,29 @@ class TestCueNeurons:
 
 class TestDataNeurons:
     def test_new_neuron_full_strength_one_default_edge(self):
-        memory, hive = make_memory()
+        memory = make_memory()
         dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
-        neuron = memory.data_neuron(dn)
-        assert neuron.strength == 100.0
-        default = hive.localities[0].default_cue_id
-        assert memory.weights[default, dn] == hive.params.epsilon
+        assert strength_of(memory, dn) == 100.0
+        default = memory.localities[0].default_cue_id
+        assert memory.weights[default, dn] == memory.params.epsilon
         assert len(memory.weights) == 1
 
     def test_two_neurons_distinct_ids(self):
-        memory, hive = make_memory()
+        memory = make_memory()
         a = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
         b = memory.add_data_neuron(0, payload(50), feat(memory, payload(50).blob))
         assert a != b
-        assert memory.data_neuron(b).strength == 100.0
+        assert strength_of(memory, b) == 100.0
 
     def test_unknown_locality_rejected(self):
-        memory, hive = make_memory()
+        memory = make_memory()
         with pytest.raises(ConfigurationError):
             memory.add_data_neuron(9, payload(), feat(memory, payload().blob))
 
 
 class TestAdjustments:
     def test_weight_decay_formula(self):
-        memory, hive = make_memory()
+        memory = make_memory()
         a = memory.add_cue_neuron(label="x")
         dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
         memory.associate(a, dn)
@@ -102,14 +101,14 @@ class TestAdjustments:
         assert memory.adjust_association(a, dn, 10.0) == 20.0
 
     def test_weight_clamp_floor(self):
-        memory, hive = make_memory(epsilon=5.0)
+        memory = make_memory(epsilon=5.0)
         a = memory.add_cue_neuron(label="x")
         dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
         memory.associate(a, dn)            # at epsilon = 5
         assert memory.adjust_association(a, dn, 60.0) == 5.0
 
     def test_strengthen_by_negative_delta(self):
-        memory, hive = make_memory()
+        memory = make_memory()
         a = memory.add_cue_neuron(label="x")
         dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
         memory.associate(a, dn)
@@ -117,31 +116,29 @@ class TestAdjustments:
         assert memory.adjust_association(a, dn, -20.0) == 40.0
 
     def test_strength_decay_and_recompression(self):
-        memory, hive = make_memory()
+        memory = make_memory()
         dn = memory.add_data_neuron(0, payload(1000),
                                     feat(memory, payload(1000).blob))
         assert memory.adjust_strength(dn, 0.5) == 99.5
-        neuron = memory.data_neuron(dn)
-        assert neuron.payload.quality == 99.5
-        assert neuron.size_bytes == 995
+        assert memory.payload(dn).quality == 99.5
+        assert size_of(memory, dn) == 995
 
     def test_strength_clamp_floor(self):
-        memory, hive = make_memory()
+        memory = make_memory()
         dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
         memory.adjust_strength(dn, 98.8)   # 100 -> 1.2
-        assert memory.data_neuron(dn).strength == pytest.approx(1.2)
+        assert strength_of(memory, dn) == pytest.approx(1.2)
         assert memory.adjust_strength(dn, 10.0) == 1.0
 
     def test_restore_does_not_resurrect_quality(self):
-        memory, hive = make_memory()
+        memory = make_memory()
         dn = memory.add_data_neuron(0, payload(1000),
                                     feat(memory, payload(1000).blob))
         memory.adjust_strength(dn, 20.0)
         assert memory.adjust_strength(dn, -100.0) == 100.0
-        neuron = memory.data_neuron(dn)
-        assert neuron.strength == 100.0
-        assert neuron.payload.quality == 80.0
-        assert neuron.size_bytes == 800
+        assert strength_of(memory, dn) == 100.0
+        assert memory.payload(dn).quality == 80.0
+        assert size_of(memory, dn) == 800
 
 
 class TestAssociationContract:
@@ -150,7 +147,7 @@ class TestAssociationContract:
     pair with a KeyError naming the offending id, changing nothing."""
 
     def seeded(self):
-        memory, hive = make_memory()
+        memory = make_memory()
         cue = memory.add_cue_neuron(label="x")
         other = memory.add_cue_neuron(label="y")
         dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
@@ -162,11 +159,11 @@ class TestAssociationContract:
 
     def state(self, memory) -> tuple:
         return (dict(memory.weights), dict(memory.edge_access),
-                {c: list(o) for c, o in memory.hive.search_order.items()})
+                {c: list(o) for c, o in memory.search_order.items()})
 
     def test_keys_are_cue_then_data_neuron(self):
         memory, cue, _, dn, dn2 = self.seeded()
-        default = memory.hive.localities[0].default_cue_id
+        default = memory.localities[0].default_cue_id
         assert memory.weights == {(default, dn): 1.0, (default, dn2): 1.0,
                                   (cue, dn): 8.5}
         assert memory.weights[cue, dn] == 8.5
@@ -228,7 +225,7 @@ class TestExports:
         assert all(e["weight"] == "1" for e in doc.edges)
 
     def test_empty_memory_export_is_header_only(self):
-        memory, _ = make_memory()
+        memory = make_memory()
         text = memory.export_graph("snapshot")
         lines = text.strip().splitlines()
         assert lines[0].startswith("neuralstore-snapshot 1")
@@ -242,7 +239,7 @@ class TestExports:
         assert memory.export_graph("dot") == memory.export_graph("dot")
 
     def test_dot_names_cues_and_escapes_labels(self):
-        memory, _ = make_memory()
+        memory = make_memory()
         memory.add_cue_neuron(label='a "b" \\ c')
         memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
         dot = memory.export_graph("dot").splitlines()
@@ -255,7 +252,7 @@ class TestExports:
         assert dot[2] == '  n0 [label="cue\\n#0" shape=ellipse];'
 
     def test_unknown_format_rejected(self):
-        memory, _ = make_memory()
+        memory = make_memory()
         with pytest.raises(ValueError):
             memory.export_graph("yaml")
 
@@ -264,7 +261,7 @@ class TestExports:
         text = engine.memory.export_graph("snapshot")
         doc = parse_snapshot(text)
         assert doc.version == 1
-        assert len(doc.neurons) == len(engine.memory.neurons)
+        assert len(doc.neurons) == neuron_count(engine.memory)
         assert len(doc.edges) == len(engine.memory.weights)
         assert doc.orders  # search orders present after bootstrap
 
@@ -290,13 +287,13 @@ class TestSizeMonotonicity:
     def test_stored_size_never_rises_under_strength_cycles(self, deltas):
         # restoration raises strength but never resurrects lost bytes; only a
         # merge refresh may replace the payload with a larger copy
-        memory, hive = make_memory()
+        memory = make_memory()
         dn = memory.add_data_neuron(0, payload(1000),
                                     feat(memory, payload(1000).blob))
-        last_size = memory.data_neuron(dn).size_bytes
+        last_size = size_of(memory, dn)
         for delta in deltas:
             memory.adjust_strength(dn, delta)
-            size = memory.data_neuron(dn).size_bytes
+            size = size_of(memory, dn)
             assert size <= last_size
-            assert size <= memory.data_neuron(dn).payload.original_size
+            assert size <= memory.payload(dn).original_size
             last_size = size

@@ -17,7 +17,7 @@ from neuralstore.engine import (
     oracle_search_order,
 )
 from neuralstore.workload import item_bytes
-from tests.helpers import candidates
+from tests.helpers import candidates, locality_of, size_of, strength_of
 
 
 def engine_with(**overrides) -> MemoryEngine:
@@ -33,9 +33,9 @@ def blob(cluster: int, item: int = 0, size: int = 2048, cls: int = 0) -> bytes:
     return item_bytes(99, cls, cluster, item, size)
 
 
-def maintained(engine) -> dict:
+def maintained(memory) -> dict:
     return {cue: [(e.dn_id, e.avg_weight) for e in entries]
-            for cue, entries in engine.hive.search_order.items()}
+            for cue, entries in memory.search_order.items()}
 
 
 class TestStore:
@@ -44,7 +44,7 @@ class TestStore:
         data = blob(0, size=1000)
         out = engine.store(Payload(data[:600], data, 60.0), "hot")
         assert out.kind == "new_neuron"
-        stored = engine.memory.data_neuron(out.dn_id).payload
+        stored = engine.memory.payload(out.dn_id)
         assert out.quality == stored.quality == 60.0
 
     def test_empty_memory_store_cost_zero(self):
@@ -53,18 +53,18 @@ class TestStore:
         assert out.kind == "new_neuron"
         assert out.cost == 0
         assert out.examined == ()
-        assert engine.hive.find_cue_by_label("hot") is not None
+        assert engine.memory.find_cue_by_label("hot") is not None
 
     def test_merge_restores_strength_and_strengthens_cue(self):
         engine = engine_with()
         first = engine.store(blob(0, 0), "hot")
-        cue = engine.hive.find_cue_by_label("hot")
+        cue = engine.memory.find_cue_by_label("hot")
         engine.memory.adjust_strength(first.dn_id, 30.0)
         out = engine.store(blob(0, 1), "hot")   # same cluster: merges
         assert out.kind == "merged"
         assert out.dn_id == first.dn_id
         assert out.cost == 1
-        assert engine.memory.data_neuron(first.dn_id).strength == 100.0
+        assert strength_of(engine.memory, first.dn_id) == 100.0
         # path edge strengthened once by eta, not double-counted
         assert engine.memory.weights[cue, first.dn_id] == 1.0 + 20.0
 
@@ -72,21 +72,20 @@ class TestStore:
         engine = engine_with()
         first = engine.store(blob(0, 0), "hot")
         engine.memory.adjust_strength(first.dn_id, 40.0)   # quality 60 now
-        dn = engine.memory.data_neuron(first.dn_id)
-        assert dn.payload.quality == 60.0
+        assert engine.memory.payload(first.dn_id).quality == 60.0
         fresh = blob(0, 1)
         out = engine.store(fresh, "hot", item_id="fresh")
         assert out.kind == "merged"
-        assert dn.payload.quality == 100.0
-        assert dn.payload.blob == fresh
-        assert dn.payload.lineage == "fresh"
+        stored = engine.memory.payload(first.dn_id)
+        assert stored.quality == 100.0
+        assert stored.blob == fresh
+        assert stored.lineage == "fresh"
 
     def test_equal_quality_merge_keeps_resident_payload(self):
         engine = engine_with()
         first = engine.store(blob(0, 0), "hot", item_id="orig")
         engine.store(blob(0, 1), "hot", item_id="dup")
-        dn = engine.memory.data_neuron(first.dn_id)
-        assert dn.payload.lineage == "orig"
+        assert engine.memory.payload(first.dn_id).lineage == "orig"
 
     def test_failed_candidates_counted_in_cost(self):
         engine = engine_with()
@@ -106,8 +105,8 @@ class TestStore:
         engine = engine_with()
         hot = engine.store(blob(0), "hot")
         cold = engine.store(blob(1, cls=1), "other")
-        assert engine.memory.data_neuron(hot.dn_id).locality_id == 0
-        assert engine.memory.data_neuron(cold.dn_id).locality_id == 1
+        assert locality_of(engine.memory, hot.dn_id) == 0
+        assert locality_of(engine.memory, cold.dn_id) == 1
 
 
 class TestRetrieve:
@@ -115,7 +114,7 @@ class TestRetrieve:
         engine = engine_with()
         a = engine.store(blob(0), "hot")
         b = engine.store(blob(1), "hot")
-        fine = engine.hive.extractor.extract(blob(1))
+        fine = engine.memory.extractor.extract(blob(1))
         out = engine.retrieve("hot", fine)
         assert out.kind == "hit"
         assert out.dn_id == b.dn_id
@@ -134,23 +133,23 @@ class TestRetrieve:
     def test_unknown_cue_falls_back_to_default_cues(self):
         engine = engine_with()
         stored = engine.store(blob(0), "hot")
-        fine = engine.hive.extractor.extract(blob(0))
+        fine = engine.memory.extractor.extract(blob(0))
         out = engine.retrieve("mystery", fine)
         assert out.kind == "hit"
         assert out.dn_id == stored.dn_id
         # the unseen cue gets a neuron and a link only because the search hit
-        new_cue = engine.hive.find_cue_by_label("mystery")
+        new_cue = engine.memory.find_cue_by_label("mystery")
         assert new_cue is not None
         assert engine.memory.weights[new_cue, stored.dn_id] == 1.0
 
     def test_miss_is_not_an_error_and_creates_no_cue(self):
         engine = engine_with()
         engine.store(blob(0), "hot")
-        foreign = engine.hive.extractor.extract(blob(5, cls=1))
+        foreign = engine.memory.extractor.extract(blob(5, cls=1))
         out = engine.retrieve("mystery", foreign)
         assert out.kind == "miss"
         assert out.dn_id is None
-        assert engine.hive.find_cue_by_label("mystery") is None
+        assert engine.memory.find_cue_by_label("mystery") is None
 
     def test_miss_on_empty_memory(self):
         engine = engine_with()
@@ -162,7 +161,7 @@ class TestRetrieve:
         engine = engine_with()
         for u in range(5):
             engine.store(blob(u), "hot")
-        foreign = engine.hive.extractor.extract(blob(9, cls=1))
+        foreign = engine.memory.extractor.extract(blob(9, cls=1))
         engine.controls = OpControls(search_limit=3)
         out = engine.retrieve("hot", foreign)
         assert out.kind == "miss"
@@ -172,19 +171,19 @@ class TestRetrieve:
         engine = engine_with()
         stored = engine.store(blob(0), "hot")
         engine.memory.adjust_strength(stored.dn_id, 25.0)
-        cue = engine.hive.find_cue_by_label("hot")
+        cue = engine.memory.find_cue_by_label("hot")
         before = engine.memory.weights[cue, stored.dn_id]
-        fine = engine.hive.extractor.extract(blob(0))
+        fine = engine.memory.extractor.extract(blob(0))
         out = engine.retrieve("hot", fine)
         assert out.hit
-        assert engine.memory.data_neuron(stored.dn_id).strength == 100.0
+        assert strength_of(engine.memory, stored.dn_id) == 100.0
         assert engine.memory.weights[cue, stored.dn_id] > before
 
     def test_returned_quality_is_stored_quality(self):
         engine = engine_with()
         stored = engine.store(blob(0), "hot")
         engine.memory.adjust_strength(stored.dn_id, 35.0)
-        fine = engine.hive.extractor.extract(blob(0))
+        fine = engine.memory.extractor.extract(blob(0))
         out = engine.retrieve("hot", fine)
         assert out.quality == 65.0
         assert out.payload.quality == 65.0
@@ -194,16 +193,16 @@ class TestReaction:
     def test_reward_strengthens_path_once(self):
         engine = engine_with(eta=10.0)
         stored = engine.store(blob(0), "hot")
-        cue = engine.hive.find_cue_by_label("hot")
+        cue = engine.memory.find_cue_by_label("hot")
         engine.memory.adjust_strength(stored.dn_id, 50.0)
         engine.reaction(stored.dn_id, cue, flag=1)
         assert engine.memory.weights[cue, stored.dn_id] == 11.0
-        assert engine.memory.data_neuron(stored.dn_id).strength == 100.0
+        assert strength_of(engine.memory, stored.dn_id) == 100.0
 
     def test_failure_without_decay_changes_nothing(self):
         engine = engine_with()
         stored = engine.store(blob(0), "hot")
-        cue = engine.hive.find_cue_by_label("hot")
+        cue = engine.memory.find_cue_by_label("hot")
         before = engine.memory.weights[cue, stored.dn_id]
         engine.reaction(stored.dn_id, cue, flag=0)
         assert engine.memory.weights[cue, stored.dn_id] == before
@@ -211,7 +210,7 @@ class TestReaction:
     def test_failure_with_decay_clamps_at_epsilon(self):
         engine = engine_with()
         stored = engine.store(blob(0), "hot")
-        cue = engine.hive.find_cue_by_label("hot")
+        cue = engine.memory.find_cue_by_label("hot")
         engine.controls = OpControls(weaken_on_fail=True)
         engine.reaction(stored.dn_id, cue, flag=0)
         assert engine.memory.weights[cue, stored.dn_id] == 1.0  # already at floor
@@ -219,7 +218,7 @@ class TestReaction:
     def test_failure_decay_subtracts_exactly_eta(self):
         engine = engine_with(eta=5.0)
         stored = engine.store(blob(0), "hot")
-        cue = engine.hive.find_cue_by_label("hot")
+        cue = engine.memory.find_cue_by_label("hot")
         engine.memory.adjust_association(cue, stored.dn_id, -29.0)  # weight 30
         engine.controls = OpControls(weaken_on_fail=True)
         engine.reaction(stored.dn_id, cue, flag=0)
@@ -228,7 +227,7 @@ class TestReaction:
     def test_dangling_path_rejected(self):
         engine = engine_with()
         engine.store(blob(0), "hot")
-        cue = engine.hive.find_cue_by_label("hot")
+        cue = engine.memory.find_cue_by_label("hot")
         other = engine.store(blob(1), "warm").dn_id
         with pytest.raises(RuntimeError):
             # cue has no edge to that target
@@ -236,6 +235,22 @@ class TestReaction:
 
 
 class TestRetention:
+    @pytest.mark.parametrize("window", [0, -3, 1.5, 1.0, math.nan, True])
+    def test_a_window_that_is_not_an_integer_of_at_least_1_is_refused(
+            self, window):
+        engine = engine_with(memory_decay_rates=[30.0, 30.0])
+        engine.store(blob(0, cls=1), "other")
+        # a miss advances the op counter without touching the neuron
+        foreign = engine.memory.extractor.extract(blob(5))
+        assert engine.retrieve("hot", foreign).kind == "miss"
+        state = engine.memory.export_graph("snapshot")
+        with pytest.raises(ConfigurationError,
+                           match=r"^retention window must be an integer >= 1"):
+            engine.retention(n=window)
+        assert engine.memory.export_graph("snapshot") == state
+        # a window of 1 ages the idle neuron
+        assert engine.retention(n=1).compressed
+
     def test_noop_when_everything_fresh(self):
         engine = engine_with(retention_period=100)
         engine.store(blob(0), "hot")
@@ -246,15 +261,14 @@ class TestRetention:
     def test_idle_neuron_decays_and_recompresses(self):
         engine = engine_with()
         out = engine.store(blob(0, size=1000, cls=1), "other")  # locality 1, rate 1.0
-        foreign = engine.hive.extractor.extract(blob(5))
+        foreign = engine.memory.extractor.extract(blob(5))
         for _ in range(3):
             # misses advance the op counter without touching the neuron
             assert engine.retrieve("hot", foreign).kind == "miss"
         summary = engine.retention(n=1)
-        dn = engine.memory.data_neuron(out.dn_id)
-        assert dn.strength == 99.0
-        assert dn.payload.quality == 99.0
-        assert dn.size_bytes == 990
+        assert strength_of(engine.memory, out.dn_id) == 99.0
+        assert engine.memory.payload(out.dn_id).quality == 99.0
+        assert size_of(engine.memory, out.dn_id) == 990
         assert summary.bytes_freed == 10
         assert summary.compressed == [(out.dn_id, 99.0)]
 
@@ -262,18 +276,17 @@ class TestRetention:
         engine = engine_with()
         out = engine.store(blob(0, cls=1), "other")
         engine.memory.adjust_strength(out.dn_id, 150.0)  # clamp to phi=1
-        foreign = engine.hive.extractor.extract(blob(5))
+        foreign = engine.memory.extractor.extract(blob(5))
         engine.retrieve("hot", foreign)
-        size = engine.memory.data_neuron(out.dn_id).size_bytes
+        size = size_of(engine.memory, out.dn_id)
         engine.retention(n=1)
-        dn = engine.memory.data_neuron(out.dn_id)
-        assert dn.strength == 1.0
-        assert dn.size_bytes == size
+        assert strength_of(engine.memory, out.dn_id) == 1.0
+        assert size_of(engine.memory, out.dn_id) == size
 
     def test_edge_decay_gated_by_weaken_on_fail_and_rate(self):
         engine = engine_with(association_decay_rates=[3.0, 3.0])
         out = engine.store(blob(0), "hot")
-        cue = engine.hive.find_cue_by_label("hot")
+        cue = engine.memory.find_cue_by_label("hot")
         engine.memory.adjust_association(cue, out.dn_id, -9.0)  # weight 10
         engine.retrieve("nothing-known")
         engine.retention(n=1)
@@ -286,21 +299,21 @@ class TestRetention:
     def test_auto_retention_fires_on_period(self):
         engine = engine_with(retention_period=3, memory_decay_rates=[2.0, 1.0])
         out = engine.store(blob(0), "hot")
-        foreign = engine.hive.extractor.extract(blob(5, cls=1))
+        foreign = engine.memory.extractor.extract(blob(5, cls=1))
         engine.retrieve("hot", foreign)   # op 2 (miss)
-        assert engine.memory.data_neuron(out.dn_id).strength == 100.0
+        assert strength_of(engine.memory, out.dn_id) == 100.0
         # op 3: retention fires but idle window is 3 - 1 = 2 < 3, still safe
         engine.retrieve("hot", foreign)
-        assert engine.memory.data_neuron(out.dn_id).strength == 100.0
+        assert strength_of(engine.memory, out.dn_id) == 100.0
         for _ in range(3):
             engine.retrieve("hot", foreign)   # op 6: idle 5 >= 3 -> decay
-        assert engine.memory.data_neuron(out.dn_id).strength == 98.0
+        assert strength_of(engine.memory, out.dn_id) == 98.0
 
     def test_search_orders_refreshed(self):
         engine = engine_with(association_decay_rates=[5.0, 5.0])
         a = engine.store(blob(0), "hot")
         b = engine.store(blob(1), "hot")
-        cue = engine.hive.find_cue_by_label("hot")
+        cue = engine.memory.find_cue_by_label("hot")
         engine.memory.adjust_association(cue, a.dn_id, -9.0)    # 10
         engine.memory.adjust_association(cue, b.dn_id, -19.0)   # 20
         engine.update_search_order()
@@ -308,14 +321,14 @@ class TestRetention:
         engine.retrieve("other-unknown")
         engine.controls = OpControls(weaken_on_fail=True)
         engine.retention(n=1)
-        order = maintained(engine)[cue]
-        assert order == oracle_search_order(engine.memory, engine.hive)[cue]
+        order = maintained(engine.memory)[cue]
+        assert order == oracle_search_order(engine.memory)[cue]
 
 
 def lower_locality(engine, locality_id: int, ceiling: float) -> int:
     """One step of the elasticity walk, run to its end."""
     return engine.memory.lower_to_floors(
-        [(engine.hive.localities[locality_id], ceiling)], math.inf)
+        [(engine.memory.localities[locality_id], ceiling)], math.inf)
 
 
 class TestElasticity:
@@ -324,9 +337,8 @@ class TestElasticity:
         out = engine.store(blob(0, size=1000), "hot")
         engine.memory.adjust_strength(out.dn_id, 5.0)   # 95
         freed = lower_locality(engine, 0, 80.0)
-        dn = engine.memory.data_neuron(out.dn_id)
-        assert dn.strength == 80.0
-        assert dn.size_bytes == 800
+        assert strength_of(engine.memory, out.dn_id) == 80.0
+        assert size_of(engine.memory, out.dn_id) == 800
         assert freed == 150
 
     def test_below_ceiling_untouched(self):
@@ -334,7 +346,7 @@ class TestElasticity:
         out = engine.store(blob(0), "hot")
         engine.memory.adjust_strength(out.dn_id, 50.0)
         freed = lower_locality(engine, 0, 80.0)
-        assert engine.memory.data_neuron(out.dn_id).strength == 50.0
+        assert strength_of(engine.memory, out.dn_id) == 50.0
         assert freed == 0
 
     def test_final_iteration_floors_everything(self):
@@ -344,9 +356,8 @@ class TestElasticity:
         engine.memory.adjust_strength(dns[1], 50.0)
         freed = lower_locality(engine, 0, 1.0)
         for dn_id in dns:
-            dn = engine.memory.data_neuron(dn_id)
-            assert dn.strength == 1.0
-            assert dn.size_bytes == 3    # ceil(300 * 1%)
+            assert strength_of(engine.memory, dn_id) == 1.0
+            assert size_of(engine.memory, dn_id) == 3    # ceil(300 * 1%)
         assert freed == (285 - 3) + (150 - 3) + (300 - 3)
 
 
@@ -369,10 +380,10 @@ class TestEnsureCapacity:
         engine.ensure_capacity(400)
         # expected by hand: one iteration at ceiling 80 on locality 1 frees
         # (1000-800) + (450-400) = 250, reaching 400 free; locality 0 untouched
-        assert engine.memory.data_neuron(a).strength == 100.0
-        assert engine.memory.data_neuron(a).size_bytes == 1000
-        assert engine.memory.data_neuron(b).size_bytes == 800
-        assert engine.memory.data_neuron(c).size_bytes == 400
+        assert strength_of(engine.memory, a) == 100.0
+        assert size_of(engine.memory, a) == 1000
+        assert size_of(engine.memory, b) == 800
+        assert size_of(engine.memory, c) == 400
         assert 2600 - engine.memory.total_bytes() == 400
 
     def test_capped_store_makes_room_through_elasticity(self, monkeypatch):
@@ -407,8 +418,8 @@ class TestEnsureCapacity:
         engine = engine_with(phi=0.0, capacity_bytes=1000)
         a = engine.bootstrap_store(blob(0, size=900, cls=1), "other", item_id="a")
         engine.ensure_capacity(995)
-        assert engine.memory.data_neuron(a).size_bytes == 0
-        assert engine.memory.data_neuron(a).strength == 0.0
+        assert size_of(engine.memory, a) == 0
+        assert strength_of(engine.memory, a) == 0.0
 
     def test_store_raises_storage_full(self):
         engine = engine_with(capacity_bytes=600)
@@ -423,7 +434,7 @@ class TestSearchOrder:
         engine = engine_with()
         a = engine.store(blob(0), "hot").dn_id
         b = engine.store(blob(1), "hot").dn_id
-        cue = engine.hive.find_cue_by_label("hot")
+        cue = engine.memory.find_cue_by_label("hot")
         engine.memory.adjust_association(cue, a, -29.0)   # 30
         engine.memory.adjust_association(cue, b, -49.0)   # 50
         engine.update_search_order()
@@ -434,7 +445,7 @@ class TestSearchOrder:
         engine = engine_with()
         a = engine.store(blob(0), "hot").dn_id
         b = engine.store(blob(1), "hot").dn_id
-        cue = engine.hive.find_cue_by_label("hot")
+        cue = engine.memory.find_cue_by_label("hot")
         engine.memory.adjust_association(cue, a, -29.0)
         engine.memory.adjust_association(cue, b, -49.0)
         engine.update_search_order()
@@ -448,11 +459,11 @@ class TestSearchOrder:
         engine = engine_with()
         hot = engine.store(blob(0), "hot").dn_id
         cold = engine.store(blob(1, cls=1), "cold").dn_id
-        other = engine.hive.localities[1].default_cue_id
-        before = maintained(engine)
+        other = engine.memory.localities[1].default_cue_id
+        before = maintained(engine.memory)
         with pytest.raises(KeyError, match=f"cue {other} .*data neuron {hot}"):
             engine.memory.associate(other, hot)
-        assert maintained(engine) == before
+        assert maintained(engine.memory) == before
         assert (other, hot) not in engine.memory.weights
         ids = [e.dn_id for e in candidates(engine, "unknown")]
         assert ids == [hot, cold]
@@ -461,7 +472,7 @@ class TestSearchOrder:
         engine = engine_with()
         a = engine.store(blob(0), "hot").dn_id
         b = engine.store(blob(1), "hot").dn_id
-        cue = engine.hive.find_cue_by_label("hot")
+        cue = engine.memory.find_cue_by_label("hot")
         assert [e.dn_id for e in candidates(engine, "hot")] == [a, b]
         engine.memory.adjust_association(cue, b, -20.0)
         engine.update_search_order()
@@ -471,15 +482,15 @@ class TestSearchOrder:
         engine = engine_with()
         engine.store(blob(0), "hot")
         engine.store(blob(1), "hot")
-        first = maintained(engine)
+        first = maintained(engine.memory)
         engine.update_search_order()
-        assert maintained(engine) == first
+        assert maintained(engine.memory) == first
 
     def test_new_neuron_appears_in_default_cue_order(self):
         engine = engine_with()
         out = engine.store(blob(0), "hot")
-        default = engine.hive.localities[0].default_cue_id
-        assert out.dn_id in [e.dn_id for e in engine.hive.search_order[default]]
+        default = engine.memory.localities[0].default_cue_id
+        assert out.dn_id in [e.dn_id for e in engine.memory.search_order[default]]
 
     def test_matches_oracle_after_random_ops(self):
         engine = engine_with()
@@ -490,11 +501,10 @@ class TestSearchOrder:
                 engine.store(blob(int(rng.integers(6)), int(rng.integers(3))),
                              str(rng.choice(["hot", "warm", "cool"])))
             else:
-                fine = engine.hive.extractor.extract(
+                fine = engine.memory.extractor.extract(
                     blob(int(rng.integers(6)), int(rng.integers(3))))
                 engine.retrieve(str(rng.choice(["hot", "warm", "zzz"])), fine)
-            assert maintained(engine) == oracle_search_order(engine.memory,
-                                                             engine.hive)
+            assert maintained(engine.memory) == oracle_search_order(engine.memory)
 
 
 class TestSelectLocality:
@@ -520,27 +530,27 @@ class TestUpdateSemantics:
     def test_new_cue_association_via_retrieve(self):
         engine = engine_with()
         stored = engine.store(blob(0), "hot")
-        fine = engine.hive.extractor.extract(blob(0))
+        fine = engine.memory.extractor.extract(blob(0))
         out = engine.retrieve("alias", fine)
         assert out.hit
-        alias = engine.hive.find_cue_by_label("alias")
+        alias = engine.memory.find_cue_by_label("alias")
         assert engine.memory.weights[alias, stored.dn_id] == 1.0
 
     def test_reissue_strengthens_without_duplicate(self):
         engine = engine_with()
         stored = engine.store(blob(0), "hot")
-        fine = engine.hive.extractor.extract(blob(0))
+        fine = engine.memory.extractor.extract(blob(0))
         engine.retrieve("alias", fine)
         edges_before = len(engine.memory.weights)
         engine.retrieve("alias", fine)
-        alias = engine.hive.find_cue_by_label("alias")
+        alias = engine.memory.find_cue_by_label("alias")
         assert len(engine.memory.weights) == edges_before
         assert engine.memory.weights[alias, stored.dn_id] > 1.0
 
     def test_miss_propagates(self):
         engine = engine_with()
         engine.store(blob(0), "hot")
-        foreign = engine.hive.extractor.extract(blob(5, cls=1))
+        foreign = engine.memory.extractor.extract(blob(5, cls=1))
         assert engine.retrieve("alias", foreign).kind == "miss"
 
 
@@ -554,7 +564,7 @@ class TestCostAccounting:
             if rng.random() < 0.5:
                 out = engine.store(blob(int(rng.integers(5))), "hot")
             else:
-                fine = engine.hive.extractor.extract(blob(int(rng.integers(5))))
+                fine = engine.memory.extractor.extract(blob(int(rng.integers(5))))
                 out = engine.retrieve("hot", fine)
             assert engine.total_search_iterations - before == out.cost
             total += out.cost
@@ -567,7 +577,7 @@ class TestRoundTripAndPriming:
         for u in range(4):
             engine.store(blob(u), "hot")
         stored = engine.store(blob(7), "fresh-cue")
-        fine = engine.hive.extractor.extract(blob(7))
+        fine = engine.memory.extractor.extract(blob(7))
         out = engine.retrieve("fresh-cue", fine)
         assert out.dn_id == stored.dn_id
         assert out.cost == 1
@@ -577,7 +587,7 @@ class TestRoundTripAndPriming:
         for u in range(8):
             engine.store(blob(u), "hot")
         target = blob(5)
-        fine = engine.hive.extractor.extract(target)
+        fine = engine.memory.extractor.extract(target)
         costs = [engine.retrieve("hot", fine).cost for _ in range(10)]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
         assert costs[-1] == 1
@@ -591,7 +601,7 @@ class TestDeterminism:
             for u in range(6):
                 outs.append(engine.store(blob(u % 3, u // 3), "hot"))
             for u in range(6):
-                fine = engine.hive.extractor.extract(blob(u % 3, u // 3))
+                fine = engine.memory.extractor.extract(blob(u % 3, u // 3))
                 outs.append(engine.retrieve("hot", fine))
             return [(o.kind, o.dn_id, o.cost, o.examined) for o in outs]
 
@@ -606,8 +616,8 @@ class TestCueLabel:
         memory = engine.memory
         return (memory.op_counter, dict(memory.weights),
                 dict(memory.edge_access),
-                engine.hive.strength[:len(engine.hive.feature_rows)].tolist(),
-                maintained(engine), sorted(memory.neurons),
+                memory.strength[:len(memory.row_of)].tolist(),
+                maintained(engine.memory), sorted([*memory.cues, *memory.row_of]),
                 memory.total_bytes())
 
     def seeded(self):
@@ -651,12 +661,12 @@ class TestCueLabel:
     def test_bootstrap_takes_no_cue(self):
         engine = self.seeded()
         dn_id = self.call(engine, "bootstrap_store", None)
-        assert engine.memory.data_neuron(dn_id).locality_id == 1
+        assert locality_of(engine.memory, dn_id) == 1
 
     def test_a_label_is_one_cue(self):
         engine = engine_with()
         stored = engine.store(blob(0), "hot")
-        assert [engine.hive.find_cue_by_label(c) for c in "hot"] == [None] * 3
+        assert [engine.memory.find_cue_by_label(c) for c in "hot"] == [None] * 3
         assert engine.retrieve("hot").dn_id == stored.dn_id
 
 
@@ -698,10 +708,10 @@ class TestLocalityId:
     def test_known_id_places_the_neuron(self, locality_id):
         engine = engine_with()
         dn_id = engine.bootstrap_store(blob(1), "hot", locality_id=locality_id)
-        assert engine.memory.data_neuron(dn_id).locality_id == locality_id
-        loc = engine.hive.locality(locality_id)
+        assert locality_of(engine.memory, dn_id) == locality_id
+        loc = engine.memory.locality(locality_id)
         assert loc.id == locality_id and loc.dn_ids == [dn_id]
-        assert engine.hive.localities[1 - locality_id].dn_ids == []
+        assert engine.memory.localities[1 - locality_id].dn_ids == []
 
     @pytest.mark.parametrize("locality_id", [-1, -2, 2, 10, True, False, 1.0,
                                              "0"])
@@ -736,7 +746,7 @@ class TestFineCueShape:
     def test_refused_before_anything_changes(self, cue, fine, shown):
         engine = engine_with()
         engine.store(blob(0), "hot")
-        engine.retrieve("hot", engine.hive.extractor.extract(blob(0)))
+        engine.retrieve("hot", engine.memory.extractor.extract(blob(0)))
         before = self.state(engine)
         with pytest.raises(ConfigurationError) as caught:
             engine.retrieve(cue, fine)

@@ -21,7 +21,7 @@ from neuralstore import engine as engine_module
 from neuralstore.codec import Payload, psnr_fidelity
 from neuralstore.core import SearchEntry, unit_row
 from neuralstore.engine import OpControls, SearchParams
-from tests.helpers import candidates
+from tests.helpers import candidates, raw_feature
 from tests.test_engine import blob, engine_with
 
 
@@ -88,10 +88,10 @@ class TestSliceAgainstTheWalk:
     def test_known_cue_equals_the_walk(self, seed):
         rng = np.random.default_rng(seed)
         engine = engine_with_localities(1)
-        cue = engine.hive.find_cue_by_label("hot")
+        cue = engine.memory.find_cue_by_label("hot")
         for n in [0, 1, 2, 5, 13]:
             order = random_order(rng, cue, n)
-            engine.hive.search_order[cue] = order
+            engine.memory.search_order[cue] = order
             for t1 in thresholds(order):
                 for limit in [None, *range(1, n + 2)]:
                     set_scope(engine, t1, limit)
@@ -104,7 +104,7 @@ class TestSliceAgainstTheWalk:
     def test_unknown_cue_equals_the_walk_over_default_cues(self, localities):
         rng = np.random.default_rng(localities)
         engine = engine_with_localities(localities)
-        defaults = [loc.default_cue_id for loc in engine.hive.localities]
+        defaults = [loc.default_cue_id for loc in engine.memory.localities]
         assert None not in defaults
         for n in [0, 1, 4, 9]:
             # a default cue links only its own locality's data neurons
@@ -113,7 +113,7 @@ class TestSliceAgainstTheWalk:
             for i, cue in enumerate(defaults):
                 orders.append(random_order(rng, cue, n,
                                            pool[i * n:(i + 1) * n]))
-                engine.hive.search_order[cue] = orders[-1]
+                engine.memory.search_order[cue] = orders[-1]
             for t1 in thresholds(orders[0]):
                 for limit in [None, *range(1, 2 * n + 2)]:
                     set_scope(engine, t1, limit)
@@ -122,35 +122,35 @@ class TestSliceAgainstTheWalk:
 
     def test_default_threshold_comes_from_the_engine(self):
         engine = engine_with_localities(1)
-        cue = engine.hive.find_cue_by_label("hot")
+        cue = engine.memory.find_cue_by_label("hot")
         order = random_order(np.random.default_rng(9), cue, 8)
-        engine.hive.search_order[cue] = order
+        engine.memory.search_order[cue] = order
         engine.search.assoc_thresh = 7.0
         assert candidates(engine, "hot") == \
             dedup_walk([order], 7.0, None)
 
     def test_cue_without_an_order_gives_an_empty_list(self):
         engine = engine_with_localities(1)
-        cue = engine.hive.find_cue_by_label("hot")
-        del engine.hive.search_order[cue]
+        cue = engine.memory.find_cue_by_label("hot")
+        del engine.memory.search_order[cue]
         assert candidates(engine, "hot") == []
 
     def test_entries_moved_during_the_scan_leave_the_list_unchanged(self):
         engine = engine_with(eta=5.0)
         for cluster in range(6):
             engine.store(blob(cluster), "hot")
-        cue = engine.hive.find_cue_by_label("hot")
-        order = engine.hive.search_order[cue]
+        cue = engine.memory.find_cue_by_label("hot")
+        order = engine.memory.search_order[cue]
         listed = candidates(engine, "hot")
         taken = list(listed)
         before = list(order)
         last = listed[-1].dn_id
         # every examined non-match is weakened and the match strengthened
         engine.controls = OpControls(weaken_on_fail=True)
-        out = engine.retrieve("hot", engine.memory.neurons[last].feature)
+        out = engine.retrieve("hot", raw_feature(engine.memory, last))
         assert out.dn_id == last
         assert order != before
-        assert engine.hive.search_order[cue] is order
+        assert engine.memory.search_order[cue] is order
         assert listed == taken
 
 
@@ -211,21 +211,21 @@ class TestFidelityKeptPerPayload:
             self):
         engine = engine_with(memory_decay_rates=[30.0, 30.0])
         dn = engine.store(blob(0), "hot").dn_id
-        neuron = engine.memory.data_neuron(dn)
-        full = neuron.payload
+        full = engine.memory.payload(dn)
         assert psnr_fidelity(full) == math.inf
         # an op that touches nothing, so the neuron is idle for one op
-        miss = engine.retrieve("hot", np.zeros_like(neuron.feature))
+        miss = engine.retrieve(
+            "hot", np.zeros_like(raw_feature(engine.memory, dn)))
         assert miss.kind == "miss"
         engine.retention(n=1)
-        aged = neuron.payload
+        aged = engine.memory.payload(dn)
         assert aged is not full and aged.quality < full.quality
         assert psnr_fidelity(aged) == pytest.approx(reference_psnr(aged),
                                                     rel=1e-12)
         assert psnr_fidelity(full) == math.inf
-        engine.memory.lower_to_floors([(engine.hive.localities[0], 20.0)],
+        engine.memory.lower_to_floors([(engine.memory.localities[0], 20.0)],
                                       math.inf)
-        squeezed = neuron.payload
+        squeezed = engine.memory.payload(dn)
         assert squeezed is not aged and squeezed.quality == 20.0
         assert psnr_fidelity(squeezed) == pytest.approx(
             reference_psnr(squeezed), rel=1e-12)
@@ -258,10 +258,9 @@ class TestFineCueUnitRows:
         engine = engine_with()
         a = engine.store(blob(0), "hot").dn_id
         b = engine.store(blob(3), "hot").dn_id
-        features = engine.memory.neurons
-        query = features[a].feature.copy()
+        query = raw_feature(engine.memory, a).copy()
         assert engine.retrieve("hot", query).dn_id == a
-        query[:] = features[b].feature
+        query[:] = raw_feature(engine.memory, b)
         assert engine.retrieve("hot", query).dn_id == b
         query[:] = 0.0
         assert engine.retrieve("hot", query).kind == "miss"
@@ -272,7 +271,7 @@ class TestFineCueUnitRows:
             engine.store(blob(cluster), "hot")
             engine.store(blob(cluster), "hot")     # a merge scans too
         assert engine._fine_units == {}
-        query = engine.hive.extractor.extract(blob(2))
+        query = engine.memory.extractor.extract(blob(2))
         engine.retrieve("hot", query)
         assert list(engine._fine_units) == [query.tobytes()]
         assert np.array_equal(engine._fine_units[query.tobytes()][0],
@@ -288,7 +287,7 @@ class TestFineCueUnitRows:
         for cluster in range(4):
             engine.store(blob(cluster), "hot")
             plain.store(blob(cluster), "hot")
-        base = engine.hive.features[0].copy()
+        base = engine.memory.features[0].copy()
         recurring = [base + 1e-3 * rng.standard_normal(8) for _ in range(5)]
         hits, peak, n = 0, 0, 2 * bound
         for i in range(n):
@@ -310,7 +309,7 @@ class TestFineCueUnitRows:
         engines = (engine, plain)
         thresh = engine.search.match_thresh
         first = [e.store(blob(0), "hot") for e in engines][0]
-        f = engine.memory.neurons[first.dn_id].feature
+        f = raw_feature(engine.memory, first.dn_id)
         # a cue at cosine match_thresh to the first neuron, up to rounding,
         # so its score against that row is left to the scalar function
         u = f / np.linalg.norm(f)
@@ -320,8 +319,8 @@ class TestFineCueUnitRows:
         assert abs(engine_module.cosine_similarity(near, f) - thresh) \
             < engine_module.NEAR_THRESHOLD
         cues = [np.zeros(dim), near, f.copy(),
-                engine.hive.extractor.extract(blob(4)),
-                engine.hive.extractor.extract(blob(7, item=1))]
+                engine.memory.extractor.extract(blob(4)),
+                engine.memory.extractor.extract(blob(7, item=1))]
         kinds = set()
         for step in range(14):
             for e in engines:
@@ -329,7 +328,7 @@ class TestFineCueUnitRows:
                     # a neuron whose unit row is NaN, reached from "hot"
                     dn = e.memory.add_data_neuron(
                         0, Payload.from_bytes(b"nan"), np.full(dim, math.nan))
-                    e.memory.associate(e.hive.find_cue_by_label("hot"), dn)
+                    e.memory.associate(e.memory.find_cue_by_label("hot"), dn)
                 else:
                     e.store(blob(step), "hot")
             for i, cue in enumerate(cues):
@@ -338,10 +337,10 @@ class TestFineCueUnitRows:
                 got = engine.retrieve("hot", query)
                 assert got == plain.retrieve("hot", query), (step, i)
                 kinds.add(got.kind)
-                rows = len(engine.hive.feature_rows)
+                rows = len(engine.memory.row_of)
                 unit, scores = engine._fine_units[query.tobytes()]
                 assert len(scores) == rows
-                assert np.allclose(scores, engine.hive.features[:rows] @ unit,
+                assert np.allclose(scores, engine.memory.features[:rows] @ unit,
                                    rtol=0.0, atol=1e-12, equal_nan=True)
         assert kinds == {"hit", "miss"}
         assert plain._fine_units == {}

@@ -36,9 +36,9 @@ def test_unseen_cue_neuron_created_only_at_the_successful_retrieve():
             adapter.do_store(rec, corpus.get(rec.item_id))
         else:
             adapter.do_retrieve(rec, corpus.get(rec.item_id))
-    assert engine.hive.find_cue_by_label("canis") is None
+    assert engine.memory.find_cue_by_label("canis") is None
     adapter.do_retrieve(trace[2], corpus.get(trace[2].item_id))
-    canis = engine.hive.find_cue_by_label("canis")
+    canis = engine.memory.find_cue_by_label("canis")
     assert canis is not None
 
 
@@ -48,6 +48,6 @@ def test_merge_refresh_restores_full_quality_copy():
     merged = log[5]
     assert merged["kind"] == "merged"
     assert merged["dn_id"] == ids["w0"]
-    dn = engine.memory.data_neuron(ids["w0"])
-    assert dn.payload.quality == 100.0
-    assert dn.payload.lineage == "w0-dup"
+    payload = engine.memory.payload(ids["w0"])
+    assert payload.quality == 100.0
+    assert payload.lineage == "w0-dup"

@@ -4,7 +4,7 @@ array passes.
 Search orders are kept current by moving only the entries whose edge
 weights changed, each query is scored against unit-length feature rows in
 one product with the scalar cosine as the judge near the threshold, stored
-bytes are a running total, retention updates a locality's rows of the hive
+bytes are a running total, retention updates a locality's rows of the memory
 columns in one array pass, and elasticity lowers the rows above each floor
 in one walk per request.  Each is checked against its brute-force,
 per-neuron or step-by-step counterpart.
@@ -24,7 +24,6 @@ from neuralstore.codec import Payload, TruncationCodec, cosine_similarity
 from neuralstore.config import load_config
 from neuralstore.core import (
     ConfigurationError,
-    DataNeuron,
     HiveParams,
     SearchEntry,
     clamp_strength,
@@ -43,14 +42,19 @@ from neuralstore.workload import (
     generate_trace,
     replay,
 )
-from tests.helpers import data_neurons
+from tests.helpers import (
+    data_neurons,
+    locality_of,
+    raw_feature,
+    size_of,
+    strength_of,
+)
 from tests.test_engine import blob, engine_with, maintained
 from tests.test_order_upkeep import FullRebuildEngine
 
 
 def brute_force_bytes(memory) -> int:
-    return sum(n.size_bytes for n in memory.neurons.values()
-               if isinstance(n, DataNeuron))
+    return sum(memory.payload(dn).size_bytes for dn in data_neurons(memory))
 
 
 def spy_on_cosine(monkeypatch) -> list:
@@ -78,15 +82,15 @@ def spy_on_reactions(engine, monkeypatch) -> list:
 
 
 def feature(engine, data: bytes) -> np.ndarray:
-    return engine.hive.extractor.extract(data)
+    return engine.memory.extractor.extract(data)
 
 
 class TestEntryMoves:
     def test_bisect_moves_keep_weight_ties_in_dn_id_order(self):
         engine = engine_with()
         a, b, c = (engine.store(blob(i), "hot").dn_id for i in range(3))
-        hot = engine.hive.find_cue_by_label("hot")
-        order = engine.hive.search_order[hot]
+        hot = engine.memory.find_cue_by_label("hot")
+        order = engine.memory.search_order[hot]
         assert [e.dn_id for e in order] == [a, b, c]
         assert engine.retrieve("hot", feature(engine, blob(1))).dn_id == b
         assert [(e.dn_id, e.avg_weight) for e in order] == [
@@ -102,33 +106,31 @@ class TestEntryMoves:
         d = engine.store(blob(3), "hot").dn_id
         assert [e.dn_id for e in order] == [a, b, c, d]
         # the order was moved in place, never rebuilt
-        assert engine.hive.search_order[hot] is order
-        assert maintained(engine) == oracle_search_order(engine.memory,
-                                                         engine.hive)
+        assert engine.memory.search_order[hot] is order
+        assert maintained(engine.memory) == oracle_search_order(engine.memory)
 
     def test_edge_changed_twice_moves_from_the_weight_the_order_holds(self):
         engine = engine_with()
         engine.store(blob(0), "hot")
         b = engine.store(blob(1), "hot").dn_id
-        hot = engine.hive.find_cue_by_label("hot")
-        order = engine.hive.search_order[hot]
+        hot = engine.memory.find_cue_by_label("hot")
+        order = engine.memory.search_order[hot]
         probe = feature(engine, blob(1))
         engine.retrieve("hot", probe)
         engine.retrieve("hot", probe)
         assert engine.memory.weights[hot, b] == 41.0
-        assert engine.hive.search_order[hot] is order
+        assert engine.memory.search_order[hot] is order
         assert order[0].dn_id == b and order[0].avg_weight == 41.0
-        assert maintained(engine) == oracle_search_order(engine.memory,
-                                                         engine.hive)
+        assert maintained(engine.memory) == oracle_search_order(engine.memory)
 
     def test_direct_memory_edits_keep_orders_current(self):
         engine = engine_with()
         a = engine.store(blob(0), "hot").dn_id
         b = engine.store(blob(1), "hot").dn_id
         memory = engine.memory
-        hot = engine.hive.find_cue_by_label("hot")
+        hot = engine.memory.find_cue_by_label("hot")
         cold = memory.add_cue_neuron(label="cold")
-        orders = dict(engine.hive.search_order)
+        orders = dict(engine.memory.search_order)
         assert orders[cold] == []
         # edits through Memory alone, with no rebuild between or after them
         memory.associate(cold, b)
@@ -138,12 +140,12 @@ class TestEntryMoves:
         memory.adjust_association(cold, a, 12.0, touch=False)
         memory.adjust_association(hot, a, 50.0)     # stays at the floor
         for cue, order in orders.items():
-            assert engine.hive.search_order[cue] is order, cue
+            assert engine.memory.search_order[cue] is order, cue
         assert [(e.dn_id, e.avg_weight) for e in orders[hot]] == [
             (b, 6.0), (a, 1.0)]
         assert [(e.dn_id, e.avg_weight) for e in orders[cold]] == [
             (a, 19.0), (b, 1.0)]
-        assert maintained(engine) == oracle_search_order(memory, engine.hive)
+        assert maintained(engine.memory) == oracle_search_order(memory)
         out = engine.retrieve("cold", feature(engine, blob(0)))
         assert (out.dn_id, out.cost) == (a, 1)
 
@@ -152,25 +154,25 @@ class TestEntryMoves:
                              retention_period=1000)
         a = engine.store(blob(0), "hot").dn_id
         engine.store(blob(4, cls=1), "warm")
-        hot = engine.hive.find_cue_by_label("hot")
+        hot = engine.memory.find_cue_by_label("hot")
         engine.retrieve("hot", feature(engine, blob(0)))
         # one more op, touching only warm's edge, leaves hot's idle
         engine.retrieve("warm", feature(engine, blob(4, cls=1)))
-        orders = dict(engine.hive.search_order)
-        before = maintained(engine)
+        orders = dict(engine.memory.search_order)
+        before = maintained(engine.memory)
         engine.controls = OpControls(weaken_on_fail=True)
         summary = engine.retention(n=1)
         # every other edge is fresh or at the epsilon floor
         assert summary.weakened_edges == [(hot, a, 16.0)]
-        after = maintained(engine)
+        after = maintained(engine.memory)
         assert [cue for cue in before if after[cue] != before[cue]] == [hot]
         assert after[hot] == [(a, 16.0)]
-        assert all(engine.hive.search_order[cue] is order
+        assert all(engine.memory.search_order[cue] is order
                    for cue, order in orders.items())
-        assert after == oracle_search_order(engine.memory, engine.hive)
+        assert after == oracle_search_order(engine.memory)
         engine.controls = OpControls()
         engine.retention(n=1)
-        assert maintained(engine) == after
+        assert maintained(engine.memory) == after
 
 
 class TestMatrixScan:
@@ -179,7 +181,7 @@ class TestMatrixScan:
         engine = engine_with()
         a = engine.store(blob(0), "hot").dn_id
         probe = feature(engine, blob(1))
-        exact = cosine_similarity(probe, engine.memory.data_neuron(a).feature)
+        exact = cosine_similarity(probe, raw_feature(engine.memory, a))
         calls = spy_on_cosine(monkeypatch)
         engine.search = SearchParams(match_thresh=exact)
         out = engine.retrieve("hot", probe)
@@ -205,7 +207,7 @@ class TestMatrixScan:
     def test_zero_feature_neuron_scores_zero(self, monkeypatch):
         engine = engine_with()
         z = engine.store(b"", "hot").dn_id
-        assert not engine.memory.data_neuron(z).feature.any()
+        assert not raw_feature(engine.memory, z).any()
         probe = feature(engine, blob(0))
         calls = spy_on_cosine(monkeypatch)
         for thresh, kind in ((-0.5, "hit"), (1e-6, "miss"), (0.0, "hit")):
@@ -236,7 +238,7 @@ class TestMatrixScan:
             self, monkeypatch):
         engine = engine_with(eta=5.0)
         ids = [engine.store(blob(i), "hot").dn_id for i in range(3)]
-        hot = engine.hive.find_cue_by_label("hot")
+        hot = engine.memory.find_cue_by_label("hot")
         for dn_id in ids:
             engine.memory.adjust_association(hot, dn_id, -9.0)
         engine.update_search_order()
@@ -283,7 +285,7 @@ def scalar_first_match(memory, candidates, queries, thresh):
     if not queries:
         return 0 if candidates else None
     for i, entry in enumerate(candidates):
-        feature = memory.neurons[entry.dn_id].feature
+        feature = raw_feature(memory, entry.dn_id)
         if any(cosine_similarity(q, feature) >= thresh for q in queries):
             return i
     return None
@@ -323,7 +325,7 @@ class TestMatcherAgainstScalarScan:
             queries = [] if query is None else [query]
             # thresholds at, and 1e-12 either side of, a scalar score, where
             # the unit-row score may round either way
-            exact = [cosine_similarity(q, memory.neurons[e.dn_id].feature)
+            exact = [cosine_similarity(q, raw_feature(memory, e.dn_id))
                      for q in queries for e in candidates]
             exact = [x for x in exact if not np.isnan(x)] or [0.0]
             at = float(rng.choice(exact))
@@ -351,7 +353,7 @@ class TestMatcherAgainstScalarScan:
                         [1e160, 1.0, 0.0], [np.nan, 1.0, 0.0]):
             memory.add_data_neuron(0, Payload.from_bytes(b"x"),
                                    np.array(feature))
-        rows = engine.hive.features[:5]
+        rows = engine.memory.features[:5]
         assert rows[0].tolist() == [0.6, 0.8, 0.0]
         assert rows[1].tolist() == [0.0, 0.0, 0.0]
         assert np.isnan(rows[2:]).all()
@@ -362,12 +364,12 @@ def reference_cap(engine, locality, ceiling: float) -> int:
     params, memory = engine.params, engine.memory
     freed = 0
     for dn_id in locality.dn_ids:
-        dn = memory.data_neuron(dn_id)
-        target = max(params.phi, min(dn.strength, ceiling))
-        if target < dn.strength:
-            before = dn.size_bytes
-            memory.adjust_strength(dn_id, dn.strength - target)
-            freed += before - dn.size_bytes
+        s = strength_of(memory, dn_id)
+        target = max(params.phi, min(s, ceiling))
+        if target < s:
+            before = size_of(memory, dn_id)
+            memory.adjust_strength(dn_id, s - target)
+            freed += before - size_of(memory, dn_id)
     return freed
 
 
@@ -381,24 +383,25 @@ def reference_retention(engine, window: int) -> RetentionSummary:
         for (cue_id, dn_id), old in sorted(memory.weights.items()):
             if counter - memory.edge_access[cue_id, dn_id] < window:
                 continue
-            locality = memory.data_neuron(dn_id).locality_id
-            rate = engine.hive.locality(locality).association_decay_rate
+            locality = locality_of(memory, dn_id)
+            rate = engine.memory.locality(locality).association_decay_rate
             if rate <= 0:
                 continue
             new = memory.adjust_association(cue_id, dn_id, rate, touch=False)
             if new != old:
                 summary.weakened_edges.append((cue_id, dn_id, new))
-    for locality in engine.hive.localities:
+    for locality in engine.memory.localities:
         rate = locality.memory_decay_rate
         for dn_id in locality.dn_ids:
-            dn = memory.data_neuron(dn_id)
-            if counter - dn.last_access_op < window or rate <= 0:
+            last_access = memory.last_access.item(memory.row_of[dn_id])
+            if counter - last_access < window or rate <= 0:
                 continue
-            old_strength, old_size = dn.strength, dn.size_bytes
+            old_strength = strength_of(memory, dn_id)
+            old_size = size_of(memory, dn_id)
             new = memory.adjust_strength(dn_id, rate)
             if new != old_strength:
                 summary.compressed.append((dn_id, new))
-                summary.bytes_freed += old_size - dn.size_bytes
+                summary.bytes_freed += old_size - size_of(memory, dn_id)
     return summary
 
 
@@ -419,7 +422,7 @@ def reference_ensure_capacity(engine, bytes_needed: int,
 
     if free() >= bytes_needed:
         return
-    order = sorted(engine.hive.localities,
+    order = sorted(engine.memory.localities,
                    key=lambda loc: (-loc.memory_decay_rate, -loc.id))
     schedules = params.elasticity_schedules
     for iteration in range(max(map(len, schedules))):
@@ -436,7 +439,7 @@ def reference_ensure_capacity(engine, bytes_needed: int,
             if free() >= bytes_needed:
                 return
     raise StorageFullError(
-        f"hive {engine.hive.id}: need {bytes_needed} bytes, "
+        f"hive 0: need {bytes_needed} bytes, "
         f"only {free()} free at maximum elasticity")
 
 
@@ -453,15 +456,16 @@ class ScalarReferenceEngine(MemoryEngine):
 
 
 def neuron_states(memory) -> list[tuple]:
-    return [(dn.id, dn.locality_id, dn.strength, dn.last_access_op,
-             dn.size_bytes, dn.payload) for dn in data_neurons(memory)]
+    return [(dn, locality_of(memory, dn), strength_of(memory, dn),
+             memory.last_access.item(memory.row_of[dn]), size_of(memory, dn),
+             memory.payload(dn)) for dn in data_neurons(memory)]
 
 
 def columns(engine) -> list[bytes]:
-    """The hive's state columns, bit for bit."""
-    hive = engine.hive
-    n = len(hive.feature_rows)
-    return [getattr(hive, name)[:n].tobytes()
+    """The memory's state columns, bit for bit."""
+    memory = engine.memory
+    n = len(memory.row_of)
+    return [getattr(memory, name)[:n].tobytes()
             for name in ("strength", "last_access", "quality", "keep")]
 
 
@@ -481,19 +485,22 @@ class TestElasticityFloor:
                                      "hot").dn_id
                 engine.memory.adjust_strength(dn_id, 100.0 - strength)
         new, old = engines
-        locality = [engine.hive.localities[0] for engine in engines]
+        locality = [engine.memory.localities[0] for engine in engines]
         assert len(locality[0].dn_ids) == len(strengths)
         for ceiling in (100.0, 150.0, 80.0, 50.0, 50.0, 30.0, 29.5, 10.0,
                         1.0, 0.0):
             assert (new.memory.lower_to_floors([(locality[0], ceiling)],
                                                math.inf)
                     == reference_cap(old, locality[1], ceiling)), ceiling
-            assert ([(dn.strength, dn.size_bytes, dn.payload.quality)
+            assert ([(strength_of(new.memory, dn), size_of(new.memory, dn),
+                      new.memory.payload(dn).quality)
                      for dn in data_neurons(new.memory)]
-                    == [(dn.strength, dn.size_bytes, dn.payload.quality)
+                    == [(strength_of(old.memory, dn), size_of(old.memory, dn),
+                         old.memory.payload(dn).quality)
                         for dn in data_neurons(old.memory)]), ceiling
             assert new.memory.total_bytes() == old.memory.total_bytes()
-        assert min(dn.strength for dn in data_neurons(new.memory)) == phi
+        assert min(strength_of(new.memory, dn)
+                   for dn in data_neurons(new.memory)) == phi
 
 
 class TestByteTotals:
@@ -513,7 +520,8 @@ class TestByteTotals:
             row = replay([rec], adapter, corpus)[0]
             assert row["total_bytes"] == brute_force_bytes(memory), rec.seq
             assert memory.total_bytes() == row["total_bytes"]
-        assert any(dn.payload.quality < 100.0 for dn in data_neurons(memory))
+        assert any(memory.payload(dn).quality < 100.0
+                   for dn in data_neurons(memory))
 
     def test_merge_refresh_updates_the_total(self):
         engine = engine_with()
@@ -541,11 +549,12 @@ class TestLocalityOrder:
                               controls=config.controls)
         replay(generate_trace(corpus, spec), NsReplayAdapter(engine), corpus)
         memory = engine.memory
-        assert any(dn.payload.quality < 100.0 for dn in data_neurons(memory))
-        for locality in engine.hive.localities:
+        assert any(memory.payload(dn).quality < 100.0
+                   for dn in data_neurons(memory))
+        for locality in engine.memory.localities:
             assert locality.dn_ids, locality.id
-            assert locality.dn_ids == [dn.id for dn in data_neurons(memory)
-                                       if dn.locality_id == locality.id]
+            assert locality.dn_ids == [dn for dn in data_neurons(memory)
+                                       if locality_of(memory, dn) == locality.id]
 
 
 class TestAtScale:
@@ -576,8 +585,8 @@ class TestAtScale:
             assert rows[0] == rows[1], f"seq {rec.seq}"
             if i % 50 == 0 or i == len(records):
                 memory = new.engine.memory
-                assert maintained(new.engine) == oracle_search_order(
-                    memory, new.engine.hive), f"seq {rec.seq}"
+                assert maintained(memory) == oracle_search_order(memory), \
+                    f"seq {rec.seq}"
                 assert memory.total_bytes() == brute_force_bytes(memory)
         assert len(data_neurons(new.engine.memory)) == 1000
 
@@ -603,13 +612,13 @@ def assert_same_rows(new, old, before: dict) -> None:
     assert new.memory.total_bytes() == old.memory.total_bytes()
     assert new.memory.total_bytes() == brute_force_bytes(new.memory)
     for dn in data_neurons(new.memory):
-        payload = before[dn.id]
-        if dn.payload.quality < payload.quality:
-            payload = CODEC.compress(payload, dn.payload.quality)
-            assert dn.payload == payload, dn.id
+        payload, stored = before[dn], new.memory.payload(dn)
+        if stored.quality < payload.quality:
+            payload = CODEC.compress(payload, stored.quality)
+            assert stored == payload, dn
         else:
-            assert dn.payload is payload, dn.id
-        before[dn.id] = dn.payload
+            assert stored is payload, dn
+        before[dn] = stored
 
 
 class TestArrayPasses:
@@ -655,15 +664,14 @@ class TestArrayPasses:
         engine.search = SearchParams(match_thresh=1.0)
         floored = engine.store(data, "hot").dn_id
         memory.adjust_strength(floored, 200.0)
-        memory.set_payload(memory.data_neuron(floored),
-                           Payload.from_bytes(data))
+        memory.set_payload(floored, Payload.from_bytes(data))
         ids.append(floored)
         engine.search = SearchParams()
         # last accesses spread over ops 0..12, so short windows leave some
         # neurons active
         for dn_id in ids:
-            row = memory.data_neuron(dn_id).row
-            memory.hive.last_access[row] = int(rng.integers(0, 13))
+            row = memory.row_of[dn_id]
+            memory.last_access[row] = int(rng.integers(0, 13))
         memory.op_counter = 12
         return engine
 
@@ -671,7 +679,7 @@ class TestArrayPasses:
     def test_bit_identical_to_the_per_neuron_walks(self, phi):
         new, old = (self.populated(cls, phi)
                     for cls in (MemoryEngine, ScalarReferenceEngine))
-        before = {dn.id: dn.payload for dn in data_neurons(new.memory)}
+        before = {dn: new.memory.payload(dn) for dn in data_neurons(new.memory)}
         assert_same_rows(new, old, before)
         steps = [("retain", 3, False), ("cap", 100.0), ("retain", 1, True),
                  ("cap", 150.0), ("cap", 80.0), ("retain", 8, True),
@@ -691,36 +699,37 @@ class TestArrayPasses:
             else:
                 for i in (0, 1):
                     assert (new.memory.lower_to_floors(
-                        [(new.hive.localities[i], step[1])], math.inf)
-                        == reference_cap(old, old.hive.localities[i],
+                        [(new.memory.localities[i], step[1])], math.inf)
+                        == reference_cap(old, old.memory.localities[i],
                                          step[1])), step
             assert_same_rows(new, old, before)
         assert compressed
         assert new.memory.total_bytes() < sum(
-            dn.payload.original_size for dn in data_neurons(new.memory))
+            new.memory.payload(dn).original_size
+            for dn in data_neurons(new.memory))
         for i, iteration in ((1, 0), (0, 1), (1, 2)):
             ceiling = new.params.elasticity_schedules[i][iteration]
             assert (new.memory.lower_to_floors(
-                [(new.hive.localities[i], ceiling)], math.inf)
-                == reference_cap(old, old.hive.localities[i], ceiling))
+                [(new.memory.localities[i], ceiling)], math.inf)
+                == reference_cap(old, old.memory.localities[i], ceiling))
             assert_same_rows(new, old, before)
 
     def test_retention_keeps_id_order_and_counts_only_moved_strengths(self):
         new = self.populated(MemoryEngine, 1.0)
         memory = new.memory
-        floored = data_neurons(memory)[-1].id
-        size = memory.data_neuron(floored).size_bytes
+        floored = data_neurons(memory)[-1]
+        size = size_of(memory, floored)
         total = memory.total_bytes()
         memory.op_counter += 100        # every neuron idle
         summary = new.retention(n=1)
         ids = [dn_id for dn_id, _ in summary.compressed]
-        by_locality = [[d for d in ids if memory.data_neuron(d).locality_id
-                        == loc.id] for loc in new.hive.localities]
+        by_locality = [[d for d in ids if locality_of(memory, d)
+                        == loc.id] for loc in new.memory.localities]
         assert ids == by_locality[0] + by_locality[1]
         assert all(part == sorted(part) for part in by_locality)
         # the neuron at the floor lost bytes, which bytes_freed leaves out
         assert floored not in ids
-        lost = size - memory.data_neuron(floored).size_bytes
+        lost = size - size_of(memory, floored)
         assert lost > 0
         assert total - memory.total_bytes() == summary.bytes_freed + lost
 
@@ -789,7 +798,7 @@ class TestCapacityWalk:
         schedules = self.CASES[phi]
         assert len(after) == sum(map(len, schedules)) + 3 * (phi == 0.0)
         floors = {max(phi, f) for s in schedules for f in s} | {phi}
-        start = new.hive.strength[:31].tolist()
+        start = new.memory.strength[:31].tolist()
         off_floor = False
         # requests that fit exactly after a step, one byte short of it, and
         # beyond the last step
@@ -799,8 +808,10 @@ class TestCapacityWalk:
             pair = [copy.deepcopy(e) for e in (new, old)]
             for engine in pair:
                 engine.params.capacity_bytes = total
-            before = {dn.id: dn.payload for dn in data_neurons(pair[0].memory)}
-            assert [dn.payload for dn in data_neurons(pair[1].memory)] == list(
+            before = {dn: pair[0].memory.payload(dn)
+                      for dn in data_neurons(pair[0].memory)}
+            assert [pair[1].memory.payload(dn)
+                    for dn in data_neurons(pair[1].memory)] == list(
                 before.values())
             errors = []
             for engine in pair:
@@ -816,34 +827,23 @@ class TestCapacityWalk:
                 assert pair[0].memory.total_bytes() <= total - need
             # a lowered strength that is not its floor: c - (c - f) != f
             off_floor |= any(s != s0 and s not in floors for s, s0 in zip(
-                pair[0].hive.strength[:31].tolist(), start))
+                pair[0].memory.strength[:31].tolist(), start))
         # every step was a stopping point, the terminal pass's too
         assert stopped == set(after) - {0}
         assert off_floor
 
 
 class TestStateColumns:
-    def test_neuron_state_is_read_only_and_python_typed(self):
-        engine = engine_with()
-        dn = engine.memory.data_neuron(engine.store(blob(0), "hot").dn_id)
-        for name, value in (("strength", 5.0), ("last_access_op", 3),
-                            ("size_bytes", 1), ("payload", None)):
-            with pytest.raises(AttributeError):
-                setattr(dn, name, value)
-        assert type(dn.strength) is float
-        assert type(dn.last_access_op) is int
-        assert type(dn.size_bytes) is int
-
     def test_payload_is_built_once_per_change(self):
         engine = engine_with()
         memory = engine.memory
         data = blob(0)
-        dn = memory.data_neuron(engine.store(data, "hot").dn_id)
-        stored = dn.payload
-        assert dn.payload is stored and stored.blob == data
-        memory.adjust_strength(dn.id, 40.0)
-        built = dn.payload
-        assert built is not stored and dn.payload is built
+        dn = engine.store(data, "hot").dn_id
+        stored = memory.payload(dn)
+        assert memory.payload(dn) is stored and stored.blob == data
+        memory.adjust_strength(dn, 40.0)
+        built = memory.payload(dn)
+        assert built is not stored and memory.payload(dn) is built
         assert built == Payload(data[:1229], data, 60.0, None)
         out = engine.retrieve("hot", feature(engine, data))
         assert out.payload is built and out.quality == 60.0
@@ -858,45 +858,44 @@ class TestReinforcement:
     def test_a_hit_on_a_lowered_neuron(self, phi):
         engine = engine_with(phi=phi, memory_decay_rates=[30.0, 30.0],
                              elasticity_schedules=[[80.0, 45.0, 30.0]] * 2)
-        memory, hive = engine.memory, engine.hive
+        memory = engine.memory
         dn_ids = [engine.store(blob(c), "hot").dn_id for c in range(4)]
-        locality = hive.localities[0]
+        locality = memory.localities[0]
         # all four to max(phi, 45)
         engine.memory.lower_to_floors([(locality, 45.0)], math.inf)
         engine.retention(n=1)                   # each idle one down 30
         memory.adjust_strength(dn_ids[1], 33.3)
         engine.retention(n=1)
         memory.adjust_strength(dn_ids[2], 0.7)
-        strengths = [memory.data_neuron(d).strength for d in dn_ids]
+        strengths = [strength_of(memory, d) for d in dn_ids]
         assert len(set(strengths)) > 1 and max(strengths) < 100.0
         for dn_id, s in zip(dn_ids, strengths):
-            neuron = memory.data_neuron(dn_id)
-            row = neuron.row
-            built = neuron.payload              # read before the hit
-            quality, keep = hive.quality[row], hive.keep[row]
-            out = engine.retrieve("hot", neuron.feature)
+            row = memory.row_of[dn_id]
+            built = memory.payload(dn_id)       # read before the hit
+            quality, keep = memory.quality[row], memory.keep[row]
+            out = engine.retrieve("hot", raw_feature(memory, dn_id))
             assert out.dn_id == dn_id and out.payload is built
-            assert hive.strength[row].hex() == \
+            assert memory.strength[row].hex() == \
                 clamp_strength(phi, s, -100.0).hex()
-            assert hive.quality[row] == quality and hive.keep[row] == keep
-            assert hive.built[row] is built
-            assert hive.last_access[row] == memory.op_counter
+            assert memory.quality[row] == quality and memory.keep[row] == keep
+            assert memory.built[row] is built
+            assert memory.last_access[row] == memory.op_counter
 
     def test_reinforce_leaves_an_unbuilt_payload_unbuilt(self):
         engine = engine_with(phi=30.0,
                              elasticity_schedules=[[80.0, 30.0]] * 2)
-        memory, hive = engine.memory, engine.hive
+        memory = engine.memory
         dn = engine.store(blob(0), "hot").dn_id
         memory.adjust_strength(dn, 55.5)
-        row = memory.data_neuron(dn).row
-        assert hive.built[row] is None
-        quality, keep = hive.quality[row], hive.keep[row]
+        row = memory.row_of[dn]
+        assert memory.built[row] is None
+        quality, keep = memory.quality[row], memory.keep[row]
         memory.op_counter += 5
         memory.reinforce(dn)
-        assert hive.strength[row] == 100.0 and hive.built[row] is None
-        assert hive.quality[row] == quality and hive.keep[row] == keep
-        assert hive.last_access[row] == memory.op_counter
-        cue = hive.find_cue_by_label("hot")
+        assert memory.strength[row] == 100.0 and memory.built[row] is None
+        assert memory.quality[row] == quality and memory.keep[row] == keep
+        assert memory.last_access[row] == memory.op_counter
+        cue = memory.find_cue_by_label("hot")
         with pytest.raises(KeyError, match=f"neuron {cue} is not a data"):
             memory.reinforce(cue)
 
@@ -910,7 +909,7 @@ class TestReinforcement:
             with pytest.raises(ConfigurationError, match="payload quality"):
                 engine.bootstrap_store(payload, "hot")
         assert engine.memory.op_counter == 0
-        assert engine.memory.neurons == {}
+        assert engine.memory.cues == {} and engine.memory.row_of == {}
 
 
 class ReadCountingDict(dict):
@@ -938,7 +937,7 @@ class TestReactionEdgeReads:
     def test_a_reaction_reads_its_edge_once(self, monkeypatch, flag, decay):
         engine = engine_with()
         dn = engine.store(blob(0), "hot").dn_id
-        hot = engine.hive.find_cue_by_label("hot")
+        hot = engine.memory.find_cue_by_label("hot")
         # above the epsilon floor, so a weakening moves the weight too
         engine.memory.adjust_association(hot, dn, -30.0)
         engine.update_search_order()
@@ -948,19 +947,18 @@ class TestReactionEdgeReads:
         engine.reaction(dn, hot, flag=flag)
         # the order entry moves with the weight the read returned
         assert weights.reads == [(hot, dn)]
-        assert maintained(engine) == oracle_search_order(engine.memory,
-                                                         engine.hive)
+        assert maintained(engine.memory) == oracle_search_order(engine.memory)
 
     def test_a_hit_reads_its_data_neuron_once(self, monkeypatch):
         engine = engine_with()
         dn = engine.store(blob(0), "hot").dn_id
-        hot = engine.hive.find_cue_by_label("hot")
-        rows = ReadCountingDict(engine.hive.feature_rows)
-        neurons = ReadCountingDict(engine.memory.neurons)
-        monkeypatch.setattr(engine.hive, "feature_rows", rows)
-        monkeypatch.setattr(engine.memory, "neurons", neurons)
+        hot = engine.memory.find_cue_by_label("hot")
+        rows = ReadCountingDict(engine.memory.row_of)
+        cues = ReadCountingDict(engine.memory.cues)
+        monkeypatch.setattr(engine.memory, "row_of", rows)
+        monkeypatch.setattr(engine.memory, "cues", cues)
         engine.reaction(dn, hot, flag=1)
-        assert rows.reads == [dn] and neurons.reads == []
+        assert rows.reads == [dn] and cues.reads == []
 
 
 class TestLabelLookups:
@@ -969,20 +967,20 @@ class TestLabelLookups:
     @staticmethod
     def spy(monkeypatch, engine) -> list:
         looked = []
-        find = engine.hive.find_cue_by_label
+        find = engine.memory.find_cue_by_label
 
         def counting(label):
             looked.append(label)
             return find(label)
 
-        monkeypatch.setattr(engine.hive, "find_cue_by_label", counting)
+        monkeypatch.setattr(engine.memory, "find_cue_by_label", counting)
         return looked
 
     def test_a_known_label_hit_looks_it_up_once(self, monkeypatch):
         engine = engine_with()
         engine.store(blob(0), "hot")
         looked = self.spy(monkeypatch, engine)
-        out = engine.retrieve("hot", engine.hive.extractor.extract(blob(0)))
+        out = engine.retrieve("hot", engine.memory.extractor.extract(blob(0)))
         assert out.kind == "hit" and looked == ["hot"]
 
     def test_a_known_label_merge_looks_it_up_once(self, monkeypatch):
@@ -1000,17 +998,16 @@ class TestLabelLookups:
         engine.store(blob(1, cls=1), "cold")     # dn 3, default 4, cold 5
         before = dict(engine.memory.weights)
         looked = self.spy(monkeypatch, engine)
-        out = engine.retrieve("alias", engine.hive.extractor.extract(
+        out = engine.retrieve("alias", engine.memory.extractor.extract(
             blob(1, cls=1)))
         assert looked == ["alias"]
         assert (out.kind, out.dn_id, out.examined) == ("hit", 3, (0, 3))
-        assert engine.hive.find_cue_by_label("alias") == 6
+        assert engine.memory.find_cue_by_label("alias") == 6
         after = dict(engine.memory.weights)
         assert after.pop((6, 3)) == 1.0         # epsilon
         assert after.pop((4, 3)) == before.pop((4, 3)) + 20.0   # eta
         assert after == before
-        assert maintained(engine) == oracle_search_order(engine.memory,
-                                                         engine.hive)
+        assert maintained(engine.memory) == oracle_search_order(engine.memory)
 
 
 class TestFuzzAtScale:
@@ -1028,7 +1025,7 @@ class TestFuzzAtScale:
         engines = [cls(params, search=config.search, controls=config.controls)
                    for cls in (MemoryEngine, ScalarReferenceEngine)]
         new, old = engines
-        features = [new.hive.extractor.extract(item.data) for item in items]
+        features = [new.memory.extractor.extract(item.data) for item in items]
         stored: list[int] = []
         dn_of: dict[int, int] = {}     # item index -> its data neuron
         kinds = {"merged": 0, "refresh": 0, "hit": 0, "miss": 0,
@@ -1059,8 +1056,8 @@ class TestFuzzAtScale:
             if op[0] == "store":
                 item = items[op[1]]
                 dn_id = dn_of.get(op[1])
-                compressed = (dn_id is not None and new.memory.data_neuron(
-                    dn_id).payload.quality < 100.0)
+                compressed = (dn_id is not None and new.memory.payload(
+                    dn_id).quality < 100.0)
                 outs = [e.store(item.data, item.class_label,
                                 item_id=item.item_id) for e in engines]
                 if outs[0].kind == "new_neuron":
@@ -1084,8 +1081,8 @@ class TestFuzzAtScale:
             assert new.memory.total_bytes() == old.memory.total_bytes()
             if i % 50 == 0:
                 for engine in engines:
-                    assert maintained(engine) == oracle_search_order(
-                        engine.memory, engine.hive), f"op {i}"
+                    assert maintained(engine.memory) == oracle_search_order(
+                        engine.memory), f"op {i}"
                 assert neuron_states(new.memory) == neuron_states(old.memory)
                 assert new.memory.total_bytes() == brute_force_bytes(
                     new.memory)

@@ -42,22 +42,21 @@ class FullRebuildEngine(MemoryEngine):
 
 def order_lists(engine) -> dict:
     """The list object each cue's order is held in."""
-    return dict(engine.hive.search_order)
+    return dict(engine.memory.search_order)
 
 
 def assert_moved_in_place(engine, before: dict) -> None:
     """Every cue that had an order still holds the same list, and every
     order equals a re-sort of the association weights."""
     for cue_id, order in before.items():
-        assert engine.hive.search_order[cue_id] is order, cue_id
-    assert maintained(engine) == oracle_search_order(engine.memory,
-                                                     engine.hive)
+        assert engine.memory.search_order[cue_id] is order, cue_id
+    assert maintained(engine.memory) == oracle_search_order(engine.memory)
 
 
 class TestReactionUpkeep:
     def test_every_op_moves_orders_in_place(self):
         engine = engine_with(association_decay_rates=[5.0, 5.0])
-        extract = engine.hive.extractor.extract
+        extract = engine.memory.extractor.extract
         for cluster in range(3):
             engine.store(blob(cluster), "hot")
         engine.store(blob(4, cls=1), "warm")
@@ -73,41 +72,41 @@ class TestReactionUpkeep:
         ]
         for kind, controls, op in ops:
             engine.controls = controls
-            before, orders = order_lists(engine), maintained(engine)
+            before, orders = order_lists(engine), maintained(engine.memory)
             assert op().kind == kind
-            assert maintained(engine) != orders, kind
+            assert maintained(engine.memory) != orders, kind
             assert_moved_in_place(engine, before)
         # the first hit under a new cue gave it an order, and the merge
         # linked the new cue "cool" into one
         for label in ("alias", "cool"):
-            assert engine.hive.find_cue_by_label(label) in engine.hive.search_order
-        before, orders = order_lists(engine), maintained(engine)
+            assert engine.memory.find_cue_by_label(label) in engine.memory.search_order
+        before, orders = order_lists(engine), maintained(engine.memory)
         engine.controls = decay
         summary = engine.retention(n=1)
         assert summary.weakened_edges
-        assert maintained(engine) != orders
+        assert maintained(engine.memory) != orders
         assert_moved_in_place(engine, before)
 
     def test_failed_retrieve_without_decay_moves_nothing(self):
         engine = engine_with()
         for cluster in range(4):
             engine.store(blob(cluster), "hot")
-        before, orders = order_lists(engine), maintained(engine)
-        foreign = engine.hive.extractor.extract(blob(5, cls=1))
+        before, orders = order_lists(engine), maintained(engine.memory)
+        foreign = engine.memory.extractor.extract(blob(5, cls=1))
         out = engine.retrieve("hot", foreign)
         assert out.kind == "miss" and out.cost == 4
-        assert maintained(engine) == orders
+        assert maintained(engine.memory) == orders
         assert_moved_in_place(engine, before)
 
     def test_direct_reaction_keeps_orders_current(self):
         engine = engine_with()
         a = engine.store(blob(0), "hot").dn_id
         b = engine.store(blob(1), "hot").dn_id
-        cue = engine.hive.find_cue_by_label("hot")
-        assert [e.dn_id for e in engine.hive.search_order[cue]] == [a, b]
+        cue = engine.memory.find_cue_by_label("hot")
+        assert [e.dn_id for e in engine.memory.search_order[cue]] == [a, b]
         before = order_lists(engine)
         engine.reaction(b, cue, flag=1)
-        assert [e.dn_id for e in engine.hive.search_order[cue]] == [b, a]
+        assert [e.dn_id for e in engine.memory.search_order[cue]] == [b, a]
         assert_moved_in_place(engine, before)
         engine.controls = OpControls(weaken_on_fail=True)
         engine.reaction(b, cue, flag=0)
@@ -137,10 +136,10 @@ class TestDifferentialAgainstFullRebuild:
         for rec in records:
             rows = [replay([rec], adapter, corpus) for adapter in adapters]
             assert rows[0] == rows[1], f"seq {rec.seq}"
-            orders = maintained(new.engine)
-            assert orders == maintained(reference.engine), f"seq {rec.seq}"
-            assert orders == oracle_search_order(new.engine.memory,
-                                                 new.engine.hive), f"seq {rec.seq}"
+            orders = maintained(new.engine.memory)
+            assert orders == maintained(reference.engine.memory), f"seq {rec.seq}"
+            assert orders == oracle_search_order(new.engine.memory), \
+                f"seq {rec.seq}"
 
     def test_mixed_controls_match_full_rebuild(self):
         params = dict(memory_decay_rates=[0.5, 1.0],
@@ -152,7 +151,7 @@ class TestDifferentialAgainstFullRebuild:
         new = engines[0]
         rng = np.random.default_rng(31)
         pool = [blob(cluster, cls=cls) for cls in range(2) for cluster in range(40)]
-        features = [new.hive.extractor.extract(p) for p in pool]
+        features = [new.memory.extractor.extract(p) for p in pool]
         labels = ["hot", "warm", "cool"]
         for i in range(700):
             key = int(rng.integers(len(pool)))
@@ -166,7 +165,6 @@ class TestDifferentialAgainstFullRebuild:
             outs = [_step(engine, op, pool[key], cue, fine, controls)
                     for engine in engines]
             assert outs[0] == outs[1], f"op {i}"
-            orders = maintained(new)
-            assert orders == maintained(engines[1]), f"op {i}"
-            assert orders == oracle_search_order(new.memory, new.hive), \
-                f"op {i}"
+            orders = maintained(new.memory)
+            assert orders == maintained(engines[1].memory), f"op {i}"
+            assert orders == oracle_search_order(new.memory), f"op {i}"

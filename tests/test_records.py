@@ -93,7 +93,7 @@ def memory_with(weights):
     for i, weight in enumerate(weights):
         data = Payload.from_bytes(bytes([i]) * 64)
         dn = memory.add_data_neuron(0, data,
-                                    memory.hive.extractor.extract(data.blob))
+                                    memory.extractor.extract(data.blob))
         memory.associate(cue, dn)
         if weight != 1.0:
             memory.adjust_association(cue, dn, 1.0 - weight)
@@ -105,8 +105,8 @@ def assert_order_current(memory, orders: dict) -> None:
     """Every order is the list it was, and equals a re-sort of the
     association weights."""
     for cue_id, order in orders.items():
-        assert memory.hive.search_order[cue_id] is order
-    assert maintained(memory) == oracle_search_order(memory, memory.hive)
+        assert memory.search_order[cue_id] is order
+    assert maintained(memory) == oracle_search_order(memory)
 
 
 class TestInPlaceMoves:
@@ -132,7 +132,7 @@ class TestInPlaceMoves:
     def test_entry_moves_only_when_its_place_changes(self, insorts, weights,
                                                      index, new, calls):
         memory, cue, dn_ids = memory_with(weights)
-        orders = dict(memory.hive.search_order)
+        orders = dict(memory.search_order)
         order = orders[cue]
         before = [e.dn_id for e in order]
         insorts.clear()
@@ -147,7 +147,7 @@ class TestInPlaceMoves:
             self, insorts):
         rng = np.random.default_rng(5)
         memory, cue, dn_ids = memory_with(rng.choice([1, 2, 3, 5], size=12))
-        orders = dict(memory.hive.search_order)
+        orders = dict(memory.search_order)
         order = orders[cue]
         for _ in range(300):
             dn = int(rng.choice(dn_ids))
