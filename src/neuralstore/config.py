@@ -136,7 +136,7 @@ class RunConfig:
         self.workload.validate()
         check_cap_fractions(self.cap_fractions, "compare.cap_fractions")
         if self.warmup_ops < 0:
-            raise ConfigurationError("warmup_ops must be >= 0")
+            raise ConfigurationError("compare.warmup_ops must be >= 0")
         n = len(self.hive.locality_mapping)
         for i, entry in enumerate(self.bootstrap):
             if "item_id" not in entry:

@@ -783,13 +783,35 @@ def _check_declared(kinds: dict[int, str], ids, *allowed: str) -> None:
                 f"neuron {nid} is not a declared {' or '.join(allowed)} neuron")
 
 
+def _check_order(edge_weights: dict[tuple[int, int], float], cue_id: int,
+                 entries: list[dict]) -> None:
+    """An order lists each data neuron once, each at the weight of an
+    earlier edge line from its cue to that data neuron."""
+    listed = set()
+    for entry in entries:
+        dn_id, weight = entry["dn_id"], entry["avg_weight"]
+        if dn_id in listed:
+            raise SnapshotFormatError(f"order {cue_id} repeats data neuron {dn_id}")
+        listed.add(dn_id)
+        edge_weight = edge_weights.get((cue_id, dn_id))
+        if edge_weight is None:
+            raise SnapshotFormatError(
+                f"order {cue_id} lists data neuron {dn_id}, but no earlier "
+                f"edge joins them")
+        if weight != edge_weight:
+            raise SnapshotFormatError(
+                f"order {cue_id} gives data neuron {dn_id} weight {weight!r}, "
+                f"but their edge has weight {edge_weight!r}")
+
+
 def parse_snapshot(text: str) -> SnapshotDoc:
     """Parse a snapshot document.  A malformed line raises
     ``SnapshotFormatError`` naming its line number: one that lacks a field
     its kind always carries or whose field does not parse, an edge or order
     that names a neuron no earlier line declares (an order's cue must be a
-    cue, its entries data neurons), and an edge that does not join one cue
-    and one data neuron."""
+    cue, its entries data neurons), an edge that does not join one cue and
+    one data neuron, and an order entry that repeats a data neuron or has no
+    earlier edge from the order's cue at its weight."""
     lines = [(number, line.strip())
              for number, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
@@ -809,6 +831,7 @@ def parse_snapshot(text: str) -> SnapshotDoc:
             f"snapshot version {version} unsupported (expected {SNAPSHOT_VERSION})")
     doc = SnapshotDoc(version=version)
     kinds: dict[int, str] = {}      # declared neuron id -> "cue" | "data"
+    edge_weights: dict[tuple[int, int], float] = {}     # (cue, data) -> weight
     for number, line in lines[1:]:
         kind, *rest = line.split()
         try:
@@ -826,6 +849,8 @@ def parse_snapshot(text: str) -> SnapshotDoc:
                 if kinds[a] == kinds[b]:
                     raise SnapshotFormatError(
                         f"edge {a} {b} joins two {kinds[a]} neurons")
+                ends = (a, b) if kinds[a] == "cue" else (b, a)
+                edge_weights[ends] = float(doc.edges[-1]["weight"])
             elif kind == "order":
                 items = rest[1].split(",") if len(rest) > 1 else []
                 entries = [{"dn_id": int(dn), "avg_weight": float(w)}
@@ -833,6 +858,7 @@ def parse_snapshot(text: str) -> SnapshotDoc:
                 doc.orders.append({"cue_id": int(rest[0]), "entries": entries})
                 _check_declared(kinds, [int(rest[0])], "cue")
                 _check_declared(kinds, [e["dn_id"] for e in entries], "data")
+                _check_order(edge_weights, int(rest[0]), entries)
             else:
                 raise SnapshotFormatError(f"unknown line kind {kind!r}")
         except SnapshotFormatError as exc:

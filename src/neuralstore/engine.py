@@ -159,11 +159,11 @@ class SearchParams:
     match_thresh: float = 0.95
 
     def validate(self) -> None:
-        check_field_types(self, SEARCH_PARAM_TYPES)
+        check_field_types(self, SEARCH_PARAM_TYPES, "search.")
         if non_finite(self.assoc_thresh):
-            raise ConfigurationError("assoc_thresh must be finite")
+            raise ConfigurationError("search.assoc_thresh must be finite")
         if not -1.0 <= self.match_thresh <= 1.0:
-            raise ConfigurationError("match_thresh must be in [-1, 1]")
+            raise ConfigurationError("search.match_thresh must be in [-1, 1]")
 
 
 @dataclass
@@ -175,9 +175,9 @@ class OpControls:
     weaken_on_fail: bool = False
 
     def validate(self) -> None:
-        check_field_types(self, OP_CONTROL_TYPES)
+        check_field_types(self, OP_CONTROL_TYPES, "controls.")
         if self.search_limit is not None and self.search_limit < 1:
-            raise ConfigurationError("search_limit must be >= 1 or null")
+            raise ConfigurationError("controls.search_limit must be >= 1 or null")
 
 
 # the declared type of every SearchParams and OpControls field

@@ -12,9 +12,12 @@ extractor:
 
 Payload bytes are drawn i.i.d. from per-cluster distributions built by
 mixing a class-wide distribution over a 24-symbol alphabet with a
-cluster-specific distribution over 8 extra symbols.  Every random draw is
-keyed off the workload seed, so corpora, traces and replays are
-reproducible byte for byte.
+cluster-specific distribution over 8 extra symbols.  Each class's base and
+each cluster's mix are drawn once, and a cluster's items take their bytes
+from one inverse-CDF table built for that cluster (:class:`ByteSampler`),
+which yields exactly the bytes ``Generator.choice(256, size, p)`` would.
+Every random draw is keyed off the workload seed, so corpora, traces and
+replays are reproducible byte for byte.
 
 Traces have a store phase covering every item in manifest order followed by
 retrievals whose class choice is biased toward the priority class (the
@@ -99,35 +102,40 @@ class WorkloadSpec:
     kind: str = "clustered"                 # clustered | walkthrough
 
     def validate(self) -> None:
+        """Raise ``ConfigurationError`` naming each bad field by its config
+        path (``workload.n_items``); the seed is the config's top-level
+        ``seed``."""
         problems = []
         # numpy's seed sequences refuse a negative seed without naming it
         if self.seed < 0:
             problems.append("seed must be >= 0")
         if self.n_items < 0:
-            problems.append("n_items must be >= 0")
+            problems.append("workload.n_items must be >= 0")
         if not 0.0 <= self.priority_bias <= 1.0:
-            problems.append("priority_bias must be in [0, 1]")
+            problems.append("workload.priority_bias must be in [0, 1]")
         if self.n_retrievals < 0:
-            problems.append("n_retrievals must be >= 0")
+            problems.append("workload.n_retrievals must be >= 0")
         if self.items_per_cluster < 1:
-            problems.append("items_per_cluster must be >= 1")
+            problems.append("workload.items_per_cluster must be >= 1")
         lo, hi = self.payload_size_range
         if lo < 1 or hi < lo:
-            problems.append("payload_size_range must satisfy 1 <= lo <= hi")
+            problems.append(
+                "workload.payload_size_range must satisfy 1 <= lo <= hi")
         labels = self.class_labels
         if not labels:
-            problems.append("class_labels must not be empty")
+            problems.append("workload.class_labels must not be empty")
         elif self.kind == "walkthrough" and len(labels) < 2:
             # its scripted items are drawn from the first two classes
-            problems.append("class_labels must have at least 2 entries for the "
-                            "walkthrough workload")
+            problems.append("workload.class_labels must have at least 2 "
+                            "entries for the walkthrough workload")
         repeated = [x for x in labels if labels.count(x) > 1]
         if repeated:
-            problems.append(f"class_labels repeats {repeated[0]!r}")
+            problems.append(f"workload.class_labels repeats {repeated[0]!r}")
         if self.tail_retentions < 0:
-            problems.append("tail_retentions must be >= 0")
+            problems.append("workload.tail_retentions must be >= 0")
         if self.kind not in ("clustered", "walkthrough"):
-            problems.append(f"unknown workload kind {self.kind!r}")
+            problems.append(f"workload.kind must be 'clustered' or "
+                            f"'walkthrough', got {self.kind!r}")
         if problems:
             raise ConfigurationError("; ".join(problems))
 
@@ -165,47 +173,119 @@ def _distribution(rng: np.random.Generator, size: int) -> np.ndarray:
     return dense
 
 
-def cluster_distribution(seed: int, class_idx: int, cluster_idx: int) -> np.ndarray:
-    class_rng = np.random.default_rng(
-        np.random.SeedSequence((seed, _TAG_CLASS, class_idx)))
-    cluster_rng = np.random.default_rng(
-        np.random.SeedSequence((seed, _TAG_CLUSTER, class_idx, cluster_idx)))
-    base = _distribution(class_rng, _CLASS_ALPHABET)
-    noise = _distribution(cluster_rng, _CLUSTER_ALPHABET)
+def _class_base(seed: int, class_idx: int) -> np.ndarray:
+    return _distribution(np.random.default_rng(
+        np.random.SeedSequence((seed, _TAG_CLASS, class_idx))), _CLASS_ALPHABET)
+
+
+def _mix(base: np.ndarray, seed: int, class_idx: int,
+         cluster_idx: int) -> np.ndarray:
+    """A cluster's distribution: its class's ``base`` mixed with its own noise."""
+    noise = _distribution(np.random.default_rng(
+        np.random.SeedSequence((seed, _TAG_CLUSTER, class_idx, cluster_idx))),
+        _CLUSTER_ALPHABET)
     return _CLASS_MIX * base + (1.0 - _CLASS_MIX) * noise
+
+
+def cluster_distribution(seed: int, class_idx: int, cluster_idx: int) -> np.ndarray:
+    return _mix(_class_base(seed, class_idx), seed, class_idx, cluster_idx)
+
+
+# buckets of ByteSampler's table: a power of two, so u * _BUCKETS is exact
+_BUCKETS = 4096
+# how far from 1 Generator.choice lets probabilities sum
+_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+class ByteSampler:
+    """Draws bytes i.i.d. from ``probs``, a distribution over the 256 byte
+    values, exactly as ``Generator.choice(256, size, p=probs)`` draws them.
+
+    ``choice`` returns ``cdf.searchsorted(rng.random(size), side="right")``,
+    the number of ``cdf`` entries at or below each uniform ``u``, where
+    ``cdf = probs.cumsum(); cdf /= cdf[-1]``.  Scaled by the bucket count,
+    ``x = cdf * _BUCKETS`` and ``u * _BUCKETS`` are exact, so a ``u`` in
+    bucket ``k = floor(u * _BUCKETS)`` has ``#{x < k + 1}`` entries at or
+    below it unless some ``x`` lies strictly inside ``(k, k + 1)``.  The table
+    holds that count per bucket; only the few draws that fall in a bucket
+    holding such a CDF step are searched.  ``probs`` is checked once, as
+    ``choice`` checks it on every call.
+    """
+
+    def __init__(self, probs):
+        p = np.asarray(probs, dtype=np.float64)
+        if p.shape != (256,):
+            raise ValueError("probabilities must have 256 entries")
+        if np.isnan(p).any():
+            raise ValueError("probabilities contain NaN")
+        if (p < 0).any():
+            raise ValueError("probabilities are not non-negative")
+        if not abs(p.sum() - 1.0) <= _SUM_TOLERANCE:
+            raise ValueError("probabilities do not sum to 1")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        x = cdf * _BUCKETS
+        whole = np.floor(x)
+        self._cdf = cdf
+        # x[-1] is _BUCKETS, so bucket k's count is at most 255
+        self._table = np.bincount(whole.astype(np.intp))[:_BUCKETS].cumsum(
+            ).astype(np.uint8)
+        self._steps = np.zeros(_BUCKETS, dtype=bool)
+        self._steps[whole[whole != x].astype(np.intp)] = True
+
+    def draw(self, rng: np.random.Generator, size: int) -> bytes:
+        u = rng.random(size)
+        k = (u * _BUCKETS).astype(np.intp)
+        out = self._table[k]
+        step = self._steps[k]
+        if step.any():
+            out[step] = self._cdf.searchsorted(u[step], side="right")
+        return out.tobytes()
+
+
+def _item_rng(seed: int, class_idx: int, cluster_idx: int, item_idx: int,
+              *tag: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(
+        (seed, _TAG_ITEM, class_idx, cluster_idx, item_idx, *tag)))
 
 
 def item_bytes(seed: int, class_idx: int, cluster_idx: int, item_idx: int,
                size: int) -> bytes:
-    probs = cluster_distribution(seed, class_idx, cluster_idx)
-    rng = np.random.default_rng(
-        np.random.SeedSequence((seed, _TAG_ITEM, class_idx, cluster_idx, item_idx)))
-    return rng.choice(256, size=size, p=probs).astype(np.uint8).tobytes()
+    sampler = ByteSampler(cluster_distribution(seed, class_idx, cluster_idx))
+    return sampler.draw(_item_rng(seed, class_idx, cluster_idx, item_idx), size)
 
 
 def build_corpus(spec: WorkloadSpec) -> Corpus:
-    """Deterministic synthetic corpus; classes interleave in manifest order."""
+    """Deterministic synthetic corpus; classes interleave in manifest order.
+
+    Item ``i`` is item ``i // n_classes`` of class ``i % n_classes``, and a
+    class's items fill its clusters in turn.  Every item draws from its own
+    seeded generators, so the corpus is built class by class and one cluster
+    at a time, with one table per cluster."""
     spec.validate()
     if spec.kind == "walkthrough":
         return _build_walkthrough_corpus(spec)
     labels = spec.class_labels
-    items: list[ManifestItem] = []
-    per_class_count = [0] * len(labels)
-    for i in range(spec.n_items):
-        class_idx = i % len(labels)
-        within = per_class_count[class_idx]
-        per_class_count[class_idx] += 1
-        cluster_idx = within // spec.items_per_cluster
-        item_idx = within % spec.items_per_cluster
-        rng = np.random.default_rng(
-            np.random.SeedSequence((spec.seed, _TAG_ITEM, class_idx, cluster_idx,
-                                    item_idx, 0)))
-        lo, hi = spec.payload_size_range
-        size = int(rng.integers(lo, hi + 1))
-        data = item_bytes(spec.seed, class_idx, cluster_idx, item_idx, size)
-        label = labels[class_idx]
+    lo, hi = spec.payload_size_range
+    per_cluster = spec.items_per_cluster
+    data: list[bytes] = [b""] * spec.n_items
+    for class_idx in range(min(len(labels), spec.n_items)):
+        base = _class_base(spec.seed, class_idx)
+        members = range(class_idx, spec.n_items, len(labels))
+        for start in range(0, len(members), per_cluster):
+            cluster_idx = start // per_cluster
+            sampler = ByteSampler(_mix(base, spec.seed, class_idx, cluster_idx))
+            for item_idx, i in enumerate(members[start:start + per_cluster]):
+                size_rng = _item_rng(spec.seed, class_idx, cluster_idx,
+                                     item_idx, 0)
+                size = int(size_rng.integers(lo, hi + 1))
+                data[i] = sampler.draw(
+                    _item_rng(spec.seed, class_idx, cluster_idx, item_idx), size)
+    items = []
+    for i, payload in enumerate(data):
+        label = labels[i % len(labels)]
         items.append(ManifestItem(item_id=f"item-{i:04d}", class_label=label,
-                                  priority=label == labels[0], data=data))
+                                  priority=label == labels[0], data=payload))
     return Corpus(items)
 
 

@@ -627,6 +627,37 @@ class TestInspect:
         assert main(["inspect", "--snapshot", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: snapshot line 5: {reason}\n"
 
+    EDGE_1_2 = "edge 1 2 weight=3 last_access=0"
+
+    # line 4 declares data neuron 2, line 5 is blank or one more line
+    @pytest.mark.parametrize("edge, line, reason", [
+        ("", "order 1 2:5",
+         "order 1 lists data neuron 2, but no earlier edge joins them"),
+        (EDGE_1_2, "order 1 2:5",
+         "order 1 gives data neuron 2 weight 5.0, but their edge has weight 3.0"),
+        (EDGE_1_2, "order 1 2:3,2:3", "order 1 repeats data neuron 2"),
+        ("cue 3 hive=0 label=- default=1", "order 3 2:3",
+         "order 3 lists data neuron 2, but no earlier edge joins them"),
+    ])
+    def test_order_entry_without_its_edge_exits_2(self, tmp_path, capsys,
+                                                   edge, line, reason):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(["neuralstore-snapshot 1", *self.GOOD_LINES,
+                                   self.DATA_2, edge, line]) + "\n")
+        assert main(["inspect", "--snapshot", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: snapshot line 6: {reason}\n"
+
+    def test_order_entry_matches_an_edge_written_data_end_first(self, tmp_path,
+                                                                capsys):
+        good = tmp_path / "good.txt"
+        good.write_text("\n".join([
+            "neuralstore-snapshot 1", *self.GOOD_LINES, self.DATA_2,
+            "cue 3 hive=0 label=- default=1", self.EDGE_1_2,
+            "edge 2 3 weight=2.5 last_access=0", "order 1 2:3",
+            "order 3 2:2.5"]) + "\n")
+        assert main(["inspect", "--snapshot", str(good)]) == 0
+        capsys.readouterr()
+
     def test_bare_lines_once_rendered_as_none_exit_2(self, tmp_path, capsys):
         # data and edge lines without their fields, and an edge to a neuron
         # no line declares, once rendered as None

@@ -45,7 +45,8 @@ def test_non_finite_hive_params_rejected(field, value):
 
 @pytest.mark.parametrize("value", [NAN, INF, -INF])
 def test_non_finite_assoc_thresh_rejected(value):
-    with pytest.raises(ConfigurationError, match="assoc_thresh"):
+    with pytest.raises(ConfigurationError,
+                       match=r"^search\.assoc_thresh must be finite$"):
         SearchParams(assoc_thresh=value).validate()
 
 
@@ -58,12 +59,14 @@ def test_non_finite_assoc_thresh_rejected(value):
     (OpControls, "weaken_on_fail", "yes"),
 ])
 def test_mistyped_search_and_control_fields_rejected(cls, field, value):
-    # type checks come before the range checks, which assume the types
-    with pytest.raises(ConfigurationError, match=field):
+    # type checks come before the range checks, which assume the types; the
+    # field is named by its config path
+    section = "search" if cls is SearchParams else "controls"
+    message = rf"^{section}\.{field} must be "
+    with pytest.raises(ConfigurationError, match=message):
         cls(**{field: value}).validate()
-    with pytest.raises(ConfigurationError, match=field):
-        MemoryEngine(**{"search" if cls is SearchParams else "controls":
-                        cls(**{field: value})})
+    with pytest.raises(ConfigurationError, match=message):
+        MemoryEngine(**{section: cls(**{field: value})})
 
 
 def test_well_typed_search_and_control_fields_pass():
@@ -117,6 +120,34 @@ def test_cli_names_the_hive_path_of_a_bad_value(tmp_path, capsys, hive,
                                                 message):
     # a range error names its field as the config does, like a type error
     config = write_config(tmp_path, hive=hive)
+    assert main(["generate", "--config", str(config),
+                 "--out", str(tmp_path / "data")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("section, value, message", [
+    ("workload", {"payload_size_range": [0, 3]},
+     "workload.payload_size_range must satisfy 1 <= lo <= hi"),
+    ("workload", {"n_items": -1}, "workload.n_items must be >= 0"),
+    ("workload", {"priority_bias": 2}, "workload.priority_bias must be in [0, 1]"),
+    ("workload", {"n_retrievals": -1}, "workload.n_retrievals must be >= 0"),
+    ("workload", {"items_per_cluster": 0},
+     "workload.items_per_cluster must be >= 1"),
+    ("workload", {"class_labels": []}, "workload.class_labels must not be empty"),
+    ("workload", {"tail_retentions": -1}, "workload.tail_retentions must be >= 0"),
+    ("workload", {"kind": "scan"},
+     "workload.kind must be 'clustered' or 'walkthrough', got 'scan'"),
+    ("search", {"match_thresh": 2}, "search.match_thresh must be in [-1, 1]"),
+    ("controls", {"search_limit": 0},
+     "controls.search_limit must be >= 1 or null"),
+    ("compare", {"warmup_ops": -1}, "compare.warmup_ops must be >= 0"),
+])
+def test_out_of_range_config_value_is_named_by_path(tmp_path, capsys, section,
+                                                    value, message):
+    config = write_config(tmp_path, **{section: value})
+    with pytest.raises(ConfigurationError) as caught:
+        load_config(config)
+    assert str(caught.value) == message
     assert main(["generate", "--config", str(config),
                  "--out", str(tmp_path / "data")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
