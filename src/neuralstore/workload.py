@@ -269,7 +269,7 @@ def build_corpus(spec: WorkloadSpec) -> Corpus:
     lo, hi = spec.payload_size_range
     per_cluster = spec.items_per_cluster
     data: list[bytes] = [b""] * spec.n_items
-    for class_idx in range(min(len(labels), spec.n_items)):
+    for class_idx in range(len(labels)):
         base = _class_base(spec.seed, class_idx)
         members = range(class_idx, spec.n_items, len(labels))
         for start in range(0, len(members), per_cluster):
