@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``generate``: build the synthetic corpus and access trace for a config.
+* ``generate``: build the synthetic corpus and access trace for a config,
+  and print the sha256 of the manifest, the trace and the payload files.
 * ``run``: replay a trace on one engine; writes the operation log, summary
   and space timeline (plus a state snapshot for the learning engine).
 * ``compare``: run both engines on the same trace and emit the joined
@@ -40,6 +41,7 @@ from neuralstore.workload import (
     ReplayError,
     build_corpus,
     generate_trace,
+    payload_file,
     read_manifest,
     read_trace,
     replay,
@@ -52,10 +54,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_STORAGE_FULL = 3
 EXIT_IO = 4
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -76,10 +74,18 @@ def cmd_generate(args) -> int:
     config = _load(args)
     out = Path(args.out)
     corpus = build_corpus(config.workload)
-    manifest = write_manifest(corpus, out / "manifest.jsonl", out / "payloads")
+    payload_dir = out / "payloads"
+    manifest = write_manifest(corpus, out / "manifest.jsonl", payload_dir)
     trace = write_trace(generate_trace(corpus, config.workload), out / "trace.jsonl")
     for path in (manifest, trace):
-        print(f"{path}  sha256={_sha256(path)}")
+        print(f"{path}  sha256={hashlib.sha256(path.read_bytes()).hexdigest()}")
+    # each payload file this corpus wrote (not others left in the directory)
+    # as its name, a NUL byte and the sha256 of its bytes, in name order
+    names = sorted(payload_file(item.item_id) for item in corpus.items)
+    digests = b"".join(
+        name.encode() + b"\0" + hashlib.sha256((payload_dir / name).read_bytes()).digest()
+        for name in names)
+    print(f"{payload_dir}  sha256={hashlib.sha256(digests).hexdigest()}")
     return EXIT_OK
 
 

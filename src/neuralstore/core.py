@@ -14,15 +14,18 @@ A data neuron is a row of the memory's per-row columns, which
 ``Memory.row_of`` finds by its id: its unit feature, strength, last access,
 stored quality and stored size, original size, locality and feature as
 given.  Retention thus updates a whole locality with one array pass and
-elasticity reads a locality's strengths at once.  ``Memory.payload`` reads
-a data neuron's payload at its stored quality.  The columns change only
-through ``Memory``.  Three of its methods lower strengths, each truncating
-the payload where the stored quality falls: ``adjust_strength`` for one
-neuron, ``adjust_strengths`` for many rows at once (retention), and
-``lower_to_floors``, the elasticity walk, which lowers the strengths of
-each ``(locality, ceiling)`` step above its floor and stops once the bytes
-freed cover the shortfall it is given.  ``reinforce`` restores a strength
-to 100, and ``set_payload`` replaces a payload.
+elasticity reads a locality's strengths at once.  The columns change only
+through ``Memory``.  Three of its methods lower strengths, each lowering
+the stored quality and size columns where the quality falls:
+``adjust_strength`` for one neuron, ``adjust_strengths`` for many rows at
+once (retention), and ``lower_to_floors``, the elasticity walk, which
+lowers the strengths of each ``(locality, ceiling)`` step above its floor
+and stops once the bytes freed cover the shortfall it is given.
+``reinforce`` restores a strength to 100, and ``set_payload`` replaces a
+payload.  None of them touches a payload object: ``Memory.payloads`` holds
+each row's payload as last stored or read, and ``Memory.payload`` rebuilds
+it at the row's quality and size only when its quality differs from the
+row's, which it does exactly when the row was lowered since.
 
 A memory holds its hyperparameters and feature extractor; localities
 partition the data neurons by data kind and carry the decay
@@ -66,7 +69,7 @@ import types
 import typing
 import urllib.parse
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -139,10 +142,17 @@ def type_name(hint) -> str:
     return str(hint).replace("NoneType", "None")
 
 
-def check_fields(section: str | None, given: dict, hints: dict) -> None:
+def check_fields(section: str | None, given, hints: dict) -> None:
     """Raise ``ConfigurationError`` naming the keys of the dict ``given``
     that have no type hint, or the first value that does not fit its hint,
-    by their path under ``section`` (``None``: the top level of a config)."""
+    by their path under ``section`` (``None``: the top level of a config).
+
+    ``given`` may be a dataclass instead, whose hinted fields are then read
+    one by one: ``vars()`` would build the instance's ``__dict__``, which
+    slows every later attribute read of it (a params object is read on
+    every operation)."""
+    if is_dataclass(given):
+        given = {name: getattr(given, name) for name in hints}
     unknown = set(given) - set(hints)
     if unknown:
         raise ConfigurationError(f"unknown key(s) in {section or 'config'}: "
@@ -152,16 +162,6 @@ def check_fields(section: str | None, given: dict, hints: dict) -> None:
             name = key if section is None else f"{section}.{key}"
             raise ConfigurationError(
                 f"{name} must be {type_name(hints[key])}, got {value!r}")
-
-
-def check_field_types(obj, hints: dict, prefix: str = "") -> None:
-    """Raise ``ConfigurationError`` naming the first field of ``obj`` whose
-    value does not fit its type hint, after ``prefix``."""
-    for name, hint in hints.items():
-        value = getattr(obj, name)
-        if not fits_type(value, hint):
-            raise ConfigurationError(
-                f"{prefix}{name} must be {type_name(hint)}, got {value!r}")
 
 
 def _grown(a: np.ndarray, used: int) -> np.ndarray:
@@ -276,7 +276,7 @@ class HiveParams:
         """Raise ``ConfigurationError`` naming each bad field by its config
         path (``hive.eta``, ``hive.elasticity_schedules[0]``)."""
         # the range checks below assume every field has its declared type
-        check_field_types(self, HIVE_PARAM_TYPES, "hive.")
+        check_fields("hive", self, HIVE_PARAM_TYPES)
         for i, mapping in enumerate(self.locality_mapping):
             check_fields(f"hive.locality_mapping[{i}]", mapping,
                          {"labels": list[str]})
@@ -379,14 +379,13 @@ class Memory:
         # match recheck scores
         self.row_locality: list[int] = []
         self.raw_features: list[np.ndarray] = []
-        # each row's payload as last stored or merge-refreshed; the stored
-        # bytes are its blob's first ``keep``
-        self.stored: list[Payload] = []
-        # each row's payload as read, built on demand; None once it changes
-        self.built: list[Payload | None] = []
+        # each row's payload as last stored or read; its quality differs
+        # from the row's once the row is lowered, and the stored bytes are
+        # then its blob's first ``keep``
+        self.payloads: list[Payload] = []
         self.op_counter = 0
         self._next_neuron_id = 0
-        # stored payload bytes, kept current by add_data_neuron and set_payload
+        # stored payload bytes, kept current by set_payload and each lowering
         self._bytes = 0
 
     # -- construction -------------------------------------------------------
@@ -434,10 +433,9 @@ class Memory:
         self.row_of[dn_id] = row
         self.row_locality.append(locality.id)
         self.raw_features.append(feature)
-        self.stored.append(payload)
-        self.built.append(payload)
-        self._store_payload(row, payload)
-        self._bytes += len(payload.blob)
+        self.payloads.append(payload)
+        self.keep[row] = 0
+        self.set_payload(dn_id, payload)
         locality.add(dn_id, row)
         if locality.default_cue_id is None:
             locality.default_cue_id = self._add_cue()
@@ -468,15 +466,20 @@ class Memory:
         return row
 
     def payload(self, dn_id: int) -> Payload:
-        """A data neuron's payload at its stored quality and size."""
+        """A data neuron's payload at its stored quality and size, the same
+        object on every read until the row is lowered or replaced.
+
+        A row's ``keep`` changes only with its quality, and each lowered
+        size is a prefix of the one before, so the payload is rebuilt from
+        the last one read exactly when their qualities differ.
+        """
         row = self._row(dn_id)
-        built = self.built[row]
-        if built is None:
-            p = self.stored[row]
-            built = Payload(p.blob[:self.keep.item(row)], p.original,
-                            self.quality.item(row), p.lineage)
-            self.built[row] = built
-        return built
+        p = self.payloads[row]
+        quality = self.quality.item(row)
+        if p.quality != quality:
+            p = self.payloads[row] = Payload(
+                p.blob[:self.keep.item(row)], p.original, quality, p.lineage)
+        return p
 
     def total_bytes(self) -> int:
         return self._bytes
@@ -566,14 +569,17 @@ class Memory:
         new = clamp_strength(self.params.phi, self.strength.item(row), delta)
         self.strength[row] = new
         if new < self.quality.item(row):
-            keep = self.keep.item(row)
-            kept = min(keep, math.ceil(
-                self.original_size.item(row) * new / 100.0))
-            self.quality[row] = new
-            self.keep[row] = kept
-            self.built[row] = None
-            self._bytes -= keep - kept
+            self._lower(row, new)
         return new
+
+    def _lower(self, row: int, quality: float) -> None:
+        """Lower a row's stored quality to ``quality``, truncating its size."""
+        keep = self.keep.item(row)
+        kept = min(keep, math.ceil(
+            self.original_size.item(row) * quality / 100.0))
+        self.quality[row] = quality
+        self.keep[row] = kept
+        self._bytes -= keep - kept
 
     def adjust_strengths(self, rows: np.ndarray, strengths: np.ndarray,
                          delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -599,9 +605,6 @@ class Memory:
         self.keep[rows] = kept
         freed = keep - kept
         self._bytes -= sum(freed.tolist())
-        built = self.built
-        for row in rows.tolist():
-            built[row] = None
         return new, lower, freed
 
     def lower_to_floors(self, steps, shortfall: float) -> int:
@@ -619,9 +622,8 @@ class Memory:
         truncated as that method truncates it.
         """
         phi = self.params.phi
-        strength, quality, keep, size, built = (
-            self.strength, self.quality, self.keep, self.original_size,
-            self.built)
+        strength, quality, keep, size = (
+            self.strength, self.quality, self.keep, self.original_size)
         read: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
         freed = 0
         for locality, ceiling in steps:
@@ -652,7 +654,6 @@ class Memory:
                     kept = min(old, math.ceil(size.item(row) * new / 100.0))
                     quality[row] = new
                     keep[row] = kept
-                    built[row] = None
                     freed += old - kept
             if freed >= shortfall:
                 break
@@ -660,15 +661,11 @@ class Memory:
         return freed
 
     def set_payload(self, dn_id: int, payload: Payload) -> None:
-        """Replace a data neuron's payload, keeping the byte total current."""
+        """Hold ``payload`` as a data neuron's, at its quality and size,
+        keeping the byte total current."""
         row = self._row(dn_id)
         self._bytes += len(payload.blob) - self.keep.item(row)
-        self._store_payload(row, payload)
-
-    def _store_payload(self, row: int, payload: Payload) -> None:
-        """Hold ``payload`` in a row as stored, at its quality and size."""
-        self.stored[row] = payload
-        self.built[row] = payload
+        self.payloads[row] = payload
         self.quality[row] = payload.quality
         self.keep[row] = len(payload.blob)
         self.original_size[row] = len(payload.original)
@@ -776,6 +773,14 @@ def _fields(kind: str, parts: list[str]) -> dict:
     return out
 
 
+def _once(seen: set, key: tuple, message: str) -> None:
+    """Add ``key`` to ``seen``; SnapshotFormatError with ``message`` if an
+    earlier line added it."""
+    if key in seen:
+        raise SnapshotFormatError(message)
+    seen.add(key)
+
+
 def _check_declared(kinds: dict[int, str], ids, *allowed: str) -> None:
     for nid in ids:
         if kinds.get(nid) not in allowed:
@@ -807,11 +812,13 @@ def _check_order(edge_weights: dict[tuple[int, int], float], cue_id: int,
 def parse_snapshot(text: str) -> SnapshotDoc:
     """Parse a snapshot document.  A malformed line raises
     ``SnapshotFormatError`` naming its line number: one that lacks a field
-    its kind always carries or whose field does not parse, an edge or order
-    that names a neuron no earlier line declares (an order's cue must be a
-    cue, its entries data neurons), an edge that does not join one cue and
-    one data neuron, and an order entry that repeats a data neuron or has no
-    earlier edge from the order's cue at its weight."""
+    its kind always carries or whose field does not parse, a locality or
+    neuron declared twice, a data neuron whose locality no earlier line
+    declares, an edge or order that names a neuron no earlier line declares
+    (an order's cue must be a cue, its entries data neurons), an edge that
+    does not join one cue and one data neuron or repeats an earlier edge, a
+    second order for one cue, and an order entry that repeats a data neuron
+    or has no earlier edge from the order's cue at its weight."""
     lines = [(number, line.strip())
              for number, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
@@ -832,16 +839,27 @@ def parse_snapshot(text: str) -> SnapshotDoc:
     doc = SnapshotDoc(version=version)
     kinds: dict[int, str] = {}      # declared neuron id -> "cue" | "data"
     edge_weights: dict[tuple[int, int], float] = {}     # (cue, data) -> weight
+    # ("hive" | "locality" | "neuron", id), ("edge", cue, data), ("order", cue)
+    seen: set[tuple] = set()
     for number, line in lines[1:]:
         kind, *rest = line.split()
         try:
             if kind in ("hive", "locality"):
                 rows = doc.hives if kind == "hive" else doc.localities
                 rows.append({"id": int(rest[0]), **_fields(kind, rest[1:])})
+                _once(seen, (kind, rows[-1]["id"]),
+                      f"{kind} {rows[-1]['id']} is declared twice")
             elif kind in ("cue", "data"):
-                doc.neurons.append({"kind": kind, "id": int(rest[0]),
+                nid = int(rest[0])
+                doc.neurons.append({"kind": kind, "id": nid,
                                     **_fields(kind, rest[1:])})
-                kinds[int(rest[0])] = kind
+                _once(seen, ("neuron", nid), f"neuron {nid} is declared twice")
+                kinds[nid] = kind
+                locality = doc.neurons[-1].get("locality")
+                if kind == "data" and ("locality", int(locality)) not in seen:
+                    raise SnapshotFormatError(
+                        f"data neuron {nid} names locality {locality}, which "
+                        f"no earlier line declares")
             elif kind == "edge":
                 a, b = int(rest[0]), int(rest[1])
                 doc.edges.append({"a": a, "b": b, **_fields(kind, rest[2:])})
@@ -850,15 +868,18 @@ def parse_snapshot(text: str) -> SnapshotDoc:
                     raise SnapshotFormatError(
                         f"edge {a} {b} joins two {kinds[a]} neurons")
                 ends = (a, b) if kinds[a] == "cue" else (b, a)
+                _once(seen, ("edge", *ends), f"edge {a} {b} repeats an earlier edge")
                 edge_weights[ends] = float(doc.edges[-1]["weight"])
             elif kind == "order":
+                cue_id = int(rest[0])
                 items = rest[1].split(",") if len(rest) > 1 else []
                 entries = [{"dn_id": int(dn), "avg_weight": float(w)}
                            for dn, _, w in (i.partition(":") for i in items)]
-                doc.orders.append({"cue_id": int(rest[0]), "entries": entries})
-                _check_declared(kinds, [int(rest[0])], "cue")
+                _once(seen, ("order", cue_id), f"cue {cue_id} has a second order")
+                doc.orders.append({"cue_id": cue_id, "entries": entries})
+                _check_declared(kinds, [cue_id], "cue")
                 _check_declared(kinds, [e["dn_id"] for e in entries], "data")
-                _check_order(edge_weights, int(rest[0]), entries)
+                _check_order(edge_weights, cue_id, entries)
             else:
                 raise SnapshotFormatError(f"unknown line kind {kind!r}")
         except SnapshotFormatError as exc:

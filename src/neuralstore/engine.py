@@ -72,8 +72,9 @@ of the memory's columns (see :mod:`neuralstore.core`): a mask picks the rows
 idle for at least the window, ``Memory.adjust_strengths`` clamps their
 strengths with the same float64 operations ``Memory.adjust_strength`` uses
 for one neuron, takes them as the rows' qualities and truncates the sizes
-that fall, and the retention summary and the bytes freed are read off the
-changed rows in id order.
+that fall, all in the columns (a lowered row's payload is rebuilt only
+when it is next read), and the retention summary and the bytes freed are
+read off the changed rows in id order.
 
 Elasticity is one walk over ``(locality, ceiling)`` steps.  When a store
 does not fit under the byte capacity, ``ensure_capacity`` calls
@@ -107,7 +108,7 @@ from neuralstore.core import (
     Locality,
     Memory,
     SearchEntry,
-    check_field_types,
+    check_fields,
     non_finite,
     unit_row,
 )
@@ -159,7 +160,7 @@ class SearchParams:
     match_thresh: float = 0.95
 
     def validate(self) -> None:
-        check_field_types(self, SEARCH_PARAM_TYPES, "search.")
+        check_fields("search", self, SEARCH_PARAM_TYPES)
         if non_finite(self.assoc_thresh):
             raise ConfigurationError("search.assoc_thresh must be finite")
         if not -1.0 <= self.match_thresh <= 1.0:
@@ -175,7 +176,7 @@ class OpControls:
     weaken_on_fail: bool = False
 
     def validate(self) -> None:
-        check_field_types(self, OP_CONTROL_TYPES, "controls.")
+        check_fields("controls", self, OP_CONTROL_TYPES)
         if self.search_limit is not None and self.search_limit < 1:
             raise ConfigurationError("controls.search_limit must be >= 1 or null")
 

@@ -369,6 +369,11 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def payload_file(item_id: str) -> str:
+    """The name of an item's payload file in a manifest's payload directory."""
+    return f"{item_id}.bin"
+
+
 def write_manifest(corpus: Corpus, manifest_path: str | Path,
                    payload_dir: str | Path | None = None) -> Path:
     """Write the manifest and (optionally) one payload file per item.
@@ -387,7 +392,7 @@ def write_manifest(corpus: Corpus, manifest_path: str | Path,
         row = {"item_id": item.item_id, "label": item.class_label,
                "priority": item.priority}
         if payload_dir is not None:
-            target = payload_dir / f"{item.item_id}.bin"
+            target = payload_dir / payload_file(item.item_id)
             target.write_bytes(item.data)
             row["path"] = os.path.relpath(target, manifest_path.parent)
         else:
@@ -399,19 +404,9 @@ def write_manifest(corpus: Corpus, manifest_path: str | Path,
 
 def read_manifest(manifest_path: str | Path) -> Corpus:
     manifest_path = Path(manifest_path)
-    lines = _read_lines(manifest_path)
-    if not lines:
-        raise ConfigurationError(f"{manifest_path}: empty manifest")
-    header = _json_row(manifest_path, 1, lines[0])
-    if header.get("format") != MANIFEST_FORMAT:
-        raise ConfigurationError(f"{manifest_path}: not a manifest file")
-    if header.get("version") != FORMAT_VERSION:
-        raise ConfigurationError(f"{manifest_path}: unsupported manifest version")
     items = []
     ids: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for lineno, line in _body_lines(manifest_path, "manifest", MANIFEST_FORMAT):
         where = f"{manifest_path}: line {lineno}"
         row = _json_row(manifest_path, lineno, line)
         field_of = functools.partial(_row_field, manifest_path, lineno, row)
@@ -463,14 +458,26 @@ def write_trace(records: list[TraceRecord], path: str | Path) -> Path:
     return path
 
 
-def _read_lines(path: Path) -> list[str]:
+def _body_lines(path: Path, noun: str, fmt: str) -> list[tuple[int, str]]:
+    """The numbered non-blank lines after the header of a ``noun`` file;
+    ``ConfigurationError`` names the file for an empty file or a header of
+    another format or version, and the line for text that is not UTF-8."""
     data = path.read_bytes()
     try:
-        return data.decode("utf-8").splitlines()
+        lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ConfigurationError(f"{path}: line {lineno}: not UTF-8 text: "
                                  f"{exc.reason}") from None
+    if not lines:
+        raise ConfigurationError(f"{path}: empty {noun}")
+    header = _json_row(path, 1, lines[0])
+    if header.get("format") != fmt:
+        raise ConfigurationError(f"{path}: not a {noun} file")
+    if header.get("version") != FORMAT_VERSION:
+        raise ConfigurationError(f"{path}: unsupported {noun} version")
+    return [(lineno, line) for lineno, line in enumerate(lines[1:], start=2)
+            if line.strip()]
 
 
 def _json_row(path: Path, lineno: int, line: str) -> dict:
@@ -511,18 +518,8 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
     an empty file, a bad header or no records, and the line for a bad
     record."""
     path = Path(path)
-    lines = _read_lines(path)
-    if not lines:
-        raise ConfigurationError(f"{path}: empty trace")
-    header = _json_row(path, 1, lines[0])
-    if header.get("format") != TRACE_FORMAT:
-        raise ConfigurationError(f"{path}: not a trace file")
-    if header.get("version") != FORMAT_VERSION:
-        raise ConfigurationError(f"{path}: unsupported trace version")
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for lineno, line in _body_lines(path, "trace", TRACE_FORMAT):
         row = _json_row(path, lineno, line)
         field_of = functools.partial(_row_field, path, lineno, row)
         seq = field_of("seq", int)

@@ -579,8 +579,10 @@ class TestInspect:
         captured = capsys.readouterr()
         assert captured.err == f"error: snapshot line 4: {reason}\n"
 
-    # each line after the header is well formed until the last, line 5
+    # each line after the header is well formed until the last, line 6
     GOOD_LINES = ["hive 0 modality=blob eta=20 epsilon=1 phi=1 retention=500",
+                  "locality 0 hive=0 memory_decay=0.5 association_decay=0 "
+                  "default_cue=-",
                   "cue 1 hive=0 label=deer default=0"]
 
     @pytest.mark.parametrize("line", [
@@ -603,12 +605,12 @@ class TestInspect:
                                    "", line]) + "\n")
         assert main(["inspect", "--snapshot", str(bad)]) == 2
         assert capsys.readouterr().err == \
-            f"error: snapshot line 5: malformed {line.split()[0]} line {line!r}\n"
+            f"error: snapshot line 6: malformed {line.split()[0]} line {line!r}\n"
 
     DATA_2 = ("data 2 hive=0 locality=0 strength=100 quality=100 size=9 "
               "original=9 last_access=0")
 
-    # ``declared`` is line 4, blank or one more neuron
+    # ``declared`` is line 5, blank or one more neuron
     @pytest.mark.parametrize("declared, line, reason", [
         ("", "edge 1 2 weight=1 last_access=0",
          "neuron 2 is not a declared cue or data neuron"),
@@ -625,11 +627,11 @@ class TestInspect:
         bad.write_text("\n".join(["neuralstore-snapshot 1", *self.GOOD_LINES,
                                    declared, line]) + "\n")
         assert main(["inspect", "--snapshot", str(bad)]) == 2
-        assert capsys.readouterr().err == f"error: snapshot line 5: {reason}\n"
+        assert capsys.readouterr().err == f"error: snapshot line 6: {reason}\n"
 
     EDGE_1_2 = "edge 1 2 weight=3 last_access=0"
 
-    # line 4 declares data neuron 2, line 5 is blank or one more line
+    # line 5 declares data neuron 2, line 6 is blank or one more line
     @pytest.mark.parametrize("edge, line, reason", [
         ("", "order 1 2:5",
          "order 1 lists data neuron 2, but no earlier edge joins them"),
@@ -645,7 +647,32 @@ class TestInspect:
         bad.write_text("\n".join(["neuralstore-snapshot 1", *self.GOOD_LINES,
                                    self.DATA_2, edge, line]) + "\n")
         assert main(["inspect", "--snapshot", str(bad)]) == 2
-        assert capsys.readouterr().err == f"error: snapshot line 6: {reason}\n"
+        assert capsys.readouterr().err == f"error: snapshot line 7: {reason}\n"
+
+    # lines 5-7 declare data neuron 2, its edge from cue 1 and cue 1's order;
+    # line 8 repeats one of them or names a locality no line declares
+    @pytest.mark.parametrize("line, reason", [
+        (DATA_2, "neuron 2 is declared twice"),
+        ("cue 2 hive=0 label=- default=1", "neuron 2 is declared twice"),
+        ("locality 0 hive=0 memory_decay=1 association_decay=0 default_cue=-",
+         "locality 0 is declared twice"),
+        ("edge 1 2 weight=5 last_access=0", "edge 1 2 repeats an earlier edge"),
+        ("edge 2 1 weight=3 last_access=0", "edge 2 1 repeats an earlier edge"),
+        ("order 1 2:3", "cue 1 has a second order"),
+        ("data 3 hive=0 locality=1 strength=100 quality=100 size=9 "
+         "original=9 last_access=0",
+         "data neuron 3 names locality 1, which no earlier line declares"),
+    ])
+    def test_repeated_line_or_undeclared_locality_exits_2(self, tmp_path,
+                                                          capsys, line, reason):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(["neuralstore-snapshot 1", *self.GOOD_LINES,
+                                   self.DATA_2, self.EDGE_1_2, "order 1 2:3",
+                                   line]) + "\n")
+        assert main(["inspect", "--snapshot", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: snapshot line 8: {reason}\n"
 
     def test_order_entry_matches_an_edge_written_data_end_first(self, tmp_path,
                                                                 capsys):

@@ -2,7 +2,8 @@
 
 ``generate`` writes a manifest, one payload file per item and a trace.  The
 sha256 of ``manifest.jsonl``, of ``trace.jsonl`` and of the payload files
-(each file's name and bytes, in name order) must equal its pin for:
+(each file's name and bytes, in name order) must equal its pin, both as
+computed here and as ``generate`` prints it, for:
 
 * the ``wildlife-deer`` and ``walkthrough`` presets;
 * each benchmark workload's corpus: the ``wildlife-deer`` preset with that
@@ -115,5 +116,18 @@ def _digests(out: Path) -> dict[str, str]:
 def test_generate_matches_its_pins(tmp_path, capsys, name):
     out = tmp_path / "data"
     assert main(["generate", *_config(tmp_path, name), "--out", str(out)]) == 0
-    capsys.readouterr()
     assert _digests(out) == PINS[name]
+    # generate prints the same three digests, payloads last
+    assert capsys.readouterr().out.splitlines() == [
+        f"{out / part}  sha256={digest}" for part, digest in PINS[name].items()]
+
+
+def test_printed_payload_digest_leaves_out_older_files(tmp_path, capsys):
+    # the 200 payload files of the desk corpus stay in the directory, and
+    # the odd spec's few overwrite some of them
+    out = tmp_path / "data"
+    assert main(["generate", "--preset", "wildlife-deer", "--out", str(out)]) == 0
+    assert main(["generate", *_config(tmp_path, "odd"), "--out", str(out)]) == 0
+    assert len(list((out / "payloads").iterdir())) == 200
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"{out / 'payloads'}  sha256={PINS['odd']['payloads']}"

@@ -17,7 +17,7 @@ enough to grow the row columns past 1,024 rows and to start the
 On this trace the engine weakens 177 edges in flag-0 reactions and ages 55
 idle edges in retention passes, 15 of which move.  The sha256 of every
 artifact must equal its pin: a change meant to keep behaviour keeps every
-pin.
+pin.  Each run's snapshot must also pass ``neuralstore inspect``.
 """
 
 from __future__ import annotations
@@ -93,6 +93,7 @@ def test_harsh_run_and_compare_match_their_pins(tmp_path, capsys):
     capsys.readouterr()
     assert _digests(run, RUN_PINS) == RUN_PINS
     assert _digests(cmp, COMPARE_PINS) == COMPARE_PINS
+    assert main(["inspect", "--snapshot", str(run / "snapshot.txt")]) == 0
 
 
 def test_harsh_run_at_scale_matches_its_pins(tmp_path, capsys):
@@ -105,3 +106,4 @@ def test_harsh_run_at_scale_matches_its_pins(tmp_path, capsys):
                  "--cap", "160000", "--out", str(run)]) == 0
     capsys.readouterr()
     assert _digests(run, SCALE_RUN_PINS) == SCALE_RUN_PINS
+    assert main(["inspect", "--snapshot", str(run / "snapshot.txt")]) == 0

@@ -461,6 +461,26 @@ def neuron_states(memory) -> list[tuple]:
              memory.payload(dn)) for dn in data_neurons(memory)]
 
 
+def check_payloads(memory, before: tuple | None) -> tuple:
+    """Assert that no row's ``keep`` changed since ``before`` unless its
+    quality did, and that every data neuron's payload is its original's
+    first ``keep`` bytes at its quality; return the columns to pass as the
+    next ``before``."""
+    n = len(memory.row_of)
+    quality, keep = memory.quality[:n].copy(), memory.keep[:n].copy()
+    if before is not None:
+        old_quality, old_keep = before
+        m = len(old_keep)
+        assert ((keep[:m] == old_keep) | (quality[:m] != old_quality)).all(), \
+            "a row's size changed at an unchanged quality"
+    for dn, row in memory.row_of.items():
+        p = memory.payload(dn)
+        assert len(p.original) == memory.original_size[row]
+        assert p == Payload(p.original[:keep[row]], p.original, quality[row],
+                            p.lineage), f"data neuron {dn}"
+    return quality, keep
+
+
 def columns(engine) -> list[bytes]:
     """The memory's state columns, bit for bit."""
     memory = engine.memory
@@ -847,12 +867,18 @@ class TestStateColumns:
         assert built == Payload(data[:1229], data, 60.0, None)
         out = engine.retrieve("hot", feature(engine, data))
         assert out.payload is built and out.quality == 60.0
+        # two lowerings between reads: rebuilt once, from the last read
+        memory.adjust_strength(dn, 50.0)
+        memory.adjust_strength(dn, 20.0)
+        lowered = memory.payload(dn)
+        assert lowered == Payload(data[:615], data, 30.0, None)
+        assert memory.payload(dn) is lowered
 
 
 class TestReinforcement:
     """A hit restores its neuron's strength to exactly what
     ``clamp_strength(phi, s, -100.0)`` gives, marks it accessed at the
-    current op, and leaves its stored quality, size and built payload."""
+    current op, and leaves its stored quality, size and the payload read."""
 
     @pytest.mark.parametrize("phi", [0.0, 1.0, 30.0])
     def test_a_hit_on_a_lowered_neuron(self, phi):
@@ -878,23 +904,27 @@ class TestReinforcement:
             assert memory.strength[row].hex() == \
                 clamp_strength(phi, s, -100.0).hex()
             assert memory.quality[row] == quality and memory.keep[row] == keep
-            assert memory.built[row] is built
+            assert memory.payload(dn_id) is built
             assert memory.last_access[row] == memory.op_counter
 
-    def test_reinforce_leaves_an_unbuilt_payload_unbuilt(self):
+    def test_reinforce_keeps_the_lowered_payload(self):
         engine = engine_with(phi=30.0,
                              elasticity_schedules=[[80.0, 30.0]] * 2)
         memory = engine.memory
-        dn = engine.store(blob(0), "hot").dn_id
+        data = blob(0)
+        dn = engine.store(data, "hot").dn_id
         memory.adjust_strength(dn, 55.5)
         row = memory.row_of[dn]
-        assert memory.built[row] is None
         quality, keep = memory.quality[row], memory.keep[row]
+        assert quality == 44.5 and keep == math.ceil(len(data) * 44.5 / 100.0)
         memory.op_counter += 5
         memory.reinforce(dn)
-        assert memory.strength[row] == 100.0 and memory.built[row] is None
+        assert memory.strength[row] == 100.0
         assert memory.quality[row] == quality and memory.keep[row] == keep
         assert memory.last_access[row] == memory.op_counter
+        lowered = memory.payload(dn)
+        assert lowered == Payload(data[:keep], data, 44.5, None)
+        assert memory.payload(dn) is lowered
         cue = memory.find_cue_by_label("hot")
         with pytest.raises(KeyError, match=f"neuron {cue} is not a data"):
             memory.reinforce(cue)
@@ -1030,6 +1060,7 @@ class TestFuzzAtScale:
         dn_of: dict[int, int] = {}     # item index -> its data neuron
         kinds = {"merged": 0, "refresh": 0, "hit": 0, "miss": 0,
                  "retention": 0, "compressed": 0}
+        before = [None, None]       # each engine's quality and keep columns
         i = 0
         while len(stored) < len(items) or i < 1500:
             i += 1
@@ -1076,6 +1107,8 @@ class TestFuzzAtScale:
                 outs = [e.retention(n=op[1]) for e in engines]
                 kinds["retention"] += 1
                 kinds["compressed"] += len(outs[0].compressed)
+            for j, engine in enumerate(engines):
+                before[j] = check_payloads(engine.memory, before[j])
             assert outs[0] == outs[1], f"op {i} {op}"
             assert columns(new) == columns(old), f"op {i} {op}"
             assert new.memory.total_bytes() == old.memory.total_bytes()
