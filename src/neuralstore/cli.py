@@ -32,9 +32,9 @@ from neuralstore.config import (
 from neuralstore.core import (
     ConfigurationError,
     SnapshotFormatError,
-    cue_label,
     parse_snapshot,
     render_dot,
+    render_text,
 )
 from neuralstore.engine import StorageFullError
 from neuralstore.workload import (
@@ -161,38 +161,9 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _render_text(doc) -> str:
-    lines = [f"snapshot v{doc.version}"]
-    for hive in doc.hives:
-        lines.append(f"hive {hive['id']}: modality={hive.get('modality')} "
-                     f"eta={hive.get('eta')} epsilon={hive.get('epsilon')} "
-                     f"phi={hive.get('phi')}")
-    for loc in doc.localities:
-        lines.append(f"  locality {loc['id']}: memory_decay={loc.get('memory_decay')} "
-                     f"association_decay={loc.get('association_decay')} "
-                     f"default_cue={loc.get('default_cue')}")
-    for n in doc.neurons:
-        if n["kind"] == "cue":
-            tag = " default" if n.get("default") == "1" else ""
-            label = cue_label(n)
-            if label is None:
-                label = "-"
-            lines.append(f"  cue #{n['id']} label={label}{tag}")
-        else:
-            lines.append(f"  data #{n['id']} locality={n.get('locality')} "
-                         f"strength={n.get('strength')} quality={n.get('quality')} "
-                         f"size={n.get('size')}")
-    for e in doc.edges:
-        lines.append(f"  edge {e['a']} -- {e['b']} weight={e.get('weight')}")
-    for o in doc.orders:
-        order = " > ".join(f"{x['dn_id']}({x['avg_weight']:g})" for x in o["entries"])
-        lines.append(f"  order cue {o['cue_id']}: {order}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_inspect(args) -> int:
     doc = parse_snapshot(Path(args.snapshot).read_text())
-    rendered = render_dot(doc) if args.format == "dot" else _render_text(doc)
+    rendered = render_dot(doc) if args.format == "dot" else render_text(doc)
     if args.out is not None:
         Path(args.out).write_text(rendered)
         print(f"{args.out}")

@@ -48,8 +48,10 @@ at its old ``(-weight, dn_id)`` key, replaced in place when its new key
 still sits between its neighbours, and otherwise inserted again at its new
 place.  The orders are therefore always current.
 
-The snapshot format still names one hive, 0, with a blob modality: every
-line the memory writes carries ``hive=0``.
+A snapshot is the text ``format_snapshot`` writes for the plain
+:class:`SnapshotDoc` the memory builds of its state, and
+``parse_snapshot`` accepts only a text that ``format_snapshot`` writes
+again, byte for byte, for the data it read.
 
 All weight and strength updates go through the two clamp rules
 
@@ -70,6 +72,7 @@ import typing
 import urllib.parse
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, is_dataclass
+from itertools import zip_longest
 from operator import itemgetter
 
 import numpy as np
@@ -77,7 +80,7 @@ import numpy as np
 from neuralstore.codec import HistogramExtractor, Payload
 
 SNAPSHOT_FORMAT = "neuralstore-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 # the seed of every memory's feature projection
 EXTRACTOR_SEED = 7
 
@@ -181,11 +184,12 @@ def clamp_strength(phi: float, strength: float, delta: float) -> float:
 
 
 def _fmt(x: float | int) -> str:
-    """Canonical numeric formatting for byte-deterministic exports."""
+    """A snapshot number: an integral value as an integer, any other as the
+    shortest text that reads back as the same float."""
     f = float(x)
     if f == int(f) and abs(f) < 1e15:
         return str(int(f))
-    return format(f, ".10g")
+    return repr(f)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +458,7 @@ class Memory:
                 or not isinstance(locality_id, numbers.Integral)
                 or not 0 <= locality_id < len(self.localities)):
             raise ConfigurationError(
-                f"unknown locality {locality_id} in hive 0")
+                f"unknown locality {locality_id}")
         return self.localities[locality_id]
 
     def _row(self, dn_id: int) -> int:
@@ -686,54 +690,38 @@ class Memory:
 
     def export_graph(self, fmt: str = "snapshot") -> str:
         if fmt == "snapshot":
-            return self._export_snapshot()
+            return format_snapshot(self._snapshot_doc())
         if fmt == "dot":
-            return render_dot(parse_snapshot(self._export_snapshot()))
+            return render_dot(self._snapshot_doc())
         raise ValueError(f"unknown export format {fmt!r}; use 'snapshot' or 'dot'")
 
-    def _export_snapshot(self) -> str:
+    def _snapshot_doc(self) -> SnapshotDoc:
         p = self.params
-        # the format keeps a hive id and a modality field; the memory is
-        # hive 0, and every payload is a blob
-        lines = [f"{SNAPSHOT_FORMAT} {SNAPSHOT_VERSION}",
-                 f"hive 0 modality=blob "
-                 f"eta={_fmt(p.eta)} epsilon={_fmt(p.epsilon)} phi={_fmt(p.phi)} "
-                 f"retention={p.retention_period}"]
-        for loc in self.localities:
-            default = "-" if loc.default_cue_id is None else loc.default_cue_id
-            lines.append(
-                f"locality {loc.id} hive=0 "
-                f"memory_decay={_fmt(loc.memory_decay_rate)} "
-                f"association_decay={_fmt(loc.association_decay_rate)} "
-                f"default_cue={default}")
-        defaults = {loc.default_cue_id for loc in self.localities}
+        neurons = []
         # every id is a cue's or a data neuron's
         for nid in range(self._next_neuron_id):
             if nid in self.cues:
-                label = self.cues[nid]
-                # "-" stands for no label, so the label "-" is escaped
-                label = ("-" if label is None else "%2D" if label == "-" else
-                         urllib.parse.quote(label))
-                lines.append(f"cue {nid} hive=0 label={label} "
-                             f"default={int(nid in defaults)}")
-            else:
-                row = self.row_of[nid]
-                lines.append(
-                    f"data {nid} hive=0 locality={self.row_locality[row]} "
-                    f"strength={_fmt(self.strength.item(row))} "
-                    f"quality={_fmt(self.quality.item(row))} "
-                    f"size={self.keep.item(row)} "
-                    f"original={self.original_size.item(row)} "
-                    f"last_access={self.last_access.item(row)}")
-        # an edge line names its lower id first, whichever end is the cue
-        for a, b, key in sorted((min(k), max(k), k) for k in self.weights):
-            lines.append(f"edge {a} {b} weight={_fmt(self.weights[key])} "
-                         f"last_access={self.edge_access[key]}")
-        for cue_id in sorted(self.search_order):
-            entries = ",".join(f"{e.dn_id}:{_fmt(e.avg_weight)}"
-                               for e in self.search_order[cue_id])
-            lines.append(f"order {cue_id} {entries}")
-        return "\n".join(lines) + "\n"
+                neurons.append({"kind": "cue", "label": self.cues[nid]})
+                continue
+            row = self.row_of[nid]
+            neurons.append({"kind": "data", "locality": self.row_locality[row],
+                            "strength": self.strength.item(row),
+                            "quality": self.quality.item(row),
+                            "size": self.keep.item(row),
+                            "original": self.original_size.item(row),
+                            "last_access": self.last_access.item(row)})
+        return SnapshotDoc(
+            params={"eta": p.eta, "epsilon": p.epsilon, "phi": p.phi,
+                    "retention": p.retention_period},
+            localities=[{"memory_decay": loc.memory_decay_rate,
+                         "association_decay": loc.association_decay_rate,
+                         "default_cue": loc.default_cue_id}
+                        for loc in self.localities],
+            neurons=neurons,
+            edges={key: {"weight": weight, "last_access": self.edge_access[key]}
+                   for key, weight in self.weights.items()},
+            orders={cue_id: [(e.dn_id, e.avg_weight) for e in order]
+                    for cue_id, order in self.search_order.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -742,161 +730,170 @@ class Memory:
 
 @dataclass
 class SnapshotDoc:
-    version: int
-    hives: list[dict] = field(default_factory=list)
+    """A memory's state as its snapshot holds it.
+
+    ``params`` holds eta, epsilon, phi and retention.  ``localities`` holds
+    each locality's ``memory_decay``, ``association_decay`` and
+    ``default_cue`` (None before its first data neuron), at the index of its
+    id.  ``neurons`` holds each neuron at the index of its id: its ``kind``,
+    then a cue's ``label`` (None for a default cue) or a data neuron's
+    ``locality``, ``strength``, ``quality``, ``size``, ``original`` and
+    ``last_access``.  ``edges`` holds each association's ``weight`` and
+    ``last_access``, keyed ``(cue_id, dn_id)``, and ``orders`` each cue's
+    search order as ``(dn_id, weight)`` pairs.
+    """
+    params: dict
     localities: list[dict] = field(default_factory=list)
     neurons: list[dict] = field(default_factory=list)
-    edges: list[dict] = field(default_factory=list)
-    orders: list[dict] = field(default_factory=list)
+    edges: dict[tuple[int, int], dict] = field(default_factory=dict)
+    orders: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
 
 
-# the fields ``Memory._export_snapshot`` writes on each kind of line, each
-# with a check that raises ValueError on a value it never writes
-_SNAPSHOT_FIELDS = {
-    "hive": dict(modality=str, eta=float, epsilon=float, phi=float,
-                 retention=int),
-    "locality": dict(hive=int, memory_decay=float, association_decay=float,
-                     default_cue=lambda v: v == "-" or int(v)),
-    "cue": dict(hive=int, label=str, default=("0", "1").index),
-    "data": dict(hive=int, locality=int, strength=float, quality=float,
-                 size=int, original=int, last_access=int),
-    "edge": dict(weight=float, last_access=int),
-}
+def _edge_lines(doc: SnapshotDoc) -> list[tuple[int, int, dict]]:
+    """Each edge as ``(lower id, higher id, edge)``, in the order a snapshot
+    writes them."""
+    return sorted((min(key), max(key), edge) for key, edge in doc.edges.items())
 
 
-def _fields(kind: str, parts: list[str]) -> dict:
-    """A line's ``key=value`` fields, as text; KeyError or ValueError if a
-    field its kind always carries is missing or does not parse."""
-    out = dict(part.partition("=")[::2] for part in parts)
-    for key, check in _SNAPSHOT_FIELDS[kind].items():
-        check(out[key])
-    return out
+def format_snapshot(doc: SnapshotDoc) -> str:
+    """The snapshot text of ``doc``, the only text ``parse_snapshot``
+    accepts."""
+    p = doc.params
+    lines = [f"{SNAPSHOT_FORMAT} {SNAPSHOT_VERSION}",
+             f"params eta={_fmt(p['eta'])} epsilon={_fmt(p['epsilon'])} "
+             f"phi={_fmt(p['phi'])} retention={p['retention']}"]
+    for i, loc in enumerate(doc.localities):
+        default = "-" if loc["default_cue"] is None else loc["default_cue"]
+        lines.append(f"locality {i} memory_decay={_fmt(loc['memory_decay'])} "
+                     f"association_decay={_fmt(loc['association_decay'])} "
+                     f"default_cue={default}")
+    for nid, n in enumerate(doc.neurons):
+        if n["kind"] == "cue":
+            label = n["label"]
+            # "-" stands for no label, so the label "-" is escaped
+            text = ("-" if label is None else "%2D" if label == "-" else
+                    urllib.parse.quote(label))
+            lines.append(f"cue {nid} label={text} default={int(label is None)}")
+        else:
+            lines.append(
+                f"data {nid} locality={n['locality']} "
+                f"strength={_fmt(n['strength'])} quality={_fmt(n['quality'])} "
+                f"size={n['size']} original={n['original']} "
+                f"last_access={n['last_access']}")
+    for a, b, edge in _edge_lines(doc):
+        lines.append(f"edge {a} {b} weight={_fmt(edge['weight'])} "
+                     f"last_access={edge['last_access']}")
+    for cue_id, entries in sorted(doc.orders.items()):
+        lines.append(f"order {cue_id} "
+                     + ",".join(f"{dn_id}:{_fmt(w)}" for dn_id, w in entries))
+    return "\n".join(lines) + "\n"
 
 
-def _once(seen: set, key: tuple, message: str) -> None:
-    """Add ``key`` to ``seen``; SnapshotFormatError with ``message`` if an
-    earlier line added it."""
-    if key in seen:
-        raise SnapshotFormatError(message)
-    seen.add(key)
+# where each kind of line stands in a snapshot, after its header line
+_PLACE = {"params": 0, "locality": 1, "cue": 2, "data": 2, "edge": 3, "order": 4}
 
 
-def _check_declared(kinds: dict[int, str], ids, *allowed: str) -> None:
-    for nid in ids:
-        if kinds.get(nid) not in allowed:
-            raise SnapshotFormatError(
-                f"neuron {nid} is not a declared {' or '.join(allowed)} neuron")
+def _number(text: str) -> float:
+    """A finite float; ValueError for any other text."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
-def _check_order(edge_weights: dict[tuple[int, int], float], cue_id: int,
-                 entries: list[dict]) -> None:
-    """An order lists each data neuron once, each at the weight of an
-    earlier edge line from its cue to that data neuron."""
-    listed = set()
-    for entry in entries:
-        dn_id, weight = entry["dn_id"], entry["avg_weight"]
-        if dn_id in listed:
-            raise SnapshotFormatError(f"order {cue_id} repeats data neuron {dn_id}")
-        listed.add(dn_id)
-        edge_weight = edge_weights.get((cue_id, dn_id))
-        if edge_weight is None:
-            raise SnapshotFormatError(
-                f"order {cue_id} lists data neuron {dn_id}, but no earlier "
-                f"edge joins them")
-        if weight != edge_weight:
-            raise SnapshotFormatError(
-                f"order {cue_id} gives data neuron {dn_id} weight {weight!r}, "
-                f"but their edge has weight {edge_weight!r}")
+def _shown(line: str | None) -> str:
+    return "the end of the document" if line is None else repr(line)
 
 
 def parse_snapshot(text: str) -> SnapshotDoc:
-    """Parse a snapshot document.  A malformed line raises
-    ``SnapshotFormatError`` naming its line number: one that lacks a field
-    its kind always carries or whose field does not parse, a locality or
-    neuron declared twice, a data neuron whose locality no earlier line
-    declares, an edge or order that names a neuron no earlier line declares
-    (an order's cue must be a cue, its entries data neurons), an edge that
-    does not join one cue and one data neuron or repeats an earlier edge, a
-    second order for one cue, and an order entry that repeats a data neuron
-    or has no earlier edge from the order's cue at its weight."""
-    lines = [(number, line.strip())
-             for number, line in enumerate(text.splitlines(), 1) if line.strip()]
-    if not lines:
-        raise SnapshotFormatError("empty snapshot document")
-    number, line = lines[0]
-    head = line.split()
+    """Read a snapshot document: the data its lines hold, with each cue's
+    default flag and search order derived from them, and the text compared
+    line by line with what ``format_snapshot`` writes for that data.
+
+    ``SnapshotFormatError`` names the first line that differs, or a line
+    holding what no snapshot holds: a number that does not parse or is not
+    finite, a data neuron in an undeclared locality, an edge that does not
+    join one cue and one data neuron, a cue labelled ``-`` that no locality
+    names its default cue or the reverse, and a locality whose default cue
+    is not a declared cue.
+    """
+    lines = text.splitlines(keepends=True) or [""]
+    head = lines[0].split()
     if len(head) != 2 or head[0] != SNAPSHOT_FORMAT:
-        raise SnapshotFormatError(f"not a snapshot document: {line!r}")
-    try:
-        version = int(head[1])
-    except ValueError:
-        raise SnapshotFormatError(
-            f"snapshot line {number}: version {head[1]!r} is not an integer"
-        ) from None
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotFormatError(
-            f"snapshot version {version} unsupported (expected {SNAPSHOT_VERSION})")
-    doc = SnapshotDoc(version=version)
-    kinds: dict[int, str] = {}      # declared neuron id -> "cue" | "data"
-    edge_weights: dict[tuple[int, int], float] = {}     # (cue, data) -> weight
-    # ("hive" | "locality" | "neuron", id), ("edge", cue, data), ("order", cue)
-    seen: set[tuple] = set()
-    for number, line in lines[1:]:
-        kind, *rest = line.split()
+        raise SnapshotFormatError(f"not a snapshot document: {lines[0].strip()!r}")
+    if head[1] != str(SNAPSHOT_VERSION):
+        raise SnapshotFormatError(f"snapshot line 1: version {head[1]} "
+                                  f"unsupported (expected {SNAPSHOT_VERSION})")
+    doc = SnapshotDoc(params={})
+    place = 0
+    for number, line in enumerate(lines[1:], 2):
+        kind, *words = line.split() or [""]
+        # reading stops at a line out of its place, which the comparison names
+        if _PLACE.get(kind, -1) < place or kind == "params" and doc.params:
+            break
+        place = _PLACE[kind]
+        values = [word.partition("=")[2] for word in words if "=" in word]
         try:
-            if kind in ("hive", "locality"):
-                rows = doc.hives if kind == "hive" else doc.localities
-                rows.append({"id": int(rest[0]), **_fields(kind, rest[1:])})
-                _once(seen, (kind, rows[-1]["id"]),
-                      f"{kind} {rows[-1]['id']} is declared twice")
-            elif kind in ("cue", "data"):
-                nid = int(rest[0])
-                doc.neurons.append({"kind": kind, "id": nid,
-                                    **_fields(kind, rest[1:])})
-                _once(seen, ("neuron", nid), f"neuron {nid} is declared twice")
-                kinds[nid] = kind
-                locality = doc.neurons[-1].get("locality")
-                if kind == "data" and ("locality", int(locality)) not in seen:
+            if kind == "params":
+                eta, epsilon, phi, retention = values
+                doc.params = {"eta": _number(eta), "epsilon": _number(epsilon),
+                              "phi": _number(phi), "retention": int(retention)}
+            elif kind == "locality":
+                memory_decay, association_decay, default = values
+                doc.localities.append({
+                    "memory_decay": _number(memory_decay),
+                    "association_decay": _number(association_decay),
+                    "default_cue": None if default == "-" else int(default)})
+            elif kind == "cue":
+                label, _ = values
+                label = None if label == "-" else urllib.parse.unquote(label)
+                defaults = {loc["default_cue"] for loc in doc.localities}
+                if (label is None) != (len(doc.neurons) in defaults):
                     raise SnapshotFormatError(
-                        f"data neuron {nid} names locality {locality}, which "
-                        f"no earlier line declares")
+                        "a cue has the label - if and only if a locality names "
+                        "it its default cue")
+                doc.neurons.append({"kind": "cue", "label": label})
+            elif kind == "data":
+                locality, strength, quality, size, original, access = values
+                if not 0 <= int(locality) < len(doc.localities):
+                    raise SnapshotFormatError(f"locality {locality} is not declared")
+                doc.neurons.append({
+                    "kind": "data", "locality": int(locality),
+                    "strength": _number(strength), "quality": _number(quality),
+                    "size": int(size), "original": int(original),
+                    "last_access": int(access)})
             elif kind == "edge":
-                a, b = int(rest[0]), int(rest[1])
-                doc.edges.append({"a": a, "b": b, **_fields(kind, rest[2:])})
-                _check_declared(kinds, (a, b), "cue", "data")
-                if kinds[a] == kinds[b]:
+                weight, access = values
+                ends = {doc.neurons[i]["kind"]: i for i in map(int, words[:2])
+                        if 0 <= i < len(doc.neurons)}
+                if len(ends) != 2:
                     raise SnapshotFormatError(
-                        f"edge {a} {b} joins two {kinds[a]} neurons")
-                ends = (a, b) if kinds[a] == "cue" else (b, a)
-                _once(seen, ("edge", *ends), f"edge {a} {b} repeats an earlier edge")
-                edge_weights[ends] = float(doc.edges[-1]["weight"])
-            elif kind == "order":
-                cue_id = int(rest[0])
-                items = rest[1].split(",") if len(rest) > 1 else []
-                entries = [{"dn_id": int(dn), "avg_weight": float(w)}
-                           for dn, _, w in (i.partition(":") for i in items)]
-                _once(seen, ("order", cue_id), f"cue {cue_id} has a second order")
-                doc.orders.append({"cue_id": cue_id, "entries": entries})
-                _check_declared(kinds, [cue_id], "cue")
-                _check_declared(kinds, [e["dn_id"] for e in entries], "data")
-                _check_order(edge_weights, cue_id, entries)
-            else:
-                raise SnapshotFormatError(f"unknown line kind {kind!r}")
-        except SnapshotFormatError as exc:
-            raise SnapshotFormatError(f"snapshot line {number}: {exc}") from None
-        except (IndexError, KeyError, ValueError):
-            # a short line, a missing field, or a field, id or weight that
-            # does not parse
-            raise SnapshotFormatError(
-                f"snapshot line {number}: malformed {kind} line {line!r}") from None
+                        f"edge {' '.join(words[:2])} does not join one cue "
+                        f"and one data neuron")
+                # a repeated edge is left out, so the comparison names it
+                doc.edges.setdefault((ends["cue"], ends["data"]), {
+                    "weight": _number(weight), "last_access": int(access)})
+        except ValueError as exc:
+            # a line with too few or too many fields, or a bad number
+            reason = (exc if isinstance(exc, SnapshotFormatError) else
+                      f"malformed {kind} line {line.strip()!r}")
+            raise SnapshotFormatError(f"snapshot line {number}: {reason}") from None
+    if not doc.params:
+        raise SnapshotFormatError("snapshot line 2: no params line")
+    doc.orders = {nid: [] for nid, n in enumerate(doc.neurons) if n["kind"] == "cue"}
+    for (cue_id, dn_id), edge in sorted(
+            doc.edges.items(), key=lambda item: (-item[1]["weight"], item[0][1])):
+        doc.orders[cue_id].append((dn_id, edge["weight"]))
+    written = format_snapshot(doc).splitlines(keepends=True)
+    for number, (got, want) in enumerate(zip_longest(lines, written), 1):
+        if got != want:
+            raise SnapshotFormatError(f"snapshot line {number}: expected "
+                                      f"{_shown(want)}, found {_shown(got)}")
+    for number, loc in enumerate(doc.localities, 3):
+        if loc["default_cue"] not in {None, *doc.orders}:
+            raise SnapshotFormatError(f"snapshot line {number}: default cue "
+                                      f"{loc['default_cue']} is not a declared cue")
     return doc
-
-
-def cue_label(neuron: dict) -> str | None:
-    """A parsed cue's label as stored (``None`` for a cue written without
-    one: a locality's default cue)."""
-    label = neuron.get("label", "-")
-    return None if label == "-" else urllib.parse.unquote(label)
 
 
 def _dot_string(text: str) -> str:
@@ -904,23 +901,47 @@ def _dot_string(text: str) -> str:
 
 
 def render_dot(doc: SnapshotDoc) -> str:
-    """Graphviz rendering of a parsed snapshot: cues as ellipses (default
+    """Graphviz rendering of a snapshot document: cues as ellipses (default
     cues doubled), data neurons as boxes, edges labelled with weights."""
     lines = ["graph memory {", "  node [fontsize=10];"]
-    for n in doc.neurons:
-        nid = n["id"]
+    for nid, n in enumerate(doc.neurons):
         if n["kind"] == "cue":
-            default = n.get("default") == "1"
-            name = cue_label(n)
-            if name is None:
-                name = "default" if default else "cue"
-            shape = "doublecircle" if default else "ellipse"
+            name, shape = (("default", "doublecircle") if n["label"] is None
+                           else (n["label"], "ellipse"))
             lines.append(f'  n{nid} [label="{_dot_string(name)}\\n#{nid}" '
                          f'shape={shape}];')
         else:
-            lines.append(f'  n{nid} [label="dn{nid}\\ns={n.get("strength")} '
-                         f'q={n.get("quality")}" shape=box];')
-    for e in doc.edges:
-        lines.append(f'  n{e["a"]} -- n{e["b"]} [label="{e.get("weight")}"];')
+            lines.append(f'  n{nid} [label="dn{nid}\\ns={_fmt(n["strength"])} '
+                         f'q={_fmt(n["quality"])}" shape=box];')
+    for a, b, edge in _edge_lines(doc):
+        lines.append(f'  n{a} -- n{b} [label="{_fmt(edge["weight"])}"];')
     lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def render_text(doc: SnapshotDoc) -> str:
+    """The text ``neuralstore inspect`` prints for a snapshot document."""
+    p = doc.params
+    lines = [f"snapshot v{SNAPSHOT_VERSION}",
+             f"params: eta={_fmt(p['eta'])} epsilon={_fmt(p['epsilon'])} "
+             f"phi={_fmt(p['phi'])} retention={p['retention']}"]
+    for i, loc in enumerate(doc.localities):
+        default = "-" if loc["default_cue"] is None else loc["default_cue"]
+        lines.append(f"  locality {i}: memory_decay={_fmt(loc['memory_decay'])} "
+                     f"association_decay={_fmt(loc['association_decay'])} "
+                     f"default_cue={default}")
+    for nid, n in enumerate(doc.neurons):
+        if n["kind"] == "cue":
+            label = n["label"]
+            lines.append(f"  cue #{nid} label=- default" if label is None
+                         else f"  cue #{nid} label={label}")
+        else:
+            lines.append(f"  data #{nid} locality={n['locality']} "
+                         f"strength={_fmt(n['strength'])} "
+                         f"quality={_fmt(n['quality'])} size={n['size']}")
+    for a, b, edge in _edge_lines(doc):
+        lines.append(f"  edge {a} -- {b} weight={_fmt(edge['weight'])}")
+    for cue_id, entries in sorted(doc.orders.items()):
+        order = " > ".join(f"{dn_id}({w:g})" for dn_id, w in entries)
+        lines.append(f"  order cue {cue_id}: {order}")
     return "\n".join(lines) + "\n"

@@ -360,7 +360,7 @@ class MemoryEngine:
             return
         if self.elasticity(shortfall) < shortfall:
             raise StorageFullError(
-                f"hive 0: need {bytes_needed} bytes, only "
+                f"need {bytes_needed} bytes, only "
                 f"{cap - self.memory.total_bytes()} free at maximum elasticity")
 
     # -- locality selection ----------------------------------------------------

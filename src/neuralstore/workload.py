@@ -376,7 +376,8 @@ def payload_file(item_id: str) -> str:
 
 def write_manifest(corpus: Corpus, manifest_path: str | Path,
                    payload_dir: str | Path | None = None) -> Path:
-    """Write the manifest and (optionally) one payload file per item.
+    """Write the manifest and (optionally) one payload file per item,
+    deleting every other ``.bin`` file in the payload directory.
 
     Payload paths are stored relative to the manifest's directory, so the
     pair can be moved or shipped together.
@@ -386,6 +387,11 @@ def write_manifest(corpus: Corpus, manifest_path: str | Path,
     if payload_dir is not None:
         payload_dir = Path(payload_dir)
         payload_dir.mkdir(parents=True, exist_ok=True)
+        # payload files an earlier corpus left would read as part of this one
+        names = {payload_file(item.item_id) for item in corpus.items}
+        for path in payload_dir.glob("*.bin"):
+            if path.name not in names:
+                path.unlink()
     lines = [_dump({"format": MANIFEST_FORMAT, "version": FORMAT_VERSION,
                     "items": len(corpus.items)})]
     for item in corpus.items:

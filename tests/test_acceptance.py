@@ -37,7 +37,7 @@ import pytest
 from neuralstore.cli import main as cli_main
 from neuralstore.codec import cosine_similarity
 from neuralstore.config import build_adapter, load_config
-from neuralstore.core import HiveParams
+from neuralstore.core import HiveParams, format_snapshot, parse_snapshot
 from neuralstore.engine import (
     MemoryEngine,
     OpControls,
@@ -285,6 +285,10 @@ def test_criterion_6_clamp_invariants_fuzz():
             _check_invariants(engine)
             total += 1
         assert neuron_count(engine.memory) <= 50, "fuzz instance grew too large"
+        # the config's final state exports as a snapshot that parses and is
+        # written again byte for byte
+        text = engine.memory.export_graph("snapshot")
+        assert format_snapshot(parse_snapshot(text)) == text
     criterion(6, "100k randomized operations keep clamps, cue-to-data "
                  "associations and search-order/oracle agreement",
               total == FUZZ_TOTAL_OPS,

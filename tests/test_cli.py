@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -21,7 +22,6 @@ from neuralstore.config import (
 from neuralstore.core import (
     ConfigurationError,
     HiveParams,
-    cue_label,
     parse_snapshot,
 )
 from neuralstore.engine import MemoryEngine, OpControls, SearchParams
@@ -529,11 +529,11 @@ class TestInspect:
         snapshot = engine.memory.export_graph("snapshot")
         cue_lines = [line for line in snapshot.splitlines()
                      if line.startswith("cue ")]
-        assert [line.split()[3] for line in cue_lines] == [
+        assert [line.split()[2] for line in cue_lines] == [
             "label=-", "label=", "label=%2D", "label=-x"]
         # the locality's default cue, then the three label cues
-        labels = {n["id"]: cue_label(n)
-                  for n in parse_snapshot(snapshot).neurons
+        labels = {nid: n["label"]
+                  for nid, n in enumerate(parse_snapshot(snapshot).neurons)
                   if n["kind"] == "cue"}
         assert list(labels.values()) == [None, "", "-", "-x"]
         ids = {label: cue for cue, label in labels.items()}
@@ -561,149 +561,271 @@ class TestInspect:
         assert main(["inspect", "--snapshot", str(bad)]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("line, reason", [
-        ("cue", "malformed cue line 'cue'"),
-        ("edge 1", "malformed edge line 'edge 1'"),
-        ("order", "malformed order line 'order'"),
-        ("hive", "malformed hive line 'hive'"),
-        ("data x", "malformed data line 'data x'"),
-        ("order 3 5:abc", "malformed order line 'order 3 5:abc'"),
-        ("bogus 1", "unknown line kind 'bogus'"),
-    ])
-    def test_malformed_line_exits_2_naming_the_line(self, tmp_path, capsys,
-                                                    line, reason):
+    # the first lines of a snapshot as the memory writes it: one locality,
+    # which has no data neuron yet and so no default cue
+    HEAD = ["neuralstore-snapshot 2",
+            "params eta=20 epsilon=1 phi=1 retention=500",
+            "locality 0 memory_decay=0.5 association_decay=0 default_cue=-"]
+
+    def refusal(self, tmp_path, capsys, lines):
+        """The error ``inspect`` prints for a snapshot of ``lines``, which
+        it must refuse with exit 2 and print nothing else."""
         bad = tmp_path / "bad.txt"
-        bad.write_text(f"neuralstore-snapshot 1\n\n"
-                       f"cue 0 hive=0 label=- default=0\n{line}\n")
-        assert main(["inspect", "--snapshot", str(bad)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: snapshot line 4: {reason}\n"
-
-    # each line after the header is well formed until the last, line 6
-    GOOD_LINES = ["hive 0 modality=blob eta=20 epsilon=1 phi=1 retention=500",
-                  "locality 0 hive=0 memory_decay=0.5 association_decay=0 "
-                  "default_cue=-",
-                  "cue 1 hive=0 label=deer default=0"]
-
-    @pytest.mark.parametrize("line", [
-        "data 2",
-        "data 2 hive=0 locality=0 strength=100 quality=100 size=9",
-        "data 2 hive=0 locality=0 strength=high quality=100 size=9 "
-        "original=9 last_access=0",
-        "data 2 hive=0 locality=0.5 strength=1 quality=1 size=9 original=9 "
-        "last_access=0",
-        "cue 3 default=yes",
-        "cue 3 hive=0 label=- default=yes",
-        "hive 1 modality=blob eta=20 epsilon=1 phi=1",
-        "locality 0 hive=0 memory_decay=0.5 association_decay=0 "
-        "default_cue=x",
-        "edge 1 1 weight=1",
-    ])
-    def test_line_without_its_fields_exits_2(self, tmp_path, capsys, line):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("\n".join(["neuralstore-snapshot 1", *self.GOOD_LINES,
-                                   "", line]) + "\n")
-        assert main(["inspect", "--snapshot", str(bad)]) == 2
-        assert capsys.readouterr().err == \
-            f"error: snapshot line 6: malformed {line.split()[0]} line {line!r}\n"
-
-    DATA_2 = ("data 2 hive=0 locality=0 strength=100 quality=100 size=9 "
-              "original=9 last_access=0")
-
-    # ``declared`` is line 5, blank or one more neuron
-    @pytest.mark.parametrize("declared, line, reason", [
-        ("", "edge 1 2 weight=1 last_access=0",
-         "neuron 2 is not a declared cue or data neuron"),
-        ("", "order 2 1:1", "neuron 2 is not a declared cue neuron"),
-        ("", "order 1 1:1", "neuron 1 is not a declared data neuron"),
-        ("cue 2 hive=0 label=- default=1", "edge 1 2 weight=1 last_access=0",
-         "edge 1 2 joins two cue neurons"),
-        (DATA_2, "edge 2 2 weight=1 last_access=0",
-         "edge 2 2 joins two data neurons"),
-    ])
-    def test_line_naming_an_undeclared_neuron_exits_2(self, tmp_path, capsys,
-                                                       declared, line, reason):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("\n".join(["neuralstore-snapshot 1", *self.GOOD_LINES,
-                                   declared, line]) + "\n")
-        assert main(["inspect", "--snapshot", str(bad)]) == 2
-        assert capsys.readouterr().err == f"error: snapshot line 6: {reason}\n"
-
-    EDGE_1_2 = "edge 1 2 weight=3 last_access=0"
-
-    # line 5 declares data neuron 2, line 6 is blank or one more line
-    @pytest.mark.parametrize("edge, line, reason", [
-        ("", "order 1 2:5",
-         "order 1 lists data neuron 2, but no earlier edge joins them"),
-        (EDGE_1_2, "order 1 2:5",
-         "order 1 gives data neuron 2 weight 5.0, but their edge has weight 3.0"),
-        (EDGE_1_2, "order 1 2:3,2:3", "order 1 repeats data neuron 2"),
-        ("cue 3 hive=0 label=- default=1", "order 3 2:3",
-         "order 3 lists data neuron 2, but no earlier edge joins them"),
-    ])
-    def test_order_entry_without_its_edge_exits_2(self, tmp_path, capsys,
-                                                   edge, line, reason):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("\n".join(["neuralstore-snapshot 1", *self.GOOD_LINES,
-                                   self.DATA_2, edge, line]) + "\n")
-        assert main(["inspect", "--snapshot", str(bad)]) == 2
-        assert capsys.readouterr().err == f"error: snapshot line 7: {reason}\n"
-
-    # lines 5-7 declare data neuron 2, its edge from cue 1 and cue 1's order;
-    # line 8 repeats one of them or names a locality no line declares
-    @pytest.mark.parametrize("line, reason", [
-        (DATA_2, "neuron 2 is declared twice"),
-        ("cue 2 hive=0 label=- default=1", "neuron 2 is declared twice"),
-        ("locality 0 hive=0 memory_decay=1 association_decay=0 default_cue=-",
-         "locality 0 is declared twice"),
-        ("edge 1 2 weight=5 last_access=0", "edge 1 2 repeats an earlier edge"),
-        ("edge 2 1 weight=3 last_access=0", "edge 2 1 repeats an earlier edge"),
-        ("order 1 2:3", "cue 1 has a second order"),
-        ("data 3 hive=0 locality=1 strength=100 quality=100 size=9 "
-         "original=9 last_access=0",
-         "data neuron 3 names locality 1, which no earlier line declares"),
-    ])
-    def test_repeated_line_or_undeclared_locality_exits_2(self, tmp_path,
-                                                          capsys, line, reason):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("\n".join(["neuralstore-snapshot 1", *self.GOOD_LINES,
-                                   self.DATA_2, self.EDGE_1_2, "order 1 2:3",
-                                   line]) + "\n")
+        bad.write_text("\n".join(lines) + "\n")
         assert main(["inspect", "--snapshot", str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: snapshot line 8: {reason}\n"
+        return captured.err
+
+    @pytest.mark.parametrize("line, reason", [
+        ("cue", "malformed cue line 'cue'"),
+        ("edge 1", "malformed edge line 'edge 1'"),
+        ("order", "expected the end of the document, found 'order\\n'"),
+        ("hive", "expected the end of the document, found 'hive\\n'"),
+        ("data x", "malformed data line 'data x'"),
+        ("order 3 5:abc",
+         "expected the end of the document, found 'order 3 5:abc\\n'"),
+        ("bogus 1", "expected the end of the document, found 'bogus 1\\n'"),
+    ])
+    def test_malformed_line_exits_2_naming_the_line(self, tmp_path, capsys,
+                                                    line, reason):
+        assert self.refusal(tmp_path, capsys, [*self.HEAD, line]) == \
+            f"error: snapshot line 4: {reason}\n"
+
+    # lines 4 and 5 declare the cues "deer" and "fawn"; line 6 is the last
+    CUES = ["cue 0 label=deer default=0", "cue 1 label=fawn default=0"]
+
+    @pytest.mark.parametrize("line, reason", [
+        ("data 2", "malformed data line 'data 2'"),
+        ("data 2 locality=0 strength=100 quality=100 size=9",
+         "malformed data line 'data 2 locality=0 strength=100 quality=100 "
+         "size=9'"),
+        ("data 2 locality=0 strength=high quality=100 size=9 original=9 "
+         "last_access=0",
+         "malformed data line 'data 2 locality=0 strength=high quality=100 "
+         "size=9 original=9 last_access=0'"),
+        ("data 2 locality=0.5 strength=1 quality=1 size=9 original=9 "
+         "last_access=0",
+         "malformed data line 'data 2 locality=0.5 strength=1 quality=1 "
+         "size=9 original=9 last_access=0'"),
+        ("cue 3 default=yes", "malformed cue line 'cue 3 default=yes'"),
+        ("cue 3 label=- default=yes",
+         "a cue has the label - if and only if a locality names it its "
+         "default cue"),
+        ("params eta=20 epsilon=1 phi=1",
+         "expected 'order 0 \\n', found 'params eta=20 epsilon=1 phi=1\\n'"),
+        ("locality 0 memory_decay=0.5 association_decay=0 default_cue=x",
+         "expected 'order 0 \\n', found 'locality 0 memory_decay=0.5 "
+         "association_decay=0 default_cue=x\\n'"),
+        ("edge 1 1 weight=1", "malformed edge line 'edge 1 1 weight=1'"),
+    ])
+    def test_line_without_its_fields_exits_2(self, tmp_path, capsys, line,
+                                             reason):
+        assert self.refusal(tmp_path, capsys, [*self.HEAD, *self.CUES, line]) \
+            == f"error: snapshot line 6: {reason}\n"
+
+    DATA_1 = ("data 1 locality=0 strength=100 quality=100 size=9 original=9 "
+              "last_access=0")
+
+    # line 5 is one more neuron; line 6 is the last
+    @pytest.mark.parametrize("declared, line, reason", [
+        (CUES[1], "edge 0 2 weight=1 last_access=0",
+         "edge 0 2 does not join one cue and one data neuron"),
+        (CUES[1], "order 2 1:1",
+         "expected 'order 0 \\n', found 'order 2 1:1\\n'"),
+        (CUES[1], "order 1 1:1",
+         "expected 'order 0 \\n', found 'order 1 1:1\\n'"),
+        (CUES[1], "edge 0 1 weight=1 last_access=0",
+         "edge 0 1 does not join one cue and one data neuron"),
+        (DATA_1, "edge 1 1 weight=1 last_access=0",
+         "edge 1 1 does not join one cue and one data neuron"),
+        (DATA_1, "edge 0 -1 weight=1 last_access=0",
+         "edge 0 -1 does not join one cue and one data neuron"),
+    ])
+    def test_line_naming_an_undeclared_neuron_exits_2(self, tmp_path, capsys,
+                                                       declared, line, reason):
+        assert self.refusal(tmp_path, capsys,
+                            [*self.HEAD, self.CUES[0], declared, line]) == \
+            f"error: snapshot line 6: {reason}\n"
+
+    DATA_2 = ("data 2 locality=0 strength=100 quality=100 size=9 original=9 "
+              "last_access=0")
+    EDGE_0_1 = "edge 0 1 weight=3 last_access=0"
+
+    # an order line is written from the edges, so an order at line 7 that
+    # lists a data neuron without its edge, at another weight than its edge
+    # or twice differs from the line written there
+    @pytest.mark.parametrize("default, lines, expected", [
+        ("-", [*CUES, DATA_2, "order 0 2:5"], "order 0 "),
+        ("-", [CUES[0], DATA_1, EDGE_0_1, "order 0 1:5"], "order 0 1:3"),
+        ("-", [CUES[0], DATA_1, EDGE_0_1, "order 0 1:3,1:3"], "order 0 1:3"),
+        ("2", [CUES[0], DATA_1, "cue 2 label=- default=1", "order 2 1:3"],
+         "order 0 "),
+    ])
+    def test_order_entry_without_its_edge_exits_2(self, tmp_path, capsys,
+                                                   default, lines, expected):
+        head = [*self.HEAD[:2],
+                self.HEAD[2].replace("default_cue=-", f"default_cue={default}")]
+        assert self.refusal(tmp_path, capsys, [*head, *lines]) == (
+            f"error: snapshot line 7: expected {expected + chr(10)!r}, "
+            f"found {lines[-1] + chr(10)!r}\n")
+
+    # lines 4-7 declare cue 0, data neuron 1, their edge and cue 0's order;
+    # line 8 repeats one of them, or declares a neuron in a locality no line
+    # declares, after the place where its kind is written
+    @pytest.mark.parametrize("line", [
+        DATA_1,
+        "cue 1 label=- default=1",
+        "locality 0 memory_decay=1 association_decay=0 default_cue=-",
+        "edge 0 1 weight=5 last_access=0",
+        "edge 1 0 weight=3 last_access=0",
+        "order 0 1:3",
+        "data 2 locality=1 strength=100 quality=100 size=9 original=9 "
+        "last_access=0",
+    ])
+    def test_repeated_line_or_undeclared_locality_exits_2(self, tmp_path,
+                                                          capsys, line):
+        assert self.refusal(tmp_path, capsys, [
+            *self.HEAD, self.CUES[0], self.DATA_1, self.EDGE_0_1,
+            "order 0 1:3", line]) == (
+            f"error: snapshot line 8: expected the end of the document, "
+            f"found {line + chr(10)!r}\n")
+
+    # a line repeated where its kind is written is refused at the repeat
+    @pytest.mark.parametrize("lines, number, expected", [
+        (["locality 0 memory_decay=0.5 association_decay=0 default_cue=-"], 4,
+         "locality 1 memory_decay=0.5 association_decay=0 default_cue=-"),
+        ([CUES[0], DATA_1, DATA_1], 6, DATA_1.replace("data 1", "data 2")),
+        ([CUES[0], DATA_1, EDGE_0_1, "edge 0 1 weight=5 last_access=0"], 7,
+         "order 0 1:3"),
+        ([CUES[0], DATA_1, EDGE_0_1, "edge 1 0 weight=3 last_access=0"], 7,
+         "order 0 1:3"),
+    ])
+    def test_line_repeated_in_its_place_exits_2(self, tmp_path, capsys, lines,
+                                                number, expected):
+        assert self.refusal(tmp_path, capsys, [*self.HEAD, *lines]) == (
+            f"error: snapshot line {number}: expected {expected + chr(10)!r}, "
+            f"found {lines[-1] + chr(10)!r}\n")
+
+    def test_data_neuron_in_an_undeclared_locality_exits_2(self, tmp_path,
+                                                           capsys):
+        assert self.refusal(tmp_path, capsys, [
+            *self.HEAD, self.CUES[0], self.DATA_1.replace("locality=0",
+                                                          "locality=1")]) == (
+            "error: snapshot line 5: locality 1 is not declared\n")
 
     def test_order_entry_matches_an_edge_written_data_end_first(self, tmp_path,
                                                                 capsys):
         good = tmp_path / "good.txt"
         good.write_text("\n".join([
-            "neuralstore-snapshot 1", *self.GOOD_LINES, self.DATA_2,
-            "cue 3 hive=0 label=- default=1", self.EDGE_1_2,
-            "edge 2 3 weight=2.5 last_access=0", "order 1 2:3",
-            "order 3 2:2.5"]) + "\n")
+            *self.HEAD[:2],
+            "locality 0 memory_decay=0.5 association_decay=0 default_cue=2",
+            self.CUES[0], self.DATA_1, "cue 2 label=- default=1",
+            self.EDGE_0_1, "edge 1 2 weight=2.5 last_access=0", "order 0 1:3",
+            "order 2 1:2.5"]) + "\n")
         assert main(["inspect", "--snapshot", str(good)]) == 0
         capsys.readouterr()
 
     def test_bare_lines_once_rendered_as_none_exit_2(self, tmp_path, capsys):
         # data and edge lines without their fields, and an edge to a neuron
         # no line declares, once rendered as None
-        bad = tmp_path / "bad.txt"
-        bad.write_text("neuralstore-snapshot 1\ndata 1\nedge 1 2\n"
-                       "cue 3 default=yes\n")
-        assert main(["inspect", "--snapshot", str(bad)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == \
+        assert self.refusal(tmp_path, capsys, [
+            "neuralstore-snapshot 2", "data 1", "edge 1 2",
+            "cue 3 default=yes"]) == \
             "error: snapshot line 2: malformed data line 'data 1'\n"
 
     def test_non_integer_version_exits_2_naming_the_line(self, tmp_path,
                                                           capsys):
+        assert self.refusal(tmp_path, capsys, ["neuralstore-snapshot x"]) == (
+            "error: snapshot line 1: version x unsupported (expected 2)\n")
+
+    # lines 3-6 of a snapshot that ``inspect`` once printed with exit 0, with
+    # its hive fields (the memory writes none) and a locality whose default
+    # cue no line declares
+    FOUND = ["locality 0 hive=3 memory_decay=0.5 association_decay=0 "
+             "default_cue=9",
+             "cue 0 hive=5 label=deer default=0",
+             "data 1 hive=7 locality=0 strength=100 quality=100 size=9 "
+             "original=9 last_access=0",
+             "order 0 "]
+
+    @pytest.mark.parametrize("number", [3, 4, 5])
+    def test_hive_field_exits_2_naming_its_line(self, tmp_path, capsys, number):
+        lines = [*self.HEAD[:2],
+                 *(re.sub(" hive=.", "", line) for line in self.FOUND)]
+        lines[number - 1] = self.FOUND[number - 3]
+        kind = lines[number - 1].split()[0]
+        assert self.refusal(tmp_path, capsys, lines) == (
+            f"error: snapshot line {number}: malformed {kind} line "
+            f"{lines[number - 1]!r}\n")
+
+    def test_undeclared_default_cue_exits_2_naming_its_locality(self, tmp_path,
+                                                                capsys):
+        assert self.refusal(tmp_path, capsys, [
+            *self.HEAD[:2], *(re.sub(" hive=.", "", line) for line in self.FOUND)
+        ]) == "error: snapshot line 3: default cue 9 is not a declared cue\n"
+        # a data neuron is no cue either
+        assert self.refusal(tmp_path, capsys, [
+            *self.HEAD[:2], *(re.sub(" hive=.", "", line).replace(
+                "default_cue=9", "default_cue=1") for line in self.FOUND)
+        ]) == "error: snapshot line 3: default cue 1 is not a declared cue\n"
+
+    def test_format_1_snapshot_exits_2_naming_its_version(self, tmp_path,
+                                                          capsys):
+        assert self.refusal(tmp_path, capsys, [
+            "neuralstore-snapshot 1",
+            "hive 0 modality=blob eta=20 epsilon=1 phi=1 retention=500",
+            *self.FOUND]) == \
+            "error: snapshot line 1: version 1 unsupported (expected 2)\n"
+
+    # each line is line 6, after the cues of lines 4 and 5
+    @pytest.mark.parametrize("line, reason", [
+        # a number written other than as the memory writes it
+        (DATA_2.replace("strength=100", "strength=1.0"),
+         f"expected {DATA_2.replace('strength=100', 'strength=1') + chr(10)!r}"
+         f", found {DATA_2.replace('strength=100', 'strength=1.0') + chr(10)!r}"),
+        (DATA_2.replace("size=9", "size=+9"),
+         f"expected {DATA_2 + chr(10)!r}, found "
+         f"{DATA_2.replace('size=9', 'size=+9') + chr(10)!r}"),
+        # a label written other than as the memory writes it
+        ("cue 2 label=%41 default=0",
+         "expected 'cue 2 label=A default=0\\n', found "
+         "'cue 2 label=%41 default=0\\n'"),
+        # a number that is not finite
+        (DATA_2.replace("strength=100", "strength=nan"),
+         f"malformed data line {DATA_2.replace('strength=100', 'strength=nan')!r}"),
+        (DATA_2.replace("quality=100", "quality=inf"),
+         f"malformed data line {DATA_2.replace('quality=100', 'quality=inf')!r}"),
+        # a blank line, and a line with a trailing space
+        ("", "expected 'order 0 \\n', found '\\n'"),
+        ("cue 2 label=x default=0 ",
+         "expected 'cue 2 label=x default=0\\n', found "
+         "'cue 2 label=x default=0 \\n'"),
+    ])
+    def test_text_the_memory_never_writes_exits_2(self, tmp_path, capsys, line,
+                                                  reason):
+        assert self.refusal(tmp_path, capsys, [*self.HEAD, *self.CUES, line]) \
+            == f"error: snapshot line 6: {reason}\n"
+
+    @pytest.mark.parametrize("text, reason", [
+        ("neuralstore-snapshot 2\nparams eta=20 epsilon=1 phi=1 "
+         "retention=500\n\n", "snapshot line 3: expected the end of the "
+         "document, found '\\n'"),
+        ("neuralstore-snapshot 2\nparams eta=20 epsilon=1 phi=1 retention=500",
+         "snapshot line 2: expected 'params eta=20 epsilon=1 phi=1 "
+         "retention=500\\n', found 'params eta=20 epsilon=1 phi=1 "
+         "retention=500'"),
+        ("neuralstore-snapshot 2\n", "snapshot line 2: no params line"),
+        ("neuralstore-snapshot 2\nparams eta=-0 epsilon=1 phi=1 "
+         "retention=500\n", "snapshot line 2: expected 'params eta=0 "
+         "epsilon=1 phi=1 retention=500\\n', found 'params eta=-0 epsilon=1 "
+         "phi=1 retention=500\\n'"),
+    ])
+    def test_whole_text_is_compared(self, tmp_path, capsys, text, reason):
         bad = tmp_path / "bad.txt"
-        bad.write_text("neuralstore-snapshot x\n")
+        bad.write_bytes(text.encode())
         assert main(["inspect", "--snapshot", str(bad)]) == 2
-        assert capsys.readouterr().err == (
-            "error: snapshot line 1: version 'x' is not an integer\n")
+        assert capsys.readouterr().err == f"error: {reason}\n"
 
     def test_missing_file_exits_4(self, tmp_path, capsys):
         assert main(["inspect", "--snapshot", str(tmp_path / "nope.txt")]) == 4

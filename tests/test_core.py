@@ -15,6 +15,7 @@ from neuralstore.core import (
     SnapshotFormatError,
     clamp_strength,
     clamp_weight,
+    format_snapshot,
     parse_snapshot,
     render_dot,
 )
@@ -216,21 +217,23 @@ class TestExports:
         doc = parse_snapshot(engine.memory.export_graph("snapshot"))
         data = [n for n in doc.neurons if n["kind"] == "data"]
         cues = [n for n in doc.neurons if n["kind"] == "cue"]
-        defaults = [n for n in cues if n["default"] == "1"]
+        defaults = [n for n in cues if n["label"] is None]
         assert len(data) == 3
-        assert sum(n["locality"] == "0" for n in data) == 2
-        assert sum(n["locality"] == "1" for n in data) == 1
+        assert sum(n["locality"] == 0 for n in data) == 2
+        assert sum(n["locality"] == 1 for n in data) == 1
         assert len(defaults) == 2
-        assert [n["label"] for n in cues if n["default"] == "0"] == ["wolf"]
-        assert all(e["weight"] == "1" for e in doc.edges)
+        assert [n["label"] for n in cues if n["label"] is not None] == ["wolf"]
+        assert all(e["weight"] == 1 for e in doc.edges.values())
 
     def test_empty_memory_export_is_header_only(self):
         memory = make_memory()
         text = memory.export_graph("snapshot")
         lines = text.strip().splitlines()
-        assert lines[0].startswith("neuralstore-snapshot 1")
-        # hive/locality description only, no neurons/edges/orders
-        assert all(ln.split()[0] in ("hive", "locality") for ln in lines[1:])
+        assert lines[0] == "neuralstore-snapshot 2"
+        # params and locality description only, no neurons/edges/orders
+        assert [ln.split()[0] for ln in lines[1:]] == [
+            "params", "locality", "locality"]
+        assert parse_snapshot(text) == memory._snapshot_doc()
 
     def test_export_deterministic(self):
         engine, _, _, _ = build_walkthrough()
@@ -245,11 +248,15 @@ class TestExports:
         dot = memory.export_graph("dot").splitlines()
         assert dot[2] == '  n0 [label="a \\"b\\" \\\\ c\\n#0" shape=ellipse];'
         assert dot[4] == '  n2 [label="default\\n#2" shape=doublecircle];'
-        # only a snapshot can hold a cue with no label that is not a default
+        # the memory writes no cue without a label that is not a default,
+        # so a snapshot holding one is refused
         text = memory.export_graph("snapshot").replace(
-            "cue 0 hive=0 label=a%20%22b%22%20%5C%20c", "cue 0 hive=0 label=-")
-        dot = render_dot(parse_snapshot(text)).splitlines()
-        assert dot[2] == '  n0 [label="cue\\n#0" shape=ellipse];'
+            "cue 0 label=a%20%22b%22%20%5C%20c", "cue 0 label=-")
+        with pytest.raises(SnapshotFormatError) as caught:
+            parse_snapshot(text)
+        assert str(caught.value) == (
+            "snapshot line 5: a cue has the label - if and only if a locality "
+            "names it its default cue")
 
     def test_unknown_format_rejected(self):
         memory = make_memory()
@@ -260,21 +267,61 @@ class TestExports:
         engine, _, _, _ = build_walkthrough()
         text = engine.memory.export_graph("snapshot")
         doc = parse_snapshot(text)
-        assert doc.version == 1
         assert len(doc.neurons) == neuron_count(engine.memory)
         assert len(doc.edges) == len(engine.memory.weights)
         assert doc.orders  # search orders present after bootstrap
+        # the orders derived from the edges are the maintained ones
+        assert doc == engine.memory._snapshot_doc()
+        assert format_snapshot(doc) == text
+        assert render_dot(doc) == engine.memory.export_graph("dot")
 
-    def test_keys_a_snapshot_does_not_always_carry_are_read_as_text(self):
+    def test_a_key_the_memory_never_writes_is_refused(self):
         engine, _, _, _ = build_walkthrough()
         text = engine.memory.export_graph("snapshot")
-        doc = parse_snapshot(text.replace(" retention=", " full_graph=1 retention="))
-        assert doc.hives[0]["full_graph"] == "1"
-        assert render_dot(doc) == engine.memory.export_graph("dot")
+        params = text.splitlines()[1]
+        with pytest.raises(SnapshotFormatError) as caught:
+            parse_snapshot(text.replace(" retention=", " full_graph=1 retention="))
+        assert str(caught.value) == (
+            f"snapshot line 2: malformed params line "
+            f"{params.replace(' retention=', ' full_graph=1 retention=')!r}")
+
+    def test_near_tied_weights_are_written_apart(self):
+        # two edges of one cue whose weights differ in their 16th digit: at
+        # ten digits both read 19.98, and the order derived from them puts
+        # dn 0 first where the memory keeps dn 3 first
+        memory = make_memory()
+        dn0 = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
+        memory.add_cue_neuron("x")
+        dn3 = memory.add_data_neuron(0, payload(90), feat(memory, payload(90).blob))
+        cue = memory.localities[0].default_cue_id
+        assert (dn0, cue, dn3) == (0, 1, 3)
+        for dn in (dn0, dn3):
+            memory.adjust_association(cue, dn, -19.0)
+        memory.adjust_association(cue, dn0, 0.01)
+        memory.adjust_association(cue, dn0, 0.01)
+        memory.adjust_association(cue, dn3, 0.02)
+        assert memory.weights[cue, dn0] == 19.979999999999997
+        assert memory.weights[cue, dn3] == 19.98
+        text = memory.export_graph("snapshot")
+        doc = parse_snapshot(text)
+        assert doc.orders[cue] == [(dn3, 19.98), (dn0, 19.979999999999997)]
+        assert format_snapshot(doc) == text
+        assert "order 1 3:19.98,0:19.979999999999997\n" in text
+
+    def test_only_newlines_end_lines(self):
+        engine, _, _, _ = build_walkthrough()
+        text = engine.memory.export_graph("snapshot")
+        with pytest.raises(SnapshotFormatError) as caught:
+            parse_snapshot(text.replace("\n", "\r\n"))
+        assert str(caught.value) == (
+            "snapshot line 1: expected 'neuralstore-snapshot 2\\n', "
+            "found 'neuralstore-snapshot 2\\r\\n'")
 
     def test_version_mismatch_rejected(self):
         with pytest.raises(SnapshotFormatError):
             parse_snapshot("neuralstore-snapshot 99\n")
+        with pytest.raises(SnapshotFormatError):
+            parse_snapshot("neuralstore-snapshot 1\n")
         with pytest.raises(SnapshotFormatError):
             parse_snapshot("something else\n")
         with pytest.raises(SnapshotFormatError):

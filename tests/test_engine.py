@@ -720,7 +720,7 @@ class TestLocalityId:
         before = TestCueLabel.state(self, engine)
         with pytest.raises(ConfigurationError) as caught:
             engine.bootstrap_store(blob(1), "hot", locality_id=locality_id)
-        assert str(caught.value) == f"unknown locality {locality_id} in hive 0"
+        assert str(caught.value) == f"unknown locality {locality_id}"
         assert TestCueLabel.state(self, engine) == before
 
 

@@ -123,11 +123,34 @@ def test_generate_matches_its_pins(tmp_path, capsys, name):
 
 
 def test_printed_payload_digest_leaves_out_older_files(tmp_path, capsys):
-    # the 200 payload files of the desk corpus stay in the directory, and
-    # the odd spec's few overwrite some of them
+    # a file in the payload directory that is no payload file stays there,
+    # and the printed digest leaves it out
     out = tmp_path / "data"
     assert main(["generate", "--preset", "wildlife-deer", "--out", str(out)]) == 0
+    (out / "payloads" / "notes.txt").write_text("not a payload")
     assert main(["generate", *_config(tmp_path, "odd"), "--out", str(out)]) == 0
-    assert len(list((out / "payloads").iterdir())) == 200
+    assert (out / "payloads" / "notes.txt").read_text() == "not a payload"
     assert capsys.readouterr().out.splitlines()[-1] == \
         f"{out / 'payloads'}  sha256={PINS['odd']['payloads']}"
+
+
+def _files(out: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(out)): path.read_bytes()
+            for path in out.rglob("*") if path.is_file()}
+
+
+def test_generate_over_a_larger_corpus_writes_a_fresh_directory(tmp_path,
+                                                                capsys):
+    # a 40-item corpus generated over the 200-item desk output leaves the
+    # same files as in a directory of its own (``diff -r`` finds nothing)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"preset": "wildlife-deer",
+                                  "workload": {"n_items": 40}}))
+    over, fresh = tmp_path / "over", tmp_path / "fresh"
+    assert main(["generate", "--preset", "wildlife-deer", "--out", str(over)]) == 0
+    assert len(list((over / "payloads").iterdir())) == 200
+    for out in (over, fresh):
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(list((fresh / "payloads").iterdir())) == 40
+    assert _files(over) == _files(fresh)

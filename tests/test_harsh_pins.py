@@ -41,7 +41,7 @@ RUN_PINS = {
     "oplog-ns.jsonl":
         "d31c3aea473624644cd08ae731ce403712ce9db32aeac59674a36d9d1058f65a",
     "snapshot.txt":
-        "9635c312339e8dba135dae85c90c44515bfb4eb80e5a938a868240a008b2bb22",
+        "0a8f6dd04664a257acb462b86f48c60d5e646d10f0c51a3a5807c0cd36d72915",
 }
 
 COMPARE_PINS = {
@@ -71,7 +71,7 @@ SCALE_RUN_PINS = {
     "oplog-ns.jsonl":
         "a51fd54edb29548c69602b4d00ab904bc8c48761d3afac9f8c3a033036424454",
     "snapshot.txt":
-        "a70ef8e94a527eb5be4cf93bda413700e8879544e9edd7b79e1eed66932991d8",
+        "98ca7733dc33a4526859b1a9698b6d78eddd1606359c29ab14032b58250c5f1e",
 }
 
 

@@ -439,7 +439,7 @@ def reference_ensure_capacity(engine, bytes_needed: int,
             if free() >= bytes_needed:
                 return
     raise StorageFullError(
-        f"hive 0: need {bytes_needed} bytes, "
+        f"need {bytes_needed} bytes, "
         f"only {free()} free at maximum elasticity")
 
 
