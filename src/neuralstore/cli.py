@@ -44,6 +44,7 @@ from neuralstore.workload import (
     payload_file,
     read_manifest,
     read_trace,
+    read_utf8,
     replay,
     write_log,
     write_manifest,
@@ -124,13 +125,11 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _load(args)
+    fractions, name = config.cap_fractions, "compare.cap_fractions"
     if args.caps is not None:
-        check_cap_fractions(args.caps, "--caps")
-    corpus = read_manifest(_resolve_manifest(args))
-    if args.caps:
         fractions, name = args.caps, "--caps"
-    else:
-        fractions, name = config.cap_fractions, "compare.cap_fractions"
+        check_cap_fractions(fractions, name)
+    corpus = read_manifest(_resolve_manifest(args))
     caps = cap_bytes(fractions, corpus.total_bytes(), name)
     records = read_trace(Path(args.trace))
     if records[-1].seq < config.warmup_ops:
@@ -162,7 +161,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    doc = parse_snapshot(Path(args.snapshot).read_text())
+    doc = parse_snapshot(read_utf8(Path(args.snapshot)))
     rendered = render_dot(doc) if args.format == "dot" else render_text(doc)
     if args.out is not None:
         Path(args.out).write_text(rendered)

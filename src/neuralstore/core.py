@@ -21,11 +21,12 @@ the stored quality and size columns where the quality falls:
 once (retention), and ``lower_to_floors``, the elasticity walk, which
 lowers the strengths of each ``(locality, ceiling)`` step above its floor
 and stops once the bytes freed cover the shortfall it is given.
-``reinforce`` restores a strength to 100, and ``set_payload`` replaces a
-payload.  None of them touches a payload object: ``Memory.payloads`` holds
-each row's payload as last stored or read, and ``Memory.payload`` rebuilds
-it at the row's quality and size only when its quality differs from the
-row's, which it does exactly when the row was lowered since.
+``reward``, a hit's reaction, restores a strength to 100, and
+``set_payload`` replaces a payload.  None of them touches a payload object:
+``Memory.payloads`` holds each row's payload as last stored or read, and
+``Memory.payload`` and ``reward`` rebuild it at the row's quality and size
+only when its quality differs from the row's, which it does exactly when
+the row was lowered since.
 
 A memory holds its hyperparameters and feature extractor; localities
 partition the data neurons by data kind and carry the decay
@@ -51,7 +52,9 @@ place.  The orders are therefore always current.
 A snapshot is the text ``format_snapshot`` writes for the plain
 :class:`SnapshotDoc` the memory builds of its state, and
 ``parse_snapshot`` accepts only a text that ``format_snapshot`` writes
-again, byte for byte, for the data it read.
+again, byte for byte, for the data it read, and whose data neurons keep
+the invariants above: a strength in ``[phi, 100]``, a stored size no
+larger than the original, and an edge from their locality's default cue.
 
 All weight and strength updates go through the two clamp rules
 
@@ -134,8 +137,6 @@ def fits_type(value, hint) -> bool:
         return isinstance(value, numbers.Integral)
     if hint is float:
         return isinstance(value, (numbers.Integral, float))
-    if hint is type(None):
-        return value is None
     return isinstance(value, hint)
 
 
@@ -300,10 +301,9 @@ class HiveParams:
             values = value if isinstance(value, (list, tuple)) else [value]
             if any(map(non_finite, values)):
                 problems.append(f"{name} must be finite")
-        if any(r < 0 for r in self.memory_decay_rates):
-            problems.append("memory_decay_rates must be >= 0")
-        if any(r < 0 for r in self.association_decay_rates):
-            problems.append("association_decay_rates must be >= 0")
+        for name in ("memory_decay_rates", "association_decay_rates"):
+            if any(r < 0 for r in getattr(self, name)):
+                problems.append(f"{name} must be >= 0")
         if self.eta <= 0:
             problems.append("eta must be > 0")
         if self.epsilon < 0:
@@ -457,8 +457,7 @@ class Memory:
         if (isinstance(locality_id, bool)
                 or not isinstance(locality_id, numbers.Integral)
                 or not 0 <= locality_id < len(self.localities)):
-            raise ConfigurationError(
-                f"unknown locality {locality_id}")
+            raise ConfigurationError(f"unknown locality {locality_id}")
         return self.localities[locality_id]
 
     def _row(self, dn_id: int) -> int:
@@ -477,7 +476,9 @@ class Memory:
         size is a prefix of the one before, so the payload is rebuilt from
         the last one read exactly when their qualities differ.
         """
-        row = self._row(dn_id)
+        return self._payload_at(self._row(dn_id))
+
+    def _payload_at(self, row: int) -> Payload:
         p = self.payloads[row]
         quality = self.quality.item(row)
         if p.quality != quality:
@@ -545,12 +546,39 @@ class Memory:
             self._move_entry(cue_id, dn_id, old, new)
         return new
 
+    def reward(self, cue_id: int, dn_id: int) -> Payload:
+        """A hit's reaction in one call: strengthen the association by eta,
+        as ``adjust_association(cue_id, dn_id, -eta)`` does, restore the data
+        neuron's strength to 100, mark its row accessed at the current op,
+        and return its payload as :meth:`payload` reads it.
+
+        A strength in ``[phi, 100]`` clamps to exactly 100, as
+        ``adjust_strength(dn_id, -100.0)`` would, which lowers no stored
+        quality, so the payload is rebuilt only if the row was lowered
+        before.  KeyError as ``adjust_association`` raises it.
+        """
+        key = cue_id, dn_id
+        old = self.weights.get(key)
+        if old is None:
+            self._edge(cue_id, dn_id)
+            raise KeyError(f"no association from {cue_id} to {dn_id}")
+        # clamp_weight(epsilon, old, -eta): old - -eta is old + eta exactly
+        new = self.weights[key] = max(self.params.epsilon, old + self.params.eta)
+        op = self.edge_access[key] = self.op_counter
+        if new != old:
+            self._move_entry(cue_id, dn_id, old, new)
+        row = self.row_of[dn_id]
+        self.strength[row] = 100.0
+        self.last_access[row] = op
+        return self._payload_at(row)
+
     def _move_entry(self, cue_id: int, dn_id: int, old: float,
                     new: float) -> None:
         """Move the association's entry in its cue's order from weight
         ``old`` to ``new``."""
         order = self.search_order[cue_id]
-        entry = SearchEntry(cue_id, dn_id, new)
+        # SearchEntry(cue_id, dn_id, new), without its Python-level __new__
+        entry = tuple.__new__(SearchEntry, (-new, dn_id, cue_id))
         i = bisect_left(order, (-old, dn_id))
         # keys are distinct, so an entry strictly between its neighbours
         # keeps its place
@@ -573,17 +601,13 @@ class Memory:
         new = clamp_strength(self.params.phi, self.strength.item(row), delta)
         self.strength[row] = new
         if new < self.quality.item(row):
-            self._lower(row, new)
+            keep = self.keep.item(row)
+            kept = min(keep, math.ceil(
+                self.original_size.item(row) * new / 100.0))
+            self.quality[row] = new
+            self.keep[row] = kept
+            self._bytes -= keep - kept
         return new
-
-    def _lower(self, row: int, quality: float) -> None:
-        """Lower a row's stored quality to ``quality``, truncating its size."""
-        keep = self.keep.item(row)
-        kept = min(keep, math.ceil(
-            self.original_size.item(row) * quality / 100.0))
-        self.quality[row] = quality
-        self.keep[row] = kept
-        self._bytes -= keep - kept
 
     def adjust_strengths(self, rows: np.ndarray, strengths: np.ndarray,
                          delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -673,18 +697,6 @@ class Memory:
         self.quality[row] = payload.quality
         self.keep[row] = len(payload.blob)
         self.original_size[row] = len(payload.original)
-
-    def reinforce(self, dn_id: int) -> None:
-        """Restore a data neuron's strength to 100 and mark it accessed at
-        the current op; its stored quality is not resurrected.
-
-        The same as ``adjust_strength(dn_id, -100.0)`` followed by setting
-        the row's last access to the current op: a strength in ``[phi,
-        100]`` clamps to exactly 100, which lowers no stored quality.
-        """
-        row = self._row(dn_id)
-        self.strength[row] = 100.0
-        self.last_access[row] = self.op_counter
 
     # -- export -------------------------------------------------------------
 
@@ -815,7 +827,10 @@ def parse_snapshot(text: str) -> SnapshotDoc:
     finite, a data neuron in an undeclared locality, an edge that does not
     join one cue and one data neuron, a cue labelled ``-`` that no locality
     names its default cue or the reverse, and a locality whose default cue
-    is not a declared cue.
+    is not a declared cue.  It then names the line of the first data
+    neuron that breaks an invariant the memory keeps: a strength outside
+    ``[phi, 100]``, a stored size above the original size, a locality
+    without a default cue, or no edge from that default cue.
     """
     lines = text.splitlines(keepends=True) or [""]
     head = lines[0].split()
@@ -893,6 +908,22 @@ def parse_snapshot(text: str) -> SnapshotDoc:
         if loc["default_cue"] not in {None, *doc.orders}:
             raise SnapshotFormatError(f"snapshot line {number}: default cue "
                                       f"{loc['default_cue']} is not a declared cue")
+    # the memory's invariants, which a text written again byte for byte can
+    # still break, each refused at its data neuron's line
+    phi = doc.params["phi"]
+    for nid, n in enumerate(doc.neurons):
+        if n["kind"] == "cue":
+            continue
+        cue = doc.localities[n["locality"]]["default_cue"]
+        broken = [reason for fails, reason in [
+            (not phi <= n["strength"] <= 100.0, "strength outside [phi, 100]"),
+            (n["size"] > n["original"], "size above the original size"),
+            (cue is None, "its locality has no default cue"),
+            ((cue, nid) not in doc.edges, "no edge from its default cue")] if fails]
+        if broken:
+            raise SnapshotFormatError(
+                f"snapshot line {3 + len(doc.localities) + nid}: data neuron "
+                f"{nid}: {broken[0]}")
     return doc
 
 

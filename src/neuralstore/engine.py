@@ -54,8 +54,9 @@ later retrieve scores only the rows added since.  Those scores may differ
 from a full product's in the last bits, which the ``NEAR_THRESHOLD``
 re-check absorbs, so decisions stay exact.  Reactions run
 only where a weight can change: on the match, and on each examined non-match
-when failure decay is enabled.  A hit's reaction reads its association once
-and its data neuron's row once (``Memory.reinforce``).
+when failure decay is enabled.  A hit's reaction is one ``Memory.reward``
+call, which reads its association once and its data neuron's row once and
+returns the payload the hit reports.
 
 Operation cost is the number of candidate examinations (search-section
 iterations); an engine-wide instrumented counter accumulates the same
@@ -122,6 +123,10 @@ NEAR_THRESHOLD = 1e-9
 # past this many the memo starts over
 FINE_UNIT_MEMO_SIZE = 1024
 
+_FLOAT64 = np.dtype(float)
+# a search entry's dn id
+_DN_ID = itemgetter(1)
+
 
 def _check_cue(cue, op: str) -> None:
     """Refuse a coarse cue that is not one label string."""
@@ -132,15 +137,28 @@ def _check_cue(cue, op: str) -> None:
 
 def _check_fine_cue(fine_cue, dim: int) -> np.ndarray:
     """``fine_cue`` as a float vector; refuse anything that is not one
-    vector of ``dim`` numbers."""
+    vector of ``dim`` numbers.  A float64 ndarray of shape ``(dim,)``, which
+    ``np.asarray`` would return as it is, is returned without the call."""
+    query = fine_cue
     try:
-        query = np.asarray(fine_cue, dtype=float)
+        if type(query) is not np.ndarray or query.dtype is not _FLOAT64:
+            query = np.asarray(fine_cue, dtype=float)
         if query.shape == (dim,):
             return query
     except (TypeError, ValueError):
         pass
     raise ConfigurationError(f"fine_cue must be one vector of {dim} numbers, "
                              f"got {reprlib.repr(fine_cue)}")
+
+
+def _above(order: list[SearchEntry], t1: float) -> list[SearchEntry]:
+    """A fresh list of an order's entries whose weight is above ``t1``:
+    a prefix, as the order descends by weight, found by ``bisect``."""
+    end = len(order)
+    # -entry[0] is its avg_weight
+    if end and not -order[-1][0] > t1:
+        end = bisect_left(order, (-t1, -math.inf))
+    return order[:end]
 
 
 class StorageFullError(RuntimeError):
@@ -238,10 +256,13 @@ class MemoryEngine:
                 f"{op} data must be bytes, bytearray, memoryview or a Payload, "
                 f"got {reprlib.repr(data)}")
         # a strength of 100 stores any quality in range, so a reaction
-        # (Memory.reinforce) never has a quality to lower
+        # (Memory.reward) never has a quality to lower
         if not 0.0 <= data.quality <= 100.0:
             raise ConfigurationError(
                 f"payload quality {data.quality!r} is outside [0, 100]")
+        # a snapshot refuses a stored size above the original size
+        if len(data.blob) > len(data.original):
+            raise ConfigurationError("payload blob is longer than its original")
         return data
 
     # -- search order --------------------------------------------------------
@@ -266,51 +287,42 @@ class MemoryEngine:
         prefixes are joined and cut at the search limit.  The orders share
         no data neuron: a default cue links only its own locality's.
         """
-        memory = self.memory
+        orders = self.memory.search_order
         t1 = self.search.assoc_thresh
         limit = self.controls.search_limit
         if cue_id is not None:
-            orders = (memory.search_order.get(cue_id, []),)
+            out = _above(orders.get(cue_id, []), t1)
         else:
-            orders = [memory.search_order.get(loc.default_cue_id, [])
-                      for loc in memory.localities]
-        out: list[SearchEntry] = []
-        for order in orders:
-            end = len(order)
-            if end and not order[-1].avg_weight > t1:
-                end = bisect_left(order, (-t1, -math.inf))
-            if limit is not None:
-                end = min(end, limit - len(out))
-            if out:
-                out += order[:end]
-            else:
-                out = order[:end]
-        return out
+            out = []
+            for loc in self.memory.localities:
+                out += _above(orders.get(loc.default_cue_id, []), t1)
+        return out if limit is None else out[:limit]
 
     # -- reaction ------------------------------------------------------------
 
-    def reaction(self, target_dn: int, cue_id: int, flag: int) -> None:
+    def reaction(self, target_dn: int, cue_id: int,
+                 flag: int) -> Payload | None:
         """Reward or penalize a candidate reached from ``cue_id`` after a
         search/merge attempt.
 
-        ``flag=1`` strengthens the cue's edge to the target by the memory's
-        eta and restores the target's strength to 100.  ``flag=0`` weakens
-        the edge by eta when failure decay (``controls.weaken_on_fail``) is
-        enabled and otherwise leaves all weights untouched.
+        ``flag=1`` is ``Memory.reward``: it strengthens the cue's edge to
+        the target by the memory's eta, restores the target's strength to
+        100 and returns the target's payload.  ``flag=0`` weakens the edge
+        by eta when failure decay (``controls.weaken_on_fail``) is enabled
+        and otherwise leaves all weights untouched; it returns None.
         """
-        eta = self.params.eta
         memory = self.memory
         try:
-            if flag or self.controls.weaken_on_fail:
-                memory.adjust_association(cue_id, target_dn,
-                                          -eta if flag else eta)
+            if flag:
+                return memory.reward(cue_id, target_dn)
+            if self.controls.weaken_on_fail:
+                memory.adjust_association(cue_id, target_dn, self.params.eta)
             elif (cue_id, target_dn) not in memory.weights:
                 raise KeyError(target_dn)
         except KeyError:
             raise RuntimeError(
                 f"cue {cue_id} has no edge to {target_dn}") from None
-        if flag:
-            memory.reinforce(target_dn)
+        return None
 
     def _link_cue(self, cue: str, cue_id: int | None, dn_id: int) -> None:
         """Associate the op's label with a data neuron at epsilon, through
@@ -405,7 +417,6 @@ class MemoryEngine:
         memory = self.memory
         rows = memory.row_of
         n = len(rows)
-        features = memory.features[:n]
         if memo:
             key = query.tobytes()
             kept = self._fine_units.get(key)
@@ -415,9 +426,10 @@ class MemoryEngine:
                 kept = self._fine_units[key] = (unit_row(query), array("d"))
             unit, scores = kept
             if len(scores) < n:
-                scores.frombytes((features[len(scores):] @ unit).tobytes())
+                scores.frombytes(
+                    (memory.features[len(scores):n] @ unit).tobytes())
         else:
-            scores = (features @ unit_row(query)).tolist()
+            scores = (memory.features[:n] @ unit_row(query)).tolist()
         thresh = self.search.match_thresh
         above, below = thresh + NEAR_THRESHOLD, thresh - NEAR_THRESHOLD
         for i, entry in enumerate(candidates):
@@ -442,7 +454,7 @@ class MemoryEngine:
             # the examined non-matches: all of them when nothing matched
             for entry in candidates[:first]:
                 self.reaction(entry.dn_id, entry.cue_id, flag=0)
-        examined = tuple(map(itemgetter(1), candidates[:cost]))   # dn ids
+        examined = tuple(map(_DN_ID, candidates[:cost]))
         return (None if first is None else candidates[first]), examined
 
     def store(self, data, cue: str, item_id: str | None = None) -> OpOutcome:
@@ -456,25 +468,23 @@ class MemoryEngine:
         cue_id = self.memory.find_cue_by_label(cue)
         match, examined = self._scan(self.get_search_order(cue_id), feature)
         if match is not None:
-            dn_id = match.dn_id
-            self.reaction(dn_id, match.cue_id, flag=1)
+            kind, dn_id = "merged", match[1]
+            stored = self.reaction(dn_id, match[2], flag=1)
             if cue_id is None:
                 self._link_cue(cue, None, dn_id)
-            stored = self.memory.payload(dn_id)
             if payload.quality > stored.quality:
                 # merge refresh: fresher copy wins
                 self.memory.set_payload(dn_id, payload)
                 stored = payload
-            outcome = OpOutcome("merged", dn_id, len(examined), stored,
-                                stored.quality, examined)
         else:
+            kind, stored = "new_neuron", payload
             locality = self.select_locality(cue)
             dn_id = self.memory.add_data_neuron(locality.id, payload, feature)
             self._link_cue(cue, cue_id, dn_id)
-            outcome = OpOutcome("new_neuron", dn_id, len(examined), payload,
-                                payload.quality, examined)
         self._auto_retention()
-        return outcome
+        # a payload never changes, so retention leaves its quality as it was
+        return OpOutcome(kind, dn_id, len(examined), stored, stored.quality,
+                         examined)
 
     def retrieve(self, cue: str, fine_cue=None) -> OpOutcome:
         """Retrieve, under one label, the first candidate matching the fine
@@ -487,19 +497,17 @@ class MemoryEngine:
         cue_id = self.memory.find_cue_by_label(cue)
         match, examined = self._scan(self.get_search_order(cue_id), fine_cue,
                                      memo=True)
+        kind, dn_id, stored, quality = "miss", None, None, None
         if match is not None:
             # a reaction restores strength but never the stored quality
-            stored = self.memory.payload(match.dn_id)
-            self.reaction(match.dn_id, match.cue_id, flag=1)
+            kind, dn_id = "hit", match[1]
+            stored = self.reaction(dn_id, match[2], flag=1)
+            quality = stored.quality
             if cue_id is None:
-                self._link_cue(cue, None, match.dn_id)
-            outcome = OpOutcome("hit", match.dn_id, len(examined), stored,
-                                stored.quality, examined)
-        else:
-            outcome = OpOutcome("miss", None, len(examined), None, None,
-                                examined)
+                self._link_cue(cue, None, dn_id)
         self._auto_retention()
-        return outcome
+        return OpOutcome(kind, dn_id, len(examined), stored, quality,
+                         examined)
 
     def retention(self, n: int | None = None) -> RetentionSummary:
         """Age idle neurons, and idle associations under failure decay;

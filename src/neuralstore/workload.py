@@ -369,6 +369,14 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def write_text(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path``, making its directory; return the path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return path
+
+
 def payload_file(item_id: str) -> str:
     """The name of an item's payload file in a manifest's payload directory."""
     return f"{item_id}.bin"
@@ -383,7 +391,6 @@ def write_manifest(corpus: Corpus, manifest_path: str | Path,
     pair can be moved or shipped together.
     """
     manifest_path = Path(manifest_path)
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
     if payload_dir is not None:
         payload_dir = Path(payload_dir)
         payload_dir.mkdir(parents=True, exist_ok=True)
@@ -404,8 +411,7 @@ def write_manifest(corpus: Corpus, manifest_path: str | Path,
         else:
             row["data_hex"] = item.data.hex()
         lines.append(_dump(row))
-    manifest_path.write_text("\n".join(lines) + "\n")
-    return manifest_path
+    return write_text(manifest_path, "\n".join(lines) + "\n")
 
 
 def read_manifest(manifest_path: str | Path) -> Corpus:
@@ -445,7 +451,6 @@ def read_manifest(manifest_path: str | Path) -> Corpus:
 
 
 def write_trace(records: list[TraceRecord], path: str | Path) -> Path:
-    path = Path(path)
     lines = [_dump({"format": TRACE_FORMAT, "version": FORMAT_VERSION,
                     "records": len(records)})]
     for rec in records:
@@ -459,22 +464,27 @@ def write_trace(records: list[TraceRecord], path: str | Path) -> Path:
         if rec.retention_window is not None:
             row["n"] = rec.retention_window
         lines.append(_dump(row))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_text(path, "\n".join(lines) + "\n")
+
+
+def read_utf8(path: Path) -> str:
+    """A file's text, decoded as strict UTF-8 with its line ends as they
+    are; ``ConfigurationError`` names the file and the line of a byte that
+    is not UTF-8."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigurationError(f"{path}: line {lineno}: not UTF-8 text: "
+                                 f"{exc.reason}") from None
 
 
 def _body_lines(path: Path, noun: str, fmt: str) -> list[tuple[int, str]]:
     """The numbered non-blank lines after the header of a ``noun`` file;
     ``ConfigurationError`` names the file for an empty file or a header of
     another format or version, and the line for text that is not UTF-8."""
-    data = path.read_bytes()
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ConfigurationError(f"{path}: line {lineno}: not UTF-8 text: "
-                                 f"{exc.reason}") from None
+    lines = read_utf8(path).splitlines()
     if not lines:
         raise ConfigurationError(f"{path}: empty {noun}")
     header = _json_row(path, 1, lines[0])
@@ -546,10 +556,7 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
 
 
 def write_log(log: list[dict], path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(_dump(row) for row in log) + ("\n" if log else ""))
-    return path
+    return write_text(path, "".join(_dump(row) + "\n" for row in log))
 
 
 # ---------------------------------------------------------------------------
@@ -578,21 +585,20 @@ class NsReplayAdapter:
         return self.engine.memory.total_bytes()
 
     def do_store(self, rec: TraceRecord, item: ManifestItem) -> dict:
-        outcome = self.engine.store(item.data, rec.coarse_cues[0],
-                                    item_id=item.item_id)
-        return {"kind": outcome.kind, "dn_id": outcome.dn_id,
-                "cost": outcome.cost, "hit": outcome.hit,
-                "examined": list(outcome.examined),
-                "quality": outcome.quality, "fidelity": None}
+        kind, dn_id, cost, _, quality, examined = self.engine.store(
+            item.data, rec.coarse_cues[0], item_id=item.item_id)
+        return {"kind": kind, "dn_id": dn_id, "cost": cost,
+                "hit": kind == "merged", "examined": list(examined),
+                "quality": quality, "fidelity": None}
 
     def do_retrieve(self, rec: TraceRecord, item: ManifestItem) -> dict:
         fine = self._fine_cue(item) if rec.use_fine_cue else None
-        outcome = self.engine.retrieve(rec.coarse_cues[0], fine)
-        fidelity = psnr_fidelity(outcome.payload) if outcome.hit else None
-        return {"kind": outcome.kind, "dn_id": outcome.dn_id,
-                "cost": outcome.cost, "hit": outcome.hit,
-                "examined": list(outcome.examined),
-                "quality": outcome.quality, "fidelity": fidelity}
+        kind, dn_id, cost, payload, quality, examined = self.engine.retrieve(
+            rec.coarse_cues[0], fine)
+        hit = kind == "hit"
+        return {"kind": kind, "dn_id": dn_id, "cost": cost, "hit": hit,
+                "examined": list(examined), "quality": quality,
+                "fidelity": psnr_fidelity(payload) if hit else None}
 
     def do_retention(self, rec: TraceRecord) -> dict:
         summary = self.engine.retention(n=rec.retention_window)

@@ -827,6 +827,82 @@ class TestInspect:
         assert main(["inspect", "--snapshot", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {reason}\n"
 
+    @staticmethod
+    def walkthrough_snapshot(tmp_path, capsys) -> str:
+        """The text of the snapshot a walkthrough run writes."""
+        data, out = tmp_path / "wt", tmp_path / "wt-run"
+        assert main(["generate", "--preset", "walkthrough", "--out",
+                     str(data)]) == 0
+        assert main(["run", "--preset", "walkthrough", "--trace",
+                     str(data / "trace.jsonl"), "--out", str(out)]) == 0
+        capsys.readouterr()
+        return (out / "snapshot.txt").read_text()
+
+    def inspect_bytes(self, tmp_path, capsys, data: bytes) -> tuple[int, str]:
+        """The exit code and error text of ``inspect`` on a file holding
+        ``data``, which prints nothing unless it exits 0."""
+        path = tmp_path / "snap.txt"
+        path.write_bytes(data)
+        code = main(["inspect", "--snapshot", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0 or captured.out == ""
+        return code, captured.err
+
+    def test_crlf_snapshot_exits_2_naming_line_1(self, tmp_path, capsys):
+        text = self.walkthrough_snapshot(tmp_path, capsys)
+        assert self.inspect_bytes(tmp_path, capsys, text.encode())[0] == 0
+        assert self.inspect_bytes(
+            tmp_path, capsys, text.replace("\n", "\r\n").encode()) == (
+            2, "error: snapshot line 1: expected 'neuralstore-snapshot 2\\n', "
+               "found 'neuralstore-snapshot 2\\r\\n'\n")
+
+    def test_non_utf8_snapshot_exits_2_naming_the_file(self, tmp_path, capsys):
+        text = self.walkthrough_snapshot(tmp_path, capsys)
+        # the label "wolf" written as Latin-1 "w\xf6lf" on line 7
+        data = text.replace("label=wolf", "label=w\xf6lf").encode("latin-1")
+        assert self.inspect_bytes(tmp_path, capsys, data) == (
+            2, f"error: {tmp_path / 'snap.txt'}: line 7: not UTF-8 text: "
+               f"invalid start byte\n")
+
+    # edits of the walkthrough snapshot that each break one memory invariant
+    # the comparison cannot see: data 3 is on line 8 and data 4 on line 9
+    @pytest.mark.parametrize("edits, number, reason", [
+        ([("strength=60 quality=60 size=600",
+           "strength=250 quality=60 size=1500")],
+         8, "data neuron 3: strength outside [phi, 100]"),
+        ([("data 3 locality=0 strength=60", "data 3 locality=0 strength=0.5")],
+         8, "data neuron 3: strength outside [phi, 100]"),
+        ([("size=600 original=1000", "size=1500 original=1000")],
+         8, "data neuron 3: size above the original size"),
+        ([("edge 4 5 weight=1 last_access=0\n", ""),
+          ("order 5 4:1\n", "order 5 \n")],
+         9, "data neuron 4: no edge from its default cue"),
+    ])
+    def test_memory_invariant_broken_exits_2_naming_its_line(
+            self, tmp_path, capsys, edits, number, reason):
+        text = self.walkthrough_snapshot(tmp_path, capsys)
+        for old, new in edits:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        assert self.inspect_bytes(tmp_path, capsys, text.encode()) == (
+            2, f"error: snapshot line {number}: {reason}\n")
+
+    def test_data_neuron_without_a_default_cue_exits_2(self, tmp_path, capsys):
+        # the memory makes a locality's default cue, and its edge, with the
+        # locality's first data neuron
+        assert self.refusal(tmp_path, capsys, [
+            *self.HEAD, self.CUES[0], self.DATA_1, self.EDGE_0_1,
+            "order 0 1:3"]) == (
+            "error: snapshot line 5: data neuron 1: its locality has no "
+            "default cue\n")
+        assert self.refusal(tmp_path, capsys, [
+            *self.HEAD[:2],
+            "locality 0 memory_decay=0.5 association_decay=0 default_cue=2",
+            self.CUES[0], self.DATA_1, "cue 2 label=- default=1",
+            self.EDGE_0_1, "order 0 1:3", "order 2 "]) == (
+            "error: snapshot line 5: data neuron 1: no edge from its default "
+            "cue\n")
+
     def test_missing_file_exits_4(self, tmp_path, capsys):
         assert main(["inspect", "--snapshot", str(tmp_path / "nope.txt")]) == 4
         capsys.readouterr()

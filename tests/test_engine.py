@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import reprlib
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from neuralstore.engine import (
     OpControls,
     SearchParams,
     StorageFullError,
+    _check_fine_cue,
     oracle_search_order,
 )
 from neuralstore.workload import item_bytes
@@ -761,3 +763,68 @@ class TestFineCueShape:
         with pytest.raises(ConfigurationError, match="^fine_cue "):
             engine.retrieve("hot", np.ones(3))
         assert engine.memory.op_counter == 0
+
+
+def np_asarray_check(fine_cue, dim: int) -> np.ndarray:
+    """The fine cue check as ``np.asarray`` alone makes it: the reference
+    ``_check_fine_cue`` must agree with on every input."""
+    try:
+        query = np.asarray(fine_cue, dtype=float)
+        if query.shape == (dim,):
+            return query
+    except (TypeError, ValueError):
+        pass
+    raise ConfigurationError(f"fine_cue must be one vector of {dim} numbers, "
+                             f"got {reprlib.repr(fine_cue)}")
+
+
+class TestCheckFineCue:
+    """``_check_fine_cue`` returns a float64 vector of the right shape as it
+    is, and converts or refuses every other input as ``np.asarray`` does."""
+
+    DIM = 8
+
+    @pytest.mark.parametrize("fine", [
+        np.linspace(-1.0, 1.0, DIM),
+        np.linspace(0.0, 1.0, 2 * DIM)[::2],            # a strided view
+        np.linspace(0.0, 1.0, DIM).view(np.ndarray),
+    ])
+    def test_a_float64_vector_is_returned_as_it_is(self, fine):
+        assert _check_fine_cue(fine, self.DIM) is fine
+        assert np_asarray_check(fine, self.DIM) is fine
+
+    @pytest.mark.parametrize("fine", [
+        [1, 2, 3, 4, 5, 6, 7, 8],
+        [0.5] * DIM,
+        tuple(range(DIM)),
+        np.arange(DIM),
+        np.linspace(0.1, 0.9, DIM, dtype=np.float32),
+        np.linspace(0.1, 0.9, DIM).astype(">f8"),
+        np.array([0.25] * DIM, dtype=object),
+        np.ma.masked_array(np.ones(DIM)),
+        np.ones((DIM, 1))[:, 0],
+    ])
+    def test_other_vectors_are_converted_as_before(self, fine):
+        got = _check_fine_cue(fine, self.DIM)
+        want = np_asarray_check(fine, self.DIM)
+        assert type(got) is type(want) and got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert (got is fine) == (want is fine)
+
+    @pytest.mark.parametrize("fine", [
+        np.ones(DIM + 1),
+        np.ones((1, DIM)),
+        np.ones((DIM, DIM)),
+        np.float64(1.0),
+        "abcdefgh",
+        object(),
+        [object()] * DIM,
+        np.array([object()] * DIM),
+        [[1.0]] * DIM,
+    ])
+    def test_anything_else_is_refused_as_before(self, fine):
+        with pytest.raises(ConfigurationError) as want:
+            np_asarray_check(fine, self.DIM)
+        with pytest.raises(ConfigurationError) as got:
+            _check_fine_cue(fine, self.DIM)
+        assert str(got.value) == str(want.value)

@@ -791,9 +791,11 @@ class TestCapacityWalk:
             memory.adjust_strength(dn_id, 100.0 - strength)
             ids.append(dn_id)
         ids.append(engine.store(odd_payload(1000, 0.4, 90.0), "a").dn_id)
-        # strength back at 100 over a stored quality that stays lower
+        # strength back at 100 over a stored quality that stays lower; each
+        # of these rows was stored under the label "a"
+        a = memory.find_cue_by_label("a")
         for dn_id in ids[0:30:6]:
-            memory.reinforce(dn_id)
+            memory.reward(a, dn_id)
         return engine
 
     @pytest.mark.parametrize("phi", [0.0, 1.0, 30.0])
@@ -907,7 +909,7 @@ class TestReinforcement:
             assert memory.payload(dn_id) is built
             assert memory.last_access[row] == memory.op_counter
 
-    def test_reinforce_keeps_the_lowered_payload(self):
+    def test_reward_keeps_the_lowered_payload(self):
         engine = engine_with(phi=30.0,
                              elasticity_schedules=[[80.0, 30.0]] * 2)
         memory = engine.memory
@@ -918,16 +920,97 @@ class TestReinforcement:
         quality, keep = memory.quality[row], memory.keep[row]
         assert quality == 44.5 and keep == math.ceil(len(data) * 44.5 / 100.0)
         memory.op_counter += 5
-        memory.reinforce(dn)
+        cue = memory.find_cue_by_label("hot")
+        lowered = memory.reward(cue, dn)
         assert memory.strength[row] == 100.0
         assert memory.quality[row] == quality and memory.keep[row] == keep
         assert memory.last_access[row] == memory.op_counter
-        lowered = memory.payload(dn)
         assert lowered == Payload(data[:keep], data, 44.5, None)
         assert memory.payload(dn) is lowered
-        cue = memory.find_cue_by_label("hot")
         with pytest.raises(KeyError, match=f"neuron {cue} is not a data"):
-            memory.reinforce(cue)
+            memory.reward(cue, cue)
+
+    @staticmethod
+    def seeded(seed: int) -> MemoryEngine:
+        """A memory of three cues and twelve data neurons in two
+        localities, some rows lowered with their payload read before or
+        after, and weights near-tied or at epsilon."""
+        rng = np.random.default_rng(seed)
+        engine = engine_with(phi=float(rng.choice([0.0, 1.0, 30.0])),
+                             eta=float(rng.choice([20.0, 0.1, 0.7])),
+                             epsilon=float(rng.choice([1.0, 0.3])),
+                             elasticity_schedules=[[80.0, 30.0]] * 2)
+        memory = engine.memory
+        cues = [memory.add_cue_neuron(label) for label in "abc"]
+        for i in range(12):
+            data = blob(i % 5, item=i, size=int(rng.integers(200, 900)))
+            dn = memory.add_data_neuron(int(rng.integers(2)),
+                                        Payload.from_bytes(data),
+                                        memory.extractor.extract(data))
+            for cue in cues:
+                if rng.random() < 0.7:
+                    memory.associate(cue, dn)
+            if rng.random() < 0.3:
+                memory.payload(dn)
+            if rng.random() < 0.6:
+                memory.adjust_strength(dn, float(rng.uniform(0.0, 120.0)))
+        # a third of the edges stay at epsilon; the rest are raised by 0.1
+        # and then 0.8, or by 0.9, which differ in the last bits
+        for i, key in enumerate(sorted(memory.weights)):
+            for delta in ([], [-0.1, -0.8], [-0.9])[i % 3]:
+                memory.adjust_association(*key, delta)
+        return engine
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reward_is_the_step_by_step_reaction(self, seed):
+        """``reward`` leaves the state ``adjust_association(cue, dn, -eta)``
+        and the former strength and access update leave, and returns the
+        payload ``payload`` then reads, rebuilt only for a lowered row."""
+        engine = self.seeded(seed)
+        ref = copy.deepcopy(engine)
+        memory, old = engine.memory, ref.memory
+        rng = np.random.default_rng(seed + 100)
+        keys = sorted(memory.weights)
+        assert any(w == memory.params.epsilon for w in memory.weights.values())
+        for _ in range(80):
+            cue, dn = keys[int(rng.integers(len(keys)))]
+            step = int(rng.integers(3))
+            memory.op_counter += step
+            old.op_counter += step
+            row = memory.row_of[dn]
+            before = memory.payloads[row]
+            lowered = before.quality != memory.quality[row]
+            got = memory.reward(cue, dn)
+            old.adjust_association(cue, dn, -old.params.eta)
+            old.strength[row] = 100.0
+            old.last_access[row] = old.op_counter
+            want = old.payload(dn)
+            assert {k: w.hex() for k, w in memory.weights.items()} == \
+                {k: w.hex() for k, w in old.weights.items()}
+            assert memory.search_order == old.search_order
+            assert all(type(e) is SearchEntry
+                       for order in memory.search_order.values() for e in order)
+            assert memory.edge_access == old.edge_access
+            assert columns(engine) == columns(ref)
+            assert got is memory.payload(dn) and got == want
+            assert (got is before) == (not lowered)
+        assert maintained(memory) == oracle_search_order(memory)
+
+    def test_reward_refuses_what_adjust_association_refuses(self):
+        engine = self.seeded(0)
+        memory = engine.memory
+        a, b = (memory.find_cue_by_label(label) for label in "ab")
+        dns = data_neurons(memory)
+        lone = next(dn for dn in dns if (a, dn) not in memory.weights)
+        before = copy.deepcopy(engine)
+        for cue, dn in [(a, lone), (dns[0], dns[1]), (a, b), (a, 99)]:
+            with pytest.raises(KeyError) as want:
+                memory.adjust_association(cue, dn, -memory.params.eta)
+            with pytest.raises(KeyError) as got:
+                memory.reward(cue, dn)
+            assert str(got.value) == str(want.value)
+        assert columns(engine) == columns(before)
+        assert memory.weights == before.memory.weights
 
     def test_a_payload_quality_out_of_range_is_refused(self):
         engine = engine_with()
@@ -939,6 +1022,18 @@ class TestReinforcement:
             with pytest.raises(ConfigurationError, match="payload quality"):
                 engine.bootstrap_store(payload, "hot")
         assert engine.memory.op_counter == 0
+        assert engine.memory.cues == {} and engine.memory.row_of == {}
+
+    def test_a_payload_blob_longer_than_its_original_is_refused(self):
+        # a snapshot refuses a stored size above the original size, so the
+        # memory never stores one
+        engine = engine_with()
+        data = blob(0)
+        payload = Payload(data + b"x", data, 100.0)
+        with pytest.raises(ConfigurationError, match="longer than its original"):
+            engine.store(payload, "hot")
+        with pytest.raises(ConfigurationError, match="longer than its original"):
+            engine.bootstrap_store(payload, "hot")
         assert engine.memory.cues == {} and engine.memory.row_of == {}
 
 
