@@ -125,11 +125,13 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _load(args)
-    fractions, name = config.cap_fractions, "compare.cap_fractions"
     if args.caps is not None:
-        fractions, name = args.caps, "--caps"
-        check_cap_fractions(fractions, name)
+        check_cap_fractions(args.caps, "--caps")
     corpus = read_manifest(_resolve_manifest(args))
+    if args.caps:
+        fractions, name = args.caps, "--caps"
+    else:
+        fractions, name = config.cap_fractions, "compare.cap_fractions"
     caps = cap_bytes(fractions, corpus.total_bytes(), name)
     records = read_trace(Path(args.trace))
     if records[-1].seq < config.warmup_ops:

@@ -234,15 +234,20 @@ def load_config(path: str | Path | None = None, preset: str | None = None,
     for i, entry in enumerate(merged["bootstrap"]):
         check_fields(f"bootstrap[{i}]", entry, _BOOTSTRAP_TYPES)
 
-    workload = dict(merged["workload"])
-    # JSON has no tuples; the field's type check let a list through
-    workload["payload_size_range"] = tuple(workload["payload_size_range"])
+    hive = HiveParams(**merged["hive"])
+
+    workload_kwargs = dict(merged["workload"])
+    size_range = workload_kwargs.get("payload_size_range")
+    if size_range is not None:
+        workload_kwargs["payload_size_range"] = tuple(size_range)
+    workload = WorkloadSpec(seed=merged["seed"], **workload_kwargs)
+
     config = RunConfig(
         seed=merged["seed"],
-        hive=HiveParams(**merged["hive"]),
+        hive=hive,
         search=SearchParams(**merged["search"]),
         controls=OpControls(**merged["controls"]),
-        workload=WorkloadSpec(seed=merged["seed"], **workload),
+        workload=workload,
         cap_fractions=list(merged["compare"]["cap_fractions"]),
         warmup_ops=merged["compare"]["warmup_ops"],
         bootstrap=list(merged["bootstrap"]),

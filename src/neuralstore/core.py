@@ -137,6 +137,8 @@ def fits_type(value, hint) -> bool:
         return isinstance(value, numbers.Integral)
     if hint is float:
         return isinstance(value, (numbers.Integral, float))
+    if hint is type(None):
+        return value is None
     return isinstance(value, hint)
 
 
@@ -182,6 +184,14 @@ def clamp_weight(epsilon: float, weight: float, delta: float) -> float:
 
 def clamp_strength(phi: float, strength: float, delta: float) -> float:
     return min(100.0, max(phi, strength - delta))
+
+
+def check_payload_size(payload: Payload) -> None:
+    """Refuse a payload whose blob is longer than its original: a memory
+    never stores a size above the original size, which a snapshot
+    refuses."""
+    if len(payload.blob) > len(payload.original):
+        raise ConfigurationError("payload blob is longer than its original")
 
 
 def _fmt(x: float | int) -> str:
@@ -301,9 +311,10 @@ class HiveParams:
             values = value if isinstance(value, (list, tuple)) else [value]
             if any(map(non_finite, values)):
                 problems.append(f"{name} must be finite")
-        for name in ("memory_decay_rates", "association_decay_rates"):
-            if any(r < 0 for r in getattr(self, name)):
-                problems.append(f"{name} must be >= 0")
+        if any(r < 0 for r in self.memory_decay_rates):
+            problems.append("memory_decay_rates must be >= 0")
+        if any(r < 0 for r in self.association_decay_rates):
+            problems.append("association_decay_rates must be >= 0")
         if self.eta <= 0:
             problems.append("eta must be > 0")
         if self.epsilon < 0:
@@ -421,6 +432,7 @@ class Memory:
         """A new data neuron in a new row at strength 100, joined to its
         locality's default cue at epsilon."""
         locality = self.locality(locality_id)
+        check_payload_size(payload)
         feature = np.asarray(feature, dtype=float)
         if feature.shape != (self.params.feature_dim,):
             raise ConfigurationError(
@@ -457,7 +469,8 @@ class Memory:
         if (isinstance(locality_id, bool)
                 or not isinstance(locality_id, numbers.Integral)
                 or not 0 <= locality_id < len(self.localities)):
-            raise ConfigurationError(f"unknown locality {locality_id}")
+            raise ConfigurationError(
+                f"unknown locality {locality_id}")
         return self.localities[locality_id]
 
     def _row(self, dn_id: int) -> int:
@@ -690,8 +703,10 @@ class Memory:
 
     def set_payload(self, dn_id: int, payload: Payload) -> None:
         """Hold ``payload`` as a data neuron's, at its quality and size,
-        keeping the byte total current."""
+        keeping the byte total current; refuse it as
+        :func:`check_payload_size` does."""
         row = self._row(dn_id)
+        check_payload_size(payload)
         self._bytes += len(payload.blob) - self.keep.item(row)
         self.payloads[row] = payload
         self.quality[row] = payload.quality

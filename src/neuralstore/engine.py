@@ -110,6 +110,7 @@ from neuralstore.core import (
     Memory,
     SearchEntry,
     check_fields,
+    check_payload_size,
     non_finite,
     unit_row,
 )
@@ -151,14 +152,16 @@ def _check_fine_cue(fine_cue, dim: int) -> np.ndarray:
                              f"got {reprlib.repr(fine_cue)}")
 
 
-def _above(order: list[SearchEntry], t1: float) -> list[SearchEntry]:
-    """A fresh list of an order's entries whose weight is above ``t1``:
-    a prefix, as the order descends by weight, found by ``bisect``."""
+def _above(order: list[SearchEntry], t1: float,
+           limit: int | None) -> list[SearchEntry]:
+    """A fresh list of an order's entries whose weight is above ``t1``, at
+    most ``limit`` of them: a prefix, as the order descends by weight,
+    found by ``bisect``."""
     end = len(order)
     # -entry[0] is its avg_weight
     if end and not -order[-1][0] > t1:
         end = bisect_left(order, (-t1, -math.inf))
-    return order[:end]
+    return order[:end if limit is None else min(end, limit)]
 
 
 class StorageFullError(RuntimeError):
@@ -260,9 +263,8 @@ class MemoryEngine:
         if not 0.0 <= data.quality <= 100.0:
             raise ConfigurationError(
                 f"payload quality {data.quality!r} is outside [0, 100]")
-        # a snapshot refuses a stored size above the original size
-        if len(data.blob) > len(data.original):
-            raise ConfigurationError("payload blob is longer than its original")
+        # refused before the op changes anything, as Memory would refuse it
+        check_payload_size(data)
         return data
 
     # -- search order --------------------------------------------------------
@@ -283,20 +285,21 @@ class MemoryEngine:
         A known cue walks its maintained order; an unknown label (``None``)
         walks every locality's default cue's order, in locality order.  Each
         order is sorted by descending weight, so its entries above the
-        association threshold are a prefix, found by ``bisect``.  The
-        prefixes are joined and cut at the search limit.  The orders share
-        no data neuron: a default cue links only its own locality's.
+        association threshold are a prefix, found by ``bisect`` and cut at
+        what remains of the search limit, so no more than the limit is ever
+        copied; the prefixes are joined.  The orders share no data neuron:
+        a default cue links only its own locality's.
         """
         orders = self.memory.search_order
         t1 = self.search.assoc_thresh
         limit = self.controls.search_limit
         if cue_id is not None:
-            out = _above(orders.get(cue_id, []), t1)
-        else:
-            out = []
-            for loc in self.memory.localities:
-                out += _above(orders.get(loc.default_cue_id, []), t1)
-        return out if limit is None else out[:limit]
+            return _above(orders.get(cue_id, []), t1, limit)
+        out: list[SearchEntry] = []
+        for loc in self.memory.localities:
+            out += _above(orders.get(loc.default_cue_id, []), t1,
+                          None if limit is None else limit - len(out))
+        return out
 
     # -- reaction ------------------------------------------------------------
 

@@ -369,14 +369,6 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_text(path: str | Path, text: str) -> Path:
-    """Write ``text`` to ``path``, making its directory; return the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    return path
-
-
 def payload_file(item_id: str) -> str:
     """The name of an item's payload file in a manifest's payload directory."""
     return f"{item_id}.bin"
@@ -391,6 +383,7 @@ def write_manifest(corpus: Corpus, manifest_path: str | Path,
     pair can be moved or shipped together.
     """
     manifest_path = Path(manifest_path)
+    manifest_path.parent.mkdir(parents=True, exist_ok=True)
     if payload_dir is not None:
         payload_dir = Path(payload_dir)
         payload_dir.mkdir(parents=True, exist_ok=True)
@@ -411,7 +404,8 @@ def write_manifest(corpus: Corpus, manifest_path: str | Path,
         else:
             row["data_hex"] = item.data.hex()
         lines.append(_dump(row))
-    return write_text(manifest_path, "\n".join(lines) + "\n")
+    manifest_path.write_text("\n".join(lines) + "\n")
+    return manifest_path
 
 
 def read_manifest(manifest_path: str | Path) -> Corpus:
@@ -451,6 +445,7 @@ def read_manifest(manifest_path: str | Path) -> Corpus:
 
 
 def write_trace(records: list[TraceRecord], path: str | Path) -> Path:
+    path = Path(path)
     lines = [_dump({"format": TRACE_FORMAT, "version": FORMAT_VERSION,
                     "records": len(records)})]
     for rec in records:
@@ -464,7 +459,9 @@ def write_trace(records: list[TraceRecord], path: str | Path) -> Path:
         if rec.retention_window is not None:
             row["n"] = rec.retention_window
         lines.append(_dump(row))
-    return write_text(path, "\n".join(lines) + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def read_utf8(path: Path) -> str:
@@ -556,7 +553,10 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
 
 
 def write_log(log: list[dict], path: str | Path) -> Path:
-    return write_text(path, "".join(_dump(row) + "\n" for row in log))
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(_dump(row) for row in log) + ("\n" if log else ""))
+    return path
 
 
 # ---------------------------------------------------------------------------
