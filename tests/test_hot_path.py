@@ -27,6 +27,7 @@ from neuralstore.core import (
     HiveParams,
     SearchEntry,
     clamp_strength,
+    parse_snapshot,
 )
 from neuralstore.engine import (
     MemoryEngine,
@@ -270,6 +271,38 @@ class TestMatrixScan:
         out = engine.store(blob(7), "hot")
         assert out.cost <= limit
         assert engine.total_search_iterations - before == limit + out.cost
+
+    @pytest.mark.parametrize("limit", [None, 1, 2, 3, 4, 7])
+    def test_search_limit_bounds_what_is_copied(self, limit):
+        """Each order is cut at what remains of the search limit before it
+        is copied, for a known label and for an unknown one, which walks
+        every locality's default cue in turn."""
+        engine = engine_with()
+        engine.search = SearchParams(match_thresh=1.0)     # distinct items
+        engine.controls = OpControls(search_limit=limit)
+        for i in range(8):
+            engine.store(blob(i, item=i), "hot" if i < 4 else "cold")
+        memory = engine.memory
+        copied: list[int] = []
+
+        class Recording(list):
+            def __getitem__(self, index):
+                if isinstance(index, slice):
+                    copied.append(len(range(*index.indices(len(self)))))
+                return super().__getitem__(index)
+
+        full = {cue: list(order) for cue, order in memory.search_order.items()}
+        memory.search_order = {cue: Recording(order)
+                               for cue, order in full.items()}
+        defaults = [loc.default_cue_id for loc in memory.localities]
+        for cue_id, orders in [(memory.find_cue_by_label("hot"), ["hot"]),
+                               (None, defaults)]:
+            copied.clear()
+            got = engine.get_search_order(cue_id)
+            joined = [e for c in orders for e in full[
+                memory.find_cue_by_label(c) if isinstance(c, str) else c]]
+            assert got == joined[:limit] and type(got) is list
+            assert sum(copied) == len(got)
 
     def test_query_of_the_wrong_dimension_is_rejected(self):
         engine = engine_with()
@@ -1026,15 +1059,28 @@ class TestReinforcement:
 
     def test_a_payload_blob_longer_than_its_original_is_refused(self):
         # a snapshot refuses a stored size above the original size, so the
-        # memory never stores one
+        # memory never stores one, through the engine or its own methods
         engine = engine_with()
+        memory = engine.memory
         data = blob(0)
         payload = Payload(data + b"x", data, 100.0)
-        with pytest.raises(ConfigurationError, match="longer than its original"):
+        longer = pytest.raises(ConfigurationError,
+                               match="longer than its original")
+        with longer:
             engine.store(payload, "hot")
-        with pytest.raises(ConfigurationError, match="longer than its original"):
+        with longer:
             engine.bootstrap_store(payload, "hot")
-        assert engine.memory.cues == {} and engine.memory.row_of == {}
+        assert memory.cues == {} and memory.row_of == {}
+        with longer:
+            memory.add_data_neuron(0, payload, memory.extractor.extract(data))
+        assert memory.row_of == {} and memory.payloads == []
+        assert memory.total_bytes() == 0 and memory.localities[0].dn_ids == []
+        dn = engine.store(data, "hot").dn_id
+        snapshot = memory.export_graph()
+        with longer:
+            memory.set_payload(dn, payload)
+        assert memory.export_graph() == snapshot
+        assert parse_snapshot(snapshot).neurons[dn]["size"] == len(data)
 
 
 class ReadCountingDict(dict):
