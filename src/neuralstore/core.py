@@ -15,10 +15,10 @@ A data neuron is a row of the memory's per-row columns, which
 stored quality and stored size, original size, locality and feature as
 given.  Retention thus updates a whole locality with one array pass and
 elasticity reads a locality's strengths at once.  The columns change only
-through ``Memory``.  Three of its methods lower strengths, each lowering
-the stored quality and size columns where the quality falls:
-``adjust_strength`` for one neuron, ``adjust_strengths`` for many rows at
-once (retention), and ``lower_to_floors``, the elasticity walk, which
+through ``Memory``.  Two of its methods lower strengths, each lowering the
+stored quality and size columns where the quality falls:
+``adjust_strengths`` for many rows at once (retention; ``adjust_strength``
+is its one-row form), and ``lower_to_floors``, the elasticity walk, which
 lowers the strengths of each ``(locality, ceiling)`` step above its floor
 and stops once the bytes freed cover the shortfall it is given.
 ``reward``, a hit's reaction, restores a strength to 100, and
@@ -182,14 +182,14 @@ def clamp_weight(epsilon: float, weight: float, delta: float) -> float:
     return max(epsilon, weight - delta)
 
 
-def clamp_strength(phi: float, strength: float, delta: float) -> float:
-    return min(100.0, max(phi, strength - delta))
-
-
-def check_payload_size(payload: Payload) -> None:
-    """Refuse a payload whose blob is longer than its original: a memory
-    never stores a size above the original size, which a snapshot
-    refuses."""
+def check_payload(payload: Payload) -> None:
+    """Refuse a payload that no memory stores, which a snapshot refuses: a
+    quality outside ``[0, 100]`` (a strength of 100 stores any quality in
+    range, so a hit's reaction never has a quality to lower) or a blob
+    longer than its original."""
+    if not 0.0 <= payload.quality <= 100.0:
+        raise ConfigurationError(
+            f"payload quality {payload.quality!r} is outside [0, 100]")
     if len(payload.blob) > len(payload.original):
         raise ConfigurationError("payload blob is longer than its original")
 
@@ -432,7 +432,7 @@ class Memory:
         """A new data neuron in a new row at strength 100, joined to its
         locality's default cue at epsilon."""
         locality = self.locality(locality_id)
-        check_payload_size(payload)
+        check_payload(payload)
         feature = np.asarray(feature, dtype=float)
         if feature.shape != (self.params.feature_dim,):
             raise ConfigurationError(
@@ -603,34 +603,27 @@ class Memory:
             insort(order, entry)
 
     def adjust_strength(self, dn_id: int, delta: float) -> float:
-        """Clamped strength update; a lower stored quality follows from it.
-
-        The quality is the new strength, and where it is below the stored
-        quality the payload is truncated to ``ceil(original_size * quality
-        / 100)`` bytes, as the prefix codec compresses.
-        :meth:`adjust_strengths` is the same update over many rows.
-        """
-        row = self._row(dn_id)
-        new = clamp_strength(self.params.phi, self.strength.item(row), delta)
-        self.strength[row] = new
-        if new < self.quality.item(row):
-            keep = self.keep.item(row)
-            kept = min(keep, math.ceil(
-                self.original_size.item(row) * new / 100.0))
-            self.quality[row] = new
-            self.keep[row] = kept
-            self._bytes -= keep - kept
-        return new
+        """:meth:`adjust_strengths` for one data neuron; return its new
+        strength.  A NaN delta lowers it to phi, as ``max(phi, nan)`` does.
+        Nothing in the package calls it; the bench's tracer patches it by
+        name."""
+        rows = np.array([self._row(dn_id)])
+        if math.isnan(delta):
+            delta = math.inf
+        return self.adjust_strengths(rows, self.strength[rows], delta)[0].item()
 
     def adjust_strengths(self, rows: np.ndarray, strengths: np.ndarray,
                          delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`adjust_strength` over many rows at once, as retention
-        ages a locality's idle rows.
+        """Clamped strength update of many rows at once, as retention ages a
+        locality's idle rows; a lower stored quality follows from it.
 
-        ``strengths`` are the rows' current strengths and ``delta`` one
-        value or one per row.  Returns the new strengths, the positions in
-        ``rows`` whose stored quality fell, and the bytes each of those
-        freed.
+        Each row's new strength is ``min(100, max(phi, strength - delta))``,
+        and where it is below the stored quality it becomes the quality and
+        the payload is truncated to ``ceil(original_size * quality / 100)``
+        bytes, as the prefix codec compresses.  ``strengths`` are the rows'
+        current strengths and ``delta`` one value or one per row.  Returns
+        the new strengths, the positions in ``rows`` whose stored quality
+        fell, and the bytes each of those freed.
         """
         new = np.minimum(100.0, np.maximum(self.params.phi, strengths - delta))
         self.strength[rows] = new
@@ -658,9 +651,9 @@ class Memory:
         it.  A step whose floor is not below the highest of them changes
         nothing and is skipped; otherwise one comparison selects the rows
         read above the floor, which are lowered one by one from the strength
-        they have by then, with the float operations of
-        :meth:`adjust_strength`; a row whose stored quality falls is
-        truncated as that method truncates it.
+        they have by then, by the clamp of :meth:`adjust_strengths` with
+        the delta ``strength - floor``, in Python floats; a row whose
+        stored quality falls is truncated as that method truncates it.
         """
         phi = self.params.phi
         strength, quality, keep, size = (
@@ -683,7 +676,7 @@ class Memory:
                 s = strength.item(row)
                 if not s > floor:
                     continue
-                # min(100, max(phi, s - (s - floor))), as clamp_strength
+                # min(100, max(phi, s - (s - floor))), as adjust_strengths
                 new = s - (s - floor)
                 if not new > phi:
                     new = phi
@@ -703,10 +696,10 @@ class Memory:
 
     def set_payload(self, dn_id: int, payload: Payload) -> None:
         """Hold ``payload`` as a data neuron's, at its quality and size,
-        keeping the byte total current; refuse it as
-        :func:`check_payload_size` does."""
+        keeping the byte total current; refuse it as :func:`check_payload`
+        does."""
         row = self._row(dn_id)
-        check_payload_size(payload)
+        check_payload(payload)
         self._bytes += len(payload.blob) - self.keep.item(row)
         self.payloads[row] = payload
         self.quality[row] = payload.quality
@@ -844,8 +837,9 @@ def parse_snapshot(text: str) -> SnapshotDoc:
     names its default cue or the reverse, and a locality whose default cue
     is not a declared cue.  It then names the line of the first data
     neuron that breaks an invariant the memory keeps: a strength outside
-    ``[phi, 100]``, a stored size above the original size, a locality
-    without a default cue, or no edge from that default cue.
+    ``[phi, 100]``, a quality outside ``[0, 100]``, a stored size above the
+    original size, a locality without a default cue, or no edge from that
+    default cue.
     """
     lines = text.splitlines(keepends=True) or [""]
     head = lines[0].split()
@@ -932,6 +926,7 @@ def parse_snapshot(text: str) -> SnapshotDoc:
         cue = doc.localities[n["locality"]]["default_cue"]
         broken = [reason for fails, reason in [
             (not phi <= n["strength"] <= 100.0, "strength outside [phi, 100]"),
+            (not 0.0 <= n["quality"] <= 100.0, "quality outside [0, 100]"),
             (n["size"] > n["original"], "size above the original size"),
             (cue is None, "its locality has no default cue"),
             ((cue, nid) not in doc.edges, "no edge from its default cue")] if fails]

@@ -71,11 +71,10 @@ integer of at least 1, is also supported and does not advance the counter.
 Retention changes data neurons a locality at a time, as one array update
 of the memory's columns (see :mod:`neuralstore.core`): a mask picks the rows
 idle for at least the window, ``Memory.adjust_strengths`` clamps their
-strengths with the same float64 operations ``Memory.adjust_strength`` uses
-for one neuron, takes them as the rows' qualities and truncates the sizes
-that fall, all in the columns (a lowered row's payload is rebuilt only
-when it is next read), and the retention summary and the bytes freed are
-read off the changed rows in id order.
+strengths, takes them as the rows' qualities where they fall below and
+truncates the sizes that fall, all in the columns (a lowered row's
+payload is rebuilt only when it is next read), and the retention summary
+and the bytes freed are read off the changed rows in id order.
 
 Elasticity is one walk over ``(locality, ceiling)`` steps.  When a store
 does not fit under the byte capacity, ``ensure_capacity`` calls
@@ -110,7 +109,7 @@ from neuralstore.core import (
     Memory,
     SearchEntry,
     check_fields,
-    check_payload_size,
+    check_payload,
     non_finite,
     unit_row,
 )
@@ -258,13 +257,8 @@ class MemoryEngine:
             raise ConfigurationError(
                 f"{op} data must be bytes, bytearray, memoryview or a Payload, "
                 f"got {reprlib.repr(data)}")
-        # a strength of 100 stores any quality in range, so a reaction
-        # (Memory.reward) never has a quality to lower
-        if not 0.0 <= data.quality <= 100.0:
-            raise ConfigurationError(
-                f"payload quality {data.quality!r} is outside [0, 100]")
         # refused before the op changes anything, as Memory would refuse it
-        check_payload_size(data)
+        check_payload(data)
         return data
 
     # -- search order --------------------------------------------------------

@@ -33,25 +33,7 @@ from neuralstore.workload import (
     read_trace,
     replay,
 )
-
-
-SMALL_WORKLOAD = {
-    "n_items": 16,
-    "n_retrievals": 40,
-    "items_per_cluster": 4,
-    "payload_size_range": [1024, 2048],
-    "tail_retentions": 2,
-}
-
-
-def write_config(tmp_path, name="config.json", **extra):
-    doc = {"preset": "wildlife-deer", "seed": 7,
-           "workload": dict(SMALL_WORKLOAD),
-           "compare": {"cap_fractions": [0.3, 0.6, 1.0], "warmup_ops": 16}}
-    doc.update(extra)
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    return path
+from tests.helpers import SMALL_WORKLOAD, write_config
 
 
 class TestConfig:
@@ -872,6 +854,10 @@ class TestInspect:
          8, "data neuron 3: strength outside [phi, 100]"),
         ([("data 3 locality=0 strength=60", "data 3 locality=0 strength=0.5")],
          8, "data neuron 3: strength outside [phi, 100]"),
+        ([("strength=60 quality=60", "strength=60 quality=150")],
+         8, "data neuron 3: quality outside [0, 100]"),
+        ([("strength=60 quality=60", "strength=60 quality=-3")],
+         8, "data neuron 3: quality outside [0, 100]"),
         ([("size=600 original=1000", "size=1500 original=1000")],
          8, "data neuron 3: size above the original size"),
         ([("edge 4 5 weight=1 last_access=0\n", ""),
@@ -886,6 +872,12 @@ class TestInspect:
             text = text.replace(old, new)
         assert self.inspect_bytes(tmp_path, capsys, text.encode()) == (
             2, f"error: snapshot line {number}: {reason}\n")
+
+    def test_quality_above_the_strength_is_accepted(self, tmp_path, capsys):
+        # Memory.set_payload on a lowered data neuron writes one
+        text = self.walkthrough_snapshot(tmp_path, capsys)
+        text = text.replace("strength=60 quality=60", "strength=60 quality=80")
+        assert self.inspect_bytes(tmp_path, capsys, text.encode())[0] == 0
 
     def test_data_neuron_without_a_default_cue_exits_2(self, tmp_path, capsys):
         # the memory makes a locality's default cue, and its edge, with the

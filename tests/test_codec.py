@@ -28,6 +28,7 @@ from neuralstore.workload import (
     item_bytes,
     replay,
 )
+from tests.reference import psnr
 
 CODEC = TruncationCodec()
 EXTRACTOR = HistogramExtractor(dim=64, seed=7)
@@ -37,22 +38,6 @@ def fixture_items(n_clusters: int = 6, per_cluster: int = 2, size: int = 2048):
     return [item_bytes(42, c, u, i, size)
             for c in range(2) for u in range(n_clusters // 2)
             for i in range(per_cluster)]
-
-
-def reconstruct_psnr(degraded: Payload) -> float:
-    """``psnr_fidelity`` as it was computed before the tail path: the whole
-    reconstruction compared with the original in float64."""
-    reconstructed = CODEC.reconstruct(degraded)
-    if len(reconstructed) != degraded.original_size:
-        raise RuntimeError(
-            f"reconstruction length {len(reconstructed)} != original "
-            f"{degraded.original_size}")
-    if reconstructed == degraded.original:
-        return math.inf
-    a = np.frombuffer(degraded.original, dtype=np.uint8).astype(np.float64)
-    b = np.frombuffer(reconstructed, dtype=np.uint8).astype(np.float64)
-    mse = float(np.mean((a - b) ** 2))
-    return 10.0 * math.log10(255.0 ** 2 / mse)
 
 
 class TestCompress:
@@ -254,12 +239,13 @@ class TestFidelity:
 
 class TestFidelityFromTheTail:
     """``psnr_fidelity`` reads only a truncated payload's tail, and gives
-    the value of the whole reconstruction's comparison bit for bit."""
+    the reference model's byte-by-byte PSNR of the whole reconstruction bit
+    for bit."""
 
     @staticmethod
     def assert_same(blob_: bytes, original: bytes) -> float:
         got = psnr_fidelity(Payload(blob_, original, 50.0))
-        want = reconstruct_psnr(Payload(blob_, original, 50.0))
+        want = psnr(Payload(blob_, original, 50.0))
         assert type(got) is float
         assert got == want and got.hex() == want.hex()
         return got
@@ -316,7 +302,7 @@ class TestFidelityFromTheTail:
                                                   original):
         calls = self.count_reconstructions(monkeypatch)
         self.assert_same(blob_, original)
-        # once for psnr_fidelity and once for the reference
+        # once for psnr_fidelity and once for the model's PSNR
         assert len(calls) == 2
 
     def test_blob_longer_than_its_original_still_raises(self):
@@ -324,9 +310,6 @@ class TestFidelityFromTheTail:
         with pytest.raises(RuntimeError, match="^reconstruction length 12 "
                                                "!= original 10$"):
             psnr_fidelity(payload)
-        with pytest.raises(RuntimeError, match="^reconstruction length 12 "
-                                               "!= original 10$"):
-            reconstruct_psnr(payload)
 
     def test_random_prefixes_of_corpus_items(self):
         rng = np.random.default_rng(2021)
@@ -337,7 +320,7 @@ class TestFidelityFromTheTail:
                 self.assert_same(data[:int(keep)], data)
             for q in (1.0, 10.0, 33.3, 50.0, 95.0, 99.9):
                 degraded = CODEC.compress(Payload.from_bytes(data), q)
-                assert psnr_fidelity(degraded) == reconstruct_psnr(degraded)
+                assert psnr_fidelity(degraded) == psnr(degraded)
 
 
 class TestExtractorMemo:

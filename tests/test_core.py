@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,14 +15,20 @@ from neuralstore.core import (
     HiveParams,
     Memory,
     SnapshotFormatError,
-    clamp_strength,
     clamp_weight,
     format_snapshot,
     parse_snapshot,
     render_dot,
 )
 from tests.conftest import build_walkthrough
-from tests.helpers import neuron_count, size_of, strength_of
+from tests.helpers import (
+    assert_same_state,
+    engine_with,
+    neuron_count,
+    size_of,
+    strength_of,
+)
+from tests.reference import Model
 
 
 def make_memory(**overrides) -> Memory:
@@ -208,7 +216,38 @@ class TestClampRules:
     @given(strength=st.floats(1.0, 100.0), delta=st.floats(-200.0, 200.0))
     @settings(max_examples=80, deadline=None)
     def test_strength_always_in_bounds(self, strength, delta):
-        assert 1.0 <= clamp_strength(1.0, strength, delta) <= 100.0
+        memory = make_memory()
+        dn = memory.add_data_neuron(0, payload(), feat(memory, payload().blob))
+        memory.adjust_strength(dn, 100.0 - strength)
+        assert 1.0 <= memory.adjust_strength(dn, delta) <= 100.0
+
+
+class TestAdjustStrength:
+    """``Memory.adjust_strength`` is ``adjust_strengths`` on one row: the
+    reference model's scalar clamp and truncation, bit for bit."""
+
+    @pytest.mark.parametrize("phi", [0.0, 1.0, 30.0])
+    def test_one_row_is_the_scalar_clamp(self, phi):
+        engine = engine_with(phi=phi,
+                             elasticity_schedules=[[80.0, max(phi, 1.0)]] * 2)
+        model = Model(engine.params)
+        rng = np.random.default_rng(int(phi))
+        for size in (0, 1, 7, 1000, 1333):
+            data = payload(size)
+            for memory in (engine.memory, model):
+                memory.add_data_neuron(0, data, feat(engine.memory, data.blob))
+        dn_ids = list(model.neurons)
+        deltas = [0.5, 33.3, -7.25, 1e-300, 0.0, -0.0, 99.0, 200.0, -200.0,
+                  math.inf, -math.inf, math.nan]
+        deltas += rng.uniform(-120.0, 120.0, 40).tolist()
+        for i, delta in enumerate(deltas * 2):
+            dn = dn_ids[i % len(dn_ids)]
+            got = engine.memory.adjust_strength(dn, delta)
+            want = model.adjust_strength(dn, delta)
+            assert type(got) is float and got.hex() == want.hex(), delta
+            assert_same_state(engine, model, delta)
+            if math.isnan(delta):
+                assert got == phi
 
 
 class TestExports:

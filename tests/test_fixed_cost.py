@@ -3,9 +3,10 @@ of the cue's order, a payload's fidelity is computed once, and a retrieve
 fine cue's unit row is computed once per distinct value and scored once
 against each feature row.
 
-Each shortcut is checked against the computation it replaces: the slice
-against the dedup walk, the kept fidelity against a fresh computation, the
-kept unit rows and scores against the decisions made without them.
+Each shortcut is checked against the reference model (``tests/reference.py``):
+the slice against the model's filtered walk of whole orders, the kept
+fidelity against its byte-by-byte PSNR, the kept unit rows and scores
+against its candidate-by-candidate scan.
 """
 
 from __future__ import annotations
@@ -19,118 +20,105 @@ import pytest
 from neuralstore import codec as codec_module
 from neuralstore import engine as engine_module
 from neuralstore.codec import Payload, psnr_fidelity
-from neuralstore.core import SearchEntry, unit_row
+from neuralstore.core import unit_row
 from neuralstore.engine import OpControls, SearchParams
-from tests.helpers import candidates, raw_feature
-from tests.test_engine import blob, engine_with
+from tests.helpers import blob, candidates, engine_with, raw_feature, run_both
+from tests.reference import Model, psnr
 
 
-def dedup_walk(lists, t1, limit):
-    """The candidate list as the general path builds it: every order in
-    turn, entries above ``t1`` only, first occurrence of each dn id kept,
-    cut at ``limit``."""
-    out, seen = [], set()
-    for entries in lists:
-        for entry in entries:
-            if entry.avg_weight > t1 and entry.dn_id not in seen:
-                seen.add(entry.dn_id)
-                out.append(entry)
-                if limit is not None and len(out) >= limit:
-                    return out
-    return out
+def engine_and_model(localities: int):
+    """An engine with ``localities`` localities and the model on the same
+    parameters, with one cue ``hot``."""
+    engine = engine_with(**({} if localities == 2 else dict(
+        memory_decay_rates=[0.5], association_decay_rates=[0.0],
+        locality_mapping=[{"labels": ["hot"]}],
+        elasticity_schedules=[[80.0, 50.0, 20.0]])))
+    model = Model(engine.params)
+    for memory in (engine.memory, model):
+        memory.add_cue_neuron("hot")
+    return engine, model
 
 
-def random_order(rng, cue_id: int, n: int,
-                 dn_ids=None) -> list[SearchEntry]:
-    """A sorted order of ``n`` distinct dn ids, drawn unless given, whose
-    weights, drawn from a few values, tie often."""
-    weights = rng.choice([1.0, 2.5, 7.0, 7.0, 40.0, 100.0], size=n)
-    if dn_ids is None:
-        dn_ids = rng.choice(1000, size=n, replace=False)
-    entries = [SearchEntry(cue_id, int(d), float(w))
-               for d, w in zip(dn_ids, weights)]
-    entries.sort()
-    return entries
+def random_edges(rng, engine, model, cue, locality: int, n: int) -> list:
+    """``n`` new data neurons in a locality, linked from ``cue`` (None: the
+    locality's default cue) at weights drawn from a few values that tie
+    often; their weights."""
+    weights = rng.choice([1.0, 2.5, 7.0, 7.0, 40.0, 100.0], size=n).tolist()
+    for w in weights:
+        for memory in (engine.memory, model):
+            dn = memory.add_data_neuron(locality, Payload.from_bytes(b"x"),
+                                        np.zeros(64))
+        # both give a neuron the same id, a default cue's too
+        c = engine.memory.localities[locality].default_cue_id \
+            if cue is None else cue
+        for memory in (engine.memory, model):
+            memory.associate(c, dn)
+            memory.adjust_association(c, dn, 1.0 - w)
+    return weights
 
 
-def thresholds(order: list[SearchEntry]) -> list[float]:
-    weights = sorted({e.avg_weight for e in order})
+def thresholds(weights: list[float]) -> list[float]:
+    weights = sorted(set(weights))
     picks = [-math.inf, -1.0, 0.0, 0.5, 1000.0, math.inf, math.nan]
     picks += weights                             # equal to a weight
     picks += [w + 0.25 for w in weights]         # between weights
     return picks
 
 
-def set_scope(engine, t1: float, limit: int | None) -> None:
-    """Give ``engine`` association threshold ``t1`` and search limit
-    ``limit``, the values every operation reads."""
-    engine.search = SearchParams(assoc_thresh=t1)
-    engine.controls = OpControls(search_limit=limit)
+def assert_same_candidates(engine, model, label: str, t1: float,
+                           limit: int | None) -> list:
+    """The engine's candidate list under ``label`` at association threshold
+    ``t1`` and search limit ``limit`` is the model's."""
+    engine.search = model.search = SearchParams(assoc_thresh=t1)
+    engine.controls = model.controls = OpControls(search_limit=limit)
+    got = candidates(engine, label)
+    want = model.candidates(model.find_cue_by_label(label))
+    assert [(e.cue_id, e.dn_id, e.avg_weight) for e in got] == [
+        (c, dn, model.weights[c, dn]) for c, dn in want], (t1, limit)
+    return got
 
 
-def engine_with_localities(n: int):
-    """An engine with ``n`` localities, each with a default cue, and a
-    known cue ``hot``."""
-    if n == 1:
-        engine = engine_with(memory_decay_rates=[0.5],
-                             association_decay_rates=[0.0],
-                             locality_mapping=[{"labels": ["hot"]}],
-                             elasticity_schedules=[[80.0, 50.0, 20.0]])
-    else:
-        engine = engine_with()
-        engine.store(blob(1, cls=1), "cold")   # locality 1's default cue
-    engine.store(blob(0), "hot")
-    return engine
-
-
-class TestSliceAgainstTheWalk:
+class TestSliceAgainstTheModel:
     @pytest.mark.parametrize("seed", range(4))
-    def test_known_cue_equals_the_walk(self, seed):
+    def test_known_cue_equals_the_model(self, seed):
         rng = np.random.default_rng(seed)
-        engine = engine_with_localities(1)
-        cue = engine.memory.find_cue_by_label("hot")
-        for n in [0, 1, 2, 5, 13]:
-            order = random_order(rng, cue, n)
-            engine.memory.search_order[cue] = order
-            for t1 in thresholds(order):
-                for limit in [None, *range(1, n + 2)]:
-                    set_scope(engine, t1, limit)
-                    expected = dedup_walk([order], t1, limit)
-                    got = candidates(engine, "hot")
-                    assert got == expected, (n, t1, limit)
-                    assert got is not order
+        engine, model = engine_and_model(1)
+        cue = model.find_cue_by_label("hot")
+        weights = []
+        for n in [0, 1, 1, 3, 8]:
+            weights += random_edges(rng, engine, model, cue, 0, n)
+            for t1 in thresholds(weights):
+                for limit in [None, *range(1, len(weights) + 2)]:
+                    got = assert_same_candidates(engine, model, "hot", t1,
+                                                 limit)
+                    assert got is not engine.memory.search_order[cue]
 
     @pytest.mark.parametrize("localities", [1, 2])
-    def test_unknown_cue_equals_the_walk_over_default_cues(self, localities):
+    def test_unknown_cue_equals_the_model_over_default_cues(self,
+                                                            localities):
         rng = np.random.default_rng(localities)
-        engine = engine_with_localities(localities)
-        defaults = [loc.default_cue_id for loc in engine.memory.localities]
-        assert None not in defaults
-        for n in [0, 1, 4, 9]:
-            # a default cue links only its own locality's data neurons
-            pool = rng.choice(1000, size=n * len(defaults), replace=False)
-            orders = []
-            for i, cue in enumerate(defaults):
-                orders.append(random_order(rng, cue, n,
-                                           pool[i * n:(i + 1) * n]))
-                engine.memory.search_order[cue] = orders[-1]
-            for t1 in thresholds(orders[0]):
-                for limit in [None, *range(1, 2 * n + 2)]:
-                    set_scope(engine, t1, limit)
-                    assert candidates(engine, "zzz") == \
-                        dedup_walk(orders, t1, limit), (n, t1, limit)
+        engine, model = engine_and_model(localities)
+        weights = []
+        for n in [0, 1, 3, 5]:
+            for locality in range(localities):
+                weights += random_edges(rng, engine, model, None, locality, n)
+            for t1 in thresholds(weights):
+                for limit in [None, *range(1, len(weights) + 2)]:
+                    assert_same_candidates(engine, model, "zzz", t1, limit)
 
     def test_default_threshold_comes_from_the_engine(self):
-        engine = engine_with_localities(1)
-        cue = engine.memory.find_cue_by_label("hot")
-        order = random_order(np.random.default_rng(9), cue, 8)
-        engine.memory.search_order[cue] = order
+        engine, model = engine_and_model(1)
+        cue = model.find_cue_by_label("hot")
+        random_edges(np.random.default_rng(9), engine, model, cue, 0, 8)
         engine.search.assoc_thresh = 7.0
-        assert candidates(engine, "hot") == \
-            dedup_walk([order], 7.0, None)
+        model.search = SearchParams(assoc_thresh=7.0)
+        assert [e.dn_id for e in candidates(engine, "hot")] == [
+            dn for _, dn in model.candidates(cue)]
+        assert len(candidates(engine, "hot")) < 8
 
     def test_cue_without_an_order_gives_an_empty_list(self):
-        engine = engine_with_localities(1)
+        engine = engine_with()
+        engine.store(blob(0), "hot")
         cue = engine.memory.find_cue_by_label("hot")
         del engine.memory.search_order[cue]
         assert candidates(engine, "hot") == []
@@ -152,25 +140,6 @@ class TestSliceAgainstTheWalk:
         assert order != before
         assert engine.memory.search_order[cue] is order
         assert listed == taken
-
-
-class NoMemoEngine(engine_module.MemoryEngine):
-    """Scores every query, fine cues too, without the unit-row memo."""
-
-    def _first_match(self, candidates, query, memo):
-        return super()._first_match(candidates, query, False)
-
-
-def reference_psnr(payload: Payload) -> float:
-    """PSNR of a payload computed from scratch, byte by byte."""
-    original, blob_ = payload.original, payload.blob
-    if len(blob_) < len(original):
-        pad = round(sum(blob_) / len(blob_)) if blob_ else 0
-        blob_ = blob_ + bytes([pad]) * (len(original) - len(blob_))
-    if blob_ == original:
-        return math.inf
-    mse = sum((a - b) ** 2 for a, b in zip(original, blob_)) / len(original)
-    return 10.0 * math.log10(255.0 ** 2 / mse)
 
 
 def count_computations(monkeypatch) -> list:
@@ -200,7 +169,7 @@ class TestFidelityKeptPerPayload:
         calls = count_computations(monkeypatch)
         payload = Payload(blob_, original, 50.0)
         first = psnr_fidelity(payload)
-        assert first == pytest.approx(reference_psnr(payload), rel=1e-12)
+        assert first == psnr(payload)
         assert psnr_fidelity(payload) == first
         assert len(calls) == 1
         # an equal payload built apart computes its own, equal value
@@ -220,15 +189,13 @@ class TestFidelityKeptPerPayload:
         engine.retention(n=1)
         aged = engine.memory.payload(dn)
         assert aged is not full and aged.quality < full.quality
-        assert psnr_fidelity(aged) == pytest.approx(reference_psnr(aged),
-                                                    rel=1e-12)
+        assert psnr_fidelity(aged) == psnr(aged)
         assert psnr_fidelity(full) == math.inf
         engine.memory.lower_to_floors([(engine.memory.localities[0], 20.0)],
                                       math.inf)
         squeezed = engine.memory.payload(dn)
         assert squeezed is not aged and squeezed.quality == 20.0
-        assert psnr_fidelity(squeezed) == pytest.approx(
-            reference_psnr(squeezed), rel=1e-12)
+        assert psnr_fidelity(squeezed) == psnr(squeezed)
         assert psnr_fidelity(squeezed) < psnr_fidelity(aged)
 
     def test_equality_hash_repr_and_replace_are_unchanged(self):
@@ -244,8 +211,7 @@ class TestFidelityKeptPerPayload:
         copy = dataclasses.replace(a)
         assert copy == a and copy._psnr is None
         lower = dataclasses.replace(a, blob=b"a", quality=25.0)
-        assert psnr_fidelity(lower) == pytest.approx(reference_psnr(lower),
-                                                     rel=1e-12)
+        assert psnr_fidelity(lower) == psnr(lower)
         assert psnr_fidelity(a) != psnr_fidelity(lower)
         with pytest.raises(TypeError):
             Payload(b"ab", b"abcd", 50.0, "x", 1.0)
@@ -282,11 +248,10 @@ class TestFineCueUnitRows:
     def test_memo_stays_within_its_bound_and_decides_as_without_it(self):
         bound = engine_module.FINE_UNIT_MEMO_SIZE
         engine = engine_with(feature_dim=8, retention_period=50)
-        plain = NoMemoEngine(dataclasses.replace(engine.params))
+        model = Model(engine.params)
         rng = np.random.default_rng(3)
         for cluster in range(4):
-            engine.store(blob(cluster), "hot")
-            plain.store(blob(cluster), "hot")
+            run_both(engine, model, "store", blob(cluster), "hot")
         base = engine.memory.features[0].copy()
         recurring = [base + 1e-3 * rng.standard_normal(8) for _ in range(5)]
         hits, peak, n = 0, 0, 2 * bound
@@ -294,21 +259,18 @@ class TestFineCueUnitRows:
             # three fresh cues in four: more distinct cues than the bound
             query = recurring[i // 4 % 5] if i % 4 == 0 else \
                 base + 0.3 * rng.standard_normal(8)
-            got = engine.retrieve("hot", query)
-            assert got == plain.retrieve("hot", query)
+            got = run_both(engine, model, "retrieve", "hot", query)
             peak = max(peak, len(engine._fine_units))
             hits += got.hit
         assert peak == bound and len(engine._fine_units) < bound
-        assert plain._fine_units == {}
         assert 0 < hits < n
 
     def test_rows_added_between_uses_are_scored_once_each(self):
         dim = 8
         engine = engine_with(feature_dim=dim, retention_period=50)
-        plain = NoMemoEngine(dataclasses.replace(engine.params))
-        engines = (engine, plain)
+        model = Model(engine.params)
         thresh = engine.search.match_thresh
-        first = [e.store(blob(0), "hot") for e in engines][0]
+        first = run_both(engine, model, "store", blob(0), "hot")
         f = raw_feature(engine.memory, first.dn_id)
         # a cue at cosine match_thresh to the first neuron, up to rounding,
         # so its score against that row is left to the scalar function
@@ -323,19 +285,18 @@ class TestFineCueUnitRows:
                 engine.memory.extractor.extract(blob(7, item=1))]
         kinds = set()
         for step in range(14):
-            for e in engines:
-                if step % 4 == 3:
-                    # a neuron whose unit row is NaN, reached from "hot"
-                    dn = e.memory.add_data_neuron(
+            if step % 4 == 3:
+                # a neuron whose unit row is NaN, reached from "hot"
+                for memory in (engine.memory, model):
+                    dn = memory.add_data_neuron(
                         0, Payload.from_bytes(b"nan"), np.full(dim, math.nan))
-                    e.memory.associate(e.memory.find_cue_by_label("hot"), dn)
-                else:
-                    e.store(blob(step), "hot")
+                    memory.associate(memory.find_cue_by_label("hot"), dn)
+            else:
+                run_both(engine, model, "store", blob(step), "hot")
             for i, cue in enumerate(cues):
                 # cues recur after differing numbers of added rows
                 query = cue if (step + i) % 3 else cues[i - 1]
-                got = engine.retrieve("hot", query)
-                assert got == plain.retrieve("hot", query), (step, i)
+                got = run_both(engine, model, "retrieve", "hot", query)
                 kinds.add(got.kind)
                 rows = len(engine.memory.row_of)
                 unit, scores = engine._fine_units[query.tobytes()]
@@ -343,4 +304,3 @@ class TestFineCueUnitRows:
                 assert np.allclose(scores, engine.memory.features[:rows] @ unit,
                                    rtol=0.0, atol=1e-12, equal_nan=True)
         assert kinds == {"hit", "miss"}
-        assert plain._fine_units == {}

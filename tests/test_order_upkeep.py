@@ -1,43 +1,20 @@
 """Search-order upkeep: each weight change moves its entry as it happens.
 
 Every edge a reaction, a new data neuron or a retention pass changes or
-creates is moved at once in its cue's order.  These tests
-check that the orders are moved in place, never rebuilt, and, against a
-reference engine that re-sorts every cue after every operation, that they
+creates is moved at once in its cue's order.  These tests check that the
+orders are moved in place, never rebuilt, and, against the reference model
+(which sorts a cue's whole order again after its weights change), that they
 always equal a re-sort of the association weights.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
-import pytest
 
-from neuralstore.config import load_config
 from neuralstore.core import HiveParams
 from neuralstore.engine import MemoryEngine, OpControls, oracle_search_order
-from neuralstore.workload import (
-    NsReplayAdapter,
-    build_corpus,
-    generate_trace,
-    replay,
-)
-from tests.test_engine import blob, engine_with, maintained
-
-
-class FullRebuildEngine(MemoryEngine):
-    """Reference: re-sorts every cue after every op."""
-
-    def store(self, data, cue, item_id=None):
-        out = super().store(data, cue, item_id)
-        self.update_search_order()
-        return out
-
-    def retrieve(self, cue, fine_cue=None):
-        out = super().retrieve(cue, fine_cue)
-        self.update_search_order()
-        return out
+from tests.helpers import blob, engine_with, maintained, run_both
+from tests.reference import Model
 
 
 def order_lists(engine) -> dict:
@@ -113,45 +90,16 @@ class TestReactionUpkeep:
         assert_moved_in_place(engine, before)
 
 
-def _step(engine, op, payload, cue, fine, controls):
-    engine.controls = controls
-    if op == "store":
-        out = engine.store(payload, cue)
-    else:
-        out = engine.retrieve(cue, fine)
-    return (out.kind, out.dn_id, out.cost, out.examined, out.quality)
-
-
-class TestDifferentialAgainstFullRebuild:
-    def test_distinct_trace_replay_matches_reference(self):
-        config = load_config(preset="wildlife-deer")
-        spec = dataclasses.replace(config.workload, items_per_cluster=1,
-                                   n_items=400, n_retrievals=500)
-        corpus = build_corpus(spec)
-        records = generate_trace(corpus, spec)
-        adapters = [NsReplayAdapter(cls(config.hive, search=config.search,
-                                        controls=config.controls))
-                    for cls in (MemoryEngine, FullRebuildEngine)]
-        new, reference = adapters
-        for rec in records:
-            rows = [replay([rec], adapter, corpus) for adapter in adapters]
-            assert rows[0] == rows[1], f"seq {rec.seq}"
-            orders = maintained(new.engine.memory)
-            assert orders == maintained(reference.engine.memory), f"seq {rec.seq}"
-            assert orders == oracle_search_order(new.engine.memory), \
-                f"seq {rec.seq}"
-
-    def test_mixed_controls_match_full_rebuild(self):
-        params = dict(memory_decay_rates=[0.5, 1.0],
-                      association_decay_rates=[0.5, 2.0],
-                      locality_mapping=[{"labels": ["hot"]}, {}],
-                      eta=7.0, epsilon=1.0, phi=1.0, retention_period=97)
-        engines = [cls(HiveParams(**params))
-                   for cls in (MemoryEngine, FullRebuildEngine)]
-        new = engines[0]
+class TestDifferentialAgainstTheModel:
+    def test_mixed_controls_match_the_model(self):
+        params = HiveParams(memory_decay_rates=[0.5, 1.0],
+                            association_decay_rates=[0.5, 2.0],
+                            locality_mapping=[{"labels": ["hot"]}, {}],
+                            eta=7.0, epsilon=1.0, phi=1.0, retention_period=97)
+        engine, model = MemoryEngine(params), Model(params)
         rng = np.random.default_rng(31)
         pool = [blob(cluster, cls=cls) for cls in range(2) for cluster in range(40)]
-        features = [new.memory.extractor.extract(p) for p in pool]
+        features = [engine.memory.extractor.extract(p) for p in pool]
         labels = ["hot", "warm", "cool"]
         for i in range(700):
             key = int(rng.integers(len(pool)))
@@ -161,10 +109,9 @@ class TestDifferentialAgainstFullRebuild:
             cue = labels[int(rng.integers(3))] if rng.random() < 0.85 \
                 else f"alias-{int(rng.integers(8))}"
             fine = features[key] if rng.random() < 0.9 else None
-            controls = OpControls(weaken_on_fail=bool(rng.random() < 0.5))
-            outs = [_step(engine, op, pool[key], cue, fine, controls)
-                    for engine in engines]
-            assert outs[0] == outs[1], f"op {i}"
-            orders = maintained(new.memory)
-            assert orders == maintained(engines[1].memory), f"op {i}"
-            assert orders == oracle_search_order(new.memory), f"op {i}"
+            engine.controls = model.controls = OpControls(
+                weaken_on_fail=bool(rng.random() < 0.5))
+            args = (pool[key], cue) if op == "store" else (cue, fine)
+            run_both(engine, model, op, *args)
+            assert maintained(engine.memory) == oracle_search_order(
+                engine.memory), f"op {i}"

@@ -19,7 +19,7 @@ from neuralstore import core
 from neuralstore.codec import Payload
 from neuralstore.core import HiveParams, Memory, SearchEntry
 from neuralstore.engine import OpOutcome, oracle_search_order
-from tests.test_engine import maintained
+from tests.helpers import maintained
 
 
 class TestSearchEntry:

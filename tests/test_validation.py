@@ -22,7 +22,7 @@ from neuralstore.config import load_config
 from neuralstore.core import ConfigurationError, HiveParams
 from neuralstore.engine import MemoryEngine, OpControls, SearchParams
 from neuralstore.workload import read_manifest, read_trace
-from tests.test_cli import write_config
+from tests.helpers import write_config
 
 NAN, INF = math.nan, math.inf
 
