@@ -15,6 +15,7 @@ and ``tests`` when no path is given), then the grand total.
 from __future__ import annotations
 
 import ast
+import io
 import sys
 import tokenize
 from pathlib import Path
@@ -43,13 +44,10 @@ def code_lines(path: Path) -> int:
     source = path.read_bytes()
     docstrings = docstring_lines(ast.parse(source))
     lines: set[int] = set()
-    with path.open("rb") as f:
-        for tok in tokenize.tokenize(f.readline):
-            if tok.type in _SKIPPED:
-                continue
-            lines.update(line for line in range(tok.start[0], tok.end[0] + 1)
-                         if line not in docstrings)
-    return len(lines)
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in _SKIPPED:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
 
 
 def main(argv: list[str]) -> int:
