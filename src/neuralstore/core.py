@@ -428,22 +428,34 @@ class Memory:
         return cue_id
 
     def add_data_neuron(self, locality_id: int, payload: Payload,
-                        feature: np.ndarray) -> int:
-        """A new data neuron in a new row at strength 100, joined to its
-        locality's default cue at epsilon."""
+                        feature: np.ndarray, cue_id: int | None = None,
+                        unit: np.ndarray | None = None) -> int:
+        """A new data neuron in a new row at strength 100, joined at
+        epsilon to its locality's default cue and to the label cue
+        ``cue_id``, if one is given.
+
+        ``unit``, the feature's :func:`unit_row` when the caller has it
+        already, is taken as the row's unit feature.  Everything given is
+        checked before anything changes: the payload as
+        :func:`check_payload` checks it, and ``cue_id`` (KeyError naming it)
+        as a cue with a label.  The ids this call makes are not checked
+        again.
+        """
         locality = self.locality(locality_id)
         check_payload(payload)
         feature = np.asarray(feature, dtype=float)
         if feature.shape != (self.params.feature_dim,):
             raise ConfigurationError(
                 f"feature dimension {feature.shape} != ({self.params.feature_dim},)")
+        if cue_id is not None and self.cues.get(cue_id) is None:
+            raise KeyError(f"neuron {cue_id} is not a label cue")
         dn_id = self._take_id()
         row = len(self.row_of)
         if row == len(self.features):
             for name in ("features", "strength", "last_access", "quality",
                          "keep", "original_size"):
                 setattr(self, name, _grown(getattr(self, name), row))
-        self.features[row] = unit_row(feature)
+        self.features[row] = unit_row(feature) if unit is None else unit
         self.strength[row] = 100.0
         self.last_access[row] = self.op_counter
         self.row_of[dn_id] = row
@@ -451,12 +463,14 @@ class Memory:
         self.raw_features.append(feature)
         self.payloads.append(payload)
         self.keep[row] = 0
-        self.set_payload(dn_id, payload)
+        self._hold(row, payload)
         locality.add(dn_id, row)
         if locality.default_cue_id is None:
             locality.default_cue_id = self._add_cue()
         # new neurons join their locality's default cue at the epsilon floor
-        self.associate(locality.default_cue_id, dn_id)
+        self._link(locality.default_cue_id, dn_id)
+        if cue_id is not None:
+            self._link(cue_id, dn_id)
         return dn_id
 
     # -- lookups ------------------------------------------------------------
@@ -532,10 +546,16 @@ class Memory:
                     raise KeyError(
                         f"default cue {cue_id} belongs to another locality "
                         f"than data neuron {dn_id}")
-            weight = self.weights[key] = self.params.epsilon
-            self.edge_access[key] = self.op_counter
-            insort(self.search_order[cue_id],
-                   SearchEntry(cue_id, dn_id, weight))
+            weight = self._link(cue_id, dn_id)
+        return weight
+
+    def _link(self, cue_id: int, dn_id: int) -> float:
+        """A new association from a cue to a data neuron at epsilon, in
+        the cue's order; the caller has checked both ids."""
+        weight = self.weights[cue_id, dn_id] = self.params.epsilon
+        self.edge_access[cue_id, dn_id] = self.op_counter
+        insort(self.search_order[cue_id],
+               tuple.__new__(SearchEntry, (-weight, dn_id, cue_id)))
         return weight
 
     def adjust_association(self, cue_id: int, dn_id: int, delta: float,
@@ -559,13 +579,16 @@ class Memory:
             self._move_entry(cue_id, dn_id, old, new)
         return new
 
-    def reward(self, cue_id: int, dn_id: int) -> Payload:
+    def reward(self, cue_id: int, dn_id: int,
+               index: int | None = None) -> Payload:
         """A hit's reaction in one call: strengthen the association by eta,
         as ``adjust_association(cue_id, dn_id, -eta)`` does, restore the data
         neuron's strength to 100, mark its row accessed at the current op,
         and return its payload as :meth:`payload` reads it.
 
-        A strength in ``[phi, 100]`` clamps to exactly 100, as
+        ``index`` is the association's place in the cue's order, when the
+        caller has just found it there; without it the place is found by
+        ``bisect``.  A strength in ``[phi, 100]`` clamps to exactly 100, as
         ``adjust_strength(dn_id, -100.0)`` would, which lowers no stored
         quality, so the payload is rebuilt only if the row was lowered
         before.  KeyError as ``adjust_association`` raises it.
@@ -579,20 +602,21 @@ class Memory:
         new = self.weights[key] = max(self.params.epsilon, old + self.params.eta)
         op = self.edge_access[key] = self.op_counter
         if new != old:
-            self._move_entry(cue_id, dn_id, old, new)
+            self._move_entry(cue_id, dn_id, old, new, index)
         row = self.row_of[dn_id]
         self.strength[row] = 100.0
         self.last_access[row] = op
         return self._payload_at(row)
 
     def _move_entry(self, cue_id: int, dn_id: int, old: float,
-                    new: float) -> None:
-        """Move the association's entry in its cue's order from weight
-        ``old`` to ``new``."""
+                    new: float, i: int | None = None) -> None:
+        """Move the association's entry, at index ``i`` of its cue's order
+        (found by ``bisect`` when None), from weight ``old`` to ``new``."""
         order = self.search_order[cue_id]
         # SearchEntry(cue_id, dn_id, new), without its Python-level __new__
         entry = tuple.__new__(SearchEntry, (-new, dn_id, cue_id))
-        i = bisect_left(order, (-old, dn_id))
+        if i is None:
+            i = bisect_left(order, (-old, dn_id))
         # keys are distinct, so an entry strictly between its neighbours
         # keeps its place
         if ((i == 0 or order[i - 1] < entry)
@@ -700,6 +724,10 @@ class Memory:
         does."""
         row = self._row(dn_id)
         check_payload(payload)
+        self._hold(row, payload)
+
+    def _hold(self, row: int, payload: Payload) -> None:
+        """:meth:`set_payload` of a row, for a payload already checked."""
         self._bytes += len(payload.blob) - self.keep.item(row)
         self.payloads[row] = payload
         self.quality[row] = payload.quality

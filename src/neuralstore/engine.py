@@ -31,19 +31,26 @@ associations only through ``Memory.associate`` and
 ``Memory.adjust_association``, which keep every cue's search order current
 (see :mod:`neuralstore.core`); under failure decay, a retention pass ages
 each idle association at its data neuron's locality's association decay
-rate.  An operation's candidate list is a fresh list taken before its
-scan, so entries moved during the scan do not change it.  For a known
-label the list is a slice of its cue's order, up to the association
-threshold, found by ``bisect``, and the search limit; for an unknown label
-it joins the same slices of every locality's default cue's order, in
-locality order, cut at the search limit.  Those orders share no data
-neuron, since a default cue links only its own locality's.
+rate.  An operation reads its candidates once.  For a known label they
+are its cue's order up to the prefix end: the association threshold,
+found by ``bisect``, and the search limit.  The scan walks that order in
+place, moves nothing while it walks, and hands the match's index there to
+the reward, which moves the entry without a second ``bisect``.  Two cases
+take a fresh list before the scan instead, and their reward finds the
+entry by ``bisect``: an unknown label, whose list joins the same prefixes
+of every locality's default cue's order, in locality order, cut at the
+search limit (those orders share no data neuron, since a default cue
+links only its own locality's), and failure decay, whose flag=0
+reactions move entries during the scan.
 
 Matching scores the query (a store's extracted feature, or a retrieve's
 fine cue) once against the memory's feature matrix, whose rows are the data
 neurons' features scaled to unit length: one
 matrix-vector product gives the query's cosine with every neuron, and the
-candidates are then walked in order, stopping at the first match.  A score
+candidates are then walked in order, stopping at the first match.  A store
+whose query no row scores at or above ``match_thresh - NEAR_THRESHOLD``
+cannot match, so its miss is decided without the walk, and it hands the
+unit row it scored with to its new data neuron.  A score
 within ``NEAR_THRESHOLD`` of ``match_thresh`` (or NaN) is decided again by
 the scalar :func:`~neuralstore.codec.cosine_similarity`, so a match decision
 is always the one a candidate-by-candidate scan would make.  Retrieve fine
@@ -56,7 +63,9 @@ re-check absorbs, so decisions stay exact.  Reactions run
 only where a weight can change: on the match, and on each examined non-match
 when failure decay is enabled.  A hit's reaction is one ``Memory.reward``
 call, which reads its association once and its data neuron's row once and
-returns the payload the hit reports.
+returns the payload the hit reports.  A new data neuron is one
+``Memory.add_data_neuron`` call, which writes its row and links its
+locality's default cue and its known label's cue.
 
 Operation cost is the number of candidate examinations (search-section
 iterations); an engine-wide instrumented counter accumulates the same
@@ -151,16 +160,16 @@ def _check_fine_cue(fine_cue, dim: int) -> np.ndarray:
                              f"got {reprlib.repr(fine_cue)}")
 
 
-def _above(order: list[SearchEntry], t1: float,
-           limit: int | None) -> list[SearchEntry]:
-    """A fresh list of an order's entries whose weight is above ``t1``, at
-    most ``limit`` of them: a prefix, as the order descends by weight,
-    found by ``bisect``."""
+def _prefix_end(order: list[SearchEntry], t1: float,
+                limit: int | None) -> int:
+    """How many of an order's entries have a weight above ``t1``, at most
+    ``limit``: they are a prefix, as the order descends by weight, whose
+    end ``bisect`` finds."""
     end = len(order)
     # -entry[0] is its avg_weight
     if end and not -order[-1][0] > t1:
         end = bisect_left(order, (-t1, -math.inf))
-    return order[:end if limit is None else min(end, limit)]
+    return end if limit is None else min(end, limit)
 
 
 class StorageFullError(RuntimeError):
@@ -285,33 +294,35 @@ class MemoryEngine:
         a default cue links only its own locality's.
         """
         orders = self.memory.search_order
-        t1 = self.search.assoc_thresh
-        limit = self.controls.search_limit
-        if cue_id is not None:
-            return _above(orders.get(cue_id, []), t1, limit)
+        t1, limit = self.search.assoc_thresh, self.controls.search_limit
+        cues = ([cue_id] if cue_id is not None else
+                [loc.default_cue_id for loc in self.memory.localities])
         out: list[SearchEntry] = []
-        for loc in self.memory.localities:
-            out += _above(orders.get(loc.default_cue_id, []), t1,
-                          None if limit is None else limit - len(out))
+        for cue in cues:
+            order = orders.get(cue, [])
+            out += order[:_prefix_end(
+                order, t1, None if limit is None else limit - len(out))]
         return out
 
     # -- reaction ------------------------------------------------------------
 
-    def reaction(self, target_dn: int, cue_id: int,
-                 flag: int) -> Payload | None:
+    def reaction(self, target_dn: int, cue_id: int, flag: int,
+                 index: int | None = None) -> Payload | None:
         """Reward or penalize a candidate reached from ``cue_id`` after a
         search/merge attempt.
 
         ``flag=1`` is ``Memory.reward``: it strengthens the cue's edge to
         the target by the memory's eta, restores the target's strength to
-        100 and returns the target's payload.  ``flag=0`` weakens the edge
-        by eta when failure decay (``controls.weaken_on_fail``) is enabled
-        and otherwise leaves all weights untouched; it returns None.
+        100 and returns the target's payload; ``index``, the edge's place
+        in the cue's order when the scan walked that order in place, spares
+        it a ``bisect``.  ``flag=0`` weakens the edge by eta when failure
+        decay (``controls.weaken_on_fail``) is enabled and otherwise leaves
+        all weights untouched; it returns None.
         """
         memory = self.memory
         try:
             if flag:
-                return memory.reward(cue_id, target_dn)
+                return memory.reward(cue_id, target_dn, index)
             if self.controls.weaken_on_fail:
                 memory.adjust_association(cue_id, target_dn, self.params.eta)
             elif (cue_id, target_dn) not in memory.weights:
@@ -321,14 +332,12 @@ class MemoryEngine:
                 f"cue {cue_id} has no edge to {target_dn}") from None
         return None
 
-    def _link_cue(self, cue: str, cue_id: int | None, dn_id: int) -> None:
-        """Associate the op's label with a data neuron at epsilon, through
-        a new cue neuron when the bank did not know the label (``cue_id``
-        None).  Neuron ids come from one counter, so the new cue is made
-        after the op's data neuron and reaction."""
-        if cue_id is None:
-            cue_id = self.memory.new_cue_neuron(cue)
-        self.memory.associate(cue_id, dn_id)
+    def _link_new_cue(self, cue: str, dn_id: int) -> None:
+        """Associate a label the bank did not know with a data neuron at
+        epsilon, through a new cue neuron.  Neuron ids come from one
+        counter, so the new cue is made after the op's data neuron and
+        reaction."""
+        self.memory.associate(self.memory.new_cue_neuron(cue), dn_id)
 
     # -- capacity ------------------------------------------------------------
 
@@ -385,9 +394,11 @@ class MemoryEngine:
 
     # -- operations ------------------------------------------------------------
 
-    def _first_match(self, candidates: list[SearchEntry],
-                     query: np.ndarray | None, memo: bool) -> int | None:
-        """Index of the first candidate whose feature matches ``query``.
+    def _first_match(self, candidates: list[SearchEntry], end: int,
+                     query: np.ndarray | None,
+                     unit: np.ndarray | None = None) -> int | None:
+        """Index of the first of ``candidates[:end]`` whose feature matches
+        ``query``, walked in place.
 
         Without a query the first candidate matches outright.  The query,
         scaled to unit length, scores every row of the memory's unit feature
@@ -396,7 +407,13 @@ class MemoryEngine:
         ``match_thresh`` (and NaN) are decided by the scalar
         ``cosine_similarity``.
 
-        A retrieve's fine cue (``memo``) recurs across operations, and a
+        A store passes its query's ``unit`` row, which it hands on to a new
+        data neuron, and its product is scored fresh and never kept.  If no
+        row scores at or above ``match_thresh - NEAR_THRESHOLD``, no
+        candidate can match, so a store's miss is decided without the walk
+        (a NaN maximum, from a NaN row or query, still walks).
+
+        A retrieve's fine cue (no ``unit``) recurs across operations, and a
         feature row never changes once ``Memory.add_data_neuron`` has
         written it, so each cue keeps, keyed by its bytes (a cue changed in
         place gets a new key), its unit row and its scores against the rows
@@ -406,15 +423,16 @@ class MemoryEngine:
         ``NEAR_THRESHOLD``, so every score that could fall on the other side
         of ``match_thresh`` is decided by the scalar function either way,
         and the decision, ``cost`` and ``examined`` are those of a fresh
-        product.  A store's query is its blob's feature, scored fresh and
-        never kept.
+        product.
         """
-        if not candidates or query is None:
-            return 0 if candidates else None
+        if not end or query is None:
+            return 0 if end else None
         memory = self.memory
         rows = memory.row_of
         n = len(rows)
-        if memo:
+        thresh = self.search.match_thresh
+        above, below = thresh + NEAR_THRESHOLD, thresh - NEAR_THRESHOLD
+        if unit is None:
             key = query.tobytes()
             kept = self._fine_units.get(key)
             if kept is None:
@@ -426,33 +444,50 @@ class MemoryEngine:
                 scores.frombytes(
                     (memory.features[len(scores):n] @ unit).tobytes())
         else:
-            scores = (memory.features[:n] @ unit_row(query)).tolist()
-        thresh = self.search.match_thresh
-        above, below = thresh + NEAR_THRESHOLD, thresh - NEAR_THRESHOLD
-        for i, entry in enumerate(candidates):
-            dn_id = entry[1]
-            score = scores[rows[dn_id]]
+            scores = memory.features[:n] @ unit
+            if scores.max() < below:
+                return None
+            scores = scores.tolist()
+        for i in range(end):
+            row = rows[candidates[i][1]]
+            score = scores[row]
             if score > above:
                 return i
             if not score < below and cosine_similarity(
-                    query, memory.raw_features[rows[dn_id]]) >= thresh:
+                    query, memory.raw_features[row]) >= thresh:
                 return i
         return None
 
-    def _scan(self, candidates: list[SearchEntry], query: np.ndarray | None,
-              memo: bool = False) -> tuple[SearchEntry | None, tuple[int, ...]]:
-        """Examine candidates up to the first match; return it (or None) and
-        the examined dn ids.  A failed examination changes a weight only
-        under failure decay, so only then does it get its flag=0 reaction."""
-        first = self._first_match(candidates, query, memo)
-        cost = len(candidates) if first is None else first + 1
+    def _scan(self, cue_id: int | None, query: np.ndarray | None,
+              unit: np.ndarray | None = None
+              ) -> tuple[SearchEntry | None, int | None, tuple[int, ...]]:
+        """Examine the op's candidates up to the first match; return it (or
+        None), its index in its cue's order when the walk was in place (or
+        None), and the examined dn ids.
+
+        A known cue's order is walked in place up to its prefix end.  Two
+        cases walk a fresh list from :meth:`get_search_order` instead: an
+        unknown label, whose list joins several orders, and failure decay,
+        under which every examined non-match gets a flag=0 reaction that
+        moves its entry before the match is rewarded.  Without failure
+        decay a failed examination changes no weight and gets no
+        reaction."""
+        fresh = cue_id is None or self.controls.weaken_on_fail
+        # a fresh list is its own prefix
+        candidates = (self.get_search_order(cue_id) if fresh else
+                      self.memory.search_order.get(cue_id, []))
+        end = _prefix_end(candidates, self.search.assoc_thresh,
+                          self.controls.search_limit)
+        first = self._first_match(candidates, end, query, unit)
+        cost = end if first is None else first + 1
         self.total_search_iterations += cost
+        examined = tuple(map(_DN_ID, candidates[:cost]))
         if self.controls.weaken_on_fail:
             # the examined non-matches: all of them when nothing matched
             for entry in candidates[:first]:
                 self.reaction(entry.dn_id, entry.cue_id, flag=0)
-        examined = tuple(map(_DN_ID, candidates[:cost]))
-        return (None if first is None else candidates[first]), examined
+        return (None if first is None else candidates[first],
+                None if fresh else first, examined)
 
     def store(self, data, cue: str, item_id: str | None = None) -> OpOutcome:
         """Store data under one label: merge into a similar resident neuron
@@ -461,23 +496,24 @@ class MemoryEngine:
         payload = self._as_payload(data, item_id, "store")
         self.memory.op_counter += 1
         feature = self.memory.extractor.extract(payload.blob)
+        unit = unit_row(feature)
         self.ensure_capacity(payload.original_size)
         cue_id = self.memory.find_cue_by_label(cue)
-        match, examined = self._scan(self.get_search_order(cue_id), feature)
+        match, index, examined = self._scan(cue_id, feature, unit)
         if match is not None:
             kind, dn_id = "merged", match[1]
-            stored = self.reaction(dn_id, match[2], flag=1)
-            if cue_id is None:
-                self._link_cue(cue, None, dn_id)
+            stored = self.reaction(dn_id, match[2], flag=1, index=index)
             if payload.quality > stored.quality:
                 # merge refresh: fresher copy wins
                 self.memory.set_payload(dn_id, payload)
                 stored = payload
         else:
             kind, stored = "new_neuron", payload
-            locality = self.select_locality(cue)
-            dn_id = self.memory.add_data_neuron(locality.id, payload, feature)
-            self._link_cue(cue, cue_id, dn_id)
+            # with its known label's edge, if any
+            dn_id = self.memory.add_data_neuron(
+                self.select_locality(cue).id, payload, feature, cue_id, unit)
+        if cue_id is None:
+            self._link_new_cue(cue, dn_id)
         self._auto_retention()
         # a payload never changes, so retention leaves its quality as it was
         return OpOutcome(kind, dn_id, len(examined), stored, stored.quality,
@@ -492,16 +528,15 @@ class MemoryEngine:
             fine_cue = _check_fine_cue(fine_cue, self.params.feature_dim)
         self.memory.op_counter += 1
         cue_id = self.memory.find_cue_by_label(cue)
-        match, examined = self._scan(self.get_search_order(cue_id), fine_cue,
-                                     memo=True)
+        match, index, examined = self._scan(cue_id, fine_cue)
         kind, dn_id, stored, quality = "miss", None, None, None
         if match is not None:
             # a reaction restores strength but never the stored quality
             kind, dn_id = "hit", match[1]
-            stored = self.reaction(dn_id, match[2], flag=1)
+            stored = self.reaction(dn_id, match[2], flag=1, index=index)
             quality = stored.quality
             if cue_id is None:
-                self._link_cue(cue, None, dn_id)
+                self._link_new_cue(cue, dn_id)
         self._auto_retention()
         return OpOutcome(kind, dn_id, len(examined), stored, quality,
                          examined)

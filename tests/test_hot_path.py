@@ -30,6 +30,7 @@ from neuralstore.core import (
     HiveParams,
     SearchEntry,
     parse_snapshot,
+    unit_row,
 )
 from neuralstore.engine import (
     MemoryEngine,
@@ -345,15 +346,12 @@ class TestMatcherAgainstTheModel:
                     match_thresh=thresh)
                 expected = model.first_match([e.dn_id for e in candidates],
                                              query)
-                cost = len(candidates) if expected is None else expected + 1
-                # scored fresh, as a store's query, and through the memo,
-                # as a retrieve's fine cue
-                for memo in (False, True):
-                    match, examined = engine._scan(candidates, query, memo)
-                    assert match == (None if expected is None
-                                     else candidates[expected])
-                    assert examined == tuple(e.dn_id
-                                             for e in candidates[:cost])
+                # scored fresh with its unit row, as a store's query, and
+                # through the memo, as a retrieve's fine cue
+                units = [None] if query is None else [unit_row(query), None]
+                for unit in units:
+                    assert engine._first_match(
+                        candidates, len(candidates), query, unit) == expected
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_rows_are_unit_length_and_zero_or_nan_where_the_norm_cannot_be(
