@@ -12,11 +12,12 @@ lead from a cue neuron to a data neuron:
 
 A data neuron is a row of the memory's per-row columns, which
 ``Memory.row_of`` finds by its id: its unit feature, strength, last access,
-stored quality and stored size, original size, locality and feature as
-given.  Retention thus updates a whole locality with one array pass and
-elasticity reads a locality's strengths at once.  The columns change only
-through ``Memory``.  Two of its methods lower strengths, each lowering the
-stored quality and size columns where the quality falls:
+stored quality and stored size, original size, id (``Memory.row_dn``),
+locality and feature as given.  Retention thus updates a whole locality
+with one array pass and elasticity reads a locality's strengths at once.
+The columns change only through ``Memory``.  Two of its methods lower
+strengths, each lowering the stored quality and size columns where the
+quality falls:
 ``adjust_strengths`` for many rows at once (retention; ``adjust_strength``
 is its one-row form), and ``lower_to_floors``, the elasticity walk, which
 lowers the strengths of each ``(locality, ceiling)`` step above its floor
@@ -390,8 +391,9 @@ class Memory:
         self.quality = np.empty(0)
         self.keep = np.empty(0, dtype=np.int64)
         self.original_size = np.empty(0, dtype=np.int64)
-        # each row's locality id, and its feature as given, which the scalar
-        # match recheck scores
+        # each row's data neuron id and locality id, and its feature as
+        # given, which the scalar match recheck scores
+        self.row_dn: list[int] = []
         self.row_locality: list[int] = []
         self.raw_features: list[np.ndarray] = []
         # each row's payload as last stored or read; its quality differs
@@ -459,6 +461,7 @@ class Memory:
         self.strength[row] = 100.0
         self.last_access[row] = self.op_counter
         self.row_of[dn_id] = row
+        self.row_dn.append(dn_id)
         self.row_locality.append(locality.id)
         self.raw_features.append(feature)
         self.payloads.append(payload)

@@ -2,9 +2,10 @@
 
 The engine drives a :class:`~neuralstore.core.Memory` through the learning
 operations.  Store first tries to merge incoming data with a similar resident
-data neuron; retrieve walks candidate data neurons drawn from the per-cue
-search orders; both reward matches and (optionally) penalize mismatches
-through the reaction step, which is where all association learning happens.
+data neuron; retrieve searches candidate data neurons drawn from the
+per-cue search orders; both reward matches and (optionally) penalize
+mismatches through the reaction step, which is where all association
+learning happens.
 Retention ages whatever the access pattern has not touched lately, and
 elasticity squeezes stored quality to make room when a byte capacity is set.
 
@@ -33,33 +34,39 @@ associations only through ``Memory.associate`` and
 each idle association at its data neuron's locality's association decay
 rate.  An operation reads its candidates once.  For a known label they
 are its cue's order up to the prefix end: the association threshold,
-found by ``bisect``, and the search limit.  The scan walks that order in
-place, moves nothing while it walks, and hands the match's index there to
-the reward, which moves the entry without a second ``bisect``.  Two cases
-take a fresh list before the scan instead, and their reward finds the
-entry by ``bisect``: an unknown label, whose list joins the same prefixes
-of every locality's default cue's order, in locality order, cut at the
-search limit (those orders share no data neuron, since a default cue
-links only its own locality's), and failure decay, whose flag=0
+found by ``bisect``, and the search limit.  The scan searches that order
+in place, moves nothing while it searches, and hands the match's index
+there to the reward, which moves the entry without a second ``bisect``.
+Two cases take a fresh list before the scan instead, and their reward
+finds the entry by ``bisect``: an unknown label, whose list joins the same
+prefixes of every locality's default cue's order, in locality order, cut
+at the search limit (those orders share no data neuron, since a default
+cue links only its own locality's), and failure decay, whose flag=0
 reactions move entries during the scan.
 
 Matching scores the query (a store's extracted feature, or a retrieve's
 fine cue) once against the memory's feature matrix, whose rows are the data
-neurons' features scaled to unit length: one
-matrix-vector product gives the query's cosine with every neuron, and the
-candidates are then walked in order, stopping at the first match.  A store
-whose query no row scores at or above ``match_thresh - NEAR_THRESHOLD``
-cannot match, so its miss is decided without the walk, and it hands the
-unit row it scored with to its new data neuron.  A score
-within ``NEAR_THRESHOLD`` of ``match_thresh`` (or NaN) is decided again by
-the scalar :func:`~neuralstore.codec.cosine_similarity`, so a match decision
-is always the one a candidate-by-candidate scan would make.  Retrieve fine
-cues recur, so the engine keeps, for up to ``FINE_UNIT_MEMO_SIZE`` distinct
-cues keyed by the cue's bytes, each cue's unit row and its scores against
-the feature rows, packed as float64; rows never change once added, so a
-later retrieve scores only the rows added since.  Those scores may differ
-from a full product's in the last bits, which the ``NEAR_THRESHOLD``
-re-check absorbs, so decisions stay exact.  Reactions run
+neurons' features scaled to unit length: one matrix-vector product gives
+the query's cosine with every neuron.  Only the near rows, those scoring
+at or above ``match_thresh - NEAR_THRESHOLD`` (or NaN), can match, and the
+match is found by place rather than by visiting each candidate: under a
+known label each near row is placed in the cue's order by ``bisect`` at its
+edge's ``(-weight, dn_id)`` key (``Memory.row_dn`` names a row's data
+neuron), places at or past the prefix end are cut, and the rest are
+decided in order, up to the first match.  An unknown label's joined list
+is walked for its near rows instead.  A store with no near row misses at
+once, and hands the unit row it scored with to its new data neuron.  A
+score within ``NEAR_THRESHOLD`` of ``match_thresh`` (or NaN) is decided
+again by the scalar :func:`~neuralstore.codec.cosine_similarity`, so a
+match decision, and each call to that function, is the one a
+candidate-by-candidate scan would make.  Retrieve fine cues recur, so the
+engine keeps, for up to ``FINE_UNIT_MEMO_SIZE`` distinct cues keyed by the
+cue's bytes, each cue's unit row, how many rows it has scored, and its near
+rows' scores at the band floor it filtered at; rows never change once
+added, so a later retrieve scores only the rows added since, and a changed
+``match_thresh`` scores the cue afresh.  Those scores may differ from a
+full product's in the last bits, which the ``NEAR_THRESHOLD`` re-check
+absorbs, so decisions stay exact.  Reactions run
 only where a weight can change: on the match, and on each examined non-match
 when failure decay is enabled.  A hit's reaction is one ``Memory.reward``
 call, which reads its association once and its data neuron's row once and
@@ -68,7 +75,10 @@ returns the payload the hit reports.  A new data neuron is one
 locality's default cue and its known label's cue.
 
 Operation cost is the number of candidate examinations (search-section
-iterations); an engine-wide instrumented counter accumulates the same
+iterations) of the paper's sequential search: the candidates up to and
+including the match, or all of them on a miss, which is also what
+``examined`` lists, although the engine finds the match by place and does
+not visit them.  An engine-wide instrumented counter accumulates the same
 quantity independently of the per-operation bookkeeping so the two can be
 cross-checked.
 
@@ -103,7 +113,6 @@ import math
 import numbers
 import reprlib
 import typing
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -128,8 +137,8 @@ from neuralstore.core import (
 # scalar cosine_similarity; the two differ only by rounding, far below it
 NEAR_THRESHOLD = 1e-9
 
-# distinct retrieve fine cues whose unit rows and scores an engine keeps;
-# past this many the memo starts over
+# distinct retrieve fine cues whose unit rows and near rows' scores an
+# engine keeps; past this many the memo starts over
 FINE_UNIT_MEMO_SIZE = 1024
 
 _FLOAT64 = np.dtype(float)
@@ -252,9 +261,10 @@ class MemoryEngine:
         self.search.validate()
         self.controls.validate()
         self.total_search_iterations = 0
-        # retrieve fine cue bytes -> (the cue's unit_row, its scores against
-        # the memory's first len(scores) feature rows); see _first_match
-        self._fine_units: dict[bytes, tuple[np.ndarray, array]] = {}
+        # retrieve fine cue bytes -> [the cue's unit_row, how many rows it
+        # has scored, its near rows as (row, score), band floor]; see
+        # _first_match
+        self._fine_units: dict[bytes, list] = {}
 
     # -- helpers -------------------------------------------------------------
 
@@ -314,10 +324,10 @@ class MemoryEngine:
         ``flag=1`` is ``Memory.reward``: it strengthens the cue's edge to
         the target by the memory's eta, restores the target's strength to
         100 and returns the target's payload; ``index``, the edge's place
-        in the cue's order when the scan walked that order in place, spares
-        it a ``bisect``.  ``flag=0`` weakens the edge by eta when failure
-        decay (``controls.weaken_on_fail``) is enabled and otherwise leaves
-        all weights untouched; it returns None.
+        in the cue's order when the scan searched that order in place,
+        spares it a ``bisect``.  ``flag=0`` weakens the edge by eta when
+        failure decay (``controls.weaken_on_fail``) is enabled and otherwise
+        leaves all weights untouched; it returns None.
         """
         memory = self.memory
         try:
@@ -396,29 +406,36 @@ class MemoryEngine:
 
     def _first_match(self, candidates: list[SearchEntry], end: int,
                      query: np.ndarray | None,
-                     unit: np.ndarray | None = None) -> int | None:
+                     unit: np.ndarray | None = None,
+                     cue_id: int | None = None) -> int | None:
         """Index of the first of ``candidates[:end]`` whose feature matches
-        ``query``, walked in place.
+        ``query``, found by place rather than by visiting each candidate.
 
         Without a query the first candidate matches outright.  The query,
         scaled to unit length, scores every row of the memory's unit feature
-        matrix in one product; the candidates are then walked in order up to
-        the first match.  Scores within ``NEAR_THRESHOLD`` of
-        ``match_thresh`` (and NaN) are decided by the scalar
-        ``cosine_similarity``.
+        matrix in one product, and only the near rows, those scoring at or
+        above ``match_thresh - NEAR_THRESHOLD`` (or NaN), can match.  Given
+        the ``cue_id`` whose order (or a prefix of it) ``candidates`` is, a
+        near row's place there is found by ``bisect`` at its edge's
+        ``(-weight, dn_id)`` key; a row the cue has no edge to, or placed at
+        or past ``end``, is dropped.  Without one (an unknown label's joined
+        list) the candidates are walked for their near rows.  The places are
+        then decided in order: a score above the band matches, and one
+        within ``NEAR_THRESHOLD`` of ``match_thresh`` (or NaN) is decided by
+        the scalar ``cosine_similarity``.  So the match, and the calls to
+        ``cosine_similarity``, are those of a candidate-by-candidate walk.
 
         A store passes its query's ``unit`` row, which it hands on to a new
-        data neuron, and its product is scored fresh and never kept.  If no
-        row scores at or above ``match_thresh - NEAR_THRESHOLD``, no
-        candidate can match, so a store's miss is decided without the walk
-        (a NaN maximum, from a NaN row or query, still walks).
+        data neuron, and its product is scored fresh and never kept; when no
+        row is near, its miss is decided at once.
 
         A retrieve's fine cue (no ``unit``) recurs across operations, and a
         feature row never changes once ``Memory.add_data_neuron`` has
         written it, so each cue keeps, keyed by its bytes (a cue changed in
-        place gets a new key), its unit row and its scores against the rows
-        that existed at its last use, packed as float64.  Only the rows
-        added since are scored, by a product over that slice.  A sliced
+        place gets a new key), ``[unit row, rows scored, [(near row,
+        score), ...], band floor]``.  Only the rows added since are scored,
+        by a product over that slice; a cue is scored afresh when
+        ``match_thresh``, and with it the band floor, has changed.  A sliced
         product may differ from the full one in the last bits, far below
         ``NEAR_THRESHOLD``, so every score that could fall on the other side
         of ``match_thresh`` is decided by the scalar function either way,
@@ -428,33 +445,48 @@ class MemoryEngine:
         if not end or query is None:
             return 0 if end else None
         memory = self.memory
-        rows = memory.row_of
-        n = len(rows)
+        n = len(memory.row_dn)
         thresh = self.search.match_thresh
         above, below = thresh + NEAR_THRESHOLD, thresh - NEAR_THRESHOLD
         if unit is None:
             key = query.tobytes()
             kept = self._fine_units.get(key)
-            if kept is None:
+            if kept is None or kept[3] != below:
                 if len(self._fine_units) >= FINE_UNIT_MEMO_SIZE:
                     self._fine_units.clear()
-                kept = self._fine_units[key] = (unit_row(query), array("d"))
-            unit, scores = kept
-            if len(scores) < n:
-                scores.frombytes(
-                    (memory.features[len(scores):n] @ unit).tobytes())
+                kept = self._fine_units[key] = [unit_row(query), 0, [], below]
+            unit, start, near, _ = kept
+            kept[1] = n
         else:
-            scores = memory.features[:n] @ unit
-            if scores.max() < below:
-                return None
-            scores = scores.tolist()
-        for i in range(end):
-            row = rows[candidates[i][1]]
-            score = scores[row]
-            if score > above:
-                return i
-            if not score < below and cosine_similarity(
-                    query, memory.raw_features[row]) >= thresh:
+            start, near = 0, []
+        if start < n:
+            scores = memory.features[start:n] @ unit
+            found = (~(scores < below)).nonzero()[0]
+            if len(found):
+                rows = found.tolist()
+                near += zip([start + row for row in rows] if start else rows,
+                            scores[found].tolist())
+        if not near:
+            return None
+        if cue_id is None:
+            score_of, row_of = dict(near), memory.row_of
+            places = [(i, score_of[row], row) for i in range(end)
+                      if (row := row_of[candidates[i][1]]) in score_of]
+        else:
+            # each near row's place in the order, at its edge's key: a row
+            # the cue has no edge to has none, and a place at end (where
+            # bisect stops) lies past the prefix
+            places, weight, row_dn = [], memory.weights.get, memory.row_dn
+            for row, score in near:
+                w = weight((cue_id, dn := row_dn[row]))
+                if w is not None:
+                    i = bisect_left(candidates, (-w, dn), 0, end)
+                    if i < end:
+                        places.append((i, score, row))
+            places.sort()
+        raw = memory.raw_features
+        for i, score, row in places:
+            if score > above or cosine_similarity(query, raw[row]) >= thresh:
                 return i
         return None
 
@@ -462,23 +494,26 @@ class MemoryEngine:
               unit: np.ndarray | None = None
               ) -> tuple[SearchEntry | None, int | None, tuple[int, ...]]:
         """Examine the op's candidates up to the first match; return it (or
-        None), its index in its cue's order when the walk was in place (or
+        None), its index in its cue's order when the search was in place (or
         None), and the examined dn ids.
 
-        A known cue's order is walked in place up to its prefix end.  Two
-        cases walk a fresh list from :meth:`get_search_order` instead: an
-        unknown label, whose list joins several orders, and failure decay,
-        under which every examined non-match gets a flag=0 reaction that
-        moves its entry before the match is rewarded.  Without failure
-        decay a failed examination changes no weight and gets no
-        reaction."""
+        ``cost`` and ``examined`` count the candidates the paper's
+        sequential search examines: the prefix up to and including the
+        match, or all of it on a miss, although :meth:`_first_match` finds
+        the match by place without visiting them.  A known cue's order is
+        searched in place up to its prefix end.  Two cases take a fresh
+        list from :meth:`get_search_order` instead: an unknown label, whose
+        list joins several orders, and failure decay, under which every
+        examined non-match gets a flag=0 reaction that moves its entry
+        before the match is rewarded.  Without failure decay a failed
+        examination changes no weight and gets no reaction."""
         fresh = cue_id is None or self.controls.weaken_on_fail
         # a fresh list is its own prefix
         candidates = (self.get_search_order(cue_id) if fresh else
                       self.memory.search_order.get(cue_id, []))
         end = _prefix_end(candidates, self.search.assoc_thresh,
                           self.controls.search_limit)
-        first = self._first_match(candidates, end, query, unit)
+        first = self._first_match(candidates, end, query, unit, cue_id)
         cost = end if first is None else first + 1
         self.total_search_iterations += cost
         examined = tuple(map(_DN_ID, candidates[:cost]))

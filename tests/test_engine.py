@@ -686,9 +686,10 @@ class TestFineCueShape:
     candidates."""
 
     def state(self, engine) -> tuple:
-        # each memo entry's key and how many rows its scores cover
+        # each memo entry's key, how many rows it has scored and its near
+        # rows' scores
         return TestCueLabel.state(self, engine) + (
-            {key: len(scores) for key, (_, scores) in
+            {key: (scored, list(near)) for key, (_, scored, near, _) in
              engine._fine_units.items()},)
 
     @pytest.mark.parametrize("cue", ["hot", "unheard"])

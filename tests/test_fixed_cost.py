@@ -219,6 +219,19 @@ class TestFidelityKeptPerPayload:
             a.quality = 10.0
 
 
+class SlicedRows(np.ndarray):
+    """A feature matrix that counts the rows its slices hold: the rows a
+    product over a slice scores."""
+
+    rows = 0
+
+    def __getitem__(self, key):
+        got = super().__getitem__(key)
+        if isinstance(key, slice):
+            SlicedRows.rows += len(got)
+        return got
+
+
 class TestFineCueUnitRows:
     def test_a_cue_changed_in_place_is_scored_by_its_new_value(self):
         engine = engine_with()
@@ -283,7 +296,8 @@ class TestFineCueUnitRows:
         cues = [np.zeros(dim), near, f.copy(),
                 engine.memory.extractor.extract(blob(4)),
                 engine.memory.extractor.extract(blob(7, item=1))]
-        kinds = set()
+        kinds, scored = set(), {}
+        below = thresh - engine_module.NEAR_THRESHOLD
         for step in range(14):
             if step % 4 == 3:
                 # a neuron whose unit row is NaN, reached from "hot"
@@ -296,11 +310,19 @@ class TestFineCueUnitRows:
             for i, cue in enumerate(cues):
                 # cues recur after differing numbers of added rows
                 query = cue if (step + i) % 3 else cues[i - 1]
+                memory = engine.memory
+                memory.features = memory.features.view(SlicedRows)
+                SlicedRows.rows = 0
                 got = run_both(engine, model, "retrieve", "hot", query)
                 kinds.add(got.kind)
-                rows = len(engine.memory.row_of)
-                unit, scores = engine._fine_units[query.tobytes()]
-                assert len(scores) == rows
-                assert np.allclose(scores, engine.memory.features[:rows] @ unit,
+                key = query.tobytes()
+                scored[key] = scored.get(key, 0) + SlicedRows.rows
+                rows = len(memory.row_of)
+                unit, count, near_rows, _ = engine._fine_units[key]
+                assert scored[key] == count == rows
+                full = memory.features[:rows] @ unit
+                at = np.flatnonzero(~(full < below))
+                assert [row for row, _ in near_rows] == at.tolist()
+                assert np.allclose([score for _, score in near_rows], full[at],
                                    rtol=0.0, atol=1e-12, equal_nan=True)
         assert kinds == {"hit", "miss"}

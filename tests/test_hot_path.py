@@ -314,44 +314,83 @@ def odd_vector(rng, dim: int, base: np.ndarray | None = None) -> np.ndarray:
 
 
 class TestMatcherAgainstTheModel:
+    DIM = 6
+
+    def odd_rows(self, rng):
+        """An engine and the model over the same 40 odd rows; the rows'
+        base vector and dn ids."""
+        engine = engine_with(feature_dim=self.DIM)
+        model = Model(engine.params)
+        base = rng.standard_normal(self.DIM)
+        dn_ids = []
+        for _ in range(40):
+            feature = odd_vector(rng, self.DIM, base)
+            model.add_data_neuron(0, Payload.from_bytes(b"x"), feature)
+            dn_ids.append(engine.memory.add_data_neuron(
+                0, Payload.from_bytes(b"x"), feature))
+        return engine, model, base, dn_ids
+
+    def decisions(self, rng, engine, model, dn_ids, query):
+        """For thresholds at, and 1e-12 either side of, a scalar score of
+        ``query`` against a candidate (where the unit-row score may round
+        either way), at either end and at random: set each on the engine
+        and the model, and yield the model's match among ``dn_ids``, then
+        the unit rows to score the query with: fresh, as a store's query,
+        and through the memo, as a retrieve's fine cue."""
+        exact = [cosine_similarity(query, raw_feature(engine.memory, dn))
+                 for dn in (dn_ids if query is not None else [])]
+        exact = [x for x in exact if not np.isnan(x)] or [0.0]
+        at = float(rng.choice(exact))
+        for thresh in (at, at - 1e-12, at + 1e-12, -1.0, 1.0,
+                       float(rng.uniform(-1.0, 1.0))):
+            engine.search = model.search = SearchParams(match_thresh=thresh)
+            units = [None] if query is None else [unit_row(query), None]
+            yield model.first_match(dn_ids, query), units
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_same_match_and_cost_as_the_scalar_scan(self, seed):
         rng = np.random.default_rng(seed)
-        dim = 6
-        engine = engine_with(feature_dim=dim)
-        model = Model(engine.params)
-        memory = engine.memory
-        base = rng.standard_normal(dim)
-        dn_ids = []
-        for _ in range(40):
-            feature = odd_vector(rng, dim, base)
-            model.add_data_neuron(0, Payload.from_bytes(b"x"), feature)
-            dn_ids.append(memory.add_data_neuron(0, Payload.from_bytes(b"x"),
-                                                 feature))
+        engine, model, base, dn_ids = self.odd_rows(rng)
         for _ in range(150):
             candidates = [SearchEntry(0, int(d), 1.0) for d in rng.choice(
                 dn_ids, size=int(rng.integers(0, 15)), replace=False)]
-            query = odd_vector(rng, dim, base) if rng.integers(0, 4) else None
-            queries = [] if query is None else [query]
-            # thresholds at, and 1e-12 either side of, a scalar score, where
-            # the unit-row score may round either way
-            exact = [cosine_similarity(q, raw_feature(memory, e.dn_id))
-                     for q in queries for e in candidates]
-            exact = [x for x in exact if not np.isnan(x)] or [0.0]
-            at = float(rng.choice(exact))
-            for thresh in (at, at - 1e-12, at + 1e-12, -1.0, 1.0,
-                           float(rng.uniform(-1.0, 1.0))):
-                engine.search = model.search = SearchParams(
-                    match_thresh=thresh)
-                expected = model.first_match([e.dn_id for e in candidates],
-                                             query)
-                # scored fresh with its unit row, as a store's query, and
-                # through the memo, as a retrieve's fine cue
-                units = [None] if query is None else [unit_row(query), None]
+            query = (odd_vector(rng, self.DIM, base) if rng.integers(0, 4)
+                     else None)
+            for expected, units in self.decisions(
+                    rng, engine, model, [e.dn_id for e in candidates], query):
                 for unit in units:
                     assert engine._first_match(
                         candidates, len(candidates), query, unit) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_a_cues_order_placed_by_its_cue_id(self, seed):
+        """The same over a cue's real order, given with its cue id: each
+        near row is placed by its edge's weight, among ties, up to a random
+        end, both in the order and in a fresh copy of its prefix (as under
+        failure decay); some rows have no edge from the cue."""
+        rng = np.random.default_rng(seed)
+        engine, model, base, dn_ids = self.odd_rows(rng)
+        memory = engine.memory
+        cue = memory.add_cue_neuron("hot")
+        for dn in dn_ids:
+            if rng.integers(0, 4):
+                memory.associate(cue, dn)
+        order = memory.search_order[cue]
+        for _ in range(150):
+            # weights move in steps of 5, so many tie
+            memory.adjust_association(cue, rng.choice(order)[1],
+                                      5.0 * int(rng.integers(-2, 3)))
+            end = int(rng.integers(0, len(order) + 1))
+            query = (odd_vector(rng, self.DIM, base) if rng.integers(0, 4)
+                     else None)
+            for expected, units in self.decisions(
+                    rng, engine, model, [e[1] for e in order[:end]], query):
+                for unit in units:
+                    for candidates in (order, order[:end]):
+                        assert engine._first_match(
+                            candidates, end, query, unit, cue) == expected
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_rows_are_unit_length_and_zero_or_nan_where_the_norm_cannot_be(

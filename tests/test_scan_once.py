@@ -2,9 +2,9 @@
 
 A store whose query no row scores at or above ``match_thresh -
 NEAR_THRESHOLD`` misses without walking its candidates; a hit under a
-known label is found by walking its cue's order in place, and its index
-there is handed to ``Memory.reward``, which moves the entry without a
-second ``bisect``; a new data neuron is added, with its label's edge, in
+known label is found by placing each near row in its cue's order, and its
+index there is handed to ``Memory.reward``, which moves the entry without
+a second ``bisect``; a new data neuron is added, with its label's edge, in
 one ``Memory`` call that checks its payload once.  Every decision, cost and
 state is checked against the reference model (``tests/reference.py``).
 """
@@ -16,7 +16,7 @@ import pytest
 
 from neuralstore import core as core_module
 from neuralstore import engine as engine_module
-from neuralstore.codec import Payload
+from neuralstore.codec import Payload, cosine_similarity
 from neuralstore.core import unit_row
 from neuralstore.engine import NEAR_THRESHOLD, OpControls, SearchParams
 from tests.helpers import (
@@ -120,6 +120,116 @@ class TestStoreMissDecision:
         assert (out.kind, out.cost) == ("new_neuron", cost)
         assert tuple(out) == model.store(blob(9, cls=1), "hot")
         assert_same_state(engine, model)
+
+
+def placed_engine_and_model():
+    """Six rows under "hot", whose weights place them out of row order:
+    row 4 (NaN) at 51, row 3 at 41, row 2 at 21, and rows 0 and 1 tied at
+    11, in dn id order; row 5 has no edge from "hot"."""
+    engine, model = rows_engine_and_model([
+        [1, 0, 0], [1, 0, 0.01], [0.99, 0.1, 0], [0, 1, 0], [np.nan, 1, 0],
+        [1, 0, 0]])
+    dn_ids = list(engine.memory.row_of)
+    for memory in (engine.memory, model):
+        cue = memory.add_cue_neuron("hot")
+        for row, weight in [(4, 51), (3, 41), (2, 21), (0, 11), (1, 11)]:
+            memory.associate(cue, dn_ids[row])
+            memory.adjust_association(cue, dn_ids[row], 1.0 - weight)
+    return engine, model
+
+
+@pytest.fixture
+def scalar_calls(monkeypatch):
+    """The engine's calls to the scalar ``cosine_similarity``."""
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return cosine_similarity(a, b)
+
+    monkeypatch.setattr(engine_module, "cosine_similarity", counting)
+    return calls
+
+
+def retrieve_both(engine, model, calls, label, query):
+    """``run_both``'s retrieve, which also checks that the engine called
+    the scalar function once for each examined candidate whose unit-row
+    score is within ``NEAR_THRESHOLD`` of the threshold or NaN, as a walk
+    would."""
+    calls.clear()
+    query = np.array(query, dtype=float)
+    out = run_both(engine, model, "retrieve", label, query)
+    memory, thresh = engine.memory, engine.search.match_thresh
+    unit = unit_row(query)
+    scores = [memory.features[memory.row_of[dn]] @ unit
+              for dn in out.examined]
+    assert len(calls) == sum(not score < thresh - NEAR_THRESHOLD
+                             and not score > thresh + NEAR_THRESHOLD
+                             for score in scores)
+    return out
+
+
+class TestMatchByPlace:
+    """A known label's match is found by placing its near rows in its
+    cue's order, and decided in that order; the decision, cost, examined
+    ids, reward index and scalar calls are a walk's."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("controls, thresh, label, query, row, cost", [
+        # the NaN row first, row 2 before the near rows 0 and 1, and row 5
+        # (no edge from "hot") near too
+        (OpControls(), 0.95, "hot", [1, 0, 0], 2, 3),
+        # rows 0 and 1 tie: the first matches, then only the second
+        (OpControls(), 0.999, "hot", [1, 0, 0], 0, 4),
+        (OpControls(), 0.99999, "hot", [1, 0, 0.01], 1, 5),
+        # row 0 placed past the end, by the search limit and by the
+        # association threshold
+        (OpControls(search_limit=3), 0.999, "hot", [1, 0, 0], None, 3),
+        (OpControls(search_limit=4), 0.999, "hot", [1, 0, 0], 0, 4),
+        # a NaN query: every candidate is near and none matches
+        (OpControls(), 0.95, "hot", [np.nan, 0, 0], None, 5),
+        # failure decay: a fresh copy of the prefix, placed the same way
+        (OpControls(weaken_on_fail=True), 0.999, "hot", [1, 0, 0], 0, 4),
+        (OpControls(weaken_on_fail=True, search_limit=3), 0.95, "hot",
+         [1, 0, 0.01], 2, 3),
+        # an unknown label walks the default cue's order, in row order
+        (OpControls(), 0.99999, "unheard", [1, 0, 0.01], 1, 2),
+        (OpControls(), 0.95, "unheard", [np.nan, 0, 0], None, 6),
+    ])
+    def test_same_as_the_model(self, scalar_calls, controls, thresh, label,
+                               query, row, cost):
+        engine, model = placed_engine_and_model()
+        engine.controls = model.controls = controls
+        engine.search = model.search = SearchParams(match_thresh=thresh)
+        out = retrieve_both(engine, model, scalar_calls, label, query)
+        dn_ids = list(engine.memory.row_of)
+        assert (out.dn_id, out.cost) == (
+            None if row is None else dn_ids[row], cost)
+
+    @pytest.mark.parametrize("assoc_thresh, cost", [(15.0, 3), (11.0, 3),
+                                                    (10.0, 4)])
+    def test_a_place_past_the_association_threshold_is_dropped(
+            self, scalar_calls, assoc_thresh, cost):
+        engine, model = placed_engine_and_model()
+        engine.search = model.search = SearchParams(
+            assoc_thresh=assoc_thresh, match_thresh=0.999)
+        out = retrieve_both(engine, model, scalar_calls, "hot", [1, 0, 0])
+        assert (out.kind, out.cost) == ("miss" if cost == 3 else "hit", cost)
+
+    def test_the_memo_starts_over_when_the_threshold_changes(
+            self, scalar_calls):
+        """A cue kept at a high threshold's band holds too few near rows
+        for a lower one."""
+        engine, model = placed_engine_and_model()
+        engine.controls = model.controls = OpControls(search_limit=3)
+        query = [1, 0, 0]
+        dn_ids = list(engine.memory.row_of)
+        for thresh, row in [(0.999, None), (0.95, 2), (0.999, None),
+                            (0.95, 2)]:
+            engine.search = model.search = SearchParams(match_thresh=thresh)
+            out = retrieve_both(engine, model, scalar_calls, "hot", query)
+            assert out.dn_id == (None if row is None else dn_ids[row])
+            assert len(engine._fine_units) == 1
 
 
 class TestRewardAtTheScanIndex:
